@@ -342,20 +342,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	// monolithic engine derives it from diameter + longest SR path), so a
 	// contained flow executes the same number of wavefront steps in its
 	// domain as it would monolithically.
-	longestSR := 0
-	for _, rc := range cfgs {
-		for _, p := range rc.SRPolicies {
-			for _, path := range p.Paths {
-				if len(path.Segments) > longestSR {
-					longestSR = len(path.Segments)
-				}
-			}
-		}
-	}
-	maxIter := (longestSR + 2) * (net.Diameter() + 2)
-	if maxIter < 16 {
-		maxIter = 16
-	}
+	maxIter := net.HopBound(cfgs.LongestSRPath())
 
 	// Execute every class inside its domain, domains in parallel (each
 	// has a private manager). Domains run under BudgetFail with no

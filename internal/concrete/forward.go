@@ -160,8 +160,6 @@ type cell struct {
 	stack  string
 }
 
-const maxHops = 64
-
 // SimulateFlow propagates one flow's traffic wavefront under precomputed
 // routes and returns its trace.
 func (s *Sim) SimulateFlow(rt *routesFor, f topo.Flow) *FlowTrace {
@@ -176,7 +174,7 @@ func (s *Sim) SimulateFlow(rt *routesFor, f topo.Flow) *FlowTrace {
 	}
 	stacks := map[string][]topo.RouterID{"": nil}
 	front := map[cell]float64{{f.Ingress, ""}: f.Gbps}
-	for hop := 0; hop < maxHops && len(front) > 0; hop++ {
+	for hop := 0; hop < s.maxHops && len(front) > 0; hop++ {
 		next := make(map[cell]float64)
 		for c, vol := range front {
 			tr.Routers[c.router] = true

@@ -60,6 +60,10 @@ type Sim struct {
 	srPolicies [][]config.SRPolicy
 	neighbors  [][]config.BGPNeighbor
 
+	// maxHops caps SimulateFlow's wavefront at the symbolic engine's
+	// iteration bound (topo.Network.HopBound).
+	maxHops int
+
 	// base is the lazily computed no-failure IGP state, used for the
 	// static hot-potato tiebreak (mirrors routesim.IGP.NoFailCost).
 	base *igpState
@@ -84,6 +88,7 @@ func NewSim(net *topo.Network, cfgs config.Configs) *Sim {
 		redistrib:  make([]bool, net.NumRouters()),
 		srPolicies: make([][]config.SRPolicy, net.NumRouters()),
 		neighbors:  make([][]config.BGPNeighbor, net.NumRouters()),
+		maxHops:    net.HopBound(cfgs.LongestSRPath()),
 	}
 	for name, rc := range cfgs {
 		r, ok := net.RouterByName(name)

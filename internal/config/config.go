@@ -120,6 +120,22 @@ func (c Configs) Get(name string) *Router {
 	return r
 }
 
+// LongestSRPath returns the segment count of the longest configured SR
+// path — the input of topo.Network.HopBound.
+func (c Configs) LongestSRPath() int {
+	longest := 0
+	for _, rc := range c {
+		for _, p := range rc.SRPolicies {
+			for _, path := range p.Paths {
+				if len(path.Segments) > longest {
+					longest = len(path.Segments)
+				}
+			}
+		}
+	}
+	return longest
+}
+
 // Validate cross-checks configurations against the topology: neighbor
 // addresses must resolve to a link interface or loopback, static next hops
 // must resolve, and SR segment lists must name router loopbacks.

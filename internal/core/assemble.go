@@ -11,9 +11,6 @@
 package core
 
 import (
-	"errors"
-
-	"github.com/yu-verify/yu/internal/govern"
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/topo"
 )
@@ -28,76 +25,20 @@ import (
 // pre[i] == nil marks a class beyond the domains' precision limit, which
 // is executed natively on e through the standard governed ladder (e's
 // route-sim result must then cover the whole network).
-//
-// The import runs under the same budget ladder as the parallel merge:
-// attempt, GC + retry on a breach, then (degrade policy) the bounded
-// concrete fallback.
 func NewAssembledVerifier(e *Engine, flows []topo.Flow, workers int, pre []*FlowSTF) *Verifier {
 	if workers < 1 {
 		workers = 1
 	}
-	v := &Verifier{e: e, flows: flows, workers: workers,
-		kreduceT: e.opts.Obs.Timer("check/kreduce")}
-	v.classes, v.classOf = classifyFlows(e, flows)
-	v.measured = make([]float64, len(v.classes))
-	v.sched = SchedStats{Workers: 1, Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
-	e.opts.Obs.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
+	v := newVerifier(e, flows, workers)
 	if len(pre) != len(v.classes) {
 		// The coordinator classified with a different prefix set than the
 		// engine — a programming error, not an input condition.
 		panic("core: assembled STF slot array does not match the class count")
 	}
-	mergeSpan := e.opts.Obs.Span("execute/assemble")
-	defer mergeSpan.End()
-	flowC := e.opts.Obs.Counter("exec.flows_executed")
-	for i, s := range pre {
-		if s == nil {
-			// Precision fallback: whole-network execution on the check
-			// engine, identical to the monolithic pipeline's path for this
-			// class.
-			before := e.m.Stats().Created
-			out, err := e.executeGoverned(v.classes[i].rep, v.stfs)
-			if err != nil {
-				v.err = err
-				break
-			}
-			v.measured[i] = float64(e.m.Stats().Created - before)
-			v.stfs = append(v.stfs, out)
-			flowC.Inc()
-			continue
-		}
-		var out *FlowSTF
-		attempt := func() error {
-			return mtbdd.Guard(func() {
-				out = importSTF(e.m, s)
-				e.maybeGC(v.stfs, stfRoots(nil, []*FlowSTF{out}))
-			})
-		}
-		merr := attempt()
-		if merr != nil && errors.Is(merr, govern.ErrNodeBudget) {
-			e.m.GC(e.roots(stfRoots(nil, v.stfs)))
-			merr = attempt()
-		}
-		if merr != nil && errors.Is(merr, govern.ErrNodeBudget) && e.opts.OnBudget == BudgetDegrade {
-			out, merr = e.concreteFallbackSTF(v.classes[i].rep, merr)
-		}
-		if merr != nil {
-			v.err = merr
-			break
-		}
-		v.stfs = append(v.stfs, out)
-	}
-	v.execCount = len(v.stfs)
+	span := e.opts.Obs.Span("execute/assemble")
+	defer span.End()
+	v.assemble(pre)
 	return v
-}
-
-// ExecuteGoverned exposes the governed execution ladder (budget GC +
-// retry, then the policy-selected response) to the compositional
-// coordinator, which executes class representatives on per-domain
-// engines outside any Verifier. done lists this engine's already-built
-// STFs — the GC roots that must survive a managed collection.
-func (e *Engine) ExecuteGoverned(f topo.Flow, done []*FlowSTF) (*FlowSTF, error) {
-	return e.executeGoverned(f, done)
 }
 
 // TranslateSTF re-keys a domain-local FlowSTF's link map to global

@@ -205,8 +205,7 @@ func TestMotivatingExampleScenarioE(t *testing.T) {
 // and the verifier finds B-D among the witnesses.
 func TestMotivatingP2SingleFailure(t *testing.T) {
 	fx := motivatingFixture(t, 1)
-	rep := &Report{}
-	fx.ver.CheckOverloadAll(0.95, rep)
+	rep := mustRun(t, func() (*Report, error) { return fx.ver.Run(nil, nil, 0.95) })
 	if len(rep.Violations) == 0 {
 		t.Fatal("expected P2 violations under 1-link failures")
 	}
@@ -225,18 +224,26 @@ func TestMotivatingP2SingleFailure(t *testing.T) {
 	if !ceOverloaded {
 		t.Fatal("C->E must be overloadable under a single failure")
 	}
-	// Enumerating all violating scenarios for C->E must include the
-	// paper's B-D failure with load 100.
+	// Enumerating all violating scenarios of C->E's load must include the
+	// paper's B-D failure with load 100, and none may exceed k=1.
 	tau, _ := fx.ver.LinkLoad(ce)
 	foundBD := false
-	for _, v := range fx.ver.ViolatingScenarios(tau, 0, 95, 100) {
-		if len(v.FailedLinks) == 1 && v.FailedLinks[0] == bd.ID {
+	fx.eng.Manager().ForEachPath(tau, func(a mtbdd.Assignment, val float64) bool {
+		if val <= 95+loadEpsilon {
+			return true
+		}
+		links, _ := scenarioWitness(fx.fv, a)
+		if len(links) > 1 {
+			t.Errorf("violating path with %d failures exceeds k=1", len(links))
+		}
+		if len(links) == 1 && links[0] == bd.ID {
 			foundBD = true
-			if !approx(v.Value, 100) {
-				t.Errorf("C-E load under B-D failure = %.6g, want 100", v.Value)
+			if !approx(val, 100) {
+				t.Errorf("C-E load under B-D failure = %.6g, want 100", val)
 			}
 		}
-	}
+		return true
+	})
 	if !foundBD {
 		t.Error("missing the paper's B-D failure -> C-E overload scenario")
 	}
@@ -252,8 +259,9 @@ func TestMotivatingP1(t *testing.T) {
 		holds bool
 	}{{1, true}, {2, false}, {3, false}} {
 		fx := motivatingFixture(t, tc.k)
-		rep := &Report{}
-		fx.ver.CheckDelivered(topo.DeliveredBound{Prefix: dst, Min: 70, Max: math.Inf(1)}, rep)
+		rep := mustRun(t, func() (*Report, error) {
+			return fx.ver.Run(nil, []topo.DeliveredBound{{Prefix: dst, Min: 70, Max: math.Inf(1)}}, 0)
+		})
 		if (len(rep.Violations) == 0) != tc.holds {
 			t.Errorf("k=%d: P1 holds=%v, want %v (violations: %+v)",
 				tc.k, len(rep.Violations) == 0, tc.holds, rep.Violations)
@@ -416,8 +424,7 @@ func TestSTFMatchesPaperFormula(t *testing.T) {
 // TestViolationDescribe covers the human-readable rendering.
 func TestViolationDescribe(t *testing.T) {
 	fx := motivatingFixture(t, 1)
-	rep := &Report{}
-	fx.ver.CheckOverloadAll(0.95, rep)
+	rep := mustRun(t, func() (*Report, error) { return fx.ver.Run(nil, nil, 0.95) })
 	if len(rep.Violations) == 0 {
 		t.Fatal("need violations")
 	}

@@ -55,8 +55,8 @@ type Options struct {
 	// flows with identical (ingress, destination class, DSCP) before
 	// execution.
 	DisableGlobalEquiv bool
-	// DisableEarlyTermination turns off the §6 pruning heuristics in
-	// CheckOverloadAll (quick bounds + early stop), forcing full
+	// DisableEarlyTermination turns off the §6 pruning heuristics of the
+	// all-links overload check (quick bounds + early stop), forcing full
 	// aggregation on every link.
 	DisableEarlyTermination bool
 	// CheckK, when > 0, applies KReduce(·, CheckK) to each aggregated
@@ -151,11 +151,7 @@ func NewEngine(rs *routesim.Result, opts Options) *Engine {
 				}
 			}
 		}
-		d := e.net.Diameter()
-		e.maxIter = (longestSR + 2) * (d + 2)
-		if e.maxIter < 16 {
-			e.maxIter = 16
-		}
+		e.maxIter = e.net.HopBound(longestSR)
 	}
 	return e
 }

@@ -13,8 +13,11 @@ import (
 // simulation per failure scenario within the budget k, stitched into an
 // MTBDD with an ITE chain. The result is pointwise identical to the
 // symbolic STF on every assignment with at most k failures (the only
-// region Theorem 5.1 reads), so downstream aggregation and checking are
-// unchanged; it merely costs O(C(n,≤k)) simulations for this one flow.
+// region Theorem 5.1 reads) — on forwarding loops too, because the concrete
+// simulator stops at the engine's hop bound (topo.Network.HopBound); only
+// the loop residue moves, from InFlight to Dropped — so downstream
+// aggregation and checking are unchanged; it merely costs O(C(n,≤k))
+// simulations for this one flow.
 //
 // The scenarios are applied in order of increasing failure-set size, so
 // for any assignment with failure set Z (|Z| ≤ k) the last ITE whose

@@ -42,47 +42,63 @@ func contained(fn func()) (err error) {
 	return nil
 }
 
-// executeGoverned runs one flow's symbolic execution through the
-// degradation ladder:
+// ladder is the one budget ladder every governed step — a flow execution,
+// an STF import, a property check on the primary or on a shard — runs
+// through (DESIGN.md §10):
 //
-//  1. plain ExecuteFlow (with the engine's managed GC);
-//  2. on a budget breach, an engine-wide GC keeping only the engine
-//     caches and the already-completed STFs, then one retry;
-//  3. if the retry still breaches and the policy is BudgetDegrade, the
-//     flow is re-verified by bounded concrete enumeration
-//     (concreteFallbackSTF) and marked Degraded.
+//  1. poll the context, then run attempt under mtbdd.Guard;
+//  2. on a node-budget breach, collect m keeping only roots() and retry
+//     once;
+//  3. a breach the collection did not relieve is the caller's to answer
+//     when the policy is BudgetDegrade: degrade is set and err carries the
+//     breach, and the caller applies its own response (concrete fallback
+//     STF, link left unchecked).
 //
-// Cancellation and non-budget errors are returned as-is at any rung.
-func (e *Engine) executeGoverned(f topo.Flow, done []*FlowSTF) (*FlowSTF, error) {
-	if err := govern.Check(e.opts.Ctx); err != nil {
-		return nil, err
+// Cancellation, a breach under BudgetFail and every non-budget failure
+// come back as a plain error. attempt must be idempotent: it reruns on
+// retry.
+func ladder(opts Options, m *mtbdd.Manager, roots func() []*mtbdd.Node, attempt func()) (degrade bool, err error) {
+	if err := govern.Check(opts.Ctx); err != nil {
+		return false, err
 	}
-	s, err := e.tryExecute(f, done)
-	if err == nil || !errors.Is(err, govern.ErrNodeBudget) {
-		return s, err
+	err = mtbdd.Guard(attempt)
+	if errors.Is(err, govern.ErrNodeBudget) {
+		opts.Obs.Counter("govern.budget_gc_retries").Inc()
+		m.GC(roots())
+		err = mtbdd.Guard(attempt)
 	}
-	e.opts.Obs.Counter("govern.budget_gc_retries").Inc()
-	e.m.GC(e.roots(stfRoots(nil, done)))
-	s, err = e.tryExecute(f, done)
-	if err == nil || !errors.Is(err, govern.ErrNodeBudget) {
-		return s, err
-	}
-	if e.opts.OnBudget != BudgetDegrade {
-		return nil, err
-	}
-	return e.concreteFallbackSTF(f, err)
+	return errors.Is(err, govern.ErrNodeBudget) && opts.OnBudget == BudgetDegrade, err
 }
 
-// tryExecute is one governed attempt at symbolic execution: the flow is
-// executed and the manager collected if over threshold, with operation
-// aborts converted to errors.
-func (e *Engine) tryExecute(f topo.Flow, done []*FlowSTF) (s *FlowSTF, err error) {
-	err = mtbdd.Guard(func() {
-		s = e.ExecuteFlow(f)
+// ladder runs attempt through the budget ladder on the engine's manager;
+// a collection keeps the engine caches and the finished STFs in done.
+func (e *Engine) ladder(done []*FlowSTF, attempt func()) (degrade bool, err error) {
+	return ladder(e.opts, e.m, func() []*mtbdd.Node { return e.roots(stfRoots(nil, done)) }, attempt)
+}
+
+// buildGoverned builds flow f's STF in the engine's manager through the
+// budget ladder — build followed by the engine's managed GC is the attempt;
+// the degrade response rebuilds the flow by bounded concrete enumeration
+// (concreteFallbackSTF) and marks it Degraded. done lists the engine's
+// already-built STFs, the GC roots that must survive a collection.
+func (e *Engine) buildGoverned(f topo.Flow, done []*FlowSTF, build func() *FlowSTF) (*FlowSTF, error) {
+	var s *FlowSTF
+	degrade, err := e.ladder(done, func() {
+		s = build()
 		e.maybeGC(done, stfRoots(nil, []*FlowSTF{s}))
 	})
+	if degrade {
+		return e.concreteFallbackSTF(f, err)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// ExecuteGoverned runs one flow's symbolic execution through the budget
+// ladder. Exported for the compositional coordinator, which executes class
+// representatives on per-domain engines outside any Verifier.
+func (e *Engine) ExecuteGoverned(f topo.Flow, done []*FlowSTF) (*FlowSTF, error) {
+	return e.buildGoverned(f, done, func() *FlowSTF { return e.ExecuteFlow(f) })
 }

@@ -15,9 +15,9 @@ import (
 //
 // Instrumentation placement follows the overhead budget of DESIGN.md
 // §11: no time.Now() ever runs inside ExecuteFlow's wavefront loop. The
-// KREDUCE timer covers only the per-link aggregation loops (LinkLoad,
-// DeliveredLoad, the pruned checks, and their shard mirrors), where one
-// clock read per equivalence class is noise; KREDUCE effort during
+// KREDUCE timer covers only the aggregation loops of the check stage
+// (scanCtx.sum and the pruned scan, on the primary and on shards), where
+// one clock read per equivalence class is noise; KREDUCE effort during
 // symbolic execution is reported through the manager's cumulative
 // counters instead.
 
@@ -46,9 +46,9 @@ func ManagerObsStats(name string, m *mtbdd.Manager) obs.ManagerStats {
 }
 
 // RecordManager snapshots a manager's stats into the registry. A nil
-// registry records nothing.
+// registry or manager records nothing.
 func RecordManager(reg *obs.Registry, name string, m *mtbdd.Manager) {
-	if reg == nil {
+	if reg == nil || m == nil {
 		return
 	}
 	reg.RecordManager(ManagerObsStats(name, m))

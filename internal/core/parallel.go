@@ -26,13 +26,14 @@
 //     Hash-consing makes equal functions from different workers collapse
 //     to the same *Node, restoring the pointer-equality invariant the
 //     §5.3 link-local equivalence grouping relies on.
-//   - Checking: CheckOverloadAll fans the directed links out over a pool
-//     of shard checkers, each with a private Manager into which it imports
-//     just the STFs present on the link at hand. Results are accumulated
-//     in the network's link order, so the Report is identical (modulo
-//     per-check Elapsed timings) to a sequential run.
+//   - Checking: Run fans its check items out over a pool of shard
+//     checkers (scan.go), each with a private Manager into which it imports
+//     just the STFs of the subject at hand. Results are accumulated in item
+//     order, so the Report is identical (modulo per-check Elapsed timings)
+//     to a sequential run.
 //
-// workers <= 1 bypasses all of this and is the exact legacy code path.
+// workers <= 1 bypasses all of this: execution and checks run on the
+// primary manager.
 package core
 
 import (
@@ -52,11 +53,6 @@ import (
 // It is a test seam: injecting a panic here exercises the worker
 // containment path without corrupting any real state.
 var testExecHook func(topo.Flow)
-
-// shardGCThreshold is the live-node count that triggers a shard-local GC
-// in a link-check worker. Nothing is retained across links, so the roots
-// are empty and the collection is cheap.
-const shardGCThreshold = 1 << 20
 
 // chunkDeque is one worker's work queue of class-index chunks. The owner
 // pops from the front (chunks arrive cost-descending, so the front is the
@@ -106,31 +102,43 @@ func (d *chunkDeque) depth() int {
 
 // NewParallelVerifier executes the flows like NewVerifier but schedules
 // the symbolic execution across up to the given number of workers, and
-// returns a Verifier whose CheckOverloadAll fans links out over the same
-// number of workers. workers <= 1 falls back to the sequential
-// NewVerifier. At most one goroutine per work chunk is spawned — never
-// an idle worker (SchedStats reports the actual count).
+// returns a Verifier whose Run fans its checks out over the same number of
+// workers. workers <= 1 falls back to the sequential NewVerifier. At most
+// one goroutine per work chunk is spawned — never an idle worker
+// (SchedStats reports the actual count).
 //
 // The parallel and sequential paths produce identical Reports: execution
 // is deterministic per class, results land in a slot array indexed by
 // class (so scheduling order cannot reorder them), the merge restores
 // canonical node identity in the primary manager in class order, and
-// checking accumulates results in link order.
+// checking accumulates results in item order.
 func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 	if workers <= 1 {
 		return NewVerifier(e, flows)
 	}
-	v := &Verifier{e: e, flows: flows, workers: workers,
-		kreduceT: e.opts.Obs.Timer("check/kreduce")}
-	v.classes, v.classOf = classifyFlows(e, flows)
-	classes := v.classes
-	v.measured = make([]float64, len(classes))
-	v.execCount = len(classes)
-	v.sched = SchedStats{Classes: len(classes), DedupHits: dedupHits(classes)}
-	obsR := e.opts.Obs
-	obsR.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
-	if len(classes) == 0 {
+	v := newVerifier(e, flows, workers)
+	pre, err := v.executeSharded()
+	if err != nil {
+		v.err = err
 		return v
+	}
+	mergeSpan := e.opts.Obs.Span("execute/merge")
+	defer mergeSpan.End()
+	v.assemble(pre)
+	return v
+}
+
+// executeSharded executes every class on the work-stealing shard pool and
+// returns the per-class slot array of shard-owned STFs for assemble to
+// merge. Per-flow budget breaches are handled inside ExecuteGoverned
+// (GC + retry + concrete fallback); an error returned here is fatal to the
+// run: a cancellation, a contained panic, a breach under the fail policy.
+func (v *Verifier) executeSharded() ([]*FlowSTF, error) {
+	e, classes, workers := v.e, v.classes, v.workers
+	obsR := e.opts.Obs
+	v.sched.Workers = 0
+	if len(classes) == 0 {
+		return nil, nil
 	}
 
 	// Cost-ordered chunks, dealt round-robin onto per-worker deques.
@@ -231,7 +239,7 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 							testExecHook(classes[ci].rep)
 						}
 						before := mW.Stats().Created
-						s, err := engW.executeGoverned(classes[ci].rep, local)
+						s, err := engW.ExecuteGoverned(classes[ci].rep, local)
 						if err != nil {
 							werr = err
 							busyT.Add(time.Since(start))
@@ -266,75 +274,17 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 	obsR.Counter("sched.workers_spawned").Add(int64(spawn))
 	obsR.Counter("sched.queue_depth_hw").Add(int64(depthHW))
 
-	// Worker triage. Per-flow budget breaches were already handled inside
-	// executeGoverned (GC + retry + concrete fallback); an error reaching
-	// here is a cancellation, a contained panic, a breach under the fail
-	// policy — or a breach during worker setup (snapshot replay), where a
-	// same-budget retry would deterministically breach again. Under the
-	// degrade policy any class left unexecuted (its worker died; nobody
-	// stole it in time) goes to the bounded concrete fallback on the
-	// primary engine.
-	var budgetErr error
+	// Worker triage. A budget breach under the degrade policy only cost
+	// that worker its remaining chunks (typically a breach during setup,
+	// replaying the guard snapshot): any class left unexecuted — nobody
+	// stole it in time — stays a nil slot, which assemble executes on the
+	// primary engine through the standard ladder. Anything else is fatal.
 	for _, werr := range workerErrs {
-		if werr == nil {
-			continue
-		}
-		if errors.Is(werr, govern.ErrNodeBudget) && e.opts.OnBudget == BudgetDegrade {
-			budgetErr = werr
-		} else if v.err == nil {
-			v.err = werr
+		if werr != nil && !(errors.Is(werr, govern.ErrNodeBudget) && e.opts.OnBudget == BudgetDegrade) {
+			return nil, werr
 		}
 	}
-	if v.err != nil {
-		v.execCount = 0
-		return v
-	}
-	if budgetErr != nil {
-		for ci := range stfs {
-			if stfs[ci] != nil {
-				continue
-			}
-			s, ferr := e.concreteFallbackSTF(classes[ci].rep, budgetErr)
-			if ferr != nil {
-				v.err = ferr
-				v.execCount = 0
-				return v
-			}
-			stfs[ci] = s
-		}
-	}
-
-	// Merge: rebuild every class STF in the primary manager, in class
-	// order, garbage-collecting as the unique table fills. The merge runs
-	// under the same budget ladder as execution: GC + retry on a breach,
-	// then (degrade policy) a concrete rebuild of the offending flow.
-	mergeSpan := e.opts.Obs.Span("execute/merge")
-	defer mergeSpan.End()
-	v.stfs = make([]*FlowSTF, 0, len(classes))
-	for i, s := range stfs {
-		var out *FlowSTF
-		attempt := func() error {
-			return mtbdd.Guard(func() {
-				out = importSTF(e.m, s)
-				e.maybeGC(v.stfs, stfRoots(nil, []*FlowSTF{out}))
-			})
-		}
-		merr := attempt()
-		if merr != nil && errors.Is(merr, govern.ErrNodeBudget) {
-			e.m.GC(e.roots(stfRoots(nil, v.stfs)))
-			merr = attempt()
-		}
-		if merr != nil && errors.Is(merr, govern.ErrNodeBudget) && e.opts.OnBudget == BudgetDegrade {
-			out, merr = e.concreteFallbackSTF(classes[i].rep, merr)
-		}
-		if merr != nil {
-			v.err = merr
-			break
-		}
-		v.stfs = append(v.stfs, out)
-	}
-	v.execCount = len(v.stfs)
-	return v
+	return stfs, nil
 }
 
 // importSTF rebuilds a shard-owned FlowSTF in the manager m.
@@ -352,167 +302,4 @@ func importSTF(m *mtbdd.Manager, s *FlowSTF) *FlowSTF {
 		out.Links[l] = m.Import(w)
 	}
 	return out
-}
-
-// linkRes is one directed link's check outcome in the parallel pool.
-// done distinguishes a completed check from one that was skipped (budget
-// degrade) or never ran (cancellation stopped the pool first) — both of
-// the latter leave the link unchecked in the report.
-type linkRes struct {
-	stat  LinkCheckStat
-	viols []Violation
-	done  bool
-}
-
-// checkOverloadAllParallel is the concurrent counterpart of
-// CheckOverloadAll: directed links are distributed over a worker pool via
-// an atomic cursor, every worker checks links in a private shard manager,
-// and per-link results are written into a slot array so the final
-// accumulation order — and therefore the Report — matches the sequential
-// path exactly.
-//
-// The pool is governed: each worker polls the context between links, a
-// budget breach on a shard retries once after a shard GC and then (under
-// the degrade policy) leaves the link unchecked, and any worker panic is
-// contained into an error. The first fatal error stops the pool; links
-// without a completed verdict are recorded as Unchecked.
-func (v *Verifier) checkOverloadAllParallel(factor float64, rep *Report) error {
-	net := v.e.net
-	type job struct {
-		l     topo.DirLinkID
-		limit float64
-	}
-	jobs := make([]job, 0, 2*net.NumLinks())
-	for li := 0; li < net.NumLinks(); li++ {
-		link := net.Link(topo.LinkID(li))
-		limit := link.Capacity * factor
-		for _, d := range []topo.Direction{topo.AtoB, topo.BtoA} {
-			jobs = append(jobs, job{topo.MakeDirLinkID(link.ID, d), limit})
-		}
-	}
-	results := make([]linkRes, len(jobs))
-	workers := v.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var (
-		cursor   atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			linkC := v.e.opts.Obs.Counter(workerCounter(w, "links_checked"))
-			var c *shardChecker
-			if err := contained(func() { c = newShardChecker(v) }); err != nil {
-				// A budget so tight the shard's FailVars cannot even be
-				// built: under the degrade policy the shard bows out (its
-				// links end up unchecked via other workers or not at all);
-				// otherwise it is fatal.
-				if !errors.Is(err, govern.ErrNodeBudget) || v.e.opts.OnBudget != BudgetDegrade {
-					fail(err)
-				}
-				return
-			}
-			defer RecordManager(v.e.opts.Obs, "check-shard."+strconv.Itoa(w), c.m)
-			for !stop.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				if err := govern.Check(v.e.opts.Ctx); err != nil {
-					fail(err)
-					return
-				}
-				done, err := c.checkLinkGoverned(jobs[i].l, jobs[i].limit, &results[i])
-				if err != nil {
-					fail(err)
-					return
-				}
-				results[i].done = done
-				linkC.Inc()
-				c.maybeGC()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i := range results {
-		if results[i].done {
-			rep.LinkStats = append(rep.LinkStats, results[i].stat)
-			rep.Violations = append(rep.Violations, results[i].viols...)
-		} else {
-			rep.markUnchecked(jobs[i].l)
-		}
-	}
-	return firstErr
-}
-
-// shardChecker checks directed links in a private manager. It imports the
-// STFs present on each link on demand (memoized by the manager's import
-// cache) and mirrors the sequential checkOverloadPruned / LinkLoad logic
-// operation for operation, so its verdicts and values are identical.
-type shardChecker struct {
-	v  *Verifier
-	m  *mtbdd.Manager
-	fv *routesim.FailVars
-}
-
-func newShardChecker(v *Verifier) *shardChecker {
-	m := mtbdd.New()
-	installGovernance(m, v.e.opts)
-	fv := routesim.NewFailVars(m, v.e.net, v.e.fv.Mode, v.e.fv.K)
-	return &shardChecker{v: v, m: m, fv: fv}
-}
-
-// checkLinkGoverned runs one link check through the budget ladder on the
-// shard's private manager: a breach triggers a full shard GC (nothing is
-// retained between links) and one retry; a retry that still breaches is
-// reported as skipped under the degrade policy, fatal otherwise.
-func (c *shardChecker) checkLinkGoverned(l topo.DirLinkID, limit float64, res *linkRes) (bool, error) {
-	attempt := func() error {
-		return mtbdd.Guard(func() {
-			res.stat, res.viols = c.checkLink(l, limit)
-		})
-	}
-	err := attempt()
-	if err != nil && errors.Is(err, govern.ErrNodeBudget) {
-		c.m.GC(nil)
-		err = attempt()
-	}
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, govern.ErrNodeBudget) && c.v.e.opts.OnBudget == BudgetDegrade {
-		return false, nil
-	}
-	return false, err
-}
-
-// maybeGC collects the shard manager between links. Nothing survives a
-// link check, so the root set is empty (the import memo is dropped with
-// the other caches and rebuilt on demand).
-func (c *shardChecker) maybeGC() {
-	if c.m.Stats().Live > shardGCThreshold {
-		c.m.GC(nil)
-	}
-}
-
-// checkLink verifies one directed link against an upper limit through the
-// shared scan core, without touching the primary manager: classes are
-// keyed by the primary canonical pointer and imported on demand, so the
-// grouping — and every verdict and value — is identical to sequential.
-func (c *shardChecker) checkLink(l topo.DirLinkID, limit float64) (LinkCheckStat, []Violation) {
-	return c.scan().checkLink(l, limit)
 }

@@ -336,16 +336,9 @@ func TestParallelMatchesSequentialWithMetrics(t *testing.T) {
 	if flowSum != int64(par.FlowsExecuted) {
 		t.Errorf("worker flow counters sum to %d, report says %d executed", flowSum, par.FlowsExecuted)
 	}
-	// Delivered-bound checks run on the primary manager before the pool
-	// starts, so only the link-load stats are worker-counted.
-	var poolStats int64
-	for _, s := range par.LinkStats {
-		if s.Kind != "delivered" {
-			poolStats++
-		}
-	}
-	if linkSum != poolStats {
-		t.Errorf("worker link counters sum to %d, report has %d pool link stats", linkSum, poolStats)
+	// Every check item — bounds, delivered, overload — goes through the pool.
+	if linkSum != int64(len(par.LinkStats)) {
+		t.Errorf("worker link counters sum to %d, report has %d check stats", linkSum, len(par.LinkStats))
 	}
 	var execShards, checkShards int
 	for _, m := range snap.Managers {

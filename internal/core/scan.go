@@ -5,12 +5,18 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"net/netip"
 	"sort"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"github.com/yu-verify/yu/internal/govern"
 	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/obs"
 	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
@@ -21,39 +27,29 @@ import (
 // the final terminal scan of every check path compare against this value.
 func violThreshold(limit float64) float64 { return limit - loadEpsilon }
 
-// boundScan is the terminal-scan predicate for an explicit [min, max]
-// bound: values outside the epsilon-widened interval are violations.
-func boundScan(min, max float64) mtbdd.ScanCheck {
-	hi := max + loadEpsilon
-	if math.IsInf(max, 1) {
-		hi = math.Inf(1)
-	}
-	return mtbdd.ScanCheck{Lo: min - loadEpsilon, Hi: hi, MaxFails: -1}
-}
-
-// overloadScan is the terminal-scan predicate for an upper-limit overload
-// check, built on violThreshold.
-func overloadScan(limit float64) mtbdd.ScanCheck {
-	return mtbdd.ScanCheck{Lo: math.Inf(-1), Hi: violThreshold(limit), MaxFails: -1}
-}
-
 // scanCtx binds the shared checker to one manager: the primary one
-// (imp == nil, loads may trigger the engine-wide GC) or a parallel shard's
-// private manager (imp rebuilds primary nodes there, memoized).
+// (imp == nil, collections keep the engine caches and the STFs) or a
+// check-pool shard's private manager (imp rebuilds primary nodes there,
+// memoized; nothing survives a check, so collections keep nothing).
 type scanCtx struct {
-	v       *Verifier
-	m       *mtbdd.Manager
-	fv      *routesim.FailVars
-	imp     func(*mtbdd.Node) *mtbdd.Node
-	gcFirst bool
+	v   *Verifier
+	m   *mtbdd.Manager
+	fv  *routesim.FailVars
+	imp func(*mtbdd.Node) *mtbdd.Node
 }
 
 func (v *Verifier) primaryScan() scanCtx {
-	return scanCtx{v: v, m: v.e.m, fv: v.e.fv, gcFirst: true}
+	return scanCtx{v: v, m: v.e.m, fv: v.e.fv}
 }
 
-func (c *shardChecker) scan() scanCtx {
-	return scanCtx{v: c.v, m: c.m, fv: c.fv, imp: c.m.Import}
+// shardScan builds a check-pool shard: a private governed manager with the
+// primary's variable order. Construction allocates the variable nodes, so
+// callers run it contained.
+func (v *Verifier) shardScan() scanCtx {
+	m := mtbdd.New()
+	installGovernance(m, v.e.opts)
+	fv := routesim.NewFailVars(m, v.e.net, v.e.fv.Mode, v.e.fv.K)
+	return scanCtx{v: v, m: m, fv: fv, imp: m.Import}
 }
 
 func (sc scanCtx) node(w *mtbdd.Node) *mtbdd.Node {
@@ -63,102 +59,130 @@ func (sc scanCtx) node(w *mtbdd.Node) *mtbdd.Node {
 	return w
 }
 
-// checkTau applies the deferred KREDUCE of the reduction-disabled ablation
-// before a terminal scan.
-func (sc scanCtx) checkTau(tau *mtbdd.Node) *mtbdd.Node {
-	if sc.v.e.opts.CheckK > 0 {
-		tau = sc.m.KReduce(tau, sc.v.e.opts.CheckK)
+// shardGCThreshold is the live-node count that triggers a collection on a
+// check-pool shard between checks.
+const shardGCThreshold = 1 << 20
+
+// maybeGC collects the context's manager between checks when it has grown
+// past its threshold.
+func (sc scanCtx) maybeGC() {
+	if sc.imp == nil {
+		sc.v.e.maybeGC(sc.v.stfs, nil)
+	} else if sc.m.Stats().Live > shardGCThreshold {
+		sc.m.GC(nil)
 	}
-	return tau
 }
 
-// checkRange looks for a counter-example terminal outside [min, max]
-// (Theorem 5.1: scanning the terminals of the KReduce'd STL suffices).
-func (sc scanCtx) checkRange(tau *mtbdd.Node, min, max float64) (mtbdd.Assignment, float64, bool) {
-	h := sc.m.ScanOutside(sc.checkTau(tau), []mtbdd.ScanCheck{boundScan(min, max)})[0]
-	return h.A, h.Value, h.OK
+// governed runs one check attempt through the budget ladder on the
+// context's manager.
+func (sc scanCtx) governed(attempt func()) (degrade bool, err error) {
+	if sc.imp == nil {
+		return sc.v.e.ladder(sc.v.stfs, attempt)
+	}
+	return ladder(sc.v.e.opts, sc.m, func() []*mtbdd.Node { return nil }, attempt)
 }
 
-// scanClass is one link-local equivalence class of a link's load: an STF
-// node (in this context's manager) and the summed volume riding on it.
+// Subject names the symbolic quantity a scan evaluates: the load of one
+// directed link (the zero-valued default), the delivered traffic of every
+// flow destined inside Prefix (when valid), or — when Links is non-empty —
+// the pointwise sum (total traffic crossing a cut) or, with Max, the
+// pointwise maximum (the worst-loaded member) of a set of directed links.
+type Subject struct {
+	Link   topo.DirLinkID
+	Prefix netip.Prefix
+	Links  []topo.DirLinkID
+	Max    bool
+}
+
+// scanClass is one link-local equivalence class of a load: an STF node (in
+// this context's manager) and the summed volume riding on it.
 type scanClass struct {
 	w   *mtbdd.Node
 	vol float64
 	max float64
 }
 
-// linkClasses groups the flows crossing l into link-local equivalence
-// classes in first-seen order (float addition is not associative, so the
-// deterministic order keeps verdicts reproducible). Classes are keyed by
-// the primary manager's canonical pointer even on shards — the import is
-// injective on canonical nodes, so every context builds the same classes
-// in the same order.
-func (sc scanCtx) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
+// classes groups the flows contributing to a load — pick returns a flow's
+// STF node, nil when it does not contribute — into equivalence classes in
+// first-seen order (float addition is not associative, so the
+// deterministic order keeps verdicts reproducible). With group off every
+// flow is its own class. Classes are keyed by the primary manager's
+// canonical pointer even on shards — the import is injective on canonical
+// nodes, so every context builds the same classes in the same order.
+func (sc scanCtx) classes(pick func(*FlowSTF) *mtbdd.Node, group bool, stat *LinkCheckStat) []scanClass {
 	var classes []scanClass
-	if sc.v.e.opts.DisableLinkLocalEquiv {
-		for _, s := range sc.v.stfs {
-			if w, ok := s.Links[l]; ok {
-				stat.Flows++
-				classes = append(classes, scanClass{w: sc.node(w), vol: s.Flow.Gbps})
-			}
-		}
-	} else {
-		idx := make(map[*mtbdd.Node]int)
-		for _, s := range sc.v.stfs {
-			if w, ok := s.Links[l]; ok {
-				stat.Flows++
-				if i, ok := idx[w]; ok {
-					classes[i].vol += s.Flow.Gbps
-				} else {
-					idx[w] = len(classes)
-					classes = append(classes, scanClass{w: sc.node(w), vol: s.Flow.Gbps})
-				}
-			}
-		}
-	}
-	stat.Classes = len(classes)
-	return classes
-}
-
-// linkLoad aggregates the symbolic traffic load τ_l of a directed link
-// from its equivalence classes.
-func (sc scanCtx) linkLoad(l topo.DirLinkID) (*mtbdd.Node, LinkCheckStat) {
-	if sc.gcFirst {
-		sc.v.e.maybeGC(sc.v.stfs, nil)
-	}
-	start := time.Now()
-	stat := LinkCheckStat{Link: l}
-	tau := sc.m.Zero()
-	for _, c := range sc.linkClasses(l, &stat) {
-		tau = mulAddTimed(sc.v.kreduceT, sc.fv, tau, c.vol, c.w)
-	}
-	stat.Elapsed = time.Since(start)
-	return tau, stat
-}
-
-// deliveredLoad aggregates the symbolic delivered traffic of every flow
-// destined inside pfx, grouped in first-seen order like linkClasses.
-func (sc scanCtx) deliveredLoad(pfx netip.Prefix) (*mtbdd.Node, LinkCheckStat) {
-	start := time.Now()
-	stat := LinkCheckStat{Kind: "delivered", Prefix: pfx}
 	idx := make(map[*mtbdd.Node]int)
-	var classes []scanClass
 	for _, s := range sc.v.stfs {
-		if !pfx.Contains(s.Flow.Dst) {
+		w := pick(s)
+		if w == nil {
 			continue
 		}
 		stat.Flows++
-		if i, ok := idx[s.Delivered]; ok {
-			classes[i].vol += s.Flow.Gbps
-		} else {
-			idx[s.Delivered] = len(classes)
-			classes = append(classes, scanClass{w: sc.node(s.Delivered), vol: s.Flow.Gbps})
+		if group {
+			if i, ok := idx[w]; ok {
+				classes[i].vol += s.Flow.Gbps
+				continue
+			}
+			idx[w] = len(classes)
 		}
+		classes = append(classes, scanClass{w: sc.node(w), vol: s.Flow.Gbps})
 	}
-	stat.Classes = len(classes)
+	stat.Classes += len(classes)
+	return classes
+}
+
+// linkClasses is classes for the flows crossing directed link l, grouped
+// unless the §5.3 ablation is on.
+func (sc scanCtx) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
+	return sc.classes(func(s *FlowSTF) *mtbdd.Node { return s.Links[l] },
+		!sc.v.e.opts.DisableLinkLocalEquiv, stat)
+}
+
+// sum aggregates classes into one symbolic load on the fused
+// multiply-accumulate kernel.
+func (sc scanCtx) sum(classes []scanClass) *mtbdd.Node {
 	tau := sc.m.Zero()
 	for _, c := range classes {
 		tau = mulAddTimed(sc.v.kreduceT, sc.fv, tau, c.vol, c.w)
+	}
+	return tau
+}
+
+// load aggregates a subject's symbolic quantity from its equivalence
+// classes. An aggregate subject sums each member link as a single-link
+// subject would, then combines across links on the fused k-budgeted
+// kernels (AddNK / MaxK), so every intermediate stays within the KReduce'd
+// size envelope.
+func (sc scanCtx) load(s Subject) (*mtbdd.Node, LinkCheckStat) {
+	start := time.Now()
+	var tau *mtbdd.Node
+	var stat LinkCheckStat
+	switch {
+	case len(s.Links) > 0:
+		stat.Kind = "aggregate"
+		taus := make([]*mtbdd.Node, len(s.Links))
+		for i, l := range s.Links {
+			taus[i] = sc.sum(sc.linkClasses(l, &stat))
+		}
+		if s.Max {
+			tau = sc.m.Zero()
+			for _, t := range taus {
+				tau = sc.m.MaxK(tau, t, sc.fv.K)
+			}
+		} else {
+			tau = sc.m.AddNK(taus, sc.fv.K)
+		}
+	case s.Prefix.IsValid():
+		stat.Kind, stat.Prefix = "delivered", s.Prefix
+		tau = sc.sum(sc.classes(func(f *FlowSTF) *mtbdd.Node {
+			if !s.Prefix.Contains(f.Flow.Dst) {
+				return nil
+			}
+			return f.Delivered
+		}, true, &stat))
+	default:
+		stat.Link = s.Link
+		tau = sc.sum(sc.linkClasses(s.Link, &stat))
 	}
 	stat.Elapsed = time.Since(start)
 	return tau, stat
@@ -189,12 +213,14 @@ type ScanResult struct {
 	FailedRouters []topo.RouterID
 }
 
-// scanCheck converts a LinkCheck to its terminal-scan predicate.
+// scanCheck converts a LinkCheck to its terminal-scan predicate: loads
+// above violThreshold(Max) for an overload check, outside the
+// epsilon-widened [Min, Max] interval otherwise.
 func (c LinkCheck) scanCheck() mtbdd.ScanCheck {
 	if c.Overload {
-		return overloadScan(c.Max)
+		return mtbdd.ScanCheck{Lo: math.Inf(-1), Hi: violThreshold(c.Max), MaxFails: -1}
 	}
-	return boundScan(c.Min, c.Max)
+	return mtbdd.ScanCheck{Lo: c.Min - loadEpsilon, Hi: c.Max + loadEpsilon, MaxFails: -1}
 }
 
 // condBudget is the failure budget of a guard-restricted scan: one less
@@ -221,7 +247,10 @@ func (sc scanCtx) condBudget() (int, bool) {
 // returned restrict count). Witness assignments of conditional checks get
 // the guard element folded back in.
 func (sc scanCtx) scanPortfolio(tau *mtbdd.Node, checks []LinkCheck) ([]ScanResult, int) {
-	tau = sc.checkTau(tau)
+	if k := sc.v.e.opts.CheckK; k > 0 {
+		// The deferred KREDUCE of the reduction-disabled ablation.
+		tau = sc.m.KReduce(tau, k)
+	}
 	out := make([]ScanResult, len(checks))
 
 	// Partition: unconditional checks share the one scan; conditionals
@@ -288,97 +317,130 @@ func (sc scanCtx) scanPortfolio(tau *mtbdd.Node, checks []LinkCheck) ([]ScanResu
 	return out, restricts
 }
 
-// ScanLink aggregates directed link l's load once and evaluates every
-// check against it in a single shared terminal scan (conditional checks
-// add one cofactor scan per distinct guard; the count is returned). This
-// is the portfolio engine's per-link primitive.
-func (v *Verifier) ScanLink(l topo.DirLinkID, checks []LinkCheck) ([]ScanResult, LinkCheckStat, int) {
+// Scan is the one scan primitive: it aggregates the subject's symbolic
+// quantity once and evaluates every check against it in a single shared
+// terminal scan (conditional checks add one cofactor scan per distinct
+// guard; the count is returned as restricts). Scan is governed by the
+// budget ladder: on a node-budget breach the engine collects and retries
+// once, and an unrelieved breach is reported as skipped under the degrade
+// policy (an error otherwise, like cancellation).
+func (v *Verifier) Scan(s Subject, checks []LinkCheck) (res []ScanResult, restricts int, skipped bool, err error) {
 	sc := v.primaryScan()
-	tau, stat := sc.linkLoad(l)
-	res, restricts := sc.scanPortfolio(tau, checks)
-	return res, stat, restricts
-}
-
-// ScanDelivered is ScanLink for the delivered traffic of a prefix.
-func (v *Verifier) ScanDelivered(pfx netip.Prefix, checks []LinkCheck) ([]ScanResult, LinkCheckStat, int) {
-	sc := v.primaryScan()
-	tau, stat := sc.deliveredLoad(pfx)
-	res, restricts := sc.scanPortfolio(tau, checks)
-	return res, stat, restricts
-}
-
-// ScanAggregate aggregates the loads of a set of directed links into one
-// symbolic quantity — their pointwise sum (total traffic crossing a cut)
-// or pointwise max (the worst-loaded member) — and evaluates every check
-// against it in one shared terminal scan. Each member link's load is
-// aggregated exactly as ScanLink does; the cross-link combine runs on the
-// fused k-budgeted kernels (AddNK / MaxK), so every intermediate stays
-// within the KReduce'd size envelope.
-func (v *Verifier) ScanAggregate(links []topo.DirLinkID, max bool, checks []LinkCheck) ([]ScanResult, LinkCheckStat, int) {
-	sc := v.primaryScan()
-	start := time.Now()
-	stat := LinkCheckStat{Kind: "aggregate"}
-	taus := make([]*mtbdd.Node, 0, len(links))
-	for _, l := range links {
-		tau, lstat := sc.linkLoad(l)
-		stat.Flows += lstat.Flows
-		stat.Classes += lstat.Classes
-		taus = append(taus, tau)
+	sc.maybeGC()
+	skipped, err = sc.governed(func() {
+		tau, _ := sc.load(s)
+		res, restricts = sc.scanPortfolio(tau, checks)
+	})
+	if skipped {
+		err = nil
 	}
-	var tau *mtbdd.Node
-	if max {
-		tau = sc.m.Zero()
-		for _, t := range taus {
-			tau = sc.m.MaxK(tau, t, sc.fv.K)
+	return res, restricts, skipped, err
+}
+
+// check evaluates one lowered item: aggregate the subject, scan the one
+// check, convert the hit — or, in pruned mode, the §6 early-termination
+// scan.
+func (sc scanCtx) check(it checkItem) (LinkCheckStat, []Violation) {
+	if it.pruned {
+		return sc.checkLinkPruned(it)
+	}
+	tau, stat := sc.load(it.subject)
+	res, _ := sc.scanPortfolio(tau, []LinkCheck{it.check})
+	return stat, violations(it, res[0])
+}
+
+// violations converts a scan hit on an item into its report entry.
+func violations(it checkItem, r ScanResult) []Violation {
+	if !r.Violated {
+		return nil
+	}
+	v := Violation{
+		Kind: "link-load", Link: it.subject.Link, Value: r.Value, Min: it.check.Min, Max: it.check.Max,
+		FailedLinks: r.FailedLinks, FailedRouters: r.FailedRouters,
+	}
+	if it.subject.Prefix.IsValid() {
+		v.Kind, v.Prefix = "delivered", it.subject.Prefix
+	}
+	return []Violation{v}
+}
+
+// checkItems runs the items through the budget ladder and writes each
+// completed outcome to its slot: on the primary manager with one worker,
+// otherwise fanned out over a pool of shard checkers via an atomic cursor
+// — every worker checks in a private manager and the slot array keeps the
+// accumulation order, and therefore the Report, identical to a one-worker
+// run. An item whose check cannot fit the budget under the degrade policy
+// is left not done; the first fatal error (cancellation, a breach under
+// the fail policy) stops the run and is returned.
+func (v *Verifier) checkItems(items []checkItem, results []itemRes) error {
+	workers := v.workers
+	if workers > len(items) {
+		workers = len(items)
+	}
+	var cursor atomic.Int64
+	var stop atomic.Bool
+	next := func() int {
+		if stop.Load() {
+			return len(items)
 		}
-	} else {
-		tau = sc.m.AddNK(taus, sc.fv.K)
+		return int(cursor.Add(1)) - 1
 	}
-	stat.Elapsed = time.Since(start)
-	res, restricts := sc.scanPortfolio(tau, checks)
-	return res, stat, restricts
-}
-
-// RunScan runs fn under the verifier's governance ladder: cancellation is
-// checked first, a node-budget breach triggers an engine-wide GC and one
-// retry, and an unrelieved breach is reported as skipped under the degrade
-// policy (fatal otherwise). fn must be idempotent — it reruns on retry.
-func (v *Verifier) RunScan(fn func()) (skipped bool, err error) {
-	return v.runGoverned(&Report{}, func(*Report) { fn() })
-}
-
-// Vars exposes the run's failure-variable layout (to resolve property
-// guards to variables).
-func (v *Verifier) Vars() *routesim.FailVars { return v.e.fv }
-
-// checkLink verifies one directed link against an upper limit, dispatching
-// on the early-termination ablation.
-func (sc scanCtx) checkLink(l topo.DirLinkID, limit float64) (LinkCheckStat, []Violation) {
-	if sc.v.e.opts.DisableEarlyTermination {
-		return sc.checkLinkFull(l, limit)
+	if workers <= 1 {
+		return v.primaryScan().runItems(items, results, next, nil)
 	}
-	return sc.checkLinkPruned(l, limit)
-}
-
-// checkLinkFull aggregates the whole load and scans it once.
-func (sc scanCtx) checkLinkFull(l topo.DirLinkID, limit float64) (LinkCheckStat, []Violation) {
-	tau, stat := sc.linkLoad(l)
-	var viols []Violation
-	if a, val, bad := sc.checkOverload(tau, limit); bad {
-		links, routers := scenarioWitness(sc.fv, a)
-		viols = append(viols, Violation{
-			Kind: "link-load", Link: l, Value: val, Min: 0, Max: limit,
-			FailedLinks: links, FailedRouters: routers,
-		})
+	var (
+		mu       sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+		stop.Store(true)
 	}
-	return stat, viols
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var sc scanCtx
+			if err := contained(func() { sc = v.shardScan() }); err != nil {
+				// A budget so tight the shard's FailVars cannot even be
+				// built: under the degrade policy the shard bows out (its
+				// items go to the other workers or end up unchecked);
+				// otherwise it is fatal.
+				if !errors.Is(err, govern.ErrNodeBudget) || v.e.opts.OnBudget != BudgetDegrade {
+					fail(err)
+				}
+				return
+			}
+			defer RecordManager(v.e.opts.Obs, "check-shard."+strconv.Itoa(w), sc.m)
+			linkC := v.e.opts.Obs.Counter(workerCounter(w, "links_checked"))
+			if err := sc.runItems(items, results, next, linkC); err != nil {
+				fail(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	return firstErr
 }
 
-// checkOverload scans tau against an upper limit using the shared
-// threshold.
-func (sc scanCtx) checkOverload(tau *mtbdd.Node, limit float64) (mtbdd.Assignment, float64, bool) {
-	h := sc.m.ScanOutside(sc.checkTau(tau), []mtbdd.ScanCheck{overloadScan(limit)})[0]
-	return h.A, h.Value, h.OK
+// runItems is one checker's loop: take the next item, collect if the
+// manager has grown, check it through the ladder.
+func (sc scanCtx) runItems(items []checkItem, results []itemRes, next func() int, checked *obs.Counter) error {
+	for i := next(); i < len(items); i = next() {
+		sc.maybeGC()
+		r := &results[i]
+		degrade, err := sc.governed(func() { r.stat, r.viols = sc.check(items[i]) })
+		if err != nil && !degrade {
+			return err
+		}
+		r.done = err == nil
+		checked.Inc()
+	}
+	return nil
 }
 
 // checkLinkPruned verifies one directed link against an upper limit with
@@ -387,12 +449,10 @@ func (sc scanCtx) checkOverload(tau *mtbdd.Node, limit float64) (mtbdd.Assignmen
 // and during aggregation the scan stops as soon as the accumulated maximum
 // proves a violation (loads are non-negative, so partial sums only grow)
 // or the remaining mass cannot reach the limit.
-func (sc scanCtx) checkLinkPruned(l topo.DirLinkID, limit float64) (LinkCheckStat, []Violation) {
-	if sc.gcFirst {
-		sc.v.e.maybeGC(sc.v.stfs, nil)
-	}
+func (sc scanCtx) checkLinkPruned(it checkItem) (LinkCheckStat, []Violation) {
 	start := time.Now()
 	m := sc.m
+	l, limit := it.subject.Link, it.check.Max
 	stat := LinkCheckStat{Link: l}
 	classes := sc.linkClasses(l, &stat)
 	for i := range classes {
@@ -435,23 +495,18 @@ func (sc scanCtx) checkLinkPruned(l topo.DirLinkID, limit float64) (LinkCheckSta
 		}
 	}
 	stat.Elapsed = time.Since(start)
-	var viols []Violation
-	if a, val, bad := sc.checkOverload(tau, limit); bad {
-		links, routers := scenarioWitness(sc.fv, a)
+	res, _ := sc.scanPortfolio(tau, []LinkCheck{it.check})
+	if r := &res[0]; r.Violated {
 		// tau may be a partial sum (early break): recompute the exact
 		// load at the witness by evaluating every class there.
-		assign := sc.fv.Scenario(links, routers)
+		assign := sc.fv.Scenario(r.FailedLinks, r.FailedRouters)
 		exact := 0.0
 		for _, c := range classes {
 			exact += c.vol * m.Eval(c.w, assign)
 		}
-		if exact > val {
-			val = exact
+		if exact > r.Value {
+			r.Value = exact
 		}
-		viols = append(viols, Violation{
-			Kind: "link-load", Link: l, Value: val, Min: 0, Max: limit,
-			FailedLinks: links, FailedRouters: routers,
-		})
 	}
-	return stat, viols
+	return stat, violations(it, res[0])
 }

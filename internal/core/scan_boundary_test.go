@@ -38,16 +38,20 @@ func TestOverloadEpsilonBoundary(t *testing.T) {
 		{"limit+2eps", worst + 2*loadEpsilon, false},
 	}
 	for _, pruned := range []bool{true, false} {
-		fx := newFixture(t, paperex.Motivating, topo.FailLinks, 2,
-			Options{DisableEarlyTermination: !pruned})
+		fx := newFixture(t, paperex.Motivating, topo.FailLinks, 2, Options{})
 		d, ok := fx.spec.Net.FindDirLink("C", "E")
 		if !ok {
 			t.Fatal("no link C->E")
 		}
-		shard := newShardChecker(fx.ver)
+		shard := fx.ver.shardScan()
 		for _, c := range cases {
-			seqStat, seqViols := fx.ver.primaryScan().checkLink(d, c.limit)
-			parStat, parViols := shard.checkLink(d, c.limit)
+			it := checkItem{
+				subject: Subject{Link: d},
+				check:   LinkCheck{Max: c.limit, Overload: true, CondVar: -1},
+				pruned:  pruned,
+			}
+			seqStat, seqViols := fx.ver.primaryScan().check(it)
+			parStat, parViols := shard.check(it)
 			if got := len(seqViols) > 0; got != c.wantViol {
 				t.Errorf("pruned=%v %s: sequential violated=%v, want %v",
 					pruned, c.name, got, c.wantViol)
@@ -76,9 +80,9 @@ func TestOverloadEpsilonBoundary(t *testing.T) {
 	}
 }
 
-// TestRangeEpsilonBoundary pins the tolerant bound semantics of checkRange:
-// a value passes a max bound up to max + loadEpsilon and a min bound down
-// to min - loadEpsilon, identically at ±ε and ±2ε.
+// TestRangeEpsilonBoundary pins the tolerant semantics of an explicit
+// [min, max] bound: a value passes a max bound up to max + loadEpsilon and
+// a min bound down to min - loadEpsilon, identically at ±ε and ±2ε.
 func TestRangeEpsilonBoundary(t *testing.T) {
 	const worst = 100.0
 	fx := newFixture(t, paperex.Motivating, topo.FailLinks, 2, Options{})
@@ -86,7 +90,12 @@ func TestRangeEpsilonBoundary(t *testing.T) {
 	if !ok {
 		t.Fatal("no link C->E")
 	}
-	tau, _ := fx.ver.LinkLoad(d)
+	violated := func(min, max float64) bool {
+		rep := mustRun(t, func() (*Report, error) {
+			return fx.ver.Run([]topo.LoadBound{{Link: d.Link(), Dir: d.Dir(), DirSpecified: true, Min: min, Max: max}}, nil, 0)
+		})
+		return len(rep.Violations) > 0
+	}
 	maxCases := []struct {
 		name     string
 		max      float64
@@ -99,8 +108,7 @@ func TestRangeEpsilonBoundary(t *testing.T) {
 		{"max+2eps", worst + 2*loadEpsilon, false},
 	}
 	for _, c := range maxCases {
-		_, _, viol := fx.ver.checkRange(tau, 0, c.max)
-		if viol != c.wantViol {
+		if viol := violated(0, c.max); viol != c.wantViol {
 			t.Errorf("%s: violated=%v, want %v", c.name, viol, c.wantViol)
 		}
 	}
@@ -118,8 +126,7 @@ func TestRangeEpsilonBoundary(t *testing.T) {
 		{"min+2eps", 2 * loadEpsilon, true},
 	}
 	for _, c := range minCases {
-		_, _, viol := fx.ver.checkRange(tau, c.min, worst+1)
-		if viol != c.wantViol {
+		if viol := violated(c.min, worst+1); viol != c.wantViol {
 			t.Errorf("%s: violated=%v, want %v", c.name, viol, c.wantViol)
 		}
 	}

@@ -106,17 +106,6 @@ func GlobalClasses(net *topo.Network, prefixes []netip.Prefix, flows []topo.Flow
 	return reps, classOf
 }
 
-// mergeFlows returns the executed representatives in class order — the
-// historical flow-merge entry point, now a view over classifyFlows.
-func mergeFlows(e *Engine, flows []topo.Flow) []topo.Flow {
-	classes, _ := classifyFlows(e, flows)
-	merged := make([]topo.Flow, len(classes))
-	for i := range classes {
-		merged[i] = classes[i].rep
-	}
-	return merged
-}
-
 // dedupHits counts the flows merged away by global equivalence — input
 // flows that share a previously seen class.
 func dedupHits(classes []flowClass) int {

@@ -29,8 +29,7 @@ func schedFixture(t *testing.T) (*Engine, []topo.Flow) {
 }
 
 // TestClassifyFlows pins the class structure: classOf maps every input
-// flow to its class, member counts and summed volumes add up, and first-
-// seen order matches the historical mergeFlows order.
+// flow to its class, and member counts and summed volumes add up.
 func TestClassifyFlows(t *testing.T) {
 	e, flows := schedFixture(t)
 	classes, classOf := classifyFlows(e, flows)
@@ -61,12 +60,6 @@ func TestClassifyFlows(t *testing.T) {
 	}
 	if got := dedupHits(classes); got != hits {
 		t.Fatalf("dedupHits = %d, want %d", got, hits)
-	}
-	merged := mergeFlows(e, flows)
-	for i := range classes {
-		if merged[i] != classes[i].rep {
-			t.Fatalf("class %d rep diverges from mergeFlows order", i)
-		}
 	}
 
 	// Disabled global equivalence: identity classification.

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"net/netip"
 	"sort"
 	"strings"
 	"time"
 
-	"github.com/yu-verify/yu/internal/govern"
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/obs"
 	"github.com/yu-verify/yu/internal/routesim"
@@ -159,10 +157,11 @@ type Verifier struct {
 	e     *Engine
 	flows []topo.Flow
 	stfs  []*FlowSTF
-	// execCount is the number of ExecuteFlow calls (post global-equiv).
+	// execCount is the number of classes with a finished STF (executed,
+	// cache-served or imported; post global-equiv).
 	execCount int
-	// workers > 1 enables the concurrent link-checking pool (see
-	// CheckOverloadAll); 1 (or 0) is the exact sequential legacy path.
+	// workers > 1 fans the checks of Run out over a pool of shard
+	// checkers; 1 checks on the primary manager.
 	workers int
 	// err is the first fatal error hit while executing flows (cancel,
 	// deadline, unrecoverable budget breach, contained panic). Run
@@ -174,10 +173,9 @@ type Verifier struct {
 	// uninstrumented path.
 	kreduceT *obs.Timer
 	// classes are the global-equivalence classes in execution order
-	// (v.stfs is parallel to it); classOf maps each input flow to its
-	// class, fanning the shared verdict/STF back out to the members.
+	// (v.stfs is parallel to it); the summed volume on each
+	// representative fans the shared STF back out to the members.
 	classes []flowClass
-	classOf []int
 	// measured[i] is the created-node count of class i's execution — the
 	// cost model's training signal, exported by CostHints.
 	measured []float64
@@ -185,68 +183,90 @@ type Verifier struct {
 	sched SchedStats
 }
 
-// FlowSTFOf returns the STF of input flow i: the executed representative
-// of its equivalence class (§6 fan-out). All member flows of a class
-// share one *FlowSTF. Returns nil if the class was never executed (a
-// governed run cut short).
-func (v *Verifier) FlowSTFOf(i int) *FlowSTF {
-	if i < 0 || i >= len(v.classOf) || v.classOf[i] >= len(v.stfs) {
-		return nil
-	}
-	return v.stfs[v.classOf[i]]
-}
-
 // Err returns the fatal error recorded during flow execution, if any.
 func (v *Verifier) Err() error { return v.err }
 
-// NewVerifier executes all flows symbolically (applying global flow
-// equivalence unless disabled) and returns a Verifier ready to check
+// newVerifier is the base every constructor starts from: the flows
+// classified into global-equivalence classes (§6) with nothing executed
+// yet. The constructors differ only in how they fill v.stfs.
+func newVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
+	v := &Verifier{e: e, flows: flows, workers: workers,
+		kreduceT: e.opts.Obs.Timer("check/kreduce")}
+	v.classes, _ = classifyFlows(e, flows)
+	v.measured = make([]float64, len(v.classes))
+	v.sched = SchedStats{Workers: 1, Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
+	e.opts.Obs.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
+	return v
+}
+
+// NewVerifier executes all flows symbolically on the engine's manager
+// (applying global flow equivalence unless disabled, consulting
+// Options.STFCache when set) and returns a Verifier ready to check
 // properties. Execution is governed: a cancellation or an unrecoverable
 // budget breach stops the loop and is surfaced from Run (or Err) with
 // the flows executed so far intact.
 func NewVerifier(e *Engine, flows []topo.Flow) *Verifier {
-	v := &Verifier{e: e, flows: flows, workers: 1,
-		kreduceT: e.opts.Obs.Timer("check/kreduce")}
-	v.classes, v.classOf = classifyFlows(e, flows)
-	v.measured = make([]float64, len(v.classes))
-	v.sched = SchedStats{Workers: 1, Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
-	e.opts.Obs.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
+	v := newVerifier(e, flows, 1)
+	v.assemble(make([]*FlowSTF, len(v.classes)))
+	return v
+}
+
+// assemble fills v.stfs in class order from the slot array pre: a non-nil
+// slot is a finished STF owned by another manager (an execution shard's or
+// a domain's) and is imported — hash-consing restores canonical node
+// identity, so an imported STF and a natively executed STF of the same
+// function are the same *Node; a nil slot is executed here, after offering
+// the class to the STF cache. Every step runs through the budget ladder;
+// the first fatal error stops the loop with the STFs built so far intact.
+func (v *Verifier) assemble(pre []*FlowSTF) {
+	e := v.e
 	flowC := e.opts.Obs.Counter("exec.flows_executed")
 	cache := e.opts.STFCache
-	for i := range v.classes {
+	for i, s := range pre {
 		rep := v.classes[i].rep
-		before := e.m.Stats().Created
-		if cache != nil {
-			if s, ok := cache.Lookup(e, rep); ok {
+		var err error
+		if s != nil {
+			owned := s
+			s, err = e.buildGoverned(rep, v.stfs, func() *FlowSTF { return importSTF(e.m, owned) })
+		} else {
+			before := e.m.Stats().Created
+			hit := false
+			if cache != nil {
 				// A hit is indistinguishable from an execution: the cache
 				// materialized canonical nodes in this manager, the class
 				// counts as executed (FlowsExecuted is part of the report
 				// byte-identity contract), and the replay's created-node
 				// delta feeds the cost model like a measurement would.
+				s, hit = cache.Lookup(e, rep)
+			}
+			if !hit {
+				s, err = e.ExecuteGoverned(rep, v.stfs)
+			}
+			if err == nil {
 				v.measured[i] = float64(e.m.Stats().Created - before)
-				v.stfs = append(v.stfs, s)
-				v.execCount++
-				continue
+				if !hit {
+					flowC.Inc()
+					if cache != nil {
+						cache.Store(e, rep, s)
+					}
+				}
 			}
 		}
-		s, err := e.executeGoverned(rep, v.stfs)
 		if err != nil {
 			v.err = err
 			break
 		}
-		v.measured[i] = float64(e.m.Stats().Created - before)
 		v.stfs = append(v.stfs, s)
-		v.execCount++
-		flowC.Inc()
-		if cache != nil {
-			cache.Store(e, rep, s)
-		}
 	}
-	return v
+	v.execCount = len(v.stfs)
 }
 
 // FlowSTFs exposes the executed (merged) flow results.
 func (v *Verifier) FlowSTFs() []*FlowSTF { return v.stfs }
+
+// Vars exposes the run's failure-variable layout (to resolve property
+// guards to variables).
+func (v *Verifier) Vars() *routesim.FailVars { return v.e.fv }
 
 // LinkLoad computes the symbolic traffic load τ_l of a directed link by
 // aggregating all flows, using link-local equivalence classes unless
@@ -255,31 +275,16 @@ func (v *Verifier) FlowSTFs() []*FlowSTF { return v.stfs }
 // MTBDD additions is the number of classes, not the number of flows.
 //
 // The returned node remains valid until the next Verifier method that may
-// trigger a managed GC (another LinkLoad or an overload check).
+// trigger a managed GC (another LinkLoad, a Scan or a Run).
 func (v *Verifier) LinkLoad(l topo.DirLinkID) (*mtbdd.Node, LinkCheckStat) {
-	return v.primaryScan().linkLoad(l)
-}
-
-// DeliveredLoad computes the symbolic delivered traffic for all flows
-// whose destination is inside pfx, along with a check stat (Kind
-// "delivered") recording aggregation effort and timing.
-func (v *Verifier) DeliveredLoad(pfx netip.Prefix) (*mtbdd.Node, LinkCheckStat) {
-	return v.primaryScan().deliveredLoad(pfx)
+	sc := v.primaryScan()
+	sc.maybeGC()
+	return sc.load(Subject{Link: l})
 }
 
 // loadEpsilon absorbs floating-point noise from ECMP fraction arithmetic
 // when comparing loads against bounds.
 const loadEpsilon = 1e-6
-
-// checkRange looks for a counter-example terminal outside [min, max]
-// (Theorem 5.1) via the shared scan core.
-func (v *Verifier) checkRange(tau *mtbdd.Node, min, max float64) (mtbdd.Assignment, float64, bool) {
-	return v.primaryScan().checkRange(tau, min, max)
-}
-
-func (v *Verifier) witness(a mtbdd.Assignment) (links []topo.LinkID, routers []topo.RouterID) {
-	return scenarioWitness(v.e.fv, a)
-}
 
 // scenarioWitness converts a violating assignment into sorted failed
 // link/router lists using any FailVars with the canonical variable layout
@@ -297,212 +302,72 @@ func scenarioWitness(fv *routesim.FailVars, a mtbdd.Assignment) (links []topo.Li
 	return links, routers
 }
 
-// ViolatingScenarios enumerates up to limit distinct failure scenarios
-// (as witness link/router sets) under which the symbolic load tau falls
-// outside [min, max]. Each returned scenario corresponds to one violating
-// MTBDD path, so it contains at most k failures (Lemma 2).
-func (v *Verifier) ViolatingScenarios(tau *mtbdd.Node, min, max float64, limit int) []Violation {
-	lo, hi := min-loadEpsilon, max+loadEpsilon
-	var out []Violation
-	v.e.m.ForEachPath(tau, func(a mtbdd.Assignment, val float64) bool {
-		if val >= lo && val <= hi {
-			return true
-		}
-		links, routers := v.witness(a)
-		out = append(out, Violation{
-			Kind: "link-load", Value: val, Min: min, Max: max,
-			FailedLinks: links, FailedRouters: routers,
-		})
-		return len(out) < limit
-	})
-	return out
-}
-
-// CheckBound verifies one explicit load bound; directed bounds check one
-// direction, undirected bounds check both directions independently.
-func (v *Verifier) CheckBound(b topo.LoadBound, rep *Report) {
-	for _, d := range boundDirs(b) {
-		v.checkBoundDir(topo.MakeDirLinkID(b.Link, d), b, rep)
-	}
-}
-
-func boundDirs(b topo.LoadBound) []topo.Direction {
-	if b.DirSpecified {
-		return []topo.Direction{b.Dir}
-	}
-	return []topo.Direction{topo.AtoB, topo.BtoA}
-}
-
-// checkBoundDir verifies one explicit load bound in one direction.
-func (v *Verifier) checkBoundDir(l topo.DirLinkID, b topo.LoadBound, rep *Report) {
-	tau, stat := v.LinkLoad(l)
-	rep.LinkStats = append(rep.LinkStats, stat)
-	if a, val, bad := v.checkRange(tau, b.Min, b.Max); bad {
-		links, routers := v.witness(a)
-		rep.Violations = append(rep.Violations, Violation{
-			Kind: "link-load", Link: l, Value: val, Min: b.Min, Max: b.Max,
-			FailedLinks: links, FailedRouters: routers,
-		})
-	}
-}
-
-// CheckDelivered verifies one delivered-traffic bound.
-func (v *Verifier) CheckDelivered(b topo.DeliveredBound, rep *Report) {
-	tau, stat := v.DeliveredLoad(b.Prefix)
-	rep.LinkStats = append(rep.LinkStats, stat)
-	if a, val, bad := v.checkRange(tau, b.Min, b.Max); bad {
-		links, routers := v.witness(a)
-		rep.Violations = append(rep.Violations, Violation{
-			Kind: "delivered", Prefix: b.Prefix, Value: val, Min: b.Min, Max: b.Max,
-			FailedLinks: links, FailedRouters: routers,
-		})
-	}
-}
-
-// CheckOverloadAll verifies "no directed link carries more than
-// factor × capacity" on every link of the network — the paper's daily P2
-// check. factor 1 means the raw capacity; the motivating example's
-// "overloaded at ≥95 Gbps on 100 Gbps links" is factor 0.95 (an open
-// bound approximated by a tiny epsilon below).
-//
-// Unless disabled, the check applies the §6 pruning heuristics: a link
-// whose summed per-class maxima cannot reach the limit is passed without
-// any MTBDD aggregation, and during aggregation the scan stops as soon as
-// the accumulated maximum proves a violation (loads are non-negative, so
-// partial sums only grow) or the remaining mass cannot reach the limit.
-func (v *Verifier) CheckOverloadAll(factor float64, rep *Report) {
-	if v.workers > 1 {
-		if err := v.checkOverloadAllParallel(factor, rep); err != nil && v.err == nil {
-			v.err = err
-		}
-		return
-	}
-	net := v.e.net
-	for li := 0; li < net.NumLinks(); li++ {
-		link := net.Link(topo.LinkID(li))
-		limit := link.Capacity * factor
-		for _, d := range []topo.Direction{topo.AtoB, topo.BtoA} {
-			l := topo.MakeDirLinkID(link.ID, d)
-			v.checkOverloadDir(l, limit, rep)
-		}
-	}
-}
-
-// checkOverloadDir checks one directed link against an upper limit via the
-// shared scan core (full or pruned per the early-termination ablation).
-func (v *Verifier) checkOverloadDir(l topo.DirLinkID, limit float64, rep *Report) {
-	stat, viols := v.primaryScan().checkLink(l, limit)
-	rep.LinkStats = append(rep.LinkStats, stat)
-	rep.Violations = append(rep.Violations, viols...)
-}
-
-// checkItem is one unit of governed property checking: a single
-// directed-link load check or a single delivered bound.
+// checkItem is one lowered check of a Run request: a subject (directed
+// link or delivered prefix), the predicate on its load, and the scan mode.
 type checkItem struct {
-	kind  string // "bound", "delivered", "overload"
-	link  topo.DirLinkID
-	bound topo.LoadBound
-	db    topo.DeliveredBound
-	limit float64
+	subject Subject
+	check   LinkCheck
+	// pruned selects the §6 early-termination scan (overload items, unless
+	// the ablation turns it off) over aggregate-then-scan.
+	pruned bool
 }
 
-// overloadItems lists one check item per directed link for the
-// all-links overload property.
-func (v *Verifier) overloadItems(factor float64) []checkItem {
-	net := v.e.net
-	items := make([]checkItem, 0, 2*net.NumLinks())
-	for li := 0; li < net.NumLinks(); li++ {
-		link := net.Link(topo.LinkID(li))
-		limit := link.Capacity * factor
-		for _, d := range []topo.Direction{topo.AtoB, topo.BtoA} {
-			items = append(items, checkItem{kind: "overload", link: topo.MakeDirLinkID(link.ID, d), limit: limit})
-		}
-	}
-	return items
-}
-
-// checkItems flattens a Run request into its individual check targets.
-func (v *Verifier) checkItems(bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64, includeOverload bool) []checkItem {
+// lower flattens a Run request into its ordered check items: explicit
+// bounds (undirected ones in both directions), delivered bounds, then the
+// all-links overload property — "no directed link carries more than
+// factor × capacity", the paper's daily P2 check. This order is the order
+// of Report.LinkStats and Report.Violations on every path.
+func (v *Verifier) lower(bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) []checkItem {
 	var items []checkItem
+	bothDirs := []topo.Direction{topo.AtoB, topo.BtoA}
 	for _, b := range bounds {
-		for _, d := range boundDirs(b) {
-			items = append(items, checkItem{kind: "bound", link: topo.MakeDirLinkID(b.Link, d), bound: b})
+		dirs := bothDirs
+		if b.DirSpecified {
+			dirs = []topo.Direction{b.Dir}
+		}
+		for _, d := range dirs {
+			items = append(items, checkItem{
+				subject: Subject{Link: topo.MakeDirLinkID(b.Link, d)},
+				check:   LinkCheck{Min: b.Min, Max: b.Max, CondVar: -1},
+			})
 		}
 	}
 	for _, b := range delivered {
-		items = append(items, checkItem{kind: "delivered", db: b})
+		items = append(items, checkItem{
+			subject: Subject{Prefix: b.Prefix},
+			check:   LinkCheck{Min: b.Min, Max: b.Max, CondVar: -1},
+		})
 	}
-	if overloadFactor > 0 && includeOverload {
-		items = append(items, v.overloadItems(overloadFactor)...)
+	if overloadFactor > 0 {
+		net := v.e.net
+		for li := 0; li < net.NumLinks(); li++ {
+			link := net.Link(topo.LinkID(li))
+			for _, d := range bothDirs {
+				items = append(items, checkItem{
+					subject: Subject{Link: topo.MakeDirLinkID(link.ID, d)},
+					check:   LinkCheck{Max: link.Capacity * overloadFactor, Overload: true, CondVar: -1},
+					pruned:  !v.e.opts.DisableEarlyTermination,
+				})
+			}
+		}
 	}
 	return items
 }
 
-// markItemsUnchecked records every item's target as unchecked.
-func markItemsUnchecked(rep *Report, items []checkItem) {
-	for _, it := range items {
-		if it.kind == "delivered" {
-			rep.markUncheckedDelivered(it.db.Prefix)
-		} else {
-			rep.markUnchecked(it.link)
-		}
-	}
-}
-
-// runGoverned runs one check through the budget ladder, appending its
-// stats and violations to rep only when the check completes. A breached
-// check is retried once after an engine-wide GC; if it still breaches
-// under the degrade policy it is skipped (the caller marks the target
-// unchecked). Other errors — cancellation, deadline, breach under the
-// fail policy — are returned.
-//
-// The check writes into a scratch report because the pruned overload
-// check appends its stat before the range check runs: merging only on
-// success keeps a retried check from appearing twice.
-func (v *Verifier) runGoverned(rep *Report, check func(*Report)) (skipped bool, err error) {
-	if err := govern.Check(v.e.opts.Ctx); err != nil {
-		return false, err
-	}
-	attempt := func() error {
-		scratch := &Report{}
-		err := mtbdd.Guard(func() { check(scratch) })
-		if err == nil {
-			rep.Violations = append(rep.Violations, scratch.Violations...)
-			rep.LinkStats = append(rep.LinkStats, scratch.LinkStats...)
-		}
-		return err
-	}
-	err = attempt()
-	if err == nil || !errors.Is(err, govern.ErrNodeBudget) {
-		return false, err
-	}
-	v.e.m.GC(v.e.roots(stfRoots(nil, v.stfs)))
-	err = attempt()
-	if err == nil || !errors.Is(err, govern.ErrNodeBudget) {
-		return false, err
-	}
-	if v.e.opts.OnBudget != BudgetDegrade {
-		return false, err
-	}
-	return true, nil
-}
-
-// runItem dispatches one check item through runGoverned.
-func (v *Verifier) runItem(it checkItem, rep *Report) (skipped bool, err error) {
-	return v.runGoverned(rep, func(r *Report) {
-		switch it.kind {
-		case "bound":
-			v.checkBoundDir(it.link, it.bound, r)
-		case "delivered":
-			v.CheckDelivered(it.db, r)
-		default:
-			v.checkOverloadDir(it.link, it.limit, r)
-		}
-	})
+// itemRes is one check item's outcome slot. done distinguishes a completed
+// check from one that was skipped (budget degrade) or never ran (a fatal
+// error stopped the run first) — both leave the target unchecked.
+type itemRes struct {
+	stat  LinkCheckStat
+	viols []Violation
+	done  bool
 }
 
 // Run checks the given explicit bounds (either slice may be empty) and, if
-// overloadFactor > 0, the all-links overload property.
+// overloadFactor > 0, the all-links overload property. With workers > 1
+// the items are checked concurrently on shard managers; results land in
+// item-order slots, so the Report is identical (modulo per-check Elapsed)
+// at every worker count.
 //
 // Run is governed: on cancellation, deadline expiry, or a node-budget
 // breach under the fail policy it returns the typed error together with
@@ -518,35 +383,24 @@ func (v *Verifier) Run(bounds []topo.LoadBound, delivered []topo.DeliveredBound,
 			rep.DegradedFlows = append(rep.DegradedFlows, s.Flow.String())
 		}
 	}
+	items := v.lower(bounds, delivered, overloadFactor)
+	results := make([]itemRes, len(items))
+	// A failed flow execution leaves every item unchecked.
 	err := v.err
-	if err != nil {
-		// Flow execution already failed: no check can run.
-		markItemsUnchecked(rep, v.checkItems(bounds, delivered, overloadFactor, true))
-	} else {
-		err = v.runChecks(rep, bounds, delivered, overloadFactor)
+	if err == nil {
+		err = v.checkItems(items, results)
+	}
+	for i, r := range results {
+		switch {
+		case r.done:
+			rep.LinkStats = append(rep.LinkStats, r.stat)
+			rep.Violations = append(rep.Violations, r.viols...)
+		case items[i].subject.Prefix.IsValid():
+			rep.markUncheckedDelivered(items[i].subject.Prefix)
+		default:
+			rep.markUnchecked(items[i].subject.Link)
+		}
 	}
 	rep.Holds = len(rep.Violations) == 0 && !rep.Incomplete
 	return rep, err
-}
-
-func (v *Verifier) runChecks(rep *Report, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) error {
-	parallelOverload := overloadFactor > 0 && v.workers > 1
-	items := v.checkItems(bounds, delivered, overloadFactor, !parallelOverload)
-	for i, it := range items {
-		skipped, err := v.runItem(it, rep)
-		if err != nil {
-			markItemsUnchecked(rep, items[i:])
-			if parallelOverload {
-				markItemsUnchecked(rep, v.overloadItems(overloadFactor))
-			}
-			return err
-		}
-		if skipped {
-			markItemsUnchecked(rep, items[i:i+1])
-		}
-	}
-	if parallelOverload {
-		return v.checkOverloadAllParallel(overloadFactor, rep)
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/yu-verify/yu"
+	"github.com/yu-verify/yu/internal/canon"
 )
 
 // TestModularByteIdentitySweep pins compositional verification's central
@@ -93,5 +94,39 @@ func TestModularBreaksNodeBudgetWall(t *testing.T) {
 	}
 	if m.DomainPeakNodes >= budget {
 		t.Fatalf("domain peak %d not under the budget %d", m.DomainPeakNodes, budget)
+	}
+}
+
+// TestPortfolioHonoursDomains pins that VerifyPortfolio goes through the
+// same build stage as Verify: under the budget that kills the monolithic
+// plan on wan-1, the spec-partitioned portfolio run must verify — and
+// render byte-identically to the unbudgeted monolithic evaluation — and an
+// invalid partition must be the same hard error Verify reports.
+func TestPortfolioHonoursDomains(t *testing.T) {
+	n, err := yu.LoadFile(filepath.Join("..", "..", "testdata", "wan-1.yu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	props := goldenPortfolio(n)
+	mono, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canon.FormatPortfolio(n.Topology(), mono)
+	opts := yu.VerifyOptions{K: 2, Workers: 1, MaxNodes: 16000}
+	if _, err := n.VerifyPortfolio(props, opts); !errors.Is(err, yu.ErrNodeBudget) {
+		t.Fatalf("monolithic portfolio under the budget: err = %v, want ErrNodeBudget", err)
+	}
+	opts.Domains = n.Spec().Domains
+	res, err := n.VerifyPortfolio(props, opts)
+	if err != nil {
+		t.Fatalf("modular portfolio under the budget: %v", err)
+	}
+	if got := canon.FormatPortfolio(n.Topology(), res); got != want {
+		t.Errorf("modular portfolio differs from monolithic\n--- monolithic ---\n%s--- modular ---\n%s", want, got)
+	}
+	opts.Domains = map[string][]string{"half": {"d0r0"}}
+	if _, err := n.VerifyPortfolio(props, opts); err == nil || errors.Is(err, yu.ErrNodeBudget) {
+		t.Fatalf("invalid partition: err = %v, want a partition error", err)
 	}
 }

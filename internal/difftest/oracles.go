@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"github.com/yu-verify/yu"
+	"github.com/yu-verify/yu/internal/canon"
 	"github.com/yu-verify/yu/internal/concrete"
 	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/mtbdd"
@@ -527,7 +528,8 @@ func OracleGovernance(c *Case) error {
 // compose) against the monolithic pipeline: the same case auto-partitioned
 // into 2 and 3 AS-closed domains must render a byte-identical report —
 // same violations, same witnesses, same check statistics — at workers 1
-// and 3. Every modular witness is additionally concretized and re-run
+// and 3, and so must the portfolio mirroring the case's properties
+// (VerifyPortfolio shares the build stage). Every modular witness is additionally concretized and re-run
 // through the independent concrete simulator, so a modular run that gets
 // the verdict right with a summary-corrupted witness still fails here.
 func OracleModularVsMonolithic(c *Case) error {
@@ -538,6 +540,12 @@ func OracleModularVsMonolithic(c *Case) error {
 		return err
 	}
 	monoTxt := FormatReport(net, mono)
+	props, _ := mirrorPortfolio(c)
+	monoPort, err := n.VerifyPortfolio(props, verifyOpts(c, c.K, 1, yu.EngineYU))
+	if err != nil {
+		return err
+	}
+	monoPortTxt := canon.FormatPortfolio(net, monoPort)
 	sim := concrete.NewSim(net, c.Spec.Configs)
 	for _, domains := range []int{2, 3} {
 		for _, workers := range []int{1, 3} {
@@ -550,6 +558,14 @@ func OracleModularVsMonolithic(c *Case) error {
 			if txt := FormatReport(net, rep); txt != monoTxt {
 				return fmt.Errorf("domains=%d workers=%d report differs\n--- monolithic ---\n%s--- modular ---\n%s",
 					domains, workers, monoTxt, txt)
+			}
+			port, err := n.VerifyPortfolio(props, opts)
+			if err != nil {
+				return fmt.Errorf("domains=%d workers=%d portfolio: %w", domains, workers, err)
+			}
+			if txt := canon.FormatPortfolio(net, port); txt != monoPortTxt {
+				return fmt.Errorf("domains=%d workers=%d portfolio differs\n--- monolithic ---\n%s--- modular ---\n%s",
+					domains, workers, monoPortTxt, txt)
 			}
 			for i, v := range rep.Violations {
 				if len(v.FailedLinks)+len(v.FailedRouters) > c.K {

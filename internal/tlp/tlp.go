@@ -4,7 +4,7 @@
 // A-B is failed then ...") variants of each — into a per-link evaluation
 // plan served from one symbolic execution. Every directed link's KREDUCEd
 // load MTBDD is terminal-scanned once, evaluating all properties attached
-// to that link in the same pass (core.ScanLink); conditional properties
+// to that link in the same pass (core.Verifier.Scan); conditional properties
 // are evaluated by guard restriction (one cofactor scan per distinct
 // guard) rather than by re-executing anything. Violations are
 // deduplicated by witness failure set and ranked by excess load.
@@ -32,23 +32,26 @@ type plannedCheck struct {
 	scale    float64 // divide values by this for reporting (ratio: offered Gbps)
 }
 
-type linkPlan struct {
-	link   topo.DirLinkID
-	checks []plannedCheck
-}
+// subjectKind indexes the per-kind scan counters of Stats and obs.
+type subjectKind int
 
-type pfxPlan struct {
-	pfx    netip.Prefix
-	checks []plannedCheck
-}
+const (
+	kindLink subjectKind = iota
+	kindDelivered
+	kindAggregate
+)
 
-// aggPlan is the evaluation plan of one (link set, sum|max) aggregate
-// subject: however many properties bound the same aggregate, its symbolic
-// quantity is built and terminal-scanned once.
-type aggPlan struct {
-	links  []topo.DirLinkID
-	max    bool
-	checks []plannedCheck
+// scanCounters names the obs counter of each subject kind.
+var scanCounters = [...]string{"tlp.link_scans", "tlp.delivered_scans", "tlp.agg_scans"}
+
+// plan is the evaluation plan of one subject — a directed link, a
+// delivered prefix, or a (link set, sum|max) aggregate: however many
+// properties bound the same subject, its symbolic quantity is built and
+// terminal-scanned once.
+type plan struct {
+	kind    subjectKind
+	subject core.Subject
+	checks  []plannedCheck
 }
 
 // Portfolio is a compiled property portfolio: the per-subject evaluation
@@ -57,9 +60,9 @@ type Portfolio struct {
 	Net   *topo.Network
 	Props []topo.TLProp
 
-	links []linkPlan // ascending DirLinkID
-	pfxs  []pfxPlan  // first-seen order
-	aggs  []aggPlan  // first-seen order
+	// plans lists the subjects in evaluation order: directed links by
+	// ascending DirLinkID, then prefixes and aggregates in first-seen order.
+	plans []plan
 	// vacuous marks properties decided at compile time without any scan
 	// (delivery ratio with zero offered traffic).
 	vacuous []int
@@ -75,21 +78,23 @@ type Portfolio struct {
 func Compile(net *topo.Network, flows []topo.Flow, props []topo.TLProp) (*Portfolio, error) {
 	p := &Portfolio{Net: net, Props: props}
 	byLink := make(map[topo.DirLinkID][]plannedCheck)
-	pfxIdx := make(map[netip.Prefix]int)
-	aggIdx := make(map[string]int)
+	var rest []plan // prefixes and aggregates, first-seen order
+	restIdx := make(map[string]int)
 
 	addLink := func(d topo.DirLinkID, c plannedCheck) {
 		byLink[d] = append(byLink[d], c)
 		p.NumChecks++
 	}
-	addPfx := func(pfx netip.Prefix, c plannedCheck) {
-		i, ok := pfxIdx[pfx]
+	// addKeyed attaches a check to the prefix or aggregate subject with
+	// the given identity key, creating its plan on first sight.
+	addKeyed := func(key string, kind subjectKind, subject core.Subject, c plannedCheck) {
+		i, ok := restIdx[key]
 		if !ok {
-			i = len(p.pfxs)
-			pfxIdx[pfx] = i
-			p.pfxs = append(p.pfxs, pfxPlan{pfx: pfx})
+			i = len(rest)
+			restIdx[key] = i
+			rest = append(rest, plan{kind: kind, subject: subject})
 		}
-		p.pfxs[i].checks = append(p.pfxs[i].checks, c)
+		rest[i].checks = append(rest[i].checks, c)
 		p.NumChecks++
 	}
 	dirsOf := func(prop topo.TLProp) []topo.DirLinkID {
@@ -169,7 +174,8 @@ func Compile(net *topo.Network, flows []topo.Flow, props []topo.TLProp) (*Portfo
 					c.check.Max = prop.Max * offered
 				}
 			}
-			addPfx(prop.Prefix.Masked(), c)
+			pfx := prop.Prefix.Masked()
+			addKeyed(pfx.String(), kindDelivered, core.Subject{Prefix: pfx}, c)
 		case topo.TLPSumLoad, topo.TLPMaxLoad:
 			if len(prop.AggLinks) == 0 {
 				return nil, fmt.Errorf("tlp: property %d: empty link set", i)
@@ -188,17 +194,9 @@ func Compile(net *topo.Network, flows []topo.Flow, props []topo.TLProp) (*Portfo
 			// (and so one symbolic build + scan), keyed by the expanded
 			// directed-link list — robust to two set names with identical
 			// members.
-			key := fmt.Sprintf("%v|%v", isMax, dirs)
-			ai, ok := aggIdx[key]
-			if !ok {
-				ai = len(p.aggs)
-				aggIdx[key] = ai
-				p.aggs = append(p.aggs, aggPlan{links: dirs, max: isMax})
-			}
 			c := base
 			c.check = core.LinkCheck{Min: prop.Min, Max: prop.Max}
-			p.aggs[ai].checks = append(p.aggs[ai].checks, c)
-			p.NumChecks++
+			addKeyed(fmt.Sprintf("%v|%v", isMax, dirs), kindAggregate, core.Subject{Links: dirs, Max: isMax}, c)
 		default:
 			return nil, fmt.Errorf("tlp: property %d: unknown kind %d", i, int(prop.Kind))
 		}
@@ -210,8 +208,10 @@ func Compile(net *topo.Network, flows []topo.Flow, props []topo.TLProp) (*Portfo
 	}
 	sort.Slice(dirs, func(a, b int) bool { return dirs[a] < dirs[b] })
 	for _, d := range dirs {
-		p.links = append(p.links, linkPlan{link: d, checks: byLink[d]})
+		p.plans = append(p.plans, plan{kind: kindLink, subject: core.Subject{Link: d}, checks: byLink[d]})
 	}
+	sort.SliceStable(rest, func(a, b int) bool { return rest[a].kind < rest[b].kind })
+	p.plans = append(p.plans, rest...)
 	return p, nil
 }
 
@@ -375,44 +375,6 @@ func (p *Portfolio) Eval(v *core.Verifier, reg *obs.Registry) (*Result, error) {
 		r.Incomplete = true
 	}
 
-	type evalJob struct {
-		checks  []plannedCheck
-		scan    func(scs []core.LinkCheck) ([]core.ScanResult, int)
-		counter string
-		scanned *int
-	}
-	var jobs []evalJob
-	for i := range p.links {
-		plan := &p.links[i]
-		jobs = append(jobs, evalJob{
-			checks: plan.checks, counter: "tlp.link_scans", scanned: &r.Stats.LinkScans,
-			scan: func(scs []core.LinkCheck) ([]core.ScanResult, int) {
-				res, _, restr := v.ScanLink(plan.link, scs)
-				return res, restr
-			},
-		})
-	}
-	for i := range p.pfxs {
-		plan := &p.pfxs[i]
-		jobs = append(jobs, evalJob{
-			checks: plan.checks, counter: "tlp.delivered_scans", scanned: &r.Stats.DeliveredScans,
-			scan: func(scs []core.LinkCheck) ([]core.ScanResult, int) {
-				res, _, restr := v.ScanDelivered(plan.pfx, scs)
-				return res, restr
-			},
-		})
-	}
-	for i := range p.aggs {
-		plan := &p.aggs[i]
-		jobs = append(jobs, evalJob{
-			checks: plan.checks, counter: "tlp.agg_scans", scanned: &r.Stats.AggScans,
-			scan: func(scs []core.LinkCheck) ([]core.ScanResult, int) {
-				res, _, restr := v.ScanAggregate(plan.links, plan.max, scs)
-				return res, restr
-			},
-		})
-	}
-
 	finalize := func() {
 		for i := range r.Verdicts {
 			switch r.Verdicts[i].Status {
@@ -431,22 +393,19 @@ func (p *Portfolio) Eval(v *core.Verifier, reg *obs.Registry) (*Result, error) {
 		reg.Counter("tlp.unchecked").Add(int64(r.Stats.Unchecked))
 	}
 
-	for ji, job := range jobs {
-		scs, live := prepare(job.checks)
+	scanned := [...]*int{&r.Stats.LinkScans, &r.Stats.DeliveredScans, &r.Stats.AggScans}
+	for pi, pl := range p.plans {
+		scs, live := prepare(pl.checks)
 		if len(scs) == 0 {
 			continue
 		}
-		var res []core.ScanResult
-		var restr int
-		skipped, err := v.RunScan(func() {
-			res, restr = job.scan(scs)
-		})
+		res, restr, skipped, err := v.Scan(pl.subject, scs)
 		if err != nil {
 			// Governed abort (cancellation, deadline, unrelieved budget):
 			// everything not yet decided is unchecked, mirroring
 			// Verifier.Run's partial-report contract.
-			markUnchecked(job.checks, live)
-			for _, rest := range jobs[ji+1:] {
+			markUnchecked(pl.checks, live)
+			for _, rest := range p.plans[pi+1:] {
 				_, restLive := prepare(rest.checks)
 				markUnchecked(rest.checks, restLive)
 			}
@@ -454,13 +413,13 @@ func (p *Portfolio) Eval(v *core.Verifier, reg *obs.Registry) (*Result, error) {
 			return r, err
 		}
 		if skipped {
-			markUnchecked(job.checks, live)
+			markUnchecked(pl.checks, live)
 			continue
 		}
-		*job.scanned++
+		*scanned[pl.kind]++
 		r.Stats.RestrictScans += restr
-		reg.Counter(job.counter).Inc()
-		merge(job.checks, live, res)
+		reg.Counter(scanCounters[pl.kind]).Inc()
+		merge(pl.checks, live, res)
 	}
 	finalize()
 	return r, nil

@@ -240,6 +240,19 @@ func (n *Network) ASes() []uint32 {
 	return out
 }
 
+// HopBound is the forwarding iteration cap (Algorithm 1's I, the TTL
+// analogue) for a network whose longest SR segment list has longestSR
+// entries: every segment may cost a full traversal, plus one for the plain
+// IP tail and one of slack. The symbolic engine and the concrete simulator
+// both stop here, so on a forwarding loop they truncate the same series at
+// the same depth and a symbolic witness value replays exactly.
+func (n *Network) HopBound(longestSR int) int {
+	if b := (longestSR + 2) * (n.Diameter() + 2); b > 16 {
+		return b
+	}
+	return 16
+}
+
 // Diameter returns the hop-count diameter of the network (ignoring costs),
 // used to bound symbolic execution iterations. Disconnected pairs are
 // ignored. An empty or single-router network has diameter 0.

@@ -207,7 +207,7 @@ const (
 // the spec's own properties under the spec's failure budget with the YU
 // engine.
 type VerifyOptions struct {
-	// K overrides the spec's failure budget when >= 0 (use -1 to keep).
+	// K overrides the spec's failure budget when > 0 (0 keeps the spec's).
 	K int
 	// Mode overrides the spec's failure mode when set.
 	Mode FailureMode
@@ -263,7 +263,8 @@ type VerifyOptions struct {
 	// runs when the cache honors it.
 	STFCache STFCache
 	// Domains, when non-nil, turns on compositional verification
-	// (EngineYU only): the named router partition — which must be
+	// (EngineYU only; Verify and VerifyPortfolio alike): the named router
+	// partition — which must be
 	// AS-closed — is route-simulated and symbolically executed one domain
 	// at a time against interface summaries, breaking the monolithic
 	// MTBDD scaling wall. The spec's own `domain` lines are available as
@@ -319,65 +320,149 @@ type Report struct {
 	Modular *ModularStats
 }
 
-// Verify runs k-failure TLP verification.
-func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
-	k := n.spec.K
+// resolved is the outcome of the resolve stage: what the run verifies,
+// after the options' overrides of the spec.
+type resolved struct {
+	k     int
+	mode  FailureMode
+	flows []Flow
+	// budget is the KREDUCE budget symbolic execution runs under: k, or
+	// -1 (no reduction) under DisableKReduce, whose deferred check-time
+	// reduction checkK then carries the real k.
+	budget, checkK int
+}
+
+// resolve is the pipeline's first stage: the options' overrides applied
+// to the spec's failure budget, failure mode and flows.
+func (n *Network) resolve(opts VerifyOptions) resolved {
+	r := resolved{k: n.spec.K, mode: n.spec.Mode, flows: n.spec.Flows}
 	if opts.K > 0 {
-		k = opts.K
+		r.k = opts.K
 	}
-	mode := n.spec.Mode
 	if opts.ModeSet {
-		mode = opts.Mode
+		r.mode = opts.Mode
 	}
-	flows := n.spec.Flows
 	if opts.Flows != nil {
-		flows = opts.Flows
+		r.flows = opts.Flows
 	}
+	r.budget = r.k
+	if opts.DisableKReduce {
+		r.budget, r.checkK = -1, r.k
+	}
+	return r
+}
+
+// Verify runs k-failure TLP verification. With the YU engine the run is a
+// staged pipeline — resolve → build (monolithic or compositional) → check
+// the spec's properties → report — shared with VerifyPortfolio, which
+// differs only in the check stage; the baselines branch off after resolve.
+func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
+	r := n.resolve(opts)
 	start := time.Now()
 	switch opts.Engine {
 	case EngineYU:
-		return n.verifyYU(k, mode, flows, opts, start)
 	case EngineEnumerate:
-		return n.verifyEnumerate(k, mode, flows, opts, start)
+		return n.verifyEnumerate(r, opts, start)
 	case EngineShortestPath:
-		if mode != topo.FailLinks {
-			return nil, fmt.Errorf("yu: the shortest-path baseline supports link failures only")
-		}
-		model := spath.NewModel(n.spec.Net, n.spec.Configs, flows)
-		factor := opts.OverloadFactor
-		if factor <= 0 {
-			factor = 1
-		}
-		rep := model.Verify(k, spath.Options{OverloadFactor: factor, Ctx: opts.Ctx})
-		out := &Report{
-			Holds:      rep.Holds,
-			Elapsed:    time.Since(start),
-			FlowsTotal: len(flows),
-			Scenarios:  rep.Scenarios,
-		}
-		for _, v := range rep.Violations {
-			out.Violations = append(out.Violations, Violation{
-				Kind: "link-load", Link: v.Link, Value: v.Value, Max: v.Limit,
-				FailedLinks: v.FailedLinks,
-			})
-		}
-		if rep.Err != nil {
-			n.markAllUnchecked(out, factor)
-		}
-		return out, rep.Err
+		return n.verifyShortestPath(r, opts, start)
+	default:
+		return nil, fmt.Errorf("yu: unknown engine %d", opts.Engine)
 	}
-	return nil, fmt.Errorf("yu: unknown engine %d", opts.Engine)
+	b, err := n.build(r, opts, start)
+	if b == nil {
+		return nil, err
+	}
+	defer core.RecordManager(opts.Obs, "primary", b.mgr)
+	// rep stays nil when the build was cut short before any check could
+	// run: the report then lists every requested target as unchecked.
+	var rep *core.Report
+	if err == nil {
+		checkSpan := opts.Obs.Span("check")
+		rep, err = b.ver.Run(n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
+		checkSpan.End()
+	}
+	if opts.OnBudget == BudgetDegrade && opts.MaxNodes > 0 &&
+		(errors.Is(err, ErrNodeBudget) && rep == nil || err == nil && rep.Incomplete) {
+		// Rung 4 of the degradation ladder: the budget could not even hold
+		// symbolic route simulation, or it let execution through (possibly
+		// via per-flow fallbacks) but was too tight for the aggregation
+		// checks, which were skipped. The whole run falls back to bounded
+		// concrete enumeration so the degrade policy always renders a
+		// complete verdict. Every flow is degraded.
+		out, derr := n.verifyEnumerate(r, opts, start)
+		if out != nil {
+			for _, f := range r.flows {
+				out.DegradedFlows = append(out.DegradedFlows, f.String())
+			}
+			out.RouteSimTime = b.routeTime
+		}
+		return out, derr
+	}
+	if rep == nil {
+		out := &Report{Elapsed: time.Since(start), RouteSimTime: b.routeTime, FlowsTotal: len(r.flows)}
+		if b.mgr != nil {
+			out.MTBDDNodes = b.mgr.Stats().Live
+		}
+		n.markAllUnchecked(out, opts.OverloadFactor)
+		return out, err
+	}
+	return &Report{
+		Violations:         rep.Violations,
+		Holds:              rep.Holds,
+		Elapsed:            time.Since(start),
+		RouteSimTime:       b.routeTime,
+		FlowsTotal:         rep.FlowsTotal,
+		FlowsExecuted:      rep.FlowsExecuted,
+		MTBDDNodes:         b.mgr.Stats().Live,
+		LinkStats:          rep.LinkStats,
+		Incomplete:         rep.Incomplete,
+		Unchecked:          rep.Unchecked,
+		UncheckedDelivered: rep.UncheckedDelivered,
+		DegradedFlows:      rep.DegradedFlows,
+		Sched:              b.ver.SchedStats(),
+		CostHints:          b.ver.CostHints(),
+		Modular:            b.modular,
+	}, err
+}
+
+// verifyShortestPath runs the QARC-style shortest-path baseline.
+func (n *Network) verifyShortestPath(r resolved, opts VerifyOptions, start time.Time) (*Report, error) {
+	if r.mode != topo.FailLinks {
+		return nil, fmt.Errorf("yu: the shortest-path baseline supports link failures only")
+	}
+	model := spath.NewModel(n.spec.Net, n.spec.Configs, r.flows)
+	factor := opts.OverloadFactor
+	if factor <= 0 {
+		factor = 1
+	}
+	rep := model.Verify(r.k, spath.Options{OverloadFactor: factor, Ctx: opts.Ctx})
+	out := &Report{
+		Holds:      rep.Holds,
+		Elapsed:    time.Since(start),
+		FlowsTotal: len(r.flows),
+		Scenarios:  rep.Scenarios,
+	}
+	for _, v := range rep.Violations {
+		out.Violations = append(out.Violations, Violation{
+			Kind: "link-load", Link: v.Link, Value: v.Value, Max: v.Limit,
+			FailedLinks: v.FailedLinks,
+		})
+	}
+	if rep.Err != nil {
+		n.markAllUnchecked(out, factor)
+	}
+	return out, rep.Err
 }
 
 // verifyEnumerate runs the Jingubang-style concrete baseline. It is both
 // the EngineEnumerate entry point and rung 4 of the degradation ladder
 // (the whole-run fallback when even symbolic route simulation cannot fit
 // its node budget).
-func (n *Network) verifyEnumerate(k int, mode FailureMode, flows []Flow, opts VerifyOptions, start time.Time) (*Report, error) {
+func (n *Network) verifyEnumerate(r resolved, opts VerifyOptions, start time.Time) (*Report, error) {
 	sp := opts.Obs.Span("enumerate")
 	defer sp.End()
 	sim := concrete.NewSim(n.spec.Net, n.spec.Configs)
-	rep := sim.VerifyKFailures(flows, k, mode, concrete.EnumOptions{
+	rep := sim.VerifyKFailures(r.flows, r.k, r.mode, concrete.EnumOptions{
 		OverloadFactor: opts.OverloadFactor,
 		Bounds:         n.spec.Props,
 		Delivered:      n.spec.Delivered,
@@ -387,7 +472,7 @@ func (n *Network) verifyEnumerate(k int, mode FailureMode, flows []Flow, opts Ve
 	out := &Report{
 		Holds:      rep.Holds,
 		Elapsed:    time.Since(start),
-		FlowsTotal: len(flows),
+		FlowsTotal: len(r.flows),
 		Scenarios:  rep.Scenarios,
 	}
 	for _, v := range rep.Violations {
@@ -440,124 +525,115 @@ func (n *Network) markAllUnchecked(out *Report, overloadFactor float64) {
 // VerifyPortfolio evaluates a property portfolio with the batch TLP
 // engine (EngineYU only): one symbolic execution serves every property,
 // each directed link's load aggregated and terminal-scanned exactly once
-// however many properties ride on it. Options are honored as in Verify
-// (K/Mode/Flows overrides, Workers, governance, Obs, STFCache); the
-// portfolio itself replaces the spec's legacy properties. The result is
-// byte-stable across worker counts (canon.FormatPortfolio).
+// however many properties ride on it. It runs Verify's pipeline with a
+// different check stage, so options are honored as in Verify — K/Mode/Flows
+// overrides, Workers, governance, Obs, STFCache, and Domains/AutoDomains
+// (compositional build, byte-identical result); the portfolio itself
+// replaces the spec's legacy properties. The result is byte-stable across
+// worker counts and partitions (canon.FormatPortfolio).
 //
 // Like Verify, a governed abort returns the typed error together with a
-// partial result whose undecided properties are StatusUnchecked.
+// partial result whose undecided properties are StatusUnchecked; unlike
+// Verify there is no concrete rung 4 for portfolios.
 func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResult, error) {
-	k := n.spec.K
-	if opts.K > 0 {
-		k = opts.K
-	}
-	mode := n.spec.Mode
-	if opts.ModeSet {
-		mode = opts.Mode
-	}
-	flows := n.spec.Flows
-	if opts.Flows != nil {
-		flows = opts.Flows
-	}
-	port, err := tlp.Compile(n.spec.Net, flows, props)
+	r := n.resolve(opts)
+	port, err := tlp.Compile(n.spec.Net, r.flows, props)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	budget := k
-	checkK := 0
-	if opts.DisableKReduce {
-		budget = -1
-		checkK = k
-	}
-	m := mtbdd.New()
-	fv := routesim.NewFailVars(m, n.spec.Net, mode, budget)
-	if opts.MaxNodes > 0 {
-		m.SetNodeBudget(opts.MaxNodes)
-	}
-	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs)
-	opts.Obs.AddPhase("routesim", time.Since(start))
-	if err != nil {
-		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrNodeBudget) {
-			core.RecordManager(opts.Obs, "primary", m)
-			return tlp.AllUnchecked(props), err
-		}
+	b, err := n.build(r, opts, time.Now())
+	if b == nil {
 		return nil, err
 	}
-	eng := core.NewEngine(rs, core.Options{
-		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
-		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
-		CheckK:                checkK,
-		Ctx:                   opts.Ctx,
-		NodeBudget:            opts.MaxNodes,
-		OnBudget:              opts.OnBudget,
-		Configs:               n.spec.Configs,
-		Obs:                   opts.Obs,
-		CostHints:             opts.CostHints,
-		STFCache:              opts.STFCache,
-	})
-	ver := core.NewParallelVerifier(eng, flows, opts.Workers)
-	if verr := ver.Err(); verr != nil {
-		core.RecordManager(opts.Obs, "primary", eng.Manager())
-		return tlp.AllUnchecked(props), verr
+	defer core.RecordManager(opts.Obs, "primary", b.mgr)
+	if err == nil {
+		err = b.ver.Err()
 	}
-	res, err := port.Eval(ver, opts.Obs)
-	core.RecordManager(opts.Obs, "primary", eng.Manager())
-	return res, err
+	if err != nil {
+		return tlp.AllUnchecked(props), err
+	}
+	return port.Eval(b.ver, opts.Obs)
 }
 
-func (n *Network) verifyYU(k int, mode FailureMode, flows []Flow, opts VerifyOptions, start time.Time) (*Report, error) {
+// built is the outcome of the build stage: a verifier holding every
+// class's STF in one manager, ready for either check stage.
+type built struct {
+	// ver is nil when a governed abort cut the stage short before
+	// execution could start; mgr too when no manager existed yet.
+	ver *core.Verifier
+	mgr *mtbdd.Manager
+	// routeTime is the route-simulation wall time, or the whole
+	// compositional build's.
+	routeTime time.Duration
+	// modular is set when the verifier was assembled from domains.
+	modular *ModularStats
+}
+
+// build is the pipeline's second stage. The plan is compositional when
+// the options name a partition — per-domain route simulation and execution
+// assembled by internal/compose (DESIGN.md §17) — and monolithic otherwise:
+// one route simulation, then execution on Workers shards. Input the
+// composition cannot handle (incomposable configs, a budget the domains
+// cannot hold) falls back wholesale to the monolithic plan, which
+// reproduces the verdict or the error.
+//
+// A governed abort returns the typed error with a built whose ver is nil,
+// for the caller to shape its partial result; any other error returns a
+// nil built.
+func (n *Network) build(r resolved, opts VerifyOptions, start time.Time) (*built, error) {
 	if opts.Domains != nil || opts.AutoDomains > 0 {
-		return n.verifyModular(k, mode, flows, opts, start)
-	}
-	budget := k
-	checkK := 0
-	if opts.DisableKReduce {
-		budget = -1
-		checkK = k
+		var part *topo.Partition
+		var err error
+		if opts.Domains != nil {
+			part, err = topo.NewPartition(n.spec.Net, opts.Domains)
+		} else {
+			part, err = topo.AutoPartition(n.spec.Net, opts.AutoDomains)
+		}
+		if err != nil {
+			return nil, err // an invalid partition is a configuration error
+		}
+		composeStart := time.Now()
+		c, err := compose.Build(n.spec.Net, n.spec.Configs, part, r.flows, compose.Options{
+			K:                     r.budget,
+			CheckK:                r.checkK,
+			Mode:                  r.mode,
+			Workers:               opts.Workers,
+			MaxNodes:              opts.MaxNodes,
+			OnBudget:              opts.OnBudget,
+			Ctx:                   opts.Ctx,
+			Obs:                   opts.Obs,
+			DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
+			DisableGlobalEquiv:    opts.DisableGlobalEquiv,
+			CostHints:             opts.CostHints,
+		})
+		composeTime := time.Since(composeStart)
+		opts.Obs.AddPhase("compose", composeTime)
+		if err == nil {
+			stats := c.Stats // a copy: &c.Stats would pin c's managers to the Report
+			return &built{ver: c.Verifier, mgr: c.Engine.Manager(), routeTime: composeTime, modular: &stats}, nil
+		}
+		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) {
+			return &built{routeTime: composeTime}, err
+		}
 	}
 	m := mtbdd.New()
-	fv := routesim.NewFailVars(m, n.spec.Net, mode, budget)
+	fv := routesim.NewFailVars(m, n.spec.Net, r.mode, r.budget)
 	if opts.MaxNodes > 0 {
 		m.SetNodeBudget(opts.MaxNodes)
 	}
 	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs)
-	routeTime := time.Since(start)
-	opts.Obs.AddPhase("routesim", routeTime)
+	b := &built{mgr: m, routeTime: time.Since(start)}
+	opts.Obs.AddPhase("routesim", b.routeTime)
 	if err != nil {
-		if errors.Is(err, ErrNodeBudget) && opts.OnBudget == BudgetDegrade {
-			// Rung 4 of the degradation ladder: the budget cannot even
-			// hold symbolic route simulation, so the whole run falls back
-			// to bounded concrete enumeration. Every flow is degraded.
-			out, derr := n.verifyEnumerate(k, mode, flows, opts, start)
-			if out != nil {
-				for _, f := range flows {
-					out.DegradedFlows = append(out.DegradedFlows, f.String())
-				}
-				out.RouteSimTime = routeTime
-			}
-			return out, derr
-		}
 		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrNodeBudget) {
-			// Cut short before any check could run: a partial report with
-			// every requested target unchecked, plus the typed error.
-			out := &Report{
-				Elapsed:      time.Since(start),
-				RouteSimTime: routeTime,
-				FlowsTotal:   len(flows),
-				MTBDDNodes:   m.Stats().Live,
-			}
-			n.markAllUnchecked(out, opts.OverloadFactor)
-			core.RecordManager(opts.Obs, "primary", m)
-			return out, err
+			return b, err
 		}
 		return nil, err
 	}
 	eng := core.NewEngine(rs, core.Options{
 		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
 		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
-		CheckK:                checkK,
+		CheckK:                r.checkK,
 		Ctx:                   opts.Ctx,
 		NodeBudget:            opts.MaxNodes,
 		OnBudget:              opts.OnBudget,
@@ -567,136 +643,7 @@ func (n *Network) verifyYU(k int, mode FailureMode, flows []Flow, opts VerifyOpt
 		STFCache:              opts.STFCache,
 	})
 	execSpan := opts.Obs.Span("execute")
-	ver := core.NewParallelVerifier(eng, flows, opts.Workers)
+	b.ver = core.NewParallelVerifier(eng, r.flows, opts.Workers)
 	execSpan.End()
-	checkSpan := opts.Obs.Span("check")
-	rep, verr := ver.Run(n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
-	checkSpan.End()
-	core.RecordManager(opts.Obs, "primary", eng.Manager())
-	if verr == nil && rep.Incomplete && opts.OnBudget == BudgetDegrade && opts.MaxNodes > 0 {
-		// The budget let execution through (possibly via per-flow
-		// fallbacks) but was too tight for the aggregation checks, which
-		// were skipped. Rung 4: re-verify the whole run concretely so the
-		// degrade policy always renders a complete verdict.
-		out, derr := n.verifyEnumerate(k, mode, flows, opts, start)
-		if out != nil {
-			for _, f := range flows {
-				out.DegradedFlows = append(out.DegradedFlows, f.String())
-			}
-			out.RouteSimTime = routeTime
-		}
-		return out, derr
-	}
-	out := &Report{
-		Violations:         rep.Violations,
-		Holds:              rep.Holds,
-		Elapsed:            time.Since(start),
-		RouteSimTime:       routeTime,
-		FlowsTotal:         rep.FlowsTotal,
-		FlowsExecuted:      rep.FlowsExecuted,
-		MTBDDNodes:         m.Stats().Live,
-		LinkStats:          rep.LinkStats,
-		Incomplete:         rep.Incomplete,
-		Unchecked:          rep.Unchecked,
-		UncheckedDelivered: rep.UncheckedDelivered,
-		DegradedFlows:      rep.DegradedFlows,
-		Sched:              ver.SchedStats(),
-		CostHints:          ver.CostHints(),
-	}
-	return out, verr
-}
-
-// verifyModular is the compositional pipeline (DESIGN.md §17): partition
-// the topology into AS-closed domains, verify each domain against
-// interface summaries via internal/compose, and run the usual checks on
-// the assembled verifier. Reports are byte-identical to monolithic runs;
-// inputs the composition cannot handle (incomposable configs, governed
-// domain builds under BudgetDegrade) fall back to the whole-network
-// pipeline, which reproduces the verdict or the error.
-func (n *Network) verifyModular(k int, mode FailureMode, flows []Flow, opts VerifyOptions, start time.Time) (*Report, error) {
-	var part *topo.Partition
-	var perr error
-	if opts.Domains != nil {
-		part, perr = topo.NewPartition(n.spec.Net, opts.Domains)
-	} else {
-		part, perr = topo.AutoPartition(n.spec.Net, opts.AutoDomains)
-	}
-	if perr != nil {
-		return nil, perr // an invalid partition is a configuration error
-	}
-	budget := k
-	checkK := 0
-	if opts.DisableKReduce {
-		budget = -1
-		checkK = k
-	}
-	composeStart := time.Now()
-	built, err := compose.Build(n.spec.Net, n.spec.Configs, part, flows, compose.Options{
-		K:                     budget,
-		CheckK:                checkK,
-		Mode:                  mode,
-		Workers:               opts.Workers,
-		MaxNodes:              opts.MaxNodes,
-		OnBudget:              opts.OnBudget,
-		Ctx:                   opts.Ctx,
-		Obs:                   opts.Obs,
-		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
-		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
-		CostHints:             opts.CostHints,
-	})
-	composeTime := time.Since(composeStart)
-	opts.Obs.AddPhase("compose", composeTime)
-	if err != nil {
-		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) {
-			out := &Report{
-				Elapsed:      time.Since(start),
-				RouteSimTime: composeTime,
-				FlowsTotal:   len(flows),
-			}
-			n.markAllUnchecked(out, opts.OverloadFactor)
-			return out, err
-		}
-		// Incomposable input or a budget the domains could not hold: the
-		// monolithic pipeline reproduces the verdict or the error.
-		mono := opts
-		mono.Domains, mono.AutoDomains = nil, 0
-		return n.verifyYU(k, mode, flows, mono, start)
-	}
-	ver := built.Verifier
-	checkSpan := opts.Obs.Span("check")
-	rep, verr := ver.Run(n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
-	checkSpan.End()
-	core.RecordManager(opts.Obs, "primary", built.Engine.Manager())
-	if verr == nil && rep.Incomplete && opts.OnBudget == BudgetDegrade && opts.MaxNodes > 0 {
-		// Rung 4 of the degradation ladder, exactly as in the monolithic
-		// pipeline: checks were skipped under the budget, so the whole run
-		// re-verifies concretely for a complete verdict.
-		out, derr := n.verifyEnumerate(k, mode, flows, opts, start)
-		if out != nil {
-			for _, f := range flows {
-				out.DegradedFlows = append(out.DegradedFlows, f.String())
-			}
-			out.RouteSimTime = composeTime
-		}
-		return out, derr
-	}
-	stats := built.Stats
-	out := &Report{
-		Violations:         rep.Violations,
-		Holds:              rep.Holds,
-		Elapsed:            time.Since(start),
-		RouteSimTime:       composeTime,
-		FlowsTotal:         rep.FlowsTotal,
-		FlowsExecuted:      rep.FlowsExecuted,
-		MTBDDNodes:         built.Engine.Manager().Stats().Live,
-		LinkStats:          rep.LinkStats,
-		Incomplete:         rep.Incomplete,
-		Unchecked:          rep.Unchecked,
-		UncheckedDelivered: rep.UncheckedDelivered,
-		DegradedFlows:      rep.DegradedFlows,
-		Sched:              ver.SchedStats(),
-		CostHints:          ver.CostHints(),
-		Modular:            &stats,
-	}
-	return out, verr
+	return b, nil
 }

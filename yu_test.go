@@ -166,6 +166,17 @@ func TestVerifySpecProperties(t *testing.T) {
 	}
 }
 
+// TestResolveK pins VerifyOptions.K: it overrides the spec's failure
+// budget only when > 0 (cmd/yu -k: "0 = use the spec's").
+func TestResolveK(t *testing.T) {
+	n := loadMotivating(t)
+	for opt, want := range map[int]int{-1: n.Spec().K, 0: n.Spec().K, 2: 2} {
+		if got := n.resolve(VerifyOptions{K: opt}).k; got != want {
+			t.Errorf("K: %d resolves to k=%d, want %d", opt, got, want)
+		}
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
 	if _, err := LoadString("bogus"); err == nil {
 		t.Error("bad spec must fail")
