@@ -86,72 +86,36 @@ func buildWAN(c netCase) (*config.Spec, []topo.Flow, error) {
 // YURun holds the measurements of one symbolic verification run.
 type YURun struct {
 	Elapsed    time.Duration
-	RouteTime  time.Duration
 	Violations int
 	MTBDDNodes int
 	Executed   int
 	LinkStats  []core.LinkCheckStat
-	// Created counts every node the primary manager ever hash-consed —
-	// the allocation-pressure metric the kernels sweep compares.
-	Created int
-	// FusionCuts counts subproblems the fused kernels collapsed to a
-	// terminal at budget exhaustion (0 for the NoFuse pipeline).
-	FusionCuts uint64
 }
 
 // runYU executes the full YU pipeline sequentially.
 func runYU(spec *config.Spec, flows []topo.Flow, k int, mode topo.FailureMode, opts core.Options, overload float64) (*YURun, error) {
-	return runYUWorkers(spec, flows, k, mode, opts, overload, 1)
-}
-
-// runYUWorkers executes the full YU pipeline with the given parallelism
-// degree (1 = the exact legacy sequential path).
-func runYUWorkers(spec *config.Spec, flows []topo.Flow, k int, mode topo.FailureMode, opts core.Options, overload float64, workers int) (*YURun, error) {
-	return runYUVariant(spec, flows, k, mode, opts, overload, workers, false)
-}
-
-// runYUVariant is runYUWorkers with the fused-kernel ablation switch:
-// noFuse routes every Reduce(op(...)) call site through the composed
-// build-then-reduce form instead of the fused kernels, the pre-fusion
-// pipeline the kernels sweep baselines against.
-func runYUVariant(spec *config.Spec, flows []topo.Flow, k int, mode topo.FailureMode, opts core.Options, overload float64, workers int, noFuse bool) (*YURun, error) {
 	start := time.Now()
 	m := mtbdd.New()
 	budget := k
 	if opts.CheckK > 0 {
 		budget = -1 // "w/o MTBDD reduction" ablation
 	}
-	fv := routesim.NewFailVars(m, spec.Net, mode, budget)
-	fv.NoFuse = noFuse
-	rs, err := routesim.Run(fv, spec.Configs)
+	rs, err := routesim.Run(routesim.NewFailVars(m, spec.Net, mode, budget), spec.Configs)
 	if err != nil {
 		return nil, err
 	}
-	routeTime := time.Since(start)
-	opts.Obs.AddPhase("routesim", routeTime)
-	eng := core.NewEngine(rs, opts)
-	execSpan := opts.Obs.Span("execute")
-	ver := core.NewParallelVerifier(eng, flows, workers)
-	execSpan.End()
-	checkSpan := opts.Obs.Span("check")
-	rep, err := ver.Run(nil, nil, overload)
-	checkSpan.End()
-	core.RecordManager(opts.Obs, "primary", m)
+	rep, err := core.NewVerifier(core.NewEngine(rs, opts), flows).Run(nil, nil, overload)
 	if err != nil {
 		return nil, err
 	}
-	st := m.Stats()
 	return &YURun{
 		Elapsed:    time.Since(start),
-		RouteTime:  routeTime,
 		Violations: len(rep.Violations),
 		// Peak unique-table size: the Fig 16 "MTBDD nodes generated"
 		// metric, independent of managed-GC timing.
-		MTBDDNodes: st.PeakUnique,
+		MTBDDNodes: m.Stats().PeakUnique,
 		Executed:   rep.FlowsExecuted,
 		LinkStats:  rep.LinkStats,
-		Created:    int(st.Created),
-		FusionCuts: st.FusionCuts,
 	}, nil
 }
 

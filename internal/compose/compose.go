@@ -66,7 +66,6 @@ type Options struct {
 
 	DisableLinkLocalEquiv bool
 	DisableGlobalEquiv    bool
-	CostHints             map[string]float64
 }
 
 // Stats summarizes a compositional build.
@@ -452,9 +451,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	} else {
 		rsCheck = routesim.EmptyResult(fvCheck)
 	}
-	checkOpts := engOpts(opts.MaxNodes, opts.OnBudget, cfgs)
-	checkOpts.CostHints = opts.CostHints
-	eng := core.NewEngine(rsCheck, checkOpts)
+	eng := core.NewEngine(rsCheck, engOpts(opts.MaxNodes, opts.OnBudget, cfgs))
 	ver := core.NewAssembledVerifier(eng, flows, opts.Workers, pre)
 	return &Built{Verifier: ver, Engine: eng, Stats: st}, nil
 }

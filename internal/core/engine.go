@@ -88,12 +88,6 @@ type Options struct {
 	// counters, and per-manager MTBDD stats (DESIGN.md §11). nil disables
 	// all recording at zero cost.
 	Obs *obs.Registry
-	// CostHints warm-starts the parallel scheduler's cost model: measured
-	// per-class execution costs from a previous run (Verifier.CostHints),
-	// keyed by the stable class key. Missing or non-positive entries fall
-	// back to a topology heuristic. Purely a scheduling hint — verdicts
-	// and reports never depend on it.
-	CostHints map[string]float64
 	// STFCache, when non-nil, is consulted by the sequential verifier
 	// before executing each equivalence class and fed every freshly
 	// executed STF — the reuse hook of the incremental daemon

@@ -6,10 +6,10 @@
 //
 //   - Scheduling: the input flows are grouped into global-equivalence
 //     classes (§6, sched.go); one representative per class is the work
-//     unit. Classes are ordered by a cost model (persisted measurements
-//     or a topology heuristic) and packed into chunks, dealt round-robin
-//     onto per-worker deques: owners pop expensive chunks from the
-//     front, idle workers steal cheap ones from the back.
+//     unit. Classes are ordered by a topology cost heuristic and packed
+//     into chunks, dealt round-robin onto per-worker deques: owners pop
+//     expensive chunks from the front, idle workers steal cheap ones
+//     from the back.
 //   - Execution: each worker builds its own Manager + FailVars
 //     (NewFailVars is deterministic, so every shard has the identical
 //     variable order), clones the guarded RIBs from a shared read-only
@@ -225,7 +225,6 @@ func (v *Verifier) executeSharded() ([]*FlowSTF, error) {
 				defer RecordManager(obsR, "exec-shard."+strconv.Itoa(w), mW)
 				installGovernance(mW, wopts)
 				fvW := routesim.NewFailVars(mW, e.net, e.fv.Mode, e.fv.K)
-				fvW.NoFuse = e.fv.NoFuse
 				engW := NewEngine(base.ImportInto(fvW), wopts)
 				var local []*FlowSTF
 				for !stop.Load() {
@@ -238,14 +237,12 @@ func (v *Verifier) executeSharded() ([]*FlowSTF, error) {
 						if testExecHook != nil {
 							testExecHook(classes[ci].rep)
 						}
-						before := mW.Stats().Created
 						s, err := engW.ExecuteGoverned(classes[ci].rep, local)
 						if err != nil {
 							werr = err
 							busyT.Add(time.Since(start))
 							return
 						}
-						v.measured[ci] = float64(mW.Stats().Created - before)
 						local = append(local, s)
 						stfs[ci] = s
 						execC.Inc()

@@ -4,20 +4,14 @@
 // flow: classifyFlows groups the input up front, one representative per
 // class is executed, and the verdict/STF is shared by every member —
 // the summed volume fans the result out at aggregation time. Classes are
-// then ordered and chunked by a cost model (measured created-node counts
-// persisted from a prior run when available, a topology-derived heuristic
-// otherwise) so the expensive work starts first and the work-stealing
-// deques in parallel.go stay balanced.
+// then ordered and chunked by a topology-derived cost heuristic so the
+// expensive work starts first and the work-stealing deques in parallel.go
+// stay balanced.
 package core
 
 import (
-	"encoding/json"
-	"log"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 
 	"github.com/yu-verify/yu/internal/topo"
 )
@@ -30,20 +24,10 @@ type flowClass struct {
 	// volume. With global equivalence disabled each class has exactly
 	// one member and rep is the flow itself.
 	rep topo.Flow
-	// key is a run-independent identity for the cost model: flows keep
-	// their key across runs and topology edits that don't move them, so
-	// persisted costs from a previous run still apply.
-	key string
 	// members counts the input flows merged into this class.
 	members int
 	// cost is the scheduling weight (see classCosts).
 	cost float64
-}
-
-// costKey builds a class's stable cost-model key. Router *names* (not
-// IDs) keep the key valid across runs and unrelated topology edits.
-func costKey(net *topo.Network, f topo.Flow) string {
-	return net.Router(f.Ingress).Name + "|" + f.Dst.String() + "|" + strconv.Itoa(int(f.DSCP))
 }
 
 // classifyFlows applies global flow equivalence (§6) and returns the
@@ -53,19 +37,19 @@ func costKey(net *topo.Network, f topo.Flow) string {
 // and STFs fan back out to every member. When the optimization is
 // disabled every flow is its own class (no merging, same order).
 func classifyFlows(e *Engine, flows []topo.Flow) (classes []flowClass, classOf []int) {
-	return classifyWith(e.classifier, e.net, e.opts.DisableGlobalEquiv, flows)
+	return classifyWith(e.classifier, e.opts.DisableGlobalEquiv, flows)
 }
 
 // classifyWith is classifyFlows over an explicit classifier — the shared
 // core of the engine-attached path and the standalone GlobalClasses
 // helper, so the two can never drift apart.
-func classifyWith(cl *classifier, net *topo.Network, disable bool, flows []topo.Flow) (classes []flowClass, classOf []int) {
+func classifyWith(cl *classifier, disable bool, flows []topo.Flow) (classes []flowClass, classOf []int) {
 	classes = make([]flowClass, 0, len(flows))
 	classOf = make([]int, len(flows))
 	if disable {
 		for i, f := range flows {
 			classOf[i] = i
-			classes = append(classes, flowClass{rep: f, key: costKey(net, f), members: 1})
+			classes = append(classes, flowClass{rep: f, members: 1})
 		}
 		return classes, classOf
 	}
@@ -84,7 +68,7 @@ func classifyWith(cl *classifier, net *topo.Network, disable bool, flows []topo.
 		} else {
 			groups[k] = len(classes)
 			classOf[fi] = len(classes)
-			classes = append(classes, flowClass{rep: f, key: costKey(net, f), members: 1})
+			classes = append(classes, flowClass{rep: f, members: 1})
 		}
 	}
 	return classes, classOf
@@ -96,9 +80,10 @@ func classifyWith(cl *classifier, net *topo.Network, disable bool, flows []topo.
 // which class representatives exist and which domain each belongs to.
 // Built with the same classifier and grouping code as the engine path, so
 // for the same prefix set the class list and order are identical to what
-// NewAssembledVerifier computes on the check engine.
-func GlobalClasses(net *topo.Network, prefixes []netip.Prefix, flows []topo.Flow, disableGlobalEquiv bool) (reps []topo.Flow, classOf []int) {
-	classes, classOf := classifyWith(newClassifier(nil, prefixes), net, disableGlobalEquiv, flows)
+// NewAssembledVerifier computes on the check engine. The network argument
+// is unused; benchmark/ pins the signature.
+func GlobalClasses(_ *topo.Network, prefixes []netip.Prefix, flows []topo.Flow, disableGlobalEquiv bool) (reps []topo.Flow, classOf []int) {
+	classes, classOf := classifyWith(newClassifier(nil, prefixes), disableGlobalEquiv, flows)
 	reps = make([]topo.Flow, len(classes))
 	for i := range classes {
 		reps[i] = classes[i].rep
@@ -116,31 +101,21 @@ func dedupHits(classes []flowClass) int {
 	return n
 }
 
-// classCosts assigns each class its scheduling weight, in place. A
-// persisted hint (Options.CostHints, keyed by flowClass.key; typically
-// the created-node count measured on a previous run) wins when present
-// and positive; otherwise the cost falls back to a topology-derived
-// heuristic: 1 + the hop distance from the class's ingress to the
-// nearest router that delivers its destination, a proxy for how much
-// network the symbolic wavefront must traverse. The heuristic needs one
-// BFS per distinct ingress (cached) and no MTBDD work.
+// classCosts assigns each class its scheduling weight, in place: 1 + the
+// hop distance from the class's ingress to the nearest router that
+// delivers its destination, a proxy for how much network the symbolic
+// wavefront must traverse. It needs one BFS per distinct ingress (cached)
+// and no MTBDD work.
 func classCosts(e *Engine, classes []flowClass) {
-	var distFrom map[topo.RouterID][]int
+	distFrom := make(map[topo.RouterID][]int)
 	deliverers := make(map[int][]topo.RouterID)
 	for i := range classes {
-		if h, ok := e.opts.CostHints[classes[i].key]; ok && h > 0 {
-			classes[i].cost = h
-			continue
-		}
 		f := classes[i].rep
 		cls := e.classifier.classOf(f.Dst)
 		dests, ok := deliverers[cls]
 		if !ok {
 			dests = e.deliveringRouters(cls)
 			deliverers[cls] = dests
-		}
-		if distFrom == nil {
-			distFrom = make(map[topo.RouterID][]int)
 		}
 		dist, ok := distFrom[f.Ingress]
 		if !ok {
@@ -266,79 +241,3 @@ type SchedStats struct {
 // SchedStats returns the scheduling summary of this verifier's execution
 // phase.
 func (v *Verifier) SchedStats() SchedStats { return v.sched }
-
-// CostHints returns the measured per-class cost map of this run — the
-// created-node count of each class's symbolic execution, keyed by the
-// stable class key — suitable for persisting (SaveCostHints) and feeding
-// back via Options.CostHints. Classes whose execution never completed
-// are absent.
-func (v *Verifier) CostHints() map[string]float64 {
-	out := make(map[string]float64, len(v.classes))
-	for i := range v.classes {
-		if c := v.measured[i]; c > 0 {
-			out[v.classes[i].key] = c
-		}
-	}
-	return out
-}
-
-// SaveCostHints persists a cost-hint map as JSON, crash-safely: the file
-// is written to a temp name, fsync'd, renamed into place, and the
-// directory fsync'd, so a crash mid-save leaves either the old hints or
-// the new — never a truncated file.
-func SaveCostHints(path string, hints map[string]float64) error {
-	data, err := json.MarshalIndent(hints, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(append(data, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// LoadCostHints reads a cost-hint map written by SaveCostHints. A missing
-// file is not an error — it returns an empty map, so callers can treat
-// hints as best-effort warm-start data. A corrupt or truncated file is
-// handled the same way: hints are a scheduling aid, never a correctness
-// input, so a bad file logs a warning and falls back to the topology
-// heuristic instead of failing the run.
-func LoadCostHints(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]float64{}, nil
-		}
-		return nil, err
-	}
-	var hints map[string]float64
-	if err := json.Unmarshal(data, &hints); err != nil {
-		log.Printf("yu: cost hints %s: %v; ignoring file, scheduler falls back to the topology heuristic", path, err)
-		return map[string]float64{}, nil
-	}
-	return hints, nil
-}

@@ -151,6 +151,26 @@ func (rep *Report) markUncheckedDelivered(pfx netip.Prefix) {
 	rep.UncheckedDelivered = append(rep.UncheckedDelivered, pfx)
 }
 
+// markUncheckedItem records a check item's target as unchecked.
+func (rep *Report) markUncheckedItem(it checkItem) {
+	if it.subject.Prefix.IsValid() {
+		rep.markUncheckedDelivered(it.subject.Prefix)
+	} else {
+		rep.markUnchecked(it.subject.Link)
+	}
+}
+
+// AllUnchecked is the report of a run that was cut short before any check
+// could start: every target Run would check for the same request is
+// listed unchecked, in Run's order.
+func AllUnchecked(net *topo.Network, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) *Report {
+	rep := &Report{Incomplete: true}
+	for _, it := range lower(net, bounds, delivered, overloadFactor, false) {
+		rep.markUncheckedItem(it)
+	}
+	return rep
+}
+
 // Verifier aggregates per-flow STFs into per-link symbolic traffic loads
 // and checks TLPs (paper §4.5, Theorem 5.1).
 type Verifier struct {
@@ -176,9 +196,6 @@ type Verifier struct {
 	// (v.stfs is parallel to it); the summed volume on each
 	// representative fans the shared STF back out to the members.
 	classes []flowClass
-	// measured[i] is the created-node count of class i's execution — the
-	// cost model's training signal, exported by CostHints.
-	measured []float64
 	// sched summarizes the execution phase's scheduling (see SchedStats).
 	sched SchedStats
 }
@@ -193,7 +210,6 @@ func newVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 	v := &Verifier{e: e, flows: flows, workers: workers,
 		kreduceT: e.opts.Obs.Timer("check/kreduce")}
 	v.classes, _ = classifyFlows(e, flows)
-	v.measured = make([]float64, len(v.classes))
 	v.sched = SchedStats{Workers: 1, Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
 	e.opts.Obs.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
 	return v
@@ -229,22 +245,17 @@ func (v *Verifier) assemble(pre []*FlowSTF) {
 			owned := s
 			s, err = e.buildGoverned(rep, v.stfs, func() *FlowSTF { return importSTF(e.m, owned) })
 		} else {
-			before := e.m.Stats().Created
 			hit := false
 			if cache != nil {
 				// A hit is indistinguishable from an execution: the cache
-				// materialized canonical nodes in this manager, the class
-				// counts as executed (FlowsExecuted is part of the report
-				// byte-identity contract), and the replay's created-node
-				// delta feeds the cost model like a measurement would.
+				// materialized canonical nodes in this manager and the
+				// class counts as executed (FlowsExecuted is part of the
+				// report byte-identity contract).
 				s, hit = cache.Lookup(e, rep)
 			}
 			if !hit {
 				s, err = e.ExecuteGoverned(rep, v.stfs)
-			}
-			if err == nil {
-				v.measured[i] = float64(e.m.Stats().Created - before)
-				if !hit {
+				if err == nil {
 					flowC.Inc()
 					if cache != nil {
 						cache.Store(e, rep, s)
@@ -312,12 +323,13 @@ type checkItem struct {
 	pruned bool
 }
 
-// lower flattens a Run request into its ordered check items: explicit
+// lower flattens a check request into its ordered check items: explicit
 // bounds (undirected ones in both directions), delivered bounds, then the
 // all-links overload property — "no directed link carries more than
 // factor × capacity", the paper's daily P2 check. This order is the order
-// of Report.LinkStats and Report.Violations on every path.
-func (v *Verifier) lower(bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) []checkItem {
+// of Report.LinkStats and Report.Violations on every path. pruned is the
+// scan mode of the overload items.
+func lower(net *topo.Network, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64, pruned bool) []checkItem {
 	var items []checkItem
 	bothDirs := []topo.Direction{topo.AtoB, topo.BtoA}
 	for _, b := range bounds {
@@ -339,14 +351,13 @@ func (v *Verifier) lower(bounds []topo.LoadBound, delivered []topo.DeliveredBoun
 		})
 	}
 	if overloadFactor > 0 {
-		net := v.e.net
 		for li := 0; li < net.NumLinks(); li++ {
 			link := net.Link(topo.LinkID(li))
 			for _, d := range bothDirs {
 				items = append(items, checkItem{
 					subject: Subject{Link: topo.MakeDirLinkID(link.ID, d)},
 					check:   LinkCheck{Max: link.Capacity * overloadFactor, Overload: true, CondVar: -1},
-					pruned:  !v.e.opts.DisableEarlyTermination,
+					pruned:  pruned,
 				})
 			}
 		}
@@ -383,7 +394,7 @@ func (v *Verifier) Run(bounds []topo.LoadBound, delivered []topo.DeliveredBound,
 			rep.DegradedFlows = append(rep.DegradedFlows, s.Flow.String())
 		}
 	}
-	items := v.lower(bounds, delivered, overloadFactor)
+	items := lower(v.e.net, bounds, delivered, overloadFactor, !v.e.opts.DisableEarlyTermination)
 	results := make([]itemRes, len(items))
 	// A failed flow execution leaves every item unchecked.
 	err := v.err
@@ -395,10 +406,8 @@ func (v *Verifier) Run(bounds []topo.LoadBound, delivered []topo.DeliveredBound,
 		case r.done:
 			rep.LinkStats = append(rep.LinkStats, r.stat)
 			rep.Violations = append(rep.Violations, r.viols...)
-		case items[i].subject.Prefix.IsValid():
-			rep.markUncheckedDelivered(items[i].subject.Prefix)
 		default:
-			rep.markUnchecked(items[i].subject.Link)
+			rep.markUncheckedItem(items[i])
 		}
 	}
 	rep.Holds = len(rep.Violations) == 0 && !rep.Incomplete

@@ -39,7 +39,6 @@ func Battery() []Oracle {
 		{"global-equiv", OracleGlobalEquiv},
 		{"monotonicity-in-k", OracleMonotonicity},
 		{"kreduce-soundness", OracleKReduceSoundness},
-		{"fused-kernels", OracleFusedKernels},
 		{"witness-revalidation", OracleWitnessRevalidation},
 		{"spec-round-trip", OracleSpecRoundTrip},
 		{"governance", OracleGovernance},
@@ -271,64 +270,6 @@ func OracleKReduceSoundness(c *Case) error {
 				if math.Abs(red-full) > 1e-12 {
 					return fmt.Errorf("link %s failed=%v/%v: reduced %.12g vs unreduced %.12g",
 						net.DirLinkName(dl), links, routers, red, full)
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// OracleFusedKernels is the end-to-end differential for the fused MTBDD
-// kernels: the same case run with fusion enabled (the default) and with
-// NoFuse (composed build-then-reduce at every call site) must produce
-// bit-identical aggregated link loads at every in-budget scenario, and
-// structurally identical STLs. The kernels construct the same canonical
-// nodes the composed pipeline builds — kernels_test.go pins that per
-// operator; this oracle pins it for whole verification runs.
-func OracleFusedKernels(c *Case) error {
-	net := c.Spec.Net
-	build := func(noFuse bool) (*core.Verifier, *mtbdd.Manager, *routesim.FailVars, error) {
-		m := mtbdd.New()
-		fv := routesim.NewFailVars(m, net, c.Mode, c.K)
-		fv.NoFuse = noFuse
-		rs, err := routesim.Run(fv, c.Spec.Configs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		eng := core.NewEngine(rs, core.Options{})
-		return core.NewVerifier(eng, c.Spec.Flows), m, fv, nil
-	}
-	verFused, mFused, fvFused, err := build(false)
-	if err != nil {
-		return err
-	}
-	verPlain, mPlain, fvPlain, err := build(true)
-	if err != nil {
-		return err
-	}
-	for li := 0; li < net.NumLinks(); li++ {
-		for _, d := range []topo.Direction{topo.AtoB, topo.BtoA} {
-			dl := topo.MakeDirLinkID(topo.LinkID(li), d)
-			tauFused, _ := verFused.LinkLoad(dl)
-			tauPlain, _ := verPlain.LinkLoad(dl)
-			// Same canonical construction in both managers → isomorphic
-			// MTBDDs of the same size.
-			if a, b := mFused.NodeCount(tauFused), mPlain.NodeCount(tauPlain); a != b {
-				return fmt.Errorf("link %s: fused STL has %d nodes, composed has %d",
-					net.DirLinkName(dl), a, b)
-			}
-			err := forEachScenario(net, c.Mode, c.K, func(links []topo.LinkID, routers []topo.RouterID) error {
-				fusedV := mFused.Eval(tauFused, fvFused.Scenario(links, routers))
-				plainV := mPlain.Eval(tauPlain, fvPlain.Scenario(links, routers))
-				// Exact equality, not tolerance: fusion reorders no float
-				// arithmetic, it only prunes construction.
-				if fusedV != plainV {
-					return fmt.Errorf("link %s failed=%v/%v: fused %.17g vs composed %.17g",
-						net.DirLinkName(dl), links, routers, fusedV, plainV)
 				}
 				return nil
 			})

@@ -1,7 +1,7 @@
 // Package obs is the repo's zero-dependency instrumentation layer:
 // a metrics registry (counters, timers, phase spans, per-manager MTBDD
 // stats) threaded through the verification pipeline and surfaced by
-// `yu -metrics=json|text` and yubench's BENCH_*.json records.
+// `yu -metrics=json|text` and the daemon's /v1/metrics.
 //
 // Design constraints (DESIGN.md §11):
 //

@@ -47,7 +47,7 @@ type TimerStat struct {
 }
 
 // Snapshot is the serializable view of a Registry, the payload behind
-// `yu -metrics=json` and the BENCH_*.json metrics field.
+// `yu -metrics=json` and the daemon's /v1/metrics.
 type Snapshot struct {
 	Phases   []PhaseStat              `json:"phases"`
 	Counters map[string]int64         `json:"counters"`

@@ -47,13 +47,6 @@ func (h *fp) b(x bool) {
 	}
 }
 
-func (h *fp) str(s string) {
-	h.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		*h = (*h ^ fp(s[i])) * fpPrime
-	}
-}
-
 func (h *fp) addr(a netip.Addr) {
 	b, _ := a.MarshalBinary()
 	h.u64(uint64(len(b)))

@@ -21,14 +21,6 @@ type FailVars struct {
 	Mode topo.FailureMode
 	K    int // failure budget used for KReduce throughout the pipeline
 
-	// NoFuse disables the fused k-budgeted kernels: the Reduce-composed
-	// helpers (ReduceAdd, ReduceMulAdd, ...) fall back to the legacy
-	// build-then-reduce form — a full apply followed by KReduce. The
-	// fused and composed forms construct the identical canonical nodes
-	// (see internal/mtbdd/kernels.go); the flag exists so the kernels
-	// benchmark can measure what the fusion itself buys.
-	NoFuse bool
-
 	linkVar   []int // per LinkID; -1 if unfailable
 	routerVar []int // per RouterID; -1 if unfailable
 	kindOf    []varKind
@@ -210,57 +202,36 @@ func (fv *FailVars) Reduce(f *mtbdd.Node) *mtbdd.Node {
 
 // ReduceAdd returns Reduce(f + g).
 func (fv *FailVars) ReduceAdd(f, g *mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.Add(f, g))
-	}
 	return fv.M.AddK(f, g, fv.K)
 }
 
 // ReduceSub returns Reduce(f - g).
 func (fv *FailVars) ReduceSub(f, g *mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.Sub(f, g))
-	}
 	return fv.M.SubK(f, g, fv.K)
 }
 
 // ReduceMul returns Reduce(f * g).
 func (fv *FailVars) ReduceMul(f, g *mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.Mul(f, g))
-	}
 	return fv.M.MulK(f, g, fv.K)
 }
 
 // ReduceDiv returns Reduce(f / g) with Div's zero-denominator convention.
 func (fv *FailVars) ReduceDiv(f, g *mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.Div(f, g))
-	}
 	return fv.M.DivK(f, g, fv.K)
 }
 
 // ReduceMin returns Reduce(min(f, g)).
 func (fv *FailVars) ReduceMin(f, g *mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.Min(f, g))
-	}
 	return fv.M.MinK(f, g, fv.K)
 }
 
 // ReduceAnd returns Reduce(f ∧ g) for {0,1} guards.
 func (fv *FailVars) ReduceAnd(f, g *mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.And(f, g))
-	}
 	return fv.M.AndK(f, g, fv.K)
 }
 
 // ReduceOr returns Reduce(f ∨ g) for {0,1} guards.
 func (fv *FailVars) ReduceOr(f, g *mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.Or(f, g))
-	}
 	return fv.M.OrK(f, g, fv.K)
 }
 
@@ -268,9 +239,6 @@ func (fv *FailVars) ReduceOr(f, g *mtbdd.Node) *mtbdd.Node {
 // weighted-accumulate of ECMP splitting, SR path weighting, and per-link
 // load aggregation.
 func (fv *FailVars) ReduceMulAdd(acc, w, f *mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.Add(acc, fv.M.Mul(w, f)))
-	}
 	return fv.M.MulAddK(acc, w, f, fv.K)
 }
 
@@ -278,13 +246,7 @@ func (fv *FailVars) ReduceMulAdd(acc, w, f *mtbdd.Node) *mtbdd.Node {
 // Only sound where terminal values are exact (e.g. 0/1 selection-guard
 // sums): float addition is not associative in general, and re-association
 // would perturb byte-identity of reports on fractional accumulations.
-// The NoFuse fallback is the exact legacy shape — a pairwise left fold
-// followed by one KReduce — so the benchmark baseline reproduces the
-// pre-kernel pipeline's node traffic, not just its results.
 func (fv *FailVars) ReduceSum(fs []*mtbdd.Node) *mtbdd.Node {
-	if fv.NoFuse {
-		return fv.Reduce(fv.M.Sum(fs))
-	}
 	return fv.M.AddNK(fs, fv.K)
 }
 

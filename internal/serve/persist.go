@@ -1,12 +1,11 @@
 // Warm-state persistence: the STF cache (through the mtbdd.Snapshot
-// codec) and cost hints are written to cfg.StatePath so a restarted
-// daemon resumes warm. Writes are crash-safe — tmp file, fsync, atomic
-// rename, directory fsync — and every YUWARM1 entry is a CRC-framed
-// block, so a torn or bit-flipped file is detected, logged, and ignored.
-// Loading is best-effort: corrupt or stale state starts cold, mirroring
-// core.LoadCostHints — warm state is a latency aid, never a correctness
-// input (content-hash keys make a wrong entry unreachable, and Lookup
-// shape-checks survivors).
+// codec) is written to cfg.StatePath so a restarted daemon resumes warm.
+// Writes are crash-safe — tmp file, fsync, atomic rename, directory
+// fsync — and every YUWARM1 entry is a CRC-framed block, so a torn or
+// bit-flipped file is detected, logged, and ignored. Loading is
+// best-effort: corrupt or stale state starts cold — warm state is a
+// latency aid, never a correctness input (content-hash keys make a wrong
+// entry unreachable, and Lookup shape-checks survivors).
 package serve
 
 import (
@@ -21,7 +20,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/fault"
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/topo"
@@ -30,7 +28,6 @@ import (
 const (
 	warmMagic      = "YUWARM1\n"
 	warmCacheFile  = "stfcache.bin"
-	warmHintsFile  = "costhints.json"
 	maxWarmEntries = 1 << 20
 	maxWarmLinks   = 1 << 24
 	maxWarmIters   = 1 << 24
@@ -85,7 +82,7 @@ func atomicWrite(path string, write func(io.Writer) error) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// SaveState persists the warm cache and cost hints to cfg.StatePath.
+// SaveState persists the warm cache to cfg.StatePath.
 // No-op (nil) when persistence is disabled.
 func (s *Server) SaveState() error {
 	if s.cfg.StatePath == "" {
@@ -99,20 +96,11 @@ func (s *Server) SaveState() error {
 	if err := os.MkdirAll(s.cfg.StatePath, 0o755); err != nil {
 		return err
 	}
-	if err := core.SaveCostHints(filepath.Join(s.cfg.StatePath, warmHintsFile), s.copyHints()); err != nil {
-		return err
-	}
 	return atomicWrite(filepath.Join(s.cfg.StatePath, warmCacheFile), s.store.encode)
 }
 
 // loadState restores persisted warm state. Never fails the caller.
 func (s *Server) loadState() {
-	hints, err := core.LoadCostHints(filepath.Join(s.cfg.StatePath, warmHintsFile))
-	if err != nil {
-		log.Printf("yud: cost hints: %v; starting without", err)
-	} else {
-		s.hints = hints
-	}
 	path := filepath.Join(s.cfg.StatePath, warmCacheFile)
 	f, err := os.Open(path)
 	if err != nil {

@@ -25,9 +25,9 @@
 //     accepted delta batch is journaled to a checksummed write-ahead log
 //     (wal.go) before it is published, and replayed at startup — a
 //     killed daemon restarted on the same spec file reconstructs exactly
-//     the pre-crash version. The warm STF cache and cost hints persist
-//     through fsync'd atomic renames (persist.go) as a latency aid;
-//     corrupt warm state starts cold, never wrong.
+//     the pre-crash version. The warm STF cache persists through an
+//     fsync'd atomic rename (persist.go) as a latency aid; corrupt warm
+//     state starts cold, never wrong.
 package serve
 
 import (
@@ -58,8 +58,8 @@ type Config struct {
 	// against factor × capacity (mirrors yu.VerifyOptions).
 	OverloadFactor float64
 	// StatePath is a directory for durable state: the delta WAL plus the
-	// warm STF cache and cost hints. Empty disables persistence (and with
-	// it crash recovery of deltas).
+	// warm STF cache. Empty disables persistence (and with it crash
+	// recovery of deltas).
 	StatePath string
 	// Obs receives the daemon's metrics; nil creates a private registry.
 	Obs *obs.Registry
@@ -136,16 +136,13 @@ type Server struct {
 
 	inflight chan struct{}
 
-	hintsMu sync.Mutex
-	hints   map[string]float64
-
 	everRan atomic.Bool
 }
 
 // NewServer creates a server with no loaded spec. If cfg.StatePath is
 // set, persisted warm state is loaded best-effort (corrupt state logs a
-// warning and starts cold, like a corrupt cost-hints file); the delta
-// WAL is attached and replayed on the first LoadSpecText.
+// warning and starts cold); the delta WAL is attached and replayed on the
+// first LoadSpecText.
 func NewServer(cfg Config) *Server {
 	if cfg.CacheLimit <= 0 {
 		cfg.CacheLimit = 4096
@@ -165,7 +162,6 @@ func NewServer(cfg Config) *Server {
 		reg:      reg,
 		store:    newSTFStore(cfg.CacheLimit),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
-		hints:    make(map[string]float64),
 	}
 	for _, name := range obs.ServeCounterNames {
 		reg.Counter(name)
@@ -467,7 +463,6 @@ func (v *version) compute() {
 		Workers:        1,
 		Ctx:            ctx,
 		Obs:            s.reg,
-		CostHints:      s.copyHints(),
 		STFCache:       rc,
 	})
 	v.result = RunResult{
@@ -479,29 +474,8 @@ func (v *version) compute() {
 	if rep != nil {
 		v.result.Holds = rep.Holds
 		v.result.Text = canon.FormatReport(v.spec.Net, rep)
-		s.mergeHints(rep.CostHints)
 	}
 	if err == nil {
 		s.everRan.Store(true)
 	}
-}
-
-func (s *Server) copyHints() map[string]float64 {
-	s.hintsMu.Lock()
-	defer s.hintsMu.Unlock()
-	out := make(map[string]float64, len(s.hints))
-	for k, c := range s.hints {
-		out[k] = c
-	}
-	return out
-}
-
-func (s *Server) mergeHints(hints map[string]float64) {
-	s.hintsMu.Lock()
-	for k, c := range hints {
-		if c > 0 {
-			s.hints[k] = c
-		}
-	}
-	s.hintsMu.Unlock()
 }

@@ -6,12 +6,15 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -240,36 +243,87 @@ func TestDeltaRoundTrip(t *testing.T) {
 
 // TestWarmStateRestart: save, build a fresh server on the same state
 // directory, and re-verify — every class must come from the warm cache
-// and the report must be byte-identical.
+// and the report must be byte-identical. State directories written before
+// cost-hint feedback was retired also hold a costhints.json; the daemon
+// must neither read, report, rewrite nor remove it.
 func TestWarmStateRestart(t *testing.T) {
-	dir := t.TempDir()
 	raw := readSpec(t, "motivating.yu")
+	for name, stale := range map[string]string{
+		"clean":         "",
+		"stale-hints":   "{\n  \"A|100.0.0.1|0\": 25,\n  \"B|100.0.0.2|5\": 147\n}\n",
+		"garbage-hints": "\x00\xffnot json",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := serve.NewServer(serve.Config{StatePath: dir})
+			if _, err := s1.LoadSpecText(raw); err != nil {
+				t.Fatal(err)
+			}
+			res1 := mustReport(t, s1)
+			if err := s1.SaveState(); err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"delta.wal", "stfcache.bin"}
+			if got := dirNames(t, dir); !slices.Equal(got, want) {
+				t.Fatalf("state dir holds %v after SaveState, want %v", got, want)
+			}
+			hintsPath := filepath.Join(dir, "costhints.json")
+			if stale != "" {
+				if err := os.WriteFile(hintsPath, []byte(stale), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				want = append([]string{"costhints.json"}, want...)
+			}
 
-	s1 := serve.NewServer(serve.Config{StatePath: dir})
-	if _, err := s1.LoadSpecText(raw); err != nil {
-		t.Fatal(err)
-	}
-	res1 := mustReport(t, s1)
-	if err := s1.SaveState(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := serve.NewServer(serve.Config{StatePath: dir})
-	if _, err := s2.LoadSpecText(raw); err != nil {
-		t.Fatal(err)
-	}
-	res2 := mustReport(t, s2)
-	if res2.Stats.CacheMisses != 0 || res2.Stats.CacheHits != 2 {
-		t.Fatalf("restarted daemon hits/misses = %d/%d, want 2/0",
-			res2.Stats.CacheHits, res2.Stats.CacheMisses)
-	}
-	if res2.Text != res1.Text {
-		t.Fatalf("restarted daemon report differs:\n--- before\n%s\n--- after\n%s", res1.Text, res2.Text)
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
+			s2 := serve.NewServer(serve.Config{StatePath: dir})
+			if _, err := s2.LoadSpecText(raw); err != nil {
+				t.Fatal(err)
+			}
+			res2 := mustReport(t, s2)
+			if res2.Stats.CacheMisses != 0 || res2.Stats.CacheHits != 2 {
+				t.Fatalf("restarted daemon hits/misses = %d/%d, want 2/0",
+					res2.Stats.CacheHits, res2.Stats.CacheMisses)
+			}
+			if res2.Text != res1.Text {
+				t.Fatalf("restarted daemon report differs:\n--- before\n%s\n--- after\n%s", res1.Text, res2.Text)
+			}
+			if err := s2.SaveState(); err != nil {
+				t.Fatal(err)
+			}
+			if logged.Len() != 0 {
+				t.Fatalf("warm restart logged:\n%s", logged.String())
+			}
+			if got := dirNames(t, dir); !slices.Equal(got, want) {
+				t.Fatalf("state dir holds %v after the restart's SaveState, want %v", got, want)
+			}
+			if stale != "" {
+				if data, err := os.ReadFile(hintsPath); err != nil || string(data) != stale {
+					t.Fatalf("leftover costhints.json was touched: %q, %v", data, err)
+				}
+			}
+		})
 	}
 }
 
+// dirNames lists the file names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
+}
+
 // TestWarmStateCorrupt: a truncated or garbage state file must log and
-// start cold, never fail or panic — the same contract as cost hints.
+// start cold, never fail or panic.
 func TestWarmStateCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	raw := readSpec(t, "misconfig.yu")

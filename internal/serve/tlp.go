@@ -81,14 +81,13 @@ func (s *Server) EvalPortfolioCtx(ctx context.Context, portfolioText string) (TL
 	}
 	rc := newRunCache(s)
 	res, err := yu.FromSpec(v.spec).VerifyPortfolio(props, yu.VerifyOptions{
-		K:         s.cfg.K,
-		Mode:      s.cfg.Mode,
-		ModeSet:   s.cfg.ModeSet,
-		Workers:   1,
-		Ctx:       ctx,
-		Obs:       s.reg,
-		CostHints: s.copyHints(),
-		STFCache:  rc,
+		K:        s.cfg.K,
+		Mode:     s.cfg.Mode,
+		ModeSet:  s.cfg.ModeSet,
+		Workers:  1,
+		Ctx:      ctx,
+		Obs:      s.reg,
+		STFCache: rc,
 	})
 	if res == nil {
 		return TLPResult{}, err

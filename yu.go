@@ -251,10 +251,6 @@ type VerifyOptions struct {
 	// including on partial/incomplete runs). nil disables collection
 	// with zero overhead.
 	Obs *Metrics
-	// CostHints warm-starts the parallel scheduler with measured per-class
-	// execution costs from a previous run (Report.CostHints). Scheduling
-	// only — verdicts and reports never depend on it.
-	CostHints map[string]float64
 	// STFCache, when non-nil, lets the run reuse symbolic execution
 	// results from previous runs (EngineYU, Workers <= 1 only): each
 	// equivalence class is offered to the cache before execution and
@@ -310,10 +306,6 @@ type Report struct {
 	// Sched summarizes the execution scheduler (EngineYU only): workers
 	// actually spawned, chunks, steals, and global-equivalence dedup hits.
 	Sched SchedStats
-	// CostHints is the measured per-class execution cost of this run
-	// (EngineYU only) — feed it back via VerifyOptions.CostHints to
-	// warm-start the scheduler of a subsequent run.
-	CostHints map[string]float64
 	// Modular summarizes the compositional pipeline when the run was
 	// domain-decomposed (VerifyOptions.Domains / AutoDomains); nil on
 	// monolithic runs and when composition fell back wholesale.
@@ -368,7 +360,7 @@ func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
 	default:
 		return nil, fmt.Errorf("yu: unknown engine %d", opts.Engine)
 	}
-	b, err := n.build(r, opts, start)
+	b, err := n.build(r, opts)
 	if b == nil {
 		return nil, err
 	}
@@ -420,7 +412,6 @@ func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
 		UncheckedDelivered: rep.UncheckedDelivered,
 		DegradedFlows:      rep.DegradedFlows,
 		Sched:              b.ver.SchedStats(),
-		CostHints:          b.ver.CostHints(),
 		Modular:            b.modular,
 	}, err
 }
@@ -492,32 +483,8 @@ func (n *Network) verifyEnumerate(r resolved, opts VerifyOptions, start time.Tim
 // a report whose checks could not run (or cannot be trusted to have
 // covered every scenario).
 func (n *Network) markAllUnchecked(out *Report, overloadFactor float64) {
-	seen := make(map[DirLinkID]bool)
-	addLink := func(l DirLinkID) {
-		if !seen[l] {
-			seen[l] = true
-			out.Unchecked = append(out.Unchecked, l)
-		}
-	}
-	for _, b := range n.spec.Props {
-		dirs := []topo.Direction{topo.AtoB, topo.BtoA}
-		if b.DirSpecified {
-			dirs = []topo.Direction{b.Dir}
-		}
-		for _, d := range dirs {
-			addLink(topo.MakeDirLinkID(b.Link, d))
-		}
-	}
-	if overloadFactor > 0 {
-		for li := 0; li < n.spec.Net.NumLinks(); li++ {
-			for _, d := range []topo.Direction{topo.AtoB, topo.BtoA} {
-				addLink(topo.MakeDirLinkID(topo.LinkID(li), d))
-			}
-		}
-	}
-	for _, b := range n.spec.Delivered {
-		out.UncheckedDelivered = append(out.UncheckedDelivered, b.Prefix)
-	}
+	u := core.AllUnchecked(n.spec.Net, n.spec.Props, n.spec.Delivered, overloadFactor)
+	out.Unchecked, out.UncheckedDelivered = u.Unchecked, u.UncheckedDelivered
 	out.Incomplete = true
 	out.Holds = false
 }
@@ -541,7 +508,7 @@ func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResul
 	if err != nil {
 		return nil, err
 	}
-	b, err := n.build(r, opts, time.Now())
+	b, err := n.build(r, opts)
 	if b == nil {
 		return nil, err
 	}
@@ -580,7 +547,7 @@ type built struct {
 // A governed abort returns the typed error with a built whose ver is nil,
 // for the caller to shape its partial result; any other error returns a
 // nil built.
-func (n *Network) build(r resolved, opts VerifyOptions, start time.Time) (*built, error) {
+func (n *Network) build(r resolved, opts VerifyOptions) (*built, error) {
 	if opts.Domains != nil || opts.AutoDomains > 0 {
 		var part *topo.Partition
 		var err error
@@ -604,7 +571,6 @@ func (n *Network) build(r resolved, opts VerifyOptions, start time.Time) (*built
 			Obs:                   opts.Obs,
 			DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
 			DisableGlobalEquiv:    opts.DisableGlobalEquiv,
-			CostHints:             opts.CostHints,
 		})
 		composeTime := time.Since(composeStart)
 		opts.Obs.AddPhase("compose", composeTime)
@@ -616,13 +582,16 @@ func (n *Network) build(r resolved, opts VerifyOptions, start time.Time) (*built
 			return &built{routeTime: composeTime}, err
 		}
 	}
+	// Timed from here, not from the caller's start: after a compose
+	// fallback the failed composition is already the "compose" phase.
+	routeStart := time.Now()
 	m := mtbdd.New()
 	fv := routesim.NewFailVars(m, n.spec.Net, r.mode, r.budget)
 	if opts.MaxNodes > 0 {
 		m.SetNodeBudget(opts.MaxNodes)
 	}
 	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs)
-	b := &built{mgr: m, routeTime: time.Since(start)}
+	b := &built{mgr: m, routeTime: time.Since(routeStart)}
 	opts.Obs.AddPhase("routesim", b.routeTime)
 	if err != nil {
 		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrNodeBudget) {
@@ -639,7 +608,6 @@ func (n *Network) build(r resolved, opts VerifyOptions, start time.Time) (*built
 		OnBudget:              opts.OnBudget,
 		Configs:               n.spec.Configs,
 		Obs:                   opts.Obs,
-		CostHints:             opts.CostHints,
 		STFCache:              opts.STFCache,
 	})
 	execSpan := opts.Obs.Span("execute")

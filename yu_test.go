@@ -1,6 +1,7 @@
 package yu
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -275,5 +276,45 @@ func TestVerifyWorkersMatchesSequential(t *testing.T) {
 	if seq.FlowsExecuted != par.FlowsExecuted || len(seq.LinkStats) != len(par.LinkStats) {
 		t.Fatalf("stats differ: executed %d vs %d, link stats %d vs %d",
 			seq.FlowsExecuted, par.FlowsExecuted, len(seq.LinkStats), len(par.LinkStats))
+	}
+}
+
+// TestComposeFallbackPhases forces the wholesale compose fallback — an SR
+// policy whose segment list leaves its domain makes that domain
+// incomposable — and holds the phase record to the wall clock: the failed
+// composition is the "compose" phase and must not be counted a second time
+// as route simulation. The run has no flows, so composition dominates it.
+func TestComposeFallbackPhases(t *testing.T) {
+	raw, err := os.ReadFile("testdata/wan-1.yu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// d0r5 steers via d2r3, a router of another domain.
+	n, err := LoadString(string(raw) + `
+config d0r5
+  sr-policy 10.0.0.8/32
+    path 10.0.0.28 10.0.0.8 weight 1
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewMetrics()
+	rep, err := n.Verify(VerifyOptions{Domains: n.Spec().Domains, Flows: []Flow{}, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Modular != nil {
+		t.Fatal("composition succeeded; the fixture no longer forces the fallback")
+	}
+	phase := make(map[string]time.Duration)
+	for _, p := range reg.Snapshot().Phases {
+		phase[p.Path] = time.Duration(p.MS * float64(time.Millisecond))
+	}
+	if phase["compose"] <= 0 || phase["routesim"] <= 0 {
+		t.Fatalf("phases compose=%v routesim=%v, want both recorded", phase["compose"], phase["routesim"])
+	}
+	if sum := phase["compose"] + phase["routesim"]; sum > rep.Elapsed {
+		t.Fatalf("compose %v + routesim %v = %v exceeds the run's %v",
+			phase["compose"], phase["routesim"], sum, rep.Elapsed)
 	}
 }
