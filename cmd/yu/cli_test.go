@@ -104,7 +104,9 @@ type metricsDoc struct {
 		Misses uint64 `json:"misses"`
 	} `json:"caches"`
 	Managers []struct {
-		Name string `json:"name"`
+		Name         string  `json:"name"`
+		CacheBytes   uint64  `json:"cache_bytes"`
+		CacheResizes *uint64 `json:"cache_resizes"`
 	} `json:"managers"`
 }
 
@@ -150,6 +152,11 @@ func TestRunVerifyMetricsJSON(t *testing.T) {
 	if len(doc.Managers) == 0 {
 		t.Error("metrics has no manager stats")
 	}
+	for _, m := range doc.Managers {
+		if m.CacheBytes == 0 || m.CacheResizes == nil {
+			t.Errorf("manager %s does not say what its tables cost: %+v", m.Name, m)
+		}
+	}
 
 	// The profiling flags must have produced real files.
 	for _, f := range []string{"cpu.pprof", "mem.pprof", "trace.out"} {
@@ -171,10 +178,29 @@ func TestRunVerifyMetricsText(t *testing.T) {
 	if code := runVerify(cfg, &stdout, &stderr); code != 0 {
 		t.Fatalf("runVerify = %d, stderr:\n%s", code, &stderr)
 	}
-	for _, want := range []string{"phases", "caches", "kreduce"} {
+	for _, want := range []string{"phases", "caches", "kreduce", "tables 0.5 MB (0 resizes)"} {
 		if !bytes.Contains(stderr.Bytes(), []byte(want)) {
 			t.Errorf("text metrics missing %q:\n%s", want, &stderr)
 		}
+	}
+}
+
+// TestRunVerifyStatsListsManagers: -stats alone (no -metrics) says what
+// every manager of the run held in its tables.
+func TestRunVerifyStatsListsManagers(t *testing.T) {
+	cfg, err := parseVerifyFlags([]string{"-stats", "-workers", "1", testSpec}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := runVerify(cfg, &stdout, &stderr); code != 0 {
+		t.Fatalf("runVerify = %d, stderr:\n%s", code, &stderr)
+	}
+	if !bytes.Contains(stdout.Bytes(), []byte("manager primary")) || !bytes.Contains(stdout.Bytes(), []byte("MB (")) {
+		t.Errorf("-stats lists no manager with its table size:\n%s", &stdout)
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("-stats without -metrics wrote to stderr:\n%s", &stderr)
 	}
 }
 

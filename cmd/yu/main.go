@@ -245,8 +245,10 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 	}
 
 	var reg *yu.Metrics
+	if cfg.metrics != "" || cfg.stats {
+		reg = yu.NewMetrics() // -stats prints the managers it records
+	}
 	if cfg.metrics != "" {
-		reg = yu.NewMetrics()
 		// Deferred so the snapshot is emitted on every outcome —
 		// VERIFIED, VIOLATED, and partial/INCOMPLETE runs alike.
 		defer func() {
@@ -406,6 +408,10 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 		}
 		if rep.MTBDDNodes > 0 {
 			fmt.Fprintf(stdout, "MTBDD nodes: %d\n", rep.MTBDDNodes)
+		}
+		for _, m := range reg.Snapshot().Managers {
+			fmt.Fprintf(stdout, "  manager %-16s peak %d nodes, tables %.1f MB (%d resizes)\n",
+				m.Name, m.PeakLive, float64(m.CacheBytes)/(1<<20), m.CacheResizes)
 		}
 		if rep.Scenarios > 0 {
 			fmt.Fprintf(stdout, "scenarios simulated: %d\n", rep.Scenarios)

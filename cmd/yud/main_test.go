@@ -121,8 +121,9 @@ func TestDaemonSmoke(t *testing.T) {
 	if code, body := post("/v1/save", ""); code != http.StatusOK {
 		t.Fatalf("save: %d %s", code, body)
 	}
-	if code, body := get("/v1/metrics"); code != http.StatusOK || !strings.Contains(string(body), "serve.class_cache_hits") {
-		t.Fatalf("metrics: %d %s", code, body)
+	if code, body := get("/v1/metrics"); code != http.StatusOK || !strings.Contains(string(body), "serve.class_cache_hits") ||
+		!strings.Contains(string(body), `"cache_bytes": `) || strings.Contains(string(body), `"cache_bytes": 0,`) {
+		t.Fatalf("metrics (want the cache counters and every manager's cache_bytes): %d %s", code, body)
 	}
 
 	sig <- os.Interrupt

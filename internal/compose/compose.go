@@ -155,10 +155,14 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 			return nil, err
 		}
 	}
-	stubs := make([][]stubRef, nd) // per consuming domain, sorted by global ID
+	// feeds[d] is what domain d consumes: its border stubs, one group per
+	// home domain (ascending), each group sorted by global ID. One snapshot
+	// per group carries a round's templates across.
+	feeds := make([][][]stubRef, nd)
 	exported := make(map[topo.RouterID]int)
 	for d := 0; d < nd; d++ {
 		seen := make(map[topo.RouterID]bool)
+		var stubs []stubRef
 		for local, member := range subs[d].Member {
 			if member {
 				continue
@@ -169,10 +173,23 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 			}
 			seen[g] = true
 			home := part.Domain[g]
-			stubs[d] = append(stubs[d], stubRef{global: g, local: topo.RouterID(local), home: home})
+			stubs = append(stubs, stubRef{global: g, local: topo.RouterID(local), home: home})
 			exported[g] = home
 		}
-		sort.Slice(stubs[d], func(i, j int) bool { return stubs[d][i].global < stubs[d][j].global })
+		sort.Slice(stubs, func(i, j int) bool {
+			if stubs[i].home != stubs[j].home {
+				return stubs[i].home < stubs[j].home
+			}
+			return stubs[i].global < stubs[j].global
+		})
+		for lo := 0; lo < len(stubs); {
+			hi := lo
+			for hi < len(stubs) && stubs[hi].home == stubs[lo].home {
+				hi++
+			}
+			feeds[d] = append(feeds[d], stubs[lo:hi])
+			lo = hi
+		}
 	}
 	exportOrder := make([]topo.RouterID, 0, len(exported))
 	for g := range exported {
@@ -182,13 +199,14 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 
 	maxRounds := 2*net.Diameter() + 8
 	rounds, converged := 0, false
+	tpls := make(map[topo.RouterID]routesim.BorderTemplates, len(exportOrder))
 	lockstep := func() error {
 		for round := 1; ; round++ {
 			if err := govern.Check(opts.Ctx); err != nil {
 				return err
 			}
-			// Export this round's templates from every border member.
-			tpls := make(map[topo.RouterID]routesim.BorderTemplates, len(exportOrder))
+			// Export this round's templates from every border member
+			// (every key of tpls is overwritten).
 			for _, g := range exportOrder {
 				home := exported[g]
 				if err := mtbdd.Guard(func() {
@@ -200,18 +218,9 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 			// Inject into each consuming domain, one snapshot per source
 			// domain batching every stub it feeds.
 			for d := 0; d < nd; d++ {
-				byHome := make(map[int][]stubRef)
-				for _, s := range stubs[d] {
-					byHome[s.home] = append(byHome[s.home], s)
-				}
-				homes := make([]int, 0, len(byHome))
-				for h := range byHome {
-					homes = append(homes, h)
-				}
-				sort.Ints(homes)
-				for _, h := range homes {
+				for _, group := range feeds[d] {
 					var roots []*mtbdd.Node
-					for _, s := range byHome[h] {
+					for _, s := range group {
 						for _, advs := range tpls[s.global] {
 							for _, a := range advs {
 								roots = append(roots, a.Sel)
@@ -223,7 +232,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 					if err := mtbdd.Guard(func() { table = mgrs[d].ImportSnapshot(snap) }); err != nil {
 						return err
 					}
-					for _, s := range byHome[h] {
+					for _, s := range group {
 						src := tpls[s.global]
 						var mapped routesim.BorderTemplates
 						if len(src) > 0 {

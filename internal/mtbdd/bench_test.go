@@ -9,7 +9,7 @@ import (
 // measures one fusion against the composed pipeline it replaces, on
 // operand shapes sized like symbolic traffic execution intermediates.
 // CI runs these with -benchtime=1x purely as a bit-rot tripwire; real
-// numbers come from `yubench -exp kernels` (EXPERIMENTS.md).
+// numbers come from `go run ./benchmark` (EXPERIMENTS.md).
 
 const benchVars = 24
 
@@ -108,39 +108,6 @@ func BenchmarkAddNK(b *testing.B) {
 }
 
 // --- fused computed-cache tuning (ISSUE 10) ---
-//
-// directFusedCache is the retired fused-table design: 19 bits,
-// direct-mapped, op and k folded in as bare shifts. Kept as the baseline
-// the 2-way multiplier-mixed table replaced; the churn benchmarks replay
-// the same key trace through both and report the achieved hit rate.
-
-type directFusedCache struct {
-	entries []fusedEntry
-	mask    uint64
-}
-
-func newDirectFusedCache() *directFusedCache {
-	size := 1 << 19
-	return &directFusedCache{entries: make([]fusedEntry, size), mask: uint64(size - 1)}
-}
-
-func (t *directFusedCache) slot(op opcode, a, b, c uint64, k int32) *fusedEntry {
-	h := mix64(a*0x9e3779b97f4a7c15 ^ b*0xc2b2ae3d27d4eb4f ^ c*0x27d4eb2f165667c5 ^
-		uint64(op)<<56 ^ uint64(uint32(k))<<40)
-	return &t.entries[h&t.mask]
-}
-
-func (t *directFusedCache) get(op opcode, a, b, c uint64, k int32) (*Node, bool) {
-	e := t.slot(op, a, b, c, k)
-	if e.is(op, a, b, c, k) {
-		return e.res, true
-	}
-	return nil, false
-}
-
-func (t *directFusedCache) put(op opcode, a, b, c uint64, k int32, res *Node) {
-	*t.slot(op, a, b, c, k) = fusedEntry{a, b, c, k, op, res}
-}
 
 // fusedTrace builds a key stream shaped like the budgeted kernels'
 // reference pattern: sequentially-assigned operand ids (hash consing
@@ -170,52 +137,87 @@ func fusedTrace(r *rand.Rand, distinct, length int) []fusedEntry {
 	return trace
 }
 
-// fusedBenchRes defeats dead-code elimination and doubles as the dummy
-// cached result (the caches store pointers, never dereference them).
-var fusedBenchRes = &Node{id: 1}
-
-func runFusedTrace(b *testing.B, get func(opcode, uint64, uint64, uint64, int32) (*Node, bool),
-	put func(opcode, uint64, uint64, uint64, int32, *Node)) {
-	b.Helper()
-	// 700K distinct keys: larger than the retired table's 512K slots,
-	// within the shipped table's 1M entries — the regime BENCH_PR9's
-	// 20%-hit fused table was operating in.
+// BenchmarkFusedCacheTwoWay20 replays the trace through the shipped table
+// grown to its cap, and reports the steady-state hit rate: the trace has
+// 700K distinct keys, within the table's 1M entries but more than the
+// 512K of the direct-mapped design it replaced (0.55 against 0.84 here,
+// EXPERIMENTS.md).
+func BenchmarkFusedCacheTwoWay20(b *testing.B) {
+	defer setTableMode(tablesPinnedMax)()
+	c := newFusedCache()
 	trace := fusedTrace(rand.New(rand.NewSource(65)), 700_000, 2_000_000)
 	// Warm-up pass: absorb the compulsory misses so the reported
 	// hit-rate is the steady state the cache organization controls.
-	for _, key := range trace {
-		if _, ok := get(key.op, key.a, key.b, key.c, key.k); !ok {
-			put(key.op, key.a, key.b, key.c, key.k, fusedBenchRes)
-		}
-	}
-	b.ResetTimer()
-	var hits, lookups int
-	for i := 0; i < b.N; i++ {
+	replay := func() (hits int) {
 		for _, key := range trace {
-			if _, ok := get(key.op, key.a, key.b, key.c, key.k); ok {
+			if c.get(key.op, key.a, key.b, key.c, key.k) != 0 {
 				hits++
 			} else {
-				put(key.op, key.a, key.b, key.c, key.k, fusedBenchRes)
+				c.put(key.op, key.a, key.b, key.c, key.k, 1)
 			}
-			lookups++
 		}
+		return hits
 	}
-	b.ReportMetric(float64(hits)/float64(lookups), "hit-rate")
+	replay()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		hits += replay()
+	}
+	b.ReportMetric(float64(hits)/float64(b.N*len(trace)), "hit-rate")
 }
 
-// BenchmarkFusedCacheDirect19 replays the trace through the retired
-// design. Measured on the PR 10 host: ~0.55 steady-state hit-rate.
-func BenchmarkFusedCacheDirect19(b *testing.B) {
-	c := newDirectFusedCache()
-	runFusedTrace(b, c.get, c.put)
+// --- what a manager costs (ISSUE 15) ---
+//
+// Compositional verification makes one manager per domain and the check
+// pool one per shard, each for a few thousand to a few ten thousand nodes:
+// there the price of New and ClearCaches is the price of the run.
+
+var benchSink *Node
+
+func BenchmarkNewManager(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = New().One()
+	}
 }
 
-// BenchmarkFusedCacheTwoWay20 replays the same trace through the shipped
-// table. Measured on the PR 10 host: ~0.84 steady-state hit-rate at
-// comparable ns/op — the conflict-miss fraction drops by ~3x.
-func BenchmarkFusedCacheTwoWay20(b *testing.B) {
-	c := newFusedCache()
-	runFusedTrace(b, c.get, c.put)
+// smallWorkload builds about 10 K nodes with the budgeted kernels.
+func smallWorkload(m *Manager, r *rand.Rand) *Node {
+	for i := 0; i < benchVars; i++ {
+		m.AddVar("x")
+	}
+	acc := m.Zero()
+	for i := 0; i < 12; i++ {
+		acc = m.MulAddK(acc, randomGuard(m, r, benchVars, 6), randomMTBDD(m, r, benchVars, 7), 2)
+	}
+	return acc
+}
+
+// BenchmarkSmallManagerWorkload is the compose-domain and check-shard
+// regime end to end: a fresh manager, a ~10 K-node build, dropped.
+func BenchmarkSmallManagerWorkload(b *testing.B) {
+	b.ReportAllocs()
+	var created uint64
+	for i := 0; i < b.N; i++ {
+		m := New()
+		benchSink = smallWorkload(m, rand.New(rand.NewSource(66)))
+		created = m.Stats().Created
+	}
+	b.ReportMetric(float64(created), "nodes")
+}
+
+// BenchmarkClearCaches clears the tables of a manager that has done the
+// small workload (what Manager.GC and the check shards' maybeGC pay).
+func BenchmarkClearCaches(b *testing.B) {
+	m := New()
+	smallWorkload(m, rand.New(rand.NewSource(66)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ClearCaches()
+	}
+	b.ReportMetric(float64(m.Stats().CacheBytes), "table-bytes")
 }
 
 // mapNodeCount is the retired map-based walker, kept here as the

@@ -34,11 +34,8 @@ func (m *Manager) GC(roots []*Node) {
 	// current table generation.
 	fresh.maxProbe = m.unique.maxProbe
 	for _, e := range m.unique.entries {
-		if e.node == nil {
-			continue
-		}
-		if marked.has(e.node.id) {
-			fresh.insert(e.level, e.lo, e.hi, e.node)
+		if e.id != 0 && marked.has(e.id) {
+			fresh.insert(e.level, e.lo, e.hi, e.id)
 		}
 	}
 	m.unique = fresh
@@ -49,8 +46,10 @@ func (m *Manager) GC(roots []*Node) {
 			delete(m.terms, bits)
 		}
 	}
-	m.releaseSlabs(marked)
+	// Empty the caches before the slabs go: their entries are ids resolved
+	// through m.slabs, and none may name a released slab.
 	m.ClearCaches()
+	m.releaseSlabs(marked)
 	m.gcRuns++
 }
 

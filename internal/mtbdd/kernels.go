@@ -86,9 +86,9 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 	if op.commutes() && a.id > b.id {
 		a, b = b, a
 	}
-	if r, ok := m.fusedTbl.get(op, a.id, b.id, 0, k); ok {
+	if id := m.fusedTbl.get(op, a.id, b.id, 0, k); id != 0 {
 		m.fusedHits++
-		return r
+		return m.node(id)
 	}
 	m.fusedMisses++
 	m.checkInterrupt()
@@ -116,7 +116,7 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 	} else {
 		r = m.mk(level, loK1, hiK)
 	}
-	m.fusedTbl.put(op, a.id, b.id, 0, k, r)
+	m.fusedTbl.put(op, a.id, b.id, 0, k, r.id)
 	return r
 }
 
@@ -177,9 +177,9 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	if x.id > y.id {
 		x, y = y, x
 	}
-	if r, ok := m.fusedTbl.get(opMulAdd, acc.id, x.id, y.id, k); ok {
+	if id := m.fusedTbl.get(opMulAdd, acc.id, x.id, y.id, k); id != 0 {
 		m.fusedHits++
-		return r
+		return m.node(id)
 	}
 	m.fusedMisses++
 	m.checkInterrupt()
@@ -211,7 +211,7 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	} else {
 		r = m.mk(level, loK1, hiK)
 	}
-	m.fusedTbl.put(opMulAdd, acc.id, x.id, y.id, k, r)
+	m.fusedTbl.put(opMulAdd, acc.id, x.id, y.id, k, r.id)
 	return r
 }
 

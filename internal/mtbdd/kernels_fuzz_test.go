@@ -11,6 +11,8 @@ import (
 // result must evaluate identically on random in-budget assignments. The
 // budget byte deliberately wraps past NumVars so saturating budgets
 // (where KReduce is the identity) and k=0 stay in the explored space.
+// Each input runs on the default table geometry and on tables born with 2
+// entries, where every cached result has crossed a resize.
 func FuzzKernels(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(7), uint8(1))
@@ -18,61 +20,67 @@ func FuzzKernels(f *testing.F) {
 	f.Add(int64(56), uint8(6))  // k == NumVars: reduction is the identity
 	f.Add(int64(99), uint8(11)) // k > NumVars
 	f.Fuzz(func(t *testing.T, seed int64, kb uint8) {
-		const n = 6
-		m := New()
-		for i := 0; i < n; i++ {
-			m.AddVar("x")
-		}
-		r := rand.New(rand.NewSource(seed))
-		k := int(kb % (n + 3))
-		fa := randomMTBDD(m, r, n, 4)
-		fb := randomMTBDD(m, r, n, 4)
-		for _, bk := range arithKernels {
-			want := m.KReduce(bk.composed(m, fa, fb), k)
-			if got := bk.fused(m, fa, fb, k); got != want {
-				t.Fatalf("%s(k=%d) = %s, want %s", bk.name, k, m.String(got), m.String(want))
-			}
-		}
-		ga := randomGuard(m, r, n, 4)
-		gb := randomGuard(m, r, n, 4)
-		for _, bk := range boolKernels {
-			want := m.KReduce(bk.composed(m, ga, gb), k)
-			if got := bk.fused(m, ga, gb, k); got != want {
-				t.Fatalf("%s(k=%d) = %s, want %s", bk.name, k, m.String(got), m.String(want))
-			}
-		}
-		acc := randomMTBDD(m, r, n, 3)
-		wantMA := m.KReduce(m.Add(acc, m.Mul(fa, fb)), k)
-		gotMA := m.MulAddK(acc, fa, fb, k)
-		if gotMA != wantMA {
-			t.Fatalf("MulAddK(k=%d) = %s, want %s", k, m.String(gotMA), m.String(wantMA))
-		}
-		fs := []*Node{ga, gb, m.And(ga, m.Not(gb)), m.Or(m.Not(ga), gb)}
-		fs = fs[:1+r.Intn(len(fs))]
-		wantN := m.KReduce(m.AddN(fs), k)
-		if gotN := m.AddNK(fs, k); gotN != wantN {
-			t.Fatalf("AddNK(%d terms, k=%d) = %s, want %s", len(fs), k, m.String(gotN), m.String(wantN))
-		}
-
-		// Pointwise semantics on random in-budget assignments: the fused
-		// sum must agree with evaluating the operands separately.
-		sum := m.AddK(fa, fb, k)
-		assign := make([]bool, n)
-		for trial := 0; trial < 16; trial++ {
-			budget := k
-			for i := range assign {
-				assign[i] = true
-				if budget > 0 && r.Intn(3) == 0 {
-					assign[i] = false
-					budget--
-				}
-			}
-			if got, want := m.Eval(sum, assign), m.Eval(fa, assign)+m.Eval(fb, assign); got != want {
-				t.Fatalf("AddK(k=%d) at %v: %v, want %v", k, assign, got, want)
-			}
-			if got, want := m.Eval(gotMA, assign), m.Eval(acc, assign)+m.Eval(fa, assign)*m.Eval(fb, assign); got != want {
-				t.Fatalf("MulAddK(k=%d) at %v: %v, want %v", k, assign, got, want)
-			}
-		}
+		fuzzKernels(t, seed, kb)
+		defer setTableMode(tablesFromMin)()
+		fuzzKernels(t, seed, kb)
 	})
+}
+
+func fuzzKernels(t *testing.T, seed int64, kb uint8) {
+	const n = 6
+	m := New()
+	for i := 0; i < n; i++ {
+		m.AddVar("x")
+	}
+	r := rand.New(rand.NewSource(seed))
+	k := int(kb % (n + 3))
+	fa := randomMTBDD(m, r, n, 4)
+	fb := randomMTBDD(m, r, n, 4)
+	for _, bk := range arithKernels {
+		want := m.KReduce(bk.composed(m, fa, fb), k)
+		if got := bk.fused(m, fa, fb, k); got != want {
+			t.Fatalf("%s(k=%d) = %s, want %s", bk.name, k, m.String(got), m.String(want))
+		}
+	}
+	ga := randomGuard(m, r, n, 4)
+	gb := randomGuard(m, r, n, 4)
+	for _, bk := range boolKernels {
+		want := m.KReduce(bk.composed(m, ga, gb), k)
+		if got := bk.fused(m, ga, gb, k); got != want {
+			t.Fatalf("%s(k=%d) = %s, want %s", bk.name, k, m.String(got), m.String(want))
+		}
+	}
+	acc := randomMTBDD(m, r, n, 3)
+	wantMA := m.KReduce(m.Add(acc, m.Mul(fa, fb)), k)
+	gotMA := m.MulAddK(acc, fa, fb, k)
+	if gotMA != wantMA {
+		t.Fatalf("MulAddK(k=%d) = %s, want %s", k, m.String(gotMA), m.String(wantMA))
+	}
+	fs := []*Node{ga, gb, m.And(ga, m.Not(gb)), m.Or(m.Not(ga), gb)}
+	fs = fs[:1+r.Intn(len(fs))]
+	wantN := m.KReduce(m.AddN(fs), k)
+	if gotN := m.AddNK(fs, k); gotN != wantN {
+		t.Fatalf("AddNK(%d terms, k=%d) = %s, want %s", len(fs), k, m.String(gotN), m.String(wantN))
+	}
+
+	// Pointwise semantics on random in-budget assignments: the fused
+	// sum must agree with evaluating the operands separately.
+	sum := m.AddK(fa, fb, k)
+	assign := make([]bool, n)
+	for trial := 0; trial < 16; trial++ {
+		budget := k
+		for i := range assign {
+			assign[i] = true
+			if budget > 0 && r.Intn(3) == 0 {
+				assign[i] = false
+				budget--
+			}
+		}
+		if got, want := m.Eval(sum, assign), m.Eval(fa, assign)+m.Eval(fb, assign); got != want {
+			t.Fatalf("AddK(k=%d) at %v: %v, want %v", k, assign, got, want)
+		}
+		if got, want := m.Eval(gotMA, assign), m.Eval(acc, assign)+m.Eval(fa, assign)*m.Eval(fb, assign); got != want {
+			t.Fatalf("MulAddK(k=%d) at %v: %v, want %v", k, assign, got, want)
+		}
+	}
 }

@@ -36,9 +36,9 @@ func (m *Manager) kreduce(f *Node, k int32) *Node {
 		// β_0(F) = F(1,...,1): follow Hi edges to a terminal.
 		return m.Const(m.EvalAllAlive(f))
 	}
-	if r, ok := m.kreduceTbl.get(f.id, k); ok {
+	if id := m.kreduceTbl.get(f.id, k); id != 0 {
 		m.kreduceHits++
-		return r
+		return m.node(id)
 	}
 	m.kreduceMisses++
 	m.checkInterrupt()
@@ -50,7 +50,7 @@ func (m *Manager) kreduce(f *Node, k int32) *Node {
 	} else {
 		r = m.mk(f.Level, loK1, hiK)
 	}
-	m.kreduceTbl.put(f.id, k, r)
+	m.kreduceTbl.put(f.id, k, r.id)
 	return r
 }
 

@@ -77,7 +77,9 @@ type Manager struct {
 	// a handful of large backing arrays instead of millions of individual
 	// objects. Pointers into a slab are stable (slabs are never moved or
 	// resized), which hash-consing canonicity requires. Manager.GC releases
-	// slabs whose nodes are all dead; the open slab keeps filling.
+	// slabs whose nodes are all dead; the open slab keeps filling. The
+	// slice doubles as the id → node directory the tables resolve their
+	// entries through (node).
 	slabs    [][]Node
 	slabUsed int
 	// spare holds pre-allocated slabs handed out by alloc before it falls
@@ -95,8 +97,8 @@ type Manager struct {
 
 	// stats. Cache hit/miss tallies live on the Manager — not inside the
 	// cache structs — so they are cumulative over the Manager's lifetime:
-	// ClearCaches (and GC, which calls it) replaces cache *contents* but
-	// never resets a counter.
+	// ClearCaches (and GC, which calls it) empties the caches but never
+	// resets a counter.
 	created       uint64
 	peakUnique    int
 	applyHits     uint64
@@ -181,6 +183,15 @@ const (
 	slabBits = 13
 	slabSize = 1 << slabBits
 )
+
+// node returns the node with the given id. The unique table and the
+// computed tables hold ids, never pointers, so the runtime GC does not
+// scan them; an id they hold always names a live slab, because Manager.GC
+// rebuilds the one from the marked nodes and empties the others.
+func (m *Manager) node(id uint64) *Node {
+	i := id - 1
+	return &m.slabs[i>>slabBits][i&(slabSize-1)]
+}
 
 // alloc returns storage for the node that will receive id m.nextID.
 // Ids are dense and increasing, so the slot is always the next cell of
@@ -274,8 +285,8 @@ func (m *Manager) mk(level int32, lo, hi *Node) *Node {
 	if lo == hi {
 		return lo
 	}
-	if n := m.unique.lookup(level, lo.id, hi.id); n != nil {
-		return n
+	if id := m.unique.lookup(level, lo.id, hi.id); id != 0 {
+		return m.node(id)
 	}
 	m.checkInterrupt()
 	m.checkBudget()
@@ -283,7 +294,7 @@ func (m *Manager) mk(level int32, lo, hi *Node) *Node {
 	*n = Node{Level: level, Lo: lo, Hi: hi, id: m.nextID}
 	m.nextID++
 	m.created++
-	m.unique.insert(level, lo.id, hi.id, n)
+	m.unique.insert(level, lo.id, hi.id, n.id)
 	if m.unique.count > m.peakUnique {
 		m.peakUnique = m.unique.count
 	}
@@ -413,6 +424,12 @@ type Stats struct {
 
 	KReduceCalls uint64 // top-level KReduce invocations
 	GCRuns       uint64 // completed garbage collections
+
+	// CacheBytes is what the unique table and the five computed tables
+	// hold right now (they grow with use, see tables.go); CacheResizes is
+	// how many times a computed table has doubled.
+	CacheBytes   uint64
+	CacheResizes uint64
 }
 
 // Stats returns a snapshot of the Manager's counters.
@@ -433,18 +450,18 @@ func (m *Manager) Stats() Stats {
 		MaxProbe:     m.unique.maxProbe,
 		KReduceCalls: m.kreduceCalls,
 		GCRuns:       m.gcRuns,
+		CacheBytes:   m.tableBytes(),
+		CacheResizes: m.tableResizes(),
 	}
 }
 
-// ClearCaches drops all operation caches (but not the unique table). Useful
-// between verification phases to bound memory. Every cache — including the
-// import memo — is re-created fresh, and the cumulative hit/miss counters
-// are untouched: they are counters, not cache contents.
+// ClearCaches empties all operation caches (but not the unique table), so
+// that nothing cached outlives the nodes a following GC drops. The five
+// computed tables are zeroed in place at the size they have grown to —
+// clearing allocates nothing and a manager keeps the geometry its work
+// earned; only the import memo, a Go map, is re-created. The cumulative
+// hit/miss counters are untouched: they are counters, not cache contents.
 func (m *Manager) ClearCaches() {
-	m.applyTbl = newApplyCache()
-	m.negTbl = newUnaryCache()
-	m.kreduceTbl = newKReduceCache()
-	m.fusedTbl = newFusedCache()
-	m.rangeTbl = newRangeCache()
+	m.clearTables()
 	m.importTbl = make(map[*Node]*Node)
 }

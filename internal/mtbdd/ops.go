@@ -156,9 +156,9 @@ func (m *Manager) apply(op opcode, f, g *Node) *Node {
 	if op.commutes() && a.id > b.id {
 		a, b = b, a
 	}
-	if r, ok := m.applyTbl.get(op, a.id, b.id); ok {
+	if id := m.applyTbl.get(op, a.id, b.id); id != 0 {
 		m.applyHits++
-		return r
+		return m.node(id)
 	}
 	m.applyMisses++
 	m.checkInterrupt()
@@ -177,7 +177,7 @@ func (m *Manager) apply(op opcode, f, g *Node) *Node {
 		gLo, gHi = g.Lo, g.Hi
 	}
 	r := m.mk(level, m.apply(op, fLo, gLo), m.apply(op, fHi, gHi))
-	m.applyTbl.put(op, a.id, b.id, r)
+	m.applyTbl.put(op, a.id, b.id, r.id)
 	return r
 }
 
@@ -219,9 +219,9 @@ func (m *Manager) Not(f *Node) *Node {
 	if f == m.one {
 		return m.zero
 	}
-	if r, ok := m.negTbl.get(f.id); ok {
+	if id := m.negTbl.get(f.id); id != 0 {
 		m.negHits++
-		return r
+		return m.node(id)
 	}
 	m.negMisses++
 	var r *Node
@@ -234,7 +234,7 @@ func (m *Manager) Not(f *Node) *Node {
 	} else {
 		r = m.mk(f.Level, m.Not(f.Lo), m.Not(f.Hi))
 	}
-	m.negTbl.put(f.id, r)
+	m.negTbl.put(f.id, r.id)
 	return r
 }
 

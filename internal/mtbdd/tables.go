@@ -1,27 +1,96 @@
 package mtbdd
 
+import "unsafe"
+
 // Hash-table machinery tuned for the hot paths. The unique table is an
 // exact open-addressing map (hash consing must never alias distinct
-// nodes); the operation caches are fixed-size direct-mapped and lossy —
-// a collision merely recomputes a result, which is deterministic and
-// re-canonicalized by the unique table, so correctness is unaffected.
-// This is the classic BDD-package design (CUDD-style computed tables):
-// Go's generic maps spend most of the runtime in hashing and GC scans.
+// nodes); the five operation caches are lossy — a collision merely
+// recomputes a result, which is deterministic and re-canonicalized by the
+// unique table, so correctness is unaffected by their size, their hash or
+// what a resize keeps. This is the classic BDD-package design (CUDD-style
+// computed tables): Go's generic maps spend most of the runtime in hashing
+// and GC scans.
+//
+// Three rules keep a table's cost proportional to what its manager does:
+//
+//   - Adaptive size. A table starts at a few KiB and doubles once it has
+//     taken as many inserts since its last resize as it has slots — by then
+//     it has been overwritten about once over — until it reaches its cap
+//     (the fixed geometry every manager used to be born with). Survivors
+//     are re-hashed into the doubled array, the fused table's sets in LRU
+//     order. A 40 K-node domain manager ends at 3.5 MB of computed tables;
+//     a kernel-bound run reaches the caps within its first million inserts
+//     per table and keeps their hit ratios.
+//   - Pointer-free entries. Every entry names nodes by id, results
+//     included; Manager.node resolves an id through the slab directory.
+//     The arrays are therefore allocated noscan: Go's collector neither
+//     walks them nor keeps anything alive through them. (Go zeroes every
+//     array it hands out and scans every pointer-carrying one in full, so
+//     a table costs its whole size whether or not it is ever touched.)
+//   - Reset in place. clear() empties the current array at its current
+//     size; nothing is re-allocated by ClearCaches or Manager.GC.
 
 const (
-	applyCacheBits   = 20 // 1M entries
+	applyCacheBits   = 20 // caps: 1M entries
 	kreduceCacheBits = 19
 	// The fused table serves every k-budgeted kernel — binary applies AND
 	// the ternary multiply-accumulate, each keyed by k — so its key space
-	// is the largest of the operation caches. At 19 bits direct-mapped it
-	// ran ~20% hits (BENCH_PR9: 1.29M hits / 5.25M misses); sized up to
-	// match the apply cache and organized as 2-way sets (below) the churn
-	// benchmark's conflict misses drop by an order of magnitude. Entries
-	// are zero pages until touched, so the virtual size is not paid by
-	// small runs.
+	// is the largest of the operation caches: capped like the apply cache
+	// and organized as 2-way sets (below).
 	fusedCacheBits = 20
 	unaryCacheBits = 17
+
+	// Starting sizes. The fused table's minimum is one 2-entry set.
+	cacheStartBits      = 12
+	unaryCacheStartBits = 10
 )
+
+// tableMode is a test hook, never set by library code: it overrides the
+// geometry New gives the computed tables, so tests can show that verdicts
+// do not depend on it (internal/difftest reaches it by go:linkname).
+var tableMode = tablesAdaptive
+
+const (
+	tablesAdaptive  = iota
+	tablesPinnedMin // 2 entries, never grow: every lookup past the first conflicts
+	tablesPinnedMax // born at the caps: the pre-adaptive geometry
+	tablesFromMin   // start at 2 entries and grow: every run crosses every resize
+)
+
+// lossy is the geometry shared by the computed tables.
+type lossy struct {
+	mask    uint64 // len(entries) - 1
+	maxMask uint64 // mask at the cap
+	puts    uint64 // inserts since the last resize or clear
+	resizes uint64
+}
+
+func newLossy(startBits, capBits int) lossy {
+	switch tableMode {
+	case tablesPinnedMin:
+		startBits, capBits = 1, 1
+	case tablesPinnedMax:
+		startBits = capBits
+	case tablesFromMin:
+		startBits = 1
+	}
+	return lossy{mask: 1<<startBits - 1, maxMask: 1<<capBits - 1}
+}
+
+// due counts one insert and reports whether the table should double first.
+func (l *lossy) due() bool {
+	l.puts++
+	return l.puts > l.mask && l.mask < l.maxMask
+}
+
+// doubled updates the geometry for an array twice the current size and
+// returns that size.
+func (l *lossy) doubled() int {
+	l.mask = l.mask<<1 | 1
+	l.puts = 0
+	l.resizes++
+	return int(l.mask + 1)
+}
 
 // mix64 is a splitmix64-style finalizer.
 func mix64(x uint64) uint64 {
@@ -38,7 +107,7 @@ func mix64(x uint64) uint64 {
 type uniqueEntry struct {
 	level  int32
 	lo, hi uint64
-	node   *Node
+	id     uint64 // the node's id; 0 marks an empty slot (ids start at 1)
 }
 
 type uniqueTable struct {
@@ -65,19 +134,19 @@ func (t *uniqueTable) hash(level int32, lo, hi uint64) uint64 {
 	return mix64(lo*0x9e3779b97f4a7c15 ^ hi*0xc2b2ae3d27d4eb4f ^ uint64(uint32(level))*0x165667b19e3779f9)
 }
 
-// lookup returns the canonical node for (level, lo, hi) or nil.
-func (t *uniqueTable) lookup(level int32, lo, hi uint64) *Node {
+// lookup returns the id of the canonical node for (level, lo, hi), or 0.
+func (t *uniqueTable) lookup(level int32, lo, hi uint64) uint64 {
 	i := t.hash(level, lo, hi) & t.mask
 	probes := 0
 	for {
 		e := &t.entries[i]
-		if e.node == nil {
+		if e.id == 0 {
 			t.noteProbes(probes)
-			return nil
+			return 0
 		}
 		if e.level == level && e.lo == lo && e.hi == hi {
 			t.noteProbes(probes)
-			return e.node
+			return e.id
 		}
 		i = (i + 1) & t.mask
 		probes++
@@ -85,18 +154,18 @@ func (t *uniqueTable) lookup(level int32, lo, hi uint64) *Node {
 }
 
 // insert adds a node known to be absent.
-func (t *uniqueTable) insert(level int32, lo, hi uint64, n *Node) {
+func (t *uniqueTable) insert(level int32, lo, hi, id uint64) {
 	if t.count*4 >= len(t.entries)*3 {
 		t.grow()
 	}
 	i := t.hash(level, lo, hi) & t.mask
 	probes := 0
-	for t.entries[i].node != nil {
+	for t.entries[i].id != 0 {
 		i = (i + 1) & t.mask
 		probes++
 	}
 	t.noteProbes(probes)
-	t.entries[i] = uniqueEntry{level, lo, hi, n}
+	t.entries[i] = uniqueEntry{level, lo, hi, id}
 	t.count++
 }
 
@@ -111,11 +180,11 @@ func (t *uniqueTable) grow() {
 	t.entries = make([]uniqueEntry, len(old)*2)
 	t.mask = uint64(len(t.entries) - 1)
 	for _, e := range old {
-		if e.node == nil {
+		if e.id == 0 {
 			continue
 		}
 		i := t.hash(e.level, e.lo, e.hi) & t.mask
-		for t.entries[i].node != nil {
+		for t.entries[i].id != 0 {
 			i = (i + 1) & t.mask
 		}
 		t.entries[i] = e
@@ -123,21 +192,25 @@ func (t *uniqueTable) grow() {
 }
 
 // --- apply cache (lossy, direct-mapped) ---
+//
+// Every lossy table's get returns the cached result's id, or 0 on a miss
+// (ids start at 1, and a zeroed slot matches no key for the same reason).
 
 type applyEntry struct {
-	f, g uint64 // operand ids; f == 0 marks an empty slot (ids start at 1)
+	f, g uint64 // operand ids
 	op   opcode
-	res  *Node
+	res  uint64
 }
 
 type applyCache struct {
+	lossy
 	entries []applyEntry
-	mask    uint64
 }
 
 func newApplyCache() *applyCache {
-	size := 1 << applyCacheBits
-	return &applyCache{entries: make([]applyEntry, size), mask: uint64(size - 1)}
+	c := &applyCache{lossy: newLossy(cacheStartBits, applyCacheBits)}
+	c.entries = make([]applyEntry, c.mask+1)
+	return c
 }
 
 func (c *applyCache) slot(op opcode, f, g uint64) *applyEntry {
@@ -145,16 +218,29 @@ func (c *applyCache) slot(op opcode, f, g uint64) *applyEntry {
 	return &c.entries[h&c.mask]
 }
 
-func (c *applyCache) get(op opcode, f, g uint64) (*Node, bool) {
+func (c *applyCache) get(op opcode, f, g uint64) uint64 {
 	e := c.slot(op, f, g)
-	if e.f == f && e.g == g && e.op == op && e.f != 0 {
-		return e.res, true
+	if e.f == f && e.g == g && e.op == op {
+		return e.res
 	}
-	return nil, false
+	return 0
 }
 
-func (c *applyCache) put(op opcode, f, g uint64, res *Node) {
+func (c *applyCache) put(op opcode, f, g, res uint64) {
+	if c.due() {
+		c.grow()
+	}
 	*c.slot(op, f, g) = applyEntry{f, g, op, res}
+}
+
+func (c *applyCache) grow() {
+	old := c.entries
+	c.entries = make([]applyEntry, c.doubled())
+	for _, e := range old {
+		if e.f != 0 {
+			*c.slot(e.op, e.f, e.g) = e
+		}
+	}
 }
 
 // --- kreduce cache (lossy, direct-mapped) ---
@@ -162,29 +248,46 @@ func (c *applyCache) put(op opcode, f, g uint64, res *Node) {
 type kreduceEntry struct {
 	f   uint64
 	k   int32
-	res *Node
+	res uint64
 }
 
 type kreduceCache struct {
+	lossy
 	entries []kreduceEntry
-	mask    uint64
 }
 
 func newKReduceCache() *kreduceCache {
-	size := 1 << kreduceCacheBits
-	return &kreduceCache{entries: make([]kreduceEntry, size), mask: uint64(size - 1)}
+	c := &kreduceCache{lossy: newLossy(cacheStartBits, kreduceCacheBits)}
+	c.entries = make([]kreduceEntry, c.mask+1)
+	return c
 }
 
-func (c *kreduceCache) get(f uint64, k int32) (*Node, bool) {
-	e := &c.entries[mix64(f^uint64(k)<<48)&c.mask]
-	if e.f == f && e.k == k {
-		return e.res, true
+func (c *kreduceCache) slot(f uint64, k int32) *kreduceEntry {
+	return &c.entries[mix64(f^uint64(k)<<48)&c.mask]
+}
+
+func (c *kreduceCache) get(f uint64, k int32) uint64 {
+	if e := c.slot(f, k); e.f == f && e.k == k {
+		return e.res
 	}
-	return nil, false
+	return 0
 }
 
-func (c *kreduceCache) put(f uint64, k int32, res *Node) {
-	c.entries[mix64(f^uint64(k)<<48)&c.mask] = kreduceEntry{f, k, res}
+func (c *kreduceCache) put(f uint64, k int32, res uint64) {
+	if c.due() {
+		c.grow()
+	}
+	*c.slot(f, k) = kreduceEntry{f, k, res}
+}
+
+func (c *kreduceCache) grow() {
+	old := c.entries
+	c.entries = make([]kreduceEntry, c.doubled())
+	for _, e := range old {
+		if e.f != 0 {
+			*c.slot(e.f, e.k) = e
+		}
+	}
 }
 
 // --- fused-kernel cache (lossy, 2-way set-associative) ---
@@ -206,21 +309,22 @@ type fusedEntry struct {
 	a, b, c uint64
 	k       int32
 	op      opcode
-	res     *Node
+	res     uint64
 }
 
 func (e *fusedEntry) is(op opcode, a, b, c uint64, k int32) bool {
-	return e.a == a && e.b == b && e.c == c && e.k == k && e.op == op && e.a != 0
+	return e.a == a && e.b == b && e.c == c && e.k == k && e.op == op
 }
 
 type fusedCache struct {
+	lossy
 	entries []fusedEntry
-	mask    uint64
 }
 
 func newFusedCache() *fusedCache {
-	size := 1 << fusedCacheBits
-	return &fusedCache{entries: make([]fusedEntry, size), mask: uint64(size - 1)}
+	t := &fusedCache{lossy: newLossy(cacheStartBits, fusedCacheBits)}
+	t.entries = make([]fusedEntry, t.mask+1)
+	return t
 }
 
 // set returns the even index of the key's 2-entry set. Every key
@@ -233,56 +337,92 @@ func (t *fusedCache) set(op opcode, a, b, c uint64, k int32) uint64 {
 	return (h & t.mask) &^ 1
 }
 
-func (t *fusedCache) get(op opcode, a, b, c uint64, k int32) (*Node, bool) {
+func (t *fusedCache) get(op opcode, a, b, c uint64, k int32) uint64 {
 	i := t.set(op, a, b, c, k)
 	if e := &t.entries[i]; e.is(op, a, b, c, k) {
-		return e.res, true
+		return e.res
 	}
 	if e := &t.entries[i|1]; e.is(op, a, b, c, k) {
 		// Promote to the primary way so the next insert in this set
 		// demotes the colder key, not this one.
 		res := e.res
 		t.entries[i], t.entries[i|1] = t.entries[i|1], t.entries[i]
-		return res, true
+		return res
 	}
-	return nil, false
+	return 0
 }
 
-func (t *fusedCache) put(op opcode, a, b, c uint64, k int32, res *Node) {
-	i := t.set(op, a, b, c, k)
-	if !t.entries[i].is(op, a, b, c, k) {
+func (t *fusedCache) put(op opcode, a, b, c uint64, k int32, res uint64) {
+	if t.due() {
+		t.grow()
+	}
+	t.place(fusedEntry{a, b, c, k, op, res})
+}
+
+// place makes e its set's primary way, demoting the key it displaces.
+func (t *fusedCache) place(e fusedEntry) {
+	i := t.set(e.op, e.a, e.b, e.c, e.k)
+	if !t.entries[i].is(e.op, e.a, e.b, e.c, e.k) {
 		t.entries[i|1] = t.entries[i]
 	}
-	t.entries[i] = fusedEntry{a, b, c, k, op, res}
+	t.entries[i] = e
+}
+
+// grow re-places the survivors. A set's two keys land in one or two of
+// the new sets and no other set's keys join them, so placing the secondary
+// first leaves every new set in the old recency order.
+func (t *fusedCache) grow() {
+	old := t.entries
+	t.entries = make([]fusedEntry, t.doubled())
+	for i := 0; i < len(old); i += 2 {
+		for _, e := range [2]fusedEntry{old[i|1], old[i]} {
+			if e.a != 0 {
+				t.place(e)
+			}
+		}
+	}
 }
 
 // --- unary caches (Not, Range; lossy, direct-mapped) ---
 
 type unaryEntry struct {
 	f   uint64
-	res *Node
+	res uint64
 }
 
 type unaryCache struct {
+	lossy
 	entries []unaryEntry
-	mask    uint64
 }
 
 func newUnaryCache() *unaryCache {
-	size := 1 << unaryCacheBits
-	return &unaryCache{entries: make([]unaryEntry, size), mask: uint64(size - 1)}
+	c := &unaryCache{lossy: newLossy(unaryCacheStartBits, unaryCacheBits)}
+	c.entries = make([]unaryEntry, c.mask+1)
+	return c
 }
 
-func (c *unaryCache) get(f uint64) (*Node, bool) {
-	e := &c.entries[mix64(f)&c.mask]
-	if e.f == f {
-		return e.res, true
+func (c *unaryCache) get(f uint64) uint64 {
+	if e := &c.entries[mix64(f)&c.mask]; e.f == f {
+		return e.res
 	}
-	return nil, false
+	return 0
 }
 
-func (c *unaryCache) put(f uint64, res *Node) {
+func (c *unaryCache) put(f, res uint64) {
+	if c.due() {
+		c.grow()
+	}
 	c.entries[mix64(f)&c.mask] = unaryEntry{f, res}
+}
+
+func (c *unaryCache) grow() {
+	old := c.entries
+	c.entries = make([]unaryEntry, c.doubled())
+	for _, e := range old {
+		if e.f != 0 {
+			c.entries[mix64(e.f)&c.mask] = e
+		}
+	}
 }
 
 type rangeEntry struct {
@@ -291,13 +431,14 @@ type rangeEntry struct {
 }
 
 type rangeCache struct {
+	lossy
 	entries []rangeEntry
-	mask    uint64
 }
 
 func newRangeCache() *rangeCache {
-	size := 1 << unaryCacheBits
-	return &rangeCache{entries: make([]rangeEntry, size), mask: uint64(size - 1)}
+	c := &rangeCache{lossy: newLossy(unaryCacheStartBits, unaryCacheBits)}
+	c.entries = make([]rangeEntry, c.mask+1)
+	return c
 }
 
 func (c *rangeCache) get(f uint64) (lo, hi float64, ok bool) {
@@ -309,5 +450,53 @@ func (c *rangeCache) get(f uint64) (lo, hi float64, ok bool) {
 }
 
 func (c *rangeCache) put(f uint64, lo, hi float64) {
+	if c.due() {
+		c.grow()
+	}
 	c.entries[mix64(f)&c.mask] = rangeEntry{f, lo, hi}
+}
+
+func (c *rangeCache) grow() {
+	old := c.entries
+	c.entries = make([]rangeEntry, c.doubled())
+	for _, e := range old {
+		if e.f != 0 {
+			c.entries[mix64(e.f)&c.mask] = e
+		}
+	}
+}
+
+// clearTables empties every computed table in place, at its current size.
+func (m *Manager) clearTables() {
+	clear(m.applyTbl.entries)
+	clear(m.negTbl.entries)
+	clear(m.kreduceTbl.entries)
+	clear(m.fusedTbl.entries)
+	clear(m.rangeTbl.entries)
+	for _, l := range m.lossyTables() {
+		l.puts = 0
+	}
+}
+
+func (m *Manager) lossyTables() [5]*lossy {
+	return [5]*lossy{&m.applyTbl.lossy, &m.negTbl.lossy, &m.kreduceTbl.lossy, &m.fusedTbl.lossy, &m.rangeTbl.lossy}
+}
+
+// tableBytes is what the five computed tables and the unique table hold
+// right now; tableResizes how many times a computed table has doubled.
+func (m *Manager) tableBytes() uint64 {
+	return bytesOf(m.unique.entries) + bytesOf(m.applyTbl.entries) + bytesOf(m.negTbl.entries) +
+		bytesOf(m.kreduceTbl.entries) + bytesOf(m.fusedTbl.entries) + bytesOf(m.rangeTbl.entries)
+}
+
+func bytesOf[E any](entries []E) uint64 {
+	var e E
+	return uint64(len(entries)) * uint64(unsafe.Sizeof(e))
+}
+
+func (m *Manager) tableResizes() (n uint64) {
+	for _, l := range m.lossyTables() {
+		n += l.resizes
+	}
+	return n
 }

@@ -18,7 +18,10 @@ type CacheCounters struct {
 // ManagerStats is one MTBDD manager's end-of-life stats snapshot,
 // mirrored from mtbdd.Stats without importing it (obs is a leaf
 // package). Caches is keyed by cache name: apply, kreduce, neg, range,
-// import, fused.
+// import, fused. CacheBytes is what the manager's unique table and
+// computed tables held when it was recorded — they grow with use, so it
+// says what the manager cost, not what it was born with — and
+// CacheResizes how many doublings got them there.
 type ManagerStats struct {
 	Name         string                   `json:"name"`
 	Created      int                      `json:"created"`
@@ -28,6 +31,8 @@ type ManagerStats struct {
 	KReduceCalls uint64                   `json:"kreduce_calls"`
 	FusionCuts   uint64                   `json:"fusion_cuts"`
 	MaxProbe     int                      `json:"max_probe"`
+	CacheBytes   uint64                   `json:"cache_bytes"`
+	CacheResizes uint64                   `json:"cache_resizes"`
 	Caches       map[string]CacheCounters `json:"caches"`
 }
 
@@ -88,8 +93,8 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	if len(s.Managers) > 0 {
 		fmt.Fprintf(w, "managers:\n")
 		for _, m := range s.Managers {
-			fmt.Fprintf(w, "  %-20s created %d live %d peak %d gc %d kreduce-calls %d\n",
-				m.Name, m.Created, m.Live, m.PeakLive, m.GCRuns, m.KReduceCalls)
+			fmt.Fprintf(w, "  %-20s created %d live %d peak %d gc %d kreduce-calls %d tables %.1f MB (%d resizes)\n",
+				m.Name, m.Created, m.Live, m.PeakLive, m.GCRuns, m.KReduceCalls, float64(m.CacheBytes)/(1<<20), m.CacheResizes)
 		}
 	}
 	if len(s.Counters) > 0 {
