@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,7 +100,8 @@ type metricsDoc struct {
 		Path string  `json:"path"`
 		MS   float64 `json:"ms"`
 	} `json:"phases"`
-	Caches map[string]struct {
+	Counters map[string]int64 `json:"counters"`
+	Caches   map[string]struct {
 		Hits   uint64 `json:"hits"`
 		Misses uint64 `json:"misses"`
 	} `json:"caches"`
@@ -139,9 +141,16 @@ func TestRunVerifyMetricsJSON(t *testing.T) {
 	for _, p := range doc.Phases {
 		phases[p.Path] = true
 	}
-	for _, want := range []string{"parse", "routesim", "execute", "check"} {
+	for _, want := range []string{"parse", "routesim", "routesim/igp", "routesim/bgp", "routesim/finish", "execute", "check"} {
 		if !phases[want] {
 			t.Errorf("metrics missing phase %q (got %v)", want, doc.Phases)
+		}
+	}
+	// Route simulation explains itself: what the IGP sweep built and how
+	// much of the RIB the BGP rounds re-evaluated.
+	for _, want := range []string{"routesim.igp_levels", "routesim.bgp_rounds", "routesim.bgp_entries", "routesim.bgp_recomputed", "routesim.templates_rebuilt"} {
+		if doc.Counters[want] <= 0 {
+			t.Errorf("metrics counter %q = %d, want > 0 (got %v)", want, doc.Counters[want], doc.Counters)
 		}
 	}
 	for _, c := range []string{"apply", "kreduce", "neg", "range", "import"} {
@@ -199,6 +208,9 @@ func TestRunVerifyStatsListsManagers(t *testing.T) {
 	if !bytes.Contains(stdout.Bytes(), []byte("manager primary")) || !bytes.Contains(stdout.Bytes(), []byte("MB (")) {
 		t.Errorf("-stats lists no manager with its table size:\n%s", &stdout)
 	}
+	if !bytes.Contains(stdout.Bytes(), []byte("route-sim: igp ")) || !bytes.Contains(stdout.Bytes(), []byte(" rounds, ")) {
+		t.Errorf("-stats does not break route simulation down:\n%s", &stdout)
+	}
 	if stderr.Len() != 0 {
 		t.Errorf("-stats without -metrics wrote to stderr:\n%s", &stderr)
 	}
@@ -243,5 +255,39 @@ func TestRunVerifyBadSpec(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := runVerify(cfg, &stdout, &stderr); code != 1 {
 		t.Fatalf("runVerify on missing spec = %d, want 1", code)
+	}
+}
+
+// TestRunVerifyNotConverged: a spec whose BGP never stabilises exits 1
+// with a one-line reason and prints no verdict line, on the plain,
+// portfolio and compositional paths alike.
+func TestRunVerifyNotConverged(t *testing.T) {
+	gadget := filepath.Join("..", "..", "testdata", "notconverged", "disagree.yu")
+	portfolio := filepath.Join(t.TempDir(), "p.tlp")
+	if err := os.WriteFile(portfolio, []byte("tlp util 0.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-overload", "0.5", gadget},
+		{"-overload", "0.5", "-canon", gadget},
+		{"-tlp", portfolio, gadget},
+		{"-domains", "o:O;a:A;b:B", gadget},
+	} {
+		cfg, err := parseVerifyFlags(args, flag.ContinueOnError)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := runVerify(cfg, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed a verdict:\n%s", args, &stdout)
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, "BGP did not converge in 10 rounds; still changing: A 100.9.0.0/24, B 100.9.0.0/24") ||
+			strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr is not the one-line reason:\n%s", args, msg)
+		}
 	}
 }

@@ -31,8 +31,8 @@ import (
 
 	"github.com/yu-verify/yu"
 	"github.com/yu-verify/yu/internal/canon"
-	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/concrete"
+	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -392,8 +392,8 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 	if cfg.stats {
 		fmt.Fprintf(stdout, "flows: %d input, %d executed\n", rep.FlowsTotal, rep.FlowsExecuted)
 		if m := rep.Modular; m != nil {
-			fmt.Fprintf(stdout, "modular: %d domains, %d border links, %d rounds (converged=%v)\n",
-				m.Domains, m.BorderLinks, m.Rounds, m.Converged)
+			fmt.Fprintf(stdout, "modular: %d domains, %d border links, %d rounds\n",
+				m.Domains, m.BorderLinks, m.Rounds)
 			fmt.Fprintf(stdout, "  classes: %d contained, %d fallback; domain peak nodes: %d\n",
 				m.ContainedClasses, m.FallbackClasses, m.DomainPeakNodes)
 		}
@@ -409,10 +409,12 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 		if rep.MTBDDNodes > 0 {
 			fmt.Fprintf(stdout, "MTBDD nodes: %d\n", rep.MTBDDNodes)
 		}
-		for _, m := range reg.Snapshot().Managers {
+		snap := reg.Snapshot()
+		for _, m := range snap.Managers {
 			fmt.Fprintf(stdout, "  manager %-16s peak %d nodes, tables %.1f MB (%d resizes)\n",
 				m.Name, m.PeakLive, float64(m.CacheBytes)/(1<<20), m.CacheResizes)
 		}
+		printRouteSim(stdout, snap)
 		if rep.Scenarios > 0 {
 			fmt.Fprintf(stdout, "scenarios simulated: %d\n", rep.Scenarios)
 		}
@@ -439,6 +441,24 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 		return 1
 	}
 	return code
+}
+
+// printRouteSim renders the route-simulation breakdown of a run's metrics
+// (on a compositional run: summed over the domains). Runs that simulate
+// no routes symbolically (the baselines) print nothing.
+func printRouteSim(w io.Writer, snap *yu.MetricsSnapshot) {
+	ms := map[string]float64{}
+	for _, p := range snap.Phases {
+		ms[p.Path] = p.MS
+	}
+	if _, ok := ms["routesim/igp"]; !ok {
+		return
+	}
+	c := snap.Counters
+	fmt.Fprintf(w, "route-sim: igp %.1fms (%d levels built, %d pruned), bgp %.1fms (%d rounds, %d evaluations of %d RIB entries, %d templates, %d AS paths), finish %.1fms\n",
+		ms["routesim/igp"], c["routesim.igp_levels"], c["routesim.igp_pruned"],
+		ms["routesim/bgp"], c["routesim.bgp_rounds"], c["routesim.bgp_recomputed"], c["routesim.bgp_entries"],
+		c["routesim.templates_rebuilt"], c["routesim.as_paths"], ms["routesim/finish"])
 }
 
 // parseDomainsFlag parses the explicit -domains partition syntax:

@@ -72,9 +72,9 @@ type Options struct {
 type Stats struct {
 	Domains     int
 	BorderLinks int
-	// Rounds / Converged mirror the lockstep BGP fixed point.
-	Rounds    int
-	Converged bool
+	// Rounds is how many lockstep BGP rounds reached the fixed point (a
+	// build whose rounds do not converge is an error, not a Built).
+	Rounds int
 	// ContainedClasses were executed inside a domain; FallbackClasses
 	// crossed a summary's precision limit and were executed monolithically
 	// on the check engine.
@@ -83,6 +83,9 @@ type Stats struct {
 	// DomainPeakNodes is the largest per-domain manager's live node count
 	// after execution — the number the monolithic peak is compared against.
 	DomainPeakNodes int
+	// RouteSim sums the domains' route-simulation costs (BGPRounds is
+	// Domains × Rounds: every domain steps every lockstep round).
+	RouteSim routesim.Stats
 }
 
 // Built is a ready-to-check compositional verifier: run checks through
@@ -106,7 +109,8 @@ type stubRef struct {
 // the global failure variables. Any error means the input could not be
 // verified compositionally (or the run was governed short) — the caller
 // falls back to the monolithic path, which reproduces either the verdict
-// or the error.
+// or the error. The exception is *routesim.ErrNotConverged: the lockstep
+// rounds are the monolithic rounds, so a retry would not converge either.
 func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows []topo.Flow, opts Options) (*Built, error) {
 	nd := part.NumDomains()
 	st := Stats{Domains: nd, BorderLinks: len(part.BorderLinks())}
@@ -197,7 +201,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	}
 	sort.Slice(exportOrder, func(i, j int) bool { return exportOrder[i] < exportOrder[j] })
 
-	maxRounds := 2*net.Diameter() + 8
+	maxRounds := net.RoundBound()
 	rounds, converged := 0, false
 	tpls := make(map[topo.RouterID]routesim.BorderTemplates, len(exportOrder))
 	lockstep := func() error {
@@ -279,7 +283,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	if err := lockstep(); err != nil {
 		return nil, err
 	}
-	st.Rounds, st.Converged = rounds, converged
+	st.Rounds = rounds
 
 	// Finish per-domain route simulation: SR policies and statics of the
 	// domain's own routers. A member config that does not resolve inside
@@ -287,6 +291,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	// router of another domain) makes the domain incomposable — surfaced
 	// as an error so the caller falls back to the monolithic path.
 	results := make([]*routesim.Result, nd)
+	var notConverged *routesim.ErrNotConverged
 	for d := 0; d < nd; d++ {
 		memberCfgs := make(config.Configs)
 		for name, rc := range cfgs {
@@ -301,9 +306,23 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 		}); err != nil {
 			return nil, err
 		}
+		var nc *routesim.ErrNotConverged
+		if errors.As(rerr, &nc) {
+			// The lockstep fixed point is one global verdict; collect every
+			// domain's moving entries into the one error.
+			if notConverged == nil {
+				notConverged = &routesim.ErrNotConverged{Rounds: rounds}
+			}
+			notConverged.Changing = append(notConverged.Changing, nc.Changing...)
+			continue
+		}
 		if rerr != nil {
 			return nil, rerr
 		}
+		st.RouteSim.Add(results[d].Stats)
+	}
+	if notConverged != nil {
+		return nil, notConverged
 	}
 
 	// The global prefix union: every member RIB's prefixes plus every
@@ -457,6 +476,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 		if err != nil {
 			return nil, err
 		}
+		st.RouteSim.Add(rsCheck.Stats)
 	} else {
 		rsCheck = routesim.EmptyResult(fvCheck)
 	}

@@ -193,7 +193,7 @@ func (s *Sim) computeBGP(sc *Scenario, igp *igpState) *bgpState {
 	}
 
 	ribs := seeds
-	maxRounds := 2*s.net.Diameter() + 8
+	maxRounds := s.net.RoundBound()
 	for round := 0; round < maxRounds; round++ {
 		next := make([]map[netip.Prefix][]*route, n)
 		for i := 0; i < n; i++ {

@@ -30,6 +30,8 @@ func TestParseSpecErrorMessages(t *testing.T) {
 		{"duplicate router", "router a as 1\nrouter a as 2\n", `duplicate router name "a"`},
 		{"link usage", "link a\n", "usage: link A B"},
 		{"link bad cost", base + "link b a cost heavy\n", `bad cost "heavy"`},
+		{"link zero cost", base + "link b a cost 0\n", "line 4: cost 0: IGP metrics are positive"},
+		{"link negative cost", base + "link b a cost -5\n", "line 4: cost -5: IGP metrics are positive"},
 		{"link bad capacity", base + "link b a capacity lots\n", `bad capacity "lots"`},
 		{"link option missing value", base + "link b a cost\n", `link option "cost" wants a value`},
 		{"link unknown option", base + "link b a shiny yes\n", `unknown link option "shiny"`},

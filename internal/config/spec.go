@@ -258,6 +258,9 @@ func (p *specParser) link(f []string) error {
 			if err != nil {
 				return fmt.Errorf("bad cost %q", rest[1])
 			}
+			if c < 1 {
+				return fmt.Errorf("cost %d: IGP metrics are positive", c)
+			}
 			opts = append(opts, topo.WithCost(c))
 		case "capacity":
 			g, err := strconv.ParseFloat(rest[1], 64)

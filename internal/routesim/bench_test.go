@@ -1,0 +1,171 @@
+package routesim
+
+import (
+	"testing"
+
+	"github.com/yu-verify/yu/internal/config"
+	"github.com/yu-verify/yu/internal/gen"
+	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/topo"
+)
+
+// benchInput is one route-simulation input: a spec, the budget it runs
+// under, and a constructor for fresh failure variables (every iteration
+// needs its own manager, or the operation caches answer everything).
+type benchInput struct {
+	name   string
+	spec   *config.Spec
+	k      int
+	member []bool
+	vars   func() *FailVars
+}
+
+// wanInput is a gen.WAN topology at one of the repository benchmark's
+// three shapes (benchmark/workloads.go), without the flows route
+// simulation never reads.
+func wanInput(tb testing.TB, name string, routers, links, prefixes int, seed int64, k int) benchInput {
+	tb.Helper()
+	spec, err := gen.WAN(gen.WANSpec{Routers: routers, Links: links, Prefixes: prefixes, SRPolicyFraction: 0.1, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return benchInput{name: name, spec: spec, k: k, vars: func() *FailVars {
+		return NewFailVars(mtbdd.New(), spec.Net, topo.FailLinks, k)
+	}}
+}
+
+func wanK1(tb testing.TB) benchInput { return wanInput(tb, "wan-k1", 120, 300, 60, 11, 1) }
+func wanK2(tb testing.TB) benchInput { return wanInput(tb, "wan-k2", 50, 100, 32, 3, 2) }
+func wanPortfolio(tb testing.TB) benchInput {
+	return wanInput(tb, "portfolio-1k", 80, 160, 48, 10, 1)
+}
+
+// ringDomain is one domain of the `modular` workload as internal/compose
+// simulates it: a 20-router double ring plus its border stubs, k=2, over
+// failure variables aliased to the 8-domain global order.
+func ringDomain(tb testing.TB) benchInput {
+	tb.Helper()
+	spec, err := gen.MultiDomain(gen.MultiDomainSpec{Domains: 8, RoutersPer: 20, PrefixesPer: 6, FlowsPer: 16, K: 2, Seed: 20})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	part, err := topo.NewPartition(spec.Net, spec.Domains)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sub, err := part.Subnet(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sspec := &config.Spec{Net: sub.Net, Configs: spec.Configs, K: 2, Mode: topo.FailLinks}
+	return benchInput{name: "ring20-k2", spec: sspec, k: 2, member: sub.Member, vars: func() *FailVars {
+		return NewFailVarsAliased(mtbdd.New(), spec.Net, sub, topo.FailLinks, 2)
+	}}
+}
+
+var (
+	sinkIGP    *IGP
+	sinkBGP    *BGP
+	sinkResult *Result
+	sinkStable bool
+)
+
+func BenchmarkComputeIGP(b *testing.B) {
+	for _, in := range []benchInput{wanK1(b), ringDomain(b)} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkIGP = ComputeIGP(in.vars())
+			}
+		})
+	}
+}
+
+func BenchmarkComputeBGP(b *testing.B) {
+	for _, in := range []benchInput{wanK1(b), wanK2(b)} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fv := in.vars()
+				igp := ComputeIGP(fv)
+				b.StartTimer()
+				sinkBGP = ComputeBGP(fv, in.spec.Configs, igp)
+			}
+		})
+	}
+}
+
+// BenchmarkStepperRound times single Round calls of a domain stepper
+// from seeds to stability (stub templates stay empty, as in the first
+// lockstep round); the stepper is rebuilt, untimed, once it is stable.
+func BenchmarkStepperRound(b *testing.B) {
+	for _, in := range []benchInput{wanK1(b), ringDomain(b)} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var st *Stepper
+			for i := 0; i < b.N; i++ {
+				if st == nil {
+					b.StopTimer()
+					fv := in.vars()
+					st = NewStepper(fv, in.spec.Configs, ComputeIGP(fv), in.member)
+					b.StartTimer()
+				}
+				if sinkStable = st.Round(); sinkStable {
+					st = nil
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkImportInto(b *testing.B) {
+	in := wanK2(b)
+	res, err := Run(in.vars(), in.spec.Configs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkResult = res.ImportInto(in.vars())
+	}
+}
+
+// createdNodes route-simulates in from scratch and returns how many MTBDD
+// nodes that created.
+func createdNodes(tb testing.TB, in benchInput) int {
+	tb.Helper()
+	fv := in.vars()
+	if _, err := Run(fv, in.spec.Configs); err != nil {
+		tb.Fatal(err)
+	}
+	return int(fv.M.Stats().Created)
+}
+
+// TestCreatedNodesPinned: route simulation of one input creates exactly
+// the same nodes every time — no evaluation order depends on map
+// iteration — so the count is a host-noise-free measure of the work done,
+// pinned here for the repository benchmark's three WAN shapes. A change
+// that moves a count changed what route simulation computes or how; if
+// that is intended, re-pin it and say why in the commit.
+func TestCreatedNodesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		in   benchInput
+		want int
+	}{
+		{wanK1(t), 19457},
+		{wanK2(t), 56614},
+		{wanPortfolio(t), 10732},
+	} {
+		runs := 2
+		if tc.in.name == "wan-k1" {
+			runs = 10
+		}
+		for i := 0; i < runs; i++ {
+			if got := createdNodes(t, tc.in); got != tc.want {
+				t.Errorf("%s run %d: %d nodes created, pinned at %d", tc.in.name, i, got, tc.want)
+			}
+		}
+	}
+}

@@ -1,10 +1,11 @@
 package routesim
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
+	"time"
 
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/mtbdd"
@@ -45,7 +46,14 @@ type BGPCand struct {
 	// process. Direct and local routes have cost 0.
 	IGPCost int64
 	Guard   *mtbdd.Node
+
+	// path is ASPath's id in the pathTable of the Stepper that built the
+	// candidate; it has no meaning outside that Stepper.
+	path int32
 }
+
+// local reports a candidate seeded from the router's own configuration.
+func (a *BGPCand) local() bool { return a.Deliver || a.Discard || a.AdvertiseOnly }
 
 // better reports whether a is strictly preferred to b under the static BGP
 // decision process: local preference, locally-originated, AS-path length,
@@ -55,9 +63,8 @@ func (a *BGPCand) better(b *BGPCand) bool {
 	if a.LocalPref != b.LocalPref {
 		return a.LocalPref > b.LocalPref
 	}
-	aLocal, bLocal := a.Deliver || a.Discard || a.AdvertiseOnly, b.Deliver || b.Discard || b.AdvertiseOnly
-	if aLocal != bLocal {
-		return aLocal
+	if a.local() != b.local() {
+		return a.local()
 	}
 	if len(a.ASPath) != len(b.ASPath) {
 		return len(a.ASPath) < len(b.ASPath)
@@ -77,31 +84,47 @@ func (a *BGPCand) SameRank(b *BGPCand) bool {
 	return !a.better(b) && !b.better(a)
 }
 
-type candKey struct {
-	nexthop       netip.Addr
-	direct        bool
-	outEdge       topo.DirLinkID
-	deliver       bool
-	discard       bool
-	advertiseOnly bool
-	aspath        string
-	localPref     uint32
-	fromEBGP      bool
-	igpCost       int64
+// sameRoute reports that a and b, candidates of one Stepper, are the same
+// route in everything but their guards: RIB normalisation merges them into
+// one candidate present when either is.
+func (a *BGPCand) sameRoute(b *BGPCand) bool {
+	return a.path == b.path && a.OutEdge == b.OutEdge && a.NextHop == b.NextHop &&
+		a.LocalPref == b.LocalPref && a.IGPCost == b.IGPCost &&
+		a.Direct == b.Direct && a.FromEBGP == b.FromEBGP &&
+		a.Deliver == b.Deliver && a.Discard == b.Discard && a.AdvertiseOnly == b.AdvertiseOnly
 }
 
-func keyOf(c *BGPCand) candKey {
-	var sb strings.Builder
-	for _, as := range c.ASPath {
-		sb.WriteString(strconv.FormatUint(uint64(as), 10))
-		sb.WriteByte(',')
+// pathTable interns AS paths as integer ids. Id 0 is the empty path and
+// every other path is (first AS, id of the rest), so equal paths get
+// equal ids however they were derived and an eBGP prepend is one lookup.
+type pathTable struct {
+	paths     [][]uint32
+	prepended map[uint64]int32 // first AS << 32 | id of the rest -> id
+}
+
+func newPathTable() pathTable {
+	return pathTable{paths: [][]uint32{nil}, prepended: make(map[uint64]int32)}
+}
+
+func (t *pathTable) prepend(as uint32, rest int32) int32 {
+	key := uint64(as)<<32 | uint64(uint32(rest))
+	id, ok := t.prepended[key]
+	if !ok {
+		path := make([]uint32, 0, len(t.paths[rest])+1)
+		path = append(append(path, as), t.paths[rest]...)
+		id = int32(len(t.paths))
+		t.paths = append(t.paths, path)
+		t.prepended[key] = id
 	}
-	return candKey{
-		nexthop: c.NextHop, direct: c.Direct, outEdge: c.OutEdge,
-		deliver: c.Deliver, discard: c.Discard, advertiseOnly: c.AdvertiseOnly,
-		aspath: sb.String(), localPref: c.LocalPref, fromEBGP: c.FromEBGP,
-		igpCost: c.IGPCost,
+	return id
+}
+
+func (t *pathTable) intern(path []uint32) int32 {
+	id := int32(0)
+	for i := len(path) - 1; i >= 0; i-- {
+		id = t.prepend(path[i], id)
 	}
+	return id
 }
 
 // BGPRIB is one router's guarded BGP RIB: candidates per prefix, sorted by
@@ -110,12 +133,16 @@ type BGPRIB map[netip.Prefix][]*BGPCand
 
 // BGP holds the converged symbolic BGP state of all routers.
 type BGP struct {
-	fv   *FailVars
 	RIBs []BGPRIB // indexed by RouterID
 	// Converged reports whether the fixed point was reached within the
 	// round budget.
 	Converged bool
 	Rounds    int
+
+	stats Stats // the BGP fields
+	// changing names a few RIB entries that moved in the last round of a
+	// run that did not converge.
+	changing []string
 }
 
 type session struct {
@@ -126,6 +153,14 @@ type session struct {
 	// importPref is the local-pref the receiver assigns (eBGP import).
 	importPref uint32
 	exportDeny []netip.Prefix
+
+	// up is the session-liveness guard: the link for eBGP, IGP
+	// reachability between the loopbacks for iBGP (endpoint liveness is
+	// part of reach).
+	up *mtbdd.Node
+	// igpCost is the receiver's static IGP cost to the sender, the
+	// hot-potato tiebreak of iBGP-learned routes.
+	igpCost int64
 }
 
 // ComputeBGP runs symbolic BGP route propagation to a fixed point:
@@ -135,21 +170,12 @@ type session struct {
 // (paper Fig 6: m4's guard is the disjunction of equally preferred m2, m3).
 func ComputeBGP(fv *FailVars, cfgs config.Configs, igp *IGP) *BGP {
 	st := NewStepper(fv, cfgs, igp, nil)
-	maxRounds := 2*fv.Net.Diameter() + 8
-	rounds := 0
-	converged := false
+	maxRounds := fv.Net.RoundBound()
 	for round := 1; ; round++ {
-		stable := st.Round()
-		rounds = round
-		if stable {
-			converged = true
-			break
-		}
-		if round >= maxRounds {
-			break
+		if stable := st.Round(); stable || round >= maxRounds {
+			return st.Finish(round, stable)
 		}
 	}
-	return st.Finish(rounds, converged)
 }
 
 // Stepper exposes BGP propagation one synchronous round at a time, so a
@@ -158,21 +184,62 @@ func ComputeBGP(fv *FailVars, cfgs config.Configs, igp *IGP) *BGP {
 // rounds. ComputeBGP is itself implemented on the Stepper, so the
 // monolithic path and the per-domain path execute the identical per-round
 // sequence — the foundation of the modular-equals-monolithic guarantee.
+//
+// A round is synchronous in what it reads, not in what it recomputes: a
+// RIB entry (router, prefix) is a function of the router's seeds and of
+// its session peers' previous-round advertisement templates for that
+// prefix, so only entries with a peer whose template moved are evaluated
+// again, and only entries that moved get a new template (DESIGN.md §19).
 type Stepper struct {
-	b        *BGP
-	igp      *IGP
-	sessions []session
-	seeds    []BGPRIB
-	ribs     []BGPRIB
+	b  *BGP
+	fv *FailVars
 	// member is nil for a monolithic run (every router counts toward
 	// stability). In a domain run it flags the domain's own routers:
 	// border stubs neither count toward stability nor build their own
 	// advertisement templates — their templates are injected.
-	member    []bool
-	tpls      []map[netip.Prefix][]advTemplate
-	tplsValid bool
-	stubTpls  []map[netip.Prefix][]advTemplate
+	member []bool
+
+	// sessions is in global order: it decides the insertion order of
+	// equally preferred candidates. in and out index the sessions that can
+	// ever be up by receiver and by sender, ascending.
+	sessions []session
+	in, out  [][]int32
+
+	paths    pathTable
+	prefixes []netip.Prefix
+	prefixID map[netip.Prefix]int32
+	routers  []ribState
+
+	// changed lists a few of the entries that moved in the last Round.
+	changed []entryRef
+
+	scratch []BGPCand
+	order   []int32
+	cands   []BGPCand  // slab new candidates are cut from
+	lists   []*BGPCand // slab RIB entries are cut from
 }
+
+// ribState is one router's BGP state, every slice indexed by prefix id.
+type ribState struct {
+	seed [][]*BGPCand
+	rib  [][]*BGPCand
+	// tpl is what the router advertises this round: built from rib, or
+	// injected for a border stub.
+	tpl [][]advTemplate
+	// stale marks entries of rib that moved since tpl was built from them.
+	stale []bool
+	// wake marks entries to evaluate in the next Round: a peer's template
+	// for the prefix moved.
+	wake []bool
+}
+
+type entryRef struct {
+	r topo.RouterID
+	p int32
+}
+
+// maxChanging bounds how many moving entries a not-converged run names.
+const maxChanging = 4
 
 // NewStepper builds the session graph and seed RIBs for net under cfgs.
 // Sessions are directional: one entry per (advertiser -> receiver).
@@ -184,30 +251,31 @@ type Stepper struct {
 // skipped, which is what lets a domain run receive the full global
 // config set.
 func NewStepper(fv *FailVars, cfgs config.Configs, igp *IGP, member []bool) *Stepper {
+	start := time.Now()
 	net := fv.Net
-	b := &BGP{fv: fv, RIBs: make([]BGPRIB, net.NumRouters())}
 	st := &Stepper{
-		b:        b,
-		igp:      igp,
+		b:        &BGP{},
+		fv:       fv,
 		member:   member,
-		seeds:    make([]BGPRIB, net.NumRouters()),
-		stubTpls: make([]map[netip.Prefix][]advTemplate, net.NumRouters()),
+		in:       make([][]int32, net.NumRouters()),
+		out:      make([][]int32, net.NumRouters()),
+		paths:    newPathTable(),
+		prefixID: make(map[netip.Prefix]int32),
+		routers:  make([]ribState, net.NumRouters()),
 	}
+	defer st.clock(start)
 	names := make([]string, 0, len(cfgs))
 	for name := range cfgs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for i := range st.seeds {
-		st.seeds[i] = make(BGPRIB)
-	}
 	for _, name := range names {
 		rc := cfgs[name]
 		r, _ := net.RouterByName(name)
 		if r == nil {
 			continue
 		}
-		seedLocal(fv, net, r, rc, st.seeds[r.ID])
+		st.seedLocal(r, rc)
 		// The receiver's config declares the session; build the
 		// advertiser->receiver direction here.
 		for _, nb := range rc.Neighbors {
@@ -261,33 +329,144 @@ func NewStepper(fv *FailVars, cfgs config.Configs, igp *IGP, member []bool) *Ste
 			}
 		}
 	}
-	for i := range st.seeds {
-		st.seeds[i] = b.normalize(st.seeds[i])
+	for i := range st.sessions {
+		s := &st.sessions[i]
+		if s.ebgp {
+			s.up = fv.EdgeUp(s.edge)
+		} else {
+			s.up = igp.Reach(s.from, s.to)
+			if c, ok := igp.NoFailCost(s.to, s.from); ok {
+				s.igpCost = c
+			} else {
+				s.igpCost = 1 << 50
+			}
+		}
+		if s.up == fv.M.Zero() {
+			continue // never up: nothing crosses it, so nobody listens on it
+		}
+		st.in[s.to] = append(st.in[s.to], int32(i))
+		st.out[s.from] = append(st.out[s.from], int32(i))
 	}
-	st.ribs = st.seeds
+	// Seeds become the initial RIBs; every seeded entry owes a template.
+	for r := range st.routers {
+		rs := &st.routers[r]
+		for p := range rs.seed {
+			if len(rs.seed[p]) == 0 {
+				continue
+			}
+			st.scratch = st.scratch[:0]
+			for _, c := range rs.seed[p] {
+				st.merge(*c)
+			}
+			rs.seed[p] = st.commit(st.normalize())
+			rs.rib[p] = rs.seed[p]
+			rs.stale[p] = st.advertises(topo.RouterID(r))
+		}
+	}
 	return st
 }
 
-// ensureTemplates hoists the per-router advertisement templates for the
-// upcoming round: the selection guards and rank-group representatives
-// depend only on the sender's RIB, not on the session, so compute them
-// once per router and prefix per round (critical in iBGP full meshes,
-// where a router advertises the same content to every peer). Border
-// stubs use the injected templates of their home domain instead of their
-// (meaningless) local RIB.
-func (st *Stepper) ensureTemplates() {
-	if st.tplsValid {
+// clock charges the time since start to the run's BGP wall time.
+func (st *Stepper) clock(start time.Time) { st.b.stats.BGPTime += time.Since(start) }
+
+// advertises reports whether router r builds advertisement templates from
+// its own RIB (border stubs have theirs injected).
+func (st *Stepper) advertises(r topo.RouterID) bool { return st.member == nil || st.member[r] }
+
+// prefix returns pfx's id, growing every router's per-prefix state when
+// the prefix is new.
+func (st *Stepper) prefix(pfx netip.Prefix) int32 {
+	id, ok := st.prefixID[pfx]
+	if !ok {
+		id = int32(len(st.prefixes))
+		st.prefixes = append(st.prefixes, pfx)
+		st.prefixID[pfx] = id
+		for r := range st.routers {
+			rs := &st.routers[r]
+			rs.seed, rs.rib, rs.tpl = append(rs.seed, nil), append(rs.rib, nil), append(rs.tpl, nil)
+			rs.stale, rs.wake = append(rs.stale, false), append(rs.wake, false)
+		}
+	}
+	return id
+}
+
+// seedLocal installs a router's originated networks and redistributed
+// statics as local candidates.
+func (st *Stepper) seedLocal(r *topo.Router, rc *config.Router) {
+	fv, net := st.fv, st.fv.Net
+	up := fv.RouterUp(r.ID)
+	seed := func(c BGPCand) {
+		p := st.prefix(c.Prefix)
+		c.NextHop, c.NextHopRouter, c.LocalPref = r.Loopback, r.ID, config.DefaultLocalPref
+		rs := &st.routers[r.ID]
+		rs.seed[p] = append(rs.seed[p], st.newCand(c))
+	}
+	for _, pfx := range rc.Networks {
+		seed(BGPCand{Prefix: pfx, Deliver: true, Guard: up})
+	}
+	if rc.RedistributeStatic {
+		for _, static := range rc.Statics {
+			c := BGPCand{Prefix: static.Prefix, Discard: static.Discard, AdvertiseOnly: true, Guard: up}
+			if !static.Discard {
+				// Present only while the static's own next hop resolves.
+				if d, ok := net.DirLinkToAddr(static.NextHop); ok {
+					c.Guard = fv.M.And(up, fv.EdgeUp(net.Edge(d)))
+				}
+			}
+			seed(c)
+		}
+	}
+}
+
+// refreshTemplates brings every advertising router's templates up to date
+// with its RIB and wakes the entries that read a template that moved.
+func (st *Stepper) refreshTemplates() {
+	for r := range st.routers {
+		rs := &st.routers[r]
+		for p, stale := range rs.stale {
+			if !stale {
+				continue
+			}
+			rs.stale[p] = false
+			st.b.stats.TemplatesRebuilt++
+			st.publish(topo.RouterID(r), int32(p), st.buildTemplates(rs.rib[p]))
+		}
+	}
+}
+
+// publish replaces router r's templates for prefix p and wakes the
+// receivers whose view of them changed. An iBGP receiver sees only the
+// groups that may cross iBGP — iBGP-learned groups are never
+// re-advertised over it — so it sleeps through changes among the others.
+func (st *Stepper) publish(r topo.RouterID, p int32, tpl []advTemplate) {
+	rs := &st.routers[r]
+	old := rs.tpl[p]
+	rs.tpl[p] = tpl
+	if slices.Equal(old, tpl) {
 		return
 	}
-	st.tpls = make([]map[netip.Prefix][]advTemplate, len(st.ribs))
-	for i := range st.tpls {
-		if st.member != nil && !st.member[i] {
-			st.tpls[i] = st.stubTpls[i] // nil advertises nothing
-			continue
+	wakeIBGP := !slices.Equal(overIBGP(old), overIBGP(tpl))
+	for _, si := range st.out[r] {
+		if s := &st.sessions[si]; s.ebgp || wakeIBGP {
+			st.routers[s.to].wake[p] = true
 		}
-		st.tpls[i] = st.b.buildTemplates(st.ribs[i])
 	}
-	st.tplsValid = true
+}
+
+// overIBGP returns the templates an iBGP receiver reads.
+func overIBGP(tpl []advTemplate) []advTemplate {
+	for i := range tpl {
+		if !tpl[i].crossesIBGP {
+			kept := slices.Clone(tpl[:i])
+			for _, t := range tpl[i+1:] {
+				if t.crossesIBGP {
+					kept = append(kept, t)
+				}
+			}
+			return kept
+		}
+	}
+	return tpl
 }
 
 // Round runs one synchronous advertisement round and reports whether the
@@ -295,42 +474,94 @@ func (st *Stepper) ensureTemplates() {
 // only — global stability is the conjunction of the per-domain answers,
 // since members partition the network).
 func (st *Stepper) Round() bool {
-	st.ensureTemplates()
-	next := make([]BGPRIB, len(st.ribs))
-	for i := range next {
-		next[i] = make(BGPRIB)
-		for pfx, cands := range st.seeds[i] {
-			next[i][pfx] = append([]*BGPCand(nil), cands...)
+	defer st.clock(time.Now())
+	st.refreshTemplates()
+	st.changed = st.changed[:0]
+	stable := true
+	for r := range st.routers {
+		rs := &st.routers[r]
+		for p, wake := range rs.wake {
+			if !wake {
+				continue
+			}
+			rs.wake[p] = false
+			st.b.stats.BGPRecomputed++
+			if !st.recompute(topo.RouterID(r), int32(p)) {
+				continue
+			}
+			if st.advertises(topo.RouterID(r)) {
+				rs.stale[p] = true
+				stable = false
+				if len(st.changed) < maxChanging {
+					st.changed = append(st.changed, entryRef{topo.RouterID(r), int32(p)})
+				}
+			}
 		}
 	}
-	for _, s := range st.sessions {
-		st.b.advertise(st.igp, st.tpls[s.from], next[s.to], s)
+	return stable
+}
+
+// recompute evaluates RIB entry (r, p) from r's seeds and its peers'
+// current templates, gathered in global session order, and reports
+// whether the entry moved.
+func (st *Stepper) recompute(r topo.RouterID, p int32) bool {
+	rs := &st.routers[r]
+	pfx := st.prefixes[p]
+	st.scratch = st.scratch[:0]
+	for _, c := range rs.seed[p] {
+		st.merge(*c)
 	}
-	for i := range next {
-		next[i] = st.b.normalize(next[i])
-	}
-	stable := true
-	for i := range next {
-		if st.member != nil && !st.member[i] {
+	for _, si := range st.in[r] {
+		s := &st.sessions[si]
+		tpls := st.routers[s.from].tpl[p]
+		if len(tpls) == 0 || denied(s.exportDeny, pfx) {
 			continue
 		}
-		if !sameRIB(st.ribs[i], next[i]) {
-			stable = false
-			break
+		for i := range tpls {
+			st.advertise(s, pfx, &tpls[i])
 		}
 	}
-	st.ribs = next
-	st.tplsValid = false
-	return stable
+	kept := st.normalize()
+	old := rs.rib[p]
+	same := len(old) == len(kept)
+	for i := 0; same && i < len(kept); i++ {
+		c := &st.scratch[kept[i]]
+		same = old[i].Guard == c.Guard && old[i].sameRoute(c)
+	}
+	if same {
+		return false
+	}
+	rs.rib[p] = st.commit(kept)
+	return true
 }
 
 // Finish seals the run, recording the round count and convergence verdict
 // the driver observed, and returns the BGP state.
 func (st *Stepper) Finish(rounds int, converged bool) *BGP {
-	st.b.RIBs = st.ribs
-	st.b.Rounds = rounds
-	st.b.Converged = converged
-	return st.b
+	defer st.clock(time.Now())
+	b := st.b
+	b.RIBs = make([]BGPRIB, len(st.routers))
+	b.stats.BGPEntries = 0
+	for r := range st.routers {
+		rib := make(BGPRIB)
+		for p, cands := range st.routers[r].rib {
+			if len(cands) > 0 {
+				rib[st.prefixes[p]] = cands
+			}
+		}
+		b.RIBs[r] = rib
+		b.stats.BGPEntries += len(rib)
+	}
+	b.Rounds, b.Converged = rounds, converged
+	b.stats.BGPRounds = rounds
+	b.stats.ASPaths = len(st.paths.paths) - 1
+	b.changing = nil
+	if !converged {
+		for _, e := range st.changed {
+			b.changing = append(b.changing, fmt.Sprintf("%s %s", st.fv.Net.Router(e.r).Name, st.prefixes[e.p]))
+		}
+	}
+	return b
 }
 
 // BorderAdv is one rank group of a border router's advertisement template
@@ -354,181 +585,217 @@ type BorderTemplates map[netip.Prefix][]BorderAdv
 // coordinator transfers them across managers (mtbdd.Snapshot) before
 // injecting them into a neighboring domain.
 func (st *Stepper) BorderAdvs(r topo.RouterID) BorderTemplates {
-	st.ensureTemplates()
-	tpls := st.tpls[r]
-	if len(tpls) == 0 {
-		return nil
-	}
-	out := make(BorderTemplates, len(tpls))
-	for pfx, ts := range tpls {
+	defer st.clock(time.Now())
+	st.refreshTemplates()
+	var out BorderTemplates
+	for p, ts := range st.routers[r].tpl {
+		if len(ts) == 0 {
+			continue
+		}
 		advs := make([]BorderAdv, len(ts))
 		for i, t := range ts {
-			advs[i] = BorderAdv{ASPath: t.cand.ASPath, Sel: t.groupSel}
+			advs[i] = BorderAdv{ASPath: st.paths.paths[t.path], Sel: t.groupSel}
 		}
-		out[pfx] = advs
+		if out == nil {
+			out = make(BorderTemplates)
+		}
+		out[st.prefixes[p]] = advs
 	}
 	return out
 }
 
 // SetStubAdvs injects the advertisement templates of border stub r for
 // the upcoming round, replacing last round's injection (nil clears). The
-// selection guards must already live in this stepper's manager.
+// selection guards must already live in this stepper's manager. Only the
+// receivers of a prefix whose templates really changed are woken.
 func (st *Stepper) SetStubAdvs(r topo.RouterID, advs BorderTemplates) {
-	var tpls map[netip.Prefix][]advTemplate
-	if len(advs) > 0 {
-		tpls = make(map[netip.Prefix][]advTemplate, len(advs))
-		for pfx, as := range advs {
-			ts := make([]advTemplate, len(as))
-			for i, a := range as {
-				ts[i] = advTemplate{
-					cand:     &BGPCand{Prefix: pfx, ASPath: a.ASPath},
-					groupSel: a.Sel,
-				}
-			}
-			tpls[pfx] = ts
+	defer st.clock(time.Now())
+	// New prefixes get their ids in a fixed order, not the map's.
+	var fresh []netip.Prefix
+	for pfx := range advs {
+		if _, ok := st.prefixID[pfx]; !ok {
+			fresh = append(fresh, pfx)
 		}
 	}
-	st.stubTpls[r] = tpls
-	if st.tplsValid {
-		st.tpls[r] = tpls
-	}
-}
-
-// advTemplate is one rank group's advertisement content: the
-// representative candidate and the disjunction of the group's selection
-// guards.
-type advTemplate struct {
-	cand     *BGPCand
-	groupSel *mtbdd.Node
-}
-
-// buildTemplates computes the advertisement templates of one router.
-func (b *BGP) buildTemplates(rib BGPRIB) map[netip.Prefix][]advTemplate {
-	fv := b.fv
-	m := fv.M
-	out := make(map[netip.Prefix][]advTemplate, len(rib))
-	for pfx, cands := range rib {
-		sel := selectionGuards(fv, cands)
-		var ts []advTemplate
-		i := 0
-		for i < len(cands) {
-			j := i
-			cand := cands[i]
-			groupSel := m.Zero()
-			for j < len(cands) && cands[j].SameRank(cands[i]) {
-				if sel[j] != m.Zero() {
-					groupSel = m.Or(groupSel, sel[j])
-					if lessASPath(cands[j].ASPath, cand.ASPath) {
-						cand = cands[j]
-					}
-				}
-				j++
-			}
-			i = j
-			if groupSel != m.Zero() {
-				ts = append(ts, advTemplate{cand, fv.Reduce(groupSel)})
-			}
+	slices.SortFunc(fresh, func(a, b netip.Prefix) int {
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c
 		}
-		if len(ts) > 0 {
-			out[pfx] = ts
-		}
+		return a.Bits() - b.Bits()
+	})
+	for _, pfx := range fresh {
+		st.prefix(pfx)
 	}
-	return out
-}
-
-// seedLocal installs a router's originated networks and redistributed
-// statics as local candidates.
-func seedLocal(fv *FailVars, net *topo.Network, r *topo.Router, rc *config.Router, rib BGPRIB) {
-	up := fv.RouterUp(r.ID)
-	for _, pfx := range rc.Networks {
-		rib[pfx] = append(rib[pfx], &BGPCand{
-			Prefix: pfx, NextHop: r.Loopback, NextHopRouter: r.ID,
-			Deliver: true, LocalPref: config.DefaultLocalPref, Guard: up,
-		})
-	}
-	if rc.RedistributeStatic {
-		for _, st := range rc.Statics {
-			c := &BGPCand{
-				Prefix: st.Prefix, NextHop: r.Loopback, NextHopRouter: r.ID,
-				Discard: st.Discard, AdvertiseOnly: true,
-				LocalPref: config.DefaultLocalPref, Guard: up,
-			}
-			if !st.Discard {
-				// Present only while the static's own next hop resolves.
-				if d, ok := net.DirLinkToAddr(st.NextHop); ok {
-					c.Guard = fv.M.And(up, fv.EdgeUp(net.Edge(d)))
-				}
-			}
-			rib[st.Prefix] = append(rib[st.Prefix], c)
-		}
-	}
-}
-
-// advertise sends the sender's advertisement templates to the receiver.
-func (b *BGP) advertise(igp *IGP, from map[netip.Prefix][]advTemplate, to BGPRIB, s session) {
-	fv, net := b.fv, b.fv.Net
-	m := fv.M
-	var sessUp *mtbdd.Node
-	if s.ebgp {
-		sessUp = fv.EdgeUp(s.edge)
-	} else {
-		// iBGP over TCP to the peer loopback: alive iff the IGP connects
-		// the two loopbacks (endpoint router liveness included in reach).
-		sessUp = igp.Reach(s.from, s.to)
-	}
-	if sessUp == m.Zero() {
-		return
-	}
-	fromRouter := net.Router(s.from)
-	toRouter := net.Router(s.to)
-	for pfx, ts := range from {
-		if denied(s.exportDeny, pfx) {
+	for p, pfx := range st.prefixes {
+		injected := advs[pfx]
+		if len(injected) == 0 && len(st.routers[r].tpl[p]) == 0 {
 			continue
 		}
-		for _, tpl := range ts {
-			cand := tpl.cand
-			if !s.ebgp && !cand.FromEBGP && !(cand.Deliver || cand.Discard || cand.AdvertiseOnly) {
-				// iBGP-learned routes are not re-advertised over iBGP
-				// (full-mesh rule).
-				continue
-			}
-			adv := &BGPCand{Prefix: pfx}
-			if s.ebgp {
-				// AS-path prepend + loop rejection.
-				if hasAS(cand.ASPath, toRouter.AS) {
-					continue
+		// A stub's groups carry what crosses an AS boundary: path and guard.
+		tpl := make([]advTemplate, len(injected))
+		for i, a := range injected {
+			tpl[i] = advTemplate{groupSel: a.Sel, path: st.paths.intern(a.ASPath)}
+		}
+		st.publish(r, int32(p), tpl)
+	}
+}
+
+// advTemplate is one rank group's advertisement content — what a
+// receiver reads of the group's representative candidate — and the
+// disjunction of the group's selection guards.
+type advTemplate struct {
+	groupSel  *mtbdd.Node
+	path      int32 // the representative's AS path, an id in Stepper.paths
+	localPref uint32
+	// crossesIBGP: the group is advertised over iBGP sessions too;
+	// iBGP-learned routes are not (full-mesh rule).
+	crossesIBGP bool
+}
+
+// buildTemplates computes the advertisement templates of one RIB entry.
+func (st *Stepper) buildTemplates(cands []*BGPCand) []advTemplate {
+	fv := st.fv
+	m := fv.M
+	sel := selectionGuards(fv, cands)
+	var ts []advTemplate
+	i := 0
+	for i < len(cands) {
+		j := i
+		cand := cands[i]
+		groupSel := m.Zero()
+		for j < len(cands) && cands[j].SameRank(cands[i]) {
+			if sel[j] != m.Zero() {
+				groupSel = m.Or(groupSel, sel[j])
+				if lessASPath(cands[j].ASPath, cand.ASPath) {
+					cand = cands[j]
 				}
-				adv.ASPath = append([]uint32{fromRouter.AS}, cand.ASPath...)
-				// s.edge runs receiver -> sender, so the sender's
-				// interface address is the remote end, and the receiver
-				// forwards out of s.edge itself.
-				adv.NextHop = s.edge.RemoteAddr
-				adv.Direct = true
-				adv.OutEdge = s.edge.DirLink
-				adv.LocalPref = s.importPref
-				adv.FromEBGP = true
-			} else {
-				// iBGP: next-hop-self, attributes carried unchanged;
-				// the receiver tiebreaks by its static IGP cost to the
-				// next hop (hot potato).
-				adv.ASPath = cand.ASPath
-				adv.NextHop = fromRouter.Loopback
-				adv.NextHopRouter = s.from
-				adv.LocalPref = cand.LocalPref
-				if c, ok := igp.NoFailCost(s.to, s.from); ok {
-					adv.IGPCost = c
-				} else {
-					adv.IGPCost = 1 << 50
-				}
 			}
-			guard := fv.ReduceAnd(tpl.groupSel, sessUp)
-			if guard == m.Zero() {
-				continue
-			}
-			adv.Guard = guard
-			to[pfx] = append(to[pfx], adv)
+			j++
+		}
+		i = j
+		if groupSel != m.Zero() {
+			ts = append(ts, advTemplate{
+				groupSel: fv.Reduce(groupSel), path: cand.path, localPref: cand.LocalPref,
+				crossesIBGP: cand.FromEBGP || cand.local(),
+			})
 		}
 	}
+	return ts
+}
+
+// advertise offers one template of session s's sender to its receiver,
+// merging the resulting candidate into the scratch entry.
+func (st *Stepper) advertise(s *session, pfx netip.Prefix, tpl *advTemplate) {
+	net := st.fv.Net
+	adv := BGPCand{Prefix: pfx}
+	if s.ebgp {
+		// AS-path prepend + loop rejection.
+		if hasAS(st.paths.paths[tpl.path], net.Router(s.to).AS) {
+			return
+		}
+		adv.path = st.paths.prepend(net.Router(s.from).AS, tpl.path)
+		// s.edge runs receiver -> sender, so the sender's interface
+		// address is the remote end, and the receiver forwards out of
+		// s.edge itself.
+		adv.NextHop = s.edge.RemoteAddr
+		adv.Direct = true
+		adv.OutEdge = s.edge.DirLink
+		adv.LocalPref = s.importPref
+		adv.FromEBGP = true
+	} else {
+		if !tpl.crossesIBGP {
+			return
+		}
+		// iBGP: next-hop-self, attributes carried unchanged; the
+		// receiver tiebreaks by its static IGP cost to the next hop
+		// (hot potato).
+		adv.path = tpl.path
+		adv.NextHop = net.Router(s.from).Loopback
+		adv.NextHopRouter = s.from
+		adv.LocalPref = tpl.localPref
+		adv.IGPCost = s.igpCost
+	}
+	adv.Guard = st.fv.ReduceAnd(tpl.groupSel, s.up)
+	if adv.Guard == st.fv.M.Zero() {
+		return
+	}
+	adv.ASPath = st.paths.paths[adv.path]
+	st.merge(adv)
+}
+
+// merge adds c to the scratch entry; a candidate that is already there up
+// to its guard absorbs c's guard instead.
+func (st *Stepper) merge(c BGPCand) {
+	for i := range st.scratch {
+		if prev := &st.scratch[i]; prev.sameRoute(&c) {
+			prev.Guard = st.fv.ReduceOr(prev.Guard, c.Guard)
+			return
+		}
+	}
+	st.scratch = append(st.scratch, c)
+}
+
+// normalize orders the scratch entry by preference, arrival order kept
+// among ties, drops the candidates that can never be selected within the
+// failure budget, and returns the survivors as indices into scratch.
+func (st *Stepper) normalize() []int32 {
+	fv := st.fv
+	m := fv.M
+	order := st.order[:0]
+	for i := range st.scratch {
+		if st.scratch[i].Guard != m.Zero() {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortStableFunc(order, func(x, y int32) int {
+		a, b := &st.scratch[x], &st.scratch[y]
+		switch {
+		case a.better(b):
+			return -1
+		case b.better(a):
+			return 1
+		}
+		return 0
+	})
+	kept := order[:0]
+	better := m.Zero()
+	for i := 0; i < len(order); {
+		first := &st.scratch[order[i]]
+		group := better
+		for ; i < len(order) && st.scratch[order[i]].SameRank(first); i++ {
+			if c := &st.scratch[order[i]]; fv.selectable(c.Guard, better) {
+				kept = append(kept, order[i])
+				group = fv.ReduceOr(group, c.Guard)
+			}
+		}
+		better = group
+	}
+	st.order = order
+	return kept
+}
+
+// commit copies the kept scratch candidates into a RIB entry.
+func (st *Stepper) commit(kept []int32) []*BGPCand {
+	if len(kept) == 0 {
+		return nil
+	}
+	if len(st.lists)+len(kept) > cap(st.lists) {
+		st.lists = make([]*BGPCand, 0, max(1024, len(kept)))
+	}
+	from := len(st.lists)
+	for _, i := range kept {
+		st.lists = append(st.lists, st.newCand(st.scratch[i]))
+	}
+	return st.lists[from:len(st.lists):len(st.lists)]
+}
+
+// newCand allocates a candidate from the slab.
+func (st *Stepper) newCand(c BGPCand) *BGPCand {
+	if len(st.cands) == cap(st.cands) {
+		st.cands = make([]BGPCand, 0, 256)
+	}
+	st.cands = append(st.cands, c)
+	return &st.cands[len(st.cands)-1]
 }
 
 // lessASPath orders AS paths lexicographically (used to pick the
@@ -553,86 +820,16 @@ func selectionGuards(fv *FailVars, cands []*BGPCand) []*mtbdd.Node {
 	i := 0
 	for i < len(cands) {
 		j := i
-		groupOr := m.Zero()
+		group := better
 		for j < len(cands) && cands[j].SameRank(cands[i]) {
 			out[j] = fv.ReduceAnd(cands[j].Guard, m.Not(better))
-			groupOr = m.Or(groupOr, cands[j].Guard)
+			group = fv.ReduceOr(group, cands[j].Guard)
 			j++
 		}
-		better = fv.ReduceOr(better, groupOr)
+		better = group
 		i = j
 	}
 	return out
-}
-
-// normalize merges duplicate candidates (Or of guards), sorts by
-// preference, and prunes candidates that can never be selected within the
-// failure budget.
-func (b *BGP) normalize(rib BGPRIB) BGPRIB {
-	fv := b.fv
-	m := fv.M
-	out := make(BGPRIB, len(rib))
-	for pfx, cands := range rib {
-		merged := make(map[candKey]*BGPCand)
-		var order []candKey
-		for _, c := range cands {
-			k := keyOf(c)
-			if prev, ok := merged[k]; ok {
-				prev.Guard = fv.ReduceOr(prev.Guard, c.Guard)
-			} else {
-				cc := *c
-				merged[k] = &cc
-				order = append(order, k)
-			}
-		}
-		list := make([]*BGPCand, 0, len(order))
-		for _, k := range order {
-			if merged[k].Guard != m.Zero() {
-				list = append(list, merged[k])
-			}
-		}
-		sort.SliceStable(list, func(i, j int) bool { return list[i].better(list[j]) })
-		// Prune never-selectable candidates.
-		kept := list[:0]
-		better := m.Zero()
-		i := 0
-		for i < len(list) {
-			j := i
-			groupOr := m.Zero()
-			for j < len(list) && list[j].SameRank(list[i]) {
-				c := list[j]
-				if fv.Feasible(m.And(c.Guard, m.Not(better))) {
-					kept = append(kept, c)
-					groupOr = m.Or(groupOr, c.Guard)
-				}
-				j++
-			}
-			better = fv.ReduceOr(better, groupOr)
-			i = j
-		}
-		if len(kept) > 0 {
-			out[pfx] = kept
-		}
-	}
-	return out
-}
-
-func sameRIB(a, b BGPRIB) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for pfx, ac := range a {
-		bc, ok := b[pfx]
-		if !ok || len(ac) != len(bc) {
-			return false
-		}
-		for i := range ac {
-			if keyOf(ac[i]) != keyOf(bc[i]) || ac[i].Guard != bc[i].Guard {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func hasAS(path []uint32, as uint32) bool {

@@ -2,6 +2,7 @@ package routesim
 
 import (
 	"sort"
+	"time"
 
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/topo"
@@ -26,6 +27,7 @@ type IGP struct {
 	fv     *FailVars
 	routes []map[topo.RouterID][]IGPRoute
 	reach  []map[topo.RouterID]*mtbdd.Node
+	stats  Stats // the IGP fields
 }
 
 // Routes returns the guarded candidates at router r toward dest's
@@ -80,208 +82,274 @@ func (g *IGP) GuardNodes() []*mtbdd.Node {
 	return out
 }
 
-// ComputeIGP runs symbolic IS-IS route simulation in every AS: a guarded
-// Bellman-Ford fixed point that propagates (cost, guard) path-existence
-// sets, then derives per-first-hop candidates. Walk-shaped entries are
-// eliminated by selection-feasibility pruning: a cost level whose guard is
-// covered (within the k budget) by cheaper levels can never be selected.
+// ComputeIGP runs symbolic IS-IS route simulation in every AS. Per
+// destination it solves the guarded shortest-path fixed point
+//
+//	level(r, c) = ∨_{e: r→n} up(e) ∧ level(n, c − w(e)),   level(dest, 0) = 1
+//
+// restricted to levels that can be selected — present while every cheaper
+// level of the same router is absent — in some scenario within the k
+// budget. IS-IS metrics are positive, so level(r, c) reads only levels
+// of strictly lower cost and whether it is kept reads only r's own
+// cheaper levels: settling (cost, router) pairs in cost order computes
+// every level exactly once from final inputs (DESIGN.md §19). Levels
+// that are never selectable (every walk that revisits a router is one)
+// are dropped and never propagate.
 func ComputeIGP(fv *FailVars) *IGP {
+	start := time.Now()
 	net := fv.Net
-	g := &IGP{
-		fv:     fv,
-		routes: make([]map[topo.RouterID][]IGPRoute, net.NumRouters()),
-		reach:  make([]map[topo.RouterID]*mtbdd.Node, net.NumRouters()),
-	}
-	for i := range g.routes {
-		g.routes[i] = make(map[topo.RouterID][]IGPRoute)
-		g.reach[i] = make(map[topo.RouterID]*mtbdd.Node)
-	}
+	g := newIGP(fv)
+	sw := &spfSweep{g: g, index: make([]int32, net.NumRouters())}
 	for _, as := range net.ASes() {
-		members := net.RoutersInAS(as)
-		inAS := make(map[topo.RouterID]bool, len(members))
-		for _, r := range members {
-			inAS[r] = true
-		}
-		for _, dest := range members {
-			g.computeDest(members, inAS, dest)
+		sw.enterAS(net.RoutersInAS(as))
+		for dest := range sw.members {
+			sw.run(int32(dest))
 		}
 	}
+	g.stats.IGPTime = time.Since(start)
 	return g
 }
 
-// costGuards is a path-existence set: cost -> guard that a live path of
-// that cost exists.
-type costGuards map[int64]*mtbdd.Node
-
-func (g *IGP) computeDest(members []topo.RouterID, inAS map[topo.RouterID]bool, dest topo.RouterID) {
-	m, fv, net := g.fv.M, g.fv, g.fv.Net
-	pe := make(map[topo.RouterID]costGuards, len(members))
-	pe[dest] = costGuards{0: m.One()}
-
-	// Synchronous fixed point, at most |AS| rounds (longest simple path).
-	for round := 0; round < len(members); round++ {
-		next := make(map[topo.RouterID]costGuards, len(members))
-		next[dest] = costGuards{0: m.One()}
-		changed := false
-		for _, r := range members {
-			if r == dest {
-				continue
-			}
-			acc := make(costGuards)
-			for _, e := range net.Out(r) {
-				if !inAS[e.To] {
-					continue
-				}
-				nbr := pe[e.To]
-				if nbr == nil {
-					continue
-				}
-				up := fv.EdgeUp(e)
-				for c, guard := range nbr {
-					total := c + e.Cost
-					add := fv.ReduceAnd(up, guard)
-					if add == m.Zero() {
-						continue
-					}
-					if prev, ok := acc[total]; ok {
-						acc[total] = fv.ReduceOr(prev, add)
-					} else {
-						acc[total] = add
-					}
-				}
-			}
-			pruned := pruneDominated(fv, acc)
-			if len(pruned) > 0 {
-				next[r] = pruned
-			}
-			if !changed && !sameCostGuards(pe[r], pruned) {
-				changed = true
-			}
-		}
-		pe = next
-		if !changed {
-			break
-		}
+func newIGP(fv *FailVars) *IGP {
+	n := fv.Net.NumRouters()
+	return &IGP{
+		fv:     fv,
+		routes: make([]map[topo.RouterID][]IGPRoute, n),
+		reach:  make([]map[topo.RouterID]*mtbdd.Node, n),
 	}
+}
 
-	// Reachability: disjunction over all path-existence guards.
-	for _, r := range members {
-		if r == dest {
-			g.reach[r][dest] = fv.RouterUp(dest)
-			continue
-		}
-		acc := m.Zero()
-		for _, guard := range pe[r] {
-			// Or is exact and commutative, so the map's iteration order
-			// cannot perturb the canonical result; fusing per step keeps
-			// every intermediate already reduced.
-			acc = fv.ReduceOr(acc, guard)
-		}
-		if acc != m.Zero() {
-			g.reach[r][dest] = acc
-		}
+// spfEdge is one intra-AS adjacency of the AS being swept, with the other
+// end as an index into spfSweep.members.
+type spfEdge struct {
+	peer int32
+	cost int64
+	// Out-edges only: the directed link and its usable-edge guard.
+	out topo.DirLinkID
+	up  *mtbdd.Node
+}
+
+// spfLevel is a kept path-existence level: a live path of exactly this
+// cost exists when guard holds.
+type spfLevel struct {
+	cost  int64
+	guard *mtbdd.Node
+}
+
+// spfSweep is the per-AS working state of ComputeIGP, reused across the
+// AS's destinations.
+type spfSweep struct {
+	g       *IGP
+	index   []int32 // RouterID -> index into members, -1 outside the AS
+	members []topo.RouterID
+	out     [][]spfEdge // per member, ascending directed-link ID
+	in      [][]spfEdge
+
+	// Per destination.
+	levels   [][]spfLevel   // kept levels, ascending cost
+	cover    []*mtbdd.Node  // disjunction of the kept levels
+	routes   [][]IGPRoute   // kept first-hop candidates, ascending (cost, link)
+	frontier []spfCandidate // min-heap on (cost, router)
+}
+
+// spfCandidate proposes that router r may have a level at cost.
+type spfCandidate struct {
+	cost int64
+	r    int32
+}
+
+func (a spfCandidate) before(b spfCandidate) bool {
+	return a.cost < b.cost || a.cost == b.cost && a.r < b.r
+}
+
+// enterAS indexes the AS's intra-AS adjacencies. The usable-edge guards
+// depend on neither destination nor cost, so they are built here once.
+func (s *spfSweep) enterAS(members []topo.RouterID) {
+	fv, net := s.g.fv, s.g.fv.Net
+	for i := range s.index {
+		s.index[i] = -1
 	}
-
-	// First-hop candidates: r reaches dest via edge e at cost w(e)+c
-	// whenever e is usable and a path of cost c exists from e.To.
-	for _, r := range members {
-		if r == dest {
-			continue
-		}
-		var cands []IGPRoute
+	for i, r := range members {
+		s.index[r] = int32(i)
+	}
+	n := len(members)
+	s.members = members
+	s.out, s.in = make([][]spfEdge, n), make([][]spfEdge, n)
+	s.levels, s.cover, s.routes = make([][]spfLevel, n), make([]*mtbdd.Node, n), make([][]IGPRoute, n)
+	for i, r := range members {
+		s.g.routes[r] = make(map[topo.RouterID][]IGPRoute, n-1)
+		s.g.reach[r] = make(map[topo.RouterID]*mtbdd.Node, n)
 		for _, e := range net.Out(r) {
-			if !inAS[e.To] {
-				continue
-			}
-			var nbr costGuards
-			if e.To == dest {
-				nbr = costGuards{0: m.One()}
-			} else {
-				nbr = pe[e.To]
-			}
-			up := fv.EdgeUp(e)
-			for c, guard := range nbr {
-				gg := fv.ReduceAnd(up, guard)
-				if gg == m.Zero() {
-					continue
-				}
-				cands = append(cands, IGPRoute{Out: e.DirLink, Cost: e.Cost + c, Guard: gg})
+			if peer := s.index[e.To]; peer >= 0 {
+				s.out[i] = append(s.out[i], spfEdge{peer: peer, cost: e.Cost, out: e.DirLink, up: fv.EdgeUp(e)})
 			}
 		}
-		cands = pruneCandidates(fv, cands)
-		if len(cands) > 0 {
-			g.routes[r][dest] = cands
+		sort.Slice(s.out[i], func(a, b int) bool { return s.out[i][a].out < s.out[i][b].out })
+		for _, e := range net.In(r) {
+			if peer := s.index[e.From]; peer >= 0 {
+				s.in[i] = append(s.in[i], spfEdge{peer: peer, cost: e.Cost})
+			}
 		}
 	}
 }
 
-// pruneDominated keeps only cost levels that can actually be the best
-// present level in some scenario within the failure budget.
-func pruneDominated(fv *FailVars, cg costGuards) costGuards {
-	if len(cg) == 0 {
-		return nil
-	}
+// run computes every member's guarded routes and reachability toward
+// members[dest].
+func (s *spfSweep) run(dest int32) {
+	g, fv := s.g, s.g.fv
 	m := fv.M
-	costs := make([]int64, 0, len(cg))
-	for c := range cg {
-		costs = append(costs, c)
+	for i := range s.levels {
+		s.levels[i], s.routes[i], s.cover[i] = s.levels[i][:0], s.routes[i][:0], m.Zero()
 	}
-	sort.Slice(costs, func(i, j int) bool { return costs[i] < costs[j] })
-	out := make(costGuards, len(cg))
-	cheaper := m.Zero()
-	for _, c := range costs {
-		guard := cg[c]
-		selectable := m.And(guard, m.Not(cheaper))
-		if fv.Feasible(selectable) {
-			out[c] = guard
-			cheaper = fv.ReduceOr(cheaper, guard)
+	s.levels[dest] = append(s.levels[dest], spfLevel{cost: 0, guard: m.One()})
+	s.propose(dest, 0, dest)
+	last := spfCandidate{r: -1}
+	for len(s.frontier) > 0 {
+		c := s.pop()
+		if c == last {
+			continue // several neighbours proposed the same level
+		}
+		last = c
+		if s.settle(c) {
+			s.propose(c.r, c.cost, dest)
 		}
 	}
-	return out
+
+	destID := s.members[dest]
+	total := 0
+	for i := range s.routes {
+		total += len(s.routes[i])
+	}
+	slab := make([]IGPRoute, 0, total)
+	for i, r := range s.members {
+		if int32(i) == dest {
+			g.reach[r][destID] = fv.RouterUp(destID)
+			continue
+		}
+		if len(s.levels[i]) == 0 {
+			continue
+		}
+		g.reach[r][destID] = s.cover[i]
+		from := len(slab)
+		slab = append(slab, s.routes[i]...)
+		g.routes[r][destID] = slab[from:len(slab):len(slab)]
+	}
 }
 
-// pruneCandidates drops candidates that can never be selected within the
-// budget (their guard is covered by strictly cheaper candidates), and
-// returns the rest sorted by cost then directed link.
-func pruneCandidates(fv *FailVars, cands []IGPRoute) []IGPRoute {
-	if len(cands) == 0 {
-		return nil
-	}
+// settle builds router c.r's level at c.cost from its neighbours' final
+// cheaper levels, together with the first-hop candidates that make it up,
+// and keeps what is selectable within the budget. It reports whether the
+// level was kept.
+func (s *spfSweep) settle(c spfCandidate) bool {
+	fv := s.g.fv
 	m := fv.M
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Cost != cands[j].Cost {
-			return cands[i].Cost < cands[j].Cost
-		}
-		return cands[i].Out < cands[j].Out
-	})
-	out := cands[:0]
-	cheaper := m.Zero() // disjunction of guards at strictly lower cost
-	i := 0
-	for i < len(cands) {
-		j := i
-		levelOr := m.Zero()
-		for j < len(cands) && cands[j].Cost == cands[i].Cost {
-			cand := cands[j]
-			if fv.Feasible(m.And(cand.Guard, m.Not(cheaper))) {
-				out = append(out, cand)
-				levelOr = m.Or(levelOr, cand.Guard)
-			}
-			j++
-		}
-		cheaper = fv.ReduceOr(cheaper, levelOr)
-		i = j
-	}
-	return out
-}
-
-func sameCostGuards(a, b costGuards) bool {
-	if len(a) != len(b) {
+	zero := m.Zero()
+	if s.saturated(c.r) {
 		return false
 	}
-	for c, g := range a {
-		if b[c] != g {
-			return false
+	first := len(s.routes[c.r])
+	level := zero
+	for _, e := range s.out[c.r] {
+		tail := levelAt(s.levels[e.peer], c.cost-e.cost)
+		if tail == nil {
+			continue
+		}
+		via := fv.ReduceAnd(e.up, tail)
+		if via == zero {
+			continue
+		}
+		s.routes[c.r] = append(s.routes[c.r], IGPRoute{Out: e.out, Cost: c.cost, Guard: via})
+		if level == zero {
+			level = via
+		} else {
+			level = fv.ReduceOr(level, via)
 		}
 	}
+	if level == zero {
+		return false
+	}
+	s.g.stats.IGPLevels++
+	cheaper := s.cover[c.r]
+	if !fv.selectable(level, cheaper) {
+		// Covered by cheaper levels in every scenario of the budget, and
+		// then so is each of its candidates.
+		s.g.stats.IGPPruned++
+		s.routes[c.r] = s.routes[c.r][:first]
+		return false
+	}
+	if cands := s.routes[c.r][first:]; len(cands) > 1 {
+		kept := s.routes[c.r][:first]
+		for _, rt := range cands {
+			if fv.selectable(rt.Guard, cheaper) {
+				kept = append(kept, rt)
+			}
+		}
+		s.routes[c.r] = kept
+	}
+	s.levels[c.r] = append(s.levels[c.r], spfLevel{cost: c.cost, guard: level})
+	s.cover[c.r] = fv.ReduceOr(cheaper, level)
 	return true
+}
+
+// levelAt returns the guard of the level at exactly cost, or nil.
+func levelAt(levels []spfLevel, cost int64) *mtbdd.Node {
+	for i := len(levels) - 1; i >= 0 && levels[i].cost >= cost; i-- {
+		if levels[i].cost == cost {
+			return levels[i].guard
+		}
+	}
+	return nil
+}
+
+// propose pushes the levels that r's kept level at cost makes possible
+// at its in-neighbours. The destination itself only ever has level 0.
+func (s *spfSweep) propose(r int32, cost int64, dest int32) {
+	for _, e := range s.in[r] {
+		if e.peer != dest && !s.saturated(e.peer) {
+			s.push(spfCandidate{cost: cost + e.cost, r: e.peer})
+		}
+	}
+}
+
+// saturated reports that r's kept levels already cover every scenario of
+// the budget: the destination is reachable at one of those costs whatever
+// fails, so no dearer level can ever be selected and none need be built.
+func (s *spfSweep) saturated(r int32) bool { return s.cover[r] == s.g.fv.M.One() }
+
+func (s *spfSweep) push(c spfCandidate) {
+	h := append(s.frontier, c)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	s.frontier = h
+}
+
+func (s *spfSweep) pop() spfCandidate {
+	h := s.frontier
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && h[l].before(h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h[r].before(h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	s.frontier = h
+	return top
 }

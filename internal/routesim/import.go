@@ -39,9 +39,10 @@ func (r *Result) importWith(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *R
 	out := &Result{
 		Vars:    dst,
 		IGP:     r.IGP.importInto(dst, imp),
-		BGP:     r.BGP.importInto(dst, imp),
+		BGP:     r.BGP.importInto(imp),
 		SR:      make([][]GuardedSRPolicy, len(r.SR)),
 		Statics: make([][]GuardedStatic, len(r.Statics)),
+		Stats:   r.Stats,
 	}
 	for i, pols := range r.SR {
 		if pols == nil {
@@ -173,8 +174,8 @@ func (g *IGP) importInto(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *IGP 
 	return out
 }
 
-func (b *BGP) importInto(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *BGP {
-	out := &BGP{fv: dst, Converged: b.Converged, Rounds: b.Rounds, RIBs: make([]BGPRIB, len(b.RIBs))}
+func (b *BGP) importInto(imp func(*mtbdd.Node) *mtbdd.Node) *BGP {
+	out := &BGP{Converged: b.Converged, Rounds: b.Rounds, RIBs: make([]BGPRIB, len(b.RIBs))}
 	for r, rib := range b.RIBs {
 		if rib == nil {
 			continue

@@ -3,6 +3,8 @@ package routesim
 import (
 	"context"
 	"fmt"
+	"strings"
+	"time"
 
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/govern"
@@ -20,6 +22,61 @@ type Result struct {
 	SR [][]GuardedSRPolicy
 	// Statics holds each router's guarded static routes.
 	Statics [][]GuardedStatic
+	// Stats says what the simulation cost.
+	Stats Stats
+}
+
+// Stats is the cost of one route simulation: wall time per stage and the
+// work counters behind it.
+type Stats struct {
+	IGPTime, BGPTime, FinishTime time.Duration
+	// IGPLevels counts the (router, destination, cost) path-existence
+	// levels built; IGPPruned those of them dropped as never selectable
+	// within the failure budget.
+	IGPLevels, IGPPruned int
+	// BGPRounds is the number of synchronous rounds run. BGPEntries counts
+	// the non-empty (router, prefix) RIB entries at the end, BGPRecomputed
+	// the entry evaluations summed over all rounds — re-evaluating every
+	// entry every round would have cost BGPRounds × BGPEntries.
+	BGPRounds, BGPEntries, BGPRecomputed int
+	// TemplatesRebuilt counts advertisement-template rebuilds (one per RIB
+	// entry that moved), ASPaths the distinct AS paths interned.
+	TemplatesRebuilt, ASPaths int
+}
+
+// Add accumulates o into s: the cost of several simulations, e.g. one
+// per domain of a compositional run.
+func (s *Stats) Add(o Stats) {
+	s.IGPTime += o.IGPTime
+	s.BGPTime += o.BGPTime
+	s.FinishTime += o.FinishTime
+	s.IGPLevels += o.IGPLevels
+	s.IGPPruned += o.IGPPruned
+	s.BGPRounds += o.BGPRounds
+	s.BGPEntries += o.BGPEntries
+	s.BGPRecomputed += o.BGPRecomputed
+	s.TemplatesRebuilt += o.TemplatesRebuilt
+	s.ASPaths += o.ASPaths
+}
+
+// ErrNotConverged reports a BGP fixed point that was still moving when
+// the round budget (topo.Network.RoundBound) ran out — a policy dispute
+// such as DISAGREE. RIBs read off the last round describe no stable
+// routing state, so no Result, and no verdict, is produced from them.
+type ErrNotConverged struct {
+	// Rounds is the number of synchronous rounds run.
+	Rounds int
+	// Changing names a few of the (router, prefix) RIB entries that moved
+	// in the last round.
+	Changing []string
+}
+
+func (e *ErrNotConverged) Error() string {
+	msg := fmt.Sprintf("routesim: BGP did not converge in %d rounds", e.Rounds)
+	if len(e.Changing) > 0 {
+		msg += "; still changing: " + strings.Join(e.Changing, ", ")
+	}
+	return msg
 }
 
 // Run performs symbolic route simulation for the network and
@@ -65,8 +122,13 @@ func run(fv *FailVars, cfgs config.Configs) (*Result, error) {
 // is the tail of run(), split out so the compositional coordinator
 // (internal/compose) can drive BGP itself — per-domain steppers in
 // lockstep — and still share the exact SR/static resolution code path
-// with the monolithic run.
+// with the monolithic run. A BGP state that did not converge yields
+// *ErrNotConverged instead of a Result.
 func FinishRun(fv *FailVars, cfgs config.Configs, igp *IGP, bgp *BGP) (*Result, error) {
+	if !bgp.Converged {
+		return nil, &ErrNotConverged{Rounds: bgp.Rounds, Changing: bgp.changing}
+	}
+	start := time.Now()
 	net := fv.Net
 	res := &Result{
 		Vars:    fv,
@@ -120,6 +182,9 @@ func FinishRun(fv *FailVars, cfgs config.Configs, igp *IGP, bgp *BGP) (*Result, 
 			res.Statics[r.ID] = append(res.Statics[r.ID], gs)
 		}
 	}
+	res.Stats = igp.stats
+	res.Stats.Add(bgp.stats)
+	res.Stats.FinishTime = time.Since(start)
 	return res, nil
 }
 
@@ -131,16 +196,8 @@ func FinishRun(fv *FailVars, cfgs config.Configs, igp *IGP, bgp *BGP) (*Result, 
 // overridden separately (core.Options.ClassifyPrefixes).
 func EmptyResult(fv *FailVars) *Result {
 	net := fv.Net
-	igp := &IGP{
-		fv:     fv,
-		routes: make([]map[topo.RouterID][]IGPRoute, net.NumRouters()),
-		reach:  make([]map[topo.RouterID]*mtbdd.Node, net.NumRouters()),
-	}
-	for i := range igp.routes {
-		igp.routes[i] = make(map[topo.RouterID][]IGPRoute)
-		igp.reach[i] = make(map[topo.RouterID]*mtbdd.Node)
-	}
-	bgp := &BGP{fv: fv, RIBs: make([]BGPRIB, net.NumRouters()), Converged: true}
+	igp := newIGP(fv)
+	bgp := &BGP{RIBs: make([]BGPRIB, net.NumRouters()), Converged: true}
 	for i := range bgp.RIBs {
 		bgp.RIBs[i] = make(BGPRIB)
 	}

@@ -1,7 +1,11 @@
 package routesim
 
 import (
+	"errors"
 	"net/netip"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/yu-verify/yu/internal/config"
@@ -480,6 +484,49 @@ func TestIGPGuardNodes(t *testing.T) {
 	for _, n := range nodes {
 		if n == nil {
 			t.Fatal("nil guard node")
+		}
+	}
+}
+
+// disagree loads the checked-in DISAGREE gadget: a BGP policy dispute
+// with no stable state.
+func disagree(t testing.TB) *config.Spec {
+	t.Helper()
+	text, err := os.ReadFile("../../testdata/notconverged/disagree.yu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustSpec(t, func() (*config.Spec, error) { return config.ParseSpecString(string(text)) })
+}
+
+func TestNotConvergedDisagree(t *testing.T) {
+	spec := disagree(t)
+	for _, k := range []int{-1, 0, 1} {
+		fv := NewFailVars(mtbdd.New(), spec.Net, topo.FailLinks, k)
+		res, err := Run(fv, spec.Configs)
+		var nc *ErrNotConverged
+		if res != nil || !errors.As(err, &nc) {
+			t.Fatalf("k=%d: Run = %v, %v; want no result and *ErrNotConverged", k, res, err)
+		}
+		if nc.Rounds != spec.Net.RoundBound() {
+			t.Errorf("k=%d: stopped after %d rounds, want the budget %d", k, nc.Rounds, spec.Net.RoundBound())
+		}
+		if want := []string{"A 100.9.0.0/24", "B 100.9.0.0/24"}; !slices.Equal(nc.Changing, want) {
+			t.Errorf("k=%d: still changing %q, want %q", k, nc.Changing, want)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "did not converge in 10 rounds") || strings.Contains(msg, "\n") {
+			t.Errorf("k=%d: reason %q is not the one-line verdict", k, msg)
+		}
+
+		// The staged drivers (compose, the benchmark) reach the same error
+		// through FinishRun.
+		igp := ComputeIGP(fv)
+		bgp := ComputeBGP(fv, spec.Configs, igp)
+		if bgp.Converged {
+			t.Fatalf("k=%d: ComputeBGP claims convergence after %d rounds", k, bgp.Rounds)
+		}
+		if _, err := FinishRun(fv, spec.Configs, igp, bgp); !errors.As(err, &nc) {
+			t.Errorf("k=%d: FinishRun on an unconverged BGP state: %v", k, err)
 		}
 	}
 }

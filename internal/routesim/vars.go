@@ -250,14 +250,13 @@ func (fv *FailVars) ReduceSum(fs []*mtbdd.Node) *mtbdd.Node {
 	return fv.M.AddNK(fs, fv.K)
 }
 
-// Feasible reports whether guard g is satisfiable within the failure
-// budget: after KReduce, a guard that is identically 0 can never hold in a
-// scenario with at most K failures.
-func (fv *FailVars) Feasible(g *mtbdd.Node) bool {
-	if fv.K < 0 {
-		return g != fv.M.Zero()
-	}
-	return fv.M.KReduce(g, fv.K) != fv.M.Zero()
+// selectable reports whether a route with presence guard g can be
+// selected within the failure budget when it loses to every route whose
+// presence is covered by better: g ∧ ¬better holds in some scenario with
+// at most K failures. The fused kernel answers without materialising the
+// unreduced product; its result is also the route's selection guard.
+func (fv *FailVars) selectable(g, better *mtbdd.Node) bool {
+	return fv.ReduceAnd(g, fv.M.Not(better)) != fv.M.Zero()
 }
 
 // Scenario converts a set of failed elements into a variable assignment

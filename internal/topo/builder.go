@@ -156,6 +156,12 @@ func (b *Builder) Build() (*Network, error) {
 		if l.Capacity <= 0 {
 			return nil, fmt.Errorf("link %s has non-positive capacity", n.LinkName(l.ID))
 		}
+		// IS-IS metrics are positive, and both shortest-path computations
+		// (the symbolic cost-ordered sweep, the concrete Dijkstra) settle a
+		// cost level from strictly cheaper ones only.
+		if l.CostAB < 1 || l.CostBA < 1 {
+			return nil, fmt.Errorf("link %s has a non-positive IGP cost (%d/%d)", n.LinkName(l.ID), l.CostAB, l.CostBA)
+		}
 		for _, d := range []Direction{AtoB, BtoA} {
 			from, to := l.Endpoint(d), l.Other(d)
 			local, remote := l.AddrA, l.AddrB

@@ -253,6 +253,17 @@ func (n *Network) HopBound(longestSR int) int {
 	return 16
 }
 
+// RoundBound is the synchronous-round budget of BGP propagation, shared by
+// every driver of the symbolic Stepper and by the concrete simulator. A
+// loop-free path-vector derivation visits no router twice, so a route is
+// at most NumRouters advertisements from its origin (the no-KREDUCE
+// ablation, whose guards keep every simple path, needs them: 17 rounds on
+// FT-4); twice the diameter plus slack covers small networks' re-selection
+// ripple. A system still moving at the bound is not converging.
+func (n *Network) RoundBound() int {
+	return max(2*n.Diameter()+8, n.NumRouters()+2)
+}
+
 // Diameter returns the hop-count diameter of the network (ignoring costs),
 // used to bound symbolic execution iterations. Disconnected pairs are
 // ignored. An empty or single-router network has diameter 0.

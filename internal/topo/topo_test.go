@@ -169,6 +169,16 @@ func TestBuilderErrors(t *testing.T) {
 			b.AddRouter("B", 1)
 			b.AddLink("A", "B", WithCapacity(-1))
 		}},
+		{"zero cost", func(b *Builder) {
+			b.AddRouter("A", 1)
+			b.AddRouter("B", 1)
+			b.AddLink("A", "B", WithCost(0))
+		}},
+		{"negative cost one way", func(b *Builder) {
+			b.AddRouter("A", 1)
+			b.AddRouter("B", 1)
+			b.AddLink("A", "B", WithAsymCost(10, -5))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

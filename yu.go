@@ -103,6 +103,12 @@ type (
 	// equivalence classes were verified inside a domain vs. falling back
 	// to monolithic execution — see Report.Modular.
 	ModularStats = compose.Stats
+	// ErrNotConverged is the error Verify and VerifyPortfolio return
+	// (match with errors.As on a *ErrNotConverged) when BGP route
+	// propagation was still moving at its round budget — a policy dispute.
+	// No report accompanies it: there is no stable routing state to
+	// verify.
+	ErrNotConverged = routesim.ErrNotConverged
 )
 
 // NewMetrics returns an empty metrics registry to attach to a run via
@@ -576,10 +582,15 @@ func (n *Network) build(r resolved, opts VerifyOptions) (*built, error) {
 		opts.Obs.AddPhase("compose", composeTime)
 		if err == nil {
 			stats := c.Stats // a copy: &c.Stats would pin c's managers to the Report
+			recordRouteSim(opts.Obs, stats.RouteSim)
 			return &built{ver: c.Verifier, mgr: c.Engine.Manager(), routeTime: composeTime, modular: &stats}, nil
 		}
 		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) {
 			return &built{routeTime: composeTime}, err
+		}
+		var notConverged *ErrNotConverged
+		if errors.As(err, &notConverged) {
+			return nil, err // the monolithic rounds are the same rounds
 		}
 	}
 	// Timed from here, not from the caller's start: after a compose
@@ -599,6 +610,7 @@ func (n *Network) build(r resolved, opts VerifyOptions) (*built, error) {
 		}
 		return nil, err
 	}
+	recordRouteSim(opts.Obs, rs.Stats)
 	eng := core.NewEngine(rs, core.Options{
 		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
 		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
@@ -614,4 +626,27 @@ func (n *Network) build(r resolved, opts VerifyOptions) (*built, error) {
 	b.ver = core.NewParallelVerifier(eng, r.flows, opts.Workers)
 	execSpan.End()
 	return b, nil
+}
+
+// recordRouteSim breaks the route-simulation time down by stage and
+// records its work counters, so a run can say why route simulation took
+// what it took (on a compositional run: summed over the domains).
+func recordRouteSim(reg *Metrics, st routesim.Stats) {
+	if reg == nil {
+		return
+	}
+	reg.AddPhase("routesim/igp", st.IGPTime)
+	reg.AddPhase("routesim/bgp", st.BGPTime)
+	reg.AddPhase("routesim/finish", st.FinishTime)
+	for name, n := range map[string]int{
+		"routesim.igp_levels":        st.IGPLevels,
+		"routesim.igp_pruned":        st.IGPPruned,
+		"routesim.bgp_rounds":        st.BGPRounds,
+		"routesim.bgp_entries":       st.BGPEntries,
+		"routesim.bgp_recomputed":    st.BGPRecomputed,
+		"routesim.templates_rebuilt": st.TemplatesRebuilt,
+		"routesim.as_paths":          st.ASPaths,
+	} {
+		reg.Counter(name).Add(int64(n))
+	}
 }
