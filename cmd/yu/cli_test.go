@@ -153,6 +153,12 @@ func TestRunVerifyMetricsJSON(t *testing.T) {
 			t.Errorf("metrics counter %q = %d, want > 0 (got %v)", want, doc.Counters[want], doc.Counters)
 		}
 	}
+	// So does the check stage: every load it looked at ended one of three
+	// ways, and its classes are accounted for.
+	ends := doc.Counters["check.links_bounded"] + doc.Counters["check.links_decided"] + doc.Counters["check.links_built"]
+	if ends <= 0 || doc.Counters["check.classes_total"] <= 0 || doc.Counters["check.classes_enumerated"] > doc.Counters["check.classes_total"] {
+		t.Errorf("metrics do not account for the check stage: %v", doc.Counters)
+	}
 	for _, c := range []string{"apply", "kreduce", "neg", "range", "import"} {
 		if _, ok := doc.Caches[c]; !ok {
 			t.Errorf("metrics missing cache %q (got %v)", c, doc.Caches)
@@ -210,6 +216,9 @@ func TestRunVerifyStatsListsManagers(t *testing.T) {
 	}
 	if !bytes.Contains(stdout.Bytes(), []byte("route-sim: igp ")) || !bytes.Contains(stdout.Bytes(), []byte(" rounds, ")) {
 		t.Errorf("-stats does not break route simulation down:\n%s", &stdout)
+	}
+	if !bytes.Contains(stdout.Bytes(), []byte("check: ")) || !bytes.Contains(stdout.Bytes(), []byte(" classes enumerated, aggregation ")) {
+		t.Errorf("-stats does not say what the check stage did with its links:\n%s", &stdout)
 	}
 	if stderr.Len() != 0 {
 		t.Errorf("-stats without -metrics wrote to stderr:\n%s", &stderr)
@@ -288,6 +297,61 @@ func TestRunVerifyNotConverged(t *testing.T) {
 		if !strings.Contains(msg, "BGP did not converge in 10 rounds; still changing: A 100.9.0.0/24, B 100.9.0.0/24") ||
 			strings.Count(msg, "\n") != 1 {
 			t.Errorf("%v: stderr is not the one-line reason:\n%s", args, msg)
+		}
+	}
+}
+
+// TestRunVerifySubPrefix: on the sub-prefix gadgets (a delivered bound that
+// cuts through a global-equivalence class) the symbolic paths of the CLI —
+// default, four workers, two auto-domains, and the spec's own tlp lines
+// through -tlp — exit as concrete enumeration does and name the same
+// violated bounds.
+func TestRunVerifySubPrefix(t *testing.T) {
+	specs, err := filepath.Glob(filepath.Join("..", "..", "testdata", "subprefix", "*.yu"))
+	if err != nil || len(specs) < 3 {
+		t.Fatalf("want the three sub-prefix specs, found %d (%v)", len(specs), err)
+	}
+	run := func(args ...string) (int, string) {
+		t.Helper()
+		cfg, err := parseVerifyFlags(args, flag.ContinueOnError)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := runVerify(cfg, &stdout, &stderr)
+		var violated []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.Contains(line, "delivered traffic to") {
+				violated = append(violated, strings.TrimSpace(line))
+			}
+		}
+		return code, strings.Join(violated, "\n")
+	}
+	for _, spec := range specs {
+		wantCode, want := run("-engine", "enumerate", spec)
+		for _, args := range [][]string{{}, {"-workers", "4"}, {"-auto-domains", "2"}} {
+			if code, got := run(append(args, spec)...); code != wantCode || got != want {
+				t.Errorf("%s %v: exit %d with\n%s\nenumeration exits %d with\n%s", filepath.Base(spec), args, code, got, wantCode, want)
+			}
+		}
+		data, err := os.ReadFile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tlps []string
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "tlp ") {
+				tlps = append(tlps, line)
+			}
+		}
+		portfolio := filepath.Join(t.TempDir(), "p.tlp")
+		if err := os.WriteFile(portfolio, []byte(strings.Join(tlps, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The tlp lines restate the spec's delivered bounds (and add
+		// ratios that hold), so the portfolio fails exactly when they do.
+		if code, _ := run("-tlp", portfolio, spec); code != wantCode {
+			t.Errorf("%s -tlp: exit %d, enumeration of the same bounds exits %d", filepath.Base(spec), code, wantCode)
 		}
 	}
 }

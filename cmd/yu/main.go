@@ -415,6 +415,7 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 				m.Name, m.PeakLive, float64(m.CacheBytes)/(1<<20), m.CacheResizes)
 		}
 		printRouteSim(stdout, snap)
+		printCheck(stdout, snap)
 		if rep.Scenarios > 0 {
 			fmt.Fprintf(stdout, "scenarios simulated: %d\n", rep.Scenarios)
 		}
@@ -459,6 +460,22 @@ func printRouteSim(w io.Writer, snap *yu.MetricsSnapshot) {
 		ms["routesim/igp"], c["routesim.igp_levels"], c["routesim.igp_pruned"],
 		ms["routesim/bgp"], c["routesim.bgp_rounds"], c["routesim.bgp_recomputed"], c["routesim.bgp_entries"],
 		c["routesim.templates_rebuilt"], c["routesim.as_paths"], ms["routesim/finish"])
+}
+
+// printCheck renders the check stage's own account of a run: how many loads
+// the quick bound passed without enumerating anything, how many the prefix
+// maxima settled without building a node, how many were built and scanned,
+// and what share of the classes ever entered a kernel walk — why the check
+// cost what it cost. Runs that check nothing symbolically print nothing.
+func printCheck(w io.Writer, snap *yu.MetricsSnapshot) {
+	c := snap.Counters
+	bounded, decided, built := c["check.links_bounded"], c["check.links_decided"], c["check.links_built"]
+	if bounded+decided+built == 0 {
+		return
+	}
+	fmt.Fprintf(w, "check: %d loads: %d within the quick bound, %d settled by prefix maxima, %d built and scanned; %d of %d classes enumerated, aggregation %.1fms\n",
+		bounded+decided+built, bounded, decided, built,
+		c["check.classes_enumerated"], c["check.classes_total"], snap.TimersMS["check/kreduce"].MS)
 }
 
 // parseDomainsFlag parses the explicit -domains partition syntax:

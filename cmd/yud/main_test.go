@@ -122,8 +122,9 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Fatalf("save: %d %s", code, body)
 	}
 	if code, body := get("/v1/metrics"); code != http.StatusOK || !strings.Contains(string(body), "serve.class_cache_hits") ||
-		!strings.Contains(string(body), `"cache_bytes": `) || strings.Contains(string(body), `"cache_bytes": 0,`) {
-		t.Fatalf("metrics (want the cache counters and every manager's cache_bytes): %d %s", code, body)
+		!strings.Contains(string(body), `"cache_bytes": `) || strings.Contains(string(body), `"cache_bytes": 0,`) ||
+		!strings.Contains(string(body), `"check.links_built": `) || !strings.Contains(string(body), `"check.classes_total": `) {
+		t.Fatalf("metrics (want the cache counters, every manager's cache_bytes and the check stage's counters): %d %s", code, body)
 	}
 
 	sig <- os.Interrupt

@@ -1,0 +1,75 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/yu-verify/yu/internal/topo"
+)
+
+var sinkReport *Report
+
+// BenchmarkCheckAllLinks times the check stage alone — the all-links
+// overload property at factor 1.0, pruned, over finished STFs — on the
+// repository benchmark's two Verify WANs. Computed tables are dropped every
+// iteration so a run does not answer from the last one's Range entries; the
+// unique table keeps its nodes, so this is a lower bound.
+func BenchmarkCheckAllLinks(b *testing.B) {
+	for _, sh := range benchShapes[:2] {
+		b.Run(sh.name, func(b *testing.B) {
+			_, v := sh.verifier(b, Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.e.m.ClearCaches()
+				rep, err := v.Run(nil, nil, 1.0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkReport = rep
+			}
+		})
+	}
+}
+
+// checkCreatedNodes builds the shape's verifier from scratch and returns
+// how many MTBDD nodes its check stage creates: the pruned all-links
+// overload check on the two Verify shapes, and on the portfolio shape the
+// full load of every directed link, which is what a portfolio's
+// network-wide utilization property makes Portfolio.Eval build.
+func checkCreatedNodes(tb testing.TB, sh benchShape) int {
+	tb.Helper()
+	spec, v := sh.verifier(tb, Options{})
+	m := v.e.m
+	before := m.Stats().Created
+	if sh.name == "portfolio-1k" {
+		for d := 0; d < 2*spec.Net.NumLinks(); d++ {
+			v.LinkLoad(topo.DirLinkID(d))
+		}
+	} else if _, err := v.Run(nil, nil, 1.0); err != nil {
+		tb.Fatal(err)
+	}
+	return int(m.Stats().Created - before)
+}
+
+// TestCheckCreatedNodesPinned: like route simulation (routesim's
+// TestCreatedNodesPinned), the check stage of one input creates exactly the
+// same nodes every time, so the count is a host-noise-free measure of the
+// work it does, pinned here for the benchmark's three WAN shapes. With the
+// per-class fold the same three stages created 187 312, 533 746 and 966 598
+// nodes; a load now costs the nodes of the load. A change that moves
+// a count changed what the check stage builds: if that is intended, re-pin
+// it and say why in the commit.
+func TestCheckCreatedNodesPinned(t *testing.T) {
+	want := map[string]int{"wan-k1": 3841, "wan-k2": 13712, "portfolio-1k": 23359}
+	for _, sh := range benchShapes {
+		runs := 2
+		if sh.name == "portfolio-1k" {
+			runs = 10
+		}
+		for i := 0; i < runs; i++ {
+			if got := checkCreatedNodes(t, sh); got != want[sh.name] {
+				t.Errorf("%s run %d: the check stage created %d nodes, pinned at %d", sh.name, i, got, want[sh.name])
+			}
+		}
+	}
+}

@@ -2,11 +2,9 @@ package core
 
 import (
 	"strconv"
-	"time"
 
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/obs"
-	"github.com/yu-verify/yu/internal/routesim"
 )
 
 // This file is the bridge between the MTBDD layer and the obs registry:
@@ -15,11 +13,10 @@ import (
 //
 // Instrumentation placement follows the overhead budget of DESIGN.md
 // §11: no time.Now() ever runs inside ExecuteFlow's wavefront loop. The
-// KREDUCE timer covers only the aggregation loops of the check stage
-// (scanCtx.sum and the pruned scan, on the primary and on shards), where
-// one clock read per equivalence class is noise; KREDUCE effort during
-// symbolic execution is reported through the manager's cumulative
-// counters instead.
+// "check/kreduce" timer covers the aggregation kernel calls of the check
+// stage (scanCtx.build and prefixMax, on the primary and on shards) — a
+// clock read per call, a handful per link; KREDUCE effort during symbolic
+// execution is reported through the manager's cumulative counters instead.
 
 // ManagerObsStats converts one manager's stats snapshot into the obs
 // record under the given name ("primary", "exec-shard.0", ...).
@@ -61,17 +58,24 @@ func workerCounter(w int, name string) string {
 	return "worker." + strconv.Itoa(w) + "." + name
 }
 
-// mulAddTimed is the load-aggregation step Reduce(acc + vol*w), computed
-// through the fused multiply-accumulate kernel, with an optional timer.
-// The timer keeps its historical "check/kreduce" identity: it measures
-// the reduction work of aggregation, which the fused kernel now performs
-// inline. The nil check keeps the uninstrumented path free of clock reads.
-func mulAddTimed(t *obs.Timer, fv *routesim.FailVars, acc *mtbdd.Node, vol float64, w *mtbdd.Node) *mtbdd.Node {
-	if t == nil {
-		return fv.ReduceMulAdd(acc, fv.M.Const(vol), w)
+// checkCounters is the check stage's own account of what it did with each
+// load (obs "check.*", shown by `yu verify -stats`, -metrics and
+// /v1/metrics): why a check cost what it cost. A delivered-prefix load
+// counts as a built link.
+type checkCounters struct {
+	bounded    *obs.Counter // links the quick bound settled: nothing enumerated
+	decided    *obs.Counter // links the prefix maxima settled: no node built
+	built      *obs.Counter // loads built and scanned
+	enumerated *obs.Counter // classes that entered an n-ary walk
+	total      *obs.Counter // classes of every load the stage looked at
+}
+
+func newCheckCounters(reg *obs.Registry) checkCounters {
+	return checkCounters{
+		bounded:    reg.Counter("check.links_bounded"),
+		decided:    reg.Counter("check.links_decided"),
+		built:      reg.Counter("check.links_built"),
+		enumerated: reg.Counter("check.classes_enumerated"),
+		total:      reg.Counter("check.classes_total"),
 	}
-	start := time.Now()
-	r := fv.ReduceMulAdd(acc, fv.M.Const(vol), w)
-	t.Add(time.Since(start))
-	return r
 }

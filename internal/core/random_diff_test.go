@@ -9,7 +9,10 @@ package core_test
 import (
 	"testing"
 
+	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/difftest"
+	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -55,5 +58,34 @@ func TestRandomRouterFailureDifferential(t *testing.T) {
 	}
 	if ran < trials {
 		t.Fatalf("only %d router-failure cases in the first 500 seeds", ran)
+	}
+}
+
+// TestCheckMatchesReferenceBlueprints holds the check stage to its
+// reference — the per-class fold and the class-by-class pruned loop it
+// replaced — on 200 generated cases: weighted ECMP, SR splits, statics,
+// sub-prefix delivered bounds, link and router failures, at the case's own
+// overload factor and at one loose and one tight enough to reach every end
+// of the pruned check.
+func TestCheckMatchesReferenceBlueprints(t *testing.T) {
+	const cases = 200
+	for seed := int64(1); seed <= cases; seed++ {
+		seed := seed
+		t.Run("", func(t *testing.T) {
+			t.Parallel()
+			c, err := difftest.New(seed, difftest.Options{})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			fv := routesim.NewFailVars(mtbdd.New(), c.Spec.Net, c.Mode, c.K)
+			rs, err := routesim.Run(fv, c.Spec.Configs)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			v := core.NewVerifier(core.NewEngine(rs, core.Options{}), c.Spec.Flows)
+			if err := core.CompareWithReference(v, c.Spec, []float64{c.OverloadFactor, 1.0, 0.1}); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		})
 	}
 }

@@ -102,49 +102,107 @@ type scanClass struct {
 	max float64
 }
 
-// classes groups the flows contributing to a load — pick returns a flow's
-// STF node, nil when it does not contribute — into equivalence classes in
-// first-seen order (float addition is not associative, so the
-// deterministic order keeps verdicts reproducible). With group off every
-// flow is its own class. Classes are keyed by the primary manager's
-// canonical pointer even on shards — the import is injective on canonical
-// nodes, so every context builds the same classes in the same order.
-func (sc scanCtx) classes(pick func(*FlowSTF) *mtbdd.Node, group bool, stat *LinkCheckStat) []scanClass {
-	var classes []scanClass
-	idx := make(map[*mtbdd.Node]int)
-	for _, s := range sc.v.stfs {
-		w := pick(s)
-		if w == nil {
-			continue
-		}
-		stat.Flows++
-		if group {
-			if i, ok := idx[w]; ok {
-				classes[i].vol += s.Flow.Gbps
-				continue
-			}
-			idx[w] = len(classes)
-		}
-		classes = append(classes, scanClass{w: sc.node(w), vol: s.Flow.Gbps})
-	}
-	stat.Classes += len(classes)
-	return classes
+// classGrouper collects the contributions to a load — an STF node and the
+// volume riding on it — into equivalence classes in first-seen order (float
+// addition is not associative, so the deterministic order keeps verdicts
+// reproducible). With group off every contribution is its own class.
+// Classes are keyed by the primary manager's canonical pointer even on
+// shards — the import is injective on canonical nodes, so every context
+// builds the same classes in the same order.
+type classGrouper struct {
+	sc      scanCtx
+	idx     map[*mtbdd.Node]int // nil: no grouping
+	classes []scanClass
 }
 
-// linkClasses is classes for the flows crossing directed link l, grouped
-// unless the §5.3 ablation is on.
+func (sc scanCtx) grouper(group bool) classGrouper {
+	g := classGrouper{sc: sc}
+	if group {
+		g.idx = make(map[*mtbdd.Node]int)
+	}
+	return g
+}
+
+func (g *classGrouper) add(w *mtbdd.Node, vol float64) {
+	if g.idx != nil {
+		if i, ok := g.idx[w]; ok {
+			g.classes[i].vol += vol
+			return
+		}
+		g.idx[w] = len(g.classes)
+	}
+	g.classes = append(g.classes, scanClass{w: g.sc.node(w), vol: vol})
+}
+
+// linkClasses is the classes of the STFs crossing directed link l, read off
+// the per-link index and grouped unless the §5.3 ablation is on.
 func (sc scanCtx) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
-	return sc.classes(func(s *FlowSTF) *mtbdd.Node { return s.Links[l] },
-		!sc.v.e.opts.DisableLinkLocalEquiv, stat)
+	v := sc.v
+	if l < 0 || int(l) >= len(v.linkIdx) {
+		return nil
+	}
+	g := sc.grouper(!v.e.opts.DisableLinkLocalEquiv)
+	for _, ref := range v.linkIdx[l] {
+		g.add(ref.w, v.stfs[ref.stf].Flow.Gbps)
+	}
+	stat.Flows += len(v.linkIdx[l])
+	stat.Classes += len(g.classes)
+	return g.classes
 }
 
-// sum aggregates classes into one symbolic load on the fused
-// multiply-accumulate kernel.
-func (sc scanCtx) sum(classes []scanClass) *mtbdd.Node {
-	tau := sc.m.Zero()
-	for _, c := range classes {
-		tau = mulAddTimed(sc.v.kreduceT, sc.fv, tau, c.vol, c.w)
+// deliveredClasses is the classes of the delivered traffic destined inside
+// pfx. A global-equivalence class merges flows by matched-prefix set, not
+// by destination, so pfx may cover only some of a class's members: each
+// class contributes the volume of its member flows inside pfx, added in
+// flow order (a class pfx covers whole thus contributes its representative's
+// summed volume, bit for bit), and a class with no member inside none.
+func (sc scanCtx) deliveredClasses(pfx netip.Prefix, stat *LinkCheckStat) []scanClass {
+	v := sc.v
+	vols := make([]float64, len(v.stfs))
+	inside := make([]bool, len(v.stfs))
+	for fi, f := range v.flows {
+		if ci := v.classOf[fi]; ci < len(v.stfs) && pfx.Contains(f.Dst) {
+			vols[ci] += f.Gbps
+			inside[ci] = true
+		}
 	}
+	g := sc.grouper(true)
+	for ci, s := range v.stfs {
+		if inside[ci] {
+			stat.Flows++
+			g.add(s.Delivered, vols[ci])
+		}
+	}
+	stat.Classes += len(g.classes)
+	return g.classes
+}
+
+// splitClasses lays classes out as the n-ary kernels' parallel operand
+// slices.
+func splitClasses(classes []scanClass) (vols []float64, ws []*mtbdd.Node) {
+	vols = make([]float64, len(classes))
+	ws = make([]*mtbdd.Node, len(classes))
+	for i, c := range classes {
+		vols[i], ws[i] = c.vol, c.w
+	}
+	return vols, ws
+}
+
+// sum aggregates classes into one symbolic load: one walk of the n-ary
+// fused weighted-sum kernel, in class order.
+func (sc scanCtx) sum(classes []scanClass) *mtbdd.Node {
+	vols, ws := splitClasses(classes)
+	sc.v.checkC.total.Add(int64(len(classes)))
+	sc.v.checkC.enumerated.Add(int64(len(classes)))
+	return sc.build(vols, ws)
+}
+
+// build is the timed kernel call behind sum and the pruned check.
+func (sc scanCtx) build(vols []float64, ws []*mtbdd.Node) *mtbdd.Node {
+	sc.v.checkC.built.Inc()
+	start := time.Now()
+	tau := sc.fv.ReduceSumMul(vols, ws)
+	sc.v.aggT.Add(time.Since(start))
 	return tau
 }
 
@@ -174,12 +232,7 @@ func (sc scanCtx) load(s Subject) (*mtbdd.Node, LinkCheckStat) {
 		}
 	case s.Prefix.IsValid():
 		stat.Kind, stat.Prefix = "delivered", s.Prefix
-		tau = sc.sum(sc.classes(func(f *FlowSTF) *mtbdd.Node {
-			if !s.Prefix.Contains(f.Flow.Dst) {
-				return nil
-			}
-			return f.Delivered
-		}, true, &stat))
+		tau = sc.sum(sc.deliveredClasses(s.Prefix, &stat))
 	default:
 		stat.Link = s.Link
 		tau = sc.sum(sc.linkClasses(s.Link, &stat))
@@ -444,69 +497,106 @@ func (sc scanCtx) runItems(items []checkItem, results []itemRes, next func() int
 }
 
 // checkLinkPruned verifies one directed link against an upper limit with
-// the §6 early-termination heuristics: a link whose summed per-class
-// maxima cannot reach the limit is passed without any MTBDD aggregation,
-// and during aggregation the scan stops as soon as the accumulated maximum
-// proves a violation (loads are non-negative, so partial sums only grow)
-// or the remaining mass cannot reach the limit.
+// the §6 early-termination heuristics (prune). Only a link that prune stops
+// on a violating prefix has a load built — that prefix's — and scanned for
+// a witness.
 func (sc scanCtx) checkLinkPruned(it checkItem) (LinkCheckStat, []Violation) {
 	start := time.Now()
 	m := sc.m
-	l, limit := it.subject.Link, it.check.Max
-	stat := LinkCheckStat{Link: l}
-	classes := sc.linkClasses(l, &stat)
-	for i := range classes {
-		_, hi := m.Range(classes[i].w)
-		classes[i].max = hi
-	}
-
-	threshold := violThreshold(limit)
-
-	// Quick bound: if even the per-class maxima cannot reach the limit,
-	// the property holds on this link with no aggregation at all.
-	total := 0.0
-	for _, c := range classes {
-		total += c.vol * c.max
-	}
-	if total <= threshold {
+	stat := LinkCheckStat{Link: it.subject.Link}
+	classes := sc.linkClasses(it.subject.Link, &stat)
+	stop, holds := sc.prune(classes, violThreshold(it.check.Max))
+	if holds {
 		stat.Elapsed = time.Since(start)
 		return stat, nil
 	}
-
-	// Aggregate classes in descending contribution order (stable for
-	// reproducibility), stopping as soon as either verdict is certain.
-	sort.SliceStable(classes, func(i, j int) bool { return classes[i].vol*classes[i].max > classes[j].vol*classes[j].max })
-	remaining := total
-	tau := m.Zero()
-	for _, c := range classes {
-		tau = mulAddTimed(sc.v.kreduceT, sc.fv, tau, c.vol, c.w)
-		remaining -= c.vol * c.max
-		_, hi := m.Range(tau)
-		if hi > threshold {
-			// The partial maximum already violates, and adding more
-			// classes only increases it.
-			break
-		}
-		if hi+remaining <= threshold {
-			// Even if every remaining class peaked simultaneously the
-			// limit is unreachable.
-			stat.Elapsed = time.Since(start)
-			return stat, nil
-		}
-	}
+	tau := sc.build(splitClasses(classes[:stop]))
 	stat.Elapsed = time.Since(start)
 	res, _ := sc.scanPortfolio(tau, []LinkCheck{it.check})
 	if r := &res[0]; r.Violated {
-		// tau may be a partial sum (early break): recompute the exact
+		// tau may be a partial sum (early stop): recompute the exact
 		// load at the witness by evaluating every class there.
 		assign := sc.fv.Scenario(r.FailedLinks, r.FailedRouters)
 		exact := 0.0
 		for _, c := range classes {
-			exact += c.vol * m.Eval(c.w, assign)
+			exact += float64(c.vol * m.Eval(c.w, assign))
 		}
 		if exact > r.Value {
 			r.Value = exact
 		}
 	}
 	return stat, violations(it, res[0])
+}
+
+// prune is the §6 early termination of one link's overload check, with no
+// node built. A link whose summed per-class maxima cannot exceed threshold
+// holds without enumerating anything (the quick bound). Otherwise the
+// classes are sorted, in place, by descending contribution and taken one by
+// one until a prefix of them — stop is its length — settles the link: it
+// does not hold if the prefix's in-budget maximum exceeds threshold (loads
+// are non-negative, so partial sums only grow; the prefix's load is what the
+// caller builds and scans), and holds if that maximum plus the remaining
+// mass cannot reach it. The prefix maxima are exactly the upper Range ends
+// of the partial loads, read off the n-ary kernel over growing prefixes, so
+// a link its heaviest classes settle never enumerates the scenarios of the
+// rest.
+func (sc scanCtx) prune(classes []scanClass, threshold float64) (stop int, holds bool) {
+	cc := &sc.v.checkC
+	cc.total.Add(int64(len(classes)))
+	total := 0.0
+	for i := range classes {
+		c := &classes[i]
+		_, c.max = sc.m.Range(c.w)
+		total += float64(c.vol * c.max)
+	}
+	if total <= threshold {
+		cc.bounded.Inc()
+		return 0, true
+	}
+
+	// Descending contribution order, stable for reproducibility.
+	sort.SliceStable(classes, func(i, j int) bool { return classes[i].vol*classes[i].max > classes[j].vol*classes[j].max })
+	vols, ws := splitClasses(classes)
+	remaining := total
+	var his []float64
+	for i, c := range classes {
+		if i == len(his) {
+			his = sc.prefixMax(vols, ws, len(his))
+		}
+		remaining -= float64(c.vol * c.max)
+		if his[i] > threshold {
+			// The partial maximum already violates, and adding more
+			// classes only increases it.
+			return i + 1, false
+		}
+		if his[i]+remaining <= threshold {
+			// Even if every remaining class peaked simultaneously the
+			// limit is unreachable.
+			cc.decided.Inc()
+			return i + 1, true
+		}
+	}
+	return len(classes), false
+}
+
+// prefixMaxStart is the first prefix length the pruned check enumerates;
+// each further round doubles it.
+const prefixMaxStart = 8
+
+// prefixMax is the timed kernel call of the pruned check: with the maxima
+// of the first have operands known, it returns those of the next, doubled
+// prefix.
+func (sc scanCtx) prefixMax(vols []float64, ws []*mtbdd.Node, have int) []float64 {
+	n := 2 * have
+	if n < prefixMaxStart {
+		n = prefixMaxStart
+	}
+	if n > len(ws) {
+		n = len(ws)
+	}
+	sc.v.checkC.enumerated.Add(int64(n - have))
+	start := time.Now()
+	his := sc.fv.ReducePrefixMax(vols[:n], ws[:n])
+	sc.v.aggT.Add(time.Since(start))
+	return his
 }

@@ -73,8 +73,9 @@ type LinkCheckStat struct {
 	Link topo.DirLinkID
 	// Prefix is the destination prefix of a delivered-bound check.
 	Prefix netip.Prefix
-	// Flows is the number of flows with nonzero traffic on the link (or,
-	// for delivered checks, destined inside the prefix).
+	// Flows is the number of executed flows (global-equivalence classes)
+	// with nonzero traffic on the link (or, for delivered checks, with a
+	// member flow destined inside the prefix).
 	Flows int
 	// Classes is the number of link-local equivalence classes among them
 	// (equals Flows when the reduction is disabled).
@@ -187,15 +188,25 @@ type Verifier struct {
 	// deadline, unrecoverable budget breach, contained panic). Run
 	// surfaces it with a partial report.
 	err error
-	// kreduceT, when non-nil, accumulates the wall time spent in the
-	// KREDUCE calls of per-link aggregation (obs "check/kreduce"). It is
-	// nil when no obs registry is attached, keeping the clock off the
-	// uninstrumented path.
-	kreduceT *obs.Timer
+	// aggT accumulates the wall time of per-link aggregation: the n-ary
+	// kernel calls of the check stage, on the primary and on shards. Its obs
+	// name is "check/kreduce" — the reduction is fused into the aggregation
+	// it times, and benchmark/batch.go reads the timer under that name.
+	aggT *obs.Timer
+	// checkC counts what the check stage did with each link (checkCounters).
+	checkC checkCounters
 	// classes are the global-equivalence classes in execution order
 	// (v.stfs is parallel to it); the summed volume on each
 	// representative fans the shared STF back out to the members.
 	classes []flowClass
+	// classOf[i] is flows[i]'s class: a delivered subject whose prefix
+	// splits a class takes only its member flows' volume through it.
+	classOf []int
+	// linkIdx lists, per directed link, the STFs crossing it in STF order
+	// with their node on that link. Built once at the end of assemble and
+	// read-only afterwards, so check shards share it; its nodes are the
+	// ones v.stfs roots.
+	linkIdx [][]linkRef
 	// sched summarizes the execution phase's scheduling (see SchedStats).
 	sched SchedStats
 }
@@ -208,8 +219,8 @@ func (v *Verifier) Err() error { return v.err }
 // yet. The constructors differ only in how they fill v.stfs.
 func newVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 	v := &Verifier{e: e, flows: flows, workers: workers,
-		kreduceT: e.opts.Obs.Timer("check/kreduce")}
-	v.classes, _ = classifyFlows(e, flows)
+		aggT: e.opts.Obs.Timer("check/kreduce"), checkC: newCheckCounters(e.opts.Obs)}
+	v.classes, v.classOf = classifyFlows(e, flows)
 	v.sched = SchedStats{Workers: 1, Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
 	e.opts.Obs.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
 	return v
@@ -270,6 +281,40 @@ func (v *Verifier) assemble(pre []*FlowSTF) {
 		v.stfs = append(v.stfs, s)
 	}
 	v.execCount = len(v.stfs)
+	v.indexLinks()
+}
+
+// linkRef is one entry of the per-link class index: an STF (by its index in
+// v.stfs) and its node on the link.
+type linkRef struct {
+	stf int32
+	w   *mtbdd.Node
+}
+
+// indexLinks builds v.linkIdx. The outer loop runs in STF order and an STF
+// has at most one node per link, so each link's list is in STF order
+// whatever order the Links maps iterate in — the first-seen class order,
+// and with it every float of the load, is the one a scan over v.stfs gives.
+func (v *Verifier) indexLinks() {
+	v.linkIdx = make([][]linkRef, 2*v.e.net.NumLinks())
+	counts := make([]int, len(v.linkIdx))
+	total := 0
+	for _, s := range v.stfs {
+		for l := range s.Links {
+			counts[l]++
+		}
+		total += len(s.Links)
+	}
+	// One backing array, carved into per-link lists of exact capacity.
+	refs := make([]linkRef, total)
+	for l, n := range counts {
+		v.linkIdx[l], refs = refs[:0:n], refs[n:]
+	}
+	for si, s := range v.stfs {
+		for l, w := range s.Links {
+			v.linkIdx[l] = append(v.linkIdx[l], linkRef{stf: int32(si), w: w})
+		}
+	}
 }
 
 // FlowSTFs exposes the executed (merged) flow results.
@@ -282,8 +327,8 @@ func (v *Verifier) Vars() *routesim.FailVars { return v.e.fv }
 // LinkLoad computes the symbolic traffic load τ_l of a directed link by
 // aggregating all flows, using link-local equivalence classes unless
 // disabled: flows whose STFs are the same MTBDD node (hash-consing makes
-// this a pointer comparison) are summed as volumes first, so the number of
-// MTBDD additions is the number of classes, not the number of flows.
+// this a pointer comparison) are summed as volumes first, so the operands
+// of the one n-ary walk that builds the load are the classes, not the flows.
 //
 // The returned node remains valid until the next Verifier method that may
 // trigger a managed GC (another LinkLoad, a Scan or a Run).

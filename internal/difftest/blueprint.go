@@ -101,7 +101,18 @@ type bpLoadProp struct {
 
 type bpDelivered struct {
 	prefix int
-	min    float64
+	// sub, when valid, narrows the bound from the routed prefix to part of
+	// it (one half, or one flow's /32).
+	sub      netip.Prefix
+	min, max float64
+}
+
+// bound returns the prefix the delivered bound is on.
+func (d bpDelivered) bound(bp *blueprint) netip.Prefix {
+	if d.sub.IsValid() {
+		return d.sub
+	}
+	return bp.prefixes[d.prefix].pfx
 }
 
 // genBlueprint draws a random blueprint: a multi-AS ring-plus-chords
@@ -298,6 +309,7 @@ func genBlueprint(rng *rand.Rand, opts Options) *blueprint {
 			bp.delivered = append(bp.delivered, bpDelivered{
 				prefix: p,
 				min:    total * (0.5 + 0.4*rng.Float64()),
+				max:    infinity,
 			})
 		}
 	}
@@ -308,6 +320,45 @@ func genBlueprint(rng *rand.Rand, opts Options) *blueprint {
 	if !opts.LinkMode && rng.Intn(5) == 0 {
 		bp.mode = topo.FailRouters
 		bp.k = 1
+	}
+
+	// Delivered bounds below a routed prefix. Flows to one routed prefix
+	// match the same configured prefixes, so global equivalence merges them
+	// whatever their destination: a bound on half of the prefix, or on one
+	// flow's /32, cuts through a class and must still count exactly the
+	// member flows inside it. The ceiling is the offered volume, which no
+	// scenario exceeds; the floor is a share of it, as for whole prefixes.
+	// (Drawn last, so every earlier draw of a seed is what it always was.)
+	if rng.Intn(2) == 0 {
+		p := rng.Intn(len(bp.prefixes))
+		pfx := bp.prefixes[p].pfx
+		// Spread the prefix's flows over both halves first.
+		for i := range bp.flows {
+			if f := &bp.flows[i]; pfx.Contains(f.dst) && rng.Intn(2) == 0 {
+				a := f.dst.As4()
+				a[3] |= 0x80
+				f.dst = netip.AddrFrom4(a)
+			}
+		}
+		half := pfx.Addr().As4()
+		half[3] = byte(rng.Intn(2)) << 7
+		subs := []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4(half), pfx.Bits()+1)}
+		if f := bp.flows[rng.Intn(len(bp.flows))]; pfx.Contains(f.dst) {
+			subs = append(subs, netip.PrefixFrom(f.dst, 32))
+		}
+		for _, sub := range subs {
+			total := 0.0
+			for _, f := range bp.flows {
+				if sub.Contains(f.dst) {
+					total += f.gbps
+				}
+			}
+			bp.delivered = append(bp.delivered, bpDelivered{
+				prefix: p, sub: sub,
+				min: total * (0.5 + 0.4*rng.Float64()),
+				max: total,
+			})
+		}
 	}
 	return bp
 }
@@ -421,7 +472,7 @@ func (bp *blueprint) build() (*Case, error) {
 			continue
 		}
 		spec.Delivered = append(spec.Delivered, topo.DeliveredBound{
-			Prefix: bp.prefixes[d.prefix].pfx, Min: d.min, Max: infinity,
+			Prefix: d.bound(bp), Min: d.min, Max: d.max,
 		})
 	}
 	return &Case{Spec: spec, K: bp.k, Mode: bp.mode, OverloadFactor: bp.overload, bp: bp}, nil

@@ -140,9 +140,10 @@ func (m *Manager) MulAdd(acc, w, f *Node) *Node {
 }
 
 // MulAddK returns KReduce(acc + w*f, k) as one fused ternary DFS: the
-// weighted-accumulate at the heart of ECMP splitting, SR path weighting,
-// and per-link load aggregation, without ever materializing either the
-// product w*f or the unreduced sum.
+// weighted-accumulate at the heart of ECMP splitting and SR path
+// weighting, without ever materializing either the product w*f or the
+// unreduced sum. (A whole weighted sum is SumMulK's job, sumk.go: a chain
+// of these re-walks the running sum once per operand.)
 func (m *Manager) MulAddK(acc, w, f *Node, k int) *Node {
 	if k < 0 {
 		return m.MulAdd(acc, w, f)
@@ -165,12 +166,15 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	if acc == m.zero {
 		return m.applyK(opMul, w, f, k)
 	}
+	// The product is rounded on its own (the explicit conversion forbids a
+	// fused multiply-add): the shortcuts above and the composed Mul-then-Add
+	// round twice, and every path must produce the same terminal.
 	if acc.IsTerminal() && w.IsTerminal() && f.IsTerminal() {
-		return m.Const(acc.Value + w.Value*f.Value)
+		return m.Const(acc.Value + float64(w.Value*f.Value))
 	}
 	if k == 0 {
 		m.fusionCuts++
-		return m.Const(m.EvalAllAlive(acc) + m.EvalAllAlive(w)*m.EvalAllAlive(f))
+		return m.Const(m.EvalAllAlive(acc) + float64(m.EvalAllAlive(w)*m.EvalAllAlive(f)))
 	}
 	// The product operands commute; canonicalize their cache order.
 	x, y := w, f
@@ -219,9 +223,9 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 // tree: log-depth instead of a linear chain, so intermediate operands
 // stay small and the apply cache sees far better reuse. Because float
 // addition is only associative when values are exact, the engine feeds
-// AddN only sums of selection guards (small-integer terminals); for
-// fractional accumulations the in-order pairwise kernels keep the exact
-// legacy rounding.
+// AddN only sums of selection guards (small-integer terminals);
+// fractional accumulations are summed in order, by the pairwise kernels or
+// by SumMulK, which keep the exact legacy rounding.
 func (m *Manager) AddN(fs []*Node) *Node {
 	switch len(fs) {
 	case 0:

@@ -11,6 +11,8 @@ import (
 // result must evaluate identically on random in-budget assignments. The
 // budget byte deliberately wraps past NumVars so saturating budgets
 // (where KReduce is the identity) and k=0 stay in the explored space.
+// The n-ary kernels (SumMulK, PrefixMaxK) are held to the MulAddK chain the
+// same way.
 // Each input runs on the default table geometry and on tables born with 2
 // entries, where every cached result has crossed a resize.
 func FuzzKernels(f *testing.F) {
@@ -62,6 +64,11 @@ func fuzzKernels(t *testing.T, seed int64, kb uint8) {
 	if gotN := m.AddNK(fs, k); gotN != wantN {
 		t.Fatalf("AddNK(%d terms, k=%d) = %s, want %s", len(fs), k, m.String(gotN), m.String(wantN))
 	}
+
+	// The n-ary weighted sum against the binary chain it replaces: the same
+	// node, and the exact Range of every prefix.
+	vols, ops := sumOperands(m, r, n, r.Intn(12))
+	checkSumKernels(t, m, vols, ops, k)
 
 	// Pointwise semantics on random in-budget assignments: the fused
 	// sum must agree with evaluating the operands separately.

@@ -236,10 +236,23 @@ func (fv *FailVars) ReduceOr(f, g *mtbdd.Node) *mtbdd.Node {
 }
 
 // ReduceMulAdd returns Reduce(acc + w*f) as one fused ternary DFS — the
-// weighted-accumulate of ECMP splitting, SR path weighting, and per-link
-// load aggregation.
+// weighted-accumulate of ECMP splitting and SR path weighting.
 func (fv *FailVars) ReduceMulAdd(acc, w, f *mtbdd.Node) *mtbdd.Node {
 	return fv.M.MulAddK(acc, w, f, fv.K)
+}
+
+// ReduceSumMul returns Reduce(Σ vols[i]·fs[i]), summed in operand order, in
+// one n-ary walk: per-link load aggregation. It is the node the
+// ReduceMulAdd chain over the operands returns.
+func (fv *FailVars) ReduceSumMul(vols []float64, fs []*mtbdd.Node) *mtbdd.Node {
+	return fv.M.SumMulK(vols, fs, fv.K)
+}
+
+// ReducePrefixMax returns, for every prefix of the operands, the largest
+// in-budget value of its weighted sum — the upper Range end of
+// ReduceSumMul over that prefix — without building a node.
+func (fv *FailVars) ReducePrefixMax(vols []float64, fs []*mtbdd.Node) []float64 {
+	return fv.M.PrefixMaxK(vols, fs, fv.K)
 }
 
 // ReduceSum returns Reduce(Σ fs) as a balanced tree of fused additions.
