@@ -12,23 +12,24 @@ const defaultGCThreshold = 4 << 20
 // nodes (accumulated STFs, partial sums).
 func (e *Engine) roots(extra []*mtbdd.Node) []*mtbdd.Node {
 	out := extra
-	rs := e.rs
-	for r := 0; r < e.net.NumRouters(); r++ {
-		for _, rib := range rs.BGP.RIBs[r] {
-			for _, c := range rib {
-				out = append(out, c.Guard)
+	if rs := e.rs; rs != nil { // nil once a finished verifier was trimmed
+		for r := 0; r < e.net.NumRouters(); r++ {
+			for _, rib := range rs.BGP.RIBs[r] {
+				for _, c := range rib {
+					out = append(out, c.Guard)
+				}
+			}
+			for _, p := range rs.SR[r] {
+				for _, path := range p.Paths {
+					out = append(out, path.Guard)
+				}
+			}
+			for _, st := range rs.Statics[r] {
+				out = append(out, st.Guard)
 			}
 		}
-		for _, p := range rs.SR[r] {
-			for _, path := range p.Paths {
-				out = append(out, path.Guard)
-			}
-		}
-		for _, st := range rs.Statics[r] {
-			out = append(out, st.Guard)
-		}
+		out = append(out, rs.IGP.GuardNodes()...)
 	}
-	out = append(out, rs.IGP.GuardNodes()...)
 	for _, v := range e.igpCache {
 		for _, f := range v.perLink {
 			out = append(out, f)
@@ -92,5 +93,36 @@ func (e *Engine) maybeGC(stfs []*FlowSTF, extra []*mtbdd.Node) {
 	e.m.GC(e.roots(stfRoots(extra, stfs)))
 	if live := e.m.Stats().Live; live*2 > e.gcThreshold && e.opts.NodeBudget <= 0 {
 		e.gcThreshold = live * 4
+	}
+}
+
+// retainedGCFloor is the least managed-GC threshold of a trimmed verifier.
+const retainedGCFloor = 64 << 10
+
+// Trim makes a finished verifier cheap to keep for further checks (Run,
+// Scan): it drops what only execution reads — the engine's forwarding-step
+// and IGP-vector caches, the route-simulation result and the STF cache hook,
+// and with them their nodes' claim to survive a collection — gives the
+// manager's computed tables back their starting size, and makes the managed-GC
+// threshold relative to what is kept: collect, the STFs as roots, once live
+// nodes pass 4× the count at this point (floor 64 K). The default threshold
+// would let a long-lived verifier grow by some 190 MB of dead loads before its
+// first collection. The engine cannot execute flows afterwards.
+func (v *Verifier) Trim() {
+	e := v.e
+	e.rs, e.igpCache, e.ipCache, e.srCache, e.opts.STFCache = nil, nil, nil, nil, nil
+	e.m.TrimCaches()
+	e.gcThreshold = max(4*e.m.Stats().Live, retainedGCFloor)
+}
+
+// Collect runs a managed collection of the verifier's manager, the STFs (and
+// whatever engine state has not been trimmed away) as roots: once live nodes
+// have passed the engine's threshold, or at once when force is set. Between
+// checks only — a node a check handed out (LinkLoad) does not survive it.
+func (v *Verifier) Collect(force bool) {
+	if force {
+		v.e.m.GC(v.e.roots(stfRoots(nil, v.stfs)))
+	} else {
+		v.e.maybeGC(v.stfs, nil)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -21,6 +22,20 @@ func installGovernance(m *mtbdd.Manager, opts Options) {
 	if opts.NodeBudget > 0 {
 		m.SetNodeBudget(opts.NodeBudget)
 	}
+}
+
+// SetContext re-arms a finished verifier for a check under ctx (nil: none):
+// the ladder's polls, the manager's interrupt hook and the governance every
+// check shard is created with all follow the verifier's context, and the one
+// it was built under may be long expired. Any number of checks — Run, Scan —
+// can follow one another on a verifier this way, each under its own.
+func (v *Verifier) SetContext(ctx context.Context) {
+	v.e.opts.Ctx = ctx
+	var poll func() error
+	if ctx != nil {
+		poll = func() error { return govern.Check(ctx) }
+	}
+	v.e.m.SetInterrupt(poll)
 }
 
 // contained runs fn with full panic containment: an MTBDD operation

@@ -1,10 +1,6 @@
-// The incremental-vs-cold oracle: random delta sequences applied through
-// the daemon (internal/serve) must leave its report byte-identical to a
-// cold full verification of the final specification. This is the
-// end-to-end defense of the warm-cache soundness argument — if the
-// content-hash invalidation ever under-approximates what a delta dirties,
-// the stale class's numbers leak into the report and the byte comparison
-// fails.
+// Generated daemon deltas: the mutation sequences the incremental-vs-cold
+// oracle (CheckDeltas, deltas_oracle_test.go), FuzzDeltas and the daemon's
+// chaos and endurance tests (internal/serve) apply.
 package difftest
 
 import (
@@ -12,8 +8,6 @@ import (
 	"math/rand"
 	"net/netip"
 
-	"github.com/yu-verify/yu"
-	"github.com/yu-verify/yu/internal/canon"
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/serve"
 	"github.com/yu-verify/yu/internal/topo"
@@ -246,81 +240,4 @@ func sortedConfigNames(cfgs config.Configs) []string {
 		}
 	}
 	return names
-}
-
-// CheckDeltas is the incremental-vs-cold oracle: starting from the
-// case's spec, apply n random deltas one at a time through a daemon
-// (re-verifying after each), then require the final daemon report to be
-// byte-identical to (a) a cold full verification of the final canonical
-// text and (b) a second, fresh daemon given the final text directly.
-func CheckDeltas(c *Case, rng *rand.Rand, n int) error {
-	text0, err := canon.FormatSpec(c.Spec)
-	if err != nil {
-		return fmt.Errorf("deltas: format: %w", err)
-	}
-	cfg := serve.Config{K: c.K, Mode: c.Mode, ModeSet: true, OverloadFactor: c.OverloadFactor}
-	s := serve.NewServer(cfg)
-	if _, err := s.LoadSpecText(text0); err != nil {
-		return fmt.Errorf("deltas: load: %w", err)
-	}
-	if res, err := s.Report(); err != nil {
-		return fmt.Errorf("deltas: initial report: %w", err)
-	} else if res.Err != nil {
-		return fmt.Errorf("deltas: initial verify: %w", res.Err)
-	}
-	spec0, err := config.ParseSpecString(text0)
-	if err != nil {
-		return fmt.Errorf("deltas: reparse: %w", err)
-	}
-	deltas := GenDeltas(rng, spec0, n)
-	var last serve.RunResult
-	for i, d := range deltas {
-		if _, err := s.ApplyDeltas([]serve.Delta{d}); err != nil {
-			return fmt.Errorf("deltas: delta %d rejected (generator contract broken): %w", i, err)
-		}
-		last, err = s.Report()
-		if err != nil {
-			return fmt.Errorf("deltas: report after delta %d: %w", i, err)
-		}
-		if last.Err != nil {
-			return fmt.Errorf("deltas: verify after delta %d: %w", i, last.Err)
-		}
-	}
-	finalText, _ := s.SpecText()
-
-	// Cold full verification of the final state.
-	spec, err := config.ParseSpecString(finalText)
-	if err != nil {
-		return fmt.Errorf("deltas: final spec does not parse: %w", err)
-	}
-	rep, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{
-		K: c.K, Mode: c.Mode, ModeSet: true,
-		OverloadFactor: c.OverloadFactor, Workers: 1,
-	})
-	if err != nil {
-		return fmt.Errorf("deltas: cold verify: %w", err)
-	}
-	cold := canon.FormatReport(spec.Net, rep)
-	if last.Text != cold {
-		return fmt.Errorf("deltas: incremental report diverges from cold after %d deltas\n--- incremental\n%s\n--- cold\n%s\n--- deltas\n%+v",
-			n, last.Text, cold, deltas)
-	}
-
-	// A fresh daemon given the final text must agree too (canonical
-	// text is a fixpoint; versioning adds nothing to the result).
-	s2 := serve.NewServer(cfg)
-	if _, err := s2.LoadSpecText(finalText); err != nil {
-		return fmt.Errorf("deltas: fresh load: %w", err)
-	}
-	res2, err := s2.Report()
-	if err != nil {
-		return fmt.Errorf("deltas: fresh report: %w", err)
-	}
-	if res2.Err != nil {
-		return fmt.Errorf("deltas: fresh verify: %w", res2.Err)
-	}
-	if res2.Text != cold {
-		return fmt.Errorf("deltas: fresh daemon diverges from cold\n--- fresh\n%s\n--- cold\n%s", res2.Text, cold)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,9 +36,11 @@ func goldenPortfolio(n *yu.Network) []topo.TLProp {
 // workers {1,2,4} × {monolithic, AutoDomains 2, the spec's own `domain`
 // lines} must each reproduce testdata/golden/<spec>.k<K>.report
 // (canon.FormatReport, overload 0.95) and .portfolio (canon.FormatPortfolio
-// of goldenPortfolio) byte for byte. The other sweeps compare paths with
-// each other at one commit; this one also catches a change that shifts all
-// of them equally.
+// of goldenPortfolio) byte for byte — through Verify and VerifyPortfolio, and
+// again as a series of checks on one Build of the same options, before and
+// after the build is trimmed and its manager collected. The other sweeps
+// compare paths with each other at one commit; this one also catches a
+// change that shifts all of them equally.
 func TestGoldenSweep(t *testing.T) {
 	root := filepath.Join("..", "..", "testdata")
 	files, err := filepath.Glob(filepath.Join(root, "*.yu"))
@@ -80,6 +83,27 @@ func TestGoldenSweep(t *testing.T) {
 							t.Fatalf("%s: VerifyPortfolio: %v", where, err)
 						}
 						matchGolden(t, base+".portfolio", where, canon.FormatPortfolio(n.Topology(), res))
+
+						// Build once, check many: the same bytes from every check
+						// on one build, in any order, lean or not.
+						b, err := n.Build(opts)
+						if err != nil {
+							t.Fatalf("%s: Build: %v", where, err)
+						}
+						for round, prepare := range []func(){func() {}, b.Trim, b.Collect} {
+							prepare()
+							where := fmt.Sprintf("%s, built, round %d", where, round)
+							res, err := b.VerifyPortfolio(context.Background(), props)
+							if err != nil {
+								t.Fatalf("%s: VerifyPortfolio: %v", where, err)
+							}
+							matchGolden(t, base+".portfolio", where, canon.FormatPortfolio(n.Topology(), res))
+							rep, err := b.Verify(context.Background())
+							if err != nil {
+								t.Fatalf("%s: Verify: %v", where, err)
+							}
+							matchGolden(t, base+".report", where, canon.FormatReport(n.Topology(), rep))
+						}
 					}
 				}
 			})

@@ -465,3 +465,13 @@ func (m *Manager) ClearCaches() {
 	m.clearTables()
 	m.importTbl = make(map[*Node]*Node)
 }
+
+// TrimCaches empties all operation caches like ClearCaches, but gives the
+// five computed tables back their starting size instead of keeping what they
+// grew to: for a manager that has finished the work its tables grew for and
+// is kept for lighter use (a build retained for later checks). They regrow
+// with use as a new manager's would.
+func (m *Manager) TrimCaches() {
+	m.trimTables()
+	m.importTbl = make(map[*Node]*Node)
+}

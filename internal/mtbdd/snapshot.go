@@ -19,8 +19,18 @@ import "fmt"
 // read-only base, and each shard materializes (writes) nodes into its
 // own arena only when it replays.
 //
-// A Snapshot holds no reference to the source Manager and never mutates —
-// it is safe to share across goroutines without synchronization.
+// A snapshot comes in two forms. As NewSnapshot returns it, it is unsealed:
+// it carries a source-node index (Index), so a consumer can translate any
+// encoded node — a root or an interior guard — through the table
+// ImportSnapshot returns; routesim.ImportBase and internal/compose look
+// guards up that way for the length of their own run. The index is keyed by
+// source node pointers, and a node pointer keeps its whole slab — and
+// through Lo/Hi the rest of its manager — reachable, so a snapshot that
+// outlives its source must be sealed first: Seal drops the index once the
+// consumer has resolved the entries it needs (the daemon's STF store keeps
+// root positions). A sealed snapshot, like a decoded one, holds no reference
+// to the source Manager. Neither form mutates after that — it is safe to
+// share across goroutines without synchronization.
 type Snapshot struct {
 	// level/value/lo/hi are parallel arrays, one entry per distinct node,
 	// in an order where both children of entry i precede i. Terminals
@@ -31,7 +41,8 @@ type Snapshot struct {
 	hi    []uint32
 	// index maps every encoded source node to its entry, so consumers can
 	// translate any root (or interior guard) to a destination node via the
-	// table ImportSnapshot returns.
+	// table ImportSnapshot returns. Build-time only: nil once sealed, and on
+	// a decoded snapshot.
 	index map[*Node]uint32
 	// maxLevel is the highest variable tested anywhere in the snapshot,
 	// for destination-compatibility checking (-1 if all terminals).
@@ -99,11 +110,17 @@ func (s *Snapshot) add(n *Node, lo, hi uint32) {
 func (s *Snapshot) Len() int { return len(s.level) }
 
 // Index returns the snapshot entry of a source node, if it was encoded.
-// Pass the result as an index into the table ImportSnapshot returned.
+// Pass the result as an index into the table ImportSnapshot returned. A
+// sealed or decoded snapshot has no index and reports false for every node.
 func (s *Snapshot) Index(n *Node) (uint32, bool) {
 	i, ok := s.index[n]
 	return i, ok
 }
+
+// Seal drops the source-node index, and with it the snapshot's only
+// references into the source manager: resolve every entry you need with
+// Index first. Call it before the snapshot is shared or stored.
+func (s *Snapshot) Seal() { s.index = nil }
 
 // ImportSnapshot replays a snapshot into m and returns the translation
 // table: table[i] is the canonical local node for snapshot entry i, so a

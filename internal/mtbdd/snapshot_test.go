@@ -1,6 +1,10 @@
 package mtbdd
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // buildSnapshotFixtures creates a manager with a few interleaved functions
 // exercising sharing, terminals, and multi-variable structure.
@@ -124,5 +128,80 @@ func TestReserve(t *testing.T) {
 	m2.Reserve(1)
 	if len(m2.spare) != 0 {
 		t.Fatalf("Reserve(1) on a fresh manager allocated %d spare slabs", len(m2.spare))
+	}
+}
+
+// snapshotOfDroppedManager builds a manager, snapshots its fixture roots and
+// returns the snapshot with the roots' entries and structural hashes — and
+// nothing else of the manager: a finalizer on its first node slab reports on
+// freed when the runtime reclaims it. The frame that held the manager is gone
+// when this returns.
+//
+//go:noinline
+func snapshotOfDroppedManager(t *testing.T, seal bool, freed chan<- struct{}) (snap *Snapshot, at []uint32, hashes []uint64) {
+	m, roots := buildSnapshotFixtures(t)
+	runtime.SetFinalizer(&m.slabs[0][0], func(*Node) { close(freed) })
+	snap = NewSnapshot(roots)
+	h := NewHasher()
+	for _, r := range roots {
+		i, ok := snap.Index(r)
+		if !ok {
+			t.Fatal("root missing from the unsealed index")
+		}
+		at = append(at, i)
+		hashes = append(hashes, h.Hash(r))
+	}
+	if seal {
+		snap.Seal()
+		if _, ok := snap.Index(roots[0]); ok {
+			t.Fatal("a sealed snapshot still resolves source nodes")
+		}
+	}
+	return snap, at, hashes
+}
+
+// TestSealedSnapshotReleasesSource is the memory contract of Seal: the
+// build-time index is the only thing tying a snapshot to the manager it was
+// taken from, so a sealed snapshot that outlives its source lets the runtime
+// reclaim the source's node slabs — and still replays to structurally equal
+// roots. The unsealed form is the control: its index keeps them reachable.
+func TestSealedSnapshotReleasesSource(t *testing.T) {
+	collected := func(freed <-chan struct{}, wait time.Duration) bool {
+		deadline := time.After(wait)
+		for {
+			runtime.GC()
+			runtime.GC()
+			select {
+			case <-freed:
+				return true
+			case <-deadline:
+				return false
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}
+
+	freed := make(chan struct{})
+	unsealed, _, _ := snapshotOfDroppedManager(t, false, freed)
+	if collected(freed, 200*time.Millisecond) {
+		t.Fatal("the source slab was reclaimed under an unsealed snapshot: the control does not pin")
+	}
+	runtime.KeepAlive(unsealed)
+
+	freed = make(chan struct{})
+	snap, at, hashes := snapshotOfDroppedManager(t, true, freed)
+	if !collected(freed, 10*time.Second) {
+		t.Fatal("a sealed snapshot keeps its source manager's first slab reachable")
+	}
+	dst := New()
+	for i := 0; i < 8; i++ {
+		dst.AddVar("x")
+	}
+	table := dst.ImportSnapshot(snap)
+	h := NewHasher()
+	for ri, i := range at {
+		if got := h.Hash(table[i]); got != hashes[ri] {
+			t.Errorf("root %d: replayed hash %#x, source hash %#x", ri, got, hashes[ri])
+		}
 	}
 }

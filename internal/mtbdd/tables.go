@@ -28,7 +28,9 @@ import "unsafe"
 //     array it hands out and scans every pointer-carrying one in full, so
 //     a table costs its whole size whether or not it is ever touched.)
 //   - Reset in place. clear() empties the current array at its current
-//     size; nothing is re-allocated by ClearCaches or Manager.GC.
+//     size; nothing is re-allocated by ClearCaches or Manager.GC. Only
+//     TrimCaches, for a manager whose heavy work is over, goes back to the
+//     starting size.
 
 const (
 	applyCacheBits   = 20 // caps: 1M entries
@@ -475,6 +477,17 @@ func (m *Manager) clearTables() {
 	clear(m.rangeTbl.entries)
 	for _, l := range m.lossyTables() {
 		l.puts = 0
+	}
+}
+
+// trimTables replaces every computed table with an empty one of its starting
+// size; the resize tallies are lifetime counters and carry over.
+func (m *Manager) trimTables() {
+	old := m.lossyTables()
+	m.applyTbl, m.negTbl, m.kreduceTbl = newApplyCache(), newUnaryCache(), newKReduceCache()
+	m.fusedTbl, m.rangeTbl = newFusedCache(), newRangeCache()
+	for i, l := range m.lossyTables() {
+		l.resizes = old[i].resizes
 	}
 }
 

@@ -208,6 +208,41 @@ func TestTablesGrowWithUseAndStopAtTheCap(t *testing.T) {
 	}
 }
 
+// TestTrimCachesReturnsToTheStartingSize: TrimCaches gives a manager whose
+// tables have grown the computed tables of a new one — the unique table, and
+// with it every node, stays — keeps the lifetime resize tally, and what is
+// computed afterwards is the same canonical node.
+func TestTrimCachesReturnsToTheStartingSize(t *testing.T) {
+	m := newMgr(t, 8)
+	fresh := m.Stats()
+	r := rand.New(rand.NewSource(72))
+	var last, a, b, c *Node
+	for i := 0; i < 200; i++ {
+		a, b, c = randomMTBDD(m, r, 8, 6), randomGuard(m, r, 8, 5), randomMTBDD(m, r, 8, 6)
+		last = m.KReduce(m.MulAddK(a, b, c, 2), 1)
+	}
+	grown := m.Stats()
+	if grown.CacheResizes == 0 || grown.CacheBytes <= fresh.CacheBytes {
+		t.Fatalf("the workload did not grow the tables: %d resizes, %d -> %d bytes", grown.CacheResizes, fresh.CacheBytes, grown.CacheBytes)
+	}
+	uniqueBytes := func() uint64 { return bytesOf(m.unique.entries) }
+	freshComputed, grownUnique := fresh.CacheBytes-bytesOf(newUniqueTable().entries), uniqueBytes()
+	m.TrimCaches()
+	after := m.Stats()
+	if got := after.CacheBytes - uniqueBytes(); got != freshComputed {
+		t.Errorf("computed tables hold %d bytes after TrimCaches, a new manager's hold %d", got, freshComputed)
+	}
+	if uniqueBytes() != grownUnique || after.Live != grown.Live {
+		t.Errorf("TrimCaches touched the unique table: %d -> %d bytes, %d -> %d live", grownUnique, uniqueBytes(), grown.Live, after.Live)
+	}
+	if after.CacheResizes != grown.CacheResizes {
+		t.Errorf("TrimCaches reset the resize tally: %d -> %d", grown.CacheResizes, after.CacheResizes)
+	}
+	if got := m.KReduce(m.MulAddK(a, b, c, 2), 1); got != last {
+		t.Error("recomputing after TrimCaches built a different node")
+	}
+}
+
 // TestCachedIDsNeverNameAReleasedSlab: the tables hold ids that
 // Manager.node resolves through the slab directory, and GC nils the slabs
 // whose nodes all died. Every id a table still holds after a GC must name

@@ -13,7 +13,11 @@
 // The hashes below cover those surfaces field by field, including the
 // structural hash of every MTBDD guard, in deterministic order. Two runs
 // in which a class's per-prefix hash and the global IGP/SR hashes agree
-// execute that class to byte-identical STFs.
+// execute that class to byte-identical STFs. Each is a per-run quantity:
+// the consumer computes HashIGP and HashSR once a run and HashPrefix once
+// per (router, matched prefix) — a prefix's rows on every router fold into
+// one prefix fingerprint that every class matching the prefix shares —
+// never once per class.
 package routesim
 
 import (

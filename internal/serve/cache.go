@@ -150,20 +150,27 @@ func (st *stfStore) len() int {
 
 // runCache adapts the shared store to core.STFCache for one verification
 // run. It memoizes the run-global fingerprint (topology, failure model,
-// IGP, SR) and the guard hasher, so per-class keys cost one pass over
-// the class's own RIB rows.
+// IGP, SR), each matched prefix's fingerprint and the guard hasher, so a
+// class key costs a handful of tokens and a run hashes each prefix's RIB
+// rows once, however many classes match it.
 type runCache struct {
 	srv    *Server
 	hasher *mtbdd.Hasher
 
 	global      [2]uint64
 	globalReady bool
+	prefixes    map[netip.Prefix]cacheKey
+
+	// lastRep/lastKey carry the key Lookup derived for the class it was last
+	// asked about to the Store that follows a miss and its execution.
+	lastRep topo.Flow
+	lastKey cacheKey
 
 	hits, misses int64
 }
 
 func newRunCache(s *Server) *runCache {
-	return &runCache{srv: s, hasher: mtbdd.NewHasher()}
+	return &runCache{srv: s, hasher: mtbdd.NewHasher(), prefixes: make(map[netip.Prefix]cacheKey)}
 }
 
 // globalTokens fingerprints everything every class execution reads:
@@ -207,25 +214,43 @@ func (rc *runCache) globalFP(e *core.Engine) [2]uint64 {
 	return rc.global
 }
 
+// prefixFP fingerprints what forwarding pfx reads anywhere in the network:
+// every router's RIB candidates and exact-prefix statics for it, in router
+// order. Classes share matched prefixes (some 1 740 classes match 36 on the
+// benchmark's daemon input), so it is computed once a run.
+func (rc *runCache) prefixFP(e *core.Engine, pfx netip.Prefix) cacheKey {
+	if fp, ok := rc.prefixes[pfx]; ok {
+		return fp
+	}
+	rs := e.RouteSim()
+	var t tok
+	for r := 0; r < e.Net().NumRouters(); r++ {
+		t.u64(rs.HashPrefix(topo.RouterID(r), pfx, rc.hasher))
+	}
+	fp := t.key()
+	rc.prefixes[pfx] = fp
+	rc.srv.reg.Counter("serve.prefix_fingerprints").Inc()
+	return fp
+}
+
 // classKey fingerprints one class's execution inputs: the run-global
-// state plus the class identity (ingress, DSCP, matched prefix list) and
-// every router's RIB candidates and statics for those prefixes.
+// state plus the class identity (ingress, DSCP, matched prefix list) and,
+// through each matched prefix's fingerprint, every router's RIB candidates
+// and statics for those prefixes.
 func (rc *runCache) classKey(e *core.Engine, rep topo.Flow) cacheKey {
 	g := rc.globalFP(e)
-	net := e.Net()
-	rs := e.RouteSim()
 	var t tok
 	t.u64(g[0])
 	t.u64(g[1])
-	t.str(net.Router(rep.Ingress).Name)
+	t.str(e.Net().Router(rep.Ingress).Name)
 	t.u64(uint64(rep.DSCP))
 	prefixes := e.ClassPrefixes(rep.Dst)
 	t.u64(uint64(len(prefixes)))
 	for _, pfx := range prefixes {
 		t.prefix(pfx)
-		for r := 0; r < net.NumRouters(); r++ {
-			t.u64(rs.HashPrefix(topo.RouterID(r), pfx, rc.hasher))
-		}
+		fp := rc.prefixFP(e, pfx)
+		t.u64(fp.a)
+		t.u64(fp.b)
 	}
 	return t.key()
 }
@@ -234,7 +259,9 @@ func (rc *runCache) classKey(e *core.Engine, rep topo.Flow) cacheKey {
 // entry by snapshot replay into e's manager. Defensive shape checks keep
 // a stale or corrupt persisted entry from being materialized.
 func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) {
-	ent := rc.srv.store.get(rc.classKey(e, rep))
+	key := rc.classKey(e, rep)
+	rc.lastRep, rc.lastKey = rep, key
+	ent := rc.srv.store.get(key)
 	reg := rc.srv.reg
 	if ent == nil {
 		rc.misses++
@@ -275,8 +302,9 @@ func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) 
 }
 
 // Store implements core.STFCache: snapshot a freshly executed class STF
-// into the shared store. Degraded (fallback-built) STFs are not cached —
-// they depend on the governance budget, not just the route state.
+// into the shared store, under the key the Lookup that missed on it derived.
+// Degraded (fallback-built) STFs are not cached — they depend on the
+// governance budget, not just the route state.
 func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
 	if stf == nil || stf.Degraded {
 		return
@@ -290,6 +318,10 @@ func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
 	roots = append(roots, stf.Delivered, stf.Dropped, stf.InFlight)
 	for _, l := range links {
 		roots = append(roots, stf.Links[l])
+	}
+	key := rc.lastKey
+	if rep != rc.lastRep {
+		key = rc.classKey(e, rep)
 	}
 	snap := mtbdd.NewSnapshot(roots)
 	idx := func(n *mtbdd.Node) uint32 {
@@ -308,5 +340,9 @@ func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
 	for i, l := range links {
 		ent.linkRoots[i] = idx(stf.Links[l])
 	}
-	rc.srv.store.put(rc.classKey(e, rep), ent, rc.srv.reg.Counter("serve.cache_evictions"))
+	// The store outlives this run's manager: an unsealed snapshot would keep
+	// every slab its nodes sit in — and through them the manager — reachable
+	// for the entry's life.
+	snap.Seal()
+	rc.srv.store.put(key, ent, rc.srv.reg.Counter("serve.cache_evictions"))
 }

@@ -60,7 +60,8 @@ type errorResponse struct {
 //	POST /v1/verify   verify current version, or reload {"spec": ...} and verify
 //	POST /v1/delta    apply {"deltas": [...]} atomically, return new version
 //	POST /v1/tlp      evaluate a TLP portfolio ({"portfolio": ...} or the
-//	                  spec's own tlp section) against the warm version
+//	                  spec's own tlp section) on the state the current
+//	                  version was verified on
 //	GET  /v1/report   verification result of the current version
 //	GET  /v1/spec     canonical spec text (X-Yu-Version header)
 //	GET  /v1/metrics  obs registry snapshot

@@ -1,11 +1,15 @@
 // Warm-state persistence: the STF cache (through the mtbdd.Snapshot
 // codec) is written to cfg.StatePath so a restarted daemon resumes warm.
 // Writes are crash-safe — tmp file, fsync, atomic rename, directory
-// fsync — and every YUWARM1 entry is a CRC-framed block, so a torn or
+// fsync — and every YUWARM2 entry is a CRC-framed block, so a torn or
 // bit-flipped file is detected, logged, and ignored. Loading is
 // best-effort: corrupt or stale state starts cold — warm state is a
 // latency aid, never a correctness input (content-hash keys make a wrong
-// entry unreachable, and Lookup shape-checks survivors).
+// entry unreachable, and Lookup shape-checks survivors). A YUWARM1 file —
+// the frame of the key derivation that hashed every router's rows once per
+// class — holds keys no run derives any more: it fails the magic check,
+// starts the daemon cold like any other unreadable file, and the next
+// SaveState replaces it.
 package serve
 
 import (
@@ -26,7 +30,7 @@ import (
 )
 
 const (
-	warmMagic      = "YUWARM1\n"
+	warmMagic      = "YUWARM2\n"
 	warmCacheFile  = "stfcache.bin"
 	maxWarmEntries = 1 << 20
 	maxWarmLinks   = 1 << 24

@@ -20,7 +20,11 @@
 //     publishes a new immutable version (canonical spec text + parsed
 //     spec + lazily computed report). Queries pin one version with a
 //     single atomic load, so concurrent readers never block on a reload
-//     and never observe a half-applied one.
+//     and never observe a half-applied one. A version is built once: the
+//     state its report was checked on (a yu.Built) stays with it for as
+//     long as it is reachable, and every portfolio query that pins the
+//     version is a check on that state — no route simulation, no
+//     execution, no cache replay (tlp.go).
 //   - Crash consistency (DESIGN.md §15): with a state directory, every
 //     accepted delta batch is journaled to a checksummed write-ahead log
 //     (wal.go) before it is published, and replayed at startup — a
@@ -106,9 +110,9 @@ type RunResult struct {
 }
 
 // version is one immutable published state: canonical spec text, the
-// parsed spec, and the lazily computed verification result. All fields
-// except the once-guarded result are written before publication and never
-// after.
+// parsed spec, and the lazily computed verification result with the state
+// it was computed on. All fields except the once-guarded result and build
+// are written before publication and never after.
 type version struct {
 	id   int64
 	text string
@@ -118,6 +122,15 @@ type version struct {
 	once   sync.Once
 	done   chan struct{}
 	result RunResult
+	// build is the verifier state the result was checked on, trimmed and
+	// kept for the portfolio queries that pin this version; nil when the
+	// build failed (result.Err says why). It is written before done is
+	// closed, so whoever has waited for done reads it without a lock — and
+	// uses it only while holding lock, a manager being single-threaded. It
+	// lives as long as the version is reachable: from s.cur, or from a
+	// reader still in flight.
+	build *yu.Built
+	lock  chan struct{} // capacity 1: held while build is in use
 }
 
 // Server is the resident verification service. Mutations (LoadSpecText,
@@ -379,14 +392,17 @@ func (s *Server) buildVersion(text string) (*version, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ct, cerr := canon.FormatSpec(spec); cerr == nil {
+	// A text that is already canonical — every ApplyToText result, every
+	// /v1/spec answer loaded back — is its own fixpoint: spec is its parse.
+	if ct, cerr := canon.FormatSpec(spec); cerr == nil && ct != text {
 		cspec, perr := config.ParseSpecString(ct)
 		if perr != nil {
 			return nil, fmt.Errorf("serve: canonical spec does not re-parse: %w", perr)
 		}
 		text, spec = ct, cspec
 	}
-	return &version{id: s.nextID.Add(1), text: text, spec: spec, srv: s, done: make(chan struct{})}, nil
+	return &version{id: s.nextID.Add(1), text: text, spec: spec, srv: s,
+		done: make(chan struct{}), lock: make(chan struct{}, 1)}, nil
 }
 
 func (s *Server) publish(v *version) {
@@ -409,31 +425,37 @@ func (s *Server) ReportCtx(ctx context.Context) (RunResult, error) {
 	if v == nil {
 		return RunResult{}, fmt.Errorf("serve: no specification loaded")
 	}
-	v.start()
-	select {
-	case <-v.done:
-		return v.result, nil
-	case <-ctx.Done():
-		s.reg.Counter("serve.timeouts").Inc()
-		return RunResult{}, fmt.Errorf("serve: waiting for verification of version %d: %w", v.id, ctx.Err())
+	if err := v.await(ctx); err != nil {
+		return RunResult{}, err
 	}
+	return v.result, nil
 }
 
-// start kicks off the version's verification exactly once, on its own
-// goroutine so callers can bound their wait.
-func (v *version) start() {
+// await kicks off the version's verification exactly once — on its own
+// goroutine, so callers can bound their wait — and waits for it until ctx
+// expires. Every reader of a version shares the one run.
+func (v *version) await(ctx context.Context) error {
 	v.once.Do(func() {
 		go func() {
 			defer close(v.done)
 			v.compute()
 		}()
 	})
+	select {
+	case <-v.done:
+		return nil
+	case <-ctx.Done():
+		v.srv.reg.Counter("serve.timeouts").Inc()
+		return fmt.Errorf("serve: waiting for verification of version %d: %w", v.id, ctx.Err())
+	}
 }
 
-// compute runs the version's verification. Panics are contained: the
-// version's result carries the error and the daemon keeps serving
-// (worker panics are already contained by governance — this is the
-// serve-layer backstop, exercised by fault injection).
+// compute runs the version's verification: build once, check the spec's
+// properties, and leave the build — trimmed — on the version for the
+// portfolio queries to come. Panics are contained: the version's result
+// carries the error and the daemon keeps serving (worker panics are
+// already contained by governance — this is the serve-layer backstop,
+// exercised by fault injection).
 func (v *version) compute() {
 	s := v.srv
 	defer func() {
@@ -455,7 +477,8 @@ func (v *version) compute() {
 		defer cancel()
 	}
 	rc := newRunCache(s)
-	rep, err := yu.FromSpec(v.spec).Verify(yu.VerifyOptions{
+	s.reg.Counter("serve.builds").Inc()
+	b, err := yu.FromSpec(v.spec).Build(yu.VerifyOptions{
 		K:              s.cfg.K,
 		Mode:           s.cfg.Mode,
 		ModeSet:        s.cfg.ModeSet,
@@ -465,6 +488,12 @@ func (v *version) compute() {
 		Obs:            s.reg,
 		STFCache:       rc,
 	})
+	var rep *yu.Report
+	if b != nil {
+		rep, err = b.Verify(ctx)
+		b.Trim()
+		v.build = b
+	}
 	v.result = RunResult{
 		Version: v.id,
 		Report:  rep,

@@ -372,6 +372,99 @@ func TestWarmStateCorrupt(t *testing.T) {
 	}
 }
 
+// TestWarmStateOldFrame: a stfcache.bin in the YUWARM1 frame — keys of the
+// derivation that hashed every router's rows once per class, which no run
+// derives any more — is discarded at load with the usual log line, never
+// carried as dead weight, and the next SaveState replaces it with a YUWARM2
+// file a restart resumes warm from.
+func TestWarmStateOldFrame(t *testing.T) {
+	dir := t.TempDir()
+	raw := readSpec(t, "motivating.yu")
+	s1 := serve.NewServer(serve.Config{StatePath: dir})
+	if _, err := s1.LoadSpecText(raw); err != nil {
+		t.Fatal(err)
+	}
+	mustReport(t, s1)
+	if err := s1.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "stfcache.bin")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("YUWARM2\n")) {
+		t.Fatalf("SaveState wrote magic %q, want YUWARM2", data[:8])
+	}
+	// The same entries under the old magic: what an upgraded daemon finds.
+	if err := os.WriteFile(path, append([]byte("YUWARM1\n"), data[8:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	s2 := serve.NewServer(serve.Config{StatePath: dir})
+	if !strings.Contains(logged.String(), "YUWARM1") || !strings.Contains(logged.String(), "starting cold") {
+		t.Fatalf("loading a YUWARM1 file logged %q, want the bad magic and \"starting cold\"", logged.String())
+	}
+	if n := s2.StoreLen(); n != 0 {
+		t.Fatalf("a YUWARM1 file left %d entries in the store", n)
+	}
+	if _, err := s2.LoadSpecText(raw); err != nil {
+		t.Fatal(err)
+	}
+	res := mustReport(t, s2)
+	if res.Stats.CacheHits != 0 || res.Text != coldReport(t, raw) {
+		t.Fatalf("after a discarded YUWARM1 file: %d cache hits, report equal to cold: %v", res.Stats.CacheHits, res.Text == coldReport(t, raw))
+	}
+	if err := s2.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil || !bytes.HasPrefix(data, []byte("YUWARM2\n")) {
+		t.Fatalf("SaveState left magic %q (%v), want the YUWARM1 file replaced", data[:8], err)
+	}
+	s3 := serve.NewServer(serve.Config{StatePath: dir})
+	if _, err := s3.LoadSpecText(raw); err != nil {
+		t.Fatal(err)
+	}
+	if res := mustReport(t, s3); res.Stats.CacheHits != 2 || res.Stats.CacheMisses != 0 {
+		t.Fatalf("restart on the replaced file: hits/misses = %d/%d, want 2/0", res.Stats.CacheHits, res.Stats.CacheMisses)
+	}
+}
+
+// TestCanonicalTextParsedOnce: a version built from canonical text — which
+// is parsed once, being its own fixpoint — and one built from a
+// non-canonical spelling of it — re-parsed from its canonical rendering —
+// are the same version: equal text, byte-equal reports.
+func TestCanonicalTextParsedOnce(t *testing.T) {
+	for _, file := range []string{"motivating.yu", "misconfig.yu", "sranycast.yu", "wan-1.yu"} {
+		raw := readSpec(t, file)
+		loose := serve.NewServer(serve.Config{})
+		if _, err := loose.LoadSpecText(raw); err != nil {
+			t.Fatal(err)
+		}
+		canonical, _ := loose.SpecText()
+		if canonical == raw {
+			t.Fatalf("%s is already canonical: the case needs a non-canonical spelling", file)
+		}
+		strict := serve.NewServer(serve.Config{})
+		if _, err := strict.LoadSpecText(canonical); err != nil {
+			t.Fatalf("%s: canonical text: %v", file, err)
+		}
+		if got, _ := strict.SpecText(); got != canonical {
+			t.Errorf("%s: canonical text is not its own version text", file)
+		}
+		a, b := mustReport(t, loose), mustReport(t, strict)
+		if a.Text != b.Text {
+			t.Errorf("%s: reports differ between the spellings\n--- non-canonical\n%s--- canonical\n%s", file, a.Text, b.Text)
+		}
+		if a.Text != coldReport(t, raw) {
+			t.Errorf("%s: report differs from cold", file)
+		}
+	}
+}
+
 // TestReloadRace hammers /v1/report from several goroutines while deltas
 // and reloads are applied. Every response must be internally consistent:
 // one version, and the report text that belongs to exactly that version.

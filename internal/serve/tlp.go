@@ -1,15 +1,17 @@
-// POST /v1/tlp: portfolio evaluation against the daemon's warm state.
+// POST /v1/tlp: portfolio evaluation against the daemon's verified state.
 // The request pins the current version and evaluates an arbitrary TLP
-// portfolio with the batch engine — one symbolic run serves every
-// property, and the run draws its symbolic execution from the warm STF
-// cache, so on a warm daemon only classes dirtied since the last run are
-// re-executed.
+// portfolio with the batch engine on the build that version's report was
+// checked on — one symbolic run per version serves its report and every
+// query after it, so a query costs what the paper says a TLP costs: a
+// per-link aggregation and a terminal scan.
 package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 
 	"github.com/yu-verify/yu"
 	"github.com/yu-verify/yu/internal/canon"
@@ -27,11 +29,14 @@ type tlpRequest struct {
 
 // tlpResponse is the JSON rendering of a portfolio evaluation.
 type tlpResponse struct {
-	Version     int64  `json:"version"`
-	Holds       bool   `json:"holds"`
-	Report      string `json:"report"`
-	Properties  int    `json:"properties"`
-	Violations  int    `json:"violations"`
+	Version    int64  `json:"version"`
+	Holds      bool   `json:"holds"`
+	Report     string `json:"report"`
+	Properties int    `json:"properties"`
+	Violations int    `json:"violations"`
+	// CacheHits/CacheMisses are the pinned version's build statistics —
+	// what its one verification drew from the warm STF cache, the same
+	// numbers its /v1/report carries. A query adds to neither.
 	CacheHits   int64  `json:"cache_hits"`
 	CacheMisses int64  `json:"cache_misses"`
 	Error       string `json:"error,omitempty"`
@@ -43,16 +48,32 @@ type TLPResult struct {
 	Version int64
 	Result  *yu.TLPResult
 	// Text is the canonical rendering (canon.FormatPortfolio).
-	Text  string
+	Text string
+	// Stats are the pinned version's build statistics: the evaluation
+	// itself consults no cache.
 	Stats RunStats
 	Err   error
 }
 
-// EvalPortfolioCtx evaluates portfolio text against the current version
-// from warm state. An empty text evaluates the spec's own portfolio
-// section. Parse and compile errors are returned as the error; a
-// governed abort (ctx expiry mid-run) returns a partial result whose
-// undecided properties are unchecked, carried in TLPResult.Err.
+// collectBeforeEval is a test hook, never set by library code: while it is
+// positive, every portfolio evaluation first forces a managed collection of
+// the retained manager (internal/difftest reaches it by go:linkname — the
+// byte-identity oracle must hold across one, and it must not become an
+// option).
+var collectBeforeEval atomic.Int32
+
+// EvalPortfolioCtx evaluates portfolio text against the current version,
+// on the state that version was verified on: a per-link aggregation and a
+// terminal scan per subject, no route simulation, no execution, no cache
+// replay. A version not verified yet is verified first — the one shared
+// run every reader of it waits for, until ctx expires. An empty text
+// evaluates the spec's own portfolio section. Parse and compile errors are
+// returned as the error, and so is the failure of a version that could not
+// be built; a governed abort (ctx or VerifyTimeout expiring mid-evaluation,
+// or the version's own build cut short by it) returns a partial result
+// whose undecided properties are unchecked, carried in TLPResult.Err — and
+// leaves the retained state usable. Stats are the pinned version's build
+// statistics: a query touches no cache.
 func (s *Server) EvalPortfolioCtx(ctx context.Context, portfolioText string) (TLPResult, error) {
 	v := s.cur.Load()
 	if v == nil {
@@ -74,21 +95,33 @@ func (s *Server) EvalPortfolioCtx(ctx context.Context, portfolioText string) (TL
 	s.reg.Counter("serve.tlp_requests").Inc()
 	sp := s.reg.Span("tlp")
 	defer sp.End()
+	select {
+	case <-v.done:
+		s.reg.Counter("serve.tlp_retained").Inc()
+	default:
+	}
+	if err := v.await(ctx); err != nil {
+		return TLPResult{}, err
+	}
+	if v.build == nil {
+		return TLPResult{}, v.result.Err
+	}
+	select {
+	case v.lock <- struct{}{}:
+		defer func() { <-v.lock }()
+	case <-ctx.Done():
+		s.reg.Counter("serve.timeouts").Inc()
+		return TLPResult{}, fmt.Errorf("serve: waiting for the verified state of version %d: %w", v.id, ctx.Err())
+	}
 	if s.cfg.VerifyTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.VerifyTimeout)
 		defer cancel()
 	}
-	rc := newRunCache(s)
-	res, err := yu.FromSpec(v.spec).VerifyPortfolio(props, yu.VerifyOptions{
-		K:        s.cfg.K,
-		Mode:     s.cfg.Mode,
-		ModeSet:  s.cfg.ModeSet,
-		Workers:  1,
-		Ctx:      ctx,
-		Obs:      s.reg,
-		STFCache: rc,
-	})
+	if collectBeforeEval.Load() > 0 {
+		v.build.Collect()
+	}
+	res, err := v.build.VerifyPortfolio(ctx, props)
 	if res == nil {
 		return TLPResult{}, err
 	}
@@ -96,7 +129,7 @@ func (s *Server) EvalPortfolioCtx(ctx context.Context, portfolioText string) (TL
 		Version: v.id,
 		Result:  res,
 		Text:    canon.FormatPortfolio(v.spec.Net, res),
-		Stats:   RunStats{CacheHits: rc.hits, CacheMisses: rc.misses},
+		Stats:   v.result.Stats,
 		Err:     err,
 	}, nil
 }
@@ -112,11 +145,14 @@ func (s *Server) handleTLP(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.EvalPortfolioCtx(r.Context(), req.Portfolio)
 	if err != nil {
-		if res.Version == 0 && s.cur.Load() == nil {
+		switch {
+		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+			writeError(w, http.StatusGatewayTimeout, err)
+		case s.cur.Load() == nil:
 			writeError(w, http.StatusConflict, err)
-			return
+		default:
+			writeError(w, http.StatusUnprocessableEntity, err)
 		}
-		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	out := tlpResponse{

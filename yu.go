@@ -352,32 +352,47 @@ func (n *Network) resolve(opts VerifyOptions) resolved {
 
 // Verify runs k-failure TLP verification. With the YU engine the run is a
 // staged pipeline — resolve → build (monolithic or compositional) → check
-// the spec's properties → report — shared with VerifyPortfolio, which
-// differs only in the check stage; the baselines branch off after resolve.
+// the spec's properties → report: Build, then one Built.Verify. The baselines
+// branch off after resolve.
 func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
-	r := n.resolve(opts)
-	start := time.Now()
 	switch opts.Engine {
 	case EngineYU:
 	case EngineEnumerate:
-		return n.verifyEnumerate(r, opts, start)
+		return n.verifyEnumerate(n.resolve(opts), opts, time.Now())
 	case EngineShortestPath:
-		return n.verifyShortestPath(r, opts, start)
+		return n.verifyShortestPath(n.resolve(opts), opts, time.Now())
 	default:
 		return nil, fmt.Errorf("yu: unknown engine %d", opts.Engine)
 	}
-	b, err := n.build(r, opts)
+	b, err := n.Build(opts)
 	if b == nil {
 		return nil, err
 	}
-	defer core.RecordManager(opts.Obs, "primary", b.mgr)
+	return b.Verify(opts.Ctx)
+}
+
+// Verify checks the spec's properties (and the build options' overload
+// factor) on the built state, under ctx (nil: ungoverned) — the check stage
+// of Network.Verify, which any number of further checks may follow. Elapsed
+// in the report is the build's time plus this check's.
+//
+// A governed abort — of this check, or the one that cut the build short —
+// returns the typed error with a partial report, as Network.Verify does.
+func (b *Built) Verify(ctx context.Context) (*Report, error) {
+	n, r, opts := b.n, b.r, b.opts
+	opts.Ctx = ctx
+	start := time.Now().Add(-b.buildTime)
+	defer b.record()
 	// rep stays nil when the build was cut short before any check could
 	// run: the report then lists every requested target as unchecked.
 	var rep *core.Report
+	err := b.err
 	if err == nil {
+		b.ver.SetContext(ctx)
 		checkSpan := opts.Obs.Span("check")
 		rep, err = b.ver.Run(n.spec.Props, n.spec.Delivered, opts.OverloadFactor)
 		checkSpan.End()
+		b.ver.Collect(false)
 	}
 	if opts.OnBudget == BudgetDegrade && opts.MaxNodes > 0 &&
 		(errors.Is(err, ErrNodeBudget) && rep == nil || err == nil && rep.Incomplete) {
@@ -397,10 +412,7 @@ func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
 		return out, derr
 	}
 	if rep == nil {
-		out := &Report{Elapsed: time.Since(start), RouteSimTime: b.routeTime, FlowsTotal: len(r.flows)}
-		if b.mgr != nil {
-			out.MTBDDNodes = b.mgr.Stats().Live
-		}
+		out := &Report{Elapsed: time.Since(start), RouteSimTime: b.routeTime, FlowsTotal: len(r.flows), MTBDDNodes: b.LiveNodes()}
 		n.markAllUnchecked(out, opts.OverloadFactor)
 		return out, err
 	}
@@ -411,7 +423,7 @@ func (n *Network) Verify(opts VerifyOptions) (*Report, error) {
 		RouteSimTime:       b.routeTime,
 		FlowsTotal:         rep.FlowsTotal,
 		FlowsExecuted:      rep.FlowsExecuted,
-		MTBDDNodes:         b.mgr.Stats().Live,
+		MTBDDNodes:         b.LiveNodes(),
 		LinkStats:          rep.LinkStats,
 		Incomplete:         rep.Incomplete,
 		Unchecked:          rep.Unchecked,
@@ -499,61 +511,162 @@ func (n *Network) markAllUnchecked(out *Report, overloadFactor float64) {
 // engine (EngineYU only): one symbolic execution serves every property,
 // each directed link's load aggregated and terminal-scanned exactly once
 // however many properties ride on it. It runs Verify's pipeline with a
-// different check stage, so options are honored as in Verify — K/Mode/Flows
-// overrides, Workers, governance, Obs, STFCache, and Domains/AutoDomains
-// (compositional build, byte-identical result); the portfolio itself
-// replaces the spec's legacy properties. The result is byte-stable across
-// worker counts and partitions (canon.FormatPortfolio).
+// different check stage — Build, then one Built.VerifyPortfolio — so options
+// are honored as in Verify: K/Mode/Flows overrides, Workers, governance, Obs,
+// STFCache, and Domains/AutoDomains (compositional build, byte-identical
+// result); the portfolio itself replaces the spec's legacy properties. The
+// result is byte-stable across worker counts and partitions
+// (canon.FormatPortfolio).
 //
 // Like Verify, a governed abort returns the typed error together with a
 // partial result whose undecided properties are StatusUnchecked; unlike
 // Verify there is no concrete rung 4 for portfolios.
 func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResult, error) {
-	r := n.resolve(opts)
-	port, err := tlp.Compile(n.spec.Net, r.flows, props)
+	// Compiled before the build: a malformed portfolio costs no simulation.
+	port, err := tlp.Compile(n.spec.Net, n.resolve(opts).flows, props)
 	if err != nil {
 		return nil, err
 	}
-	b, err := n.build(r, opts)
+	b, err := n.Build(opts)
 	if b == nil {
 		return nil, err
 	}
-	defer core.RecordManager(opts.Obs, "primary", b.mgr)
+	return b.evalPortfolio(opts.Ctx, port)
+}
+
+// VerifyPortfolio evaluates a property portfolio on the built state, under
+// ctx (nil: ungoverned) — the check stage of Network.VerifyPortfolio, at the
+// cost the paper gives a TLP (§4.5, §5.3): a per-link aggregation and a
+// terminal scan over symbolic traffic fractions that already exist. A
+// malformed portfolio is the error alone; a governed abort — of this check,
+// or the one that cut the build short — the typed error with the undecided
+// properties unchecked. An aborted check leaves the built state usable.
+func (b *Built) VerifyPortfolio(ctx context.Context, props []TLProp) (*TLPResult, error) {
+	port, err := tlp.Compile(b.n.spec.Net, b.r.flows, props)
+	if err != nil {
+		return nil, err
+	}
+	return b.evalPortfolio(ctx, port)
+}
+
+func (b *Built) evalPortfolio(ctx context.Context, port *tlp.Portfolio) (*TLPResult, error) {
+	defer b.record()
+	err := b.err
 	if err == nil {
 		err = b.ver.Err()
 	}
 	if err != nil {
-		return tlp.AllUnchecked(props), err
+		return tlp.AllUnchecked(port.Props), err
 	}
-	return port.Eval(b.ver, opts.Obs)
+	b.ver.SetContext(ctx)
+	res, err := port.Eval(b.ver, b.opts.Obs)
+	b.ver.Collect(false)
+	return res, err
 }
 
-// built is the outcome of the build stage: a verifier holding every
-// class's STF in one manager, ready for either check stage.
-type built struct {
-	// ver is nil when a governed abort cut the stage short before
+// Built is the state a network is verified on — the outcome of the pipeline's
+// resolve and build stages: every equivalence class's symbolic traffic
+// fractions in one MTBDD manager. Any number of checks can run on it, the
+// spec's properties (Verify) and portfolios (VerifyPortfolio) alike, each
+// under its own context and none paying route simulation or symbolic
+// execution again; Network.Verify and Network.VerifyPortfolio are the
+// one-check case. Results are byte-identical to theirs.
+//
+// A Built is not safe for concurrent use — its manager is single-threaded —
+// so callers serialize checks. It holds its manager for as long as it is
+// reachable; Trim makes a long-lived one lean.
+type Built struct {
+	n    *Network
+	r    resolved
+	opts VerifyOptions
+	// ver is nil when a governed abort — err — cut the build short before
 	// execution could start; mgr too when no manager existed yet.
 	ver *core.Verifier
 	mgr *mtbdd.Manager
+	err error
 	// routeTime is the route-simulation wall time, or the whole
-	// compositional build's.
-	routeTime time.Duration
+	// compositional build's; buildTime the whole build stage's.
+	routeTime, buildTime time.Duration
 	// modular is set when the verifier was assembled from domains.
 	modular *ModularStats
+	// recorded is set once the manager's stats have gone to opts.Obs: a
+	// build is one entry in the registry, taken after its first check.
+	recorded bool
 }
 
-// build is the pipeline's second stage. The plan is compositional when
-// the options name a partition — per-domain route simulation and execution
-// assembled by internal/compose (DESIGN.md §17) — and monolithic otherwise:
-// one route simulation, then execution on Workers shards. Input the
-// composition cannot handle (incomposable configs, a budget the domains
-// cannot hold) falls back wholesale to the monolithic plan, which
-// reproduces the verdict or the error.
+func (b *Built) record() {
+	if !b.recorded {
+		b.recorded = true
+		core.RecordManager(b.opts.Obs, "primary", b.mgr)
+	}
+}
+
+// Trim releases what only the build needed — the execution engine's step
+// caches, the route-simulation result, the size the manager's operation
+// caches grew to — and makes the manager collect its garbage, the symbolic
+// traffic fractions as roots, whenever live nodes pass four times what is
+// left (at least 64 K). Call it once, before keeping a Built around for
+// checks to come; results do not change.
+func (b *Built) Trim() {
+	b.opts.STFCache = nil // consulted by the build only; it may hold hashes of every guard
+	if b.ver != nil {
+		b.ver.Trim()
+	}
+}
+
+// Collect garbage-collects the manager now, the symbolic traffic fractions
+// as roots. Checks collect on their own once the manager has grown; this is
+// for a caller that wants the memory back at a time of its choosing.
+func (b *Built) Collect() {
+	if b.ver != nil {
+		b.ver.Collect(true)
+	}
+}
+
+// LiveNodes is the manager's current live MTBDD node count (the Fig 16
+// metric, Report.MTBDDNodes): what a kept Built costs.
+func (b *Built) LiveNodes() int {
+	if b.mgr == nil {
+		return 0
+	}
+	return b.mgr.Stats().Live
+}
+
+// Build runs the pipeline up to the point where checks can start — resolve,
+// then the build stage — and returns the state for any number of them
+// (EngineYU only). The plan is compositional when the options name a
+// partition — per-domain route simulation and execution assembled by
+// internal/compose (DESIGN.md §17) — and monolithic otherwise: one route
+// simulation, then execution on Workers shards. Input the composition cannot
+// handle (incomposable configs, a budget the domains cannot hold) falls back
+// wholesale to the monolithic plan, which reproduces the verdict or the
+// error. opts.Ctx governs the build only; each check names its own.
 //
-// A governed abort returns the typed error with a built whose ver is nil,
-// for the caller to shape its partial result; any other error returns a
-// nil built.
-func (n *Network) build(r resolved, opts VerifyOptions) (*built, error) {
+// A governed abort returns the typed error together with a Built on which
+// every check answers its all-unchecked partial result and that error; any
+// other error returns a nil Built.
+func (n *Network) Build(opts VerifyOptions) (*Built, error) {
+	if opts.Engine != EngineYU {
+		return nil, fmt.Errorf("yu: Build runs the YU engine only (engine %d)", opts.Engine)
+	}
+	start := time.Now()
+	b := &Built{n: n, r: n.resolve(opts), opts: opts}
+	if err := b.build(); err != nil {
+		return nil, err
+	}
+	b.buildTime = time.Since(start)
+	return b, b.err
+}
+
+// build is the pipeline's second stage. A governed abort is left in b.err
+// with ver nil, for the checks to shape their partial results around; any
+// other error is returned.
+func (b *Built) build() error {
+	n, r, opts := b.n, b.r, b.opts
+	governed := func(err error) error {
+		b.err = err
+		return nil
+	}
 	if opts.Domains != nil || opts.AutoDomains > 0 {
 		var part *topo.Partition
 		var err error
@@ -563,7 +676,7 @@ func (n *Network) build(r resolved, opts VerifyOptions) (*built, error) {
 			part, err = topo.AutoPartition(n.spec.Net, opts.AutoDomains)
 		}
 		if err != nil {
-			return nil, err // an invalid partition is a configuration error
+			return err // an invalid partition is a configuration error
 		}
 		composeStart := time.Now()
 		c, err := compose.Build(n.spec.Net, n.spec.Configs, part, r.flows, compose.Options{
@@ -578,37 +691,38 @@ func (n *Network) build(r resolved, opts VerifyOptions) (*built, error) {
 			DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
 			DisableGlobalEquiv:    opts.DisableGlobalEquiv,
 		})
-		composeTime := time.Since(composeStart)
-		opts.Obs.AddPhase("compose", composeTime)
+		b.routeTime = time.Since(composeStart)
+		opts.Obs.AddPhase("compose", b.routeTime)
 		if err == nil {
 			stats := c.Stats // a copy: &c.Stats would pin c's managers to the Report
 			recordRouteSim(opts.Obs, stats.RouteSim)
-			return &built{ver: c.Verifier, mgr: c.Engine.Manager(), routeTime: composeTime, modular: &stats}, nil
+			b.ver, b.mgr, b.modular = c.Verifier, c.Engine.Manager(), &stats
+			return nil
 		}
 		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) {
-			return &built{routeTime: composeTime}, err
+			return governed(err)
 		}
 		var notConverged *ErrNotConverged
 		if errors.As(err, &notConverged) {
-			return nil, err // the monolithic rounds are the same rounds
+			return err // the monolithic rounds are the same rounds
 		}
 	}
 	// Timed from here, not from the caller's start: after a compose
 	// fallback the failed composition is already the "compose" phase.
 	routeStart := time.Now()
-	m := mtbdd.New()
-	fv := routesim.NewFailVars(m, n.spec.Net, r.mode, r.budget)
+	b.mgr = mtbdd.New()
+	fv := routesim.NewFailVars(b.mgr, n.spec.Net, r.mode, r.budget)
 	if opts.MaxNodes > 0 {
-		m.SetNodeBudget(opts.MaxNodes)
+		b.mgr.SetNodeBudget(opts.MaxNodes)
 	}
 	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs)
-	b := &built{mgr: m, routeTime: time.Since(routeStart)}
+	b.routeTime = time.Since(routeStart)
 	opts.Obs.AddPhase("routesim", b.routeTime)
 	if err != nil {
 		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrNodeBudget) {
-			return b, err
+			return governed(err)
 		}
-		return nil, err
+		return err
 	}
 	recordRouteSim(opts.Obs, rs.Stats)
 	eng := core.NewEngine(rs, core.Options{
@@ -625,7 +739,7 @@ func (n *Network) build(r resolved, opts VerifyOptions) (*built, error) {
 	execSpan := opts.Obs.Span("execute")
 	b.ver = core.NewParallelVerifier(eng, r.flows, opts.Workers)
 	execSpan.End()
-	return b, nil
+	return nil
 }
 
 // recordRouteSim breaks the route-simulation time down by stage and
