@@ -217,6 +217,9 @@ func TestRunVerifyStatsListsManagers(t *testing.T) {
 	if !bytes.Contains(stdout.Bytes(), []byte("route-sim: igp ")) || !bytes.Contains(stdout.Bytes(), []byte(" rounds, ")) {
 		t.Errorf("-stats does not break route simulation down:\n%s", &stdout)
 	}
+	if !bytes.Contains(stdout.Bytes(), []byte("execute: 2 classes: 2 executed, 0 shared; 1 forwarding classes over 1 prefixes; ")) {
+		t.Errorf("-stats does not say what the execution stage executed and shared:\n%s", &stdout)
+	}
 	if !bytes.Contains(stdout.Bytes(), []byte("check: ")) || !bytes.Contains(stdout.Bytes(), []byte(" classes enumerated, aggregation ")) {
 		t.Errorf("-stats does not say what the check stage did with its links:\n%s", &stdout)
 	}

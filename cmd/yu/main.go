@@ -415,6 +415,7 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 				m.Name, m.PeakLive, float64(m.CacheBytes)/(1<<20), m.CacheResizes)
 		}
 		printRouteSim(stdout, snap)
+		printExecute(stdout, snap)
 		printCheck(stdout, snap)
 		if rep.Scenarios > 0 {
 			fmt.Fprintf(stdout, "scenarios simulated: %d\n", rep.Scenarios)
@@ -460,6 +461,25 @@ func printRouteSim(w io.Writer, snap *yu.MetricsSnapshot) {
 		ms["routesim/igp"], c["routesim.igp_levels"], c["routesim.igp_pruned"],
 		ms["routesim/bgp"], c["routesim.bgp_rounds"], c["routesim.bgp_recomputed"], c["routesim.bgp_entries"],
 		c["routesim.templates_rebuilt"], c["routesim.as_paths"], ms["routesim/finish"])
+}
+
+// printExecute renders the execution stage's own account of a run: how many
+// global-equivalence classes a symbolic execution built an STF for and how
+// many took the STF of an earlier class with the same behaviour, how many
+// forwarding classes the destination prefixes fall into, and how often a
+// forwarding step was built rather than found. On a multi-worker run every
+// worker's engine classifies prefixes and builds steps of its own, so the
+// last four numbers sum over workers. Runs that execute nothing symbolically
+// print nothing.
+func printExecute(w io.Writer, snap *yu.MetricsSnapshot) {
+	c := snap.Counters
+	executed, shared := c["exec.flows_executed"], c["exec.classes_shared"]
+	if executed+shared == 0 {
+		return
+	}
+	fmt.Fprintf(w, "execute: %d classes: %d executed, %d shared; %d forwarding classes over %d prefixes; %d steps built, %d shared\n",
+		executed+shared, executed, shared, c["exec.forwarding_classes"], c["exec.prefixes"],
+		c["exec.steps_built"], c["exec.steps_shared"])
 }
 
 // printCheck renders the check stage's own account of a run: how many loads

@@ -33,17 +33,6 @@ import (
 // order is every experiment -exp accepts, in the order "all" runs them.
 var order = []string{"table1", "table3", "fig11", "fig12", "fig13", "fig15", "fig17", "table4"}
 
-// retired maps the repo-experiment names yubench used to accept to the
-// ./benchmark workload that measures the same thing now.
-var retired = map[string]string{
-	"workers":  "wan-k2-par",
-	"scaling":  "wan-k2-par",
-	"overhead": "wan-k2",
-	"kernels":  "wan-k2",
-	"tlp":      "portfolio-1k",
-	"modular":  "modular",
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -99,9 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, name := range names {
 		runExp, ok := runners[name]
 		if !ok {
-			if w, was := retired[name]; was {
-				return fail(fmt.Errorf("experiment %q is retired; run `go run ./benchmark -workload %s` (see benchmark/README.md)", name, w))
-			}
 			return fail(fmt.Errorf("unknown experiment %q", name))
 		}
 		if *exp == "all" {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -32,30 +31,5 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 	if code, _, errs := runYubench("-scale", "huge"); code != 1 || !strings.Contains(errs, "unknown scale") {
 		t.Fatalf("-scale huge: exit %d, stderr %q", code, errs)
-	}
-}
-
-// TestRetiredExperiments: the repo-experiment names are gone — from -exp,
-// from "all" and from the usage text — and each points at the benchmark
-// workload that replaced it.
-func TestRetiredExperiments(t *testing.T) {
-	_, _, usage := runYubench("-h")
-	for name, workload := range retired {
-		code, out, errs := runYubench("-exp", name)
-		if code != 1 || out != "" {
-			t.Errorf("-exp %s: exit %d, stdout %q", name, code, out)
-		}
-		if want := "go run ./benchmark -workload " + workload; !strings.Contains(errs, want) {
-			t.Errorf("-exp %s: stderr %q does not point at %q", name, errs, want)
-		}
-		if slices.Contains(order, name) {
-			t.Errorf("-exp all still runs %s", name)
-		}
-		if strings.Contains(usage, name) {
-			t.Errorf("usage still mentions %s:\n%s", name, usage)
-		}
-	}
-	if len(retired) != 6 {
-		t.Errorf("%d retired names, want the six repo experiments", len(retired))
 	}
 }

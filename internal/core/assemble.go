@@ -55,6 +55,7 @@ func TranslateSTF(s *FlowSTF, toGlobal []topo.LinkID, flow topo.Flow) *FlowSTF {
 		InFlight:   s.InFlight,
 		Iterations: s.Iterations,
 		Degraded:   s.Degraded,
+		shared:     s.shared,
 	}
 	for l, w := range s.Links {
 		gl := toGlobal[l.Link()]

@@ -73,3 +73,66 @@ func TestCheckCreatedNodesPinned(t *testing.T) {
 		}
 	}
 }
+
+var sinkVerifier *Verifier
+
+// BenchmarkExecuteAll times symbolic execution of every class of the three
+// benchmark WANs on a fresh engine: route simulation is outside the timer,
+// and allocation per op over the shape's class count is what the wavefront's
+// bookkeeping costs.
+func BenchmarkExecuteAll(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			spec := sh.spec(b)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := buildEngine(b, spec, topo.FailLinks, sh.k, Options{})
+				b.StartTimer()
+				v := NewVerifier(eng, spec.Flows)
+				if err := v.Err(); err != nil {
+					b.Fatal(err)
+				}
+				sinkVerifier = v
+			}
+		})
+	}
+}
+
+// execWork executes the shape from scratch and returns how many MTBDD nodes
+// execution created and how the classes split into executed and shared.
+func execWork(tb testing.TB, sh benchShape) (created, executed, shared int) {
+	tb.Helper()
+	spec := sh.spec(tb)
+	eng := buildEngine(tb, spec, topo.FailLinks, sh.k, Options{})
+	before := eng.m.Stats().Created
+	v := NewVerifier(eng, spec.Flows)
+	if err := v.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	shared = sharedClasses(v)
+	return int(eng.m.Stats().Created - before), len(v.stfs) - shared, shared
+}
+
+// TestExecCreatedNodesPinned: execution of one input creates exactly the same
+// nodes every time — and exactly as many as when every class was executed:
+// a shared class repeats nodes the manager already holds. Pinned with the
+// executed/shared split of the three benchmark WANs; a change that moves a
+// number changed what execution builds or what it recognises as a repeated
+// behaviour: if that is intended, re-pin it and say why in the commit.
+func TestExecCreatedNodesPinned(t *testing.T) {
+	want := map[string][3]int{
+		"wan-k1":       {130602, 2989, 1106},
+		"wan-k2":       {222799, 812, 532},
+		"portfolio-1k": {41361, 1701, 836},
+	}
+	for _, sh := range benchShapes {
+		for i := 0; i < 2; i++ {
+			created, executed, shared := execWork(t, sh)
+			if got := [3]int{created, executed, shared}; got != want[sh.name] {
+				t.Errorf("%s run %d: execution created %d nodes for %d executed + %d shared classes, pinned at %v",
+					sh.name, i, created, executed, shared, want[sh.name])
+			}
+		}
+	}
+}

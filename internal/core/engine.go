@@ -53,7 +53,7 @@ type Options struct {
 	DisableLinkLocalEquiv bool
 	// DisableGlobalEquiv turns off global flow equivalence (§6): merging
 	// flows with identical (ingress, destination class, DSCP) before
-	// execution.
+	// execution, and executing only once the classes that forward alike.
 	DisableGlobalEquiv bool
 	// DisableEarlyTermination turns off the §6 pruning heuristics of the
 	// all-links overload check (quick bounds + early stop), forcing full
@@ -112,11 +112,20 @@ type Engine struct {
 	opts Options
 
 	classifier  *classifier
-	igpCache    map[igpKey]*igpVec
-	ipCache     map[ipKey]*step
-	srCache     map[srKey]*step
 	maxIter     int
 	gcThreshold int
+
+	// What only execution uses (execute.go, forward.go); Verifier.Trim drops
+	// it. steps and memo hold nodes: they are roots of Engine.roots.
+	igpCache map[igpKey]*igpVec
+	steps    map[stepKey]*step    // forwarding steps, by what forwarding reads
+	memo     map[memoKey]*FlowSTF // finished STFs, by behaviour
+	fwd      fwdClasses
+	stacks   stackTab
+	scratch  execScratch
+	// stepHits counts step-cache hits since the last flush into count.
+	stepHits int
+	count    execCounters
 }
 
 // NewEngine creates an engine over a route simulation result.
@@ -128,8 +137,11 @@ func NewEngine(rs *routesim.Result, opts Options) *Engine {
 		m:        rs.Vars.M,
 		opts:     opts,
 		igpCache: make(map[igpKey]*igpVec),
-		ipCache:  make(map[ipKey]*step),
-		srCache:  make(map[srKey]*step),
+		steps:    make(map[stepKey]*step),
+		memo:     make(map[memoKey]*FlowSTF),
+		fwd:      newFwdClasses(),
+		stacks:   newStackTab(),
+		count:    newExecCounters(opts.Obs),
 	}
 	installGovernance(e.m, opts)
 	e.classifier = newClassifier(rs, opts.ClassifyPrefixes)
@@ -239,42 +251,94 @@ func (c *classifier) matchedPrefixes(class int) []netip.Prefix {
 // empty stack means plain IP forwarding.
 type stack []topo.RouterID
 
-func (s stack) key() string {
-	if len(s) == 0 {
-		return ""
-	}
-	// Allocation-light: one append-built buffer instead of per-segment
-	// Fprintf; this runs once per wavefront cell per iteration.
-	buf := make([]byte, 0, 4*len(s))
-	for _, r := range s {
-		buf = strconv.AppendInt(buf, int64(r), 10)
-		buf = append(buf, ',')
-	}
-	return string(buf)
+// stackID names a label stack interned in an engine's stackTab; 0 is the
+// empty stack.
+type stackID int32
+
+// stackTab interns an engine's label stacks, so that a step out and a
+// wavefront cell carry an integer and no key is built or hashed per cell. It
+// keeps each stack's decimal key ("3,12,") for one purpose: AddK on fractions
+// is not associative, so outs and cells that tie on link or router are
+// visited in the order of those strings ("10," before "9,"), the order the
+// execution has always used.
+type stackTab struct {
+	stacks []stack
+	keys   []string
+	ids    map[string]stackID
+	buf    []byte
 }
 
-// outKey addresses one cell of the paper's matrix M: a directed link and
-// the label stack the traffic carries on it.
-type outKey struct {
-	link     topo.DirLinkID
-	stackKey string
+func newStackTab() stackTab {
+	return stackTab{stacks: []stack{nil}, keys: []string{""}, ids: make(map[string]stackID)}
+}
+
+// intern returns s's id, assigning the next one on first sight. It runs
+// while a step is built, never per wavefront cell.
+func (t *stackTab) intern(s stack) stackID {
+	if len(s) == 0 {
+		return 0
+	}
+	t.buf = t.buf[:0]
+	for _, r := range s {
+		t.buf = strconv.AppendInt(t.buf, int64(r), 10)
+		t.buf = append(t.buf, ',')
+	}
+	if id, ok := t.ids[string(t.buf)]; ok {
+		return id
+	}
+	id, key := stackID(len(t.stacks)), string(t.buf)
+	t.ids[key] = id
+	t.stacks = append(t.stacks, s)
+	t.keys = append(t.keys, key)
+	return id
+}
+
+// compare orders two stacks by their decimal keys.
+func (t *stackTab) compare(a, b stackID) int {
+	if a == b {
+		return 0
+	}
+	return strings.Compare(t.keys[a], t.keys[b])
+}
+
+// stepOut is one cell of the paper's matrix M for one unit of arriving
+// traffic: the fraction forwarded onto a directed link, toward the router at
+// its far end, carrying a label stack.
+type stepOut struct {
+	link  topo.DirLinkID
+	to    topo.RouterID
+	stack stackID
+	frac  *mtbdd.Node
 }
 
 // step is the cached unit-forwarding behavior of one router for one
-// (prefix class, dscp, stack) situation: where one unit of arriving
-// traffic goes. All MTBDDs are already KReduce'd.
+// (forwarding class, dscp, stack) situation: where one unit of arriving
+// traffic goes. All MTBDDs are already KReduce'd. A step is immutable once
+// cached.
 type step struct {
-	// out maps (link, next stack) to the traffic fraction forwarded there.
-	out map[outKey]stepOut
+	// outs is sorted by (link, stack key) while the step is built; the
+	// wavefront walks it as it is.
+	outs []stepOut
 	// delivered is the fraction terminating here (destination attached).
 	delivered *mtbdd.Node
 	// dropped is the fraction discarded here (null route / no route).
 	dropped *mtbdd.Node
+	// dscpSensitive is set when building the step consulted an SR policy that
+	// names a DSCP: a flow with another DSCP may forward differently here.
+	dscpSensitive bool
 }
 
-type stepOut struct {
-	frac  *mtbdd.Node
-	stack stack
+// anyDSCP keys a step, or a finished STF, that every DSCP shares.
+const anyDSCP int16 = -1
+
+// stepKey addresses the step cache by what forwarding reads: the router, the
+// destination's forwarding class (forward.go), the DSCP — anyDSCP once the
+// step is known not to depend on it — and the arriving label stack.
+type stepKey struct {
+	router topo.RouterID
+	fc     int32
+	dscp   int16
+	stack  stackID
 }
 
 type igpKey struct {
@@ -282,23 +346,16 @@ type igpKey struct {
 	dest   topo.RouterID
 }
 
-// igpVec is the paper's V^IGP_nip: per outgoing link, the ratio of traffic
-// forwarded on it when resolving dest over the IGP, plus the total ratio
-// (1 where some route is selected, 0 where dest is IGP-unreachable).
+// igpVec is the paper's V^IGP_nip: per outgoing link (sorted by link), the
+// ratio of traffic forwarded on it when resolving dest over the IGP, plus the
+// total ratio (1 where some route is selected, 0 where dest is
+// IGP-unreachable).
 type igpVec struct {
-	perLink map[topo.DirLinkID]*mtbdd.Node
+	perLink []linkFrac
 	total   *mtbdd.Node
 }
 
-type ipKey struct {
-	router topo.RouterID
-	class  int
-	dscp   uint8
-}
-
-type srKey struct {
-	router   topo.RouterID
-	class    int
-	dscp     uint8
-	stackKey string
+type linkFrac struct {
+	link topo.DirLinkID
+	frac *mtbdd.Node
 }

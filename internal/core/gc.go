@@ -7,8 +7,8 @@ import "github.com/yu-verify/yu/internal/mtbdd"
 const defaultGCThreshold = 4 << 20
 
 // roots gathers every MTBDD node the engine must keep across a garbage
-// collection: all guards in the route simulation result and the contents
-// of the forwarding-encoding caches. extra carries the caller's live
+// collection: all guards in the route simulation result, the contents of the
+// forwarding-encoding caches and the memoized STFs. extra carries the caller's live
 // nodes (accumulated STFs, partial sums).
 func (e *Engine) roots(extra []*mtbdd.Node) []*mtbdd.Node {
 	out := extra
@@ -31,24 +31,21 @@ func (e *Engine) roots(extra []*mtbdd.Node) []*mtbdd.Node {
 		out = append(out, rs.IGP.GuardNodes()...)
 	}
 	for _, v := range e.igpCache {
-		for _, f := range v.perLink {
-			out = append(out, f)
+		for _, lf := range v.perLink {
+			out = append(out, lf.frac)
 		}
 		out = append(out, v.total)
 	}
-	for _, st := range e.ipCache {
-		out = stepRoots(out, st)
+	for _, st := range e.steps {
+		out = append(out, st.delivered, st.dropped)
+		for _, o := range st.outs {
+			out = append(out, o.frac)
+		}
 	}
-	for _, st := range e.srCache {
-		out = stepRoots(out, st)
-	}
-	return out
-}
-
-func stepRoots(out []*mtbdd.Node, st *step) []*mtbdd.Node {
-	out = append(out, st.delivered, st.dropped)
-	for _, o := range st.out {
-		out = append(out, o.frac)
+	// A memoized STF may be handed to a later class after its first owner
+	// let go of it.
+	for _, s := range e.memo {
+		out = stfRoots(out, []*FlowSTF{s})
 	}
 	return out
 }
@@ -101,8 +98,9 @@ const retainedGCFloor = 64 << 10
 
 // Trim makes a finished verifier cheap to keep for further checks (Run,
 // Scan): it drops what only execution reads — the engine's forwarding-step
-// and IGP-vector caches, the route-simulation result and the STF cache hook,
-// and with them their nodes' claim to survive a collection — gives the
+// and IGP-vector caches, its STF memo, forwarding classes and wavefront
+// scratch, the route-simulation result and the STF cache hook, and with them
+// their nodes' claim to survive a collection — gives the
 // manager's computed tables back their starting size, and makes the managed-GC
 // threshold relative to what is kept: collect, the STFs as roots, once live
 // nodes pass 4× the count at this point (floor 64 K). The default threshold
@@ -110,7 +108,8 @@ const retainedGCFloor = 64 << 10
 // first collection. The engine cannot execute flows afterwards.
 func (v *Verifier) Trim() {
 	e := v.e
-	e.rs, e.igpCache, e.ipCache, e.srCache, e.opts.STFCache = nil, nil, nil, nil, nil
+	e.rs, e.igpCache, e.steps, e.memo, e.opts.STFCache = nil, nil, nil, nil, nil
+	e.fwd, e.stacks, e.scratch = fwdClasses{}, stackTab{}, execScratch{}
 	e.m.TrimCaches()
 	e.gcThreshold = max(4*e.m.Stats().Live, retainedGCFloor)
 }

@@ -79,3 +79,39 @@ func newCheckCounters(reg *obs.Registry) checkCounters {
 		total:      reg.Counter("check.classes_total"),
 	}
 }
+
+// execCounters is the execution stage's own account (obs "exec.*"): what
+// was executed and what was shared. The flow counters are kept by whoever
+// assembles finished STFs, by each STF's provenance, so a class counts once
+// wherever it ran; the step and forwarding-class counters by each engine
+// that executes (one per worker on a sharded run, so they sum over workers).
+type execCounters struct {
+	flows       *obs.Counter // classes whose STF a symbolic execution (or its concrete fallback) built
+	shared      *obs.Counter // classes that took an earlier class's STF: same behaviour
+	imported    *obs.Counter // of both, those rebuilt from a shard's or a domain's manager
+	stepsBuilt  *obs.Counter // forwarding steps built
+	stepsShared *obs.Counter // step lookups an already-built step answered
+	prefixes    *obs.Counter // destination prefixes execution read
+	fwdClasses  *obs.Counter // distinct forwarding classes among them
+}
+
+func newExecCounters(reg *obs.Registry) execCounters {
+	return execCounters{
+		flows:       reg.Counter("exec.flows_executed"),
+		shared:      reg.Counter("exec.classes_shared"),
+		imported:    reg.Counter("exec.classes_imported"),
+		stepsBuilt:  reg.Counter("exec.steps_built"),
+		stepsShared: reg.Counter("exec.steps_shared"),
+		prefixes:    reg.Counter("exec.prefixes"),
+		fwdClasses:  reg.Counter("exec.forwarding_classes"),
+	}
+}
+
+// class counts one finished class by how it got its STF.
+func (c execCounters) class(s *FlowSTF) {
+	if s.shared {
+		c.shared.Inc()
+	} else {
+		c.flows.Inc()
+	}
+}

@@ -218,7 +218,10 @@ func (v *Verifier) executeSharded() ([]*FlowSTF, error) {
 			// NewEngine would install it only after the import has
 			// already run ungoverned.
 			var werr error
-			execC := obsR.Counter(workerCounter(w, "flows_executed"))
+			workerC := execCounters{
+				flows:  obsR.Counter(workerCounter(w, "flows_executed")),
+				shared: obsR.Counter(workerCounter(w, "classes_shared")),
+			}
 			busyT := obsR.Timer(workerCounter(w, "busy"))
 			cerr := contained(func() {
 				mW := mtbdd.New()
@@ -245,7 +248,7 @@ func (v *Verifier) executeSharded() ([]*FlowSTF, error) {
 						}
 						local = append(local, s)
 						stfs[ci] = s
-						execC.Inc()
+						workerC.class(s)
 					}
 					busyT.Add(time.Since(start))
 				}
@@ -294,6 +297,7 @@ func importSTF(m *mtbdd.Manager, s *FlowSTF) *FlowSTF {
 		InFlight:   m.Import(s.InFlight),
 		Iterations: s.Iterations,
 		Degraded:   s.Degraded,
+		shared:     s.shared,
 	}
 	for l, w := range s.Links {
 		out.Links[l] = m.Import(w)

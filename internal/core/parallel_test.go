@@ -318,8 +318,8 @@ func TestParallelMatchesSequentialWithMetrics(t *testing.T) {
 	reportsEqual(t, "wan-metrics", seq, par)
 
 	// The parallel registry must account for every unit of work exactly
-	// once: worker flow counters sum to the merged-flow count, link
-	// counters to the completed checks.
+	// once: worker flow counters — executed and shared — sum to the
+	// merged-flow count, link counters to the completed checks.
 	snap := parReg.Snapshot()
 	var flowSum, linkSum int64
 	for name, val := range snap.Counters {
@@ -327,7 +327,7 @@ func TestParallelMatchesSequentialWithMetrics(t *testing.T) {
 			continue
 		}
 		switch {
-		case strings.HasSuffix(name, ".flows_executed"):
+		case strings.HasSuffix(name, ".flows_executed"), strings.HasSuffix(name, ".classes_shared"):
 			flowSum += val
 		case strings.HasSuffix(name, ".links_checked"):
 			linkSum += val

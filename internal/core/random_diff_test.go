@@ -7,8 +7,12 @@ package core_test
 // in-budget scenario — running from the core package's test suite.
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
+	"github.com/yu-verify/yu/internal/compose"
+	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/difftest"
 	"github.com/yu-verify/yu/internal/mtbdd"
@@ -77,15 +81,111 @@ func TestCheckMatchesReferenceBlueprints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			fv := routesim.NewFailVars(mtbdd.New(), c.Spec.Net, c.Mode, c.K)
-			rs, err := routesim.Run(fv, c.Spec.Configs)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			v := core.NewVerifier(core.NewEngine(rs, core.Options{}), c.Spec.Flows)
+			v := monolithic(t, c.Spec, c.Mode, c.K, 1)
 			if err := core.CompareWithReference(v, c.Spec, []float64{c.OverloadFactor, 1.0, 0.1}); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		})
+	}
+}
+
+// monolithic route-simulates a spec on a fresh manager and executes its flows
+// on the given number of workers.
+func monolithic(t *testing.T, spec *config.Spec, mode topo.FailureMode, k, workers int) *core.Verifier {
+	t.Helper()
+	fv := routesim.NewFailVars(mtbdd.New(), spec.Net, mode, k)
+	rs, err := routesim.Run(fv, spec.Configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.NewParallelVerifier(core.NewEngine(rs, core.Options{}), spec.Flows, workers)
+}
+
+// executionOnEveryPath holds symbolic execution to its reference — the
+// map-based wavefront that executed every class — on the primary manager, on
+// four execution shards, and inside the domain engines of a compositional
+// build over part (nil: none), whose assembled STFs must be the monolithic
+// ones. It returns how many classes the sequential run shared and whether the
+// compositional build took place.
+func executionOnEveryPath(t *testing.T, spec *config.Spec, mode topo.FailureMode, k int, part *topo.Partition) (shared int, composed bool) {
+	t.Helper()
+	seq := monolithic(t, spec, mode, k, 1)
+	if err := core.CompareExecution(seq); err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	if err := core.CompareExecution(monolithic(t, spec, mode, k, 4)); err != nil {
+		t.Fatalf("sharded: %v", err)
+	}
+	if part != nil {
+		// An input Build turns down (a static resolving across a border) is
+		// verified monolithically by every caller: nothing to compare.
+		if b, err := compose.Build(spec.Net, spec.Configs, part, spec.Flows, compose.Options{K: k, Mode: mode}); err == nil {
+			composed = true
+			if err := core.SameSTFs(seq, b.Verifier); err != nil {
+				t.Fatalf("domains: %v", err)
+			}
+		}
+	}
+	return core.SharedClasses(seq), composed
+}
+
+// TestExecutionMatchesReferenceBlueprints: 200 generated cases — SR policies
+// with and without a DSCP, weighted paths, statics, redistribution, link and
+// router failures — with enough flows per case that classes repeat a
+// behaviour, each split into two domains where its ASes allow.
+func TestExecutionMatchesReferenceBlueprints(t *testing.T) {
+	const cases = 200
+	shared, composed := make([]int, cases+1), make([]bool, cases+1)
+	t.Run("cases", func(t *testing.T) {
+		for seed := int64(1); seed <= cases; seed++ {
+			seed := seed
+			t.Run("", func(t *testing.T) {
+				t.Parallel()
+				c, err := difftest.New(seed, difftest.Options{MaxFlows: 24})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				var part *topo.Partition
+				if len(c.Spec.Net.ASes()) > 1 {
+					if part, err = topo.AutoPartition(c.Spec.Net, 2); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+				}
+				shared[seed], composed[seed] = executionOnEveryPath(t, c.Spec, c.Mode, c.K, part)
+			})
+		}
+	})
+	total, builds := 0, 0
+	for seed, n := range shared {
+		total += n
+		if composed[seed] {
+			builds++
+		}
+	}
+	if total == 0 || builds < cases/4 {
+		t.Errorf("%d classes shared an STF and %d cases were built compositionally: the oracle saw too little", total, builds)
+	}
+	t.Logf("%d classes shared an STF; %d of %d cases also ran in two domains", total, builds, cases)
+}
+
+// TestExecutionMatchesReferenceDomains: the checked-in spec that declares its
+// own domains, at every budget from 0 to 3.
+func TestExecutionMatchesReferenceDomains(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "wan-1.yu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := config.ParseSpecString(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := topo.NewPartition(spec.Net, spec.Domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= 3; k++ {
+		if _, composed := executionOnEveryPath(t, spec, topo.FailLinks, k, part); !composed {
+			t.Errorf("k=%d: no compositional build", k)
+		}
 	}
 }

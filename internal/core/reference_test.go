@@ -2,16 +2,17 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"net/netip"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/flowgen"
 	"github.com/yu-verify/yu/internal/gen"
 	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -221,24 +222,11 @@ var referenceFactors = []float64{1.0, 0.5, 0.1}
 // from 0 to 3 in all three failure modes, and under the three ablations
 // that change what the check stage aggregates.
 func TestCheckMatchesReferenceTestdata(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.yu"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no testdata specs: %v", err)
-	}
-	sub, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "subprefix", "*.yu"))
 	modes := []topo.FailureMode{topo.FailLinks, topo.FailRouters, topo.FailBoth}
-	for _, file := range append(files, sub...) {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := config.ParseSpecString(string(data))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for file, spec := range testdataSpecs(t) {
 		for _, mode := range modes {
 			for k := 0; k <= 3; k++ {
-				name := fmt.Sprintf("%s/%v/k=%d", filepath.Base(file), mode, k)
+				name := fmt.Sprintf("%s/%v/k=%d", file, mode, k)
 				eng := buildEngine(t, spec, mode, k, Options{})
 				if err := compareVerifier(NewVerifier(eng, spec.Flows), spec, referenceFactors, 1, 1); err != nil {
 					t.Errorf("%s: %v", name, err)
@@ -258,7 +246,7 @@ func TestCheckMatchesReferenceTestdata(t *testing.T) {
 			}
 			eng := buildEngine(t, spec, topo.FailLinks, tc.k, tc.opts)
 			if err := compareVerifier(NewVerifier(eng, spec.Flows), spec, referenceFactors, 1, 1); err != nil {
-				t.Errorf("%s/%s: %v", filepath.Base(file), name, err)
+				t.Errorf("%s/%s: %v", file, name, err)
 			}
 		}
 	}
@@ -327,4 +315,350 @@ func TestCheckMatchesReferenceBenchShapes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Symbolic execution as it stood before the wavefront moved into slices and
+// steps and STFs were shared by behaviour, kept as the reference the
+// production path is held to: front, next front, per-link accumulators and
+// step outs in maps keyed by (router | link, decimal stack key), sorted on
+// every visit; steps cached per (router, destination class, DSCP[, stack]);
+// every class executed. It reads the engine's route-simulation result,
+// classifier and IGP vectors and keeps its own step caches. Production must
+// return, for every class, the same node on every link and for Delivered,
+// Dropped and InFlight, the same link set and the same Iterations.
+
+// refKey is the decimal stack key the maps were keyed by — and the order
+// stackTab must reproduce.
+func refKey(s stack) string {
+	var buf []byte
+	for _, r := range s {
+		buf = strconv.AppendInt(buf, int64(r), 10)
+		buf = append(buf, ',')
+	}
+	return string(buf)
+}
+
+type refInKey struct {
+	router   topo.RouterID
+	stackKey string
+}
+
+type refInVal struct {
+	stack stack
+	omega *mtbdd.Node
+}
+
+type refOutKey struct {
+	link     topo.DirLinkID
+	stackKey string
+}
+
+type refStepOut struct {
+	frac  *mtbdd.Node
+	stack stack
+}
+
+type refStep struct {
+	out                map[refOutKey]refStepOut
+	delivered, dropped *mtbdd.Node
+}
+
+type refIPKey struct {
+	router topo.RouterID
+	class  int
+	dscp   uint8
+}
+
+type refSRKey struct {
+	router   topo.RouterID
+	class    int
+	dscp     uint8
+	stackKey string
+}
+
+// refExec is the reference executor over one engine.
+type refExec struct {
+	e       *Engine
+	ipCache map[refIPKey]*refStep
+	srCache map[refSRKey]*refStep
+}
+
+func newRefExec(e *Engine) *refExec {
+	return &refExec{e: e, ipCache: make(map[refIPKey]*refStep), srCache: make(map[refSRKey]*refStep)}
+}
+
+func refSortedFront(front map[refInKey]refInVal) []refInKey {
+	keys := make([]refInKey, 0, len(front))
+	for k := range front {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].router != keys[j].router {
+			return keys[i].router < keys[j].router
+		}
+		return keys[i].stackKey < keys[j].stackKey
+	})
+	return keys
+}
+
+func refSortedOut(out map[refOutKey]refStepOut) []refOutKey {
+	keys := make([]refOutKey, 0, len(out))
+	for k := range out {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].link != keys[j].link {
+			return keys[i].link < keys[j].link
+		}
+		return keys[i].stackKey < keys[j].stackKey
+	})
+	return keys
+}
+
+func (x *refExec) executeFlow(f topo.Flow) *FlowSTF {
+	e := x.e
+	m, fv := e.m, e.fv
+	res := &FlowSTF{
+		Flow:      f,
+		Links:     make(map[topo.DirLinkID]*mtbdd.Node),
+		Delivered: m.Zero(),
+		Dropped:   m.Zero(),
+		InFlight:  m.Zero(),
+	}
+	class := e.classifier.classOf(f.Dst)
+	ingressUp := fv.RouterUp(f.Ingress)
+	front := map[refInKey]refInVal{{f.Ingress, ""}: {nil, ingressUp}}
+	res.Dropped = fv.Reduce(m.Not(ingressUp))
+
+	iter := 0
+	for len(front) > 0 && iter < e.maxIter {
+		iter++
+		next := make(map[refInKey]refInVal)
+		for _, k := range refSortedFront(front) {
+			in := front[k]
+			var st *refStep
+			if len(in.stack) == 0 {
+				st = x.forwardIp(k.router, class, f.DSCP)
+			} else {
+				st = x.forwardSr(k.router, class, f.DSCP, in.stack)
+			}
+			if st.delivered != m.Zero() {
+				res.Delivered = fv.ReduceMulAdd(res.Delivered, in.omega, st.delivered)
+			}
+			if st.dropped != m.Zero() {
+				res.Dropped = fv.ReduceMulAdd(res.Dropped, in.omega, st.dropped)
+			}
+			for _, ok2 := range refSortedOut(st.out) {
+				o := st.out[ok2]
+				t := fv.ReduceMul(in.omega, o.frac)
+				if t == m.Zero() {
+					continue
+				}
+				link := ok2.link
+				if prev, ok := res.Links[link]; ok {
+					res.Links[link] = fv.ReduceAdd(prev, t)
+				} else {
+					res.Links[link] = t
+				}
+				nk := refInKey{e.net.Edge(link).To, ok2.stackKey}
+				if prev, ok := next[nk]; ok {
+					next[nk] = refInVal{o.stack, fv.ReduceAdd(prev.omega, t)}
+				} else {
+					next[nk] = refInVal{o.stack, t}
+				}
+			}
+		}
+		front = next
+	}
+	res.Iterations = iter
+	for _, k := range refSortedFront(front) {
+		res.InFlight = fv.ReduceAdd(res.InFlight, front[k].omega)
+	}
+	return res
+}
+
+func (x *refExec) forwardIp(r topo.RouterID, class int, dscp uint8) *refStep {
+	key := refIPKey{r, class, dscp}
+	if s, ok := x.ipCache[key]; ok {
+		return s
+	}
+	s := x.buildIPStep(r, class, dscp, 0)
+	x.ipCache[key] = s
+	return s
+}
+
+func (x *refExec) buildIPStep(r topo.RouterID, class int, dscp uint8, depth int) *refStep {
+	e := x.e
+	m, fv := e.m, e.fv
+	st := &refStep{out: make(map[refOutKey]refStepOut), delivered: m.Zero(), dropped: m.Zero()}
+	groups := e.ruleGroups(r, class)
+	if len(groups) == 0 {
+		st.dropped = m.One()
+		return st
+	}
+	type selRule struct {
+		rule
+		sel *mtbdd.Node
+	}
+	var rules []selRule
+	var sels []*mtbdd.Node
+	better := m.Zero()
+	for _, grp := range groups {
+		groupOr := m.Zero()
+		for _, ru := range grp {
+			sel := fv.ReduceAnd(ru.guard, m.Not(better))
+			rules = append(rules, selRule{ru, sel})
+			sels = append(sels, sel)
+			groupOr = m.Or(groupOr, ru.guard)
+		}
+		better = fv.ReduceOr(better, groupOr)
+	}
+	total := fv.ReduceSum(sels)
+	st.dropped = m.Add(st.dropped, fv.Reduce(m.Not(fv.ReduceMin(total, m.One()))))
+	for _, ru := range rules {
+		if ru.sel == m.Zero() {
+			continue
+		}
+		c := fv.ReduceDiv(ru.sel, total)
+		switch {
+		case ru.deliver:
+			st.delivered = fv.ReduceAdd(st.delivered, c)
+		case ru.discard:
+			st.dropped = fv.ReduceAdd(st.dropped, c)
+		case ru.direct:
+			x.addOut(st, ru.out, nil, c)
+		default:
+			x.resolveNhIP(st, r, class, dscp, ru.rule, c, depth)
+		}
+	}
+	return st
+}
+
+// refMatchSRPolicy is the first-match policy lookup, with no notion of
+// DSCP-sensitivity.
+func refMatchSRPolicy(e *Engine, r topo.RouterID, nip netip.Addr, dscp uint8) *routesim.GuardedSRPolicy {
+	for i := range e.rs.SR[r] {
+		if e.rs.SR[r][i].Matches(nip, dscp) {
+			return &e.rs.SR[r][i]
+		}
+	}
+	return nil
+}
+
+func (x *refExec) resolveNhIP(st *refStep, r topo.RouterID, class int, dscp uint8, ru rule, c *mtbdd.Node, depth int) {
+	e := x.e
+	m, fv := e.m, e.fv
+	if pol := refMatchSRPolicy(e, r, ru.viaAddr, dscp); pol != nil && depth < maxSRChain {
+		denom := m.Zero()
+		for _, p := range pol.Paths {
+			denom = fv.ReduceMulAdd(denom, m.Const(float64(p.Weight)), p.Guard)
+		}
+		served := m.Zero()
+		for _, p := range pol.Paths {
+			cp := fv.ReduceDiv(m.Scale(float64(p.Weight), p.Guard), denom)
+			if cp == m.Zero() {
+				continue
+			}
+			served = fv.ReduceAdd(served, cp)
+			x.emitSR(st, r, class, dscp, stack(p.Segments), fv.ReduceMul(c, cp), depth+1)
+		}
+		rem := fv.ReduceMul(c, m.Sub(m.One(), served))
+		st.dropped = fv.ReduceAdd(st.dropped, rem)
+		return
+	}
+	vec := e.igpVec(r, ru.viaRouter)
+	for _, lf := range vec.perLink {
+		x.addOut(st, lf.link, nil, fv.ReduceMul(c, lf.frac))
+	}
+	st.dropped = fv.ReduceAdd(st.dropped, fv.ReduceMul(c, m.Sub(m.One(), vec.total)))
+}
+
+func (x *refExec) emitSR(st *refStep, r topo.RouterID, class int, dscp uint8, s stack, w *mtbdd.Node, depth int) {
+	e := x.e
+	m, fv := e.m, e.fv
+	for len(s) > 0 && s[0] == r {
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		sub := x.buildIPStep(r, class, dscp, depth)
+		st.delivered = fv.ReduceMulAdd(st.delivered, w, sub.delivered)
+		st.dropped = fv.ReduceMulAdd(st.dropped, w, sub.dropped)
+		for k, o := range sub.out {
+			x.addOut(st, k.link, o.stack, fv.ReduceMul(w, o.frac))
+		}
+		return
+	}
+	vec := e.igpVec(r, s[0])
+	for _, lf := range vec.perLink {
+		x.addOut(st, lf.link, s, fv.ReduceMul(w, lf.frac))
+	}
+	st.dropped = fv.ReduceAdd(st.dropped, fv.ReduceMul(w, m.Sub(m.One(), vec.total)))
+}
+
+func (x *refExec) forwardSr(r topo.RouterID, class int, dscp uint8, s stack) *refStep {
+	key := refSRKey{r, class, dscp, refKey(s)}
+	if st, ok := x.srCache[key]; ok {
+		return st
+	}
+	m := x.e.m
+	st := &refStep{out: make(map[refOutKey]refStepOut), delivered: m.Zero(), dropped: m.Zero()}
+	x.emitSR(st, r, class, dscp, s, m.One(), 0)
+	x.srCache[key] = st
+	return st
+}
+
+func (x *refExec) addOut(st *refStep, l topo.DirLinkID, s stack, frac *mtbdd.Node) {
+	if frac == x.e.m.Zero() {
+		return
+	}
+	k := refOutKey{l, refKey(s)}
+	if prev, ok := st.out[k]; ok {
+		st.out[k] = refStepOut{frac: x.e.fv.ReduceAdd(prev.frac, frac), stack: s}
+	} else {
+		st.out[k] = refStepOut{frac: frac, stack: s}
+	}
+}
+
+// sameSTF holds one STF to the reference's, node for node.
+func sameSTF(got, want *FlowSTF) error {
+	if got.Flow != want.Flow {
+		return fmt.Errorf("flow %v, reference %v", got.Flow, want.Flow)
+	}
+	if got.Delivered != want.Delivered || got.Dropped != want.Dropped || got.InFlight != want.InFlight {
+		return fmt.Errorf("delivered/dropped/in-flight nodes differ from the reference's")
+	}
+	if got.Iterations != want.Iterations {
+		return fmt.Errorf("%d iterations, reference %d", got.Iterations, want.Iterations)
+	}
+	if len(got.Links) != len(want.Links) {
+		return fmt.Errorf("%d links, reference %d", len(got.Links), len(want.Links))
+	}
+	for l, w := range want.Links {
+		if got.Links[l] != w {
+			return fmt.Errorf("link %d: node differs from the reference's", l)
+		}
+	}
+	if got.Degraded {
+		return fmt.Errorf("degraded")
+	}
+	return nil
+}
+
+// compareExecution executes every class representative of the verifier's
+// engine by the reference, in the verifier's manager, and holds the
+// verifier's finished STFs to the result. The engine must not be trimmed.
+func compareExecution(v *Verifier) error {
+	if err := v.Err(); err != nil {
+		return err
+	}
+	if len(v.stfs) != len(v.classes) {
+		return fmt.Errorf("%d STFs for %d classes", len(v.stfs), len(v.classes))
+	}
+	ref := newRefExec(v.e)
+	for i, cl := range v.classes {
+		if err := sameSTF(v.stfs[i], ref.executeFlow(cl.rep)); err != nil {
+			return fmt.Errorf("class %d (%v): %w", i, cl.rep, err)
+		}
+	}
+	return nil
 }

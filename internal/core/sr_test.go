@@ -2,18 +2,23 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// TestStackKeyCollisionFree checks stack.key() is injective: the paper's
-// matrix M is addressed by (link, stack), so two distinct label stacks
-// must never share a cache key — e.g. {1,23} vs {12,3}, which a naive
-// digit concatenation would conflate.
+// TestStackKeyCollisionFree checks that interning label stacks is injective:
+// the paper's matrix M is addressed by (link, stack), so two distinct label
+// stacks must never share an id — e.g. {1,23} vs {12,3}, which a naive digit
+// concatenation of the key would conflate — and that ties between stacks
+// break in the order of the decimal keys the wavefront maps were sorted by
+// ("10," before "9,"), which the float results depend on.
 func TestStackKeyCollisionFree(t *testing.T) {
-	if (stack{}).key() != "" {
-		t.Errorf("empty stack key = %q, want \"\"", (stack{}).key())
+	tab := newStackTab()
+	if tab.intern(stack{}) != 0 || tab.intern(nil) != 0 {
+		t.Errorf("the empty stack must intern to 0")
 	}
 	pairs := [][2]stack{
 		{{1, 23}, {12, 3}},
@@ -23,21 +28,25 @@ func TestStackKeyCollisionFree(t *testing.T) {
 		{{21, 1}, {2, 11}},
 	}
 	for _, p := range pairs {
-		if p[0].key() == p[1].key() {
-			t.Errorf("stacks %v and %v collide on key %q", p[0], p[1], p[0].key())
+		if tab.intern(p[0]) == tab.intern(p[1]) {
+			t.Errorf("stacks %v and %v collide on id %d", p[0], p[1], tab.intern(p[0]))
 		}
 	}
-	// Exhaustive sweep: every stack of length <= 3 over 26 routers keys
-	// uniquely.
-	seen := make(map[string]string)
+	// Exhaustive sweep: every stack of length <= 3 over 26 routers interns
+	// uniquely and stably.
+	seen := make(map[stackID]string)
+	var all []stack
 	var walk func(s stack, depth int)
 	walk = func(s stack, depth int) {
-		k := s.key()
+		id := tab.intern(s)
 		repr := fmt.Sprintf("%v", s)
-		if prev, ok := seen[k]; ok && prev != repr {
-			t.Fatalf("stacks %s and %s collide on key %q", prev, repr, k)
+		if prev, ok := seen[id]; ok && prev != repr {
+			t.Fatalf("stacks %s and %s collide on id %d", prev, repr, id)
 		}
-		seen[k] = repr
+		seen[id] = repr
+		if len(s) <= 2 {
+			all = append(all, slices.Clone(s))
+		}
 		if depth == 0 {
 			return
 		}
@@ -46,6 +55,14 @@ func TestStackKeyCollisionFree(t *testing.T) {
 		}
 	}
 	walk(stack{}, 3)
+	for _, a := range all {
+		for _, b := range all {
+			want := strings.Compare(refKey(a), refKey(b))
+			if got := tab.compare(tab.intern(a), tab.intern(b)); got != want {
+				t.Fatalf("compare(%v, %v) = %d, the decimal keys order them %d", a, b, got, want)
+			}
+		}
+	}
 }
 
 // srTriangle is a three-router iBGP triangle with the destination prefix

@@ -247,16 +247,18 @@ func NewVerifier(e *Engine, flows []topo.Flow) *Verifier {
 // the first fatal error stops the loop with the STFs built so far intact.
 func (v *Verifier) assemble(pre []*FlowSTF) {
 	e := v.e
-	flowC := e.opts.Obs.Counter("exec.flows_executed")
 	cache := e.opts.STFCache
 	for i, s := range pre {
 		rep := v.classes[i].rep
 		var err error
+		hit := false
 		if s != nil {
 			owned := s
 			s, err = e.buildGoverned(rep, v.stfs, func() *FlowSTF { return importSTF(e.m, owned) })
+			if err == nil {
+				e.count.imported.Inc()
+			}
 		} else {
-			hit := false
 			if cache != nil {
 				// A hit is indistinguishable from an execution: the cache
 				// materialized canonical nodes in this manager and the
@@ -266,17 +268,17 @@ func (v *Verifier) assemble(pre []*FlowSTF) {
 			}
 			if !hit {
 				s, err = e.ExecuteGoverned(rep, v.stfs)
-				if err == nil {
-					flowC.Inc()
-					if cache != nil {
-						cache.Store(e, rep, s)
-					}
+				if err == nil && cache != nil {
+					cache.Store(e, rep, s)
 				}
 			}
 		}
 		if err != nil {
 			v.err = err
 			break
+		}
+		if !hit {
+			e.count.class(s)
 		}
 		v.stfs = append(v.stfs, s)
 	}
