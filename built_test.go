@@ -114,6 +114,57 @@ func TestBuiltChecksUnderTheirOwnContexts(t *testing.T) {
 	same("trimmed, after a Verify hit its deadline")
 }
 
+// TestBuiltChecksLeaveOneRecordPerManager: a kept build checked again and
+// again on the shard pool holds one obs record per manager name — the latest —
+// not one more per shard per check.
+func TestBuiltChecksLeaveOneRecordPerManager(t *testing.T) {
+	n, err := yu.LoadString(paperex.Motivating)
+	if err != nil {
+		t.Fatal(err)
+	}
+	props := motivatingPortfolio(t, n)
+	reg := yu.NewMetrics()
+	b, err := n.Build(yu.VerifyOptions{K: 1, OverloadFactor: 0.95, Workers: 2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	managers := func() map[string]int {
+		t.Helper()
+		got := map[string]int{}
+		for _, m := range reg.Snapshot().Managers {
+			if _, dup := got[m.Name]; dup {
+				t.Fatalf("two records named %s", m.Name)
+			}
+			got[m.Name] = m.Created
+		}
+		return got
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := b.Verify(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := b.VerifyPortfolio(context.Background(), props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := managers()
+	delete(before, "exec-shard.0")
+	delete(before, "exec-shard.1")
+	if len(before) != 3 || before["primary"] == 0 || before["check-shard.0"] == 0 || before["check-shard.1"] == 0 {
+		t.Fatalf("managers after 200 checks: %v, want primary and two check shards", before)
+	}
+	// The latest snapshot wins: a one-plan portfolio (the delivered bound) is
+	// checked on the primary manager, which has built no load so far.
+	if _, err := b.VerifyPortfolio(context.Background(), props[2:3]); err != nil {
+		t.Fatal(err)
+	}
+	if after := managers(); after["primary"] <= before["primary"] {
+		t.Fatalf("primary records %d created nodes after a check on it, %d before", after["primary"], before["primary"])
+	}
+}
+
 // TestBuildCutShort: a governed abort of the build stage still yields a
 // handle, and every check on it answers what Verify and VerifyPortfolio
 // answer for such a run: everything unchecked, the typed error.

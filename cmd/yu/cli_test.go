@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -223,8 +226,35 @@ func TestRunVerifyStatsListsManagers(t *testing.T) {
 	if !bytes.Contains(stdout.Bytes(), []byte("check: ")) || !bytes.Contains(stdout.Bytes(), []byte(" classes enumerated, aggregation ")) {
 		t.Errorf("-stats does not say what the check stage did with its links:\n%s", &stdout)
 	}
+	if bytes.Contains(stdout.Bytes(), []byte("workers:")) {
+		t.Errorf("-stats of a one-worker run has a workers: line:\n%s", &stdout)
+	}
 	if stderr.Len() != 0 {
 		t.Errorf("-stats without -metrics wrote to stderr:\n%s", &stderr)
+	}
+}
+
+// TestRunVerifyStatsWorkersLine: on a multi-worker run -stats says what the
+// shard pool did — workers spawned, chunks, each worker's busy share of the
+// execute stage, classes imported, checks per shard.
+func TestRunVerifyStatsWorkersLine(t *testing.T) {
+	cfg, err := parseVerifyFlags([]string{"-stats", "-workers", "2", "-overload", "2", testSpec}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := runVerify(cfg, &stdout, &stderr); code != 0 {
+		t.Fatalf("runVerify = %d, stderr:\n%s", code, &stderr)
+	}
+	line := regexp.MustCompile(`(?m)^workers: 2 spawned, 2 chunks; busy \d+% \d+% of execute; 2 classes imported; links checked per shard (\d+) (\d+)$`)
+	m := line.FindSubmatch(stdout.Bytes())
+	if m == nil {
+		t.Fatalf("-stats -workers 2 has no workers: line of the expected shape:\n%s", &stdout)
+	}
+	a, _ := strconv.Atoi(string(m[1]))
+	b, _ := strconv.Atoi(string(m[2]))
+	if !bytes.Contains(stdout.Bytes(), []byte(fmt.Sprintf("check: %d loads: ", a+b))) {
+		t.Errorf("the shards checked %d + %d links, the check: line says otherwise:\n%s", a, b, &stdout)
 	}
 }
 

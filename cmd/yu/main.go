@@ -416,6 +416,7 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 		}
 		printRouteSim(stdout, snap)
 		printExecute(stdout, snap)
+		printWorkers(stdout, snap)
 		printCheck(stdout, snap)
 		if rep.Scenarios > 0 {
 			fmt.Fprintf(stdout, "scenarios simulated: %d\n", rep.Scenarios)
@@ -480,6 +481,42 @@ func printExecute(w io.Writer, snap *yu.MetricsSnapshot) {
 	fmt.Fprintf(w, "execute: %d classes: %d executed, %d shared; %d forwarding classes over %d prefixes; %d steps built, %d shared\n",
 		executed+shared, executed, shared, c["exec.forwarding_classes"], c["exec.prefixes"],
 		c["exec.steps_built"], c["exec.steps_shared"])
+}
+
+// printWorkers renders what a multi-worker run's shard pool did: the
+// goroutines execution spawned and the class-order chunks they took off the
+// cursor, the share of the execute stage each spent executing, how many
+// finished classes the primary manager imported from them, and how many
+// checks each check shard ran. A run that spawned one worker or none prints
+// nothing.
+func printWorkers(w io.Writer, snap *yu.MetricsSnapshot) {
+	c := snap.Counters
+	spawned := int(c["sched.workers_spawned"])
+	if spawned <= 1 {
+		return
+	}
+	execMS := 0.0
+	for _, p := range snap.Phases {
+		if p.Path == "execute" {
+			execMS = p.MS
+		}
+	}
+	var busy, checked []string
+	for i := 0; i < spawned; i++ {
+		busy = append(busy, fmt.Sprintf("%.0f%%", 100*snap.TimersMS[fmt.Sprintf("worker.%d.busy", i)].MS/execMS))
+	}
+	for i := 0; ; i++ {
+		n, ok := c[fmt.Sprintf("worker.%d.links_checked", i)]
+		if !ok {
+			break
+		}
+		checked = append(checked, fmt.Sprint(n))
+	}
+	if checked == nil {
+		checked = []string{"none"}
+	}
+	fmt.Fprintf(w, "workers: %d spawned, %d chunks; busy %s of execute; %d classes imported; links checked per shard %s\n",
+		spawned, c["sched.chunks"], strings.Join(busy, " "), c["exec.classes_imported"], strings.Join(checked, " "))
 }
 
 // printCheck renders the check stage's own account of a run: how many loads

@@ -4,7 +4,12 @@ import (
 	"fmt"
 
 	"github.com/yu-verify/yu/internal/config"
+	"github.com/yu-verify/yu/internal/topo"
 )
+
+// SetExecHook installs (nil: removes) the hook that runs before each sharded
+// flow execution.
+func SetExecHook(h func(topo.Flow)) { testExecHook = h }
 
 // CompareWithReference exposes the check stage's reference oracle
 // (reference_test.go) to the external test package, which may import

@@ -97,7 +97,7 @@ func (e *Engine) maybeGC(stfs []*FlowSTF, extra []*mtbdd.Node) {
 const retainedGCFloor = 64 << 10
 
 // Trim makes a finished verifier cheap to keep for further checks (Run,
-// Scan): it drops what only execution reads — the engine's forwarding-step
+// Check): it drops what only execution reads — the engine's forwarding-step
 // and IGP-vector caches, its STF memo, forwarding classes and wavefront
 // scratch, the route-simulation result and the STF cache hook, and with them
 // their nodes' claim to survive a collection — gives the

@@ -27,7 +27,7 @@ func installGovernance(m *mtbdd.Manager, opts Options) {
 // SetContext re-arms a finished verifier for a check under ctx (nil: none):
 // the ladder's polls, the manager's interrupt hook and the governance every
 // check shard is created with all follow the verifier's context, and the one
-// it was built under may be long expired. Any number of checks — Run, Scan —
+// it was built under may be long expired. Any number of checks — Run, Check —
 // can follow one another on a verifier this way, each under its own.
 func (v *Verifier) SetContext(ctx context.Context) {
 	v.e.opts.Ctx = ctx

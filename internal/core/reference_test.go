@@ -78,9 +78,9 @@ func refLoad(sc scanCtx, s Subject) (*mtbdd.Node, LinkCheckStat) {
 // refCheckLinkPruned is the pruned loop before the n-ary kernels. stop is
 // the number of classes folded when a stop rule fired (0 for the quick
 // bound); holds reports a link passed without a terminal scan.
-func refCheckLinkPruned(sc scanCtx, it checkItem) (stat LinkCheckStat, viols []Violation, stop int, holds bool) {
+func refCheckLinkPruned(sc scanCtx, it Plan) (stat LinkCheckStat, viols []Violation, stop int, holds bool) {
 	m := sc.m
-	l, limit := it.subject.Link, it.check.Max
+	l, limit := it.Subject.Link, it.Checks[0].Max
 	stat = LinkCheckStat{Link: l}
 	classes := refLinkClasses(sc, l, &stat)
 	for i := range classes {
@@ -110,7 +110,7 @@ func refCheckLinkPruned(sc scanCtx, it checkItem) (stat LinkCheckStat, viols []V
 			return stat, nil, stop, true
 		}
 	}
-	res, _ := sc.scanPortfolio(tau, []LinkCheck{it.check})
+	res, _ := sc.scanPortfolio(tau, it.Checks)
 	if r := &res[0]; r.Violated {
 		assign := sc.fv.Scenario(r.FailedLinks, r.FailedRouters)
 		exact := 0.0
@@ -163,12 +163,13 @@ func compareWithReference(sc scanCtx, spec *config.Spec, factors []float64, link
 	}
 	for _, factor := range factors {
 		for _, it := range lower(net, spec.Props, spec.Delivered, factor, !v.e.opts.DisableEarlyTermination) {
-			name := net.DirLinkName(it.subject.Link)
-			if it.subject.Prefix.IsValid() {
-				name = "delivered " + it.subject.Prefix.String()
+			name := net.DirLinkName(it.Subject.Link)
+			if it.Subject.Prefix.IsValid() {
+				name = "delivered " + it.Subject.Prefix.String()
 			}
 			sc.maybeGC()
-			gstat, gviols := sc.check(it)
+			gres, _, gstat := sc.check(it)
+			gviols := violations(it, gres[0])
 			var wstat LinkCheckStat
 			var wviols []Violation
 			if it.pruned {
@@ -176,14 +177,14 @@ func compareWithReference(sc scanCtx, spec *config.Spec, factors []float64, link
 				var wholds bool
 				wstat, wviols, wstop, wholds = refCheckLinkPruned(sc, it)
 				var scratch LinkCheckStat
-				gstop, gholds := sc.prune(sc.linkClasses(it.subject.Link, &scratch), violThreshold(it.check.Max))
+				gstop, gholds := sc.prune(sc.linkClasses(it.Subject.Link, &scratch), violThreshold(it.Checks[0].Max))
 				if gstop != wstop || gholds != wholds {
 					return fmt.Errorf("pruned check of %s at factor %g: stops at class %d (holds %v), reference at %d (holds %v)",
 						name, factor, gstop, gholds, wstop, wholds)
 				}
 			} else {
-				tau, st := refLoad(sc, it.subject)
-				res, _ := sc.scanPortfolio(tau, []LinkCheck{it.check})
+				tau, st := refLoad(sc, it.Subject)
+				res, _ := sc.scanPortfolio(tau, it.Checks)
 				wstat, wviols = st, violations(it, res[0])
 			}
 			if !sameStat(gstat, wstat) {
@@ -207,10 +208,18 @@ func compareVerifier(v *Verifier, spec *config.Spec, factors []float64, linkStri
 	if err := compareWithReference(v.primaryScan(), spec, factors, linkStride); err != nil {
 		return fmt.Errorf("primary: %w", err)
 	}
-	if err := compareWithReference(v.shardScan(), spec, factors, linkStride*shardStride); err != nil {
+	if err := compareWithReference(v.freshShard(), spec, factors, linkStride*shardStride); err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
 	return nil
+}
+
+// freshShard is a check shard as the pool builds one: a private governed
+// manager with the primary's variable order.
+func (v *Verifier) freshShard() scanCtx {
+	m := mtbdd.New()
+	installGovernance(m, v.e.opts)
+	return v.shardScan(routesim.NewFailVars(m, v.e.net, v.e.fv.Mode, v.e.fv.K))
 }
 
 // referenceFactors spread the overload limit so that all three ends of the

@@ -1,22 +1,16 @@
-// The one checker core every path scans through. The sequential verifier,
-// the parallel shard checkers, and the portfolio engine (internal/tlp) all
-// aggregate per-link loads and decide violations here, so epsilon handling
+// The one checker core every path scans through. Run and the portfolio
+// engine (internal/tlp) both lower to Plans and go through Verifier.Check, on
+// the primary manager or on the shard pool, so epsilon handling, governance
 // and the early-termination heuristics cannot diverge between paths again.
 package core
 
 import (
-	"errors"
 	"math"
 	"net/netip"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/yu-verify/yu/internal/govern"
 	"github.com/yu-verify/yu/internal/mtbdd"
-	"github.com/yu-verify/yu/internal/obs"
 	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
@@ -42,14 +36,10 @@ func (v *Verifier) primaryScan() scanCtx {
 	return scanCtx{v: v, m: v.e.m, fv: v.e.fv}
 }
 
-// shardScan builds a check-pool shard: a private governed manager with the
-// primary's variable order. Construction allocates the variable nodes, so
-// callers run it contained.
-func (v *Verifier) shardScan() scanCtx {
-	m := mtbdd.New()
-	installGovernance(m, v.e.opts)
-	fv := routesim.NewFailVars(m, v.e.net, v.e.fv.Mode, v.e.fv.K)
-	return scanCtx{v: v, m: m, fv: fv, imp: m.Import}
+// shardScan binds the checker to a pool worker's private manager, which has
+// the primary's variable order.
+func (v *Verifier) shardScan(fv *routesim.FailVars) scanCtx {
+	return scanCtx{v: v, m: fv.M, fv: fv, imp: fv.M.Import}
 }
 
 func (sc scanCtx) node(w *mtbdd.Node) *mtbdd.Node {
@@ -370,149 +360,107 @@ func (sc scanCtx) scanPortfolio(tau *mtbdd.Node, checks []LinkCheck) ([]ScanResu
 	return out, restricts
 }
 
-// Scan is the one scan primitive: it aggregates the subject's symbolic
-// quantity once and evaluates every check against it in a single shared
-// terminal scan (conditional checks add one cofactor scan per distinct
-// guard; the count is returned as restricts). Scan is governed by the
-// budget ladder: on a node-budget breach the engine collects and retries
-// once, and an unrelieved breach is reported as skipped under the degrade
-// policy (an error otherwise, like cancellation).
-func (v *Verifier) Scan(s Subject, checks []LinkCheck) (res []ScanResult, restricts int, skipped bool, err error) {
-	sc := v.primaryScan()
-	sc.maybeGC()
-	skipped, err = sc.governed(func() {
-		tau, _ := sc.load(s)
-		res, restricts = sc.scanPortfolio(tau, checks)
-	})
-	if skipped {
-		err = nil
-	}
-	return res, restricts, skipped, err
+// Plan is one unit of the check stage: a subject, whose symbolic quantity is
+// aggregated once, and the checks evaluated against it in a single shared
+// terminal scan (conditional checks add one cofactor scan per distinct guard).
+type Plan struct {
+	Subject Subject
+	Checks  []LinkCheck
+	// pruned selects the §6 early-termination scan over aggregate-then-scan:
+	// one overload check on one link. Only Run's lowering sets it — a pruned
+	// witness may differ from a full scan's.
+	pruned bool
 }
 
-// check evaluates one lowered item: aggregate the subject, scan the one
-// check, convert the hit — or, in pruned mode, the §6 early-termination
-// scan.
-func (sc scanCtx) check(it checkItem) (LinkCheckStat, []Violation) {
-	if it.pruned {
-		return sc.checkLinkPruned(it)
-	}
-	tau, stat := sc.load(it.subject)
-	res, _ := sc.scanPortfolio(tau, []LinkCheck{it.check})
-	return stat, violations(it, res[0])
+// PlanResult is one plan's outcome slot. Done distinguishes a completed plan
+// from one that was skipped (budget degrade) or never ran (a fatal error
+// stopped the run first) — both leave its checks undecided.
+type PlanResult struct {
+	// Results is parallel to the plan's Checks.
+	Results []ScanResult
+	// Restricts counts the guard-restricted scans the plan needed.
+	Restricts int
+	Stat      LinkCheckStat
+	Done      bool
 }
 
-// violations converts a scan hit on an item into its report entry.
-func violations(it checkItem, r ScanResult) []Violation {
-	if !r.Violated {
-		return nil
+// Check is the one check loop: every plan goes through the budget ladder —
+// on a node-budget breach the manager collects and the plan retries once —
+// and its outcome is written to its slot. With one worker (or one plan) the
+// plans run on the primary manager; otherwise on the shard pool, every worker
+// checking in a private manager, and the slots keep the results, and
+// therefore every report built from them, identical to a one-worker run. A
+// plan that cannot fit the budget under the degrade policy is left not done;
+// the first fatal error (cancellation, a breach under the fail policy, a
+// contained panic, the one that cut execution short) stops the loop and is
+// returned with the slots filled so far.
+func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
+	out := make([]PlanResult, len(plans))
+	if v.err != nil {
+		return out, v.err
 	}
-	v := Violation{
-		Kind: "link-load", Link: it.subject.Link, Value: r.Value, Min: it.check.Min, Max: it.check.Max,
-		FailedLinks: r.FailedLinks, FailedRouters: r.FailedRouters,
-	}
-	if it.subject.Prefix.IsValid() {
-		v.Kind, v.Prefix = "delivered", it.subject.Prefix
-	}
-	return []Violation{v}
-}
-
-// checkItems runs the items through the budget ladder and writes each
-// completed outcome to its slot: on the primary manager with one worker,
-// otherwise fanned out over a pool of shard checkers via an atomic cursor
-// — every worker checks in a private manager and the slot array keeps the
-// accumulation order, and therefore the Report, identical to a one-worker
-// run. An item whose check cannot fit the budget under the degrade policy
-// is left not done; the first fatal error (cancellation, a breach under
-// the fail policy) stops the run and is returned.
-func (v *Verifier) checkItems(items []checkItem, results []itemRes) error {
-	workers := v.workers
-	if workers > len(items) {
-		workers = len(items)
-	}
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	next := func() int {
-		if stop.Load() {
-			return len(items)
-		}
-		return int(cursor.Add(1)) - 1
-	}
-	if workers <= 1 {
-		return v.primaryScan().runItems(items, results, next, nil)
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var sc scanCtx
-			if err := contained(func() { sc = v.shardScan() }); err != nil {
-				// A budget so tight the shard's FailVars cannot even be
-				// built: under the degrade policy the shard bows out (its
-				// items go to the other workers or end up unchecked);
-				// otherwise it is fatal.
-				if !errors.Is(err, govern.ErrNodeBudget) || v.e.opts.OnBudget != BudgetDegrade {
-					fail(err)
-				}
-				return
+	if min(v.workers, len(plans)) <= 1 {
+		sc := v.primaryScan()
+		for i := range plans {
+			if err := sc.checkPlan(plans[i], &out[i]); err != nil {
+				return out, err
 			}
-			defer RecordManager(v.e.opts.Obs, "check-shard."+strconv.Itoa(w), sc.m)
-			linkC := v.e.opts.Obs.Counter(workerCounter(w, "links_checked"))
-			if err := sc.runItems(items, results, next, linkC); err != nil {
-				fail(err)
-			}
-		}(w)
+		}
+		return out, nil
 	}
-	wg.Wait()
-	return firstErr
-}
-
-// runItems is one checker's loop: take the next item, collect if the
-// manager has grown, check it through the ladder.
-func (sc scanCtx) runItems(items []checkItem, results []itemRes, next func() int, checked *obs.Counter) error {
-	for i := next(); i < len(items); i = next() {
-		sc.maybeGC()
-		r := &results[i]
-		degrade, err := sc.governed(func() { r.stat, r.viols = sc.check(items[i]) })
-		if err != nil && !degrade {
+	return out, v.e.pool(v.workers, "check-shard", len(plans), func(w int, fv *routesim.FailVars) func(int) error {
+		sc := v.shardScan(fv)
+		checked := v.e.opts.Obs.Counter(workerCounter(w, "links_checked"))
+		return func(i int) error {
+			err := sc.checkPlan(plans[i], &out[i])
+			if err == nil {
+				checked.Inc()
+			}
 			return err
 		}
-		r.done = err == nil
-		checked.Inc()
+	})
+}
+
+// checkPlan is one governed plan: collect if the manager has grown, then
+// check through the ladder.
+func (sc scanCtx) checkPlan(p Plan, r *PlanResult) error {
+	sc.maybeGC()
+	degrade, err := sc.governed(func() { r.Results, r.Restricts, r.Stat = sc.check(p) })
+	if err != nil && !degrade {
+		return err
 	}
+	r.Done = err == nil
 	return nil
+}
+
+// check evaluates one plan: aggregate the subject and scan the checks — or,
+// in pruned mode, the §6 early-termination scan.
+func (sc scanCtx) check(p Plan) ([]ScanResult, int, LinkCheckStat) {
+	if p.pruned {
+		return sc.checkLinkPruned(p)
+	}
+	tau, stat := sc.load(p.Subject)
+	res, restricts := sc.scanPortfolio(tau, p.Checks)
+	return res, restricts, stat
 }
 
 // checkLinkPruned verifies one directed link against an upper limit with
 // the §6 early-termination heuristics (prune). Only a link that prune stops
 // on a violating prefix has a load built — that prefix's — and scanned for
 // a witness.
-func (sc scanCtx) checkLinkPruned(it checkItem) (LinkCheckStat, []Violation) {
+func (sc scanCtx) checkLinkPruned(p Plan) ([]ScanResult, int, LinkCheckStat) {
 	start := time.Now()
 	m := sc.m
-	stat := LinkCheckStat{Link: it.subject.Link}
-	classes := sc.linkClasses(it.subject.Link, &stat)
-	stop, holds := sc.prune(classes, violThreshold(it.check.Max))
+	stat := LinkCheckStat{Link: p.Subject.Link}
+	classes := sc.linkClasses(p.Subject.Link, &stat)
+	stop, holds := sc.prune(classes, violThreshold(p.Checks[0].Max))
 	if holds {
 		stat.Elapsed = time.Since(start)
-		return stat, nil
+		return make([]ScanResult, 1), 0, stat
 	}
 	tau := sc.build(splitClasses(classes[:stop]))
 	stat.Elapsed = time.Since(start)
-	res, _ := sc.scanPortfolio(tau, []LinkCheck{it.check})
+	res, _ := sc.scanPortfolio(tau, p.Checks)
 	if r := &res[0]; r.Violated {
 		// tau may be a partial sum (early stop): recompute the exact
 		// load at the witness by evaluating every class there.
@@ -525,7 +473,7 @@ func (sc scanCtx) checkLinkPruned(it checkItem) (LinkCheckStat, []Violation) {
 			r.Value = exact
 		}
 	}
-	return stat, violations(it, res[0])
+	return res, 0, stat
 }
 
 // prune is the §6 early termination of one link's overload check, with no

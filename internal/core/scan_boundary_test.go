@@ -43,15 +43,16 @@ func TestOverloadEpsilonBoundary(t *testing.T) {
 		if !ok {
 			t.Fatal("no link C->E")
 		}
-		shard := fx.ver.shardScan()
+		shard := fx.ver.freshShard()
 		for _, c := range cases {
-			it := checkItem{
-				subject: Subject{Link: d},
-				check:   LinkCheck{Max: c.limit, Overload: true, CondVar: -1},
+			it := Plan{
+				Subject: Subject{Link: d},
+				Checks:  []LinkCheck{{Max: c.limit, Overload: true, CondVar: -1}},
 				pruned:  pruned,
 			}
-			seqStat, seqViols := fx.ver.primaryScan().check(it)
-			parStat, parViols := shard.check(it)
+			seqRes, _, seqStat := fx.ver.primaryScan().check(it)
+			parRes, _, parStat := shard.check(it)
+			seqViols, parViols := violations(it, seqRes[0]), violations(it, parRes[0])
 			if got := len(seqViols) > 0; got != c.wantViol {
 				t.Errorf("pruned=%v %s: sequential violated=%v, want %v",
 					pruned, c.name, got, c.wantViol)

@@ -49,7 +49,7 @@ func TestCancelInsideAggregationKernels(t *testing.T) {
 	// violation out, so PrefixMaxK runs over every growing prefix.
 	tau, _ := v.LinkLoad(l)
 	_, hi := sc.m.Range(tau)
-	pruned := checkItem{subject: Subject{Link: l}, check: LinkCheck{Max: hi, Overload: true, CondVar: -1}, pruned: true}
+	pruned := Plan{Subject: Subject{Link: l}, Checks: []LinkCheck{{Max: hi, Overload: true, CondVar: -1}}, pruned: true}
 
 	for name, attempt := range map[string]func(){
 		"SumMulK":    func() { sc.load(Subject{Link: l}) },
@@ -68,13 +68,13 @@ func TestCancelInsideAggregationKernels(t *testing.T) {
 		}
 	}
 
-	// Through the public surface: Scan reports the typed error, Run a
-	// partial report.
+	// Through the public surface: Check reports the typed error with the
+	// plan not done, Run a partial report.
 	ctx.arm(1)
-	_, _, skipped, err := v.Scan(Subject{Link: l}, []LinkCheck{{Max: 1, Overload: true, CondVar: -1}})
+	res, err := v.Check([]Plan{{Subject: Subject{Link: l}, Checks: []LinkCheck{{Max: 1, Overload: true, CondVar: -1}}}})
 	ctx.armed.Store(false)
-	if !errors.Is(err, govern.ErrCanceled) || skipped {
-		t.Fatalf("Scan: err = %v skipped = %v, want govern.ErrCanceled", err, skipped)
+	if !errors.Is(err, govern.ErrCanceled) || res[0].Done {
+		t.Fatalf("Check: err = %v done = %v, want govern.ErrCanceled", err, res[0].Done)
 	}
 	ctx.arm(3)
 	rep, err := v.Run(spec.Props, nil, 1.0)
@@ -93,7 +93,7 @@ func TestNodeBudgetInsideAggregationKernel(t *testing.T) {
 		// Room for a few nodes only: the load of the busiest link needs
 		// hundreds, and the ladder's collection frees nothing.
 		m.SetNodeBudget(m.Stats().Live + 10)
-		res, _, skipped, err := v.Scan(Subject{Link: l}, []LinkCheck{{Max: 1, Overload: true, CondVar: -1}})
+		res, err := v.Check([]Plan{{Subject: Subject{Link: l}, Checks: []LinkCheck{{Max: 1, Overload: true, CondVar: -1}}}})
 		switch policy {
 		case BudgetFail:
 			if !errors.Is(err, govern.ErrNodeBudget) {
@@ -104,8 +104,8 @@ func TestNodeBudgetInsideAggregationKernel(t *testing.T) {
 				t.Fatalf("fail policy: err = %v carries no *mtbdd.BudgetError", err)
 			}
 		case BudgetDegrade:
-			if err != nil || !skipped || res != nil {
-				t.Fatalf("degrade policy: res = %v skipped = %v err = %v, want the scan skipped", res, skipped, err)
+			if err != nil || res[0].Done || res[0].Results != nil {
+				t.Fatalf("degrade policy: res = %+v err = %v, want the plan skipped", res[0], err)
 			}
 		}
 		m.SetNodeBudget(0)

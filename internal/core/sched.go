@@ -1,17 +1,12 @@
-// Equivalence-class scheduling for the parallel pipeline (DESIGN.md §13).
-//
-// The unit of parallel work is a global-equivalence class (§6), not a
-// flow: classifyFlows groups the input up front, one representative per
-// class is executed, and the verdict/STF is shared by every member —
-// the summed volume fans the result out at aggregation time. Classes are
-// then ordered and chunked by a topology-derived cost heuristic so the
-// expensive work starts first and the work-stealing deques in parallel.go
-// stay balanced.
+// Global-equivalence classes (§6), the unit of execution on every path:
+// classifyFlows groups the input up front, one representative per class is
+// executed, and the verdict/STF is shared by every member — the summed
+// volume fans the result out at aggregation time. The shard pool
+// (parallel.go) takes the classes in this order, a chunk at a time.
 package core
 
 import (
 	"net/netip"
-	"sort"
 
 	"github.com/yu-verify/yu/internal/topo"
 )
@@ -26,8 +21,6 @@ type flowClass struct {
 	rep topo.Flow
 	// members counts the input flows merged into this class.
 	members int
-	// cost is the scheduling weight (see classCosts).
-	cost float64
 }
 
 // classifyFlows applies global flow equivalence (§6) and returns the
@@ -101,138 +94,20 @@ func dedupHits(classes []flowClass) int {
 	return n
 }
 
-// classCosts assigns each class its scheduling weight, in place: 1 + the
-// hop distance from the class's ingress to the nearest router that
-// delivers its destination, a proxy for how much network the symbolic
-// wavefront must traverse. It needs one BFS per distinct ingress (cached)
-// and no MTBDD work.
-func classCosts(e *Engine, classes []flowClass) {
-	distFrom := make(map[topo.RouterID][]int)
-	deliverers := make(map[int][]topo.RouterID)
-	for i := range classes {
-		f := classes[i].rep
-		cls := e.classifier.classOf(f.Dst)
-		dests, ok := deliverers[cls]
-		if !ok {
-			dests = e.deliveringRouters(cls)
-			deliverers[cls] = dests
-		}
-		dist, ok := distFrom[f.Ingress]
-		if !ok {
-			dist = bfsHops(e.net, f.Ingress)
-			distFrom[f.Ingress] = dist
-		}
-		best := -1
-		for _, r := range dests {
-			if d := dist[r]; d >= 0 && (best < 0 || d < best) {
-				best = d
-			}
-		}
-		if best < 0 {
-			// Unresolvable destination: assume a full traversal.
-			best = e.net.Diameter()
-		}
-		classes[i].cost = float64(1 + best)
-	}
-}
-
-// deliveringRouters lists the routers that deliver traffic of a prefix
-// class locally: any BGP Deliver candidate or static route for one of
-// the class's matched prefixes.
-func (e *Engine) deliveringRouters(cls int) []topo.RouterID {
-	var out []topo.RouterID
-	matched := e.classifier.matchedPrefixes(cls)
-	for ri := range e.rs.BGP.RIBs {
-		rib := e.rs.BGP.RIBs[ri]
-		found := false
-		for _, pfx := range matched {
-			for _, c := range rib[pfx] {
-				if c.Deliver {
-					found = true
-					break
-				}
-			}
-			if found {
-				break
-			}
-		}
-		if found {
-			out = append(out, topo.RouterID(ri))
-		}
-	}
-	return out
-}
-
-// bfsHops returns per-router hop distances from src over the directed
-// adjacency (-1 = unreachable), ignoring failures — a static cost proxy.
-func bfsHops(net *topo.Network, src topo.RouterID) []int {
-	dist := make([]int, net.NumRouters())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []topo.RouterID{src}
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		for _, edge := range net.Out(r) {
-			if dist[edge.To] < 0 {
-				dist[edge.To] = dist[r] + 1
-				queue = append(queue, edge.To)
-			}
-		}
-	}
-	return dist
-}
-
-// buildChunks orders the classes by descending cost (stable, so equal
-// costs keep first-seen order) and packs them greedily into chunks of
-// roughly totalCost/(4·spawn) each — about four chunks per worker, small
-// enough for stealing to rebalance, large enough to amortize deque
-// traffic. Returns the chunks as index slices into classes.
-func buildChunks(classes []flowClass, spawn int) [][]int {
-	order := make([]int, len(classes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return classes[order[a]].cost > classes[order[b]].cost
-	})
-	total := 0.0
-	for i := range classes {
-		total += classes[i].cost
-	}
-	target := total / float64(4*spawn)
-	var chunks [][]int
-	var cur []int
-	acc := 0.0
-	for _, ci := range order {
-		cur = append(cur, ci)
-		acc += classes[ci].cost
-		if acc >= target {
-			chunks = append(chunks, cur)
-			cur, acc = nil, 0
-		}
-	}
-	if len(cur) > 0 {
-		chunks = append(chunks, cur)
-	}
-	return chunks
-}
-
 // SchedStats summarizes one parallel execution's scheduling: how many
-// goroutines actually ran (never more than there was work for), how the
-// queue was shaped, and how work moved. The sequential path reports the
-// zero value with Workers == 1.
+// goroutines actually ran (never more than there was work for) and how the
+// classes were cut up. The sequential path reports Workers == 1 and no
+// chunks.
 type SchedStats struct {
 	// Workers is the number of execution goroutines spawned.
 	Workers int
-	// Chunks is the number of work chunks enqueued.
+	// Chunks is the number of class-order chunks the pool handed out.
 	Chunks int
 	// Classes is the number of equivalence classes (executed
 	// representatives).
 	Classes int
-	// Steals counts chunks a worker took from another worker's deque.
+	// Steals is always 0: workers share one cursor, nothing is owned and
+	// nothing stolen. The field stays until benchmark/ stops reading it.
 	Steals int
 	// DedupHits counts input flows merged away by global equivalence.
 	DedupHits int

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"hash/fnv"
 	"testing"
-	"time"
 
 	"github.com/yu-verify/yu/internal/flowgen"
 	"github.com/yu-verify/yu/internal/gen"
@@ -74,45 +72,6 @@ func TestClassifyFlows(t *testing.T) {
 	}
 }
 
-// TestBuildChunksCoverAndOrder checks the chunking invariants: every
-// class appears in exactly one chunk, and chunk heads are cost-ordered
-// (descending), so expensive work is dequeued first.
-func TestBuildChunksCoverAndOrder(t *testing.T) {
-	e, flows := schedFixture(t)
-	classes, _ := classifyFlows(e, flows)
-	classCosts(e, classes)
-	for i := range classes {
-		if classes[i].cost <= 0 {
-			t.Fatalf("class %d has non-positive cost %g", i, classes[i].cost)
-		}
-	}
-	chunks := buildChunks(classes, 4)
-	if len(chunks) == 0 {
-		t.Fatal("no chunks")
-	}
-	seen := make(map[int]bool)
-	prev := classes[chunks[0][0]].cost
-	for _, ch := range chunks {
-		if len(ch) == 0 {
-			t.Fatal("empty chunk")
-		}
-		if c := classes[ch[0]].cost; c > prev {
-			t.Fatalf("chunk head cost %g after %g: not descending", c, prev)
-		} else {
-			prev = c
-		}
-		for _, ci := range ch {
-			if seen[ci] {
-				t.Fatalf("class %d in two chunks", ci)
-			}
-			seen[ci] = true
-		}
-	}
-	if len(seen) != len(classes) {
-		t.Fatalf("chunks cover %d of %d classes", len(seen), len(classes))
-	}
-}
-
 // TestSchedulerNoIdleWorkers pins satellite 1: the scheduler never spawns
 // a goroutine with no chunk to run. With fewer classes than workers the
 // spawn count collapses to the class count, and every spawned worker's
@@ -179,7 +138,6 @@ func TestSchedulerObsCounters(t *testing.T) {
 	for name, want := range map[string]int64{
 		"sched.workers_spawned":  int64(st.Workers),
 		"sched.chunks":           int64(st.Chunks),
-		"sched.steals":           int64(st.Steals),
 		"sched.class_dedup_hits": int64(st.DedupHits),
 	} {
 		if got, ok := snap.Counters[name]; !ok {
@@ -188,8 +146,8 @@ func TestSchedulerObsCounters(t *testing.T) {
 			t.Errorf("counter %s = %d, SchedStats says %d", name, got, want)
 		}
 	}
-	if _, ok := snap.Counters["sched.queue_depth_hw"]; !ok {
-		t.Error("counter sched.queue_depth_hw missing from snapshot")
+	if st.Steals != 0 {
+		t.Errorf("SchedStats.Steals = %d; nothing is owned, nothing can be stolen", st.Steals)
 	}
 	if st.DedupHits <= 0 {
 		t.Error("random fixture produced no dedup hits")
@@ -204,39 +162,4 @@ func TestSchedulerObsCounters(t *testing.T) {
 	if busy != st.Workers {
 		t.Errorf("%d worker busy timers, %d workers spawned", busy, st.Workers)
 	}
-}
-
-// TestStealingDeterminism runs the stealing scheduler twice with
-// different adversarial per-flow delays injected through testExecHook —
-// perturbing which worker executes which chunk and when steals happen —
-// and requires byte-identical reports. This is the §13 determinism
-// invariant: scheduling must be invisible in the output.
-func TestStealingDeterminism(t *testing.T) {
-	spec, err := gen.WAN(gen.WANSpec{Routers: 30, Links: 60, Prefixes: 8, SRPolicyFraction: 0.2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows, err := flowgen.Random(spec, flowgen.RandomSpec{
-		Count: 200, DSCP5Fraction: 0.3, DistinctDstPerPrefix: 2, Seed: 105,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(salt uint32) *Report {
-		t.Helper()
-		testExecHook = func(f topo.Flow) {
-			h := fnv.New32a()
-			h.Write([]byte(f.String()))
-			// Delay 0–300µs, flow- and salt-dependent: runs with different
-			// salts interleave workers differently and steal differently.
-			time.Sleep(time.Duration((h.Sum32()^salt)%4) * 100 * time.Microsecond)
-		}
-		defer func() { testExecHook = nil }()
-		eng := buildEngine(t, spec, topo.FailLinks, 1, Options{})
-		v := NewParallelVerifier(eng, flows, 4)
-		return mustRun(t, func() (*Report, error) { return v.Run(nil, nil, 0.5) })
-	}
-	a := run(0x00000000)
-	b := run(0x9e3779b9)
-	reportsEqual(t, "stealing-determinism", a, b)
 }

@@ -28,7 +28,7 @@ import (
 //     measuring real symbolic executions.
 //
 // Only the sequential pipeline (Workers <= 1) consults the cache; the
-// work-stealing shards never see it.
+// pool's execution shards never see it.
 type STFCache interface {
 	Lookup(e *Engine, rep topo.Flow) (*FlowSTF, bool)
 	Store(e *Engine, rep topo.Flow, stf *FlowSTF)

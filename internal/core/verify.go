@@ -152,12 +152,12 @@ func (rep *Report) markUncheckedDelivered(pfx netip.Prefix) {
 	rep.UncheckedDelivered = append(rep.UncheckedDelivered, pfx)
 }
 
-// markUncheckedItem records a check item's target as unchecked.
-func (rep *Report) markUncheckedItem(it checkItem) {
-	if it.subject.Prefix.IsValid() {
-		rep.markUncheckedDelivered(it.subject.Prefix)
+// markUncheckedSubject records a lowered plan's target as unchecked.
+func (rep *Report) markUncheckedSubject(s Subject) {
+	if s.Prefix.IsValid() {
+		rep.markUncheckedDelivered(s.Prefix)
 	} else {
-		rep.markUnchecked(it.subject.Link)
+		rep.markUnchecked(s.Link)
 	}
 }
 
@@ -166,8 +166,8 @@ func (rep *Report) markUncheckedItem(it checkItem) {
 // listed unchecked, in Run's order.
 func AllUnchecked(net *topo.Network, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) *Report {
 	rep := &Report{Incomplete: true}
-	for _, it := range lower(net, bounds, delivered, overloadFactor, false) {
-		rep.markUncheckedItem(it)
+	for _, p := range lower(net, bounds, delivered, overloadFactor, false) {
+		rep.markUncheckedSubject(p.Subject)
 	}
 	return rep
 }
@@ -181,8 +181,8 @@ type Verifier struct {
 	// execCount is the number of classes with a finished STF (executed,
 	// cache-served or imported; post global-equiv).
 	execCount int
-	// workers > 1 fans the checks of Run out over a pool of shard
-	// checkers; 1 checks on the primary manager.
+	// workers > 1 fans Check's plans out over the shard pool; 1 checks on
+	// the primary manager.
 	workers int
 	// err is the first fatal error hit while executing flows (cancel,
 	// deadline, unrecoverable budget breach, contained panic). Run
@@ -333,7 +333,7 @@ func (v *Verifier) Vars() *routesim.FailVars { return v.e.fv }
 // of the one n-ary walk that builds the load are the classes, not the flows.
 //
 // The returned node remains valid until the next Verifier method that may
-// trigger a managed GC (another LinkLoad, a Scan or a Run).
+// trigger a managed GC (another LinkLoad, a Check or a Run).
 func (v *Verifier) LinkLoad(l topo.DirLinkID) (*mtbdd.Node, LinkCheckStat) {
 	sc := v.primaryScan()
 	sc.maybeGC()
@@ -360,24 +360,15 @@ func scenarioWitness(fv *routesim.FailVars, a mtbdd.Assignment) (links []topo.Li
 	return links, routers
 }
 
-// checkItem is one lowered check of a Run request: a subject (directed
-// link or delivered prefix), the predicate on its load, and the scan mode.
-type checkItem struct {
-	subject Subject
-	check   LinkCheck
-	// pruned selects the §6 early-termination scan (overload items, unless
-	// the ablation turns it off) over aggregate-then-scan.
-	pruned bool
-}
-
-// lower flattens a check request into its ordered check items: explicit
-// bounds (undirected ones in both directions), delivered bounds, then the
-// all-links overload property — "no directed link carries more than
-// factor × capacity", the paper's daily P2 check. This order is the order
-// of Report.LinkStats and Report.Violations on every path. pruned is the
-// scan mode of the overload items.
-func lower(net *topo.Network, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64, pruned bool) []checkItem {
-	var items []checkItem
+// lower flattens a check request into its ordered plans, one single-check
+// plan per target: explicit bounds (undirected ones in both directions),
+// delivered bounds, then the all-links overload property — "no directed link
+// carries more than factor × capacity", the paper's daily P2 check. This
+// order is the order of Report.LinkStats and Report.Violations on every path.
+// pruned is the scan mode of the overload plans, the only ones that take the
+// §6 early-termination scan.
+func lower(net *topo.Network, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64, pruned bool) []Plan {
+	var plans []Plan
 	bothDirs := []topo.Direction{topo.AtoB, topo.BtoA}
 	for _, b := range bounds {
 		dirs := bothDirs
@@ -385,47 +376,52 @@ func lower(net *topo.Network, bounds []topo.LoadBound, delivered []topo.Delivere
 			dirs = []topo.Direction{b.Dir}
 		}
 		for _, d := range dirs {
-			items = append(items, checkItem{
-				subject: Subject{Link: topo.MakeDirLinkID(b.Link, d)},
-				check:   LinkCheck{Min: b.Min, Max: b.Max, CondVar: -1},
+			plans = append(plans, Plan{
+				Subject: Subject{Link: topo.MakeDirLinkID(b.Link, d)},
+				Checks:  []LinkCheck{{Min: b.Min, Max: b.Max, CondVar: -1}},
 			})
 		}
 	}
 	for _, b := range delivered {
-		items = append(items, checkItem{
-			subject: Subject{Prefix: b.Prefix},
-			check:   LinkCheck{Min: b.Min, Max: b.Max, CondVar: -1},
+		plans = append(plans, Plan{
+			Subject: Subject{Prefix: b.Prefix},
+			Checks:  []LinkCheck{{Min: b.Min, Max: b.Max, CondVar: -1}},
 		})
 	}
 	if overloadFactor > 0 {
 		for li := 0; li < net.NumLinks(); li++ {
 			link := net.Link(topo.LinkID(li))
 			for _, d := range bothDirs {
-				items = append(items, checkItem{
-					subject: Subject{Link: topo.MakeDirLinkID(link.ID, d)},
-					check:   LinkCheck{Max: link.Capacity * overloadFactor, Overload: true, CondVar: -1},
+				plans = append(plans, Plan{
+					Subject: Subject{Link: topo.MakeDirLinkID(link.ID, d)},
+					Checks:  []LinkCheck{{Max: link.Capacity * overloadFactor, Overload: true, CondVar: -1}},
 					pruned:  pruned,
 				})
 			}
 		}
 	}
-	return items
+	return plans
 }
 
-// itemRes is one check item's outcome slot. done distinguishes a completed
-// check from one that was skipped (budget degrade) or never ran (a fatal
-// error stopped the run first) — both leave the target unchecked.
-type itemRes struct {
-	stat  LinkCheckStat
-	viols []Violation
-	done  bool
+// violations converts a lowered plan's scan hit into its report entry.
+func violations(p Plan, r ScanResult) []Violation {
+	if !r.Violated {
+		return nil
+	}
+	v := Violation{
+		Kind: "link-load", Link: p.Subject.Link, Value: r.Value, Min: p.Checks[0].Min, Max: p.Checks[0].Max,
+		FailedLinks: r.FailedLinks, FailedRouters: r.FailedRouters,
+	}
+	if p.Subject.Prefix.IsValid() {
+		v.Kind, v.Prefix = "delivered", p.Subject.Prefix
+	}
+	return []Violation{v}
 }
 
 // Run checks the given explicit bounds (either slice may be empty) and, if
-// overloadFactor > 0, the all-links overload property. With workers > 1
-// the items are checked concurrently on shard managers; results land in
-// item-order slots, so the Report is identical (modulo per-check Elapsed)
-// at every worker count.
+// overloadFactor > 0, the all-links overload property: the request lowered to
+// plans, Check, and the slots converted back in plan order, so the Report is
+// identical (modulo per-check Elapsed) at every worker count.
 //
 // Run is governed: on cancellation, deadline expiry, or a node-budget
 // breach under the fail policy it returns the typed error together with
@@ -433,7 +429,8 @@ type itemRes struct {
 // and every target that did not complete is listed in Unchecked /
 // UncheckedDelivered with Incomplete set. Under the degrade policy a
 // check that cannot fit the budget is skipped the same way but without
-// an error. Holds is never true on an incomplete report.
+// an error. A failed flow execution leaves every target unchecked. Holds is
+// never true on an incomplete report.
 func (v *Verifier) Run(bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) (*Report, error) {
 	rep := &Report{FlowsExecuted: v.execCount, FlowsTotal: len(v.flows)}
 	for _, s := range v.stfs {
@@ -441,21 +438,15 @@ func (v *Verifier) Run(bounds []topo.LoadBound, delivered []topo.DeliveredBound,
 			rep.DegradedFlows = append(rep.DegradedFlows, s.Flow.String())
 		}
 	}
-	items := lower(v.e.net, bounds, delivered, overloadFactor, !v.e.opts.DisableEarlyTermination)
-	results := make([]itemRes, len(items))
-	// A failed flow execution leaves every item unchecked.
-	err := v.err
-	if err == nil {
-		err = v.checkItems(items, results)
-	}
+	plans := lower(v.e.net, bounds, delivered, overloadFactor, !v.e.opts.DisableEarlyTermination)
+	results, err := v.Check(plans)
 	for i, r := range results {
-		switch {
-		case r.done:
-			rep.LinkStats = append(rep.LinkStats, r.stat)
-			rep.Violations = append(rep.Violations, r.viols...)
-		default:
-			rep.markUncheckedItem(items[i])
+		if !r.Done {
+			rep.markUncheckedSubject(plans[i].Subject)
+			continue
 		}
+		rep.LinkStats = append(rep.LinkStats, r.Stat)
+		rep.Violations = append(rep.Violations, violations(plans[i], r.Results[0])...)
 	}
 	rep.Holds = len(rep.Violations) == 0 && !rep.Incomplete
 	return rep, err

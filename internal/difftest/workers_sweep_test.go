@@ -14,8 +14,8 @@ import (
 // every checked-in example network: for each testdata spec and failure
 // budget, the canonical report rendering (FormatReport, which excludes
 // wall-clock fields) is identical at every worker count. Worker counts
-// above the class count exercise the spawn collapse; 8 workers on the
-// small specs exercises stealing from near-empty deques.
+// above the class count exercise the spawn collapse: 8 workers on the
+// small specs must spawn no more goroutines than there are classes.
 func TestWorkersByteIdentitySweep(t *testing.T) {
 	root := filepath.Join("..", "..", "testdata")
 	entries, err := os.ReadDir(root)

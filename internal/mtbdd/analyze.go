@@ -56,39 +56,6 @@ func (a Assignment) String() string {
 	return b.String()
 }
 
-// Terminals returns the sorted distinct terminal values reachable in f.
-func (m *Manager) Terminals(f *Node) []float64 {
-	seen := m.newBitset()
-	var out []float64
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if seen.visit(n.id) {
-			return
-		}
-		if n.IsTerminal() {
-			out = append(out, n.Value)
-			return
-		}
-		walk(n.Lo)
-		walk(n.Hi)
-	}
-	walk(f)
-	sort.Float64s(out)
-	return out
-}
-
-// MinValue returns the minimum terminal value reachable in f.
-func (m *Manager) MinValue(f *Node) float64 {
-	lo, _ := m.Range(f)
-	return lo
-}
-
-// MaxValue returns the maximum terminal value reachable in f.
-func (m *Manager) MaxValue(f *Node) float64 {
-	_, hi := m.Range(f)
-	return hi
-}
-
 // valueRange is a (min, max) pair of terminal values.
 type valueRange struct{ lo, hi float64 }
 
@@ -172,13 +139,6 @@ func (m *Manager) Witness(f *Node, pred func(float64) bool) (Assignment, float64
 	return a, n.Value, true
 }
 
-// WitnessOutside returns an assignment under which f's value falls outside
-// the closed interval [lo, hi], if any. This is the TLP violation check of
-// §4.5/Theorem 5.1 specialized to a range property.
-func (m *Manager) WitnessOutside(f *Node, lo, hi float64) (Assignment, float64, bool) {
-	return m.Witness(f, func(v float64) bool { return v < lo || v > hi })
-}
-
 // ForEachPath invokes fn for every root-to-terminal path in f with the
 // path's (partial) assignment and terminal value. fn returning false stops
 // the walk. The assignment passed to fn is reused between calls; clone it
@@ -205,32 +165,6 @@ func (m *Manager) ForEachPath(f *Node, fn func(Assignment, float64) bool) {
 		return true
 	}
 	walk(f)
-}
-
-// Dot renders f in Graphviz DOT format, naming variables via the Manager.
-func (m *Manager) Dot(f *Node, title string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph mtbdd {\n  label=%q;\n  rankdir=TB;\n", title)
-	seen := make(map[*Node]struct{})
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if _, ok := seen[n]; ok {
-			return
-		}
-		seen[n] = struct{}{}
-		if n.IsTerminal() {
-			fmt.Fprintf(&b, "  n%d [shape=box,label=%q];\n", n.id, trimFloat(n.Value))
-			return
-		}
-		fmt.Fprintf(&b, "  n%d [shape=circle,label=%q];\n", n.id, m.VarName(int(n.Level)))
-		fmt.Fprintf(&b, "  n%d -> n%d [style=dashed];\n", n.id, n.Lo.id)
-		fmt.Fprintf(&b, "  n%d -> n%d [style=solid];\n", n.id, n.Hi.id)
-		walk(n.Lo)
-		walk(n.Hi)
-	}
-	walk(f)
-	b.WriteString("}\n")
-	return b.String()
 }
 
 func trimFloat(v float64) string {

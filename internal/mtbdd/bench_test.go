@@ -92,7 +92,11 @@ func BenchmarkSumPairwiseReduce(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ClearCaches()
-		m.KReduce(m.Sum(fs), 2)
+		acc := m.Zero()
+		for _, f := range fs {
+			acc = m.Add(acc, f)
+		}
+		m.KReduce(acc, 2)
 	}
 }
 

@@ -37,10 +37,6 @@ func (m *Manager) Import(src *Node) *Node {
 	return m.importNode(src)
 }
 
-// Import rebuilds src (owned by another Manager) inside dst. It is the
-// free-function form of (*Manager).Import.
-func Import(dst *Manager, src *Node) *Node { return dst.Import(src) }
-
 func (m *Manager) importNode(src *Node) *Node {
 	if r, ok := m.importTbl[src]; ok {
 		m.importHits++

@@ -34,13 +34,13 @@ package mtbdd
 // AddK returns KReduce(f+g, k) without building the unreduced sum.
 func (m *Manager) AddK(f, g *Node, k int) *Node { return m.fusedOp(opAdd, f, g, k) }
 
-// SubK returns KReduce(f-g, k).
-func (m *Manager) SubK(f, g *Node, k int) *Node { return m.fusedOp(opSub, f, g, k) }
-
 // MulK returns KReduce(f*g, k) without building the unreduced product.
 func (m *Manager) MulK(f, g *Node, k int) *Node { return m.fusedOp(opMul, f, g, k) }
 
-// DivK returns KReduce(f/g, k), with Div's zero-denominator convention.
+// DivK returns KReduce(f/g, k), with the convention that any division by a
+// zero denominator yields 0. This matches the paper's ECMP encoding
+// c_r = s_r / Σ s_r': wherever the denominator (number of selected rules)
+// is 0, the numerator is 0 too, and the traffic ratio is 0.
 func (m *Manager) DivK(f, g *Node, k int) *Node { return m.fusedOp(opDiv, f, g, k) }
 
 // MinK returns KReduce(min(f,g), k).
@@ -54,9 +54,6 @@ func (m *Manager) AndK(f, g *Node, k int) *Node { return m.fusedOp(opAnd, f, g, 
 
 // OrK returns KReduce(f∨g, k) for {0,1} guards.
 func (m *Manager) OrK(f, g *Node, k int) *Node { return m.fusedOp(opOr, f, g, k) }
-
-// XorK returns KReduce(f⊕g, k) for {0,1} guards.
-func (m *Manager) XorK(f, g *Node, k int) *Node { return m.fusedOp(opXor, f, g, k) }
 
 func (m *Manager) fusedOp(op opcode, f, g *Node, k int) *Node {
 	if k < 0 {

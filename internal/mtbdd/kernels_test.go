@@ -21,20 +21,18 @@ type binaryKernel struct {
 // arithKernels accept arbitrary multi-terminal operands.
 var arithKernels = []binaryKernel{
 	{"AddK", (*Manager).AddK, (*Manager).Add},
-	{"SubK", (*Manager).SubK, (*Manager).Sub},
 	{"MulK", (*Manager).MulK, (*Manager).Mul},
-	{"DivK", (*Manager).DivK, (*Manager).Div},
+	{"DivK", (*Manager).DivK, func(m *Manager, f, g *Node) *Node { return m.apply(opDiv, f, g) }},
 	{"MinK", (*Manager).MinK, (*Manager).Min},
 	{"MaxK", (*Manager).MaxK, (*Manager).Max},
 }
 
 // boolKernels require {0,1} guard operands — their shortcuts (g∧1 = g,
 // g∨0 = g, ...) are identities only on guards, exactly like the plain
-// And/Or/Xor they fuse.
+// And/Or they fuse.
 var boolKernels = []binaryKernel{
 	{"AndK", (*Manager).AndK, (*Manager).And},
 	{"OrK", (*Manager).OrK, (*Manager).Or},
-	{"XorK", (*Manager).XorK, (*Manager).Xor},
 }
 
 // randomGuard builds a random {0,1} MTBDD — the edge-up/selection guard
@@ -55,7 +53,7 @@ func randomGuard(m *Manager, r *rand.Rand, n, depth int) *Node {
 	case 1:
 		return m.Or(a, b)
 	default:
-		return m.Xor(a, b)
+		return m.Or(m.And(a, m.Not(b)), m.And(m.Not(a), b))
 	}
 }
 

@@ -28,7 +28,7 @@ func TestKReduceSTLExample(t *testing.T) {
 	m := newMgr(t, 3)
 	x1, x2, x3 := m.Var(0), m.Var(1), m.Var(2)
 	stl := m.Add(m.Scale(60, x1),
-		m.Scale(25, m.Add(m.Mul(x1, m.Not(x2)), m.AndAll([]*Node{m.Not(x1), x2, x3}))))
+		m.Scale(25, m.Add(m.Mul(x1, m.Not(x2)), m.And(m.And(m.Not(x1), x2), x3))))
 	for k := 0; k <= 3; k++ {
 		r := m.KReduce(stl, k)
 		if got := m.MaxFailuresOnPath(r); got > k {
@@ -281,7 +281,7 @@ func TestMaxFailuresOnPath(t *testing.T) {
 	if m.MaxFailuresOnPath(m.Const(4)) != 0 {
 		t.Error("terminal has 0 failures")
 	}
-	f := m.AndAll([]*Node{m.Not(m.Var(0)), m.Not(m.Var(1)), m.Not(m.Var(2))})
+	f := m.And(m.And(m.Not(m.Var(0)), m.Not(m.Var(1))), m.Not(m.Var(2)))
 	// The path to terminal 1 fails all three variables... but sibling
 	// paths bail out earlier; max over paths is 3.
 	if got := m.MaxFailuresOnPath(f); got != 3 {

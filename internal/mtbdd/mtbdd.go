@@ -327,25 +327,11 @@ func (m *Manager) EvalAllAlive(f *Node) float64 {
 // NodeCount returns the number of distinct nodes (including terminals)
 // reachable from f.
 func (m *Manager) NodeCount(f *Node) int {
-	seen := m.newBitset()
-	return countNodes(f, seen)
-}
-
-// NodeCountMulti returns the number of distinct nodes reachable from any of
-// the given roots (shared nodes counted once).
-func (m *Manager) NodeCountMulti(roots []*Node) int {
-	seen := m.newBitset()
-	total := 0
-	for _, r := range roots {
-		if r != nil {
-			total += countNodes(r, seen)
-		}
-	}
-	return total
+	return countNodes(f, m.newBitset())
 }
 
 // countNodes counts nodes reachable from n that are not yet in seen,
-// marking them as it goes (so a shared seen set counts shared nodes once).
+// marking them as it goes.
 func countNodes(n *Node, seen bitset) int {
 	if seen.visit(n.id) {
 		return 0
@@ -356,29 +342,6 @@ func countNodes(n *Node, seen bitset) int {
 		count += countNodes(n.Hi, seen)
 	}
 	return count
-}
-
-// Support returns the sorted set of variables tested anywhere in f.
-func (m *Manager) Support(f *Node) []int {
-	seen := m.newBitset()
-	inSupport := make([]bool, len(m.names))
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsTerminal() || seen.visit(n.id) {
-			return
-		}
-		inSupport[n.Level] = true
-		walk(n.Lo)
-		walk(n.Hi)
-	}
-	walk(f)
-	var out []int
-	for v, in := range inSupport {
-		if in {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // CacheStats is one operation cache's cumulative hit/miss tally. The

@@ -9,14 +9,13 @@ const (
 	opAdd opcode = iota
 	opSub
 	opMul
-	opDiv // 0/0 and x/0 yield 0 (see Div)
+	opDiv // x/0 yields 0, 0/0 included (see DivK)
 	opMin
 	opMax
 	// Boolean ops on {0,1} MTBDDs. And/Or are min/max restricted to
 	// guards; they get their own opcodes so guard-only shortcuts apply.
 	opAnd
 	opOr
-	opXor
 	// opMulAdd tags the fused ternary multiply-accumulate in the fused
 	// computed table (kernels.go); it is never passed to eval.
 	opMulAdd
@@ -46,11 +45,6 @@ func (op opcode) eval(a, b float64) float64 {
 		return 0
 	case opOr:
 		if a != 0 || b != 0 {
-			return 1
-		}
-		return 0
-	case opXor:
-		if (a != 0) != (b != 0) {
 			return 1
 		}
 		return 0
@@ -120,16 +114,6 @@ func (m *Manager) shortcut(op opcode, f, g *Node) *Node {
 				return f
 			}
 		}
-	case opXor:
-		if f == g {
-			return m.zero
-		}
-		if f == m.zero {
-			return g
-		}
-		if g == m.zero {
-			return f
-		}
 	}
 	return nil
 }
@@ -138,7 +122,7 @@ func (m *Manager) shortcut(op opcode, f, g *Node) *Node {
 // canonicalize operand order.
 func (op opcode) commutes() bool {
 	switch op {
-	case opAdd, opMul, opMin, opMax, opAnd, opOr, opXor:
+	case opAdd, opMul, opMin, opMax, opAnd, opOr:
 		return true
 	}
 	return false
@@ -190,12 +174,6 @@ func (m *Manager) Sub(f, g *Node) *Node { return m.apply(opSub, f, g) }
 // Mul returns f * g (pointwise).
 func (m *Manager) Mul(f, g *Node) *Node { return m.apply(opMul, f, g) }
 
-// Div returns f / g pointwise, with the convention that any division by a
-// zero denominator yields 0. This matches the paper's ECMP encoding
-// c_r = s_r / Σ s_r': wherever the denominator (number of selected rules)
-// is 0, the numerator is 0 too, and the traffic ratio is 0.
-func (m *Manager) Div(f, g *Node) *Node { return m.apply(opDiv, f, g) }
-
 // Min returns the pointwise minimum of f and g.
 func (m *Manager) Min(f, g *Node) *Node { return m.apply(opMin, f, g) }
 
@@ -207,9 +185,6 @@ func (m *Manager) And(f, g *Node) *Node { return m.apply(opAnd, f, g) }
 
 // Or returns the disjunction of two {0,1} guards.
 func (m *Manager) Or(f, g *Node) *Node { return m.apply(opOr, f, g) }
-
-// Xor returns the exclusive-or of two {0,1} guards.
-func (m *Manager) Xor(f, g *Node) *Node { return m.apply(opXor, f, g) }
 
 // Not returns the complement 1-f of a {0,1} guard.
 func (m *Manager) Not(f *Node) *Node {
@@ -286,31 +261,4 @@ func (m *Manager) restrict(f *Node, v int32, val bool, memo map[*Node]*Node) *No
 	}
 	memo[f] = r
 	return r
-}
-
-// Sum returns the sum of all the given MTBDDs (0 for an empty slice).
-func (m *Manager) Sum(fs []*Node) *Node {
-	acc := m.zero
-	for _, f := range fs {
-		acc = m.Add(acc, f)
-	}
-	return acc
-}
-
-// OrAll returns the disjunction of all the given guards (0 for empty).
-func (m *Manager) OrAll(fs []*Node) *Node {
-	acc := m.zero
-	for _, f := range fs {
-		acc = m.Or(acc, f)
-	}
-	return acc
-}
-
-// AndAll returns the conjunction of all the given guards (1 for empty).
-func (m *Manager) AndAll(fs []*Node) *Node {
-	acc := m.one
-	for _, f := range fs {
-		acc = m.And(acc, f)
-	}
-	return acc
 }

@@ -22,6 +22,12 @@ func randLoad(m *Manager, rng *rand.Rand, n, terms int) *Node {
 	return f
 }
 
+// witnessOutside is the single-check reference of ScanOutside: a witness of f
+// leaving the closed interval [lo, hi], by the generic Witness walk.
+func witnessOutside(m *Manager, f *Node, lo, hi float64) (Assignment, float64, bool) {
+	return m.Witness(f, func(v float64) bool { return v < lo || v > hi })
+}
+
 func TestScanOutsideMatchesWitnessOutside(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 60; trial++ {
@@ -30,7 +36,7 @@ func TestScanOutsideMatchesWitnessOutside(t *testing.T) {
 		f := randLoad(m, rng, n, 1+rng.Intn(6))
 		lo := float64(rng.Intn(20))/2 - 2
 		hi := lo + float64(rng.Intn(16))/2
-		wa, wv, wok := m.WitnessOutside(f, lo, hi)
+		wa, wv, wok := witnessOutside(m, f, lo, hi)
 		hits := m.ScanOutside(f, []ScanCheck{{Lo: lo, Hi: hi, MaxFails: -1}})
 		h := hits[0]
 		if h.OK != wok {

@@ -62,7 +62,10 @@ func TestSnapshotSharedNodesEncodedOnce(t *testing.T) {
 		t.Fatalf("duplicated roots grew the snapshot: %d vs %d", once.Len(), doubled.Len())
 	}
 	// Every distinct reachable node appears exactly once.
-	distinct := src.NodeCountMulti(roots)
+	distinct, seen := 0, src.newBitset()
+	for _, r := range roots {
+		distinct += countNodes(r, seen)
+	}
 	if once.Len() != distinct {
 		t.Fatalf("snapshot has %d entries, %d distinct nodes reachable", once.Len(), distinct)
 	}

@@ -136,15 +136,23 @@ func (r *Registry) Timer(name string) *Timer {
 	return t
 }
 
-// RecordManager appends one MTBDD manager's stats snapshot (taken at
-// the end of the manager's life, or of the run). Safe from worker
-// goroutines.
+// RecordManager records one MTBDD manager's stats snapshot (taken at
+// the end of the manager's life, or of a check) under its name, replacing
+// an earlier record of that name: a registry that outlives many checks —
+// a kept build's, the daemon's — holds the latest of each, not one per
+// check. Safe from worker goroutines.
 func (r *Registry) RecordManager(ms ManagerStats) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for i := range r.managers {
+		if r.managers[i].Name == ms.Name {
+			r.managers[i] = ms
+			return
+		}
+	}
 	r.managers = append(r.managers, ms)
 }
 

@@ -99,6 +99,11 @@ func TestSpansAggregateByPath(t *testing.T) {
 
 func TestSnapshotEmitsAllKnownCaches(t *testing.T) {
 	r := New()
+	// A name is recorded once: the later snapshot replaces this one.
+	r.RecordManager(ManagerStats{
+		Name:   "primary",
+		Caches: map[string]CacheCounters{"apply": {Hits: 1000, Misses: 1000}},
+	})
 	r.RecordManager(ManagerStats{
 		Name:   "primary",
 		Caches: map[string]CacheCounters{"apply": {Hits: 10, Misses: 2}},
@@ -119,8 +124,8 @@ func TestSnapshotEmitsAllKnownCaches(t *testing.T) {
 	if got := snap.Caches["kreduce"]; got.Hits != 7 {
 		t.Fatalf("kreduce aggregate = %+v, want 7 hits", got)
 	}
-	if snap.Managers[0].Name != "primary" || snap.Managers[1].Name != "shard.0" {
-		t.Fatalf("managers not sorted by name: %+v", snap.Managers)
+	if len(snap.Managers) != 2 || snap.Managers[0].Name != "primary" || snap.Managers[1].Name != "shard.0" {
+		t.Fatalf("managers not one per name, sorted by name: %+v", snap.Managers)
 	}
 }
 

@@ -125,10 +125,11 @@ func BenchmarkImportInto(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	base := res.NewImportBase()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkResult = res.ImportInto(in.vars())
+		sinkResult = base.ImportInto(in.vars())
 	}
 }
 

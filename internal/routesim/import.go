@@ -7,34 +7,8 @@ import (
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// ImportInto clones the route simulation result into the manager behind
-// dst, translating every guard MTBDD with mtbdd.Import. It is how the
-// parallel verification pipeline hands each worker a private copy of the
-// guarded RIBs without re-running route simulation: dst must be a FailVars
-// over the same network, mode, and budget, created with NewFailVars on a
-// fresh manager — that construction is deterministic, so dst's variable
-// order matches the source and the imported guards are structurally
-// identical.
-//
-// The clone shares no MTBDD state with the source: all further operations
-// on it (symbolic traffic execution, managed GC) touch only dst.M.
-func (r *Result) ImportInto(dst *FailVars) *Result {
-	r.checkImportDst(dst)
-	return r.importWith(dst, func(n *mtbdd.Node) *mtbdd.Node { return dst.M.Import(n) })
-}
-
-func (r *Result) checkImportDst(dst *FailVars) {
-	src := r.Vars
-	if dst.Net != src.Net || dst.Mode != src.Mode || dst.K != src.K {
-		panic("routesim: ImportInto requires a FailVars over the same network, mode, and budget")
-	}
-	if dst.M.NumVars() != src.M.NumVars() {
-		panic(fmt.Sprintf("routesim: ImportInto variable count mismatch: %d vs %d", dst.M.NumVars(), src.M.NumVars()))
-	}
-}
-
 // importWith clones the result structure translating every guard through
-// imp — the shared traversal behind ImportInto and ImportBase.ImportInto.
+// imp — the traversal behind ImportBase.ImportInto.
 func (r *Result) importWith(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *Result {
 	out := &Result{
 		Vars:    dst,
@@ -98,13 +72,21 @@ func (r *Result) NewImportBase() *ImportBase {
 // NumNodes returns the number of distinct MTBDD nodes in the shared base.
 func (b *ImportBase) NumNodes() int { return b.snap.Len() }
 
-// ImportInto clones the underlying result into dst like Result.ImportInto,
-// but resolves guards through the shared snapshot: one linear replay per
-// shard instead of a full memoized re-walk of the source graphs. Safe to
-// call concurrently from multiple shards (each dst owns its manager; the
-// base is read-only).
+// ImportInto clones the underlying result into the manager behind dst — how
+// the shard pool hands each worker a private copy of the guarded RIBs without
+// re-running route simulation. dst must be a FailVars over the same network,
+// mode, and budget, created with NewFailVars on a fresh manager: that
+// construction is deterministic, so dst's variable order matches the source
+// and the cloned guards are structurally identical. Guards resolve through
+// the shared snapshot, one linear replay per shard; the clone shares no MTBDD
+// state with the source. Safe to call concurrently from multiple shards (each
+// dst owns its manager; the base is read-only).
 func (b *ImportBase) ImportInto(dst *FailVars) *Result {
-	b.src.checkImportDst(dst)
+	if src := b.src.Vars; dst.Net != src.Net || dst.Mode != src.Mode || dst.K != src.K {
+		panic("routesim: ImportInto requires a FailVars over the same network, mode, and budget")
+	} else if dst.M.NumVars() != src.M.NumVars() {
+		panic(fmt.Sprintf("routesim: ImportInto variable count mismatch: %d vs %d", dst.M.NumVars(), src.M.NumVars()))
+	}
 	table := dst.M.ImportSnapshot(b.snap)
 	return b.src.importWith(dst, func(n *mtbdd.Node) *mtbdd.Node {
 		if i, ok := b.snap.Index(n); ok {

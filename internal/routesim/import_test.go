@@ -15,7 +15,7 @@ func TestImportIntoEquivalence(t *testing.T) {
 
 	m2 := mtbdd.New()
 	fv2 := NewFailVars(m2, spec.Net, topo.FailLinks, 2)
-	clone := res.ImportInto(fv2)
+	clone := res.NewImportBase().ImportInto(fv2)
 
 	if clone.Vars != fv2 {
 		t.Fatal("clone not bound to destination FailVars")
@@ -117,5 +117,5 @@ func TestImportIntoRejectsMismatch(t *testing.T) {
 			t.Fatal("ImportInto accepted a FailVars with a different budget")
 		}
 	}()
-	res.ImportInto(fv2)
+	res.NewImportBase().ImportInto(fv2)
 }

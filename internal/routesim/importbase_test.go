@@ -19,9 +19,9 @@ func collectGuards(r *Result) []*mtbdd.Node {
 
 // TestImportBaseMatchesImportInto pins the copy-on-write base's contract:
 // cloning through the shared snapshot yields pointer-identical guards to
-// the plain per-shard ImportInto on the same destination manager. The two
-// clones are walked in structural lockstep (eachGuard's own order is
-// map-dependent and may differ between calls).
+// a memoised walk (Manager.Import) of every guard into the same destination
+// manager. The two clones are walked in structural lockstep (eachGuard's own
+// order is map-dependent and may differ between calls).
 func TestImportBaseMatchesImportInto(t *testing.T) {
 	spec, res := motivating(t, 2)
 	base := res.NewImportBase()
@@ -31,7 +31,7 @@ func TestImportBaseMatchesImportInto(t *testing.T) {
 
 	dst := NewFailVars(mtbdd.New(), spec.Net, topo.FailLinks, 2)
 	viaBase := base.ImportInto(dst)
-	viaImport := res.ImportInto(dst)
+	viaImport := res.importWith(dst, dst.M.Import)
 
 	compared := 0
 	check := func(where string, a, b *mtbdd.Node) {

@@ -205,11 +205,6 @@ func (fv *FailVars) ReduceAdd(f, g *mtbdd.Node) *mtbdd.Node {
 	return fv.M.AddK(f, g, fv.K)
 }
 
-// ReduceSub returns Reduce(f - g).
-func (fv *FailVars) ReduceSub(f, g *mtbdd.Node) *mtbdd.Node {
-	return fv.M.SubK(f, g, fv.K)
-}
-
 // ReduceMul returns Reduce(f * g).
 func (fv *FailVars) ReduceMul(f, g *mtbdd.Node) *mtbdd.Node {
 	return fv.M.MulK(f, g, fv.K)

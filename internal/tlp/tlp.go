@@ -4,7 +4,7 @@
 // A-B is failed then ...") variants of each — into a per-link evaluation
 // plan served from one symbolic execution. Every directed link's KREDUCEd
 // load MTBDD is terminal-scanned once, evaluating all properties attached
-// to that link in the same pass (core.Verifier.Scan); conditional properties
+// to that link in the same pass (core.Verifier.Check); conditional properties
 // are evaluated by guard restriction (one cofactor scan per distinct
 // guard) rather than by re-executing anything. Violations are
 // deduplicated by witness failure set and ranked by excess load.
@@ -306,7 +306,8 @@ type Result struct {
 	Incomplete bool
 }
 
-// Eval evaluates the compiled portfolio against one symbolic run. Each
+// Eval evaluates the compiled portfolio against one symbolic run, through
+// the verifier's one check loop (on its shard pool when it has workers). Each
 // directed link in the plan is aggregated and terminal-scanned exactly
 // once; conditional properties add one cofactor scan per distinct guard
 // link. reg (nil-safe) receives tlp.* counters.
@@ -365,64 +366,61 @@ func (p *Portfolio) Eval(v *core.Verifier, reg *obs.Registry) (*Result, error) {
 		return scs, live
 	}
 
-	markUnchecked := func(checks []plannedCheck, live []int) {
-		for _, ci := range live {
-			vd := &r.Verdicts[checks[ci].prop]
-			if vd.Status == StatusHolds {
-				vd.Status = StatusUnchecked
-			}
-		}
-		r.Incomplete = true
+	// One core.Plan per subject with a live check; subjects[j] is plan j's
+	// compiled plan and the checks of it that are live.
+	type subject struct {
+		pl   *plan
+		live []int
 	}
-
-	finalize := func() {
-		for i := range r.Verdicts {
-			switch r.Verdicts[i].Status {
-			case StatusViolated:
-				r.Stats.Violations++
-			case StatusUnchecked:
-				r.Stats.Unchecked++
-			}
+	var (
+		plans    []core.Plan
+		subjects []subject
+	)
+	for pi := range p.plans {
+		pl := &p.plans[pi]
+		if scs, live := prepare(pl.checks); len(scs) > 0 {
+			plans = append(plans, core.Plan{Subject: pl.subject, Checks: scs})
+			subjects = append(subjects, subject{pl, live})
 		}
-		r.Holds = r.Stats.Violations == 0 && !r.Incomplete
-		r.Groups = groupVerdicts(r.Verdicts)
-		reg.Counter("tlp.properties").Add(int64(r.Stats.Properties))
-		reg.Counter("tlp.checks").Add(int64(r.Stats.Checks))
-		reg.Counter("tlp.restrict_scans").Add(int64(r.Stats.RestrictScans))
-		reg.Counter("tlp.violations").Add(int64(r.Stats.Violations))
-		reg.Counter("tlp.unchecked").Add(int64(r.Stats.Unchecked))
 	}
-
+	// A governed abort (cancellation, deadline, unrelieved budget) comes back
+	// with the plans it did not finish not done: they are unchecked, like the
+	// ones a degrading run skipped — Verifier.Run's partial-report contract.
+	results, err := v.Check(plans)
 	scanned := [...]*int{&r.Stats.LinkScans, &r.Stats.DeliveredScans, &r.Stats.AggScans}
-	for pi, pl := range p.plans {
-		scs, live := prepare(pl.checks)
-		if len(scs) == 0 {
-			continue
-		}
-		res, restr, skipped, err := v.Scan(pl.subject, scs)
-		if err != nil {
-			// Governed abort (cancellation, deadline, unrelieved budget):
-			// everything not yet decided is unchecked, mirroring
-			// Verifier.Run's partial-report contract.
-			markUnchecked(pl.checks, live)
-			for _, rest := range p.plans[pi+1:] {
-				_, restLive := prepare(rest.checks)
-				markUnchecked(rest.checks, restLive)
+	for j, res := range results {
+		pl, live := subjects[j].pl, subjects[j].live
+		if !res.Done {
+			for _, ci := range live {
+				if vd := &r.Verdicts[pl.checks[ci].prop]; vd.Status == StatusHolds {
+					vd.Status = StatusUnchecked
+				}
 			}
-			finalize()
-			return r, err
-		}
-		if skipped {
-			markUnchecked(pl.checks, live)
+			r.Incomplete = true
 			continue
 		}
 		*scanned[pl.kind]++
-		r.Stats.RestrictScans += restr
+		r.Stats.RestrictScans += res.Restricts
 		reg.Counter(scanCounters[pl.kind]).Inc()
-		merge(pl.checks, live, res)
+		merge(pl.checks, live, res.Results)
 	}
-	finalize()
-	return r, nil
+
+	for i := range r.Verdicts {
+		switch r.Verdicts[i].Status {
+		case StatusViolated:
+			r.Stats.Violations++
+		case StatusUnchecked:
+			r.Stats.Unchecked++
+		}
+	}
+	r.Holds = r.Stats.Violations == 0 && !r.Incomplete
+	r.Groups = groupVerdicts(r.Verdicts)
+	reg.Counter("tlp.properties").Add(int64(r.Stats.Properties))
+	reg.Counter("tlp.checks").Add(int64(r.Stats.Checks))
+	reg.Counter("tlp.restrict_scans").Add(int64(r.Stats.RestrictScans))
+	reg.Counter("tlp.violations").Add(int64(r.Stats.Violations))
+	reg.Counter("tlp.unchecked").Add(int64(r.Stats.Unchecked))
+	return r, err
 }
 
 // AllUnchecked is the partial result for a run cut short before any scan

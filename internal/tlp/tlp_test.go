@@ -1,6 +1,8 @@
 package tlp_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -130,6 +132,49 @@ func TestPortfolioWorkerByteIdentity(t *testing.T) {
 	}
 	if !strings.Contains(base, "group when") {
 		t.Errorf("report has no violation groups:\n%s", base)
+	}
+}
+
+// TestPortfolioOnThePoolStopsOnCancel: a portfolio at two workers is checked
+// on the shard pool, so a canceled context stops it there — the typed error,
+// every property unchecked — and the build answers the next query as the
+// one-worker run does.
+func TestPortfolioOnThePoolStopsOnCancel(t *testing.T) {
+	net := motivating(t)
+	props := mustPortfolio(t, net, `
+		tlp util 0.95
+		tlp link C-E max 50 if-failed B-D
+		tlp delivered 100.0.0.0/24 min 70
+	`)
+	want, err := net.VerifyPortfolio(props, yu.VerifyOptions{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := yu.NewMetrics()
+	b, err := net.Build(yu.VerifyOptions{K: 2, Workers: 2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := b.VerifyPortfolio(ctx, props)
+	if !errors.Is(err, yu.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if !res.Incomplete || res.Holds || res.Stats.Unchecked != len(props) {
+		t.Fatalf("canceled on the pool: %+v, want every property unchecked", res.Stats)
+	}
+	res, err = b.VerifyPortfolio(context.Background(), props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canon.FormatPortfolio(net.Topology(), res), canon.FormatPortfolio(net.Topology(), want); got != want {
+		t.Errorf("after the cancel the pool answers\n%s--- one worker ---\n%s", got, want)
+	}
+	// Only pool workers count what they check.
+	c := reg.Snapshot().Counters
+	if got, want := c["worker.0.links_checked"]+c["worker.1.links_checked"], res.Stats.LinkScans+res.Stats.DeliveredScans; got != int64(want) {
+		t.Errorf("the check shards checked %d plans of %d: the portfolio did not run on the pool", got, want)
 	}
 }
 

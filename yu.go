@@ -69,8 +69,8 @@ type (
 	DirLinkID = topo.DirLinkID
 	// BudgetPolicy selects the response to an MTBDD node-budget breach.
 	BudgetPolicy = core.BudgetPolicy
-	// SchedStats summarizes the parallel scheduler's execution phase
-	// (workers spawned, chunks, steals, class dedup) — see Report.Sched.
+	// SchedStats summarizes the shard pool's execution phase (workers
+	// spawned, chunks, class dedup) — see Report.Sched.
 	SchedStats = core.SchedStats
 	// Metrics is the run-metrics registry for VerifyOptions.Obs: phase
 	// timings, per-cache MTBDD hit/miss counters, per-worker counters
@@ -309,8 +309,8 @@ type Report struct {
 	// DegradedFlows names flows verified by the bounded concrete
 	// fallback instead of symbolic execution (BudgetDegrade only).
 	DegradedFlows []string
-	// Sched summarizes the execution scheduler (EngineYU only): workers
-	// actually spawned, chunks, steals, and global-equivalence dedup hits.
+	// Sched summarizes the execution phase's shard pool (EngineYU only):
+	// workers actually spawned, chunks, and global-equivalence dedup hits.
 	Sched SchedStats
 	// Modular summarizes the compositional pipeline when the run was
 	// domain-decomposed (VerifyOptions.Domains / AutoDomains); nil on
@@ -589,17 +589,11 @@ type Built struct {
 	routeTime, buildTime time.Duration
 	// modular is set when the verifier was assembled from domains.
 	modular *ModularStats
-	// recorded is set once the manager's stats have gone to opts.Obs: a
-	// build is one entry in the registry, taken after its first check.
-	recorded bool
 }
 
-func (b *Built) record() {
-	if !b.recorded {
-		b.recorded = true
-		core.RecordManager(b.opts.Obs, "primary", b.mgr)
-	}
-}
+// record snapshots the manager's stats into opts.Obs after a check; the
+// registry keeps the latest under each name, so a build is one entry.
+func (b *Built) record() { core.RecordManager(b.opts.Obs, "primary", b.mgr) }
 
 // Trim releases what only the build needed — the execution engine's step
 // caches, the route-simulation result, the size the manager's operation
