@@ -162,7 +162,7 @@ func TestRunVerifyMetricsJSON(t *testing.T) {
 	if ends <= 0 || doc.Counters["check.classes_total"] <= 0 || doc.Counters["check.classes_enumerated"] > doc.Counters["check.classes_total"] {
 		t.Errorf("metrics do not account for the check stage: %v", doc.Counters)
 	}
-	for _, c := range []string{"apply", "kreduce", "neg", "range", "import"} {
+	for _, c := range []string{"apply", "kreduce", "neg", "range"} {
 		if _, ok := doc.Caches[c]; !ok {
 			t.Errorf("metrics missing cache %q (got %v)", c, doc.Caches)
 		}
@@ -280,7 +280,7 @@ func TestRunVerifyMetricsOnIncomplete(t *testing.T) {
 	if err := json.Unmarshal(stderr.Bytes(), &doc); err != nil {
 		t.Fatalf("metrics on INCOMPLETE run is not valid JSON: %v\n%s", err, &stderr)
 	}
-	for _, c := range []string{"apply", "kreduce", "neg", "range", "import"} {
+	for _, c := range []string{"apply", "kreduce", "neg", "range"} {
 		if _, ok := doc.Caches[c]; !ok {
 			t.Errorf("INCOMPLETE metrics missing cache %q", c)
 		}

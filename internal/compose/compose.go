@@ -220,40 +220,40 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 				}
 			}
 			// Inject into each consuming domain, one snapshot per source
-			// domain batching every stub it feeds.
+			// domain batching every stub it feeds: the templates are copied
+			// with each selection guard's slot noted, and the slots are
+			// filled from the replay.
 			for d := 0; d < nd; d++ {
 				for _, group := range feeds[d] {
 					var roots []*mtbdd.Node
-					for _, s := range group {
-						for _, advs := range tpls[s.global] {
-							for _, a := range advs {
+					var sels []**mtbdd.Node
+					mapped := make([]routesim.BorderTemplates, len(group))
+					for gi, s := range group {
+						src := tpls[s.global]
+						if len(src) == 0 {
+							continue
+						}
+						mapped[gi] = make(routesim.BorderTemplates, len(src))
+						for pfx, advs := range src {
+							out := make([]routesim.BorderAdv, len(advs))
+							for i, a := range advs {
+								out[i].ASPath = a.ASPath
 								roots = append(roots, a.Sel)
+								sels = append(sels, &out[i].Sel)
 							}
+							mapped[gi][pfx] = out
 						}
 					}
-					snap := mtbdd.NewSnapshot(roots)
+					snap, at := mtbdd.NewSnapshot(roots)
 					var table []*mtbdd.Node
 					if err := mtbdd.Guard(func() { table = mgrs[d].ImportSnapshot(snap) }); err != nil {
 						return err
 					}
-					for _, s := range group {
-						src := tpls[s.global]
-						var mapped routesim.BorderTemplates
-						if len(src) > 0 {
-							mapped = make(routesim.BorderTemplates, len(src))
-							for pfx, advs := range src {
-								out := make([]routesim.BorderAdv, len(advs))
-								for i, a := range advs {
-									idx, ok := snap.Index(a.Sel)
-									if !ok {
-										return fmt.Errorf("compose: selection guard of %s missing from snapshot", net.Router(s.global).Name)
-									}
-									out[i] = routesim.BorderAdv{ASPath: a.ASPath, Sel: table[idx]}
-								}
-								mapped[pfx] = out
-							}
-						}
-						steppers[d].SetStubAdvs(s.local, mapped)
+					for i, sel := range sels {
+						*sel = table[at[i]]
+					}
+					for gi, s := range group {
+						steppers[d].SetStubAdvs(s.local, mapped[gi])
 					}
 				}
 			}
@@ -389,7 +389,10 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 			ClassifyPrefixes:      prefixes,
 		}
 	}
-	pre := make([]*core.FlowSTF, len(reps))
+	// Each domain seals the STFs it contained, with their global link IDs,
+	// in class order; contained[d] lists their classes.
+	sealed := make([]*core.SealedSTFs, nd)
+	contained := make([][]int, nd)
 	fatal := make([]error, nd)
 	var wg sync.WaitGroup
 	for d := 0; d < nd; d++ {
@@ -407,7 +410,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 				borderDirs[topo.MakeDirLinkID(bl, topo.BtoA)] = true
 			}
 			zero := mgrs[d].Zero()
-			var done []*core.FlowSTF
+			var done, kept []*core.FlowSTF
 			for _, ci := range classesOf[d] {
 				rep := reps[ci]
 				local := rep
@@ -427,19 +430,21 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 				// or was still in flight at the iteration cap — escapes
 				// the domain's view, so the STF is only trusted when
 				// neither happened.
-				contained := s.InFlight == zero
-				if contained {
+				inside := s.InFlight == zero
+				if inside {
 					for dl := range s.Links {
 						if borderDirs[dl] {
-							contained = false
+							inside = false
 							break
 						}
 					}
 				}
-				if contained {
-					pre[ci] = core.TranslateSTF(s, sub.ToGlobalLink, rep)
+				if inside {
+					kept = append(kept, core.TranslateSTF(s, sub.ToGlobalLink, rep))
+					contained[d] = append(contained[d], ci)
 				}
 			}
+			sealed[d] = core.SealSTFs(kept)
 		}(d)
 	}
 	wg.Wait()
@@ -451,11 +456,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 			st.DomainPeakNodes = mgrs[d].Stats().Live
 		}
 		core.RecordManager(opts.Obs, fmt.Sprintf("domain.%s", part.Names[d]), mgrs[d])
-	}
-	for _, s := range pre {
-		if s != nil {
-			st.ContainedClasses++
-		}
+		st.ContainedClasses += len(contained[d])
 	}
 	st.FallbackClasses = len(reps) - st.ContainedClasses
 
@@ -481,6 +482,6 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 		rsCheck = routesim.EmptyResult(fvCheck)
 	}
 	eng := core.NewEngine(rsCheck, engOpts(opts.MaxNodes, opts.OnBudget, cfgs))
-	ver := core.NewAssembledVerifier(eng, flows, opts.Workers, pre)
+	ver := core.NewAssembledVerifier(eng, flows, opts.Workers, sealed, contained)
 	return &Built{Verifier: ver, Engine: eng, Stats: st}, nil
 }

@@ -1,43 +1,111 @@
-// Check-engine assembly for compositional verification (DESIGN.md §17).
+// STFs that change managers, and the check engine of compositional
+// verification (DESIGN.md §8, §17).
 //
-// The compositional pipeline (internal/compose) executes equivalence
-// classes inside per-domain managers and hands the finished STFs — links
-// already translated to global DirLinkIDs, nodes still owned by the
-// domain managers — to NewAssembledVerifier, which rebuilds them in the
-// check engine's manager in class order. Hash-consing restores canonical
-// node identity, so the assembled Verifier's aggregation, scans, and
-// reports are indistinguishable from a monolithic run's: an imported STF
-// and a natively executed STF of the same function are the same *Node.
+// A finished STF leaves the manager that built it in one form only: a
+// SealedSTFs list — one mtbdd.Snapshot of every node of the list and, per
+// STF, the positions of its roots. An execution shard seals each chunk it
+// executed, a compose domain the classes it contained, the check stage the
+// verifier's STFs for its check shards, and the daemon's store each STF it
+// keeps. Unsealing replays the snapshot into the destination manager, where
+// hash-consing restores canonical node identity: an unsealed STF and a
+// natively executed STF of the same function are the same *Node, so
+// aggregation, scans and reports cannot tell where a class ran.
 package core
 
 import (
+	"slices"
+
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/topo"
 )
+
+// SealedSTFs is a list of finished FlowSTFs in manager-independent form. It
+// holds no node pointer, so it outlives the manager it was sealed in and may
+// cross goroutines; it is read-only once sealed.
+type SealedSTFs struct {
+	Snap *mtbdd.Snapshot
+	STFs []SealedSTF
+}
+
+// SealedSTF is one STF of a sealed list: a FlowSTF without its flow, each node
+// replaced by its snapshot position. Roots holds the positions of Delivered,
+// Dropped and InFlight, then of each link's fraction in Links order, which is
+// ascending.
+type SealedSTF struct {
+	Links      []topo.DirLinkID
+	Roots      []uint32
+	Iterations int
+	Degraded   bool
+	shared     bool
+}
+
+// SealSTFs seals stfs, in order. It only reads their nodes.
+func SealSTFs(stfs []*FlowSTF) *SealedSTFs {
+	l := &SealedSTFs{STFs: make([]SealedSTF, len(stfs))}
+	var roots []*mtbdd.Node
+	for i, s := range stfs {
+		links := make([]topo.DirLinkID, 0, len(s.Links))
+		for dl := range s.Links {
+			links = append(links, dl)
+		}
+		slices.Sort(links)
+		roots = append(roots, s.Delivered, s.Dropped, s.InFlight)
+		for _, dl := range links {
+			roots = append(roots, s.Links[dl])
+		}
+		l.STFs[i] = SealedSTF{Links: links, Iterations: s.Iterations, Degraded: s.Degraded, shared: s.shared}
+	}
+	var at []uint32
+	l.Snap, at = mtbdd.NewSnapshot(roots)
+	for i := range l.STFs {
+		n := 3 + len(l.STFs[i].Links)
+		l.STFs[i].Roots, at = at[:n:n], at[n:]
+	}
+	return l
+}
+
+// Unseal replays the list into m — one ImportSnapshot, under m's budget and
+// interrupt like any node-building operation — and returns its STFs there,
+// STF i as flows[i]'s.
+func (l *SealedSTFs) Unseal(m *mtbdd.Manager, flows []topo.Flow) []*FlowSTF {
+	table := m.ImportSnapshot(l.Snap)
+	out := make([]*FlowSTF, len(l.STFs))
+	for i, s := range l.STFs {
+		stf := &FlowSTF{
+			Flow:       flows[i],
+			Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(s.Links)),
+			Delivered:  table[s.Roots[0]],
+			Dropped:    table[s.Roots[1]],
+			InFlight:   table[s.Roots[2]],
+			Iterations: s.Iterations,
+			Degraded:   s.Degraded,
+			shared:     s.shared,
+		}
+		for j, dl := range s.Links {
+			stf.Links[dl] = table[s.Roots[3+j]]
+		}
+		out[i] = stf
+	}
+	return out
+}
 
 // NewAssembledVerifier builds a Verifier from pre-executed class STFs.
 //
 // flows is the full input flow list; it is classified on e exactly as
 // NewVerifier would (e must therefore carry the same ClassifyPrefixes the
-// coordinator used for GlobalClasses). pre is the per-class slot array in
-// that class order: pre[i] non-nil is class i's finished STF with global
-// link IDs (its nodes may live in any manager — they are imported), and
-// pre[i] == nil marks a class beyond the domains' precision limit, which
-// is executed natively on e through the standard governed ladder (e's
-// route-sim result must then cover the whole network).
-func NewAssembledVerifier(e *Engine, flows []topo.Flow, workers int, pre []*FlowSTF) *Verifier {
+// coordinator used for GlobalClasses). sealed[j] holds the finished STFs,
+// with global link IDs, of the classes at[j] lists in class order; a class no
+// list holds is beyond the domains' precision limit and is executed natively
+// on e through the standard governed ladder (e's route-sim result must then
+// cover the whole network).
+func NewAssembledVerifier(e *Engine, flows []topo.Flow, workers int, sealed []*SealedSTFs, at [][]int) *Verifier {
 	if workers < 1 {
 		workers = 1
 	}
 	v := newVerifier(e, flows, workers)
-	if len(pre) != len(v.classes) {
-		// The coordinator classified with a different prefix set than the
-		// engine — a programming error, not an input condition.
-		panic("core: assembled STF slot array does not match the class count")
-	}
 	span := e.opts.Obs.Span("execute/assemble")
 	defer span.End()
-	v.assemble(pre)
+	v.assemble(sealed, at)
 	return v
 }
 
@@ -45,7 +113,7 @@ func NewAssembledVerifier(e *Engine, flows []topo.Flow, workers int, pre []*Flow
 // directed-link IDs via toGlobal (indexed by subnet LinkID), leaving the
 // nodes untouched in their owning manager, and stamps the global view of
 // the executed flow (the domain ran it under a subnet-local ingress ID).
-// The result is what NewAssembledVerifier expects in a pre slot.
+// The result is what a domain seals for NewAssembledVerifier.
 func TranslateSTF(s *FlowSTF, toGlobal []topo.LinkID, flow topo.Flow) *FlowSTF {
 	out := &FlowSTF{
 		Flow:       flow,

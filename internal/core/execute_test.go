@@ -494,16 +494,16 @@ func TestExecAccounting(t *testing.T) {
 		t.Errorf("cache served %d classes, holds %d", cache.hits, len(cache.stfs))
 	}
 
-	// Assembled: every third class arrives finished from the sequential
-	// run's manager — shared ones keep saying so — the rest execute here.
-	pre := make([]*FlowSTF, len(seq.stfs))
-	imported := 0
+	// Assembled: every third class arrives sealed from the sequential run's
+	// manager — shared ones keep saying so — the rest execute here.
+	var picked []*FlowSTF
+	var at []int
 	for i, s := range seq.stfs {
 		if i%3 == 0 {
-			pre[i] = s
-			imported++
+			picked = append(picked, s)
+			at = append(at, i)
 		}
 	}
 	reg = obs.New()
-	count("assembled", reg, NewAssembledVerifier(engine(reg, Options{}), spec.Flows, 1, pre), 0, -1, imported)
+	count("assembled", reg, NewAssembledVerifier(engine(reg, Options{}), spec.Flows, 1, []*SealedSTFs{SealSTFs(picked)}, [][]int{at}), 0, -1, len(picked))
 }

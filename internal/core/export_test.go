@@ -7,8 +7,8 @@ import (
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// SetExecHook installs (nil: removes) the hook that runs before each sharded
-// flow execution.
+// SetExecHook installs (nil: removes) the hook that runs inside every
+// governed flow execution.
 func SetExecHook(h func(topo.Flow)) { testExecHook = h }
 
 // CompareWithReference exposes the check stage's reference oracle
@@ -25,9 +25,9 @@ func CompareWithReference(v *Verifier, spec *config.Spec, factors []float64) err
 // execution of its class, in v's manager, node for node.
 func CompareExecution(v *Verifier) error { return compareExecution(v) }
 
-// SameSTFs holds other's finished STFs, imported into v's manager, to v's
-// own, node for node: two verifiers of one input built on different paths
-// (monolithic and compositional) must hold the same functions.
+// SameSTFs holds other's finished STFs, sealed and unsealed into v's manager,
+// to v's own, node for node: two verifiers of one input built on different
+// paths (monolithic and compositional) must hold the same functions.
 func SameSTFs(v, other *Verifier) error {
 	if err := other.Err(); err != nil {
 		return err
@@ -35,8 +35,12 @@ func SameSTFs(v, other *Verifier) error {
 	if len(v.stfs) != len(other.stfs) {
 		return fmt.Errorf("%d STFs against %d", len(v.stfs), len(other.stfs))
 	}
+	flows := make([]topo.Flow, len(other.stfs))
 	for i, s := range other.stfs {
-		if err := sameSTF(importSTF(v.e.m, s), v.stfs[i]); err != nil {
+		flows[i] = s.Flow
+	}
+	for i, s := range SealSTFs(other.stfs).Unseal(v.e.m, flows) {
+		if err := sameSTF(s, v.stfs[i]); err != nil {
 			return fmt.Errorf("class %d (%v): %w", i, s.Flow, err)
 		}
 	}

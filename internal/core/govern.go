@@ -41,8 +41,9 @@ func (v *Verifier) SetContext(ctx context.Context) {
 // contained runs fn with full panic containment: an MTBDD operation
 // abort becomes its typed error, and any other panic becomes an error
 // carrying the panic value and stack instead of crashing the process.
-// This is the worker-goroutine boundary — a panic in one shard must
-// surface as that shard's error, not take down the whole verifier.
+// It is the boundary of every pool worker and of every governed step (the
+// ladder), so a panic in a shard's or a compose domain's goroutine
+// surfaces as that goroutine's error, not as the end of the process.
 func contained(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r == nil {
@@ -58,10 +59,10 @@ func contained(fn func()) (err error) {
 }
 
 // ladder is the one budget ladder every governed step — a flow execution,
-// an STF import, a property check on the primary or on a shard — runs
-// through (DESIGN.md §10):
+// a sealed list's unsealing, a property check on the primary or on a shard —
+// runs through (DESIGN.md §10):
 //
-//  1. poll the context, then run attempt under mtbdd.Guard;
+//  1. poll the context, then run attempt contained;
 //  2. on a node-budget breach, collect m keeping only roots() and retry
 //     once;
 //  3. a breach the collection did not relieve is the caller's to answer
@@ -76,11 +77,11 @@ func ladder(opts Options, m *mtbdd.Manager, roots func() []*mtbdd.Node, attempt 
 	if err := govern.Check(opts.Ctx); err != nil {
 		return false, err
 	}
-	err = mtbdd.Guard(attempt)
+	err = contained(attempt)
 	if errors.Is(err, govern.ErrNodeBudget) {
 		opts.Obs.Counter("govern.budget_gc_retries").Inc()
 		m.GC(roots())
-		err = mtbdd.Guard(attempt)
+		err = contained(attempt)
 	}
 	return errors.Is(err, govern.ErrNodeBudget) && opts.OnBudget == BudgetDegrade, err
 }
@@ -111,9 +112,20 @@ func (e *Engine) buildGoverned(f topo.Flow, done []*FlowSTF, build func() *FlowS
 	return s, nil
 }
 
+// testExecHook, when non-nil, runs inside every governed flow execution,
+// before the flow executes. It is a test seam: injecting a panic here
+// exercises containment on every execution path without corrupting any
+// real state.
+var testExecHook func(topo.Flow)
+
 // ExecuteGoverned runs one flow's symbolic execution through the budget
 // ladder. Exported for the compositional coordinator, which executes class
 // representatives on per-domain engines outside any Verifier.
 func (e *Engine) ExecuteGoverned(f topo.Flow, done []*FlowSTF) (*FlowSTF, error) {
-	return e.buildGoverned(f, done, func() *FlowSTF { return e.ExecuteFlow(f) })
+	return e.buildGoverned(f, done, func() *FlowSTF {
+		if testExecHook != nil {
+			testExecHook(f)
+		}
+		return e.ExecuteFlow(f)
+	})
 }

@@ -33,18 +33,15 @@ func wanWorkload(t testing.TB) (*config.Spec, []topo.Flow) {
 	return spec, flows
 }
 
-// TestCancelMidParallelRun cancels the context ~10ms into a parallel
-// verification and requires a prompt typed unwind with a partial report
-// that names what was left unchecked.
+// TestCancelMidParallelRun cancels a parallel verification while its shards
+// execute and requires a prompt typed unwind with a partial report that
+// names what was left unchecked. The cancellation counts polls (a timer
+// loses to a run that finishes first).
 func TestCancelMidParallelRun(t *testing.T) {
 	spec, flows := wanWorkload(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx := &pollCancelCtx{Context: context.Background()}
 	eng := buildEngine(t, spec, topo.FailLinks, 1, Options{Ctx: ctx})
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
+	ctx.arm(64)
 	start := time.Now()
 	rep, err := NewParallelVerifier(eng, flows, 4).Run(spec.Props, nil, 0.5)
 	elapsed := time.Since(start)

@@ -38,7 +38,6 @@ func ManagerObsStats(name string, m *mtbdd.Manager) obs.ManagerStats {
 			"neg":     {Hits: st.Neg.Hits, Misses: st.Neg.Misses},
 			"kreduce": {Hits: st.KReduce.Hits, Misses: st.KReduce.Misses},
 			"range":   {Hits: st.Range.Hits, Misses: st.Range.Misses},
-			"import":  {Hits: st.Import.Hits, Misses: st.Import.Misses},
 			"fused":   {Hits: st.Fused.Hits, Misses: st.Fused.Misses},
 		},
 	}
@@ -88,7 +87,7 @@ func newCheckCounters(reg *obs.Registry) checkCounters {
 type execCounters struct {
 	flows       *obs.Counter // classes whose STF a symbolic execution (or its concrete fallback) built
 	shared      *obs.Counter // classes that took an earlier class's STF: same behaviour
-	imported    *obs.Counter // of both, those rebuilt from a shard's or a domain's manager
+	imported    *obs.Counter // of both, those unsealed from a shard's or a domain's manager
 	stepsBuilt  *obs.Counter // forwarding steps built
 	stepsShared *obs.Counter // step lookups an already-built step answered
 	prefixes    *obs.Counter // destination prefixes execution read

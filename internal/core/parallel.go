@@ -11,13 +11,13 @@
 //     stopped, or the worker bows out.
 //   - Execution: the unit is a chunk of consecutive global-equivalence
 //     classes (§6, sched.go). Each worker clones the guarded RIBs from a
-//     shared read-only snapshot (routesim.ImportBase) and runs
-//     ExecuteGoverned on its chunk's representatives; results land in a slot
-//     array keyed by class index, and the primary manager re-imports them in
-//     class order (assemble) — hash-consing makes equal functions from
-//     different workers collapse to the same *Node.
-//   - Checking: the unit is a Plan (scan.go); each worker imports just the
-//     STFs of the subject at hand, and results land in plan-order slots.
+//     shared read-only snapshot (routesim.ImportBase), runs ExecuteGoverned
+//     on its chunk's representatives and seals the chunk's STFs (assemble.go);
+//     the primary manager unseals the chunks in class order (assemble) —
+//     hash-consing makes equal functions from different workers collapse to
+//     the same *Node.
+//   - Checking: the unit is a Plan (scan.go); each worker unseals the
+//     verifier's STFs once, and results land in plan-order slots.
 //
 // Slots make every result independent of which worker produced it and when,
 // so reports are byte-identical at every worker count. workers <= 1 bypasses
@@ -36,11 +36,6 @@ import (
 	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
-
-// testExecHook, when non-nil, runs before each sharded flow execution.
-// It is a test seam: injecting a panic here exercises the worker
-// containment path without corrupting any real state.
-var testExecHook func(topo.Flow)
 
 // pool hands the units 0..units-1 out to min(workers, units) goroutines, one
 // atomic cursor between them. Each builds a private governed manager named
@@ -111,14 +106,14 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 		return NewVerifier(e, flows)
 	}
 	v := newVerifier(e, flows, workers)
-	pre, err := v.executeSharded()
+	sealed, at, err := v.executeSharded()
 	if err != nil {
 		v.err = err
 		return v
 	}
 	mergeSpan := e.opts.Obs.Span("execute/merge")
 	defer mergeSpan.End()
-	v.assemble(pre)
+	v.assemble(sealed, at)
 	return v
 }
 
@@ -135,20 +130,22 @@ func chunking(n, workers int) (spawn, size, chunks int) {
 }
 
 // executeSharded executes every class on the shard pool, in class-order
-// chunks, and returns the per-class slot array of shard-owned STFs for
-// assemble to merge. Per-flow budget breaches are handled inside
-// ExecuteGoverned (GC + retry + concrete fallback); an error returned here is
-// fatal to the run: a cancellation, a contained panic, a breach under the fail
-// policy. A worker that bowed out (a breach while replaying the guard
-// snapshot, under the degrade policy) leaves nil slots, which assemble
-// executes on the primary engine through the standard ladder.
-func (v *Verifier) executeSharded() ([]*FlowSTF, error) {
+// chunks, and returns for assemble one sealed list per chunk — each worker
+// seals a chunk's STFs when it has executed them all — and the classes each
+// list holds. Per-flow budget breaches are handled inside ExecuteGoverned
+// (GC + retry + concrete fallback); an error returned here is fatal to the
+// run: a cancellation, a contained panic, a breach under the fail policy. A
+// worker that bowed out (a breach while replaying the guard snapshot, under
+// the degrade policy) leaves its chunks to the others; a chunk no worker
+// finished stays nil, and assemble executes its classes on the primary engine
+// through the standard ladder.
+func (v *Verifier) executeSharded() ([]*SealedSTFs, [][]int, error) {
 	e, classes := v.e, v.classes
 	obsR := e.opts.Obs
 	spawn, size, chunks := chunking(len(classes), v.workers)
 	v.sched.Workers, v.sched.Chunks = spawn, chunks
 	if chunks == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 
 	// Divide the managed-GC budget among the workers so peak memory stays
@@ -162,7 +159,7 @@ func (v *Verifier) executeSharded() ([]*FlowSTF, error) {
 	// The shared read-only guard snapshot: built once here, replayed
 	// linearly by every worker into its own arena.
 	base := e.rs.NewImportBase()
-	stfs := make([]*FlowSTF, len(classes))
+	sealed, at := make([]*SealedSTFs, chunks), make([][]int, chunks)
 	err := e.pool(spawn, "exec-shard", chunks, func(w int, fv *routesim.FailVars) func(int) error {
 		workerC := execCounters{
 			flows:  obsR.Counter(workerCounter(w, "flows_executed")),
@@ -170,44 +167,25 @@ func (v *Verifier) executeSharded() ([]*FlowSTF, error) {
 		}
 		busyT := obsR.Timer(workerCounter(w, "busy"))
 		eng := NewEngine(base.ImportInto(fv), wopts)
-		var local []*FlowSTF
 		return func(chunk int) error {
 			start := time.Now()
 			defer func() { busyT.Add(time.Since(start)) }()
+			// The chunk's STFs are a collection's roots until they are sealed.
+			var done []*FlowSTF
 			for ci := chunk * size; ci < min((chunk+1)*size, len(classes)); ci++ {
-				if testExecHook != nil {
-					testExecHook(classes[ci].rep)
-				}
-				s, err := eng.ExecuteGoverned(classes[ci].rep, local)
+				s, err := eng.ExecuteGoverned(classes[ci].rep, done)
 				if err != nil {
 					return err
 				}
-				local = append(local, s)
-				stfs[ci] = s
+				done = append(done, s)
+				at[chunk] = append(at[chunk], ci)
 				workerC.class(s)
 			}
+			sealed[chunk] = SealSTFs(done)
 			return nil
 		}
 	})
 	obsR.Counter("sched.chunks").Add(int64(chunks))
 	obsR.Counter("sched.workers_spawned").Add(int64(spawn))
-	return stfs, err
-}
-
-// importSTF rebuilds a shard-owned FlowSTF in the manager m.
-func importSTF(m *mtbdd.Manager, s *FlowSTF) *FlowSTF {
-	out := &FlowSTF{
-		Flow:       s.Flow,
-		Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(s.Links)),
-		Delivered:  m.Import(s.Delivered),
-		Dropped:    m.Import(s.Dropped),
-		InFlight:   m.Import(s.InFlight),
-		Iterations: s.Iterations,
-		Degraded:   s.Degraded,
-		shared:     s.shared,
-	}
-	for l, w := range s.Links {
-		out.Links[l] = m.Import(w)
-	}
-	return out
+	return sealed, at, err
 }

@@ -348,7 +348,7 @@ func TestParallelMatchesSequentialWithMetrics(t *testing.T) {
 		case strings.HasPrefix(m.Name, "check-shard."):
 			checkShards++
 		}
-		for _, c := range []string{"apply", "kreduce", "neg", "range", "import"} {
+		for _, c := range []string{"apply", "kreduce", "neg", "range"} {
 			if _, ok := m.Caches[c]; !ok {
 				t.Errorf("manager %s missing %s cache counters", m.Name, c)
 			}

@@ -13,7 +13,7 @@ import (
 
 // TestPoolHandsOutEveryClassOnce runs execution's chunks through the pool —
 // the one-worker pool included, which no constructor reaches — and requires
-// every class executed exactly once into its own slot, never a goroutine
+// every class executed exactly once and sealed by its chunk, never a goroutine
 // without a chunk, and about four chunks a worker.
 func TestPoolHandsOutEveryClassOnce(t *testing.T) {
 	spec, err := config.ParseSpecString(tinySpec)
@@ -39,17 +39,24 @@ func TestPoolHandsOutEveryClassOnce(t *testing.T) {
 			reg := obs.New()
 			// Every flow its own class: the class list is the flow list.
 			v := newVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{DisableGlobalEquiv: true, Obs: reg}), flows, workers)
-			pre, err := v.executeSharded()
+			sealed, at, err := v.executeSharded()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if len(pre) != n || len(ran) != n {
-				t.Fatalf("%s: %d slots, %d classes executed", name, len(pre), len(ran))
+			if len(ran) != n {
+				t.Fatalf("%s: %d classes executed of %d", name, len(ran), n)
 			}
-			for i, s := range pre {
-				if s == nil || s.Flow.Name != flows[i].Name || ran[flows[i].Name] != 1 {
-					t.Fatalf("%s: class %d executed %d times, slot %v", name, i, ran[flows[i].Name], s)
+			next := 0
+			for c, l := range sealed {
+				for k, ci := range at[c] {
+					if ci != next || len(l.STFs) != len(at[c]) || ran[flows[ci].Name] != 1 {
+						t.Fatalf("%s: class %d executed %d times, sealed by chunk %d as %d", name, ci, ran[flows[ci].Name], c, k)
+					}
+					next++
 				}
+			}
+			if next != n {
+				t.Fatalf("%s: the chunks sealed %d STFs for %d classes", name, next, n)
 			}
 			st := v.SchedStats()
 			shards := 0

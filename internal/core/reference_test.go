@@ -27,8 +27,8 @@ import (
 
 // refLinkClasses probes every STF's link map for l, in STF order.
 func refLinkClasses(sc scanCtx, l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
-	g := sc.grouper(!sc.v.e.opts.DisableLinkLocalEquiv)
-	for _, s := range sc.v.stfs {
+	g := newGrouper(!sc.v.e.opts.DisableLinkLocalEquiv)
+	for _, s := range sc.stfs {
 		if w := s.Links[l]; w != nil {
 			stat.Flows++
 			g.add(w, s.Flow.Gbps)
@@ -215,11 +215,12 @@ func compareVerifier(v *Verifier, spec *config.Spec, factors []float64, linkStri
 }
 
 // freshShard is a check shard as the pool builds one: a private governed
-// manager with the primary's variable order.
+// manager with the primary's variable order, holding the verifier's STFs
+// unsealed.
 func (v *Verifier) freshShard() scanCtx {
 	m := mtbdd.New()
 	installGovernance(m, v.e.opts)
-	return v.shardScan(routesim.NewFailVars(m, v.e.net, v.e.fv.Mode, v.e.fv.K))
+	return v.shardScan(routesim.NewFailVars(m, v.e.net, v.e.fv.Mode, v.e.fv.K), SealSTFs(v.stfs))
 }
 
 // referenceFactors spread the overload limit so that all three ends of the

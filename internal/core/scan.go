@@ -21,55 +21,60 @@ import (
 // the final terminal scan of every check path compare against this value.
 func violThreshold(limit float64) float64 { return limit - loadEpsilon }
 
-// scanCtx binds the shared checker to one manager: the primary one
-// (imp == nil, collections keep the engine caches and the STFs) or a
-// check-pool shard's private manager (imp rebuilds primary nodes there,
-// memoized; nothing survives a check, so collections keep nothing).
+// scanCtx binds the shared checker to one manager and the verifier's STFs in
+// it: the primary manager and v.stfs (collections keep the engine caches and
+// the STFs), or a check-pool shard's private manager and the STFs it unsealed
+// there (collections keep those).
 type scanCtx struct {
-	v   *Verifier
-	m   *mtbdd.Manager
-	fv  *routesim.FailVars
-	imp func(*mtbdd.Node) *mtbdd.Node
+	v  *Verifier
+	m  *mtbdd.Manager
+	fv *routesim.FailVars
+	// stfs and linkIdx are v.stfs and v.linkIdx, or a shard's copies.
+	stfs    []*FlowSTF
+	linkIdx [][]linkRef
+	// kept is what a shard's manager holds after unsealing, which every
+	// collection keeps.
+	kept int
 }
 
 func (v *Verifier) primaryScan() scanCtx {
-	return scanCtx{v: v, m: v.e.m, fv: v.e.fv}
+	return scanCtx{v: v, m: v.e.m, fv: v.e.fv, stfs: v.stfs, linkIdx: v.linkIdx}
 }
 
 // shardScan binds the checker to a pool worker's private manager, which has
-// the primary's variable order.
-func (v *Verifier) shardScan(fv *routesim.FailVars) scanCtx {
-	return scanCtx{v: v, m: fv.M, fv: fv, imp: fv.M.Import}
-}
-
-func (sc scanCtx) node(w *mtbdd.Node) *mtbdd.Node {
-	if sc.imp != nil {
-		return sc.imp(w)
+// the primary's variable order: sealed, which is v.stfs sealed, is unsealed
+// there and indexed by link the way the primary's STFs are.
+func (v *Verifier) shardScan(fv *routesim.FailVars, sealed *SealedSTFs) scanCtx {
+	flows := make([]topo.Flow, len(v.stfs))
+	for i, s := range v.stfs {
+		flows[i] = s.Flow
 	}
-	return w
+	stfs := sealed.Unseal(fv.M, flows)
+	return scanCtx{v: v, m: fv.M, fv: fv, stfs: stfs,
+		linkIdx: indexLinks(stfs, len(v.linkIdx)), kept: fv.M.Stats().Live}
 }
 
-// shardGCThreshold is the live-node count that triggers a collection on a
-// check-pool shard between checks.
+// shardGCThreshold is how far a check-pool shard's manager may grow past
+// what it unsealed before it is collected between checks.
 const shardGCThreshold = 1 << 20
 
 // maybeGC collects the context's manager between checks when it has grown
 // past its threshold.
 func (sc scanCtx) maybeGC() {
-	if sc.imp == nil {
+	if sc.m == sc.v.e.m {
 		sc.v.e.maybeGC(sc.v.stfs, nil)
-	} else if sc.m.Stats().Live > shardGCThreshold {
-		sc.m.GC(nil)
+	} else if sc.m.Stats().Live > sc.kept+shardGCThreshold {
+		sc.m.GC(stfRoots(nil, sc.stfs))
 	}
 }
 
 // governed runs one check attempt through the budget ladder on the
 // context's manager.
 func (sc scanCtx) governed(attempt func()) (degrade bool, err error) {
-	if sc.imp == nil {
+	if sc.m == sc.v.e.m {
 		return sc.v.e.ladder(sc.v.stfs, attempt)
 	}
-	return ladder(sc.v.e.opts, sc.m, func() []*mtbdd.Node { return nil }, attempt)
+	return ladder(sc.v.e.opts, sc.m, func() []*mtbdd.Node { return stfRoots(nil, sc.stfs) }, attempt)
 }
 
 // Subject names the symbolic quantity a scan evaluates: the load of one
@@ -96,17 +101,16 @@ type scanClass struct {
 // volume riding on it — into equivalence classes in first-seen order (float
 // addition is not associative, so the deterministic order keeps verdicts
 // reproducible). With group off every contribution is its own class.
-// Classes are keyed by the primary manager's canonical pointer even on
-// shards — the import is injective on canonical nodes, so every context
+// Classes are keyed by the context's canonical pointers: unsealing maps the
+// primary's canonical nodes one to one onto a shard's, so every context
 // builds the same classes in the same order.
 type classGrouper struct {
-	sc      scanCtx
 	idx     map[*mtbdd.Node]int // nil: no grouping
 	classes []scanClass
 }
 
-func (sc scanCtx) grouper(group bool) classGrouper {
-	g := classGrouper{sc: sc}
+func newGrouper(group bool) classGrouper {
+	var g classGrouper
 	if group {
 		g.idx = make(map[*mtbdd.Node]int)
 	}
@@ -121,21 +125,20 @@ func (g *classGrouper) add(w *mtbdd.Node, vol float64) {
 		}
 		g.idx[w] = len(g.classes)
 	}
-	g.classes = append(g.classes, scanClass{w: g.sc.node(w), vol: vol})
+	g.classes = append(g.classes, scanClass{w: w, vol: vol})
 }
 
 // linkClasses is the classes of the STFs crossing directed link l, read off
 // the per-link index and grouped unless the §5.3 ablation is on.
 func (sc scanCtx) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
-	v := sc.v
-	if l < 0 || int(l) >= len(v.linkIdx) {
+	if l < 0 || int(l) >= len(sc.linkIdx) {
 		return nil
 	}
-	g := sc.grouper(!v.e.opts.DisableLinkLocalEquiv)
-	for _, ref := range v.linkIdx[l] {
-		g.add(ref.w, v.stfs[ref.stf].Flow.Gbps)
+	g := newGrouper(!sc.v.e.opts.DisableLinkLocalEquiv)
+	for _, ref := range sc.linkIdx[l] {
+		g.add(ref.w, sc.stfs[ref.stf].Flow.Gbps)
 	}
-	stat.Flows += len(v.linkIdx[l])
+	stat.Flows += len(sc.linkIdx[l])
 	stat.Classes += len(g.classes)
 	return g.classes
 }
@@ -148,16 +151,16 @@ func (sc scanCtx) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass
 // summed volume, bit for bit), and a class with no member inside none.
 func (sc scanCtx) deliveredClasses(pfx netip.Prefix, stat *LinkCheckStat) []scanClass {
 	v := sc.v
-	vols := make([]float64, len(v.stfs))
-	inside := make([]bool, len(v.stfs))
+	vols := make([]float64, len(sc.stfs))
+	inside := make([]bool, len(sc.stfs))
 	for fi, f := range v.flows {
-		if ci := v.classOf[fi]; ci < len(v.stfs) && pfx.Contains(f.Dst) {
+		if ci := v.classOf[fi]; ci < len(sc.stfs) && pfx.Contains(f.Dst) {
 			vols[ci] += f.Gbps
 			inside[ci] = true
 		}
 	}
-	g := sc.grouper(true)
-	for ci, s := range v.stfs {
+	g := newGrouper(true)
+	for ci, s := range sc.stfs {
 		if inside[ci] {
 			stat.Flows++
 			g.add(s.Delivered, vols[ci])
@@ -388,7 +391,8 @@ type PlanResult struct {
 // on a node-budget breach the manager collects and the plan retries once —
 // and its outcome is written to its slot. With one worker (or one plan) the
 // plans run on the primary manager; otherwise on the shard pool, every worker
-// checking in a private manager, and the slots keep the results, and
+// checking in a private manager on the STFs it unsealed there from one sealed
+// list (sealed at the first such check), and the slots keep the results, and
 // therefore every report built from them, identical to a one-worker run. A
 // plan that cannot fit the budget under the degrade policy is left not done;
 // the first fatal error (cancellation, a breach under the fail policy, a
@@ -408,8 +412,11 @@ func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 		}
 		return out, nil
 	}
+	if v.sealed == nil {
+		v.sealed = SealSTFs(v.stfs)
+	}
 	return out, v.e.pool(v.workers, "check-shard", len(plans), func(w int, fv *routesim.FailVars) func(int) error {
-		sc := v.shardScan(fv)
+		sc := v.shardScan(fv, v.sealed)
 		checked := v.e.opts.Obs.Counter(workerCounter(w, "links_checked"))
 		return func(i int) error {
 			err := sc.checkPlan(plans[i], &out[i])

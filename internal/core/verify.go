@@ -179,7 +179,7 @@ type Verifier struct {
 	flows []topo.Flow
 	stfs  []*FlowSTF
 	// execCount is the number of classes with a finished STF (executed,
-	// cache-served or imported; post global-equiv).
+	// cache-served or unsealed; post global-equiv).
 	execCount int
 	// workers > 1 fans Check's plans out over the shard pool; 1 checks on
 	// the primary manager.
@@ -203,10 +203,12 @@ type Verifier struct {
 	// splits a class takes only its member flows' volume through it.
 	classOf []int
 	// linkIdx lists, per directed link, the STFs crossing it in STF order
-	// with their node on that link. Built once at the end of assemble and
-	// read-only afterwards, so check shards share it; its nodes are the
-	// ones v.stfs roots.
+	// with their node on that link (indexLinks). Built once at the end of
+	// assemble and read-only afterwards; its nodes are the ones v.stfs roots.
 	linkIdx [][]linkRef
+	// sealed is v.stfs sealed for the check shards, at the first check on
+	// the pool.
+	sealed *SealedSTFs
 	// sched summarizes the execution phase's scheduling (see SchedStats).
 	sched SchedStats
 }
@@ -234,56 +236,80 @@ func newVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 // the flows executed so far intact.
 func NewVerifier(e *Engine, flows []topo.Flow) *Verifier {
 	v := newVerifier(e, flows, 1)
-	v.assemble(make([]*FlowSTF, len(v.classes)))
+	v.assemble(nil, nil)
 	return v
 }
 
-// assemble fills v.stfs in class order from the slot array pre: a non-nil
-// slot is a finished STF owned by another manager (an execution shard's or
-// a domain's) and is imported — hash-consing restores canonical node
-// identity, so an imported STF and a natively executed STF of the same
-// function are the same *Node; a nil slot is executed here, after offering
-// the class to the STF cache. Every step runs through the budget ladder;
-// the first fatal error stops the loop with the STFs built so far intact.
-func (v *Verifier) assemble(pre []*FlowSTF) {
+// assemble fills v.stfs in class order. sealed[j] holds the STFs of the
+// classes at[j] lists, finished in another manager — an execution shard's or
+// a domain's — and each list is unsealed into the engine's manager as one
+// governed step, its replay table gone with the step; a list whose replay
+// cannot fit the budget under the degrade policy leaves its classes to the
+// loop that follows. That loop executes every class still without an STF
+// here, in class order, after offering it to the STF cache. The first fatal
+// error stops assembly with the leading classes finished so far intact.
+func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 	e := v.e
 	cache := e.opts.STFCache
-	for i, s := range pre {
-		rep := v.classes[i].rep
-		var err error
-		hit := false
-		if s != nil {
-			owned := s
-			s, err = e.buildGoverned(rep, v.stfs, func() *FlowSTF { return importSTF(e.m, owned) })
-			if err == nil {
-				e.count.imported.Inc()
-			}
-		} else {
-			if cache != nil {
-				// A hit is indistinguishable from an execution: the cache
-				// materialized canonical nodes in this manager and the
-				// class counts as executed (FlowsExecuted is part of the
-				// report byte-identity contract).
-				s, hit = cache.Lookup(e, rep)
-			}
-			if !hit {
-				s, err = e.ExecuteGoverned(rep, v.stfs)
-				if err == nil && cache != nil {
-					cache.Store(e, rep, s)
-				}
-			}
+	stfs := make([]*FlowSTF, len(v.classes))
+	for j, l := range sealed {
+		if l == nil {
+			continue // a chunk no worker reached, a domain with no class
+		}
+		reps := make([]topo.Flow, len(at[j]))
+		for k, ci := range at[j] {
+			reps[k] = v.classes[ci].rep
+		}
+		var got []*FlowSTF
+		degrade, err := e.ladder(stfs, func() {
+			got = l.Unseal(e.m, reps)
+			e.maybeGC(stfs, stfRoots(nil, got))
+		})
+		if degrade {
+			continue
 		}
 		if err != nil {
 			v.err = err
 			break
 		}
+		for k, ci := range at[j] {
+			stfs[ci] = got[k]
+			e.count.imported.Inc()
+			e.count.class(got[k])
+		}
+	}
+	n := 0
+	for ; n < len(stfs) && v.err == nil; n++ {
+		if stfs[n] != nil {
+			continue
+		}
+		rep := v.classes[n].rep
+		var s *FlowSTF
+		var err error
+		hit := false
+		if cache != nil {
+			// A hit is indistinguishable from an execution: the cache
+			// materialized canonical nodes in this manager and the class
+			// counts as executed (FlowsExecuted is part of the report
+			// byte-identity contract).
+			s, hit = cache.Lookup(e, rep)
+		}
 		if !hit {
+			s, err = e.ExecuteGoverned(rep, stfs)
+			if err != nil {
+				v.err = err
+				break
+			}
+			if cache != nil {
+				cache.Store(e, rep, s)
+			}
 			e.count.class(s)
 		}
-		v.stfs = append(v.stfs, s)
+		stfs[n] = s
 	}
-	v.execCount = len(v.stfs)
-	v.indexLinks()
+	v.stfs = stfs[:n]
+	v.execCount = n
+	v.linkIdx = indexLinks(v.stfs, 2*e.net.NumLinks())
 }
 
 // linkRef is one entry of the per-link class index: an STF (by its index in
@@ -293,15 +319,16 @@ type linkRef struct {
 	w   *mtbdd.Node
 }
 
-// indexLinks builds v.linkIdx. The outer loop runs in STF order and an STF
-// has at most one node per link, so each link's list is in STF order
-// whatever order the Links maps iterate in — the first-seen class order,
-// and with it every float of the load, is the one a scan over v.stfs gives.
-func (v *Verifier) indexLinks() {
-	v.linkIdx = make([][]linkRef, 2*v.e.net.NumLinks())
-	counts := make([]int, len(v.linkIdx))
+// indexLinks lists, per directed link, the STFs crossing it with their node
+// there. The outer loop runs in STF order and an STF has at most one node per
+// link, so each link's list is in STF order whatever order the Links maps
+// iterate in — the first-seen class order, and with it every float of the
+// load, is the one a scan over stfs gives.
+func indexLinks(stfs []*FlowSTF, dirLinks int) [][]linkRef {
+	idx := make([][]linkRef, dirLinks)
+	counts := make([]int, dirLinks)
 	total := 0
-	for _, s := range v.stfs {
+	for _, s := range stfs {
 		for l := range s.Links {
 			counts[l]++
 		}
@@ -310,13 +337,14 @@ func (v *Verifier) indexLinks() {
 	// One backing array, carved into per-link lists of exact capacity.
 	refs := make([]linkRef, total)
 	for l, n := range counts {
-		v.linkIdx[l], refs = refs[:0:n], refs[n:]
+		idx[l], refs = refs[:0:n], refs[n:]
 	}
-	for si, s := range v.stfs {
+	for si, s := range stfs {
 		for l, w := range s.Links {
-			v.linkIdx[l] = append(v.linkIdx[l], linkRef{stf: int32(si), w: w})
+			idx[l] = append(idx[l], linkRef{stf: int32(si), w: w})
 		}
 	}
+	return idx
 }
 
 // FlowSTFs exposes the executed (merged) flow results.

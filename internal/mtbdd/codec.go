@@ -74,9 +74,8 @@ func (s *Snapshot) Encode(w io.Writer) error {
 }
 
 // DecodeSnapshot reads a snapshot from the binary format, validating all
-// structural invariants. The decoded snapshot has no source-node index
-// (Index returns false for every node); consumers address entries by
-// position, as the daemon's STF cache does.
+// structural invariants. Consumers address the decoded snapshot's entries by
+// the root positions they stored beside it, as the daemon's STF cache does.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := fault.Here("mtbdd.snapshot.decode"); err != nil {
 		return nil, err

@@ -10,7 +10,7 @@ import (
 // the original snapshot replays to.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	_, roots := buildSnapshotFixtures(t)
-	snap := NewSnapshot(roots)
+	snap, _ := NewSnapshot(roots)
 
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
@@ -57,7 +57,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 // TestSnapshotCodecEmpty round-trips the empty snapshot (no roots).
 func TestSnapshotCodecEmpty(t *testing.T) {
-	snap := NewSnapshot(nil)
+	snap, _ := NewSnapshot(nil)
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestSnapshotCodecEmpty(t *testing.T) {
 // never decode to a snapshot that later panics in ImportSnapshot.
 func TestSnapshotCodecRejectsMalformed(t *testing.T) {
 	_, roots := buildSnapshotFixtures(t)
-	snap := NewSnapshot(roots)
+	snap, _ := NewSnapshot(roots)
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 		m.AddVar("x")
 	}
 	g := m.Add(m.Mul(m.Var(0), m.Const(0.25)), m.ITE(m.Var(2), m.Var(3), m.Const(2)))
-	snap := NewSnapshot([]*Node{g, m.Zero()})
+	snap, _ := NewSnapshot([]*Node{g, m.Zero()})
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
 		f.Fatal(err)

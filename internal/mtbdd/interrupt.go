@@ -8,7 +8,7 @@ import (
 
 // Resource governance for MTBDD operations.
 //
-// The manager's operations (apply, KReduce, Import, mk) are deeply
+// The manager's operations (apply, KReduce, mk) are deeply
 // recursive with no error returns — threading errors through them would
 // tax the hot path and obscure the algorithms. Instead, like CUDD's
 // longjmp-based operation abort, a breach unwinds the recursion with a
@@ -23,7 +23,7 @@ import (
 //   - An interrupt hook (SetInterrupt), polled every interruptStride
 //     node-level operations via a cheap counter. The pipeline installs
 //     a context poll here, which is what bounds cancellation latency
-//     inside long apply/KReduce/Import chains.
+//     inside long apply/KReduce chains.
 //   - A live-node budget (SetNodeBudget), checked whenever mk inserts a
 //     new node into the unique table.
 //

@@ -64,9 +64,6 @@ type Manager struct {
 	kreduceTbl *kreduceCache
 	fusedTbl   *fusedCache
 	rangeTbl   *rangeCache
-	// importTbl memoizes cross-manager translations (see Import); keyed
-	// by foreign node pointer, which is unique across source managers.
-	importTbl map[*Node]*Node
 
 	zero *Node
 	one  *Node
@@ -109,8 +106,6 @@ type Manager struct {
 	kreduceMisses uint64
 	rangeHits     uint64
 	rangeMisses   uint64
-	importHits    uint64
-	importMisses  uint64
 	fusedHits     uint64
 	fusedMisses   uint64
 	fusionCuts    uint64
@@ -130,7 +125,6 @@ func New() *Manager {
 		kreduceTbl: newKReduceCache(),
 		fusedTbl:   newFusedCache(),
 		rangeTbl:   newRangeCache(),
-		importTbl:  make(map[*Node]*Node),
 	}
 	m.zero = m.Const(0)
 	m.one = m.Const(1)
@@ -365,13 +359,12 @@ type Stats struct {
 	ApplyHits   uint64
 	ApplyMisses uint64
 
-	// Per-cache hit/miss tallies for all six operation caches. Fused is
+	// Per-cache hit/miss tallies for all five operation caches. Fused is
 	// the shared computed table of the k-budgeted kernels (kernels.go).
 	Apply   CacheStats
 	Neg     CacheStats
 	KReduce CacheStats
 	Range   CacheStats
-	Import  CacheStats
 	Fused   CacheStats
 
 	// FusionCuts counts subproblems the fused kernels collapsed to a
@@ -407,7 +400,6 @@ func (m *Manager) Stats() Stats {
 		Neg:          CacheStats{Hits: m.negHits, Misses: m.negMisses},
 		KReduce:      CacheStats{Hits: m.kreduceHits, Misses: m.kreduceMisses},
 		Range:        CacheStats{Hits: m.rangeHits, Misses: m.rangeMisses},
-		Import:       CacheStats{Hits: m.importHits, Misses: m.importMisses},
 		Fused:        CacheStats{Hits: m.fusedHits, Misses: m.fusedMisses},
 		FusionCuts:   m.fusionCuts,
 		MaxProbe:     m.unique.maxProbe,
@@ -422,19 +414,13 @@ func (m *Manager) Stats() Stats {
 // that nothing cached outlives the nodes a following GC drops. The five
 // computed tables are zeroed in place at the size they have grown to —
 // clearing allocates nothing and a manager keeps the geometry its work
-// earned; only the import memo, a Go map, is re-created. The cumulative
-// hit/miss counters are untouched: they are counters, not cache contents.
-func (m *Manager) ClearCaches() {
-	m.clearTables()
-	m.importTbl = make(map[*Node]*Node)
-}
+// earned. The cumulative hit/miss counters are untouched: they are
+// counters, not cache contents.
+func (m *Manager) ClearCaches() { m.clearTables() }
 
 // TrimCaches empties all operation caches like ClearCaches, but gives the
 // five computed tables back their starting size instead of keeping what they
 // grew to: for a manager that has finished the work its tables grew for and
 // is kept for lighter use (a build retained for later checks). They regrow
 // with use as a new manager's would.
-func (m *Manager) TrimCaches() {
-	m.trimTables()
-	m.importTbl = make(map[*Node]*Node)
-}
+func (m *Manager) TrimCaches() { m.trimTables() }

@@ -14,23 +14,31 @@ func buildSnapshotFixtures(t *testing.T) (*Manager, []*Node) {
 	for i := 0; i < 8; i++ {
 		m.AddVar("x")
 	}
+	return m, snapshotFixtures(m)
+}
+
+// snapshotFixtures builds the fixture functions in m, which declares at
+// least 8 variables.
+func snapshotFixtures(m *Manager) []*Node {
 	a := m.Var(0)
 	b := m.Mul(m.Var(1), m.Const(0.5))
 	c := m.Add(a, b)
 	d := m.Min(c, m.ITE(m.Var(3), m.Const(2), b))
 	e := m.KReduce(m.Add(d, m.Var(7)), 2)
-	return m, []*Node{a, b, c, d, e, m.Zero(), m.One(), m.Const(3.25)}
+	return []*Node{a, b, c, d, e, m.Zero(), m.One(), m.Const(3.25)}
 }
 
-// TestSnapshotReplayMatchesImport pins the core contract: replaying a
-// snapshot into a destination manager yields exactly the node the
-// recursive cross-manager Import would, for every root.
-func TestSnapshotReplayMatchesImport(t *testing.T) {
-	src, roots := buildSnapshotFixtures(t)
-	_ = src
-	snap := NewSnapshot(roots)
+// TestSnapshotReplayMatchesNativeBuild pins the core contract: replaying a
+// snapshot into a destination manager yields, at every root's position, the
+// very node building the same function in the destination does.
+func TestSnapshotReplayMatchesNativeBuild(t *testing.T) {
+	_, roots := buildSnapshotFixtures(t)
+	snap, at := NewSnapshot(roots)
 	if snap.Len() == 0 {
 		t.Fatal("empty snapshot from non-empty roots")
+	}
+	if len(at) != len(roots) {
+		t.Fatalf("%d positions for %d roots", len(at), len(roots))
 	}
 
 	dst := New()
@@ -41,13 +49,9 @@ func TestSnapshotReplayMatchesImport(t *testing.T) {
 	if len(table) != snap.Len() {
 		t.Fatalf("table has %d entries, snapshot %d", len(table), snap.Len())
 	}
-	for ri, r := range roots {
-		i, ok := snap.Index(r)
-		if !ok {
-			t.Fatalf("root %d missing from snapshot index", ri)
-		}
-		if got, want := table[i], dst.Import(r); got != want {
-			t.Fatalf("root %d: replay produced %p, Import produced %p", ri, got, want)
+	for ri, want := range snapshotFixtures(dst) {
+		if got := table[at[ri]]; got != want {
+			t.Fatalf("root %d: replay produced %p, building it in the destination %p", ri, got, want)
 		}
 	}
 }
@@ -56,10 +60,15 @@ func TestSnapshotReplayMatchesImport(t *testing.T) {
 // same root twice (and roots sharing subgraphs) never duplicates entries.
 func TestSnapshotSharedNodesEncodedOnce(t *testing.T) {
 	src, roots := buildSnapshotFixtures(t)
-	once := NewSnapshot(roots)
-	doubled := NewSnapshot(append(append([]*Node{}, roots...), roots...))
+	once, _ := NewSnapshot(roots)
+	doubled, at := NewSnapshot(append(append([]*Node{}, roots...), roots...))
 	if once.Len() != doubled.Len() {
 		t.Fatalf("duplicated roots grew the snapshot: %d vs %d", once.Len(), doubled.Len())
+	}
+	for i := range roots {
+		if at[i] != at[len(roots)+i] {
+			t.Fatalf("root %d has two positions: %d and %d", i, at[i], at[len(roots)+i])
+		}
 	}
 	// Every distinct reachable node appears exactly once.
 	distinct, seen := 0, src.newBitset()
@@ -71,11 +80,13 @@ func TestSnapshotSharedNodesEncodedOnce(t *testing.T) {
 	}
 }
 
-// TestSnapshotNilRootsAndEmpty covers the degenerate inputs.
+// TestSnapshotNilRootsAndEmpty covers the degenerate inputs: no roots make
+// an empty snapshot, and a nil root — which no position could stand for —
+// is a caller's bug that panics.
 func TestSnapshotNilRootsAndEmpty(t *testing.T) {
-	empty := NewSnapshot(nil)
-	if empty.Len() != 0 {
-		t.Fatalf("empty snapshot has %d entries", empty.Len())
+	empty, at := NewSnapshot(nil)
+	if empty.Len() != 0 || len(at) != 0 {
+		t.Fatalf("empty snapshot has %d entries, %d positions", empty.Len(), len(at))
 	}
 	dst := New()
 	if table := dst.ImportSnapshot(empty); len(table) != 0 {
@@ -84,10 +95,12 @@ func TestSnapshotNilRootsAndEmpty(t *testing.T) {
 
 	m := New()
 	m.AddVar("x")
-	snap := NewSnapshot([]*Node{nil, m.Var(0), nil})
-	if snap.Len() != 3 { // zero, one, the var node
-		t.Fatalf("nil-tolerant snapshot has %d entries, want 3", snap.Len())
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a nil root was given a position")
+		}
+	}()
+	NewSnapshot([]*Node{m.Var(0), nil})
 }
 
 // TestSnapshotVariableCheck pins the panic on an under-declared
@@ -97,7 +110,7 @@ func TestSnapshotVariableCheck(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.AddVar("x")
 	}
-	snap := NewSnapshot([]*Node{m.Var(3)})
+	snap, _ := NewSnapshot([]*Node{m.Var(3)})
 	dst := New()
 	dst.AddVar("x") // only 1 variable; snapshot tests variable 3
 	defer func() {
@@ -135,66 +148,41 @@ func TestReserve(t *testing.T) {
 }
 
 // snapshotOfDroppedManager builds a manager, snapshots its fixture roots and
-// returns the snapshot with the roots' entries and structural hashes — and
+// returns the snapshot with the roots' positions and structural hashes — and
 // nothing else of the manager: a finalizer on its first node slab reports on
 // freed when the runtime reclaims it. The frame that held the manager is gone
 // when this returns.
 //
 //go:noinline
-func snapshotOfDroppedManager(t *testing.T, seal bool, freed chan<- struct{}) (snap *Snapshot, at []uint32, hashes []uint64) {
+func snapshotOfDroppedManager(t *testing.T, freed chan<- struct{}) (snap *Snapshot, at []uint32, hashes []uint64) {
 	m, roots := buildSnapshotFixtures(t)
 	runtime.SetFinalizer(&m.slabs[0][0], func(*Node) { close(freed) })
-	snap = NewSnapshot(roots)
+	snap, at = NewSnapshot(roots)
 	h := NewHasher()
 	for _, r := range roots {
-		i, ok := snap.Index(r)
-		if !ok {
-			t.Fatal("root missing from the unsealed index")
-		}
-		at = append(at, i)
 		hashes = append(hashes, h.Hash(r))
-	}
-	if seal {
-		snap.Seal()
-		if _, ok := snap.Index(roots[0]); ok {
-			t.Fatal("a sealed snapshot still resolves source nodes")
-		}
 	}
 	return snap, at, hashes
 }
 
-// TestSealedSnapshotReleasesSource is the memory contract of Seal: the
-// build-time index is the only thing tying a snapshot to the manager it was
-// taken from, so a sealed snapshot that outlives its source lets the runtime
-// reclaim the source's node slabs — and still replays to structurally equal
-// roots. The unsealed form is the control: its index keeps them reachable.
+// TestSealedSnapshotReleasesSource is the memory contract of NewSnapshot:
+// every snapshot is sealed — it keeps no node pointer — so one that outlives
+// its source lets the runtime reclaim the source's node slabs, and still
+// replays to structurally equal roots.
 func TestSealedSnapshotReleasesSource(t *testing.T) {
-	collected := func(freed <-chan struct{}, wait time.Duration) bool {
-		deadline := time.After(wait)
-		for {
-			runtime.GC()
-			runtime.GC()
-			select {
-			case <-freed:
-				return true
-			case <-deadline:
-				return false
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
-	}
-
 	freed := make(chan struct{})
-	unsealed, _, _ := snapshotOfDroppedManager(t, false, freed)
-	if collected(freed, 200*time.Millisecond) {
-		t.Fatal("the source slab was reclaimed under an unsealed snapshot: the control does not pin")
-	}
-	runtime.KeepAlive(unsealed)
-
-	freed = make(chan struct{})
-	snap, at, hashes := snapshotOfDroppedManager(t, true, freed)
-	if !collected(freed, 10*time.Second) {
-		t.Fatal("a sealed snapshot keeps its source manager's first slab reachable")
+	snap, at, hashes := snapshotOfDroppedManager(t, freed)
+	deadline := time.After(10 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-deadline:
+			t.Fatal("a snapshot keeps its source manager's first slab reachable")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 	dst := New()
 	for i := 0; i < 8; i++ {

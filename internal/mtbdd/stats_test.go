@@ -21,7 +21,7 @@ func buildChain(t *testing.T, n int) (*Manager, *Node) {
 	return m, f
 }
 
-// Every one of the five operation caches must account hits and misses.
+// Every one of the operation caches must account hits and misses.
 // Before this existed, Stats reported apply-only, so cache efficacy was
 // systematically misreported (ISSUE 4 satellite 1).
 func TestPerCacheCounters(t *testing.T) {
@@ -41,14 +41,6 @@ func TestPerCacheCounters(t *testing.T) {
 	m.Add(f, g)
 	m.Add(f, g)
 
-	// import: pull f into a second manager twice.
-	dst := New()
-	for i := 0; i < 8; i++ {
-		dst.AddVar("x")
-	}
-	dst.Import(f)
-	dst.Import(f)
-
 	st := m.Stats()
 	for _, c := range []struct {
 		name string
@@ -65,10 +57,6 @@ func TestPerCacheCounters(t *testing.T) {
 		if c.cs.Hits == 0 {
 			t.Errorf("%s cache recorded no hits: %+v", c.name, c.cs)
 		}
-	}
-	ist := dst.Stats()
-	if ist.Import.Misses == 0 || ist.Import.Hits == 0 {
-		t.Errorf("import cache = %+v, want both hits and misses", ist.Import)
 	}
 	if st.KReduceCalls != 2 {
 		t.Errorf("KReduceCalls = %d, want 2", st.KReduceCalls)
@@ -93,25 +81,13 @@ func TestCacheCountersSurviveClearCaches(t *testing.T) {
 	m.Range(f)
 	m.Range(f)
 
-	dst := New()
-	for i := 0; i < 8; i++ {
-		dst.AddVar("x")
-	}
-	dst.Import(f)
-
 	before := m.Stats()
 	m.ClearCaches()
 	after := m.Stats()
 	if before.Apply != after.Apply || before.Neg != after.Neg ||
 		before.KReduce != after.KReduce || before.Range != after.Range ||
-		before.Import != after.Import || before.KReduceCalls != after.KReduceCalls {
+		before.KReduceCalls != after.KReduceCalls {
 		t.Fatalf("ClearCaches changed cumulative counters:\nbefore %+v\nafter  %+v", before, after)
-	}
-
-	ib := dst.Stats()
-	dst.ClearCaches()
-	if ia := dst.Stats(); ia.Import != ib.Import {
-		t.Fatalf("ClearCaches changed import counters: before %+v after %+v", ib.Import, ia.Import)
 	}
 
 	// Post-clear the caches are empty, so repeating an operation misses
@@ -120,38 +96,6 @@ func TestCacheCountersSurviveClearCaches(t *testing.T) {
 	grown := m.Stats()
 	if grown.Neg.Misses <= after.Neg.Misses {
 		t.Fatalf("post-clear Not should miss the fresh cache: %+v vs %+v", grown.Neg, after.Neg)
-	}
-}
-
-// Satellite 2: importTbl used to be nil'd by ClearCaches while every
-// other cache was re-created fresh. Pin the unified behavior: the memo
-// is a fresh usable map after New and after ClearCaches, and a
-// post-clear Import works and re-memoizes.
-func TestClearCachesResetsImportTbl(t *testing.T) {
-	src, f := buildChain(t, 6)
-	_ = src
-
-	dst := New()
-	for i := 0; i < 6; i++ {
-		dst.AddVar("x")
-	}
-	if dst.importTbl == nil {
-		t.Fatal("New must install a fresh importTbl")
-	}
-	first := dst.Import(f)
-	dst.ClearCaches()
-	if dst.importTbl == nil {
-		t.Fatal("ClearCaches must re-create importTbl, not nil it")
-	}
-	if len(dst.importTbl) != 0 {
-		t.Fatalf("ClearCaches left %d stale import entries", len(dst.importTbl))
-	}
-	second := dst.Import(f)
-	if first != second {
-		t.Fatal("post-clear Import must rebuild to the same canonical node")
-	}
-	if len(dst.importTbl) == 0 {
-		t.Fatal("post-clear Import must re-populate the memo")
 	}
 }
 

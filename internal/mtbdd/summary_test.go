@@ -112,28 +112,23 @@ func TestSnapshotSummaryRoundTrip(t *testing.T) {
 	home := newMgr(t, n)
 	guards := summaryGuards(home, rng, n, 12)
 
-	snap := NewSnapshot(guards)
+	snap, at := NewSnapshot(guards)
 	consumer := newMgr(t, n)
 	table := consumer.ImportSnapshot(snap)
 
 	imported := make([]*Node, len(guards))
-	for i, g := range guards {
-		idx, ok := snap.Index(g)
-		if !ok {
-			t.Fatalf("guard %d missing from its own snapshot", i)
-		}
-		imported[i] = table[idx]
+	for i := range guards {
+		imported[i] = table[at[i]]
 	}
 
-	back := NewSnapshot(imported)
+	back, backAt := NewSnapshot(imported)
 	if back.Len() != snap.Len() {
 		t.Fatalf("round trip changed node count: %d -> %d", snap.Len(), back.Len())
 	}
 	homeTable := home.ImportSnapshot(back)
 	assign := make([]bool, n)
 	for i, g := range guards {
-		idx, _ := back.Index(imported[i])
-		got := homeTable[idx]
+		got := homeTable[backAt[i]]
 		if got != g {
 			t.Fatalf("guard %d: round trip did not restore the canonical node", i)
 		}
@@ -159,13 +154,13 @@ func TestSnapshotSummaryAcrossManagerWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	home := newMgr(t, 4)
 	guards := summaryGuards(home, rng, 4, 6)
-	snap := NewSnapshot(guards)
+	snap, at := NewSnapshot(guards)
 
 	wide := newMgr(t, 9)
 	table := wide.ImportSnapshot(snap)
 	assign := make([]bool, 9)
 	for i, g := range guards {
-		idx, _ := snap.Index(g)
+		idx := at[i]
 		for trial := 0; trial < 16; trial++ {
 			for v := range assign {
 				assign[v] = rng.Intn(2) == 0

@@ -113,7 +113,7 @@ func TestSnapshotEmitsAllKnownCaches(t *testing.T) {
 		Caches: map[string]CacheCounters{"apply": {Hits: 5, Misses: 1}, "kreduce": {Hits: 7}},
 	})
 	snap := r.Snapshot()
-	for _, name := range []string{"apply", "kreduce", "neg", "range", "import", "fused"} {
+	for _, name := range []string{"apply", "kreduce", "neg", "range", "fused"} {
 		if _, ok := snap.Caches[name]; !ok {
 			t.Fatalf("snapshot missing cache %q: %+v", name, snap.Caches)
 		}
@@ -148,8 +148,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Counters["worker.0.flows_executed"] != 12 {
 		t.Fatalf("round-trip lost counter: %+v", back.Counters)
 	}
-	if len(back.Caches) != 6 {
-		t.Fatalf("round-trip caches = %d keys, want 6", len(back.Caches))
+	if len(back.Caches) != len(knownCaches) {
+		t.Fatalf("round-trip caches = %d keys, want %d", len(back.Caches), len(knownCaches))
 	}
 	if back.Managers[0].Caches["neg"].Misses != 2 {
 		t.Fatalf("round-trip lost manager cache stats: %+v", back.Managers)
@@ -165,7 +165,7 @@ func TestWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"phases:", "routesim", "caches", "apply", "import", "degraded_flows"} {
+	for _, want := range []string{"phases:", "routesim", "caches", "apply", "degraded_flows"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)
 		}

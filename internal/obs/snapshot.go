@@ -18,7 +18,7 @@ type CacheCounters struct {
 // ManagerStats is one MTBDD manager's end-of-life stats snapshot,
 // mirrored from mtbdd.Stats without importing it (obs is a leaf
 // package). Caches is keyed by cache name: apply, kreduce, neg, range,
-// import, fused. CacheBytes is what the manager's unique table and
+// fused. CacheBytes is what the manager's unique table and
 // computed tables held when it was recorded — they grow with use, so it
 // says what the manager cost, not what it was born with — and
 // CacheResizes how many doublings got them there.

@@ -60,13 +60,21 @@ func (r *Result) importWith(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *R
 type ImportBase struct {
 	src  *Result
 	snap *mtbdd.Snapshot
+	// at is each source guard's position in snap. It lives as long as the
+	// base, which holds the source result anyway.
+	at map[*mtbdd.Node]uint32
 }
 
 // NewImportBase flattens all guards of the result into a shared snapshot.
 func (r *Result) NewImportBase() *ImportBase {
 	var roots []*mtbdd.Node
 	r.eachGuard(func(n *mtbdd.Node) { roots = append(roots, n) })
-	return &ImportBase{src: r, snap: mtbdd.NewSnapshot(roots)}
+	snap, pos := mtbdd.NewSnapshot(roots)
+	b := &ImportBase{src: r, snap: snap, at: make(map[*mtbdd.Node]uint32, len(roots))}
+	for i, n := range roots {
+		b.at[n] = pos[i]
+	}
+	return b
 }
 
 // NumNodes returns the number of distinct MTBDD nodes in the shared base.
@@ -89,12 +97,12 @@ func (b *ImportBase) ImportInto(dst *FailVars) *Result {
 	}
 	table := dst.M.ImportSnapshot(b.snap)
 	return b.src.importWith(dst, func(n *mtbdd.Node) *mtbdd.Node {
-		if i, ok := b.snap.Index(n); ok {
-			return table[i]
+		i, ok := b.at[n]
+		if !ok {
+			// The base holds every guard of the result it was built from.
+			panic("routesim: ImportInto met a guard missing from its base")
 		}
-		// Guard created after the base was built — fall back to a direct
-		// cross-manager import rather than failing.
-		return dst.M.Import(n)
+		return table[i]
 	})
 }
 

@@ -18,10 +18,10 @@ func collectGuards(r *Result) []*mtbdd.Node {
 }
 
 // TestImportBaseMatchesImportInto pins the copy-on-write base's contract:
-// cloning through the shared snapshot yields pointer-identical guards to
-// a memoised walk (Manager.Import) of every guard into the same destination
-// manager. The two clones are walked in structural lockstep (eachGuard's own
-// order is map-dependent and may differ between calls).
+// cloning through the shared snapshot yields, candidate for candidate, the
+// very guards a fresh route simulation computes in the destination manager.
+// The two results are walked in structural lockstep (eachGuard's own order is
+// map-dependent and may differ between calls).
 func TestImportBaseMatchesImportInto(t *testing.T) {
 	spec, res := motivating(t, 2)
 	base := res.NewImportBase()
@@ -31,30 +31,33 @@ func TestImportBaseMatchesImportInto(t *testing.T) {
 
 	dst := NewFailVars(mtbdd.New(), spec.Net, topo.FailLinks, 2)
 	viaBase := base.ImportInto(dst)
-	viaImport := res.importWith(dst, dst.M.Import)
+	viaRun, err := Run(dst, spec.Configs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	compared := 0
 	check := func(where string, a, b *mtbdd.Node) {
 		t.Helper()
 		if a != b {
-			t.Fatalf("%s: snapshot clone %p != direct import %p", where, a, b)
+			t.Fatalf("%s: snapshot clone %p != fresh route simulation %p", where, a, b)
 		}
 		compared++
 	}
 	for ri := range viaBase.IGP.routes {
 		for dest, routes := range viaBase.IGP.routes[ri] {
-			other := viaImport.IGP.routes[ri][dest]
+			other := viaRun.IGP.routes[ri][dest]
 			for i := range routes {
 				check("igp route", routes[i].Guard, other[i].Guard)
 			}
 		}
 		for dest, g := range viaBase.IGP.reach[ri] {
-			check("igp reach", g, viaImport.IGP.reach[ri][dest])
+			check("igp reach", g, viaRun.IGP.reach[ri][dest])
 		}
 	}
 	for ri, rib := range viaBase.BGP.RIBs {
 		for pfx, cands := range rib {
-			other := viaImport.BGP.RIBs[ri][pfx]
+			other := viaRun.BGP.RIBs[ri][pfx]
 			for i := range cands {
 				check("bgp cand", cands[i].Guard, other[i].Guard)
 			}
@@ -63,13 +66,13 @@ func TestImportBaseMatchesImportInto(t *testing.T) {
 	for ri, pols := range viaBase.SR {
 		for i := range pols {
 			for j := range pols[i].Paths {
-				check("sr path", pols[i].Paths[j].Guard, viaImport.SR[ri][i].Paths[j].Guard)
+				check("sr path", pols[i].Paths[j].Guard, viaRun.SR[ri][i].Paths[j].Guard)
 			}
 		}
 	}
 	for ri, sts := range viaBase.Statics {
 		for i := range sts {
-			check("static", sts[i].Guard, viaImport.Statics[ri][i].Guard)
+			check("static", sts[i].Guard, viaRun.Statics[ri][i].Guard)
 		}
 	}
 	if compared == 0 {

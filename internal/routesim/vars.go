@@ -83,7 +83,7 @@ func NewFailVars(m *mtbdd.Manager, net *topo.Network, mode topo.FailureMode, k i
 // lookup tables are indexed by subnet IDs. Guards built in a domain
 // manager therefore have the same canonical structure as the monolithic
 // run's guards over the same elements — KReduce counts failures
-// identically, and cross-manager Import into a manager holding the global
+// identically, and a snapshot replayed into a manager holding the global
 // NewFailVars is a pure variable-order-preserving copy.
 //
 // Variables of elements outside the subnet are declared (to keep the

@@ -6,7 +6,6 @@ package serve
 import (
 	"math"
 	"net/netip"
-	"sort"
 	"sync"
 
 	"github.com/yu-verify/yu/internal/core"
@@ -100,30 +99,20 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// stfEntry is one cached class execution in manager-independent form:
-// the MTBDD snapshot of every root plus the indices to rebuild a
-// core.FlowSTF from the replay table.
-type stfEntry struct {
-	snap                         *mtbdd.Snapshot
-	links                        []topo.DirLinkID // ascending
-	linkRoots                    []uint32         // parallel to links
-	delivered, dropped, inFlight uint32
-	iterations                   int
-}
-
-// stfStore is the shared warm cache. It outlives versions and reloads;
+// stfStore is the shared warm cache: one class execution per entry, sealed
+// (a one-STF core.SealedSTFs). It outlives versions and reloads;
 // content-hash keys make stale entries unreachable rather than wrong.
 type stfStore struct {
 	mu      sync.Mutex
-	entries map[cacheKey]*stfEntry
+	entries map[cacheKey]*core.SealedSTFs
 	limit   int
 }
 
 func newSTFStore(limit int) *stfStore {
-	return &stfStore{entries: make(map[cacheKey]*stfEntry), limit: limit}
+	return &stfStore{entries: make(map[cacheKey]*core.SealedSTFs), limit: limit}
 }
 
-func (st *stfStore) get(k cacheKey) *stfEntry {
+func (st *stfStore) get(k cacheKey) *core.SealedSTFs {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.entries[k]
@@ -132,11 +121,11 @@ func (st *stfStore) get(k cacheKey) *stfEntry {
 // put inserts an entry, resetting the whole cache first if it is full
 // (full reset keeps the policy trivially correct; evictions are rare and
 // counted so capacity tuning is visible).
-func (st *stfStore) put(k cacheKey, e *stfEntry, evictC *obs.Counter) {
+func (st *stfStore) put(k cacheKey, e *core.SealedSTFs, evictC *obs.Counter) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.entries[k]; !ok && len(st.entries) >= st.limit {
-		st.entries = make(map[cacheKey]*stfEntry)
+		st.entries = make(map[cacheKey]*core.SealedSTFs)
 		evictC.Inc()
 	}
 	st.entries[k] = e
@@ -255,9 +244,9 @@ func (rc *runCache) classKey(e *core.Engine, rep topo.Flow) cacheKey {
 	return t.key()
 }
 
-// Lookup implements core.STFCache: rebuild the class STF from the warm
-// entry by snapshot replay into e's manager. Defensive shape checks keep
-// a stale or corrupt persisted entry from being materialized.
+// Lookup implements core.STFCache: unseal the class STF from the warm entry
+// into e's manager. Defensive shape checks keep a stale or corrupt persisted
+// entry from being materialized.
 func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) {
 	key := rc.classKey(e, rep)
 	rc.lastRep, rc.lastKey = rep, key
@@ -271,78 +260,34 @@ func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) 
 		}
 		return nil, false
 	}
-	if int(ent.snap.MaxLevel()) >= e.Manager().NumVars() {
+	maxDir := 2 * e.Net().NumLinks()
+	fits := int(ent.Snap.MaxLevel()) < e.Manager().NumVars()
+	for _, l := range ent.STFs[0].Links {
+		fits = fits && int(l) >= 0 && int(l) < maxDir
+	}
+	if !fits {
 		rc.misses++
 		reg.Counter("serve.class_cache_misses").Inc()
 		return nil, false
 	}
-	maxDir := 2 * e.Net().NumLinks()
-	for _, l := range ent.links {
-		if int(l) < 0 || int(l) >= maxDir {
-			rc.misses++
-			reg.Counter("serve.class_cache_misses").Inc()
-			return nil, false
-		}
-	}
-	table := e.Manager().ImportSnapshot(ent.snap)
-	stf := &core.FlowSTF{
-		Flow:       rep,
-		Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(ent.links)),
-		Delivered:  table[ent.delivered],
-		Dropped:    table[ent.dropped],
-		InFlight:   table[ent.inFlight],
-		Iterations: ent.iterations,
-	}
-	for i, l := range ent.links {
-		stf.Links[l] = table[ent.linkRoots[i]]
-	}
+	stf := ent.Unseal(e.Manager(), []topo.Flow{rep})[0]
 	rc.hits++
 	reg.Counter("serve.class_cache_hits").Inc()
 	return stf, true
 }
 
-// Store implements core.STFCache: snapshot a freshly executed class STF
-// into the shared store, under the key the Lookup that missed on it derived.
-// Degraded (fallback-built) STFs are not cached — they depend on the
-// governance budget, not just the route state.
+// Store implements core.STFCache: seal a freshly executed class STF into the
+// shared store, under the key the Lookup that missed on it derived. The
+// entry holds no node, so it never keeps this run's manager alive. Degraded
+// (fallback-built) STFs are not cached — they depend on the governance
+// budget, not just the route state.
 func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
 	if stf == nil || stf.Degraded {
 		return
-	}
-	links := make([]topo.DirLinkID, 0, len(stf.Links))
-	for l := range stf.Links {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	roots := make([]*mtbdd.Node, 0, 3+len(links))
-	roots = append(roots, stf.Delivered, stf.Dropped, stf.InFlight)
-	for _, l := range links {
-		roots = append(roots, stf.Links[l])
 	}
 	key := rc.lastKey
 	if rep != rc.lastRep {
 		key = rc.classKey(e, rep)
 	}
-	snap := mtbdd.NewSnapshot(roots)
-	idx := func(n *mtbdd.Node) uint32 {
-		i, _ := snap.Index(n)
-		return i
-	}
-	ent := &stfEntry{
-		snap:       snap,
-		links:      links,
-		linkRoots:  make([]uint32, len(links)),
-		delivered:  idx(stf.Delivered),
-		dropped:    idx(stf.Dropped),
-		inFlight:   idx(stf.InFlight),
-		iterations: stf.Iterations,
-	}
-	for i, l := range links {
-		ent.linkRoots[i] = idx(stf.Links[l])
-	}
-	// The store outlives this run's manager: an unsealed snapshot would keep
-	// every slab its nodes sit in — and through them the manager — reachable
-	// for the entry's life.
-	snap.Seal()
-	rc.srv.store.put(key, ent, rc.srv.reg.Counter("serve.cache_evictions"))
+	rc.srv.store.put(key, core.SealSTFs([]*core.FlowSTF{stf}), rc.srv.reg.Counter("serve.cache_evictions"))
 }

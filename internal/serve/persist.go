@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/fault"
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/topo"
@@ -117,7 +118,7 @@ func (s *Server) loadState() {
 	if err := s.store.decode(bufio.NewReader(f), s.cfg.CacheLimit); err != nil {
 		log.Printf("yud: warm cache %s: %v; starting cold", path, err)
 		s.store.mu.Lock()
-		s.store.entries = make(map[cacheKey]*stfEntry)
+		s.store.entries = make(map[cacheKey]*core.SealedSTFs)
 		s.store.mu.Unlock()
 	}
 }
@@ -164,23 +165,27 @@ func (st *stfStore) encode(w io.Writer) error {
 	return nil
 }
 
-func encodeEntry(w io.Writer, k cacheKey, e *stfEntry) error {
+// encodeEntry writes one entry's payload: the key, the STF's iteration count
+// and Delivered/Dropped/InFlight root positions, its links (ascending) with
+// their root positions, then the snapshot frame.
+func encodeEntry(w io.Writer, k cacheKey, e *core.SealedSTFs) error {
 	if err := binary.Write(w, binary.LittleEndian, []uint64{k.a, k.b}); err != nil {
 		return err
 	}
-	fixed := []uint32{uint32(e.iterations), e.delivered, e.dropped, e.inFlight, uint32(len(e.links))}
+	s := e.STFs[0]
+	fixed := []uint32{uint32(s.Iterations), s.Roots[0], s.Roots[1], s.Roots[2], uint32(len(s.Links))}
 	if err := binary.Write(w, binary.LittleEndian, fixed); err != nil {
 		return err
 	}
-	for i, l := range e.links {
+	for i, l := range s.Links {
 		if err := binary.Write(w, binary.LittleEndian, int32(l)); err != nil {
 			return err
 		}
-		if err := binary.Write(w, binary.LittleEndian, e.linkRoots[i]); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, s.Roots[3+i]); err != nil {
 			return err
 		}
 	}
-	return e.snap.Encode(w)
+	return e.Snap.Encode(w)
 }
 
 // decode replaces the store's contents from an encode stream: each
@@ -201,7 +206,7 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 	if count > maxWarmEntries {
 		return fmt.Errorf("entry count %d exceeds limit", count)
 	}
-	entries := make(map[cacheKey]*stfEntry, count)
+	entries := make(map[cacheKey]*core.SealedSTFs, count)
 	for i := uint32(0); i < count; i++ {
 		var flen uint32
 		if err := binary.Read(r, binary.LittleEndian, &flen); err != nil {
@@ -235,7 +240,7 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 	return nil
 }
 
-func decodeEntry(r io.Reader) (cacheKey, *stfEntry, error) {
+func decodeEntry(r io.Reader) (cacheKey, *core.SealedSTFs, error) {
 	var k cacheKey
 	if err := binary.Read(r, binary.LittleEndian, &k.a); err != nil {
 		return k, nil, fmt.Errorf("key: %w", err)
@@ -247,21 +252,17 @@ func decodeEntry(r io.Reader) (cacheKey, *stfEntry, error) {
 	if err := binary.Read(r, binary.LittleEndian, &fixed); err != nil {
 		return k, nil, fmt.Errorf("header: %w", err)
 	}
-	e := &stfEntry{
-		iterations: int(fixed[0]),
-		delivered:  fixed[1],
-		dropped:    fixed[2],
-		inFlight:   fixed[3],
-	}
+	s := core.SealedSTF{Iterations: int(fixed[0])}
 	nlinks := fixed[4]
-	if e.iterations < 0 || e.iterations > maxWarmIters {
-		return k, nil, fmt.Errorf("implausible iteration count %d", e.iterations)
+	if s.Iterations < 0 || s.Iterations > maxWarmIters {
+		return k, nil, fmt.Errorf("implausible iteration count %d", s.Iterations)
 	}
 	if nlinks > maxWarmLinks {
 		return k, nil, fmt.Errorf("link count %d exceeds limit", nlinks)
 	}
-	e.links = make([]topo.DirLinkID, nlinks)
-	e.linkRoots = make([]uint32, nlinks)
+	s.Links = make([]topo.DirLinkID, nlinks)
+	s.Roots = make([]uint32, 3+nlinks)
+	copy(s.Roots, fixed[1:4])
 	for j := uint32(0); j < nlinks; j++ {
 		var l int32
 		if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
@@ -270,11 +271,11 @@ func decodeEntry(r io.Reader) (cacheKey, *stfEntry, error) {
 		if l < 0 {
 			return k, nil, fmt.Errorf("link %d: negative id", j)
 		}
-		if j > 0 && topo.DirLinkID(l) <= e.links[j-1] {
+		if j > 0 && topo.DirLinkID(l) <= s.Links[j-1] {
 			return k, nil, fmt.Errorf("link %d: ids not ascending", j)
 		}
-		e.links[j] = topo.DirLinkID(l)
-		if err := binary.Read(r, binary.LittleEndian, &e.linkRoots[j]); err != nil {
+		s.Links[j] = topo.DirLinkID(l)
+		if err := binary.Read(r, binary.LittleEndian, &s.Roots[3+j]); err != nil {
 			return k, nil, fmt.Errorf("link root %d: %w", j, err)
 		}
 	}
@@ -282,17 +283,10 @@ func decodeEntry(r io.Reader) (cacheKey, *stfEntry, error) {
 	if err != nil {
 		return k, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	n := uint32(snap.Len())
-	for _, root := range []uint32{e.delivered, e.dropped, e.inFlight} {
-		if root >= n {
-			return k, nil, fmt.Errorf("root index %d out of range", root)
+	for j, root := range s.Roots {
+		if root >= uint32(snap.Len()) {
+			return k, nil, fmt.Errorf("root %d: index %d out of range", j, root)
 		}
 	}
-	for j, root := range e.linkRoots {
-		if root >= n {
-			return k, nil, fmt.Errorf("link %d: root index %d out of range", j, root)
-		}
-	}
-	e.snap = snap
-	return k, e, nil
+	return k, &core.SealedSTFs{Snap: snap, STFs: []core.SealedSTF{s}}, nil
 }

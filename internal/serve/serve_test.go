@@ -433,6 +433,69 @@ func TestWarmStateOldFrame(t *testing.T) {
 	}
 }
 
+// TestWarmStateFromEarlierBuild: testdata/stfcache.bin is the warm cache a
+// yud built before the store kept core.SealedSTFs wrote after verifying
+// testdata/wan-1.yu. A daemon started on it resumes fully warm — every class
+// a cache hit, none a miss — with the report of a cold run, and saving its
+// store again writes the file byte for byte; so does a cold daemon that
+// executes and seals every class itself: the YUWARM2 layout is the one it
+// always was.
+func TestWarmStateFromEarlierBuild(t *testing.T) {
+	saved, err := os.ReadFile(filepath.Join("testdata", "stfcache.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "stfcache.bin"), saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw := readSpec(t, "wan-1.yu")
+	spec, err := config.ParseSpecString(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := serve.NewServer(serve.Config{StatePath: dir})
+	if _, err := s.LoadSpecText(raw); err != nil {
+		t.Fatal(err)
+	}
+	res := mustReport(t, s)
+	c := s.Metrics().Snapshot().Counters
+	if hits, misses := c["serve.class_cache_hits"], c["serve.class_cache_misses"]; hits != int64(cold.FlowsExecuted) || misses != 0 {
+		t.Fatalf("serve.class_cache_hits %d, misses %d; want %d classes, 0", hits, misses, cold.FlowsExecuted)
+	}
+	if want := canon.FormatReport(spec.Net, cold); res.Text != want {
+		t.Fatalf("warm report differs from the cold one:\n--- warm\n%s\n--- cold\n%s", res.Text, want)
+	}
+	if err := s.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := os.ReadFile(filepath.Join(dir, "stfcache.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved, saved) {
+		t.Fatalf("re-saving the loaded store wrote %d bytes that differ from the %d it loaded", len(resaved), len(saved))
+	}
+
+	coldDir := t.TempDir()
+	cs := serve.NewServer(serve.Config{StatePath: coldDir})
+	if _, err := cs.LoadSpecText(raw); err != nil {
+		t.Fatal(err)
+	}
+	mustReport(t, cs)
+	if err := cs.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err := os.ReadFile(filepath.Join(coldDir, "stfcache.bin")); err != nil || !bytes.Equal(fresh, saved) {
+		t.Fatalf("a cold daemon saved %d bytes that differ from the %d the earlier build saved (%v)", len(fresh), len(saved), err)
+	}
+}
+
 // TestCanonicalTextParsedOnce: a version built from canonical text — which
 // is parsed once, being its own fixpoint — and one built from a
 // non-canonical spelling of it — re-parsed from its canonical rendering —
