@@ -411,8 +411,8 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 		}
 		snap := reg.Snapshot()
 		for _, m := range snap.Managers {
-			fmt.Fprintf(stdout, "  manager %-16s peak %d nodes, tables %.1f MB (%d resizes)\n",
-				m.Name, m.PeakLive, float64(m.CacheBytes)/(1<<20), m.CacheResizes)
+			fmt.Fprintf(stdout, "  manager %-16s peak %d nodes, tables %.1f MB\n",
+				m.Name, m.PeakLive, float64(m.CacheBytes)/(1<<20))
 		}
 		printRouteSim(stdout, snap)
 		printExecute(stdout, snap)

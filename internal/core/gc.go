@@ -100,8 +100,7 @@ const retainedGCFloor = 64 << 10
 // Check): it drops what only execution reads — the engine's forwarding-step
 // and IGP-vector caches, its STF memo, forwarding classes and wavefront
 // scratch, the route-simulation result and the STF cache hook, and with them
-// their nodes' claim to survive a collection — gives the
-// manager's computed tables back their starting size, and makes the managed-GC
+// their nodes' claim to survive a collection — and makes the managed-GC
 // threshold relative to what is kept: collect, the STFs as roots, once live
 // nodes pass 4× the count at this point (floor 64 K). The default threshold
 // would let a long-lived verifier grow by some 190 MB of dead loads before its
@@ -110,7 +109,6 @@ func (v *Verifier) Trim() {
 	e := v.e
 	e.rs, e.igpCache, e.steps, e.memo, e.opts.STFCache = nil, nil, nil, nil, nil
 	e.fwd, e.stacks, e.scratch = fwdClasses{}, stackTab{}, execScratch{}
-	e.m.TrimCaches()
 	e.gcThreshold = max(4*e.m.Stats().Live, retainedGCFloor)
 }
 

@@ -32,7 +32,6 @@ func ManagerObsStats(name string, m *mtbdd.Manager) obs.ManagerStats {
 		FusionCuts:   st.FusionCuts,
 		MaxProbe:     st.MaxProbe,
 		CacheBytes:   st.CacheBytes,
-		CacheResizes: st.CacheResizes,
 		Caches: map[string]obs.CacheCounters{
 			"apply":   {Hits: st.Apply.Hits, Misses: st.Apply.Misses},
 			"neg":     {Hits: st.Neg.Hits, Misses: st.Neg.Misses},

@@ -21,16 +21,16 @@ var mtbddTableMode int
 
 // TestVerdictsIndependentOfTableGeometry: the computed tables are lossy
 // caches in front of deterministic recursions, so what they hold — and
-// therefore their size and when they grow — must never reach a report.
-// Every testdata spec × k ∈ {1,2} × {monolithic, the spec's domains}
-// renders the same canonical bytes with the tables adaptive (as shipped),
-// pinned at their minimum of 2 entries (every lookup but an immediate
-// repeat misses) and born at their caps (the geometry before they grew).
+// therefore their size — must never reach a report. Every testdata spec ×
+// k ∈ {1,2} × {monolithic, the spec's domains} renders the same canonical
+// bytes with the tables as shipped, at 2 entries (every lookup but an
+// immediate repeat misses) and at the sizes they grew to before their
+// geometry was fixed (2^20/2^20/2^19/2^17/2^17).
 func TestVerdictsIndependentOfTableGeometry(t *testing.T) {
 	modes := []struct {
 		name string
-		mode int // mtbdd's tablesAdaptive, tablesPinnedMin, tablesPinnedMax
-	}{{"adaptive", 0}, {"pinned-min", 1}, {"pinned-max", 2}}
+		mode int // mtbdd's tablesShipped, tablesTwoEntries, tablesOldCaps
+	}{{"shipped", 0}, {"two-entries", 1}, {"old-caps", 2}}
 	defer func() { mtbddTableMode = 0 }()
 
 	root := filepath.Join("..", "..", "testdata")
@@ -75,9 +75,9 @@ func TestVerdictsIndependentOfTableGeometry(t *testing.T) {
 							t.Errorf("tables %s render a different report\n--- %s ---\n%s--- %s ---\n%s", m.name, modes[0].name, want, m.name, got)
 						}
 					}
-					// The hook took: pinned-min < adaptive < pinned-max.
+					// The hook took: two entries < shipped < old caps.
 					if len(tableBytes) != 3 || tableBytes[1] >= tableBytes[0] || tableBytes[0] >= tableBytes[2] {
-						t.Errorf("table bytes of the primary manager %v (adaptive, pinned-min, pinned-max): the geometry hook did not take", tableBytes)
+						t.Errorf("table bytes of the primary manager %v (shipped, two entries, old caps): the geometry hook did not take", tableBytes)
 					}
 				})
 			}

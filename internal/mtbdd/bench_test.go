@@ -141,15 +141,14 @@ func fusedTrace(r *rand.Rand, distinct, length int) []fusedEntry {
 	return trace
 }
 
-// BenchmarkFusedCacheTwoWay20 replays the trace through the shipped table
-// grown to its cap, and reports the steady-state hit rate: the trace has
-// 700K distinct keys, within the table's 1M entries but more than the
-// 512K of the direct-mapped design it replaced (0.55 against 0.84 here,
-// EXPERIMENTS.md).
-func BenchmarkFusedCacheTwoWay20(b *testing.B) {
-	defer setTableMode(tablesPinnedMax)()
-	c := newFusedCache()
-	trace := fusedTrace(rand.New(rand.NewSource(65)), 700_000, 2_000_000)
+// BenchmarkFusedCacheTwoWay13 replays the trace through the table a new
+// manager has, and reports the steady-state hit rate and the cost of a
+// lookup. The trace is scaled to the table: 2/3 as many distinct keys as
+// entries, twice as many lookups (the proportions of the 700 K keys and
+// 2 M lookups it was first run with on 2^20 entries, EXPERIMENTS.md).
+func BenchmarkFusedCacheTwoWay13(b *testing.B) {
+	c := &New().fusedTbl
+	trace := fusedTrace(rand.New(rand.NewSource(65)), len(c.entries)*2/3, 2*len(c.entries))
 	// Warm-up pass: absorb the compulsory misses so the reported
 	// hit-rate is the steady state the cache organization controls.
 	replay := func() (hits int) {
@@ -169,6 +168,7 @@ func BenchmarkFusedCacheTwoWay20(b *testing.B) {
 		hits += replay()
 	}
 	b.ReportMetric(float64(hits)/float64(b.N*len(trace)), "hit-rate")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/lookup")
 }
 
 // --- what a manager costs (ISSUE 15) ---

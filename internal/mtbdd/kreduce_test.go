@@ -299,7 +299,7 @@ func BenchmarkKReduce(b *testing.B) {
 	f := randomMTBDD(m, r, n, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.kreduceTbl = newKReduceCache()
+		clear(m.kreduceTbl.entries)
 		m.KReduce(f, 2)
 	}
 }
@@ -315,7 +315,7 @@ func BenchmarkApplyAdd(b *testing.B) {
 	g := randomMTBDD(m, r, n, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.applyTbl = newApplyCache()
+		clear(m.applyTbl.entries)
 		m.Add(f, g)
 	}
 }

@@ -59,11 +59,11 @@ type Manager struct {
 	unique *uniqueTable
 	terms  map[uint64]*Node // keyed by Float64bits of the value
 
-	applyTbl   *applyCache
-	negTbl     *unaryCache
-	kreduceTbl *kreduceCache
-	fusedTbl   *fusedCache
-	rangeTbl   *rangeCache
+	applyTbl   applyCache
+	negTbl     unaryCache
+	kreduceTbl kreduceCache
+	fusedTbl   fusedCache
+	rangeTbl   rangeCache
 
 	zero *Node
 	one  *Node
@@ -117,15 +117,11 @@ type Manager struct {
 // AddVar before building non-constant functions.
 func New() *Manager {
 	m := &Manager{
-		nextID:     1,
-		unique:     newUniqueTable(),
-		terms:      make(map[uint64]*Node),
-		applyTbl:   newApplyCache(),
-		negTbl:     newUnaryCache(),
-		kreduceTbl: newKReduceCache(),
-		fusedTbl:   newFusedCache(),
-		rangeTbl:   newRangeCache(),
+		nextID: 1,
+		unique: newUniqueTable(),
+		terms:  make(map[uint64]*Node),
 	}
+	m.newTables()
 	m.zero = m.Const(0)
 	m.one = m.Const(1)
 	return m
@@ -382,10 +378,9 @@ type Stats struct {
 	GCRuns       uint64 // completed garbage collections
 
 	// CacheBytes is what the unique table and the five computed tables
-	// hold right now (they grow with use, see tables.go); CacheResizes is
-	// how many times a computed table has doubled.
-	CacheBytes   uint64
-	CacheResizes uint64
+	// hold right now: the unique table grows with the live nodes, the
+	// computed tables keep the size New gave them (tables.go).
+	CacheBytes uint64
 }
 
 // Stats returns a snapshot of the Manager's counters.
@@ -406,21 +401,12 @@ func (m *Manager) Stats() Stats {
 		KReduceCalls: m.kreduceCalls,
 		GCRuns:       m.gcRuns,
 		CacheBytes:   m.tableBytes(),
-		CacheResizes: m.tableResizes(),
 	}
 }
 
 // ClearCaches empties all operation caches (but not the unique table), so
 // that nothing cached outlives the nodes a following GC drops. The five
-// computed tables are zeroed in place at the size they have grown to —
-// clearing allocates nothing and a manager keeps the geometry its work
-// earned. The cumulative hit/miss counters are untouched: they are
-// counters, not cache contents.
+// computed tables are zeroed in place — clearing allocates nothing. The
+// cumulative hit/miss counters are untouched: they are counters, not cache
+// contents.
 func (m *Manager) ClearCaches() { m.clearTables() }
-
-// TrimCaches empties all operation caches like ClearCaches, but gives the
-// five computed tables back their starting size instead of keeping what they
-// grew to: for a manager that has finished the work its tables grew for and
-// is kept for lighter use (a build retained for later checks). They regrow
-// with use as a new manager's would.
-func (m *Manager) TrimCaches() { m.trimTables() }

@@ -101,8 +101,8 @@ func TestCacheCountersSurviveClearCaches(t *testing.T) {
 
 // The fused ternary cache follows the same counter contract as the five
 // binary caches: hits and misses accounted, counters cumulative across
-// ClearCaches, and the cache *contents* recreated fresh so post-clear
-// repeats miss again (ISSUE 5 satellite).
+// ClearCaches, and the cache *contents* emptied so post-clear repeats
+// miss again.
 func TestFusedCacheCounters(t *testing.T) {
 	m, f := buildChain(t, 8)
 	g := m.Var(3)
@@ -128,10 +128,6 @@ func TestFusedCacheCounters(t *testing.T) {
 		t.Fatalf("ClearCaches changed cumulative fused counters:\nbefore %+v/%d\nafter  %+v/%d",
 			before.Fused, before.FusionCuts, after.Fused, after.FusionCuts)
 	}
-	if m.fusedTbl == nil {
-		t.Fatal("ClearCaches must re-create the fused cache, not nil it")
-	}
-
 	// Post-clear the fresh cache must miss again: counters strictly grow.
 	m.AddK(f, g, 2)
 	grown := m.Stats()

@@ -120,7 +120,7 @@ func TestSumMulKMatchesChain(t *testing.T) {
 // entries: the chain then recomputes almost everything, the n-ary walk uses
 // no table at all, and both must still meet at the same canonical nodes.
 func TestSumMulKTinyTables(t *testing.T) {
-	defer setTableMode(tablesPinnedMin)()
+	defer setTableMode(tablesTwoEntries)()
 	testSumKernels(t, 62)
 }
 

@@ -6,92 +6,60 @@ import "unsafe"
 // exact open-addressing map (hash consing must never alias distinct
 // nodes); the five operation caches are lossy — a collision merely
 // recomputes a result, which is deterministic and re-canonicalized by the
-// unique table, so correctness is unaffected by their size, their hash or
-// what a resize keeps. This is the classic BDD-package design (CUDD-style
-// computed tables): Go's generic maps spend most of the runtime in hashing
-// and GC scans.
+// unique table, so correctness is unaffected by their size or their hash.
+// This is the classic BDD-package design (CUDD-style computed tables): Go's
+// generic maps spend most of the runtime in hashing and GC scans.
 //
-// Three rules keep a table's cost proportional to what its manager does:
+// Three rules keep the computed tables cheap:
 //
-//   - Adaptive size. A table starts at a few KiB and doubles once it has
-//     taken as many inserts since its last resize as it has slots — by then
-//     it has been overwritten about once over — until it reaches its cap
-//     (the fixed geometry every manager used to be born with). Survivors
-//     are re-hashed into the doubled array, the fused table's sets in LRU
-//     order. A 40 K-node domain manager ends at 3.5 MB of computed tables;
-//     a kernel-bound run reaches the caps within its first million inserts
-//     per table and keeps their hit ratios.
+//   - One fixed, cache-sized geometry. New allocates every computed table
+//     with 2^cacheBits entries and nothing ever resizes it. The budgeted
+//     kernels are bound by the latency of each probe, not by what a table
+//     holds: tables that grew to 2^20 entries hit more often and still ran
+//     slower than these, which stay in a core's L2 (DESIGN.md §12 has the
+//     sweep).
 //   - Pointer-free entries. Every entry names nodes by id, results
 //     included; Manager.node resolves an id through the slab directory.
 //     The arrays are therefore allocated noscan: Go's collector neither
 //     walks them nor keeps anything alive through them. (Go zeroes every
 //     array it hands out and scans every pointer-carrying one in full, so
 //     a table costs its whole size whether or not it is ever touched.)
-//   - Reset in place. clear() empties the current array at its current
-//     size; nothing is re-allocated by ClearCaches or Manager.GC. Only
-//     TrimCaches, for a manager whose heavy work is over, goes back to the
-//     starting size.
+//   - Reset in place. clear() empties the arrays; nothing is re-allocated
+//     by ClearCaches or Manager.GC.
 
-const (
-	applyCacheBits   = 20 // caps: 1M entries
-	kreduceCacheBits = 19
-	// The fused table serves every k-budgeted kernel — binary applies AND
-	// the ternary multiply-accumulate, each keyed by k — so its key space
-	// is the largest of the operation caches: capped like the apply cache
-	// and organized as 2-way sets (below).
-	fusedCacheBits = 20
-	unaryCacheBits = 17
-
-	// Starting sizes. The fused table's minimum is one 2-entry set.
-	cacheStartBits      = 12
-	unaryCacheStartBits = 10
-)
+// cacheBits sizes all five computed tables: 8 K entries each, 1.1 MB
+// together.
+const cacheBits = 13
 
 // tableMode is a test hook, never set by library code: it overrides the
 // geometry New gives the computed tables, so tests can show that verdicts
 // do not depend on it (internal/difftest reaches it by go:linkname).
-var tableMode = tablesAdaptive
+var tableMode = tablesShipped
 
 const (
-	tablesAdaptive  = iota
-	tablesPinnedMin // 2 entries, never grow: every lookup past the first conflicts
-	tablesPinnedMax // born at the caps: the pre-adaptive geometry
-	tablesFromMin   // start at 2 entries and grow: every run crosses every resize
+	tablesShipped    = iota
+	tablesTwoEntries // every lookup past the first conflicts
+	tablesOldCaps    // the largest sizes the tables grew to before they were fixed
 )
 
-// lossy is the geometry shared by the computed tables.
-type lossy struct {
+// table is what the computed tables share: an array of a power-of-two
+// size, allocated once.
+type table[E any] struct {
 	mask    uint64 // len(entries) - 1
-	maxMask uint64 // mask at the cap
-	puts    uint64 // inserts since the last resize or clear
-	resizes uint64
+	entries []E
 }
 
-func newLossy(startBits, capBits int) lossy {
+// newTable makes a table of 2^cacheBits entries; oldBits is the table's
+// size under tablesOldCaps.
+func newTable[E any](oldBits int) table[E] {
+	bits := cacheBits
 	switch tableMode {
-	case tablesPinnedMin:
-		startBits, capBits = 1, 1
-	case tablesPinnedMax:
-		startBits = capBits
-	case tablesFromMin:
-		startBits = 1
+	case tablesTwoEntries:
+		bits = 1
+	case tablesOldCaps:
+		bits = oldBits
 	}
-	return lossy{mask: 1<<startBits - 1, maxMask: 1<<capBits - 1}
-}
-
-// due counts one insert and reports whether the table should double first.
-func (l *lossy) due() bool {
-	l.puts++
-	return l.puts > l.mask && l.mask < l.maxMask
-}
-
-// doubled updates the geometry for an array twice the current size and
-// returns that size.
-func (l *lossy) doubled() int {
-	l.mask = l.mask<<1 | 1
-	l.puts = 0
-	l.resizes++
-	return int(l.mask + 1)
+	return table[E]{mask: 1<<bits - 1, entries: make([]E, 1<<bits)}
 }
 
 // mix64 is a splitmix64-style finalizer.
@@ -204,16 +172,7 @@ type applyEntry struct {
 	res  uint64
 }
 
-type applyCache struct {
-	lossy
-	entries []applyEntry
-}
-
-func newApplyCache() *applyCache {
-	c := &applyCache{lossy: newLossy(cacheStartBits, applyCacheBits)}
-	c.entries = make([]applyEntry, c.mask+1)
-	return c
-}
+type applyCache struct{ table[applyEntry] }
 
 func (c *applyCache) slot(op opcode, f, g uint64) *applyEntry {
 	h := mix64(f<<6 ^ g ^ uint64(op)<<58)
@@ -229,20 +188,7 @@ func (c *applyCache) get(op opcode, f, g uint64) uint64 {
 }
 
 func (c *applyCache) put(op opcode, f, g, res uint64) {
-	if c.due() {
-		c.grow()
-	}
 	*c.slot(op, f, g) = applyEntry{f, g, op, res}
-}
-
-func (c *applyCache) grow() {
-	old := c.entries
-	c.entries = make([]applyEntry, c.doubled())
-	for _, e := range old {
-		if e.f != 0 {
-			*c.slot(e.op, e.f, e.g) = e
-		}
-	}
 }
 
 // --- kreduce cache (lossy, direct-mapped) ---
@@ -253,16 +199,7 @@ type kreduceEntry struct {
 	res uint64
 }
 
-type kreduceCache struct {
-	lossy
-	entries []kreduceEntry
-}
-
-func newKReduceCache() *kreduceCache {
-	c := &kreduceCache{lossy: newLossy(cacheStartBits, kreduceCacheBits)}
-	c.entries = make([]kreduceEntry, c.mask+1)
-	return c
-}
+type kreduceCache struct{ table[kreduceEntry] }
 
 func (c *kreduceCache) slot(f uint64, k int32) *kreduceEntry {
 	return &c.entries[mix64(f^uint64(k)<<48)&c.mask]
@@ -276,20 +213,7 @@ func (c *kreduceCache) get(f uint64, k int32) uint64 {
 }
 
 func (c *kreduceCache) put(f uint64, k int32, res uint64) {
-	if c.due() {
-		c.grow()
-	}
 	*c.slot(f, k) = kreduceEntry{f, k, res}
-}
-
-func (c *kreduceCache) grow() {
-	old := c.entries
-	c.entries = make([]kreduceEntry, c.doubled())
-	for _, e := range old {
-		if e.f != 0 {
-			*c.slot(e.f, e.k) = e
-		}
-	}
 }
 
 // --- fused-kernel cache (lossy, 2-way set-associative) ---
@@ -318,16 +242,7 @@ func (e *fusedEntry) is(op opcode, a, b, c uint64, k int32) bool {
 	return e.a == a && e.b == b && e.c == c && e.k == k && e.op == op
 }
 
-type fusedCache struct {
-	lossy
-	entries []fusedEntry
-}
-
-func newFusedCache() *fusedCache {
-	t := &fusedCache{lossy: newLossy(cacheStartBits, fusedCacheBits)}
-	t.entries = make([]fusedEntry, t.mask+1)
-	return t
-}
+type fusedCache struct{ table[fusedEntry] }
 
 // set returns the even index of the key's 2-entry set. Every key
 // component goes through its own odd multiplier before the finalizer:
@@ -354,35 +269,13 @@ func (t *fusedCache) get(op opcode, a, b, c uint64, k int32) uint64 {
 	return 0
 }
 
+// put makes the key its set's primary way, demoting the key it displaces.
 func (t *fusedCache) put(op opcode, a, b, c uint64, k int32, res uint64) {
-	if t.due() {
-		t.grow()
-	}
-	t.place(fusedEntry{a, b, c, k, op, res})
-}
-
-// place makes e its set's primary way, demoting the key it displaces.
-func (t *fusedCache) place(e fusedEntry) {
-	i := t.set(e.op, e.a, e.b, e.c, e.k)
-	if !t.entries[i].is(e.op, e.a, e.b, e.c, e.k) {
+	i := t.set(op, a, b, c, k)
+	if !t.entries[i].is(op, a, b, c, k) {
 		t.entries[i|1] = t.entries[i]
 	}
-	t.entries[i] = e
-}
-
-// grow re-places the survivors. A set's two keys land in one or two of
-// the new sets and no other set's keys join them, so placing the secondary
-// first leaves every new set in the old recency order.
-func (t *fusedCache) grow() {
-	old := t.entries
-	t.entries = make([]fusedEntry, t.doubled())
-	for i := 0; i < len(old); i += 2 {
-		for _, e := range [2]fusedEntry{old[i|1], old[i]} {
-			if e.a != 0 {
-				t.place(e)
-			}
-		}
-	}
+	t.entries[i] = fusedEntry{a, b, c, k, op, res}
 }
 
 // --- unary caches (Not, Range; lossy, direct-mapped) ---
@@ -392,16 +285,7 @@ type unaryEntry struct {
 	res uint64
 }
 
-type unaryCache struct {
-	lossy
-	entries []unaryEntry
-}
-
-func newUnaryCache() *unaryCache {
-	c := &unaryCache{lossy: newLossy(unaryCacheStartBits, unaryCacheBits)}
-	c.entries = make([]unaryEntry, c.mask+1)
-	return c
-}
+type unaryCache struct{ table[unaryEntry] }
 
 func (c *unaryCache) get(f uint64) uint64 {
 	if e := &c.entries[mix64(f)&c.mask]; e.f == f {
@@ -411,20 +295,7 @@ func (c *unaryCache) get(f uint64) uint64 {
 }
 
 func (c *unaryCache) put(f, res uint64) {
-	if c.due() {
-		c.grow()
-	}
 	c.entries[mix64(f)&c.mask] = unaryEntry{f, res}
-}
-
-func (c *unaryCache) grow() {
-	old := c.entries
-	c.entries = make([]unaryEntry, c.doubled())
-	for _, e := range old {
-		if e.f != 0 {
-			c.entries[mix64(e.f)&c.mask] = e
-		}
-	}
 }
 
 type rangeEntry struct {
@@ -432,16 +303,7 @@ type rangeEntry struct {
 	lo, hi float64
 }
 
-type rangeCache struct {
-	lossy
-	entries []rangeEntry
-}
-
-func newRangeCache() *rangeCache {
-	c := &rangeCache{lossy: newLossy(unaryCacheStartBits, unaryCacheBits)}
-	c.entries = make([]rangeEntry, c.mask+1)
-	return c
-}
+type rangeCache struct{ table[rangeEntry] }
 
 func (c *rangeCache) get(f uint64) (lo, hi float64, ok bool) {
 	e := &c.entries[mix64(f)&c.mask]
@@ -452,51 +314,29 @@ func (c *rangeCache) get(f uint64) (lo, hi float64, ok bool) {
 }
 
 func (c *rangeCache) put(f uint64, lo, hi float64) {
-	if c.due() {
-		c.grow()
-	}
 	c.entries[mix64(f)&c.mask] = rangeEntry{f, lo, hi}
 }
 
-func (c *rangeCache) grow() {
-	old := c.entries
-	c.entries = make([]rangeEntry, c.doubled())
-	for _, e := range old {
-		if e.f != 0 {
-			c.entries[mix64(e.f)&c.mask] = e
-		}
-	}
+// newTables gives m its five computed tables; each size given is the one
+// the table grew to before the geometry was fixed.
+func (m *Manager) newTables() {
+	m.applyTbl = applyCache{newTable[applyEntry](20)}
+	m.fusedTbl = fusedCache{newTable[fusedEntry](20)}
+	m.kreduceTbl = kreduceCache{newTable[kreduceEntry](19)}
+	m.negTbl = unaryCache{newTable[unaryEntry](17)}
+	m.rangeTbl = rangeCache{newTable[rangeEntry](17)}
 }
 
-// clearTables empties every computed table in place, at its current size.
+// clearTables empties every computed table in place.
 func (m *Manager) clearTables() {
 	clear(m.applyTbl.entries)
 	clear(m.negTbl.entries)
 	clear(m.kreduceTbl.entries)
 	clear(m.fusedTbl.entries)
 	clear(m.rangeTbl.entries)
-	for _, l := range m.lossyTables() {
-		l.puts = 0
-	}
 }
 
-// trimTables replaces every computed table with an empty one of its starting
-// size; the resize tallies are lifetime counters and carry over.
-func (m *Manager) trimTables() {
-	old := m.lossyTables()
-	m.applyTbl, m.negTbl, m.kreduceTbl = newApplyCache(), newUnaryCache(), newKReduceCache()
-	m.fusedTbl, m.rangeTbl = newFusedCache(), newRangeCache()
-	for i, l := range m.lossyTables() {
-		l.resizes = old[i].resizes
-	}
-}
-
-func (m *Manager) lossyTables() [5]*lossy {
-	return [5]*lossy{&m.applyTbl.lossy, &m.negTbl.lossy, &m.kreduceTbl.lossy, &m.fusedTbl.lossy, &m.rangeTbl.lossy}
-}
-
-// tableBytes is what the five computed tables and the unique table hold
-// right now; tableResizes how many times a computed table has doubled.
+// tableBytes is what the five computed tables and the unique table hold.
 func (m *Manager) tableBytes() uint64 {
 	return bytesOf(m.unique.entries) + bytesOf(m.applyTbl.entries) + bytesOf(m.negTbl.entries) +
 		bytesOf(m.kreduceTbl.entries) + bytesOf(m.fusedTbl.entries) + bytesOf(m.rangeTbl.entries)
@@ -505,11 +345,4 @@ func (m *Manager) tableBytes() uint64 {
 func bytesOf[E any](entries []E) uint64 {
 	var e E
 	return uint64(len(entries)) * uint64(unsafe.Sizeof(e))
-}
-
-func (m *Manager) tableResizes() (n uint64) {
-	for _, l := range m.lossyTables() {
-		n += l.resizes
-	}
-	return n
 }

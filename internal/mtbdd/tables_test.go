@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // setTableMode overrides the computed tables' geometry for managers made
@@ -17,19 +18,16 @@ func setTableMode(mode int) (restore func()) {
 // The fused cache's 2-way sets must behave like a tiny LRU: an insert
 // demotes the set's primary into the secondary way instead of evicting
 // it, and a secondary hit promotes back. These tests pin that contract
-// with two keys forced into the same set — of the table as made, and of
-// the table after a doubling has moved them (beforeAndAfterDoubling).
+// with two keys forced into the same set, on the table as New makes it and
+// on a table of one set (onEachGeometry).
 
-// sameSetKeys returns two distinct (a,k) fused keys that map to one set
-// at the table's current size and at twice that size.
+// sameSetKeys returns two distinct (a,k) fused keys that map to one set.
 func sameSetKeys(t *testing.T, c *fusedCache) (fusedEntry, fusedEntry) {
 	t.Helper()
-	big := fusedCache{lossy: lossy{mask: c.mask<<1 | 1}}
 	first := fusedEntry{a: 1, b: 2, c: 0, k: 1, op: opAdd}
-	want, wantBig := c.set(first.op, first.a, first.b, first.c, first.k), big.set(first.op, first.a, first.b, first.c, first.k)
 	for a := uint64(2); a < 1<<24; a++ {
-		if c.set(opAdd, a, 2, 0, 1) == want && big.set(opAdd, a, 2, 0, 1) == wantBig {
-			return first, fusedEntry{a: a, b: 2, c: 0, k: 1, op: opAdd}
+		if second := (fusedEntry{a: a, b: 2, c: 0, k: 1, op: opAdd}); c.setOf(second) == c.setOf(first) {
+			return first, second
 		}
 	}
 	t.Fatal("no colliding key found")
@@ -40,36 +38,27 @@ func (t *fusedCache) putKey(e fusedEntry, res uint64) { t.put(e.op, e.a, e.b, e.
 func (t *fusedCache) getKey(e fusedEntry) uint64      { return t.get(e.op, e.a, e.b, e.c, e.k) }
 func (t *fusedCache) setOf(e fusedEntry) uint64       { return t.set(e.op, e.a, e.b, e.c, e.k) }
 
-// beforeAndAfterDoubling runs check on a fresh fused table twice: with
-// fill called on the table as made, and with a doubling between fill and
-// check.
-func beforeAndAfterDoubling(t *testing.T, fill func(c *fusedCache, k1, k2 fusedEntry), check func(t *testing.T, c *fusedCache, k1, k2 fusedEntry)) {
-	for _, grow := range []bool{false, true} {
-		name := "as-made"
-		if grow {
-			name = "doubled"
-		}
-		t.Run(name, func(t *testing.T) {
-			c := newFusedCache()
+// onEachGeometry runs test on the fused table of a new manager with the
+// shipped geometry and with 2 entries (a single set), handing it two keys
+// of one set.
+func onEachGeometry(t *testing.T, test func(t *testing.T, c *fusedCache, k1, k2 fusedEntry)) {
+	for _, g := range []struct {
+		name string
+		mode int
+	}{{"as-made", tablesShipped}, {"one-set", tablesTwoEntries}} {
+		t.Run(g.name, func(t *testing.T) {
+			defer setTableMode(g.mode)()
+			c := &New().fusedTbl
 			k1, k2 := sameSetKeys(t, c)
-			fill(c, k1, k2)
-			if grow {
-				size := len(c.entries)
-				c.grow()
-				if len(c.entries) != 2*size || c.resizes != 1 {
-					t.Fatalf("grow: %d -> %d entries, %d resizes", size, len(c.entries), c.resizes)
-				}
-			}
-			check(t, c, k1, k2)
+			test(t, c, k1, k2)
 		})
 	}
 }
 
 func TestFusedCacheKeepsBothWaysOfASet(t *testing.T) {
-	beforeAndAfterDoubling(t, func(c *fusedCache, k1, k2 fusedEntry) {
+	onEachGeometry(t, func(t *testing.T, c *fusedCache, k1, k2 fusedEntry) {
 		c.putKey(k1, 101)
 		c.putKey(k2, 102)
-	}, func(t *testing.T, c *fusedCache, k1, k2 fusedEntry) {
 		// Direct mapping would have evicted k1; 2-way keeps both.
 		if got := c.getKey(k1); got != 101 {
 			t.Fatalf("first key lost after colliding insert: %v", got)
@@ -81,11 +70,10 @@ func TestFusedCacheKeepsBothWaysOfASet(t *testing.T) {
 }
 
 func TestFusedCachePromotionProtectsHotKey(t *testing.T) {
-	beforeAndAfterDoubling(t, func(c *fusedCache, k1, k2 fusedEntry) {
+	onEachGeometry(t, func(t *testing.T, c *fusedCache, k1, k2 fusedEntry) {
 		c.putKey(k1, 101)
 		c.putKey(k2, 102) // k1 demoted to secondary
 		c.getKey(k1)      // promote k1 back
-	}, func(t *testing.T, c *fusedCache, k1, k2 fusedEntry) {
 		i := c.setOf(k1)
 		if !c.entries[i].is(k1.op, k1.a, k1.b, k1.c, k1.k) {
 			t.Fatal("the promoted key is not its set's primary way")
@@ -112,7 +100,7 @@ func TestFusedCachePromotionProtectsHotKey(t *testing.T) {
 
 func TestFusedCacheBinaryTernarySeparation(t *testing.T) {
 	// Same operands under a binary op and the ternary op must not alias.
-	c := newFusedCache()
+	c := &New().fusedTbl
 	c.put(opAdd, 5, 6, 0, 2, 7)
 	c.put(opMulAdd, 5, 6, 0, 2, 8)
 	if got := c.get(opAdd, 5, 6, 0, 2); got != 7 {
@@ -138,109 +126,56 @@ func TestTableEntriesHoldNoPointers(t *testing.T) {
 	}
 }
 
-// TestTablesGrowWithUseAndStopAtTheCap: a table doubles once it has taken
-// as many inserts as it has slots, keeps what it held, and never passes its
-// cap; ClearCaches empties it without shrinking or re-allocating it.
-func TestTablesGrowWithUseAndStopAtTheCap(t *testing.T) {
-	c := newApplyCache()
-	start := len(c.entries)
-	if start != 1<<cacheStartBits {
-		t.Fatalf("a fresh apply cache has %d entries, want %d", start, 1<<cacheStartBits)
-	}
-	for f := uint64(1); f < uint64(start); f++ {
-		c.put(opAdd, f, f+1, f+2)
-	}
-	if len(c.entries) != start {
-		t.Fatalf("grew after %d inserts into %d slots", start-1, start)
-	}
-	held := 0
-	for f := uint64(1); f < uint64(start); f++ {
-		if c.get(opAdd, f, f+1) == f+2 {
-			held++
-		}
-	}
-	c.put(opAdd, 1, 2, 3)
-	if len(c.entries) != 2*start || c.resizes != 1 {
-		t.Fatalf("%d entries, %d resizes after %d inserts", len(c.entries), c.resizes, start)
-	}
-	kept := 0
-	for f := uint64(1); f < uint64(start); f++ {
-		if c.get(opAdd, f, f+1) == f+2 {
-			kept++
-		}
-	}
-	if kept < held {
-		t.Fatalf("the doubling dropped entries: %d held before, %d after", held, kept)
-	}
-	for f := uint64(1); f < 5<<applyCacheBits; f++ {
-		c.put(opMul, f, f, f)
-	}
-	if len(c.entries) != 1<<applyCacheBits {
-		t.Fatalf("%d entries after %d inserts, want the cap %d", len(c.entries), 5<<applyCacheBits, 1<<applyCacheBits)
-	}
-
+// TestTablesKeepTheirGeometry: New sizes the computed tables once. However
+// much a manager computes they keep that size and the arrays they were
+// born with, and ClearCaches empties those arrays in place.
+func TestTablesKeepTheirGeometry(t *testing.T) {
 	m := newMgr(t, 8)
-	r := rand.New(rand.NewSource(71))
-	defer setTableMode(tablesFromMin)()
-	small := newMgr(t, 8)
-	for _, m := range []*Manager{m, small} {
-		for i := 0; i < 20; i++ {
-			m.KReduce(m.MulAddK(randomMTBDD(m, r, 8, 5), randomGuard(m, r, 8, 4), randomMTBDD(m, r, 8, 5), 2), 1)
-		}
-	}
-	before := small.Stats()
-	if before.CacheResizes == 0 || before.CacheBytes >= m.Stats().CacheBytes {
-		t.Fatalf("tables born at 2 entries: %d resizes, %d bytes (default geometry %d bytes)",
-			before.CacheResizes, before.CacheBytes, m.Stats().CacheBytes)
-	}
-	arrays := small.fusedTbl.entries
-	small.ClearCaches()
-	if after := small.Stats(); after.CacheBytes != before.CacheBytes || after.CacheResizes != before.CacheResizes {
-		t.Fatalf("ClearCaches changed the geometry: %+v -> %+v", before, after)
-	}
-	if &arrays[0] != &small.fusedTbl.entries[0] {
-		t.Fatal("ClearCaches re-allocated the fused table")
-	}
-	for _, e := range small.fusedTbl.entries {
-		if e != (fusedEntry{}) {
-			t.Fatal("ClearCaches left an entry behind")
-		}
-	}
-}
-
-// TestTrimCachesReturnsToTheStartingSize: TrimCaches gives a manager whose
-// tables have grown the computed tables of a new one — the unique table, and
-// with it every node, stays — keeps the lifetime resize tally, and what is
-// computed afterwards is the same canonical node.
-func TestTrimCachesReturnsToTheStartingSize(t *testing.T) {
-	m := newMgr(t, 8)
-	fresh := m.Stats()
+	computedBytes := func() uint64 { return m.Stats().CacheBytes - bytesOf(m.unique.entries) }
+	fresh, arrays := computedBytes(), tableArrays(m)
 	r := rand.New(rand.NewSource(72))
 	var last, a, b, c *Node
 	for i := 0; i < 200; i++ {
 		a, b, c = randomMTBDD(m, r, 8, 6), randomGuard(m, r, 8, 5), randomMTBDD(m, r, 8, 6)
 		last = m.KReduce(m.MulAddK(a, b, c, 2), 1)
 	}
-	grown := m.Stats()
-	if grown.CacheResizes == 0 || grown.CacheBytes <= fresh.CacheBytes {
-		t.Fatalf("the workload did not grow the tables: %d resizes, %d -> %d bytes", grown.CacheResizes, fresh.CacheBytes, grown.CacheBytes)
+	if got := computedBytes(); got != fresh {
+		t.Errorf("computed tables hold %d bytes after 200 rounds, a new manager's hold %d", got, fresh)
 	}
-	uniqueBytes := func() uint64 { return bytesOf(m.unique.entries) }
-	freshComputed, grownUnique := fresh.CacheBytes-bytesOf(newUniqueTable().entries), uniqueBytes()
-	m.TrimCaches()
-	after := m.Stats()
-	if got := after.CacheBytes - uniqueBytes(); got != freshComputed {
-		t.Errorf("computed tables hold %d bytes after TrimCaches, a new manager's hold %d", got, freshComputed)
+	if got := tableArrays(m); got != arrays {
+		t.Errorf("a computed table was re-allocated: arrays %v, born with %v", got, arrays)
 	}
-	if uniqueBytes() != grownUnique || after.Live != grown.Live {
-		t.Errorf("TrimCaches touched the unique table: %d -> %d bytes, %d -> %d live", grownUnique, uniqueBytes(), grown.Live, after.Live)
+	before := tableArrays(m)
+	m.ClearCaches()
+	if got := tableArrays(m); got != before {
+		t.Errorf("ClearCaches re-allocated a computed table: arrays %v, before %v", got, before)
 	}
-	if after.CacheResizes != grown.CacheResizes {
-		t.Errorf("TrimCaches reset the resize tally: %d -> %d", grown.CacheResizes, after.CacheResizes)
+	if !empty(m.applyTbl.entries) || !empty(m.negTbl.entries) || !empty(m.kreduceTbl.entries) ||
+		!empty(m.fusedTbl.entries) || !empty(m.rangeTbl.entries) {
+		t.Error("ClearCaches left an entry behind")
 	}
 	if got := m.KReduce(m.MulAddK(a, b, c, 2), 1); got != last {
-		t.Error("recomputing after TrimCaches built a different node")
+		t.Error("recomputing after ClearCaches built a different node")
 	}
+}
+
+// tableArrays names the backing array of each computed table.
+func tableArrays(m *Manager) [5]unsafe.Pointer {
+	return [5]unsafe.Pointer{
+		unsafe.Pointer(unsafe.SliceData(m.applyTbl.entries)), unsafe.Pointer(unsafe.SliceData(m.negTbl.entries)),
+		unsafe.Pointer(unsafe.SliceData(m.kreduceTbl.entries)), unsafe.Pointer(unsafe.SliceData(m.fusedTbl.entries)),
+		unsafe.Pointer(unsafe.SliceData(m.rangeTbl.entries)),
+	}
+}
+
+func empty[E comparable](entries []E) bool {
+	var zero E
+	for _, e := range entries {
+		if e != zero {
+			return false
+		}
+	}
+	return true
 }
 
 // TestCachedIDsNeverNameAReleasedSlab: the tables hold ids that
@@ -297,24 +232,18 @@ func TestCachedIDsNeverNameAReleasedSlab(t *testing.T) {
 }
 
 // TestKernelsAcrossTableGrowth re-runs the kernel contract tests on
-// managers whose tables are born with 2 entries, so every lookup of every
-// test sits on a growth path, and on managers pinned there, where all but
-// the last insert has been evicted.
+// managers whose tables hold 2 entries, where all but the last insert has
+// been evicted and almost every lookup misses.
 func TestKernelsAcrossTableGrowth(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		mode int
-	}{{"from-2-entries", tablesFromMin}, {"pinned-at-2-entries", tablesPinnedMin}} {
-		t.Run(mode.name, func(t *testing.T) {
-			defer setTableMode(mode.mode)()
-			t.Run("BinaryKernels", TestFusedBinaryKernelsMatchComposed)
-			t.Run("EvalAgreement", TestFusedKernelEvalAgreement)
-			t.Run("EdgeBudgets", TestFusedKernelsEdgeBudgets)
-			t.Run("MulAdd", TestMulAddMatchesComposed)
-			t.Run("MulAddK", TestMulAddKMatchesComposed)
-			t.Run("AddN", TestAddNMatchesFold)
-			t.Run("AddNK", TestAddNKMatchesComposed)
-			t.Run("AfterGC", TestFusedKernelsAfterGC)
-		})
-	}
+	t.Run("pinned-at-2-entries", func(t *testing.T) {
+		defer setTableMode(tablesTwoEntries)()
+		t.Run("BinaryKernels", TestFusedBinaryKernelsMatchComposed)
+		t.Run("EvalAgreement", TestFusedKernelEvalAgreement)
+		t.Run("EdgeBudgets", TestFusedKernelsEdgeBudgets)
+		t.Run("MulAdd", TestMulAddMatchesComposed)
+		t.Run("MulAddK", TestMulAddKMatchesComposed)
+		t.Run("AddN", TestAddNMatchesFold)
+		t.Run("AddNK", TestAddNKMatchesComposed)
+		t.Run("AfterGC", TestFusedKernelsAfterGC)
+	})
 }

@@ -19,9 +19,9 @@ type CacheCounters struct {
 // mirrored from mtbdd.Stats without importing it (obs is a leaf
 // package). Caches is keyed by cache name: apply, kreduce, neg, range,
 // fused. CacheBytes is what the manager's unique table and
-// computed tables held when it was recorded — they grow with use, so it
-// says what the manager cost, not what it was born with — and
-// CacheResizes how many doublings got them there.
+// computed tables held when it was recorded — the unique table grows with
+// the live nodes, so it says what the manager cost, not what it was born
+// with.
 type ManagerStats struct {
 	Name         string                   `json:"name"`
 	Created      int                      `json:"created"`
@@ -32,7 +32,6 @@ type ManagerStats struct {
 	FusionCuts   uint64                   `json:"fusion_cuts"`
 	MaxProbe     int                      `json:"max_probe"`
 	CacheBytes   uint64                   `json:"cache_bytes"`
-	CacheResizes uint64                   `json:"cache_resizes"`
 	Caches       map[string]CacheCounters `json:"caches"`
 }
 
@@ -93,8 +92,8 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	if len(s.Managers) > 0 {
 		fmt.Fprintf(w, "managers:\n")
 		for _, m := range s.Managers {
-			fmt.Fprintf(w, "  %-20s created %d live %d peak %d gc %d kreduce-calls %d tables %.1f MB (%d resizes)\n",
-				m.Name, m.Created, m.Live, m.PeakLive, m.GCRuns, m.KReduceCalls, float64(m.CacheBytes)/(1<<20), m.CacheResizes)
+			fmt.Fprintf(w, "  %-20s created %d live %d peak %d gc %d kreduce-calls %d tables %.1f MB\n",
+				m.Name, m.Created, m.Live, m.PeakLive, m.GCRuns, m.KReduceCalls, float64(m.CacheBytes)/(1<<20))
 		}
 	}
 	if len(s.Counters) > 0 {

@@ -596,11 +596,10 @@ type Built struct {
 func (b *Built) record() { core.RecordManager(b.opts.Obs, "primary", b.mgr) }
 
 // Trim releases what only the build needed — the execution engine's step
-// caches, the route-simulation result, the size the manager's operation
-// caches grew to — and makes the manager collect its garbage, the symbolic
-// traffic fractions as roots, whenever live nodes pass four times what is
-// left (at least 64 K). Call it once, before keeping a Built around for
-// checks to come; results do not change.
+// caches and the route-simulation result — and makes the manager collect
+// its garbage, the symbolic traffic fractions as roots, whenever live nodes
+// pass four times what is left (at least 64 K). Call it once, before keeping
+// a Built around for checks to come; results do not change.
 func (b *Built) Trim() {
 	b.opts.STFCache = nil // consulted by the build only; it may hold hashes of every guard
 	if b.ver != nil {
