@@ -115,8 +115,8 @@ func TestBuiltChecksUnderTheirOwnContexts(t *testing.T) {
 }
 
 // TestBuiltChecksLeaveOneRecordPerManager: a kept build checked again and
-// again on the shard pool holds one obs record per manager name — the latest —
-// not one more per shard per check.
+// again holds one obs record per manager name — the latest — not one more per
+// check, and that record is the manager as the last check left it.
 func TestBuiltChecksLeaveOneRecordPerManager(t *testing.T) {
 	n, err := yu.LoadString(paperex.Motivating)
 	if err != nil {
@@ -124,44 +124,37 @@ func TestBuiltChecksLeaveOneRecordPerManager(t *testing.T) {
 	}
 	props := motivatingPortfolio(t, n)
 	reg := yu.NewMetrics()
-	b, err := n.Build(yu.VerifyOptions{K: 1, OverloadFactor: 0.95, Workers: 2, Obs: reg})
+	b, err := n.Build(yu.VerifyOptions{K: 1, OverloadFactor: 0.95, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	managers := func() map[string]int {
+	primaryLive := func() int {
 		t.Helper()
-		got := map[string]int{}
-		for _, m := range reg.Snapshot().Managers {
-			if _, dup := got[m.Name]; dup {
-				t.Fatalf("two records named %s", m.Name)
-			}
-			got[m.Name] = m.Created
+		ms := reg.Snapshot().Managers
+		if len(ms) != 1 || ms[0].Name != "primary" {
+			t.Fatalf("manager records %+v, want the primary's alone", ms)
 		}
-		return got
+		return ms[0].Live
 	}
 	for i := 0; i < 100; i++ {
 		if _, err := b.Verify(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 100; i++ {
 		if _, err := b.VerifyPortfolio(context.Background(), props); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := managers()
-	delete(before, "exec-shard.0")
-	delete(before, "exec-shard.1")
-	if len(before) != 3 || before["primary"] == 0 || before["check-shard.0"] == 0 || before["check-shard.1"] == 0 {
-		t.Fatalf("managers after 200 checks: %v, want primary and two check shards", before)
+	if got := primaryLive(); got != b.LiveNodes() {
+		t.Fatalf("the primary's record holds %d live nodes, the manager %d", got, b.LiveNodes())
 	}
-	// The latest snapshot wins: a one-plan portfolio (the delivered bound) is
-	// checked on the primary manager, which has built no load so far.
+	// The latest snapshot wins: a check after a collection records the
+	// collected manager.
+	b.Collect()
 	if _, err := b.VerifyPortfolio(context.Background(), props[2:3]); err != nil {
 		t.Fatal(err)
 	}
-	if after := managers(); after["primary"] <= before["primary"] {
-		t.Fatalf("primary records %d created nodes after a check on it, %d before", after["primary"], before["primary"])
+	if got := primaryLive(); got != b.LiveNodes() {
+		t.Fatalf("after a collection the primary's record holds %d live nodes, the manager %d", got, b.LiveNodes())
 	}
 }
 

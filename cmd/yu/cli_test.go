@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -233,27 +230,50 @@ func TestRunVerifyStatsListsManagers(t *testing.T) {
 	}
 }
 
-// TestRunVerifyStatsWorkersLine: on a multi-worker run -stats says what the
-// shard pool did — workers spawned, chunks, each worker's busy share of the
-// execute stage, classes imported, checks per shard.
+// TestRunVerifyStatsWorkersLine: -workers is parsed and ignored. -stats at
+// -workers 2 prints no workers: line and the run's execute: and check: lines
+// as at -workers 1, and every testdata spec gives the same canonical report at
+// -workers 1 and 4.
 func TestRunVerifyStatsWorkersLine(t *testing.T) {
-	cfg, err := parseVerifyFlags([]string{"-stats", "-workers", "2", "-overload", "2", testSpec}, flag.ContinueOnError)
-	if err != nil {
-		t.Fatal(err)
+	run := func(args ...string) (int, string) {
+		t.Helper()
+		cfg, err := parseVerifyFlags(args, flag.ContinueOnError)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := runVerify(cfg, &stdout, &stderr)
+		return code, stdout.String()
 	}
-	var stdout, stderr bytes.Buffer
-	if code := runVerify(cfg, &stdout, &stderr); code != 0 {
-		t.Fatalf("runVerify = %d, stderr:\n%s", code, &stderr)
+	counts := func(stats string) string {
+		var keep []string
+		for _, line := range strings.Split(stats, "\n") {
+			if strings.HasPrefix(line, "execute: ") || strings.HasPrefix(line, "flows: ") {
+				keep = append(keep, line)
+			} else if strings.HasPrefix(line, "check: ") {
+				keep = append(keep, line[:strings.Index(line, ", aggregation ")])
+			}
+		}
+		return strings.Join(keep, "\n")
 	}
-	line := regexp.MustCompile(`(?m)^workers: 2 spawned, 2 chunks; busy \d+% \d+% of execute; 2 classes imported; links checked per shard (\d+) (\d+)$`)
-	m := line.FindSubmatch(stdout.Bytes())
-	if m == nil {
-		t.Fatalf("-stats -workers 2 has no workers: line of the expected shape:\n%s", &stdout)
+	_, one := run("-stats", "-workers", "1", "-overload", "2", testSpec)
+	_, two := run("-stats", "-workers", "2", "-overload", "2", testSpec)
+	if strings.Contains(two, "workers:") {
+		t.Errorf("-stats -workers 2 has a workers: line:\n%s", two)
 	}
-	a, _ := strconv.Atoi(string(m[1]))
-	b, _ := strconv.Atoi(string(m[2]))
-	if !bytes.Contains(stdout.Bytes(), []byte(fmt.Sprintf("check: %d loads: ", a+b))) {
-		t.Errorf("the shards checked %d + %d links, the check: line says otherwise:\n%s", a, b, &stdout)
+	if counts(one) == "" || counts(two) != counts(one) {
+		t.Errorf("-workers 2 counts\n%s\n-workers 1 counts\n%s", counts(two), counts(one))
+	}
+	specs, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.yu"))
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no testdata specs: %v", err)
+	}
+	for _, spec := range specs {
+		code1, out1 := run("-canon", "-overload", "0.95", "-workers", "1", spec)
+		code4, out4 := run("-canon", "-overload", "0.95", "-workers", "4", spec)
+		if code1 != code4 || out1 != out4 {
+			t.Errorf("%s: -workers 4 exits %d with\n%s-workers 1 exits %d with\n%s", filepath.Base(spec), code4, out4, code1, out1)
+		}
 	}
 }
 
@@ -335,7 +355,7 @@ func TestRunVerifyNotConverged(t *testing.T) {
 
 // TestRunVerifySubPrefix: on the sub-prefix gadgets (a delivered bound that
 // cuts through a global-equivalence class) the symbolic paths of the CLI —
-// default, four workers, two auto-domains, and the spec's own tlp lines
+// default, two auto-domains, and the spec's own tlp lines
 // through -tlp — exit as concrete enumeration does and name the same
 // violated bounds.
 func TestRunVerifySubPrefix(t *testing.T) {
@@ -361,7 +381,7 @@ func TestRunVerifySubPrefix(t *testing.T) {
 	}
 	for _, spec := range specs {
 		wantCode, want := run("-engine", "enumerate", spec)
-		for _, args := range [][]string{{}, {"-workers", "4"}, {"-auto-domains", "2"}} {
+		for _, args := range [][]string{{}, {"-auto-domains", "2"}} {
 			if code, got := run(append(args, spec)...); code != wantCode || got != want {
 				t.Errorf("%s %v: exit %d with\n%s\nenumeration exits %d with\n%s", filepath.Base(spec), args, code, got, wantCode, want)
 			}

@@ -131,7 +131,7 @@ func parseVerifyFlags(args []string, eh flag.ErrorHandling) (*verifyConfig, erro
 	})
 	fs.BoolVar(&cfg.noKReduce, "no-kreduce", false, "disable k-failure MTBDD reduction (ablation)")
 	fs.BoolVar(&cfg.noEquiv, "no-equiv", false, "disable flow equivalence reductions (ablation)")
-	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "parallel workers for the yu engine (1 = sequential)")
+	fs.IntVar(&cfg.workers, "workers", 1, "accepted for old scripts and ignored: every run is single-worker")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "abort verification after this duration (0 = none)")
 	fs.IntVar(&cfg.maxNodes, "max-nodes", 0, "live MTBDD node budget (0 = unlimited)")
 	fs.Func("on-budget", "node-budget policy: fail (typed error) or degrade (concrete fallback) (default fail)", func(s string) error {
@@ -416,7 +416,6 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 		}
 		printRouteSim(stdout, snap)
 		printExecute(stdout, snap)
-		printWorkers(stdout, snap)
 		printCheck(stdout, snap)
 		if rep.Scenarios > 0 {
 			fmt.Fprintf(stdout, "scenarios simulated: %d\n", rep.Scenarios)
@@ -468,10 +467,10 @@ func printRouteSim(w io.Writer, snap *yu.MetricsSnapshot) {
 // global-equivalence classes a symbolic execution built an STF for and how
 // many took the STF of an earlier class with the same behaviour, how many
 // forwarding classes the destination prefixes fall into, and how often a
-// forwarding step was built rather than found. On a multi-worker run every
-// worker's engine classifies prefixes and builds steps of its own, so the
-// last four numbers sum over workers. Runs that execute nothing symbolically
-// print nothing.
+// forwarding step was built rather than found. On a compositional run every
+// domain's engine classifies prefixes and builds steps of its own, so the
+// last four numbers sum over the engines. Runs that execute nothing
+// symbolically print nothing.
 func printExecute(w io.Writer, snap *yu.MetricsSnapshot) {
 	c := snap.Counters
 	executed, shared := c["exec.flows_executed"], c["exec.classes_shared"]
@@ -481,42 +480,6 @@ func printExecute(w io.Writer, snap *yu.MetricsSnapshot) {
 	fmt.Fprintf(w, "execute: %d classes: %d executed, %d shared; %d forwarding classes over %d prefixes; %d steps built, %d shared\n",
 		executed+shared, executed, shared, c["exec.forwarding_classes"], c["exec.prefixes"],
 		c["exec.steps_built"], c["exec.steps_shared"])
-}
-
-// printWorkers renders what a multi-worker run's shard pool did: the
-// goroutines execution spawned and the class-order chunks they took off the
-// cursor, the share of the execute stage each spent executing, how many
-// finished classes the primary manager imported from them, and how many
-// checks each check shard ran. A run that spawned one worker or none prints
-// nothing.
-func printWorkers(w io.Writer, snap *yu.MetricsSnapshot) {
-	c := snap.Counters
-	spawned := int(c["sched.workers_spawned"])
-	if spawned <= 1 {
-		return
-	}
-	execMS := 0.0
-	for _, p := range snap.Phases {
-		if p.Path == "execute" {
-			execMS = p.MS
-		}
-	}
-	var busy, checked []string
-	for i := 0; i < spawned; i++ {
-		busy = append(busy, fmt.Sprintf("%.0f%%", 100*snap.TimersMS[fmt.Sprintf("worker.%d.busy", i)].MS/execMS))
-	}
-	for i := 0; ; i++ {
-		n, ok := c[fmt.Sprintf("worker.%d.links_checked", i)]
-		if !ok {
-			break
-		}
-		checked = append(checked, fmt.Sprint(n))
-	}
-	if checked == nil {
-		checked = []string{"none"}
-	}
-	fmt.Fprintf(w, "workers: %d spawned, %d chunks; busy %s of execute; %d classes imported; links checked per shard %s\n",
-		spawned, c["sched.chunks"], strings.Join(busy, " "), c["exec.classes_imported"], strings.Join(checked, " "))
 }
 
 // printCheck renders the check stage's own account of a run: how many loads

@@ -1,8 +1,8 @@
 // Command yudiff drives the differential-testing battery over seeded
 // random networks. Each case is generated by internal/difftest and pushed
 // through every oracle (symbolic-vs-concrete loads, violation-set
-// equality, parallel-vs-sequential determinism, monotonicity in k,
-// KREDUCE soundness, witness re-validation, spec round-trip). On the
+// equality, global-equivalence sharing, monotonicity in k, KREDUCE
+// soundness, witness re-validation, spec round-trip). On the
 // first disagreement, the case is shrunk to a 1-minimal reproducer and
 // printed as a config-DSL spec.
 //

@@ -53,7 +53,8 @@ import (
 
 // Options configures a compositional build. K is the KReduce budget
 // (use -1 with CheckK set for the no-reduction ablation), mirroring the
-// monolithic pipeline's conventions.
+// monolithic pipeline's conventions. Workers is accepted and ignored: the
+// check engine executes and checks on one manager.
 type Options struct {
 	K        int
 	CheckK   int
@@ -482,6 +483,6 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 		rsCheck = routesim.EmptyResult(fvCheck)
 	}
 	eng := core.NewEngine(rsCheck, engOpts(opts.MaxNodes, opts.OnBudget, cfgs))
-	ver := core.NewAssembledVerifier(eng, flows, opts.Workers, sealed, contained)
+	ver := core.NewAssembledVerifier(eng, flows, sealed, contained)
 	return &Built{Verifier: ver, Engine: eng, Stats: st}, nil
 }

@@ -63,7 +63,7 @@ func checked(t testing.TB, spec *config.Spec, b *compose.Built) string {
 
 func monolithic(t testing.TB, spec *config.Spec) string {
 	t.Helper()
-	rep, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{OverloadFactor: overload, Workers: 1})
+	rep, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{OverloadFactor: overload})
 	if err != nil {
 		t.Fatalf("monolithic Verify: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestBuildContainsIntraDomainTraffic(t *testing.T) {
 		rs.BGPRecomputed < rs.BGPEntries || rs.BGPRecomputed >= rs.BGPRounds*rs.BGPEntries {
 		t.Errorf("route-sim stats summed over the domains: %+v", rs)
 	}
-	monoRep, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{OverloadFactor: overload, Workers: 1})
+	monoRep, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{OverloadFactor: overload})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,10 @@
 // STFs that change managers, and the check engine of compositional
-// verification (DESIGN.md §8, §17).
+// verification (DESIGN.md §17).
 //
 // A finished STF leaves the manager that built it in one form only: a
 // SealedSTFs list — one mtbdd.Snapshot of every node of the list and, per
-// STF, the positions of its roots. An execution shard seals each chunk it
-// executed, a compose domain the classes it contained, the check stage the
-// verifier's STFs for its check shards, and the daemon's store each STF it
-// keeps. Unsealing replays the snapshot into the destination manager, where
+// STF, the positions of its roots. A compose domain seals the classes it
+// contained, and the daemon's store each STF it keeps. Unsealing replays the snapshot into the destination manager, where
 // hash-consing restores canonical node identity: an unsealed STF and a
 // natively executed STF of the same function are the same *Node, so
 // aggregation, scans and reports cannot tell where a class ran.
@@ -98,11 +96,8 @@ func (l *SealedSTFs) Unseal(m *mtbdd.Manager, flows []topo.Flow) []*FlowSTF {
 // list holds is beyond the domains' precision limit and is executed natively
 // on e through the standard governed ladder (e's route-sim result must then
 // cover the whole network).
-func NewAssembledVerifier(e *Engine, flows []topo.Flow, workers int, sealed []*SealedSTFs, at [][]int) *Verifier {
-	if workers < 1 {
-		workers = 1
-	}
-	v := newVerifier(e, flows, workers)
+func NewAssembledVerifier(e *Engine, flows []topo.Flow, sealed []*SealedSTFs, at [][]int) *Verifier {
+	v := newVerifier(e, flows)
 	span := e.opts.Obs.Span("execute/assemble")
 	defer span.End()
 	v.assemble(sealed, at)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"github.com/yu-verify/yu/internal/config"
@@ -45,6 +46,33 @@ func newFixture(t testing.TB, specText string, mode topo.FailureMode, k int, opt
 	}
 	eng := NewEngine(rs, opts)
 	return &fixture{spec: spec, fv: fv, eng: eng, ver: NewVerifier(eng, spec.Flows)}
+}
+
+// buildEngine runs route simulation on a fresh manager and returns an
+// engine, so two runs of one input never share MTBDD state.
+func buildEngine(t testing.TB, spec *config.Spec, mode topo.FailureMode, k int, opts Options) *Engine {
+	t.Helper()
+	m := mtbdd.New()
+	fv := routesim.NewFailVars(m, spec.Net, mode, k)
+	rs, err := routesim.Run(fv, spec.Configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewEngine(rs, opts)
+}
+
+// reportsEqual requires two reports of one input to be equal but for the
+// per-check wall-clock times.
+func reportsEqual(t *testing.T, name string, want, got *Report) {
+	t.Helper()
+	for _, rep := range []*Report{want, got} {
+		for i := range rep.LinkStats {
+			rep.LinkStats[i].Elapsed = 0
+		}
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: reports differ:\n  want: %+v\n  got:  %+v", name, want, got)
+	}
 }
 
 func motivatingFixture(t testing.TB, k int) *fixture {

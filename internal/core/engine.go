@@ -72,10 +72,9 @@ type Options struct {
 	// and per-link boundaries. Cancellation surfaces as
 	// govern.ErrCanceled / govern.ErrDeadline from Verifier.Run.
 	Ctx context.Context
-	// NodeBudget, when > 0, bounds the live nodes of every manager the
-	// pipeline creates (the primary and each shard's). A breach first
-	// triggers a managed GC and one retry; what happens if the retry
-	// still breaches is decided by OnBudget.
+	// NodeBudget, when > 0, bounds the live nodes of the engine's manager.
+	// A breach first triggers a managed GC and one retry; what happens if
+	// the retry still breaches is decided by OnBudget.
 	NodeBudget int
 	// OnBudget selects the response to an unrelieved budget breach.
 	OnBudget BudgetPolicy
@@ -84,12 +83,12 @@ type Options struct {
 	// simulator). Without it a breaching flow is a hard error even when
 	// degrading.
 	Configs config.Configs
-	// Obs, when non-nil, collects run metrics: phase timings, per-worker
+	// Obs, when non-nil, collects run metrics: phase timings, stage
 	// counters, and per-manager MTBDD stats (DESIGN.md §11). nil disables
 	// all recording at zero cost.
 	Obs *obs.Registry
-	// STFCache, when non-nil, is consulted by the sequential verifier
-	// before executing each equivalence class and fed every freshly
+	// STFCache, when non-nil, is consulted by the verifier before
+	// executing each equivalence class and fed every freshly
 	// executed STF — the reuse hook of the incremental daemon
 	// (internal/serve). See the STFCache interface contract.
 	STFCache STFCache

@@ -100,8 +100,8 @@ type memoKey struct {
 // Float MTBDD addition is not associative, so the order of accumulation is
 // part of the result: front cells are visited in (router, stack key) order
 // and a step's outs in (link, stack key) order, which keeps every STF
-// bit-for-bit reproducible and identical across the sequential and sharded
-// execution paths.
+// bit-for-bit reproducible and identical across the monolithic engine and a
+// compose domain's.
 func (e *Engine) ExecuteFlow(f topo.Flow) *FlowSTF {
 	m, fv := e.m, e.fv
 	fc := e.fwdClass(e.classifier.classOf(f.Dst))

@@ -30,19 +30,14 @@ func sharedClasses(v *Verifier) int {
 	return n
 }
 
-// compareExecutionPaths holds the sequential and the 4-worker sharded
-// execution of one input to the reference (reference_test.go), and with
-// ablation set the DisableGlobalEquiv run as well: it must share nothing and
-// still agree.
+// compareExecutionPaths holds the execution of one input to the reference
+// (reference_test.go), and with ablation set the DisableGlobalEquiv run as
+// well: it must share nothing and still agree.
 func compareExecutionPaths(t testing.TB, name string, spec *config.Spec, mode topo.FailureMode, k int, ablation bool) {
 	t.Helper()
-	seq := NewVerifier(buildEngine(t, spec, mode, k, Options{}), spec.Flows)
-	if err := compareExecution(seq); err != nil {
-		t.Errorf("%s sequential: %v", name, err)
-	}
-	par := NewParallelVerifier(buildEngine(t, spec, mode, k, Options{}), spec.Flows, 4)
-	if err := compareExecution(par); err != nil {
-		t.Errorf("%s sharded: %v", name, err)
+	v := NewVerifier(buildEngine(t, spec, mode, k, Options{}), spec.Flows)
+	if err := compareExecution(v); err != nil {
+		t.Errorf("%s: %v", name, err)
 	}
 	if !ablation {
 		return
@@ -80,8 +75,8 @@ func testdataSpecs(t testing.TB) map[string]*config.Spec {
 }
 
 // TestExecutionMatchesReferenceTestdata: every checked-in spec, at every
-// budget from 0 to 3 in all three failure modes and with no reduction at all,
-// sequential and sharded; without global equivalence at k=2.
+// budget from 0 to 3 in all three failure modes and with no reduction at all;
+// without global equivalence at k=2.
 func TestExecutionMatchesReferenceTestdata(t *testing.T) {
 	for file, spec := range testdataSpecs(t) {
 		for _, mode := range []topo.FailureMode{topo.FailLinks, topo.FailRouters, topo.FailBoth} {
@@ -429,7 +424,7 @@ func (c *servingCache) Store(*Engine, topo.Flow, *FlowSTF) {}
 
 // TestExecAccounting: every class is accounted for once, however it got its
 // STF — exec.flows_executed + exec.classes_shared + the classes a cache
-// served = classes — sequential, sharded, cache-served, assembled from
+// served = classes — executed, cache-served, assembled from
 // another engine's STFs, and with global equivalence off, where nothing is
 // shared; exec.classes_imported counts, among them, those that crossed
 // managers.
@@ -474,11 +469,6 @@ func TestExecAccounting(t *testing.T) {
 	reg = obs.New()
 	count("no global equivalence", reg, NewVerifier(engine(reg, Options{DisableGlobalEquiv: true}), spec.Flows), 0, 0, 0)
 
-	// Each shard keeps its own memo, so a sharded run shares fewer.
-	reg = obs.New()
-	par := NewParallelVerifier(engine(reg, Options{}), spec.Flows, 4)
-	count("sharded", reg, par, 0, -1, len(par.classes))
-
 	// A cache that holds every other class of the sequential run's engine.
 	cache := &servingCache{stfs: make(map[topo.Flow]*FlowSTF)}
 	for i, s := range seq.stfs {
@@ -505,5 +495,5 @@ func TestExecAccounting(t *testing.T) {
 		}
 	}
 	reg = obs.New()
-	count("assembled", reg, NewAssembledVerifier(engine(reg, Options{}), spec.Flows, 1, []*SealedSTFs{SealSTFs(picked)}, [][]int{at}), 0, -1, len(picked))
+	count("assembled", reg, NewAssembledVerifier(engine(reg, Options{}), spec.Flows, []*SealedSTFs{SealSTFs(picked)}, [][]int{at}), 0, -1, len(picked))
 }

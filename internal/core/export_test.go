@@ -14,10 +14,9 @@ func SetExecHook(h func(topo.Flow)) { testExecHook = h }
 // CompareWithReference exposes the check stage's reference oracle
 // (reference_test.go) to the external test package, which may import
 // internal/difftest for its generated cases: every load, pruned stop,
-// witness and value of v against the pre-kernel fold and loop, on the
-// primary manager and on a check shard.
+// witness and value of v against the pre-kernel fold and loop.
 func CompareWithReference(v *Verifier, spec *config.Spec, factors []float64) error {
-	return compareVerifier(v, spec, factors, 1, 1)
+	return compareVerifier(v, spec, factors, 1)
 }
 
 // CompareExecution exposes the execution stage's reference oracle

@@ -11,10 +11,8 @@ import (
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// installGovernance arms a manager with the engine's context poll and
-// node budget. Every manager the pipeline creates — the primary, each
-// execution shard's, each link-check shard's — goes through here, so a
-// cancel or breach unwinds no matter which manager is doing the work.
+// installGovernance arms an engine's manager with the engine's context poll
+// and node budget, so a cancel or breach unwinds inside any MTBDD operation.
 func installGovernance(m *mtbdd.Manager, opts Options) {
 	if ctx := opts.Ctx; ctx != nil {
 		m.SetInterrupt(func() error { return govern.Check(ctx) })
@@ -25,10 +23,10 @@ func installGovernance(m *mtbdd.Manager, opts Options) {
 }
 
 // SetContext re-arms a finished verifier for a check under ctx (nil: none):
-// the ladder's polls, the manager's interrupt hook and the governance every
-// check shard is created with all follow the verifier's context, and the one
-// it was built under may be long expired. Any number of checks — Run, Check —
-// can follow one another on a verifier this way, each under its own.
+// the ladder's polls and the manager's interrupt hook both follow the
+// verifier's context, and the one it was built under may be long expired.
+// Any number of checks — Run, Check — can follow one another on a verifier
+// this way, each under its own.
 func (v *Verifier) SetContext(ctx context.Context) {
 	v.e.opts.Ctx = ctx
 	var poll func() error
@@ -41,9 +39,9 @@ func (v *Verifier) SetContext(ctx context.Context) {
 // contained runs fn with full panic containment: an MTBDD operation
 // abort becomes its typed error, and any other panic becomes an error
 // carrying the panic value and stack instead of crashing the process.
-// It is the boundary of every pool worker and of every governed step (the
-// ladder), so a panic in a shard's or a compose domain's goroutine
-// surfaces as that goroutine's error, not as the end of the process.
+// It is the boundary of every governed step (the ladder), so a panic in
+// execution or a check — in a compose domain's goroutine too — surfaces as
+// that step's error, not as the end of the process.
 func contained(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r == nil {
@@ -51,7 +49,7 @@ func contained(fn func()) (err error) {
 		} else if e := mtbdd.AbortError(r); e != nil {
 			err = e
 		} else {
-			err = fmt.Errorf("core: worker panic: %v\n%s", r, debug.Stack())
+			err = fmt.Errorf("core: contained panic: %v\n%s", r, debug.Stack())
 		}
 	}()
 	fn()
@@ -59,12 +57,12 @@ func contained(fn func()) (err error) {
 }
 
 // ladder is the one budget ladder every governed step — a flow execution,
-// a sealed list's unsealing, a property check on the primary or on a shard —
-// runs through (DESIGN.md §10):
+// a sealed list's unsealing, a property check — runs through on the engine's
+// manager (DESIGN.md §10):
 //
 //  1. poll the context, then run attempt contained;
-//  2. on a node-budget breach, collect m keeping only roots() and retry
-//     once;
+//  2. on a node-budget breach, collect the manager — the engine caches and
+//     the finished STFs in done are the roots — and retry once;
 //  3. a breach the collection did not relieve is the caller's to answer
 //     when the policy is BudgetDegrade: degrade is set and err carries the
 //     breach, and the caller applies its own response (concrete fallback
@@ -73,23 +71,17 @@ func contained(fn func()) (err error) {
 // Cancellation, a breach under BudgetFail and every non-budget failure
 // come back as a plain error. attempt must be idempotent: it reruns on
 // retry.
-func ladder(opts Options, m *mtbdd.Manager, roots func() []*mtbdd.Node, attempt func()) (degrade bool, err error) {
-	if err := govern.Check(opts.Ctx); err != nil {
+func (e *Engine) ladder(done []*FlowSTF, attempt func()) (degrade bool, err error) {
+	if err := govern.Check(e.opts.Ctx); err != nil {
 		return false, err
 	}
 	err = contained(attempt)
 	if errors.Is(err, govern.ErrNodeBudget) {
-		opts.Obs.Counter("govern.budget_gc_retries").Inc()
-		m.GC(roots())
+		e.opts.Obs.Counter("govern.budget_gc_retries").Inc()
+		e.m.GC(e.roots(stfRoots(nil, done)))
 		err = contained(attempt)
 	}
-	return errors.Is(err, govern.ErrNodeBudget) && opts.OnBudget == BudgetDegrade, err
-}
-
-// ladder runs attempt through the budget ladder on the engine's manager;
-// a collection keeps the engine caches and the finished STFs in done.
-func (e *Engine) ladder(done []*FlowSTF, attempt func()) (degrade bool, err error) {
-	return ladder(e.opts, e.m, func() []*mtbdd.Node { return e.roots(stfRoots(nil, done)) }, attempt)
+	return errors.Is(err, govern.ErrNodeBudget) && e.opts.OnBudget == BudgetDegrade, err
 }
 
 // buildGoverned builds flow f's STF in the engine's manager through the

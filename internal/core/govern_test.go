@@ -33,10 +33,11 @@ func wanWorkload(t testing.TB) (*config.Spec, []topo.Flow) {
 	return spec, flows
 }
 
-// TestCancelMidParallelRun cancels a parallel verification while its shards
-// execute and requires a prompt typed unwind with a partial report that
-// names what was left unchecked. The cancellation counts polls (a timer
-// loses to a run that finishes first).
+// TestCancelMidParallelRun cancels a verification — NewParallelVerifier at
+// four workers, which executes on the engine's manager like NewVerifier —
+// while it executes its flows, and requires a prompt typed unwind with a
+// partial report that names what was left unchecked. The cancellation counts
+// polls (a timer loses to a run that finishes first).
 func TestCancelMidParallelRun(t *testing.T) {
 	spec, flows := wanWorkload(t)
 	ctx := &pollCancelCtx{Context: context.Background()}
@@ -90,9 +91,9 @@ func (c *pollCancelCtx) Err() error {
 	return nil
 }
 
-// TestCancelMidParallelCheckPhase lets sharded execution finish, then
-// cancels while the parallel per-link check loop is running: the run
-// must return promptly with the remaining links listed as unchecked.
+// TestCancelMidParallelCheckPhase lets execution finish, then cancels while
+// the per-link check loop is running: the run must return promptly with the
+// remaining links listed as unchecked.
 func TestCancelMidParallelCheckPhase(t *testing.T) {
 	spec, flows := wanWorkload(t)
 	ctx := &pollCancelCtx{Context: context.Background()}
@@ -144,9 +145,9 @@ func TestCancelMidSequentialChecks(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicContainment injects a panic into a sharded worker via
-// the test hook and requires it to surface as an error on Run — never as
-// a process crash — with the report marked incomplete.
+// TestWorkerPanicContainment injects a panic into flow execution via the
+// test hook and requires it to surface as an error on Run — never as a
+// process crash — with the report marked incomplete.
 func TestWorkerPanicContainment(t *testing.T) {
 	spec, err := config.ParseSpecString(paperex.Motivating)
 	if err != nil {
@@ -158,13 +159,41 @@ func TestWorkerPanicContainment(t *testing.T) {
 	v := NewParallelVerifier(eng, spec.Flows, 2)
 	rep, err := v.Run(spec.Props, spec.Delivered, 1.0)
 	if err == nil {
-		t.Fatal("worker panic did not surface as an error")
+		t.Fatal("the panic did not surface as an error")
 	}
-	if !strings.Contains(err.Error(), "worker panic") || !strings.Contains(err.Error(), "injected test panic") {
-		t.Fatalf("err = %v, want a contained worker panic naming the cause", err)
+	if !strings.Contains(err.Error(), "contained panic") || !strings.Contains(err.Error(), "injected test panic") {
+		t.Fatalf("err = %v, want a contained panic naming the cause", err)
 	}
 	if rep == nil || !rep.Incomplete {
 		t.Fatalf("want an Incomplete report after a contained panic, got %+v", rep)
+	}
+}
+
+// TestCheckPlanPanicContained: a panic inside a plan's check is that Check's
+// error — not a crash — with the plan that raised it not done, and the
+// verifier checks on afterwards.
+func TestCheckPlanPanicContained(t *testing.T) {
+	spec, flows := wanWorkload(t)
+	v := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
+	plans := lower(spec.Net, nil, nil, 0.5, true)
+	good := plans[0]
+	plans[0].Checks = nil // the pruned scan reads Checks[0]
+	res, err := v.Check(plans)
+	if err == nil || !strings.Contains(err.Error(), "contained panic") {
+		t.Fatalf("err = %v, want a contained panic", err)
+	}
+	if res[0].Done {
+		t.Fatal("the plan that panicked is marked done")
+	}
+	plans[0] = good
+	res, err = v.Check(plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res {
+		if !res[i].Done {
+			t.Fatalf("plan %d not done on the check after the panic", i)
+		}
 	}
 }
 

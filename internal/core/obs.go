@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/obs"
 )
@@ -14,12 +12,12 @@ import (
 // Instrumentation placement follows the overhead budget of DESIGN.md
 // §11: no time.Now() ever runs inside ExecuteFlow's wavefront loop. The
 // "check/kreduce" timer covers the aggregation kernel calls of the check
-// stage (scanCtx.build and prefixMax, on the primary and on shards) — a
-// clock read per call, a handful per link; KREDUCE effort during symbolic
-// execution is reported through the manager's cumulative counters instead.
+// stage (Verifier.build and prefixMax) — a clock read per call, a handful
+// per link; KREDUCE effort during symbolic execution is reported through the
+// manager's cumulative counters instead.
 
 // ManagerObsStats converts one manager's stats snapshot into the obs
-// record under the given name ("primary", "exec-shard.0", ...).
+// record under the given name ("primary", "domain.A", ...).
 func ManagerObsStats(name string, m *mtbdd.Manager) obs.ManagerStats {
 	st := m.Stats()
 	return obs.ManagerStats{
@@ -51,11 +49,6 @@ func RecordManager(reg *obs.Registry, name string, m *mtbdd.Manager) {
 	reg.RecordManager(ManagerObsStats(name, m))
 }
 
-// workerCounter names a per-worker counter: "worker.3.flows_executed".
-func workerCounter(w int, name string) string {
-	return "worker." + strconv.Itoa(w) + "." + name
-}
-
 // checkCounters is the check stage's own account of what it did with each
 // load (obs "check.*", shown by `yu verify -stats`, -metrics and
 // /v1/metrics): why a check cost what it cost. A delivered-prefix load
@@ -82,11 +75,11 @@ func newCheckCounters(reg *obs.Registry) checkCounters {
 // was executed and what was shared. The flow counters are kept by whoever
 // assembles finished STFs, by each STF's provenance, so a class counts once
 // wherever it ran; the step and forwarding-class counters by each engine
-// that executes (one per worker on a sharded run, so they sum over workers).
+// that executes (on a compositional run they sum over the domains).
 type execCounters struct {
 	flows       *obs.Counter // classes whose STF a symbolic execution (or its concrete fallback) built
 	shared      *obs.Counter // classes that took an earlier class's STF: same behaviour
-	imported    *obs.Counter // of both, those unsealed from a shard's or a domain's manager
+	imported    *obs.Counter // of both, those unsealed from a domain's manager
 	stepsBuilt  *obs.Counter // forwarding steps built
 	stepsShared *obs.Counter // step lookups an already-built step answered
 	prefixes    *obs.Counter // destination prefixes execution read

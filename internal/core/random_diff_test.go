@@ -81,7 +81,7 @@ func TestCheckMatchesReferenceBlueprints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			v := monolithic(t, c.Spec, c.Mode, c.K, 1)
+			v := monolithic(t, c.Spec, c.Mode, c.K)
 			if err := core.CompareWithReference(v, c.Spec, []float64{c.OverloadFactor, 1.0, 0.1}); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -89,32 +89,29 @@ func TestCheckMatchesReferenceBlueprints(t *testing.T) {
 	}
 }
 
-// monolithic route-simulates a spec on a fresh manager and executes its flows
-// on the given number of workers.
-func monolithic(t *testing.T, spec *config.Spec, mode topo.FailureMode, k, workers int) *core.Verifier {
+// monolithic route-simulates a spec on a fresh manager and executes its
+// flows.
+func monolithic(t *testing.T, spec *config.Spec, mode topo.FailureMode, k int) *core.Verifier {
 	t.Helper()
 	fv := routesim.NewFailVars(mtbdd.New(), spec.Net, mode, k)
 	rs, err := routesim.Run(fv, spec.Configs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.NewParallelVerifier(core.NewEngine(rs, core.Options{}), spec.Flows, workers)
+	return core.NewVerifier(core.NewEngine(rs, core.Options{}), spec.Flows)
 }
 
 // executionOnEveryPath holds symbolic execution to its reference — the
-// map-based wavefront that executed every class — on the primary manager, on
-// four execution shards, and inside the domain engines of a compositional
-// build over part (nil: none), whose assembled STFs must be the monolithic
-// ones. It returns how many classes the sequential run shared and whether the
-// compositional build took place.
+// map-based wavefront that executed every class — on the monolithic engine
+// and inside the domain engines of a compositional build over part (nil:
+// none), whose assembled STFs must be the monolithic ones. It returns how
+// many classes the monolithic run shared and whether the compositional build
+// took place.
 func executionOnEveryPath(t *testing.T, spec *config.Spec, mode topo.FailureMode, k int, part *topo.Partition) (shared int, composed bool) {
 	t.Helper()
-	seq := monolithic(t, spec, mode, k, 1)
+	seq := monolithic(t, spec, mode, k)
 	if err := core.CompareExecution(seq); err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	if err := core.CompareExecution(monolithic(t, spec, mode, k, 4)); err != nil {
-		t.Fatalf("sharded: %v", err)
+		t.Fatalf("monolithic: %v", err)
 	}
 	if part != nil {
 		// An input Build turns down (a static resolving across a border) is

@@ -22,13 +22,12 @@ import (
 // pruned loop that folded, took Range and tested its two stop rules class
 // by class. Production must return the same node for every load, stop every
 // pruned check at the same class, and report the same witness and value —
-// pointer and DeepEqual equality, on the primary manager and on a check
-// shard.
+// pointer and DeepEqual equality.
 
 // refLinkClasses probes every STF's link map for l, in STF order.
-func refLinkClasses(sc scanCtx, l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
-	g := newGrouper(!sc.v.e.opts.DisableLinkLocalEquiv)
-	for _, s := range sc.stfs {
+func refLinkClasses(v *Verifier, l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
+	g := newGrouper(!v.e.opts.DisableLinkLocalEquiv)
+	for _, s := range v.stfs {
 		if w := s.Links[l]; w != nil {
 			stat.Flows++
 			g.add(w, s.Flow.Gbps)
@@ -40,49 +39,49 @@ func refLinkClasses(sc scanCtx, l topo.DirLinkID, stat *LinkCheckStat) []scanCla
 
 // refSum is the deleted fold: one fused multiply-accumulate per class, each
 // re-walking the running sum.
-func refSum(sc scanCtx, classes []scanClass) *mtbdd.Node {
-	tau := sc.m.Zero()
+func refSum(v *Verifier, classes []scanClass) *mtbdd.Node {
+	tau := v.e.m.Zero()
 	for _, c := range classes {
-		tau = sc.fv.ReduceMulAdd(tau, sc.m.Const(c.vol), c.w)
+		tau = v.e.fv.ReduceMulAdd(tau, v.e.m.Const(c.vol), c.w)
 	}
 	return tau
 }
 
-// refLoad is scanCtx.load over the reference fold (and, for links, the
+// refLoad is Verifier.load over the reference fold (and, for links, the
 // reference class scan).
-func refLoad(sc scanCtx, s Subject) (*mtbdd.Node, LinkCheckStat) {
+func refLoad(v *Verifier, s Subject) (*mtbdd.Node, LinkCheckStat) {
 	var stat LinkCheckStat
 	switch {
 	case len(s.Links) > 0:
 		stat.Kind = "aggregate"
 		taus := make([]*mtbdd.Node, len(s.Links))
 		for i, l := range s.Links {
-			taus[i] = refSum(sc, refLinkClasses(sc, l, &stat))
+			taus[i] = refSum(v, refLinkClasses(v, l, &stat))
 		}
 		if s.Max {
-			tau := sc.m.Zero()
+			tau := v.e.m.Zero()
 			for _, t := range taus {
-				tau = sc.m.MaxK(tau, t, sc.fv.K)
+				tau = v.e.m.MaxK(tau, t, v.e.fv.K)
 			}
 			return tau, stat
 		}
-		return sc.m.AddNK(taus, sc.fv.K), stat
+		return v.e.m.AddNK(taus, v.e.fv.K), stat
 	case s.Prefix.IsValid():
 		stat.Kind, stat.Prefix = "delivered", s.Prefix
-		return refSum(sc, sc.deliveredClasses(s.Prefix, &stat)), stat
+		return refSum(v, v.deliveredClasses(s.Prefix, &stat)), stat
 	}
 	stat.Link = s.Link
-	return refSum(sc, refLinkClasses(sc, s.Link, &stat)), stat
+	return refSum(v, refLinkClasses(v, s.Link, &stat)), stat
 }
 
 // refCheckLinkPruned is the pruned loop before the n-ary kernels. stop is
 // the number of classes folded when a stop rule fired (0 for the quick
 // bound); holds reports a link passed without a terminal scan.
-func refCheckLinkPruned(sc scanCtx, it Plan) (stat LinkCheckStat, viols []Violation, stop int, holds bool) {
-	m := sc.m
+func refCheckLinkPruned(v *Verifier, it Plan) (stat LinkCheckStat, viols []Violation, stop int, holds bool) {
+	m := v.e.m
 	l, limit := it.Subject.Link, it.Checks[0].Max
 	stat = LinkCheckStat{Link: l}
-	classes := refLinkClasses(sc, l, &stat)
+	classes := refLinkClasses(v, l, &stat)
 	for i := range classes {
 		_, hi := m.Range(classes[i].w)
 		classes[i].max = hi
@@ -99,7 +98,7 @@ func refCheckLinkPruned(sc scanCtx, it Plan) (stat LinkCheckStat, viols []Violat
 	remaining := total
 	tau := m.Zero()
 	for _, c := range classes {
-		tau = sc.fv.ReduceMulAdd(tau, m.Const(c.vol), c.w)
+		tau = v.e.fv.ReduceMulAdd(tau, m.Const(c.vol), c.w)
 		stop++
 		remaining -= float64(c.vol * c.max)
 		_, hi := m.Range(tau)
@@ -110,9 +109,9 @@ func refCheckLinkPruned(sc scanCtx, it Plan) (stat LinkCheckStat, viols []Violat
 			return stat, nil, stop, true
 		}
 	}
-	res, _ := sc.scanPortfolio(tau, it.Checks)
+	res, _ := v.scanPortfolio(tau, it.Checks)
 	if r := &res[0]; r.Violated {
-		assign := sc.fv.Scenario(r.FailedLinks, r.FailedRouters)
+		assign := v.e.fv.Scenario(r.FailedLinks, r.FailedRouters)
 		exact := 0.0
 		for _, c := range classes {
 			exact += float64(c.vol * m.Eval(c.w, assign))
@@ -130,23 +129,25 @@ func sameStat(a, b LinkCheckStat) bool {
 	return a == b
 }
 
-// compareWithReference holds one scan context to the reference on every
+// compareVerifier holds the verifier's check stage to the reference on every
 // directed link's load and on every item of a Run request — the spec's
 // bounds, its delivered bounds and the all-links overload check at each of
 // the given factors, pruned unless the engine's ablation says otherwise.
 // linkStride > 1 samples the full-load comparison (the reference fold is
 // what made the check stage slow).
-func compareWithReference(sc scanCtx, spec *config.Spec, factors []float64, linkStride int) error {
-	v := sc.v
+func compareVerifier(v *Verifier, spec *config.Spec, factors []float64, linkStride int) error {
+	if err := v.Err(); err != nil {
+		return err
+	}
 	net := v.e.net
 	for d := 0; d < 2*net.NumLinks(); d += linkStride {
-		sc.maybeGC()
+		v.e.maybeGC(v.stfs, nil)
 		s := Subject{Link: topo.DirLinkID(d)}
-		got, gstat := sc.load(s)
-		want, wstat := refLoad(sc, s)
+		got, gstat := v.load(s)
+		want, wstat := refLoad(v, s)
 		if got != want {
 			return fmt.Errorf("load of %s: node differs from the reference fold's (%d vs %d nodes)",
-				net.DirLinkName(s.Link), sc.m.NodeCount(got), sc.m.NodeCount(want))
+				net.DirLinkName(s.Link), v.e.m.NodeCount(got), v.e.m.NodeCount(want))
 		}
 		if !sameStat(gstat, wstat) {
 			return fmt.Errorf("load of %s: stat %+v, reference %+v", net.DirLinkName(s.Link), gstat, wstat)
@@ -155,8 +156,8 @@ func compareWithReference(sc scanCtx, spec *config.Spec, factors []float64, link
 	if net.NumLinks() >= 2 {
 		for _, max := range []bool{false, true} {
 			s := Subject{Links: []topo.DirLinkID{0, 1, 2, 3}, Max: max}
-			got, gstat := sc.load(s)
-			if want, wstat := refLoad(sc, s); got != want || !sameStat(gstat, wstat) {
+			got, gstat := v.load(s)
+			if want, wstat := refLoad(v, s); got != want || !sameStat(gstat, wstat) {
 				return fmt.Errorf("aggregate load (max=%v) differs from the reference", max)
 			}
 		}
@@ -167,24 +168,24 @@ func compareWithReference(sc scanCtx, spec *config.Spec, factors []float64, link
 			if it.Subject.Prefix.IsValid() {
 				name = "delivered " + it.Subject.Prefix.String()
 			}
-			sc.maybeGC()
-			gres, _, gstat := sc.check(it)
+			v.e.maybeGC(v.stfs, nil)
+			gres, _, gstat := v.check(it)
 			gviols := violations(it, gres[0])
 			var wstat LinkCheckStat
 			var wviols []Violation
 			if it.pruned {
 				var wstop int
 				var wholds bool
-				wstat, wviols, wstop, wholds = refCheckLinkPruned(sc, it)
+				wstat, wviols, wstop, wholds = refCheckLinkPruned(v, it)
 				var scratch LinkCheckStat
-				gstop, gholds := sc.prune(sc.linkClasses(it.Subject.Link, &scratch), violThreshold(it.Checks[0].Max))
+				gstop, gholds := v.prune(v.linkClasses(it.Subject.Link, &scratch), violThreshold(it.Checks[0].Max))
 				if gstop != wstop || gholds != wholds {
 					return fmt.Errorf("pruned check of %s at factor %g: stops at class %d (holds %v), reference at %d (holds %v)",
 						name, factor, gstop, gholds, wstop, wholds)
 				}
 			} else {
-				tau, st := refLoad(sc, it.Subject)
-				res, _ := sc.scanPortfolio(tau, it.Checks)
+				tau, st := refLoad(v, it.Subject)
+				res, _ := v.scanPortfolio(tau, it.Checks)
 				wstat, wviols = st, violations(it, res[0])
 			}
 			if !sameStat(gstat, wstat) {
@@ -196,31 +197,6 @@ func compareWithReference(sc scanCtx, spec *config.Spec, factors []float64, link
 		}
 	}
 	return nil
-}
-
-// compareVerifier runs compareWithReference on the verifier's primary
-// manager and on a fresh check shard, whose full loads are sampled
-// shardStride times as sparsely as the primary's.
-func compareVerifier(v *Verifier, spec *config.Spec, factors []float64, linkStride, shardStride int) error {
-	if err := v.Err(); err != nil {
-		return err
-	}
-	if err := compareWithReference(v.primaryScan(), spec, factors, linkStride); err != nil {
-		return fmt.Errorf("primary: %w", err)
-	}
-	if err := compareWithReference(v.freshShard(), spec, factors, linkStride*shardStride); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	return nil
-}
-
-// freshShard is a check shard as the pool builds one: a private governed
-// manager with the primary's variable order, holding the verifier's STFs
-// unsealed.
-func (v *Verifier) freshShard() scanCtx {
-	m := mtbdd.New()
-	installGovernance(m, v.e.opts)
-	return v.shardScan(routesim.NewFailVars(m, v.e.net, v.e.fv.Mode, v.e.fv.K), SealSTFs(v.stfs))
 }
 
 // referenceFactors spread the overload limit so that all three ends of the
@@ -238,7 +214,7 @@ func TestCheckMatchesReferenceTestdata(t *testing.T) {
 			for k := 0; k <= 3; k++ {
 				name := fmt.Sprintf("%s/%v/k=%d", file, mode, k)
 				eng := buildEngine(t, spec, mode, k, Options{})
-				if err := compareVerifier(NewVerifier(eng, spec.Flows), spec, referenceFactors, 1, 1); err != nil {
+				if err := compareVerifier(NewVerifier(eng, spec.Flows), spec, referenceFactors, 1); err != nil {
 					t.Errorf("%s: %v", name, err)
 				}
 			}
@@ -255,7 +231,7 @@ func TestCheckMatchesReferenceTestdata(t *testing.T) {
 				continue // unreduced execution of wan-1 alone takes minutes
 			}
 			eng := buildEngine(t, spec, topo.FailLinks, tc.k, tc.opts)
-			if err := compareVerifier(NewVerifier(eng, spec.Flows), spec, referenceFactors, 1, 1); err != nil {
+			if err := compareVerifier(NewVerifier(eng, spec.Flows), spec, referenceFactors, 1); err != nil {
 				t.Errorf("%s/%s: %v", file, name, err)
 			}
 		}
@@ -304,10 +280,9 @@ func (sh benchShape) verifier(tb testing.TB, opts Options) (*config.Spec, *Verif
 }
 
 // TestCheckMatchesReferenceBenchShapes: the three benchmark WANs, where a
-// link carries a hundred classes and more. Every pruned check is compared,
-// on the primary and on a shard; the full loads, whose reference fold is the
-// slow part, on every link of the primary and one in four on the shard
-// (-short: one in eight and one in thirty-two).
+// link carries a hundred classes and more. Every pruned check is compared;
+// the full loads, whose reference fold is the slow part, on every link
+// (-short: one in eight).
 func TestCheckMatchesReferenceBenchShapes(t *testing.T) {
 	stride := 1
 	if testing.Short() {
@@ -320,7 +295,7 @@ func TestCheckMatchesReferenceBenchShapes(t *testing.T) {
 			// A low collection threshold: the reference folds leave a
 			// million dead nodes behind on these inputs.
 			spec, v := sh.verifier(t, Options{GCThreshold: 1 << 18})
-			if err := compareVerifier(v, spec, []float64{1.0}, stride, 4); err != nil {
+			if err := compareVerifier(v, spec, []float64{1.0}, stride); err != nil {
 				t.Error(err)
 			}
 		})

@@ -1,7 +1,7 @@
 // The one checker core every path scans through. Run and the portfolio
-// engine (internal/tlp) both lower to Plans and go through Verifier.Check, on
-// the primary manager or on the shard pool, so epsilon handling, governance
-// and the early-termination heuristics cannot diverge between paths again.
+// engine (internal/tlp) both lower to Plans and go through Verifier.Check on
+// the verifier's manager, so epsilon handling, governance and the
+// early-termination heuristics cannot diverge between paths again.
 package core
 
 import (
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/yu-verify/yu/internal/mtbdd"
-	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -20,62 +19,6 @@ import (
 // violThreshold(limit). The quick bound, the early-termination loop, and
 // the final terminal scan of every check path compare against this value.
 func violThreshold(limit float64) float64 { return limit - loadEpsilon }
-
-// scanCtx binds the shared checker to one manager and the verifier's STFs in
-// it: the primary manager and v.stfs (collections keep the engine caches and
-// the STFs), or a check-pool shard's private manager and the STFs it unsealed
-// there (collections keep those).
-type scanCtx struct {
-	v  *Verifier
-	m  *mtbdd.Manager
-	fv *routesim.FailVars
-	// stfs and linkIdx are v.stfs and v.linkIdx, or a shard's copies.
-	stfs    []*FlowSTF
-	linkIdx [][]linkRef
-	// kept is what a shard's manager holds after unsealing, which every
-	// collection keeps.
-	kept int
-}
-
-func (v *Verifier) primaryScan() scanCtx {
-	return scanCtx{v: v, m: v.e.m, fv: v.e.fv, stfs: v.stfs, linkIdx: v.linkIdx}
-}
-
-// shardScan binds the checker to a pool worker's private manager, which has
-// the primary's variable order: sealed, which is v.stfs sealed, is unsealed
-// there and indexed by link the way the primary's STFs are.
-func (v *Verifier) shardScan(fv *routesim.FailVars, sealed *SealedSTFs) scanCtx {
-	flows := make([]topo.Flow, len(v.stfs))
-	for i, s := range v.stfs {
-		flows[i] = s.Flow
-	}
-	stfs := sealed.Unseal(fv.M, flows)
-	return scanCtx{v: v, m: fv.M, fv: fv, stfs: stfs,
-		linkIdx: indexLinks(stfs, len(v.linkIdx)), kept: fv.M.Stats().Live}
-}
-
-// shardGCThreshold is how far a check-pool shard's manager may grow past
-// what it unsealed before it is collected between checks.
-const shardGCThreshold = 1 << 20
-
-// maybeGC collects the context's manager between checks when it has grown
-// past its threshold.
-func (sc scanCtx) maybeGC() {
-	if sc.m == sc.v.e.m {
-		sc.v.e.maybeGC(sc.v.stfs, nil)
-	} else if sc.m.Stats().Live > sc.kept+shardGCThreshold {
-		sc.m.GC(stfRoots(nil, sc.stfs))
-	}
-}
-
-// governed runs one check attempt through the budget ladder on the
-// context's manager.
-func (sc scanCtx) governed(attempt func()) (degrade bool, err error) {
-	if sc.m == sc.v.e.m {
-		return sc.v.e.ladder(sc.v.stfs, attempt)
-	}
-	return ladder(sc.v.e.opts, sc.m, func() []*mtbdd.Node { return stfRoots(nil, sc.stfs) }, attempt)
-}
 
 // Subject names the symbolic quantity a scan evaluates: the load of one
 // directed link (the zero-valued default), the delivered traffic of every
@@ -89,8 +32,8 @@ type Subject struct {
 	Max    bool
 }
 
-// scanClass is one link-local equivalence class of a load: an STF node (in
-// this context's manager) and the summed volume riding on it.
+// scanClass is one link-local equivalence class of a load: an STF node and
+// the summed volume riding on it.
 type scanClass struct {
 	w   *mtbdd.Node
 	vol float64
@@ -101,9 +44,8 @@ type scanClass struct {
 // volume riding on it — into equivalence classes in first-seen order (float
 // addition is not associative, so the deterministic order keeps verdicts
 // reproducible). With group off every contribution is its own class.
-// Classes are keyed by the context's canonical pointers: unsealing maps the
-// primary's canonical nodes one to one onto a shard's, so every context
-// builds the same classes in the same order.
+// Classes are keyed by canonical node pointers: hash-consing makes two STFs
+// with the same function on a link the same node.
 type classGrouper struct {
 	idx     map[*mtbdd.Node]int // nil: no grouping
 	classes []scanClass
@@ -130,15 +72,15 @@ func (g *classGrouper) add(w *mtbdd.Node, vol float64) {
 
 // linkClasses is the classes of the STFs crossing directed link l, read off
 // the per-link index and grouped unless the §5.3 ablation is on.
-func (sc scanCtx) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
-	if l < 0 || int(l) >= len(sc.linkIdx) {
+func (v *Verifier) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
+	if l < 0 || int(l) >= len(v.linkIdx) {
 		return nil
 	}
-	g := newGrouper(!sc.v.e.opts.DisableLinkLocalEquiv)
-	for _, ref := range sc.linkIdx[l] {
-		g.add(ref.w, sc.stfs[ref.stf].Flow.Gbps)
+	g := newGrouper(!v.e.opts.DisableLinkLocalEquiv)
+	for _, ref := range v.linkIdx[l] {
+		g.add(ref.w, v.stfs[ref.stf].Flow.Gbps)
 	}
-	stat.Flows += len(sc.linkIdx[l])
+	stat.Flows += len(v.linkIdx[l])
 	stat.Classes += len(g.classes)
 	return g.classes
 }
@@ -149,18 +91,17 @@ func (sc scanCtx) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass
 // class contributes the volume of its member flows inside pfx, added in
 // flow order (a class pfx covers whole thus contributes its representative's
 // summed volume, bit for bit), and a class with no member inside none.
-func (sc scanCtx) deliveredClasses(pfx netip.Prefix, stat *LinkCheckStat) []scanClass {
-	v := sc.v
-	vols := make([]float64, len(sc.stfs))
-	inside := make([]bool, len(sc.stfs))
+func (v *Verifier) deliveredClasses(pfx netip.Prefix, stat *LinkCheckStat) []scanClass {
+	vols := make([]float64, len(v.stfs))
+	inside := make([]bool, len(v.stfs))
 	for fi, f := range v.flows {
-		if ci := v.classOf[fi]; ci < len(sc.stfs) && pfx.Contains(f.Dst) {
+		if ci := v.classOf[fi]; ci < len(v.stfs) && pfx.Contains(f.Dst) {
 			vols[ci] += f.Gbps
 			inside[ci] = true
 		}
 	}
 	g := newGrouper(true)
-	for ci, s := range sc.stfs {
+	for ci, s := range v.stfs {
 		if inside[ci] {
 			stat.Flows++
 			g.add(s.Delivered, vols[ci])
@@ -183,19 +124,19 @@ func splitClasses(classes []scanClass) (vols []float64, ws []*mtbdd.Node) {
 
 // sum aggregates classes into one symbolic load: one walk of the n-ary
 // fused weighted-sum kernel, in class order.
-func (sc scanCtx) sum(classes []scanClass) *mtbdd.Node {
+func (v *Verifier) sum(classes []scanClass) *mtbdd.Node {
 	vols, ws := splitClasses(classes)
-	sc.v.checkC.total.Add(int64(len(classes)))
-	sc.v.checkC.enumerated.Add(int64(len(classes)))
-	return sc.build(vols, ws)
+	v.checkC.total.Add(int64(len(classes)))
+	v.checkC.enumerated.Add(int64(len(classes)))
+	return v.build(vols, ws)
 }
 
 // build is the timed kernel call behind sum and the pruned check.
-func (sc scanCtx) build(vols []float64, ws []*mtbdd.Node) *mtbdd.Node {
-	sc.v.checkC.built.Inc()
+func (v *Verifier) build(vols []float64, ws []*mtbdd.Node) *mtbdd.Node {
+	v.checkC.built.Inc()
 	start := time.Now()
-	tau := sc.fv.ReduceSumMul(vols, ws)
-	sc.v.aggT.Add(time.Since(start))
+	tau := v.e.fv.ReduceSumMul(vols, ws)
+	v.aggT.Add(time.Since(start))
 	return tau
 }
 
@@ -204,7 +145,7 @@ func (sc scanCtx) build(vols []float64, ws []*mtbdd.Node) *mtbdd.Node {
 // subject would, then combines across links on the fused k-budgeted
 // kernels (AddNK / MaxK), so every intermediate stays within the KReduce'd
 // size envelope.
-func (sc scanCtx) load(s Subject) (*mtbdd.Node, LinkCheckStat) {
+func (v *Verifier) load(s Subject) (*mtbdd.Node, LinkCheckStat) {
 	start := time.Now()
 	var tau *mtbdd.Node
 	var stat LinkCheckStat
@@ -213,22 +154,22 @@ func (sc scanCtx) load(s Subject) (*mtbdd.Node, LinkCheckStat) {
 		stat.Kind = "aggregate"
 		taus := make([]*mtbdd.Node, len(s.Links))
 		for i, l := range s.Links {
-			taus[i] = sc.sum(sc.linkClasses(l, &stat))
+			taus[i] = v.sum(v.linkClasses(l, &stat))
 		}
 		if s.Max {
-			tau = sc.m.Zero()
+			tau = v.e.m.Zero()
 			for _, t := range taus {
-				tau = sc.m.MaxK(tau, t, sc.fv.K)
+				tau = v.e.m.MaxK(tau, t, v.e.fv.K)
 			}
 		} else {
-			tau = sc.m.AddNK(taus, sc.fv.K)
+			tau = v.e.m.AddNK(taus, v.e.fv.K)
 		}
 	case s.Prefix.IsValid():
 		stat.Kind, stat.Prefix = "delivered", s.Prefix
-		tau = sc.sum(sc.deliveredClasses(s.Prefix, &stat))
+		tau = v.sum(v.deliveredClasses(s.Prefix, &stat))
 	default:
 		stat.Link = s.Link
-		tau = sc.sum(sc.linkClasses(s.Link, &stat))
+		tau = v.sum(v.linkClasses(s.Link, &stat))
 	}
 	stat.Elapsed = time.Since(start)
 	return tau, stat
@@ -273,10 +214,10 @@ func (c LinkCheck) scanCheck() mtbdd.ScanCheck {
 // than the run's effective k (the guard itself is a failure). Returns
 // ok=false when the budget admits no failures at all, making every
 // conditional property vacuous.
-func (sc scanCtx) condBudget() (int, bool) {
-	effK := sc.fv.K
-	if sc.v.e.opts.CheckK > 0 {
-		effK = sc.v.e.opts.CheckK
+func (v *Verifier) condBudget() (int, bool) {
+	effK := v.e.fv.K
+	if v.e.opts.CheckK > 0 {
+		effK = v.e.opts.CheckK
 	}
 	if effK < 0 {
 		return -1, true // reduction disabled without a check budget: unlimited
@@ -292,10 +233,10 @@ func (sc scanCtx) condBudget() (int, bool) {
 // distinct guard variable adds one scan of its cofactor (counted in the
 // returned restrict count). Witness assignments of conditional checks get
 // the guard element folded back in.
-func (sc scanCtx) scanPortfolio(tau *mtbdd.Node, checks []LinkCheck) ([]ScanResult, int) {
-	if k := sc.v.e.opts.CheckK; k > 0 {
+func (v *Verifier) scanPortfolio(tau *mtbdd.Node, checks []LinkCheck) ([]ScanResult, int) {
+	if k := v.e.opts.CheckK; k > 0 {
 		// The deferred KREDUCE of the reduction-disabled ablation.
-		tau = sc.m.KReduce(tau, k)
+		tau = v.e.m.KReduce(tau, k)
 	}
 	out := make([]ScanResult, len(checks))
 
@@ -321,9 +262,9 @@ func (sc scanCtx) scanPortfolio(tau *mtbdd.Node, checks []LinkCheck) ([]ScanResu
 			if !h.OK {
 				continue
 			}
-			links, routers := scenarioWitness(sc.fv, h.A)
+			links, routers := scenarioWitness(v.e.fv, h.A)
 			if guard >= 0 {
-				if l, r, isLink := sc.fv.VarElement(guard); isLink {
+				if l, r, isLink := v.e.fv.VarElement(guard); isLink {
 					links = append(links, l)
 					sort.Slice(links, func(a, b int) bool { return links[a] < links[b] })
 				} else {
@@ -340,12 +281,12 @@ func (sc scanCtx) scanPortfolio(tau *mtbdd.Node, checks []LinkCheck) ([]ScanResu
 		for j, i := range uncond {
 			scs[j] = checks[i].scanCheck()
 		}
-		fill(uncond, sc.m.ScanOutside(tau, scs), -1)
+		fill(uncond, v.e.m.ScanOutside(tau, scs), -1)
 	}
 
 	restricts := 0
 	if len(condVars) > 0 {
-		budget, feasible := sc.condBudget()
+		budget, feasible := v.condBudget()
 		if feasible {
 			for _, cv := range condVars {
 				idxs := condIdx[cv]
@@ -356,7 +297,7 @@ func (sc scanCtx) scanPortfolio(tau *mtbdd.Node, checks []LinkCheck) ([]ScanResu
 					scs[j] = s
 				}
 				restricts++
-				fill(idxs, sc.m.ScanOutside(sc.m.Restrict(tau, cv, false), scs), cv)
+				fill(idxs, v.e.m.ScanOutside(v.e.m.Restrict(tau, cv, false), scs), cv)
 			}
 		}
 	}
@@ -387,52 +328,31 @@ type PlanResult struct {
 	Done      bool
 }
 
-// Check is the one check loop: every plan goes through the budget ladder —
-// on a node-budget breach the manager collects and the plan retries once —
-// and its outcome is written to its slot. With one worker (or one plan) the
-// plans run on the primary manager; otherwise on the shard pool, every worker
-// checking in a private manager on the STFs it unsealed there from one sealed
-// list (sealed at the first such check), and the slots keep the results, and
-// therefore every report built from them, identical to a one-worker run. A
-// plan that cannot fit the budget under the degrade policy is left not done;
-// the first fatal error (cancellation, a breach under the fail policy, a
-// contained panic, the one that cut execution short) stops the loop and is
-// returned with the slots filled so far.
+// Check is the one check loop: every plan goes through the budget ladder on
+// the verifier's manager — on a node-budget breach the manager collects and
+// the plan retries once — and its outcome is written to its slot, in plan
+// order. A plan that cannot fit the budget under the degrade policy is left
+// not done; the first fatal error (cancellation, a breach under the fail
+// policy, a contained panic, the one that cut execution short) stops the loop
+// and is returned with the slots filled so far.
 func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 	out := make([]PlanResult, len(plans))
 	if v.err != nil {
 		return out, v.err
 	}
-	if min(v.workers, len(plans)) <= 1 {
-		sc := v.primaryScan()
-		for i := range plans {
-			if err := sc.checkPlan(plans[i], &out[i]); err != nil {
-				return out, err
-			}
+	for i := range plans {
+		if err := v.checkPlan(plans[i], &out[i]); err != nil {
+			return out, err
 		}
-		return out, nil
 	}
-	if v.sealed == nil {
-		v.sealed = SealSTFs(v.stfs)
-	}
-	return out, v.e.pool(v.workers, "check-shard", len(plans), func(w int, fv *routesim.FailVars) func(int) error {
-		sc := v.shardScan(fv, v.sealed)
-		checked := v.e.opts.Obs.Counter(workerCounter(w, "links_checked"))
-		return func(i int) error {
-			err := sc.checkPlan(plans[i], &out[i])
-			if err == nil {
-				checked.Inc()
-			}
-			return err
-		}
-	})
+	return out, nil
 }
 
 // checkPlan is one governed plan: collect if the manager has grown, then
 // check through the ladder.
-func (sc scanCtx) checkPlan(p Plan, r *PlanResult) error {
-	sc.maybeGC()
-	degrade, err := sc.governed(func() { r.Results, r.Restricts, r.Stat = sc.check(p) })
+func (v *Verifier) checkPlan(p Plan, r *PlanResult) error {
+	v.e.maybeGC(v.stfs, nil)
+	degrade, err := v.e.ladder(v.stfs, func() { r.Results, r.Restricts, r.Stat = v.check(p) })
 	if err != nil && !degrade {
 		return err
 	}
@@ -442,12 +362,12 @@ func (sc scanCtx) checkPlan(p Plan, r *PlanResult) error {
 
 // check evaluates one plan: aggregate the subject and scan the checks — or,
 // in pruned mode, the §6 early-termination scan.
-func (sc scanCtx) check(p Plan) ([]ScanResult, int, LinkCheckStat) {
+func (v *Verifier) check(p Plan) ([]ScanResult, int, LinkCheckStat) {
 	if p.pruned {
-		return sc.checkLinkPruned(p)
+		return v.checkLinkPruned(p)
 	}
-	tau, stat := sc.load(p.Subject)
-	res, restricts := sc.scanPortfolio(tau, p.Checks)
+	tau, stat := v.load(p.Subject)
+	res, restricts := v.scanPortfolio(tau, p.Checks)
 	return res, restricts, stat
 }
 
@@ -455,23 +375,23 @@ func (sc scanCtx) check(p Plan) ([]ScanResult, int, LinkCheckStat) {
 // the §6 early-termination heuristics (prune). Only a link that prune stops
 // on a violating prefix has a load built — that prefix's — and scanned for
 // a witness.
-func (sc scanCtx) checkLinkPruned(p Plan) ([]ScanResult, int, LinkCheckStat) {
+func (v *Verifier) checkLinkPruned(p Plan) ([]ScanResult, int, LinkCheckStat) {
 	start := time.Now()
-	m := sc.m
+	m := v.e.m
 	stat := LinkCheckStat{Link: p.Subject.Link}
-	classes := sc.linkClasses(p.Subject.Link, &stat)
-	stop, holds := sc.prune(classes, violThreshold(p.Checks[0].Max))
+	classes := v.linkClasses(p.Subject.Link, &stat)
+	stop, holds := v.prune(classes, violThreshold(p.Checks[0].Max))
 	if holds {
 		stat.Elapsed = time.Since(start)
 		return make([]ScanResult, 1), 0, stat
 	}
-	tau := sc.build(splitClasses(classes[:stop]))
+	tau := v.build(splitClasses(classes[:stop]))
 	stat.Elapsed = time.Since(start)
-	res, _ := sc.scanPortfolio(tau, p.Checks)
+	res, _ := v.scanPortfolio(tau, p.Checks)
 	if r := &res[0]; r.Violated {
 		// tau may be a partial sum (early stop): recompute the exact
 		// load at the witness by evaluating every class there.
-		assign := sc.fv.Scenario(r.FailedLinks, r.FailedRouters)
+		assign := v.e.fv.Scenario(r.FailedLinks, r.FailedRouters)
 		exact := 0.0
 		for _, c := range classes {
 			exact += float64(c.vol * m.Eval(c.w, assign))
@@ -495,13 +415,13 @@ func (sc scanCtx) checkLinkPruned(p Plan) ([]ScanResult, int, LinkCheckStat) {
 // of the partial loads, read off the n-ary kernel over growing prefixes, so
 // a link its heaviest classes settle never enumerates the scenarios of the
 // rest.
-func (sc scanCtx) prune(classes []scanClass, threshold float64) (stop int, holds bool) {
-	cc := &sc.v.checkC
+func (v *Verifier) prune(classes []scanClass, threshold float64) (stop int, holds bool) {
+	cc := &v.checkC
 	cc.total.Add(int64(len(classes)))
 	total := 0.0
 	for i := range classes {
 		c := &classes[i]
-		_, c.max = sc.m.Range(c.w)
+		_, c.max = v.e.m.Range(c.w)
 		total += float64(c.vol * c.max)
 	}
 	if total <= threshold {
@@ -516,7 +436,7 @@ func (sc scanCtx) prune(classes []scanClass, threshold float64) (stop int, holds
 	var his []float64
 	for i, c := range classes {
 		if i == len(his) {
-			his = sc.prefixMax(vols, ws, len(his))
+			his = v.prefixMax(vols, ws, len(his))
 		}
 		remaining -= float64(c.vol * c.max)
 		if his[i] > threshold {
@@ -541,7 +461,7 @@ const prefixMaxStart = 8
 // prefixMax is the timed kernel call of the pruned check: with the maxima
 // of the first have operands known, it returns those of the next, doubled
 // prefix.
-func (sc scanCtx) prefixMax(vols []float64, ws []*mtbdd.Node, have int) []float64 {
+func (v *Verifier) prefixMax(vols []float64, ws []*mtbdd.Node, have int) []float64 {
 	n := 2 * have
 	if n < prefixMaxStart {
 		n = prefixMaxStart
@@ -549,9 +469,9 @@ func (sc scanCtx) prefixMax(vols []float64, ws []*mtbdd.Node, have int) []float6
 	if n > len(ws) {
 		n = len(ws)
 	}
-	sc.v.checkC.enumerated.Add(int64(n - have))
+	v.checkC.enumerated.Add(int64(n - have))
 	start := time.Now()
-	his := sc.fv.ReducePrefixMax(vols[:n], ws[:n])
-	sc.v.aggT.Add(time.Since(start))
+	his := v.e.fv.ReducePrefixMax(vols[:n], ws[:n])
+	v.aggT.Add(time.Since(start))
 	return his
 }

@@ -32,33 +32,31 @@ func busiestLink(v *Verifier) topo.DirLinkID {
 // loadMatchesReference reports whether the link's load is still the node
 // the reference fold builds.
 func loadMatchesReference(v *Verifier, l topo.DirLinkID) bool {
-	sc := v.primaryScan()
 	got, _ := v.LinkLoad(l)
 	var stat LinkCheckStat
-	return got == refSum(sc, refLinkClasses(sc, l, &stat))
+	return got == refSum(v, refLinkClasses(v, l, &stat))
 }
 
 func TestCancelInsideAggregationKernels(t *testing.T) {
 	ctx := &pollCancelCtx{Context: context.Background()}
 	spec, v := benchShapes[1].verifier(t, Options{Ctx: ctx})
 	l := busiestLink(v)
-	sc := v.primaryScan()
 
 	// The pruned check's limit is the link's true maximum load: no prefix
 	// short of all classes violates and the remaining mass never rules a
 	// violation out, so PrefixMaxK runs over every growing prefix.
 	tau, _ := v.LinkLoad(l)
-	_, hi := sc.m.Range(tau)
+	_, hi := v.e.m.Range(tau)
 	pruned := Plan{Subject: Subject{Link: l}, Checks: []LinkCheck{{Max: hi, Overload: true, CondVar: -1}}, pruned: true}
 
 	for name, attempt := range map[string]func(){
-		"SumMulK":    func() { sc.load(Subject{Link: l}) },
-		"PrefixMaxK": func() { sc.check(pruned) },
+		"SumMulK":    func() { v.load(Subject{Link: l}) },
+		"PrefixMaxK": func() { v.check(pruned) },
 	} {
 		// The ladder polls once on entry; the second poll can only come
 		// from the manager's interrupt hook, inside the walk.
 		ctx.arm(1)
-		_, err := sc.governed(attempt)
+		_, err := v.e.ladder(v.stfs, attempt)
 		ctx.armed.Store(false)
 		if !errors.Is(err, govern.ErrCanceled) {
 			t.Fatalf("%s: err = %v, want govern.ErrCanceled from inside the walk", name, err)

@@ -1,8 +1,7 @@
 // Global-equivalence classes (§6), the unit of execution on every path:
 // classifyFlows groups the input up front, one representative per class is
 // executed, and the verdict/STF is shared by every member — the summed
-// volume fans the result out at aggregation time. The shard pool
-// (parallel.go) takes the classes in this order, a chunk at a time.
+// volume fans the result out at aggregation time.
 package core
 
 import (
@@ -24,8 +23,8 @@ type flowClass struct {
 }
 
 // classifyFlows applies global flow equivalence (§6) and returns the
-// classes in first-seen order — the deterministic execution order shared
-// by the sequential and parallel pipelines — plus the per-input-flow
+// classes in first-seen order — the deterministic execution order of every
+// pipeline, monolithic and compositional — plus the per-input-flow
 // class index (classOf[i] is flows[i]'s class), through which verdicts
 // and STFs fan back out to every member. When the optimization is
 // disabled every flow is its own class (no merging, same order).
@@ -94,20 +93,20 @@ func dedupHits(classes []flowClass) int {
 	return n
 }
 
-// SchedStats summarizes one parallel execution's scheduling: how many
-// goroutines actually ran (never more than there was work for) and how the
-// classes were cut up. The sequential path reports Workers == 1 and no
-// chunks.
+// SchedStats summarizes the execution phase's work units: the
+// global-equivalence classes and how many input flows they absorbed. Every
+// run executes on one manager (DESIGN.md §8); Workers, Chunks and Steals
+// stay until benchmark/ stops reading them.
 type SchedStats struct {
-	// Workers is the number of execution goroutines spawned.
+	// Workers is always 1.
 	Workers int
-	// Chunks is the number of class-order chunks the pool handed out.
+	// Chunks is 1 when there is a class to execute — the class list runs as
+	// one unit — and 0 otherwise.
 	Chunks int
 	// Classes is the number of equivalence classes (executed
 	// representatives).
 	Classes int
-	// Steals is always 0: workers share one cursor, nothing is owned and
-	// nothing stolen. The field stays until benchmark/ stops reading it.
+	// Steals is always 0.
 	Steals int
 	// DedupHits counts input flows merged away by global equivalence.
 	DedupHits int

@@ -8,7 +8,7 @@ import (
 )
 
 // STFCache lets a caller reuse symbolic execution results across
-// verification runs. The sequential verifier consults it once per
+// verification runs. The verifier consults it once per
 // global-equivalence class: Lookup before executing the class
 // representative, Store after a successful execution.
 //
@@ -26,9 +26,6 @@ import (
 //   - Cache-served classes still count toward Report.FlowsExecuted; they
 //     are not counted in the exec.flows_executed obs counter, which keeps
 //     measuring real symbolic executions.
-//
-// Only the sequential pipeline (Workers <= 1) consults the cache; the
-// pool's execution shards never see it.
 type STFCache interface {
 	Lookup(e *Engine, rep topo.Flow) (*FlowSTF, bool)
 	Store(e *Engine, rep topo.Flow, stf *FlowSTF)

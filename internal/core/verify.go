@@ -181,17 +181,14 @@ type Verifier struct {
 	// execCount is the number of classes with a finished STF (executed,
 	// cache-served or unsealed; post global-equiv).
 	execCount int
-	// workers > 1 fans Check's plans out over the shard pool; 1 checks on
-	// the primary manager.
-	workers int
 	// err is the first fatal error hit while executing flows (cancel,
 	// deadline, unrecoverable budget breach, contained panic). Run
 	// surfaces it with a partial report.
 	err error
 	// aggT accumulates the wall time of per-link aggregation: the n-ary
-	// kernel calls of the check stage, on the primary and on shards. Its obs
-	// name is "check/kreduce" — the reduction is fused into the aggregation
-	// it times, and benchmark/batch.go reads the timer under that name.
+	// kernel calls of the check stage. Its obs name is "check/kreduce" — the
+	// reduction is fused into the aggregation it times, and
+	// benchmark/batch.go reads the timer under that name.
 	aggT *obs.Timer
 	// checkC counts what the check stage did with each link (checkCounters).
 	checkC checkCounters
@@ -206,9 +203,6 @@ type Verifier struct {
 	// with their node on that link (indexLinks). Built once at the end of
 	// assemble and read-only afterwards; its nodes are the ones v.stfs roots.
 	linkIdx [][]linkRef
-	// sealed is v.stfs sealed for the check shards, at the first check on
-	// the pool.
-	sealed *SealedSTFs
 	// sched summarizes the execution phase's scheduling (see SchedStats).
 	sched SchedStats
 }
@@ -219,11 +213,11 @@ func (v *Verifier) Err() error { return v.err }
 // newVerifier is the base every constructor starts from: the flows
 // classified into global-equivalence classes (§6) with nothing executed
 // yet. The constructors differ only in how they fill v.stfs.
-func newVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
-	v := &Verifier{e: e, flows: flows, workers: workers,
+func newVerifier(e *Engine, flows []topo.Flow) *Verifier {
+	v := &Verifier{e: e, flows: flows,
 		aggT: e.opts.Obs.Timer("check/kreduce"), checkC: newCheckCounters(e.opts.Obs)}
 	v.classes, v.classOf = classifyFlows(e, flows)
-	v.sched = SchedStats{Workers: 1, Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
+	v.sched = SchedStats{Workers: 1, Chunks: min(1, len(v.classes)), Classes: len(v.classes), DedupHits: dedupHits(v.classes)}
 	e.opts.Obs.Counter("sched.class_dedup_hits").Add(int64(v.sched.DedupHits))
 	return v
 }
@@ -235,17 +229,23 @@ func newVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 // budget breach stops the loop and is surfaced from Run (or Err) with
 // the flows executed so far intact.
 func NewVerifier(e *Engine, flows []topo.Flow) *Verifier {
-	v := newVerifier(e, flows, 1)
+	v := newVerifier(e, flows)
 	v.assemble(nil, nil)
 	return v
 }
 
+// NewParallelVerifier is NewVerifier: every run executes and checks on the
+// engine's manager (DESIGN.md §8), and workers is accepted and ignored.
+// benchmark/ pins the signature.
+func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
+	return NewVerifier(e, flows)
+}
+
 // assemble fills v.stfs in class order. sealed[j] holds the STFs of the
-// classes at[j] lists, finished in another manager — an execution shard's or
-// a domain's — and each list is unsealed into the engine's manager as one
-// governed step, its replay table gone with the step; a list whose replay
-// cannot fit the budget under the degrade policy leaves its classes to the
-// loop that follows. That loop executes every class still without an STF
+// classes at[j] lists, finished in a compose domain's manager, and each list
+// is unsealed into the engine's manager as one governed step, its replay
+// table gone with the step; a list whose replay cannot fit the budget under
+// the degrade policy leaves its classes to the loop that follows. That loop executes every class still without an STF
 // here, in class order, after offering it to the STF cache. The first fatal
 // error stops assembly with the leading classes finished so far intact.
 func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
@@ -254,7 +254,7 @@ func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 	stfs := make([]*FlowSTF, len(v.classes))
 	for j, l := range sealed {
 		if l == nil {
-			continue // a chunk no worker reached, a domain with no class
+			continue // a domain with no class
 		}
 		reps := make([]topo.Flow, len(at[j]))
 		for k, ci := range at[j] {
@@ -363,9 +363,8 @@ func (v *Verifier) Vars() *routesim.FailVars { return v.e.fv }
 // The returned node remains valid until the next Verifier method that may
 // trigger a managed GC (another LinkLoad, a Check or a Run).
 func (v *Verifier) LinkLoad(l topo.DirLinkID) (*mtbdd.Node, LinkCheckStat) {
-	sc := v.primaryScan()
-	sc.maybeGC()
-	return sc.load(Subject{Link: l})
+	v.e.maybeGC(v.stfs, nil)
+	return v.load(Subject{Link: l})
 }
 
 // loadEpsilon absorbs floating-point noise from ECMP fraction arithmetic
@@ -373,8 +372,7 @@ func (v *Verifier) LinkLoad(l topo.DirLinkID) (*mtbdd.Node, LinkCheckStat) {
 const loadEpsilon = 1e-6
 
 // scenarioWitness converts a violating assignment into sorted failed
-// link/router lists using any FailVars with the canonical variable layout
-// (the primary one or a shard's — they are identical by construction).
+// link/router lists.
 func scenarioWitness(fv *routesim.FailVars, a mtbdd.Assignment) (links []topo.LinkID, routers []topo.RouterID) {
 	for _, fvar := range a.FailedVars() {
 		if l, r, isLink := fv.VarElement(fvar); isLink {
@@ -448,8 +446,7 @@ func violations(p Plan, r ScanResult) []Violation {
 
 // Run checks the given explicit bounds (either slice may be empty) and, if
 // overloadFactor > 0, the all-links overload property: the request lowered to
-// plans, Check, and the slots converted back in plan order, so the Report is
-// identical (modulo per-check Elapsed) at every worker count.
+// plans, Check, and the slots converted back in plan order.
 //
 // Run is governed: on cancellation, deadline expiry, or a node-budget
 // breach under the fail policy it returns the typed error together with

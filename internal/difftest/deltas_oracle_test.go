@@ -67,7 +67,7 @@ func checkVersion(c *Case, s *serve.Server, portfolio string, step int) error {
 	if err != nil {
 		return fmt.Errorf("portfolio against version %d: %w", id, err)
 	}
-	opts := yu.VerifyOptions{K: c.K, Mode: c.Mode, ModeSet: true, Workers: 1}
+	opts := yu.VerifyOptions{K: c.K, Mode: c.Mode, ModeSet: true}
 	coldRes, err := yu.FromSpec(spec).VerifyPortfolio(props, opts)
 	var dispute *yu.ErrNotConverged
 	if errors.As(err, &dispute) {

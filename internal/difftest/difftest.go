@@ -7,8 +7,8 @@
 // one symbolic run over MTBDDs answers exactly what Jingubang-style
 // enumeration of every ≤k-failure scenario answers. The oracles approach
 // that claim from independent directions (exact per-scenario loads,
-// violation-set equality, parallel-vs-sequential determinism, monotonicity
-// in k, KREDUCE soundness, witness re-validation, and spec round-trip), so
+// violation-set equality, global-equivalence sharing, monotonicity in k,
+// KREDUCE soundness, witness re-validation, and spec round-trip), so
 // a bug has to fool several unrelated checks to slip through.
 //
 // A failing seed reproduces with:

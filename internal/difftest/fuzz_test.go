@@ -88,7 +88,7 @@ func FuzzTLPPortfolio(f *testing.F) {
 			return // rejection is the contract for malformed text; panics are not
 		}
 		res, err := yu.FromSpec(c.Spec).VerifyPortfolio(props, yu.VerifyOptions{
-			K: c.K, Mode: c.Mode, ModeSet: true, Workers: 1,
+			K: c.K, Mode: c.Mode, ModeSet: true,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: portfolio %q: %v", seed, text, err)

@@ -14,11 +14,10 @@ import (
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// updateGolden rewrites testdata/golden from the monolithic one-worker
-// run instead of comparing against it. The checked-in files were generated
+// updateGolden rewrites testdata/golden from the monolithic run instead of comparing against it. The checked-in files were generated
 // at the commit before the staged-pipeline refactor; regenerate them only
 // for a change that is meant to move verdicts.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/* from the monolithic one-worker run")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/* from the monolithic run")
 
 // goldenPortfolio is the portfolio pinned per spec: the spec's own `tlp`
 // lines, its legacy properties mirrored as TLProps, the all-links
@@ -33,8 +32,8 @@ func goldenPortfolio(n *yu.Network) []topo.TLProp {
 }
 
 // TestGoldenSweep holds every pipeline path to checked-in renderings:
-// workers {1,2,4} × {monolithic, AutoDomains 2, the spec's own `domain`
-// lines} must each reproduce testdata/golden/<spec>.k<K>.report
+// monolithic, AutoDomains 2 and the spec's own `domain` lines must each
+// reproduce testdata/golden/<spec>.k<K>.report
 // (canon.FormatReport, overload 0.95) and .portfolio (canon.FormatPortfolio
 // of goldenPortfolio) byte for byte — through Verify and VerifyPortfolio, and
 // again as a series of checks on one Build of the same options, before and
@@ -68,42 +67,40 @@ func TestGoldenSweep(t *testing.T) {
 		for _, k := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
 				base := filepath.Join(root, "golden", fmt.Sprintf("%s.k%d", name, k))
-				for _, workers := range []int{1, 2, 4} {
-					for _, p := range plans {
-						opts := yu.VerifyOptions{K: k, OverloadFactor: 0.95, Workers: workers}
-						p.set(&opts)
-						where := fmt.Sprintf("workers=%d %s", workers, p.label)
-						rep, err := n.Verify(opts)
-						if err != nil {
-							t.Fatalf("%s: Verify: %v", where, err)
-						}
-						matchGolden(t, base+".report", where, canon.FormatReport(n.Topology(), rep))
-						res, err := n.VerifyPortfolio(props, opts)
+				for _, p := range plans {
+					opts := yu.VerifyOptions{K: k, OverloadFactor: 0.95}
+					p.set(&opts)
+					where := p.label
+					rep, err := n.Verify(opts)
+					if err != nil {
+						t.Fatalf("%s: Verify: %v", where, err)
+					}
+					matchGolden(t, base+".report", where, canon.FormatReport(n.Topology(), rep))
+					res, err := n.VerifyPortfolio(props, opts)
+					if err != nil {
+						t.Fatalf("%s: VerifyPortfolio: %v", where, err)
+					}
+					matchGolden(t, base+".portfolio", where, canon.FormatPortfolio(n.Topology(), res))
+
+					// Build once, check many: the same bytes from every check
+					// on one build, in any order, lean or not.
+					b, err := n.Build(opts)
+					if err != nil {
+						t.Fatalf("%s: Build: %v", where, err)
+					}
+					for round, prepare := range []func(){func() {}, b.Trim, b.Collect} {
+						prepare()
+						where := fmt.Sprintf("%s, built, round %d", where, round)
+						res, err := b.VerifyPortfolio(context.Background(), props)
 						if err != nil {
 							t.Fatalf("%s: VerifyPortfolio: %v", where, err)
 						}
 						matchGolden(t, base+".portfolio", where, canon.FormatPortfolio(n.Topology(), res))
-
-						// Build once, check many: the same bytes from every check
-						// on one build, in any order, lean or not.
-						b, err := n.Build(opts)
+						rep, err := b.Verify(context.Background())
 						if err != nil {
-							t.Fatalf("%s: Build: %v", where, err)
+							t.Fatalf("%s: Verify: %v", where, err)
 						}
-						for round, prepare := range []func(){func() {}, b.Trim, b.Collect} {
-							prepare()
-							where := fmt.Sprintf("%s, built, round %d", where, round)
-							res, err := b.VerifyPortfolio(context.Background(), props)
-							if err != nil {
-								t.Fatalf("%s: VerifyPortfolio: %v", where, err)
-							}
-							matchGolden(t, base+".portfolio", where, canon.FormatPortfolio(n.Topology(), res))
-							rep, err := b.Verify(context.Background())
-							if err != nil {
-								t.Fatalf("%s: Verify: %v", where, err)
-							}
-							matchGolden(t, base+".report", where, canon.FormatReport(n.Topology(), rep))
-						}
+						matchGolden(t, base+".report", where, canon.FormatReport(n.Topology(), rep))
 					}
 				}
 			})
@@ -112,7 +109,7 @@ func TestGoldenSweep(t *testing.T) {
 }
 
 // goldenWritten records the files this -update-golden run has rewritten, so
-// only the first path to reach a file (monolithic, one worker) writes it and
+// only the first path to reach a file (monolithic) writes it and
 // the rest are compared against what it wrote.
 var goldenWritten = map[string]bool{}
 

@@ -36,7 +36,7 @@ func TestModularByteIdentitySweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := yu.VerifyOptions{K: k, OverloadFactor: 1.0, Workers: 1}
+				opts := yu.VerifyOptions{K: k, OverloadFactor: 1.0}
 				mono, err := n.Verify(opts)
 				if err != nil {
 					t.Fatal(err)
@@ -80,7 +80,7 @@ func TestModularBreaksNodeBudgetWall(t *testing.T) {
 		t.Fatal("wan-1.yu lost its domain lines")
 	}
 	const budget = wan1WallBudget
-	opts := yu.VerifyOptions{K: 2, OverloadFactor: 1.0, Workers: 1, MaxNodes: budget}
+	opts := yu.VerifyOptions{K: 2, OverloadFactor: 1.0, MaxNodes: budget}
 	if _, err := n.Verify(opts); !errors.Is(err, yu.ErrNodeBudget) {
 		t.Fatalf("monolithic under budget %d: err = %v, want ErrNodeBudget", budget, err)
 	}
@@ -115,12 +115,12 @@ func TestPortfolioHonoursDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	props := goldenPortfolio(n)
-	mono, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: 2, Workers: 1})
+	mono, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := canon.FormatPortfolio(n.Topology(), mono)
-	opts := yu.VerifyOptions{K: 2, Workers: 1, MaxNodes: wan1WallBudget}
+	opts := yu.VerifyOptions{K: 2, MaxNodes: wan1WallBudget}
 	if _, err := n.VerifyPortfolio(props, opts); !errors.Is(err, yu.ErrNodeBudget) {
 		t.Fatalf("monolithic portfolio under the budget: err = %v, want ErrNodeBudget", err)
 	}

@@ -35,7 +35,6 @@ func Battery() []Oracle {
 	return []Oracle{
 		{"loads-vs-concrete", OracleLoadsVsConcrete},
 		{"violation-sets", OracleViolationSets},
-		{"parallel-vs-sequential", OracleParallelVsSequential},
 		{"global-equiv", OracleGlobalEquiv},
 		{"monotonicity-in-k", OracleMonotonicity},
 		{"kreduce-soundness", OracleKReduceSoundness},
@@ -122,14 +121,13 @@ func OracleLoadsVsConcrete(c *Case) error {
 }
 
 // verifyOpts assembles the standard yu.VerifyOptions for a case.
-func verifyOpts(c *Case, k, workers int, engine yu.Engine) yu.VerifyOptions {
+func verifyOpts(c *Case, k int, engine yu.Engine) yu.VerifyOptions {
 	return yu.VerifyOptions{
 		K:              k,
 		Mode:           c.Mode,
 		ModeSet:        true,
 		OverloadFactor: c.OverloadFactor,
 		Engine:         engine,
-		Workers:        workers,
 		Incremental:    true,
 	}
 }
@@ -140,11 +138,11 @@ func verifyOpts(c *Case, k, workers int, engine yu.Engine) yu.VerifyOptions {
 // case.
 func OracleViolationSets(c *Case) error {
 	n := yu.FromSpec(c.Spec)
-	yuRep, err := n.Verify(verifyOpts(c, c.K, 1, yu.EngineYU))
+	yuRep, err := n.Verify(verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
 		return err
 	}
-	enumRep, err := n.Verify(verifyOpts(c, c.K, 1, yu.EngineEnumerate))
+	enumRep, err := n.Verify(verifyOpts(c, c.K, yu.EngineEnumerate))
 	if err != nil {
 		return err
 	}
@@ -159,61 +157,38 @@ func OracleViolationSets(c *Case) error {
 	return nil
 }
 
-// OracleParallelVsSequential checks that a sharded run (workers=3) renders
-// a byte-identical report to the sequential pipeline, wall-clock fields
-// excluded.
-func OracleParallelVsSequential(c *Case) error {
-	n := yu.FromSpec(c.Spec)
-	seq, err := n.Verify(verifyOpts(c, c.K, 1, yu.EngineYU))
-	if err != nil {
-		return err
-	}
-	par, err := n.Verify(verifyOpts(c, c.K, 3, yu.EngineYU))
-	if err != nil {
-		return err
-	}
-	sa, sb := FormatReport(c.Spec.Net, seq), FormatReport(c.Spec.Net, par)
-	if sa != sb {
-		return fmt.Errorf("reports differ\n--- sequential ---\n%s--- workers=3 ---\n%s", sa, sb)
-	}
-	return nil
-}
-
 // OracleGlobalEquiv checks the representative-sharing contract of global
-// flow equivalence (§6, the parallel scheduler's work unit): verdicts
+// flow equivalence (§6, the unit of execution): verdicts
 // computed by executing one representative per equivalence class and
 // fanning the result out to every member must equal verdicts from
 // executing every flow individually. Violation sets and the overall
 // verdict must match exactly; load values may differ only by float
 // association noise, which ViolationKeys' fixed-precision rendering
-// absorbs. The sharing must also hold under the parallel scheduler,
-// where classes — not flows — are what gets stolen and merged.
+// absorbs. Every input flow is either a class's representative or one of its
+// dedup hits.
 func OracleGlobalEquiv(c *Case) error {
 	n := yu.FromSpec(c.Spec)
-	perFlowOpts := verifyOpts(c, c.K, 1, yu.EngineYU)
+	perFlowOpts := verifyOpts(c, c.K, yu.EngineYU)
 	perFlowOpts.DisableGlobalEquiv = true
 	perFlow, err := n.Verify(perFlowOpts)
 	if err != nil {
 		return err
 	}
-	for name, workers := range map[string]int{"sequential": 1, "workers=3": 3} {
-		shared, err := n.Verify(verifyOpts(c, c.K, workers, yu.EngineYU))
-		if err != nil {
-			return err
-		}
-		if dedup := shared.Sched.DedupHits; workers > 1 && dedup != len(c.Spec.Flows)-shared.FlowsExecuted {
-			return fmt.Errorf("%s: %d dedup hits for %d flows / %d executed",
-				name, dedup, len(c.Spec.Flows), shared.FlowsExecuted)
-		}
-		a := ViolationKeys(c.Spec.Net, perFlow.Violations)
-		b := ViolationKeys(c.Spec.Net, shared.Violations)
-		if err := sameStringSets(a, b); err != nil {
-			return fmt.Errorf("per-flow vs class-shared (%s): %w", name, err)
-		}
-		if perFlow.Holds != shared.Holds {
-			return fmt.Errorf("Holds disagrees (%s): per-flow %v, class-shared %v",
-				name, perFlow.Holds, shared.Holds)
-		}
+	shared, err := n.Verify(verifyOpts(c, c.K, yu.EngineYU))
+	if err != nil {
+		return err
+	}
+	if dedup := shared.Sched.DedupHits; dedup != len(c.Spec.Flows)-shared.FlowsExecuted {
+		return fmt.Errorf("%d dedup hits for %d flows / %d executed",
+			dedup, len(c.Spec.Flows), shared.FlowsExecuted)
+	}
+	a := ViolationKeys(c.Spec.Net, perFlow.Violations)
+	b := ViolationKeys(c.Spec.Net, shared.Violations)
+	if err := sameStringSets(a, b); err != nil {
+		return fmt.Errorf("per-flow vs class-shared: %w", err)
+	}
+	if perFlow.Holds != shared.Holds {
+		return fmt.Errorf("Holds disagrees: per-flow %v, class-shared %v", perFlow.Holds, shared.Holds)
 	}
 	return nil
 }
@@ -223,11 +198,11 @@ func OracleGlobalEquiv(c *Case) error {
 // violated within k+1 (the scenario space is a superset).
 func OracleMonotonicity(c *Case) error {
 	n := yu.FromSpec(c.Spec)
-	repK, err := n.Verify(verifyOpts(c, c.K, 1, yu.EngineYU))
+	repK, err := n.Verify(verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
 		return err
 	}
-	repK1, err := n.Verify(verifyOpts(c, c.K+1, 1, yu.EngineYU))
+	repK1, err := n.Verify(verifyOpts(c, c.K+1, yu.EngineYU))
 	if err != nil {
 		return err
 	}
@@ -288,7 +263,7 @@ func OracleKReduceSoundness(c *Case) error {
 // right verdict with a wrong witness fails here and nowhere else.
 func OracleWitnessRevalidation(c *Case) error {
 	n := yu.FromSpec(c.Spec)
-	rep, err := n.Verify(verifyOpts(c, c.K, 1, yu.EngineYU))
+	rep, err := n.Verify(verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
 		return err
 	}
@@ -355,11 +330,11 @@ func OracleSpecRoundTrip(c *Case) error {
 	if txt != txt2 {
 		return fmt.Errorf("format not a fixpoint:\n--- first ---\n%s--- second ---\n%s", txt, txt2)
 	}
-	rep1, err := yu.FromSpec(c.Spec).Verify(verifyOpts(c, c.K, 1, yu.EngineYU))
+	rep1, err := yu.FromSpec(c.Spec).Verify(verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
 		return err
 	}
-	rep2, err := n2.Verify(verifyOpts(c, c.K, 1, yu.EngineYU))
+	rep2, err := n2.Verify(verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
 		return err
 	}
@@ -384,7 +359,7 @@ func OracleGovernance(c *Case) error {
 	// nothing claimed.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := verifyOpts(c, c.K, 1, yu.EngineYU)
+	opts := verifyOpts(c, c.K, yu.EngineYU)
 	opts.Ctx = ctx
 	rep, err := n.Verify(opts)
 	if !errors.Is(err, yu.ErrCanceled) {
@@ -399,7 +374,7 @@ func OracleGovernance(c *Case) error {
 
 	// (2) One-node budget under the fail policy: typed unwind with a
 	// partial report.
-	opts = verifyOpts(c, c.K, 1, yu.EngineYU)
+	opts = verifyOpts(c, c.K, yu.EngineYU)
 	opts.MaxNodes = 1
 	rep, err = n.Verify(opts)
 	if !errors.Is(err, yu.ErrNodeBudget) {
@@ -411,13 +386,13 @@ func OracleGovernance(c *Case) error {
 
 	// (3) Degrade policy vs the enumerating baseline, at a budget that
 	// forces degradation and one that usually permits symbolic operation.
-	base, err := n.Verify(verifyOpts(c, c.K, 1, yu.EngineEnumerate))
+	base, err := n.Verify(verifyOpts(c, c.K, yu.EngineEnumerate))
 	if err != nil {
 		return err
 	}
 	baseKeys := ViolationKeys(net, base.Violations)
 	for _, budget := range []int{64, 4000} {
-		opts = verifyOpts(c, c.K, 1, yu.EngineYU)
+		opts = verifyOpts(c, c.K, yu.EngineYU)
 		opts.MaxNodes = budget
 		opts.OnBudget = yu.BudgetDegrade
 		rep1, err := n.Verify(opts)
@@ -468,76 +443,74 @@ func OracleGovernance(c *Case) error {
 // OracleModularVsMonolithic checks compositional verification (internal/
 // compose) against the monolithic pipeline: the same case auto-partitioned
 // into 2 and 3 AS-closed domains must render a byte-identical report —
-// same violations, same witnesses, same check statistics — at workers 1
-// and 3, and so must the portfolio mirroring the case's properties
-// (VerifyPortfolio shares the build stage). Every modular witness is additionally concretized and re-run
+// same violations, same witnesses, same check statistics — and so must the
+// portfolio mirroring the case's properties (VerifyPortfolio shares the build
+// stage). Every modular witness is additionally concretized and re-run
 // through the independent concrete simulator, so a modular run that gets
 // the verdict right with a summary-corrupted witness still fails here.
 func OracleModularVsMonolithic(c *Case) error {
 	net := c.Spec.Net
 	n := yu.FromSpec(c.Spec)
-	mono, err := n.Verify(verifyOpts(c, c.K, 1, yu.EngineYU))
+	mono, err := n.Verify(verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
 		return err
 	}
 	monoTxt := FormatReport(net, mono)
 	props, _ := mirrorPortfolio(c)
-	monoPort, err := n.VerifyPortfolio(props, verifyOpts(c, c.K, 1, yu.EngineYU))
+	monoPort, err := n.VerifyPortfolio(props, verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
 		return err
 	}
 	monoPortTxt := canon.FormatPortfolio(net, monoPort)
 	sim := concrete.NewSim(net, c.Spec.Configs)
 	for _, domains := range []int{2, 3} {
-		for _, workers := range []int{1, 3} {
-			opts := verifyOpts(c, c.K, workers, yu.EngineYU)
-			opts.AutoDomains = domains
-			rep, err := n.Verify(opts)
-			if err != nil {
-				return fmt.Errorf("domains=%d workers=%d: %w", domains, workers, err)
+		opts := verifyOpts(c, c.K, yu.EngineYU)
+		opts.AutoDomains = domains
+		rep, err := n.Verify(opts)
+		if err != nil {
+			return fmt.Errorf("domains=%d: %w", domains, err)
+		}
+		if txt := FormatReport(net, rep); txt != monoTxt {
+			return fmt.Errorf("domains=%d report differs\n--- monolithic ---\n%s--- modular ---\n%s",
+				domains, monoTxt, txt)
+		}
+		port, err := n.VerifyPortfolio(props, opts)
+		if err != nil {
+			return fmt.Errorf("domains=%d portfolio: %w", domains, err)
+		}
+		if txt := canon.FormatPortfolio(net, port); txt != monoPortTxt {
+			return fmt.Errorf("domains=%d portfolio differs\n--- monolithic ---\n%s--- modular ---\n%s",
+				domains, monoPortTxt, txt)
+		}
+		for i, v := range rep.Violations {
+			if len(v.FailedLinks)+len(v.FailedRouters) > c.K {
+				return fmt.Errorf("domains=%d: violation %d witness has %d failures, budget is %d",
+					domains, i, len(v.FailedLinks)+len(v.FailedRouters), c.K)
 			}
-			if txt := FormatReport(net, rep); txt != monoTxt {
-				return fmt.Errorf("domains=%d workers=%d report differs\n--- monolithic ---\n%s--- modular ---\n%s",
-					domains, workers, monoTxt, txt)
+			sc := concrete.NewScenario(net)
+			for _, l := range v.FailedLinks {
+				sc.LinkDown[l] = true
 			}
-			port, err := n.VerifyPortfolio(props, opts)
-			if err != nil {
-				return fmt.Errorf("domains=%d workers=%d portfolio: %w", domains, workers, err)
+			for _, r := range v.FailedRouters {
+				sc.RouterDown[r] = true
 			}
-			if txt := canon.FormatPortfolio(net, port); txt != monoPortTxt {
-				return fmt.Errorf("domains=%d workers=%d portfolio differs\n--- monolithic ---\n%s--- modular ---\n%s",
-					domains, workers, monoPortTxt, txt)
-			}
-			for i, v := range rep.Violations {
-				if len(v.FailedLinks)+len(v.FailedRouters) > c.K {
-					return fmt.Errorf("domains=%d: violation %d witness has %d failures, budget is %d",
-						domains, i, len(v.FailedLinks)+len(v.FailedRouters), c.K)
-				}
-				sc := concrete.NewScenario(net)
-				for _, l := range v.FailedLinks {
-					sc.LinkDown[l] = true
-				}
-				for _, r := range v.FailedRouters {
-					sc.RouterDown[r] = true
-				}
-				res := sim.Simulate(sc, c.Spec.Flows)
-				var conc float64
-				switch v.Kind {
-				case "link-load":
-					conc = res.Load[v.Link]
-				case "delivered":
-					for fi, f := range c.Spec.Flows {
-						if v.Prefix.Contains(f.Dst) {
-							conc += res.Delivered[fi]
-						}
+			res := sim.Simulate(sc, c.Spec.Flows)
+			var conc float64
+			switch v.Kind {
+			case "link-load":
+				conc = res.Load[v.Link]
+			case "delivered":
+				for fi, f := range c.Spec.Flows {
+					if v.Prefix.Contains(f.Dst) {
+						conc += res.Delivered[fi]
 					}
-				default:
-					return fmt.Errorf("domains=%d: violation %d has unknown kind %q", domains, i, v.Kind)
 				}
-				if math.Abs(conc-v.Value) > tolerance {
-					return fmt.Errorf("domains=%d: violation %d (%s) reports %.9g, concrete re-run of its witness says %.9g",
-						domains, i, v.Kind, v.Value, conc)
-				}
+			default:
+				return fmt.Errorf("domains=%d: violation %d has unknown kind %q", domains, i, v.Kind)
+			}
+			if math.Abs(conc-v.Value) > tolerance {
+				return fmt.Errorf("domains=%d: violation %d (%s) reports %.9g, concrete re-run of its witness says %.9g",
+					domains, i, v.Kind, v.Value, conc)
 			}
 		}
 	}

@@ -19,7 +19,7 @@ func ViolationKeys(net *topo.Network, vs []core.Violation) []string {
 // FormatReport renders a verification report canonically: every
 // deterministic field, no wall-clock fields. Two runs of the pipeline are
 // "byte-identical" exactly when their FormatReport strings are equal —
-// the contract the parallel pipeline, the spec round-trip, and the
+// the contract the compositional pipeline, the spec round-trip, and the
 // incremental daemon are held to.
 func FormatReport(net *topo.Network, rep *yu.Report) string {
 	return canon.FormatReport(net, rep)

@@ -16,20 +16,15 @@ import (
 // on a prefix that splits a global-equivalence class (testdata/subprefix:
 // a class merges flows by matched-prefix set, so half of a routed prefix,
 // or one flow's /32, covers only some of its members). On every path —
-// the spec's properties and the portfolio engine, one worker and four,
-// monolithic and two auto-domains — the verdicts must be those of concrete
-// enumeration, which knows no classes.
+// the spec's properties and the portfolio engine, monolithic and two
+// auto-domains — the verdicts must be those of concrete enumeration, which
+// knows no classes.
 func TestSubPrefixDelivered(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "subprefix", "*.yu"))
 	if err != nil || len(files) < 3 {
 		t.Fatalf("want the three sub-prefix specs, found %d (%v)", len(files), err)
 	}
-	paths := []yu.VerifyOptions{
-		{Workers: 1},
-		{Workers: 4},
-		{Workers: 1, AutoDomains: 2},
-		{Workers: 4, AutoDomains: 2},
-	}
+	paths := []yu.VerifyOptions{{}, {AutoDomains: 2}}
 	for _, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {
 			n, err := yu.LoadFile(file)
@@ -51,7 +46,7 @@ func TestSubPrefixDelivered(t *testing.T) {
 			// ratio in the gadgets is truly 1: nothing offered is ever lost.
 			props := append(mirrorSpecProps(n), n.Spec().Portfolio...)
 			for _, opts := range paths {
-				name := fmt.Sprintf("workers=%d auto-domains=%d", opts.Workers, opts.AutoDomains)
+				name := fmt.Sprintf("auto-domains=%d", opts.AutoDomains)
 				rep, err := n.Verify(opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

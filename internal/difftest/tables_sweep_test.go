@@ -56,7 +56,7 @@ func TestVerdictsIndependentOfTableGeometry(t *testing.T) {
 					for _, m := range modes {
 						mtbddTableMode = m.mode
 						reg := yu.NewMetrics()
-						rep, err := n.Verify(yu.VerifyOptions{K: k, OverloadFactor: 0.95, Workers: 1, Domains: domains, Obs: reg})
+						rep, err := n.Verify(yu.VerifyOptions{K: k, OverloadFactor: 0.95, Domains: domains, Obs: reg})
 						if err != nil {
 							t.Fatalf("%s: %v", m.name, err)
 						}

@@ -44,23 +44,22 @@ func mirrorPortfolio(c *Case) ([]topo.TLProp, int) {
 	return props, utilIdx
 }
 
-// OracleTLPPortfolio checks the batch TLP engine three ways: (1) on a
+// OracleTLPPortfolio checks the batch TLP engine two ways: (1) on a
 // portfolio mirroring the legacy properties, the violated-property set
-// and overall verdict must equal the legacy report's; (2) the canonical
-// portfolio report must be byte-identical across worker counts; (3)
-// conditional properties must agree with brute-force enumeration of the
-// guard-failed scenario space, with concretely revalidated witnesses.
+// and overall verdict must equal the legacy report's; (2) conditional
+// properties must agree with brute-force enumeration of the guard-failed
+// scenario space, with concretely revalidated witnesses.
 func OracleTLPPortfolio(c *Case) error {
 	net := c.Spec.Net
 	n := yu.FromSpec(c.Spec)
 	props, utilIdx := mirrorPortfolio(c)
 
-	legacy, err := n.Verify(verifyOpts(c, c.K, 1, yu.EngineYU))
+	legacy, err := n.Verify(verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
 		return err
 	}
 	res, err := n.VerifyPortfolio(props, yu.VerifyOptions{
-		K: c.K, Mode: c.Mode, ModeSet: true, Workers: 1,
+		K: c.K, Mode: c.Mode, ModeSet: true,
 	})
 	if err != nil {
 		return err
@@ -135,21 +134,6 @@ func OracleTLPPortfolio(c *Case) error {
 		return fmt.Errorf("Holds disagrees: portfolio %v, legacy %v", res.Holds, legacy.Holds)
 	}
 
-	// Worker-count byte identity of the canonical portfolio report.
-	base := canon.FormatPortfolio(net, res)
-	for _, workers := range []int{3} {
-		resW, err := n.VerifyPortfolio(props, yu.VerifyOptions{
-			K: c.K, Mode: c.Mode, ModeSet: true, Workers: workers,
-		})
-		if err != nil {
-			return err
-		}
-		if got := canon.FormatPortfolio(net, resW); got != base {
-			return fmt.Errorf("workers=%d portfolio report differs\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
-				workers, base, workers, got)
-		}
-	}
-
 	if err := oracleTLPConditional(c, n); err != nil {
 		return err
 	}
@@ -160,8 +144,7 @@ func OracleTLPPortfolio(c *Case) error {
 // named link set: the concrete worst-case aggregate over every in-budget
 // scenario must be bracketed by the portfolio verdicts — a bound above it
 // holds, a bound clearly below it is violated with a concretely
-// reproducible witness — and the aggregate portfolio report must be
-// byte-identical across worker counts.
+// reproducible witness.
 func oracleTLPAggregate(c *Case, n *yu.Network) error {
 	net := c.Spec.Net
 	nset := net.NumLinks()
@@ -227,7 +210,7 @@ func oracleTLPAggregate(c *Case, n *yu.Network) error {
 		props = append(props, prop(topo.TLPMaxLoad, worstMax-0.5))
 	}
 	res, err := n.VerifyPortfolio(props, yu.VerifyOptions{
-		K: c.K, Mode: c.Mode, ModeSet: true, Workers: 1,
+		K: c.K, Mode: c.Mode, ModeSet: true,
 	})
 	if err != nil {
 		return err
@@ -271,18 +254,6 @@ func oracleTLPAggregate(c *Case, n *yu.Network) error {
 			return fmt.Errorf("aggregate %s witness re-run: reported %.9g, concrete %.9g",
 				canon.FormatProp(net, props[i]), vd.Value, conc)
 		}
-	}
-
-	// Worker-count byte identity, including the agg scan counter.
-	base := canon.FormatPortfolio(net, res)
-	resW, err := n.VerifyPortfolio(props, yu.VerifyOptions{
-		K: c.K, Mode: c.Mode, ModeSet: true, Workers: 3,
-	})
-	if err != nil {
-		return err
-	}
-	if got := canon.FormatPortfolio(net, resW); got != base {
-		return fmt.Errorf("aggregate portfolio differs across workers\n--- workers=1 ---\n%s--- workers=3 ---\n%s", base, got)
 	}
 	return nil
 }
@@ -388,7 +359,7 @@ func oracleTLPConditional(c *Case, n *yu.Network) error {
 	if c.Mode == topo.FailRouters {
 		res, err := n.VerifyPortfolio([]topo.TLProp{
 			{Kind: topo.TLPLinkLoad, Link: subject, Max: 1, CondSet: true, CondLink: guard},
-		}, yu.VerifyOptions{K: c.K, Mode: c.Mode, ModeSet: true, Workers: 1})
+		}, yu.VerifyOptions{K: c.K, Mode: c.Mode, ModeSet: true})
 		if err != nil {
 			return err
 		}
@@ -448,7 +419,7 @@ func oracleTLPConditional(c *Case, n *yu.Network) error {
 		})
 	}
 	res, err := n.VerifyPortfolio(props, yu.VerifyOptions{
-		K: c.K, Mode: c.Mode, ModeSet: true, Workers: 1,
+		K: c.K, Mode: c.Mode, ModeSet: true,
 	})
 	if err != nil {
 		return err

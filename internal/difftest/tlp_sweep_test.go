@@ -1,5 +1,5 @@
 // Acceptance sweep for the batch TLP engine: on every checked-in
-// scenario, across worker counts and failure budgets, a portfolio
+// scenario, across failure budgets, a portfolio
 // mirroring the spec's legacy properties must reach exactly the legacy
 // verdicts; and a 1000-property portfolio must still cost one terminal
 // scan per directed link (the scan-sharing contract, asserted via the
@@ -59,10 +59,8 @@ func TestTLPSweepTestdata(t *testing.T) {
 			continue
 		}
 		for _, k := range []int{1, 2} {
-			// The portfolio report must also be byte-identical across
-			// worker counts, so evaluate all of them inside one subtest.
 			t.Run(fmt.Sprintf("%s/k=%d", filepath.Base(file), k), func(t *testing.T) {
-				legacy, err := n.Verify(yu.VerifyOptions{K: k, Workers: 1})
+				legacy, err := n.Verify(yu.VerifyOptions{K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,28 +68,18 @@ func TestTLPSweepTestdata(t *testing.T) {
 				for _, key := range canon.ViolationKeys(n.Topology(), legacy.Violations) {
 					violated[key] = true
 				}
-				var base string
-				for _, workers := range []int{1, 2, 4} {
-					res, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: k, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Holds != legacy.Holds {
-						t.Fatalf("workers=%d: Holds %v, legacy %v", workers, res.Holds, legacy.Holds)
-					}
-					for i, vd := range res.Verdicts {
-						want := legacyPropViolated(n, props[i], violated)
-						if got := vd.Status == tlp.StatusViolated; got != want {
-							t.Errorf("workers=%d property %d (%s): violated=%v, legacy %v",
-								workers, i, canon.FormatProp(n.Topology(), props[i]), got, want)
-						}
-					}
-					text := canon.FormatPortfolio(n.Topology(), res)
-					if workers == 1 {
-						base = text
-					} else if text != base {
-						t.Errorf("workers=%d report differs from workers=1\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
-							workers, base, workers, text)
+				res, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Holds != legacy.Holds {
+					t.Fatalf("Holds %v, legacy %v", res.Holds, legacy.Holds)
+				}
+				for i, vd := range res.Verdicts {
+					want := legacyPropViolated(n, props[i], violated)
+					if got := vd.Status == tlp.StatusViolated; got != want {
+						t.Errorf("property %d (%s): violated=%v, legacy %v",
+							i, canon.FormatProp(n.Topology(), props[i]), got, want)
 					}
 				}
 			})

@@ -173,9 +173,9 @@ func BenchmarkFusedCacheTwoWay13(b *testing.B) {
 
 // --- what a manager costs (ISSUE 15) ---
 //
-// Compositional verification makes one manager per domain and the check
-// pool one per shard, each for a few thousand to a few ten thousand nodes:
-// there the price of New and ClearCaches is the price of the run.
+// Compositional verification makes one manager per domain, each for a few
+// thousand to a few ten thousand nodes: there the price of New and
+// ClearCaches is the price of the run.
 
 var benchSink *Node
 
@@ -198,8 +198,7 @@ func smallWorkload(m *Manager, r *rand.Rand) *Node {
 	return acc
 }
 
-// BenchmarkSmallManagerWorkload is the compose-domain and check-shard
-// regime end to end: a fresh manager, a ~10 K-node build, dropped.
+// BenchmarkSmallManagerWorkload is the compose-domain regime end to end: a fresh manager, a ~10 K-node build, dropped.
 func BenchmarkSmallManagerWorkload(b *testing.B) {
 	b.ReportAllocs()
 	var created uint64
@@ -212,7 +211,7 @@ func BenchmarkSmallManagerWorkload(b *testing.B) {
 }
 
 // BenchmarkClearCaches clears the tables of a manager that has done the
-// small workload (what Manager.GC and the check shards' maybeGC pay).
+// small workload (what Manager.GC pays).
 func BenchmarkClearCaches(b *testing.B) {
 	m := New()
 	smallWorkload(m, rand.New(rand.NewSource(66)))

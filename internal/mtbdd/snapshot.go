@@ -5,10 +5,9 @@ import "fmt"
 // Snapshot is a read-only, manager-independent encoding of a set of MTBDD
 // roots: every reachable node flattened into children-first order, with
 // child links expressed as indices instead of pointers. It is the one way a
-// node changes managers — shard STFs to the primary, the primary's STFs to
-// the check shards, guards to the execution shards (routesim.ImportBase),
-// border guards and STFs between compose's domains, and the daemon's STF
-// store, on disk too (codec.go).
+// node changes managers — border guards and STFs between compose's domains,
+// the daemon's STF store, on disk too (codec.go), and a route-simulation
+// result's guards into a fresh manager (routesim.ImportBase).
 //
 // The source DAG is walked and deduplicated once, by NewSnapshot; each
 // destination then runs ImportSnapshot, a single linear pass over dense

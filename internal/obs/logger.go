@@ -38,7 +38,7 @@ func (l *Logger) Printf(format string, args ...any) {
 
 // Once writes the line only the first time key is seen; later calls
 // with the same key are dropped. Used for warnings that would otherwise
-// repeat per flow or per worker.
+// repeat per flow or per domain.
 func (l *Logger) Once(key, format string, args ...any) {
 	if l == nil {
 		return

@@ -140,7 +140,7 @@ func (r *Registry) Timer(name string) *Timer {
 // the end of the manager's life, or of a check) under its name, replacing
 // an earlier record of that name: a registry that outlives many checks —
 // a kept build's, the daemon's — holds the latest of each, not one per
-// check. Safe from worker goroutines.
+// check. Safe from concurrent goroutines (compose's domains record at once).
 func (r *Registry) RecordManager(ms ManagerStats) {
 	if r == nil {
 		return
@@ -240,7 +240,7 @@ func (r *Registry) AddPhase(path string, d time.Duration) {
 }
 
 // Snapshot renders the registry's current contents. Safe to call while
-// workers are still recording (values are read atomically), though the
+// other goroutines are still recording (values are read atomically), though the
 // canonical use is once, after the run.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {

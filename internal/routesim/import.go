@@ -51,12 +51,12 @@ func (r *Result) importWith(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *R
 }
 
 // ImportBase is a shared read-only snapshot of every guard MTBDD in a
-// route-simulation result — the copy-on-write base of the parallel
-// pipeline. Build it once with NewImportBase, then let each shard manager
-// clone the result from it with ImportBase.ImportInto: the source DAG is
-// walked and deduplicated once, and each shard only pays a linear replay
-// into its own arena (see mtbdd.Snapshot). The base holds no mutable
-// state, so any number of shards can import from it concurrently.
+// route-simulation result. Build it once with NewImportBase, then clone the
+// result into a fresh manager with ImportBase.ImportInto: the source DAG is
+// walked and deduplicated once, and each clone only pays a linear replay into
+// its own arena (see mtbdd.Snapshot). The base holds no mutable state, so any
+// number of goroutines can import from it concurrently. No pipeline clones a
+// result any more; benchmark/ measures the copy with it.
 type ImportBase struct {
 	src  *Result
 	snap *mtbdd.Snapshot
@@ -80,15 +80,15 @@ func (r *Result) NewImportBase() *ImportBase {
 // NumNodes returns the number of distinct MTBDD nodes in the shared base.
 func (b *ImportBase) NumNodes() int { return b.snap.Len() }
 
-// ImportInto clones the underlying result into the manager behind dst — how
-// the shard pool hands each worker a private copy of the guarded RIBs without
-// re-running route simulation. dst must be a FailVars over the same network,
-// mode, and budget, created with NewFailVars on a fresh manager: that
-// construction is deterministic, so dst's variable order matches the source
-// and the cloned guards are structurally identical. Guards resolve through
-// the shared snapshot, one linear replay per shard; the clone shares no MTBDD
-// state with the source. Safe to call concurrently from multiple shards (each
-// dst owns its manager; the base is read-only).
+// ImportInto clones the underlying result into the manager behind dst — a
+// private copy of the guarded RIBs without re-running route simulation. dst
+// must be a FailVars over the same network, mode, and budget, created with
+// NewFailVars on a fresh manager: that construction is deterministic, so
+// dst's variable order matches the source and the cloned guards are
+// structurally identical. Guards resolve through
+// the shared snapshot, one linear replay per clone; the clone shares no MTBDD
+// state with the source. Safe to call concurrently (each dst owns its
+// manager; the base is read-only).
 func (b *ImportBase) ImportInto(dst *FailVars) *Result {
 	if src := b.src.Vars; dst.Net != src.Net || dst.Mode != src.Mode || dst.K != src.K {
 		panic("routesim: ImportInto requires a FailVars over the same network, mode, and budget")

@@ -1,6 +1,6 @@
 // Warm STF cache: content-hash keys, the core.STFCache adapter consulted
-// by the sequential verifier, and the version-independent store that
-// survives reloads (and, via persist.go, restarts).
+// by the verifier, and the version-independent store that survives reloads
+// (and, via persist.go, restarts).
 package serve
 
 import (

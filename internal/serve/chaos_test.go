@@ -323,7 +323,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 		}
 		rep, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{
 			K: c.K, Mode: c.Mode, ModeSet: true,
-			OverloadFactor: c.OverloadFactor, Workers: 1,
+			OverloadFactor: c.OverloadFactor,
 		})
 		if err != nil {
 			t.Fatalf("cold verify: %v", err)

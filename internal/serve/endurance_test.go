@@ -168,7 +168,7 @@ func TestEnduranceMixedDeltasAndReaders(t *testing.T) {
 				if err != nil {
 					t.Fatalf("version %d: %v", version, err)
 				}
-				rep, err := n.Verify(yu.VerifyOptions{K: 1, OverloadFactor: 0.95, Workers: 1})
+				rep, err := n.Verify(yu.VerifyOptions{K: 1, OverloadFactor: 0.95})
 				if err != nil {
 					t.Fatalf("cold verify of version %d: %v", version, err)
 				}

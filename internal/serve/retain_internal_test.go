@@ -152,7 +152,7 @@ func TestSupersededVersionIsCollected(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cold, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: 1, Workers: 1})
+					cold, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -164,7 +164,7 @@ func TestSupersededVersionIsCollected(t *testing.T) {
 						t.Fatalf("report reader got version %d (err %v), pinned %d", a.rep.Version, a.rep.Err, id1)
 					}
 					n, _ := yu.LoadString(text1)
-					cold, err := n.Verify(yu.VerifyOptions{K: 1, Workers: 1})
+					cold, err := n.Verify(yu.VerifyOptions{K: 1})
 					if err != nil {
 						t.Fatal(err)
 					}

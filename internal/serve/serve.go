@@ -453,9 +453,9 @@ func (v *version) await(ctx context.Context) error {
 // compute runs the version's verification: build once, check the spec's
 // properties, and leave the build — trimmed — on the version for the
 // portfolio queries to come. Panics are contained: the version's result
-// carries the error and the daemon keeps serving (worker panics are
-// already contained by governance — this is the serve-layer backstop,
-// exercised by fault injection).
+// carries the error and the daemon keeps serving (panics in execution and
+// checks are already contained by governance — this is the serve-layer
+// backstop, exercised by fault injection).
 func (v *version) compute() {
 	s := v.srv
 	defer func() {
@@ -483,7 +483,6 @@ func (v *version) compute() {
 		Mode:           s.cfg.Mode,
 		ModeSet:        s.cfg.ModeSet,
 		OverloadFactor: s.cfg.OverloadFactor,
-		Workers:        1,
 		Ctx:            ctx,
 		Obs:            s.reg,
 		STFCache:       rc,

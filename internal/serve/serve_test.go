@@ -44,7 +44,7 @@ func coldReport(t *testing.T, text string) string {
 	if err != nil {
 		t.Fatalf("cold parse: %v", err)
 	}
-	rep, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{Workers: 1})
+	rep, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{})
 	if err != nil {
 		t.Fatalf("cold verify: %v", err)
 	}
@@ -454,7 +454,7 @@ func TestWarmStateFromEarlierBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{Workers: 1})
+	cold, err := yu.FromSpec(spec).Verify(yu.VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func coldPortfolio(t *testing.T, specText, portfolio string, k int) string {
 	if err != nil {
 		t.Fatalf("cold portfolio: %v", err)
 	}
-	res, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: k, Workers: 1})
+	res, err := n.VerifyPortfolio(props, yu.VerifyOptions{K: k})
 	if err != nil {
 		t.Fatalf("cold VerifyPortfolio: %v", err)
 	}

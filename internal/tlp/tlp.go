@@ -307,9 +307,8 @@ type Result struct {
 }
 
 // Eval evaluates the compiled portfolio against one symbolic run, through
-// the verifier's one check loop (on its shard pool when it has workers). Each
-// directed link in the plan is aggregated and terminal-scanned exactly
-// once; conditional properties add one cofactor scan per distinct guard
+// the verifier's one check loop. Each directed link in the plan is
+// aggregated and terminal-scanned exactly once; conditional properties add one cofactor scan per distinct guard
 // link. reg (nil-safe) receives tlp.* counters.
 func (p *Portfolio) Eval(v *core.Verifier, reg *obs.Registry) (*Result, error) {
 	r := &Result{Props: p.Props, Verdicts: make([]Verdict, len(p.Props))}

@@ -69,18 +69,18 @@ type (
 	DirLinkID = topo.DirLinkID
 	// BudgetPolicy selects the response to an MTBDD node-budget breach.
 	BudgetPolicy = core.BudgetPolicy
-	// SchedStats summarizes the shard pool's execution phase (workers
-	// spawned, chunks, class dedup) — see Report.Sched.
+	// SchedStats summarizes the execution phase's work units (classes and
+	// global-equivalence dedup hits) — see Report.Sched.
 	SchedStats = core.SchedStats
 	// Metrics is the run-metrics registry for VerifyOptions.Obs: phase
-	// timings, per-cache MTBDD hit/miss counters, per-worker counters
+	// timings, per-cache MTBDD hit/miss counters, stage counters
 	// (DESIGN.md §11). Create with NewMetrics; read with Snapshot.
 	Metrics = obs.Registry
 	// MetricsSnapshot is the serializable view of a Metrics registry —
 	// the payload behind `yu -metrics=json`.
 	MetricsSnapshot = obs.Snapshot
 	// STFCache is the cross-run symbolic-execution cache hook consulted
-	// by the sequential pipeline (VerifyOptions.STFCache). Implementations
+	// by the build (VerifyOptions.STFCache). Implementations
 	// must honor the contract documented on core.STFCache; the incremental
 	// daemon (internal/serve) is the canonical one.
 	STFCache = core.STFCache
@@ -235,10 +235,8 @@ type VerifyOptions struct {
 	DisableGlobalEquiv    bool
 	// Incremental enables incremental re-simulation (EngineEnumerate).
 	Incremental bool
-	// Workers is the parallelism degree for EngineYU: flows are executed
-	// on sharded MTBDD managers and links checked concurrently. 0 or 1
-	// selects the sequential pipeline; reports are identical either way
-	// (modulo wall-clock fields).
+	// Workers is accepted and ignored: every run executes its flows and
+	// checks its properties on one MTBDD manager (DESIGN.md §8).
 	Workers int
 	// Ctx, when non-nil, makes the run cancellable: cancellation or an
 	// expired deadline aborts within milliseconds and Verify returns
@@ -252,13 +250,13 @@ type VerifyOptions struct {
 	// BudgetFail (default) or BudgetDegrade.
 	OnBudget BudgetPolicy
 	// Obs, when non-nil, collects run metrics — phase durations,
-	// per-manager MTBDD cache stats, per-worker counters — into the
+	// per-manager MTBDD cache stats, stage counters — into the
 	// registry (read them with Obs.Snapshot() after Verify returns,
 	// including on partial/incomplete runs). nil disables collection
 	// with zero overhead.
 	Obs *Metrics
 	// STFCache, when non-nil, lets the run reuse symbolic execution
-	// results from previous runs (EngineYU, Workers <= 1 only): each
+	// results from previous runs (EngineYU only): each
 	// equivalence class is offered to the cache before execution and
 	// stored after. Soundness is the cache's responsibility — see the
 	// core.STFCache contract. Reports remain byte-identical to uncached
@@ -309,8 +307,8 @@ type Report struct {
 	// DegradedFlows names flows verified by the bounded concrete
 	// fallback instead of symbolic execution (BudgetDegrade only).
 	DegradedFlows []string
-	// Sched summarizes the execution phase's shard pool (EngineYU only):
-	// workers actually spawned, chunks, and global-equivalence dedup hits.
+	// Sched summarizes the execution phase's work units (EngineYU only):
+	// equivalence classes and global-equivalence dedup hits.
 	Sched SchedStats
 	// Modular summarizes the compositional pipeline when the run was
 	// domain-decomposed (VerifyOptions.Domains / AutoDomains); nil on
@@ -512,11 +510,10 @@ func (n *Network) markAllUnchecked(out *Report, overloadFactor float64) {
 // each directed link's load aggregated and terminal-scanned exactly once
 // however many properties ride on it. It runs Verify's pipeline with a
 // different check stage — Build, then one Built.VerifyPortfolio — so options
-// are honored as in Verify: K/Mode/Flows overrides, Workers, governance, Obs,
+// are honored as in Verify: K/Mode/Flows overrides, governance, Obs,
 // STFCache, and Domains/AutoDomains (compositional build, byte-identical
 // result); the portfolio itself replaces the spec's legacy properties. The
-// result is byte-stable across worker counts and partitions
-// (canon.FormatPortfolio).
+// result is byte-stable across partitions (canon.FormatPortfolio).
 //
 // Like Verify, a governed abort returns the typed error together with a
 // partial result whose undecided properties are StatusUnchecked; unlike
@@ -630,7 +627,7 @@ func (b *Built) LiveNodes() int {
 // (EngineYU only). The plan is compositional when the options name a
 // partition — per-domain route simulation and execution assembled by
 // internal/compose (DESIGN.md §17) — and monolithic otherwise: one route
-// simulation, then execution on Workers shards. Input the composition cannot
+// simulation, then execution on its manager. Input the composition cannot
 // handle (incomposable configs, a budget the domains cannot hold) falls back
 // wholesale to the monolithic plan, which reproduces the verdict or the
 // error. opts.Ctx governs the build only; each check names its own.
@@ -676,7 +673,6 @@ func (b *Built) build() error {
 			K:                     r.budget,
 			CheckK:                r.checkK,
 			Mode:                  r.mode,
-			Workers:               opts.Workers,
 			MaxNodes:              opts.MaxNodes,
 			OnBudget:              opts.OnBudget,
 			Ctx:                   opts.Ctx,
@@ -730,7 +726,7 @@ func (b *Built) build() error {
 		STFCache:              opts.STFCache,
 	})
 	execSpan := opts.Obs.Span("execute")
-	b.ver = core.NewParallelVerifier(eng, r.flows, opts.Workers)
+	b.ver = core.NewVerifier(eng, r.flows)
 	execSpan.End()
 	return nil
 }

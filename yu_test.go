@@ -241,8 +241,9 @@ func TestBothFailureMode(t *testing.T) {
 	}
 }
 
-// TestVerifyWorkersMatchesSequential drives the parallel pipeline through
-// the public API: identical violations and stats at any worker count.
+// TestVerifyWorkersMatchesSequential: through the public API, Workers is
+// accepted and ignored — identical violations and stats at 4 as at the
+// default.
 func TestVerifyWorkersMatchesSequential(t *testing.T) {
 	spec, err := gen.WAN(gen.WANSpec{Routers: 30, Links: 60, Prefixes: 8, SRPolicyFraction: 0.2, Seed: 7})
 	if err != nil {
