@@ -153,10 +153,10 @@ func BenchmarkFusedCacheTwoWay13(b *testing.B) {
 	// hit-rate is the steady state the cache organization controls.
 	replay := func() (hits int) {
 		for _, key := range trace {
-			if c.get(key.op, key.a, key.b, key.c, key.k) != 0 {
+			if res, set := c.get(key.op, key.a, key.b, key.c, key.k); res != 0 {
 				hits++
 			} else {
-				c.put(key.op, key.a, key.b, key.c, key.k, 1)
+				c.put(set, key.op, key.a, key.b, key.c, key.k, 1)
 			}
 		}
 		return hits
@@ -262,5 +262,87 @@ func BenchmarkNodeCountBitset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.NodeCount(f)
+	}
+}
+
+// --- one probe per mk ---
+//
+// The unique and terminal tables' per-call cost, on a unique table past L2
+// (mkPool nodes, an 8 MB table), visited in random order as a kernel's
+// operands are: the first entry load, not the probe length, is the price.
+
+const mkPool = 1 << 9 // mkPool² pairs, 2^18 nodes
+
+// mkPairs returns a manager holding mkPool level-1 nodes and the pool.
+func mkPairs(b *testing.B) (*Manager, []*Node) {
+	b.Helper()
+	m := New()
+	m.AddVar("x")
+	m.AddVar("y")
+	pool := make([]*Node, mkPool)
+	for i := range pool {
+		pool[i] = m.mk(1, m.Zero(), m.Const(float64(i+2)))
+	}
+	return m, pool
+}
+
+// BenchmarkMkHit looks up nodes that exist and reads each one's id.
+func BenchmarkMkHit(b *testing.B) {
+	m, pool := mkPairs(b)
+	type pair struct{ lo, hi *Node }
+	pairs := make([]pair, 0, mkPool*(mkPool-1))
+	for _, lo := range pool {
+		for _, hi := range pool {
+			if lo != hi {
+				pairs = append(pairs, pair{lo, hi})
+				m.mk(0, lo, hi)
+			}
+		}
+	}
+	rand.New(rand.NewSource(67)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	created := m.created
+	var ids uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A kernel reads what mk returns (its id goes into a computed
+		// table), so the benchmark does too.
+		p := pairs[i%len(pairs)]
+		ids += m.mk(0, p.lo, p.hi).id
+	}
+	if ids == 0 || m.created != created {
+		b.Fatal("a hit created a node")
+	}
+}
+
+// BenchmarkMkMiss creates nodes, collecting them every 2^16 (untimed).
+func BenchmarkMkMiss(b *testing.B) {
+	m, pool := mkPairs(b)
+	r := rand.New(rand.NewSource(68))
+	b.ResetTimer()
+	for i, made := 0, 0; i < b.N; i++ {
+		if made == 1<<16 {
+			b.StopTimer()
+			m.GC(pool)
+			made = 0
+			b.StartTimer()
+		}
+		n := m.created
+		m.mk(0, pool[r.Intn(mkPool)], pool[r.Intn(mkPool)])
+		made += int(m.created - n)
+	}
+}
+
+// BenchmarkConst looks up terminals that exist, 4 K values in random order.
+func BenchmarkConst(b *testing.B) {
+	m := New()
+	vals := make([]float64, 1<<12)
+	for i := range vals {
+		vals[i] = float64(i) * 0.25
+		m.Const(vals[i])
+	}
+	rand.New(rand.NewSource(69)).Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = m.Const(vals[i&(len(vals)-1)])
 	}
 }

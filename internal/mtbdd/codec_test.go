@@ -2,6 +2,8 @@ package mtbdd
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 )
 
@@ -203,4 +205,21 @@ func FuzzSnapshotCodec(f *testing.F) {
 			t.Fatalf("replay table %d entries for %d nodes", len(table), dec.Len())
 		}
 	})
+}
+
+// TestSnapshotEncodingUnchanged pins the bytes of a fixed graph's encoding.
+// An internal node's Value field carries its all-alive value in memory; the
+// format keeps writing 0 there, so snapshots on disk (the daemon's warm
+// state) stay byte-identical to those written before the field was used.
+func TestSnapshotEncodingUnchanged(t *testing.T) {
+	m := newMgr(t, 10)
+	snap, _ := NewSnapshot(kernelResults(m, 29, 10))
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "f373d97570aecff7005946bc3ad173acd1211420387c9e62f09d4eb7d08149fc" // recorded at 8005914
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("encoding of %d nodes has sha256 %s, want %s", snap.Len(), got, want)
+	}
 }

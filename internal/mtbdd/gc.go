@@ -1,10 +1,10 @@
 package mtbdd
 
 // GC discards every node not reachable from the given roots: the unique
-// table is rebuilt with the surviving nodes and all operation caches are
-// cleared. Hash consing otherwise keeps every node ever created alive,
-// which exhausts memory in long pipelines (millions of transient nodes
-// arise during symbolic traffic execution).
+// and terminal tables are rebuilt with the surviving nodes and all
+// operation caches are cleared. Hash consing otherwise keeps every node
+// ever created alive, which exhausts memory in long pipelines (millions
+// of transient nodes arise during symbolic traffic execution).
 //
 // Contract: after GC, only the roots and nodes reachable from them may be
 // passed to further Manager operations. Any other retained *Node would
@@ -29,23 +29,11 @@ func (m *Manager) GC(roots []*Node) {
 		mark(r)
 	}
 
-	fresh := newUniqueTable()
-	// maxProbe is a lifetime high-water mark, not a property of the
-	// current table generation.
-	fresh.maxProbe = m.unique.maxProbe
-	for _, e := range m.unique.entries {
-		if e.id != 0 && marked.has(e.id) {
-			fresh.insert(e.level, e.lo, e.hi, e.id)
-		}
-	}
-	m.unique = fresh
-	// Terminals are cheap; keep only the reachable ones anyway so that
-	// sweep counts reflect reality.
-	for bits, n := range m.terms {
-		if !marked.has(n.id) {
-			delete(m.terms, bits)
-		}
-	}
+	// Both tables keep only marked ids, placed by their stored hashes; no
+	// node is read. Unmarked terminals go too, so their slabs can be
+	// released and a later Const of their value makes a fresh node.
+	m.unique.keep(marked)
+	m.terms.keep(marked)
 	// Empty the caches before the slabs go: their entries are ids resolved
 	// through m.slabs, and none may name a released slab.
 	m.ClearCaches()

@@ -76,14 +76,17 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 		// Budget spent: the whole subproblem — which plain apply would
 		// expand into an MTBDD over every variable below — collapses to
 		// one terminal. This is where the fusion saves its work.
+		// Every node carries its all-alive value, so the cut reads two
+		// fields.
 		m.fusionCuts++
-		return m.Const(op.eval(m.EvalAllAlive(f), m.EvalAllAlive(g)))
+		return m.Const(op.eval(f.Value, g.Value))
 	}
 	a, b := f, g
 	if op.commutes() && a.id > b.id {
 		a, b = b, a
 	}
-	if id := m.fusedTbl.get(op, a.id, b.id, 0, k); id != 0 {
+	id, set := m.fusedTbl.get(op, a.id, b.id, 0, k)
+	if id != 0 {
 		m.fusedHits++
 		return m.node(id)
 	}
@@ -113,7 +116,7 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 	} else {
 		r = m.mk(level, loK1, hiK)
 	}
-	m.fusedTbl.put(op, a.id, b.id, 0, k, r.id)
+	m.fusedTbl.put(set, op, a.id, b.id, 0, k, r.id)
 	return r
 }
 
@@ -171,14 +174,15 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	}
 	if k == 0 {
 		m.fusionCuts++
-		return m.Const(m.EvalAllAlive(acc) + float64(m.EvalAllAlive(w)*m.EvalAllAlive(f)))
+		return m.Const(acc.Value + float64(w.Value*f.Value))
 	}
 	// The product operands commute; canonicalize their cache order.
 	x, y := w, f
 	if x.id > y.id {
 		x, y = y, x
 	}
-	if id := m.fusedTbl.get(opMulAdd, acc.id, x.id, y.id, k); id != 0 {
+	id, set := m.fusedTbl.get(opMulAdd, acc.id, x.id, y.id, k)
+	if id != 0 {
 		m.fusedHits++
 		return m.node(id)
 	}
@@ -212,7 +216,7 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	} else {
 		r = m.mk(level, loK1, hiK)
 	}
-	m.fusedTbl.put(opMulAdd, acc.id, x.id, y.id, k, r.id)
+	m.fusedTbl.put(set, opMulAdd, acc.id, x.id, y.id, k, r.id)
 	return r
 }
 

@@ -1,6 +1,7 @@
 package mtbdd
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -300,5 +301,88 @@ func TestFusedKernelsAfterGC(t *testing.T) {
 	}
 	if got, want := m.MulAddK(before, f, g, 2), m.KReduce(m.Add(before, m.Mul(f, g)), 2); got != want {
 		t.Fatal("MulAddK diverged from composed form after GC")
+	}
+}
+
+// kernelResults builds, over n variables from seed, results of every kernel
+// that cuts on the all-alive value — AddK, MulK, MulAddK, KReduce and
+// SumMulK — at budgets 0 through 3.
+func kernelResults(m *Manager, seed int64, n int) []*Node {
+	r := rand.New(rand.NewSource(seed))
+	var out []*Node
+	for k := 0; k <= 3; k++ {
+		a, b, c := randomMTBDD(m, r, n, 6), randomMTBDD(m, r, n, 6), randomMTBDD(m, r, n, 6)
+		g := randomGuard(m, r, n, 4)
+		out = append(out, m.AddK(a, b, k), m.MulK(a, c, k), m.MulAddK(a, g, c, k), m.KReduce(m.Add(b, c), k),
+			m.SumMulK([]float64{1.5, 0.25, 3}, []*Node{a, g, c}, k))
+	}
+	return out
+}
+
+// allAliveRef is F(1,…,1) by the Hi-chain walk the carried value replaced.
+func allAliveRef(n *Node) float64 {
+	for !n.IsTerminal() {
+		n = n.Hi
+	}
+	return n.Value
+}
+
+// checkCarried fails unless every node reachable from roots carries its
+// all-alive value.
+func checkCarried(t *testing.T, where string, m *Manager, roots []*Node) {
+	t.Helper()
+	seen := m.newBitset()
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if seen.visit(n.id) {
+			return
+		}
+		if want := allAliveRef(n); n.Value != want {
+			t.Fatalf("%s: node %d at level %d carries %v, its Hi chain ends at %v", where, n.id, n.Level, n.Value, want)
+		}
+		if !n.IsTerminal() {
+			walk(n.Lo)
+			walk(n.Hi)
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+}
+
+// TestAllAliveValueCarried: every node the kernels build carries its
+// all-alive value — the field the budget-spent cuts read — and keeps it
+// through a GC and through a snapshot replay, plain and decoded, though
+// the format records 0 for an internal node.
+func TestAllAliveValueCarried(t *testing.T) {
+	const n = 10
+	for seed := int64(1); seed <= 20; seed++ {
+		m := newMgr(t, n)
+		roots := kernelResults(m, seed, n)
+		checkCarried(t, "built", m, roots)
+		m.GC(roots)
+		checkCarried(t, "after GC", m, roots)
+		roots = append(roots, kernelResults(m, seed+100, n)...)
+		checkCarried(t, "built after GC", m, roots)
+
+		snap, at := NewSnapshot(roots)
+		dst := newMgr(t, n)
+		table := dst.ImportSnapshot(snap)
+		checkCarried(t, "imported", dst, table)
+		for i, r := range roots {
+			if got := table[at[i]].Value; got != r.Value {
+				t.Fatalf("seed %d root %d: imported with all-alive value %v, source %v", seed, i, got, r.Value)
+			}
+		}
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := newMgr(t, n)
+		checkCarried(t, "decoded", fresh, fresh.ImportSnapshot(dec))
 	}
 }

@@ -33,12 +33,13 @@ func (m *Manager) kreduce(f *Node, k int32) *Node {
 		return f
 	}
 	if k == 0 {
-		// β_0(F) = F(1,...,1): follow Hi edges to a terminal.
-		return m.Const(m.EvalAllAlive(f))
+		// β_0(F) = F(1,...,1), the value f carries.
+		return m.Const(f.Value)
 	}
-	if id := m.kreduceTbl.get(f.id, k); id != 0 {
+	e := m.kreduceTbl.slot(f.id, k)
+	if e.is(f.id, k) {
 		m.kreduceHits++
-		return m.node(id)
+		return m.node(e.res)
 	}
 	m.kreduceMisses++
 	m.checkInterrupt()
@@ -50,7 +51,7 @@ func (m *Manager) kreduce(f *Node, k int32) *Node {
 	} else {
 		r = m.mk(f.Level, loK1, hiK)
 	}
-	m.kreduceTbl.put(f.id, k, r.id)
+	*e = kreduceEntry{f.id, k, r.id}
 	return r
 }
 

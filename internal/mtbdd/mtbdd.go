@@ -29,12 +29,18 @@ import (
 // A terminal node has Level == terminalLevel and carries Value. An internal
 // node tests the variable at its Level: Hi is the cofactor where the
 // variable is 1 (element alive), Lo where it is 0 (element failed).
+//
+// A Node is 40 bytes; the fields below are all it holds.
 type Node struct {
 	// Level is the variable index tested by this node, or terminalLevel
 	// for terminals. Variables are tested in increasing Level order from
 	// the root.
 	Level int32
-	// Value is the terminal value; meaningful only for terminals.
+	// Value is a terminal's value. An internal node carries its all-alive
+	// value F(1,…,1) here — Hi.Value, set by mk — so the budget-spent cut
+	// of the fused kernels and KREDUCE's β₀ read one field instead of
+	// walking the Hi chain (EvalAllAlive). It is not part of the node's
+	// identity and snapshots do not record it.
 	Value float64
 	// Lo and Hi are the cofactors for variable=0 and variable=1.
 	Lo, Hi *Node
@@ -56,8 +62,8 @@ type Manager struct {
 	names  []string // variable names, indexed by level
 	nextID uint64   // node ids start at 1 (0 marks empty cache slots)
 
-	unique *uniqueTable
-	terms  map[uint64]*Node // keyed by Float64bits of the value
+	unique uniqueTable // internal nodes, keyed by (level, lo, hi)
+	terms  uniqueTable // terminals, keyed by Float64bits of the value
 
 	applyTbl   applyCache
 	negTbl     unaryCache
@@ -118,8 +124,8 @@ type Manager struct {
 func New() *Manager {
 	m := &Manager{
 		nextID: 1,
-		unique: newUniqueTable(),
-		terms:  make(map[uint64]*Node),
+		unique: newUniqueTable(uniqueInitial),
+		terms:  newUniqueTable(uniqueInitial),
 	}
 	m.newTables()
 	m.zero = m.Const(0)
@@ -155,14 +161,28 @@ func (m *Manager) Const(v float64) *Node {
 		v = 0 // normalize -0 to +0
 	}
 	bits := math.Float64bits(v)
-	if n, ok := m.terms[bits]; ok {
-		return n
+	h := termHash(bits)
+	t := &m.terms
+	i := h & t.mask
+	for probes := 0; ; probes++ {
+		e := t.entries[i]
+		if e.id == 0 {
+			t.noteProbes(probes)
+			break
+		}
+		if e.hash == h {
+			if n := m.node(e.id); math.Float64bits(n.Value) == bits {
+				t.noteProbes(probes)
+				return n
+			}
+		}
+		i = t.next(i)
 	}
 	n := m.alloc()
 	*n = Node{Level: terminalLevel, Value: v, id: m.nextID}
 	m.nextID++
 	m.created++
-	m.terms[bits] = n
+	t.fill(i, h, n.id)
 	return n
 }
 
@@ -270,23 +290,39 @@ func (m *Manager) checkVar(v int) {
 }
 
 // mk returns the canonical node (level, lo, hi), applying the standard
-// reduction rule lo==hi => lo.
+// reduction rule lo==hi => lo. One probe of the unique table either finds
+// the node or ends on the slot a new one takes. A new node carries its
+// all-alive value, which is its Hi child's.
 func (m *Manager) mk(level int32, lo, hi *Node) *Node {
 	if lo == hi {
 		return lo
 	}
-	if id := m.unique.lookup(level, lo.id, hi.id); id != 0 {
-		return m.node(id)
+	h := nodeHash(level, lo.id, hi.id)
+	t := &m.unique
+	i := h & t.mask
+	for probes := 0; ; probes++ {
+		e := t.entries[i]
+		if e.id == 0 {
+			t.noteProbes(probes)
+			break
+		}
+		if e.hash == h {
+			if n := m.node(e.id); n.Lo == lo && n.Hi == hi && n.Level == level {
+				t.noteProbes(probes)
+				return n
+			}
+		}
+		i = t.next(i)
 	}
 	m.checkInterrupt()
 	m.checkBudget()
 	n := m.alloc()
-	*n = Node{Level: level, Lo: lo, Hi: hi, id: m.nextID}
+	*n = Node{Level: level, Value: hi.Value, Lo: lo, Hi: hi, id: m.nextID}
 	m.nextID++
 	m.created++
-	m.unique.insert(level, lo.id, hi.id, n.id)
-	if m.unique.count > m.peakUnique {
-		m.peakUnique = m.unique.count
+	t.fill(i, h, n.id)
+	if t.count > m.peakUnique {
+		m.peakUnique = t.count
 	}
 	return n
 }
@@ -306,13 +342,9 @@ func (m *Manager) Eval(f *Node, assign []bool) float64 {
 	return f.Value
 }
 
-// EvalAllAlive evaluates f with every variable set to 1.
-func (m *Manager) EvalAllAlive(f *Node) float64 {
-	for !f.IsTerminal() {
-		f = f.Hi
-	}
-	return f.Value
-}
+// EvalAllAlive evaluates f with every variable set to 1: the value every
+// node carries (Node.Value).
+func (m *Manager) EvalAllAlive(f *Node) float64 { return f.Value }
 
 // NodeCount returns the number of distinct nodes (including terminals)
 // reachable from f.
@@ -377,9 +409,10 @@ type Stats struct {
 	KReduceCalls uint64 // top-level KReduce invocations
 	GCRuns       uint64 // completed garbage collections
 
-	// CacheBytes is what the unique table and the five computed tables
-	// hold right now: the unique table grows with the live nodes, the
-	// computed tables keep the size New gave them (tables.go).
+	// CacheBytes is what the unique table, the terminal table and the
+	// five computed tables hold right now: the first two grow with the
+	// nodes they hold, the computed tables keep the size New gave them
+	// (tables.go).
 	CacheBytes uint64
 }
 

@@ -23,7 +23,7 @@ import "fmt"
 type Snapshot struct {
 	// level/value/lo/hi are parallel arrays, one entry per distinct node,
 	// in an order where both children of entry i precede i. Terminals
-	// carry value; internal entries carry lo/hi as indices.
+	// carry value; internal entries carry lo/hi as indices and value 0.
 	level []int32
 	value []float64
 	lo    []uint32
@@ -50,14 +50,18 @@ func NewSnapshot(roots []*Node) (s *Snapshot, at []uint32) {
 			return i
 		}
 		var lo, hi uint32
+		value := n.Value
 		if !n.IsTerminal() {
 			lo, hi = visit(n.Lo), visit(n.Hi)
 			s.maxLevel = max(s.maxLevel, n.Level)
+			// An internal node's all-alive value is rebuilt by the
+			// replay's mk; the format records 0 there.
+			value = 0
 		}
 		i := uint32(len(s.level))
 		index[n] = i
 		s.level = append(s.level, n.Level)
-		s.value = append(s.value, n.Value)
+		s.value = append(s.value, value)
 		s.lo = append(s.lo, lo)
 		s.hi = append(s.hi, hi)
 		return i

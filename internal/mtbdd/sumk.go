@@ -118,7 +118,7 @@ func (m *Manager) newSumState(vols []float64, fs []*Node, k int) *sumState {
 	}
 	for i, f := range fs {
 		s.lvl[i] = f.Level
-		s.alive[i] = m.EvalAllAlive(f)
+		s.alive[i] = f.Value
 	}
 	return s
 }
@@ -169,7 +169,7 @@ func (s *sumState) stepHi(level int32) int {
 func (s *sumState) flipLo(mark int) {
 	for _, u := range s.undo[mark:] {
 		s.set(u.i, u.n.Lo)
-		s.alive[u.i] = s.m.EvalAllAlive(u.n.Lo)
+		s.alive[u.i] = u.n.Lo.Value
 	}
 }
 

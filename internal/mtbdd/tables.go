@@ -2,9 +2,9 @@ package mtbdd
 
 import "unsafe"
 
-// Hash-table machinery tuned for the hot paths. The unique table is an
-// exact open-addressing map (hash consing must never alias distinct
-// nodes); the five operation caches are lossy — a collision merely
+// Hash-table machinery tuned for the hot paths. The unique and terminal
+// tables are exact open-addressing sets (hash consing must never alias
+// distinct nodes); the five operation caches are lossy — a collision merely
 // recomputes a result, which is deterministic and re-canonicalized by the
 // unique table, so correctness is unaffected by their size or their hash.
 // This is the classic BDD-package design (CUDD-style computed tables): Go's
@@ -72,12 +72,19 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// --- unique table (exact) ---
+// --- unique and terminal tables (exact) ---
+//
+// Both tables are open-addressing sets of node ids. An entry is 16 bytes —
+// the key's full hash beside the id, four entries to a cache line — and
+// the key itself is read off the node the id names: a probe that meets
+// the key's hash confirms it on the node, which the caller was about to
+// touch anyway. One probe serves a whole mk (or Const): it either finds
+// the node or ends on the empty slot the new node takes. Growth and the
+// GC rebuild re-place entries by their stored hash and read no node.
 
 type uniqueEntry struct {
-	level  int32
-	lo, hi uint64
-	id     uint64 // the node's id; 0 marks an empty slot (ids start at 1)
+	hash uint64 // the key's full hash, so a rehash reads no node
+	id   uint64 // the node's id; 0 marks an empty slot (ids start at 1)
 }
 
 type uniqueTable struct {
@@ -90,54 +97,28 @@ type uniqueTable struct {
 	maxProbe int
 }
 
-func newUniqueTable() *uniqueTable {
-	const initial = 1 << 12
-	return &uniqueTable{entries: make([]uniqueEntry, initial), mask: initial - 1}
+// uniqueInitial is both tables' size when New makes them and the smallest
+// a GC rebuild leaves them.
+const uniqueInitial = 1 << 12
+
+func newUniqueTable(size int) uniqueTable {
+	return uniqueTable{entries: make([]uniqueEntry, size), mask: uint64(size - 1)}
 }
 
-// hash mixes all three key components through independent odd multipliers
-// before the finalizer. The previous scheme (`lo<<1`) left lo nearly raw,
-// so sequentially-assigned lo ids formed arithmetic clusters in the table;
-// multiply-mixing each operand spreads them (the maxProbe stat is how we
-// confirmed the change).
-func (t *uniqueTable) hash(level int32, lo, hi uint64) uint64 {
+// nodeHash mixes all three key components through independent odd
+// multipliers before the finalizer. The previous scheme (`lo<<1`) left lo
+// nearly raw, so sequentially-assigned lo ids formed arithmetic clusters
+// in the table; multiply-mixing each operand spreads them (the maxProbe
+// stat is how we confirmed the change).
+func nodeHash(level int32, lo, hi uint64) uint64 {
 	return mix64(lo*0x9e3779b97f4a7c15 ^ hi*0xc2b2ae3d27d4eb4f ^ uint64(uint32(level))*0x165667b19e3779f9)
 }
 
-// lookup returns the id of the canonical node for (level, lo, hi), or 0.
-func (t *uniqueTable) lookup(level int32, lo, hi uint64) uint64 {
-	i := t.hash(level, lo, hi) & t.mask
-	probes := 0
-	for {
-		e := &t.entries[i]
-		if e.id == 0 {
-			t.noteProbes(probes)
-			return 0
-		}
-		if e.level == level && e.lo == lo && e.hi == hi {
-			t.noteProbes(probes)
-			return e.id
-		}
-		i = (i + 1) & t.mask
-		probes++
-	}
-}
+// termHash hashes a terminal's value bits.
+func termHash(bits uint64) uint64 { return mix64(bits * 0x9e3779b97f4a7c15) }
 
-// insert adds a node known to be absent.
-func (t *uniqueTable) insert(level int32, lo, hi, id uint64) {
-	if t.count*4 >= len(t.entries)*3 {
-		t.grow()
-	}
-	i := t.hash(level, lo, hi) & t.mask
-	probes := 0
-	for t.entries[i].id != 0 {
-		i = (i + 1) & t.mask
-		probes++
-	}
-	t.noteProbes(probes)
-	t.entries[i] = uniqueEntry{level, lo, hi, id}
-	t.count++
-}
+// next steps a probe that did not end at slot i.
+func (t *uniqueTable) next(i uint64) uint64 { return (i + 1) & t.mask }
 
 func (t *uniqueTable) noteProbes(p int) {
 	if p > t.maxProbe {
@@ -145,19 +126,56 @@ func (t *uniqueTable) noteProbes(p int) {
 	}
 }
 
-func (t *uniqueTable) grow() {
+// fill stores a new node at the empty slot its probe ended on, then grows
+// the table if that took it past a load of 3/4.
+func (t *uniqueTable) fill(i, hash, id uint64) {
+	t.entries[i] = uniqueEntry{hash, id}
+	t.count++
+	if t.count*4 > len(t.entries)*3 {
+		t.rehash(len(t.entries) * 2)
+	}
+}
+
+// rehash moves every entry into a fresh array of the given size.
+func (t *uniqueTable) rehash(size int) {
 	old := t.entries
-	t.entries = make([]uniqueEntry, len(old)*2)
-	t.mask = uint64(len(t.entries) - 1)
+	t.entries = make([]uniqueEntry, size)
+	t.mask = uint64(size - 1)
 	for _, e := range old {
-		if e.id == 0 {
-			continue
+		if e.id != 0 {
+			t.place(e)
 		}
-		i := t.hash(e.level, e.lo, e.hi) & t.mask
-		for t.entries[i].id != 0 {
-			i = (i + 1) & t.mask
+	}
+}
+
+func (t *uniqueTable) place(e uniqueEntry) {
+	i := e.hash & t.mask
+	for t.entries[i].id != 0 {
+		i = t.next(i)
+	}
+	t.entries[i] = e
+}
+
+// keep drops every entry whose id is not marked, rebuilding the table at
+// the smallest size (uniqueInitial or larger) that holds the rest at a
+// load of at most 3/4.
+func (t *uniqueTable) keep(marked bitset) {
+	kept := 0
+	for _, e := range t.entries {
+		if e.id != 0 && marked.has(e.id) {
+			kept++
 		}
-		t.entries[i] = e
+	}
+	size := uniqueInitial
+	for kept*4 > size*3 {
+		size *= 2
+	}
+	old := t.entries
+	t.entries, t.mask, t.count = make([]uniqueEntry, size), uint64(size-1), kept
+	for _, e := range old {
+		if e.id != 0 && marked.has(e.id) {
+			t.place(e)
+		}
 	}
 }
 
@@ -201,20 +219,14 @@ type kreduceEntry struct {
 
 type kreduceCache struct{ table[kreduceEntry] }
 
+// slot returns the key's entry. kreduce holds it across its recursion and
+// stores the result there, so a miss hashes its key once; the table is
+// never re-allocated while a kernel runs.
 func (c *kreduceCache) slot(f uint64, k int32) *kreduceEntry {
 	return &c.entries[mix64(f^uint64(k)<<48)&c.mask]
 }
 
-func (c *kreduceCache) get(f uint64, k int32) uint64 {
-	if e := c.slot(f, k); e.f == f && e.k == k {
-		return e.res
-	}
-	return 0
-}
-
-func (c *kreduceCache) put(f uint64, k int32, res uint64) {
-	*c.slot(f, k) = kreduceEntry{f, k, res}
-}
+func (e *kreduceEntry) is(f uint64, k int32) bool { return e.f == f && e.k == k }
 
 // --- fused-kernel cache (lossy, 2-way set-associative) ---
 //
@@ -224,12 +236,13 @@ func (c *kreduceCache) put(f uint64, k int32, res uint64) {
 // empty slot.
 //
 // Unlike the other operation caches this one is 2-way: each set is a
-// pair of adjacent entries (one cache line), the primary way holds the
-// most recently touched key, and an insert demotes the primary into the
-// secondary instead of evicting it outright. The budgeted kernels revisit
-// (operands, k) pairs across nearby k values, so two hot keys routinely
-// share a set — under direct mapping they evicted each other every
-// recursion level.
+// pair of adjacent entries (2 × 40 B = 80 B, so a set spans two cache
+// lines and a probe of the secondary way may cost a second miss), the
+// primary way holds the most recently touched key, and an insert demotes
+// the primary into the secondary instead of evicting it outright. The
+// budgeted kernels revisit (operands, k) pairs across nearby k values, so
+// two hot keys routinely share a set — under direct mapping they evicted
+// each other every recursion level.
 
 type fusedEntry struct {
 	a, b, c uint64
@@ -254,28 +267,31 @@ func (t *fusedCache) set(op opcode, a, b, c uint64, k int32) uint64 {
 	return (h & t.mask) &^ 1
 }
 
-func (t *fusedCache) get(op opcode, a, b, c uint64, k int32) uint64 {
+// get returns the cached result's id (0 on a miss) and the key's set, which
+// the kernel hands back to put once it has computed the result: a miss
+// hashes its key once.
+func (t *fusedCache) get(op opcode, a, b, c uint64, k int32) (res, set uint64) {
 	i := t.set(op, a, b, c, k)
 	if e := &t.entries[i]; e.is(op, a, b, c, k) {
-		return e.res
+		return e.res, i
 	}
 	if e := &t.entries[i|1]; e.is(op, a, b, c, k) {
 		// Promote to the primary way so the next insert in this set
 		// demotes the colder key, not this one.
 		res := e.res
 		t.entries[i], t.entries[i|1] = t.entries[i|1], t.entries[i]
-		return res
+		return res, i
 	}
-	return 0
+	return 0, i
 }
 
-// put makes the key its set's primary way, demoting the key it displaces.
-func (t *fusedCache) put(op opcode, a, b, c uint64, k int32, res uint64) {
-	i := t.set(op, a, b, c, k)
-	if !t.entries[i].is(op, a, b, c, k) {
-		t.entries[i|1] = t.entries[i]
+// put stores the key as the primary way of set, the index get returned for
+// it, demoting the key it displaces.
+func (t *fusedCache) put(set uint64, op opcode, a, b, c uint64, k int32, res uint64) {
+	if !t.entries[set].is(op, a, b, c, k) {
+		t.entries[set|1] = t.entries[set]
 	}
-	t.entries[i] = fusedEntry{a, b, c, k, op, res}
+	t.entries[set] = fusedEntry{a, b, c, k, op, res}
 }
 
 // --- unary caches (Not, Range; lossy, direct-mapped) ---
@@ -336,9 +352,10 @@ func (m *Manager) clearTables() {
 	clear(m.rangeTbl.entries)
 }
 
-// tableBytes is what the five computed tables and the unique table hold.
+// tableBytes is what the five computed tables, the unique table and the
+// terminal table hold.
 func (m *Manager) tableBytes() uint64 {
-	return bytesOf(m.unique.entries) + bytesOf(m.applyTbl.entries) + bytesOf(m.negTbl.entries) +
+	return bytesOf(m.unique.entries) + bytesOf(m.terms.entries) + bytesOf(m.applyTbl.entries) + bytesOf(m.negTbl.entries) +
 		bytesOf(m.kreduceTbl.entries) + bytesOf(m.fusedTbl.entries) + bytesOf(m.rangeTbl.entries)
 }
 

@@ -1,6 +1,7 @@
 package mtbdd
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -34,9 +35,17 @@ func sameSetKeys(t *testing.T, c *fusedCache) (fusedEntry, fusedEntry) {
 	return fusedEntry{}, fusedEntry{}
 }
 
-func (t *fusedCache) putKey(e fusedEntry, res uint64) { t.put(e.op, e.a, e.b, e.c, e.k, res) }
-func (t *fusedCache) getKey(e fusedEntry) uint64      { return t.get(e.op, e.a, e.b, e.c, e.k) }
-func (t *fusedCache) setOf(e fusedEntry) uint64       { return t.set(e.op, e.a, e.b, e.c, e.k) }
+func (t *fusedCache) putKey(e fusedEntry, res uint64) {
+	_, set := t.get(e.op, e.a, e.b, e.c, e.k)
+	t.put(set, e.op, e.a, e.b, e.c, e.k, res)
+}
+
+func (t *fusedCache) getKey(e fusedEntry) uint64 {
+	res, _ := t.get(e.op, e.a, e.b, e.c, e.k)
+	return res
+}
+
+func (t *fusedCache) setOf(e fusedEntry) uint64 { return t.set(e.op, e.a, e.b, e.c, e.k) }
 
 // onEachGeometry runs test on the fused table of a new manager with the
 // shipped geometry and with 2 entries (a single set), handing it two keys
@@ -101,12 +110,14 @@ func TestFusedCachePromotionProtectsHotKey(t *testing.T) {
 func TestFusedCacheBinaryTernarySeparation(t *testing.T) {
 	// Same operands under a binary op and the ternary op must not alias.
 	c := &New().fusedTbl
-	c.put(opAdd, 5, 6, 0, 2, 7)
-	c.put(opMulAdd, 5, 6, 0, 2, 8)
-	if got := c.get(opAdd, 5, 6, 0, 2); got != 7 {
+	binary := fusedEntry{a: 5, b: 6, c: 0, k: 2, op: opAdd}
+	ternary := fusedEntry{a: 5, b: 6, c: 0, k: 2, op: opMulAdd}
+	c.putKey(binary, 7)
+	c.putKey(ternary, 8)
+	if got := c.getKey(binary); got != 7 {
 		t.Fatalf("binary entry lost or aliased: %v", got)
 	}
-	if got := c.get(opMulAdd, 5, 6, 0, 2); got != 8 {
+	if got := c.getKey(ternary); got != 8 {
 		t.Fatalf("ternary entry lost or aliased: %v", got)
 	}
 }
@@ -221,6 +232,9 @@ func TestCachedIDsNeverNameAReleasedSlab(t *testing.T) {
 	for _, e := range m.fusedTbl.entries {
 		live("fused cache", e.res)
 	}
+	for _, e := range m.terms.entries {
+		live("terminal table", e.id)
+	}
 	// The survivors still resolve and new work lands in live slabs.
 	if got := m.node(keep.id); got != keep {
 		t.Fatalf("node(%d) = %p, want the kept root %p", keep.id, got, keep)
@@ -246,4 +260,104 @@ func TestKernelsAcrossTableGrowth(t *testing.T) {
 		t.Run("AddNK", TestAddNKMatchesComposed)
 		t.Run("AfterGC", TestFusedKernelsAfterGC)
 	})
+}
+
+// TestTerminalTable: terminals are hash-consed in a table of their own,
+// keyed by the value's bits. Equal values share a node, -0 is +0 (NaN
+// still panics: TestConstNaNPanics), and a GC keeps exactly the marked
+// terminals. Terminals count in neither Stats.Live nor the node budget.
+func TestTerminalTable(t *testing.T) {
+	m := newMgr(t, 2)
+	if m.Const(2.5) != m.Const(2.5) || m.Const(math.Copysign(0, -1)) != m.Zero() {
+		t.Fatal("equal values must share one terminal")
+	}
+
+	// Enough values to double the table a few times.
+	consts := make([]*Node, 4*uniqueInitial)
+	for i := range consts {
+		consts[i] = m.Const(float64(i) + 0.5)
+	}
+	for i, c := range consts {
+		if got := m.Const(float64(i) + 0.5); got != c || got.Value != float64(i)+0.5 {
+			t.Fatalf("Const(%v) = node %d carrying %v after growth, want node %d", float64(i)+0.5, got.id, got.Value, c.id)
+		}
+	}
+	if live := m.Stats().Live; live != 0 {
+		t.Fatalf("Stats.Live = %d with only terminals built, want 0", live)
+	}
+
+	kept, dropped := consts[7], consts[8]
+	root := m.mk(0, m.Zero(), kept)
+	droppedID := dropped.id
+	m.GC([]*Node{root})
+	if got := m.Const(kept.Value); got != kept {
+		t.Fatal("GC replaced a marked terminal")
+	}
+	if got := m.Const(7.75); got.id <= droppedID {
+		t.Fatalf("a new value got id %d, not above the ids before the GC", got.id)
+	}
+	if got := m.Const(8.5); got.id == droppedID {
+		t.Fatal("an unmarked terminal survived the GC")
+	}
+	if m.terms.count != 5 { // 0, 1, the kept value, 7.75 and 8.5 rebuilt
+		t.Fatalf("terminal table holds %d entries after the GC, want 5", m.terms.count)
+	}
+
+	// The budget counts internal nodes: a budget of one admits one mk and
+	// any number of terminals.
+	m.SetNodeBudget(1)
+	if err := Guard(func() {
+		for i := 0; i < 100; i++ {
+			m.Const(float64(1000 + i))
+		}
+		m.Var(1)
+	}); err != nil {
+		t.Fatalf("terminals counted against the node budget: %v", err)
+	}
+	if live := m.Stats().Live; live != 2 {
+		t.Fatalf("Stats.Live = %d, want the 2 internal nodes", live)
+	}
+}
+
+// TestUniqueTableRehashKeepsEveryNode builds more than 2^14 nodes — the
+// table doubles several times and is rebuilt by a GC, each time placing
+// entries by their stored hash — and re-derives every survivor through mk,
+// which must find the very node.
+func TestUniqueTableRehashKeepsEveryNode(t *testing.T) {
+	if e, nd := unsafe.Sizeof(uniqueEntry{}), unsafe.Sizeof(Node{}); e != 16 || nd != 40 {
+		t.Fatalf("a unique-table entry is %d bytes and a node %d, want 16 and 40", e, nd)
+	}
+	const n = 16
+	m := newMgr(t, n)
+	r := rand.New(rand.NewSource(14))
+	var roots []*Node
+	for m.Stats().Live <= 1<<14 {
+		roots = append(roots, randomMTBDD(m, r, n, 8))
+	}
+	rederive := func(when string) {
+		t.Helper()
+		seen := m.newBitset()
+		var walk func(x *Node)
+		walk = func(x *Node) {
+			if x.IsTerminal() || seen.visit(x.id) {
+				return
+			}
+			if got := m.mk(x.Level, x.Lo, x.Hi); got != x {
+				t.Fatalf("%s: mk(%d, %d, %d) = node %d, want node %d", when, x.Level, x.Lo.id, x.Hi.id, got.id, x.id)
+			}
+			walk(x.Lo)
+			walk(x.Hi)
+		}
+		for _, x := range roots {
+			walk(x)
+		}
+	}
+	created := m.Stats().Created
+	rederive("after growth")
+	roots = roots[:len(roots)/2]
+	m.GC(roots)
+	rederive("after GC")
+	if got := m.Stats().Created; got != created {
+		t.Fatalf("re-deriving survivors created %d nodes", got-created)
+	}
 }
