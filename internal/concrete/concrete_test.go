@@ -1,13 +1,16 @@
 package concrete_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"net/netip"
 	"testing"
 
-	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/concrete"
+	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/core"
+	"github.com/yu-verify/yu/internal/govern"
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/paperex"
 	"github.com/yu-verify/yu/internal/routesim"
@@ -298,5 +301,41 @@ func TestStopAtFirst(t *testing.T) {
 		concrete.EnumOptions{OverloadFactor: 0.95, StopAtFirst: true})
 	if len(rep.Violations) != 1 {
 		t.Errorf("violations = %d, want exactly 1", len(rep.Violations))
+	}
+}
+
+// expiresAfter is a context whose deadline passes at its n+1th Err call.
+type expiresAfter struct {
+	context.Context
+	n, calls int
+}
+
+func (c *expiresAfter) Err() error {
+	c.calls++
+	if c.calls > c.n {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestEnumerationHonoursDeadlinePerScenario: the enumeration polls its
+// context before every scenario, so an expired deadline stops it within
+// the scenario in flight — on a large network one scenario is a second,
+// 64 of them a minute.
+func TestEnumerationHonoursDeadlinePerScenario(t *testing.T) {
+	spec := mustSpec(t, paperex.MotivatingSpec)
+	sim := concrete.NewSim(spec.Net, spec.Configs)
+	for _, incremental := range []bool{false, true} {
+		for _, n := range []int{0, 1, 5} {
+			ctx := &expiresAfter{Context: context.Background(), n: n}
+			rep := sim.VerifyKFailures(spec.Flows, 2, topo.FailLinks,
+				concrete.EnumOptions{OverloadFactor: 0.95, Incremental: incremental, Ctx: ctx})
+			if !errors.Is(rep.Err, govern.ErrDeadline) || !rep.TimedOut {
+				t.Fatalf("incremental=%v n=%d: err %v, timed out %v", incremental, n, rep.Err, rep.TimedOut)
+			}
+			if rep.Scenarios > n+1 {
+				t.Errorf("incremental=%v: deadline passed after %d scenarios, enumeration ran %d", incremental, n, rep.Scenarios)
+			}
+		}
 	}
 }

@@ -58,8 +58,9 @@ type EnumOptions struct {
 	Bounds         []topo.LoadBound
 	Delivered      []topo.DeliveredBound
 	// Ctx, when non-nil, makes the enumeration cancellable; it is polled
-	// periodically between scenarios. Wall-clock limits are expressed as
-	// a deadline on Ctx (context.WithTimeout / WithDeadline).
+	// before every scenario, so an abort waits for at most the scenario in
+	// flight. Wall-clock limits are expressed as a deadline on Ctx
+	// (context.WithTimeout / WithDeadline).
 	Ctx context.Context
 }
 
@@ -144,12 +145,10 @@ func (s *Sim) VerifyKFailures(flows []topo.Flow, k int, mode topo.FailureMode, o
 
 	var visit func(start, budget int) bool
 	check := func() bool {
-		if rep.Scenarios%64 == 0 {
-			if err := govern.Check(ctx); err != nil {
-				rep.Err = err
-				rep.TimedOut = errors.Is(err, govern.ErrDeadline)
-				return false
-			}
+		if err := govern.Check(ctx); err != nil {
+			rep.Err = err
+			rep.TimedOut = errors.Is(err, govern.ErrDeadline)
+			return false
 		}
 		rep.Scenarios++
 		var res *ScenarioResult

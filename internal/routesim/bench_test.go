@@ -40,6 +40,9 @@ func wanPortfolio(tb testing.TB) benchInput {
 	return wanInput(tb, "portfolio-1k", 80, 160, 48, 10, 1)
 }
 
+// n0K2 is the paper ladder's N0 network (paper_test.go) at k = 2.
+func n0K2(tb testing.TB) benchInput { return wanInput(tb, "n0-k2", 100, 200, 60, 10, 2) }
+
 // ringDomain is one domain of the `modular` workload as internal/compose
 // simulates it: a 20-router double ring plus its border stubs, k=2, over
 // failure variables aliased to the 8-domain global order.
@@ -116,6 +119,23 @@ func BenchmarkStepperRound(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSymbolicRouteSim times a whole route simulation — IGP, BGP
+// rounds and the finish — on N0 at k = 2: the input stage of Fig 2's
+// workflow.
+func BenchmarkSymbolicRouteSim(b *testing.B) {
+	in := n0K2(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fv := in.vars()
+		b.StartTimer()
+		var err error
+		if sinkResult, err = Run(fv, in.spec.Configs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
