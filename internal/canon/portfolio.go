@@ -2,6 +2,7 @@ package canon
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/yu-verify/yu/internal/tlp"
@@ -11,59 +12,72 @@ import (
 // FormatProp renders one portfolio property in the `tlp` DSL form (the
 // text ParsePortfolio accepts back).
 func FormatProp(net *topo.Network, p topo.TLProp) string {
-	var sb strings.Builder
-	writeProp(&sb, net, p)
-	return sb.String()
+	return string(appendProp(nil, net, p))
 }
 
-func writeProp(sb *strings.Builder, net *topo.Network, p topo.TLProp) {
-	linkName := func() string {
+func appendProp(b []byte, net *topo.Network, p topo.TLProp) []byte {
+	appendLink := func(b []byte) []byte {
 		l := net.Link(p.Link)
-		a, b := net.Router(l.A).Name, net.Router(l.B).Name
+		a, bb := net.Router(l.A).Name, net.Router(l.B).Name
+		sep := "-"
 		if p.DirSpecified {
 			if p.Dir == topo.BtoA {
-				a, b = b, a
+				a, bb = bb, a
 			}
-			return a + "->" + b
+			sep = "->"
 		}
-		return a + "-" + b
+		b = append(b, a...)
+		b = append(b, sep...)
+		return append(b, bb...)
 	}
 	switch p.Kind {
 	case topo.TLPLinkLoad:
 		if p.DirSpecified {
-			fmt.Fprintf(sb, "dirlink %s", linkName())
+			b = append(b, "dirlink "...)
 		} else {
-			fmt.Fprintf(sb, "link %s", linkName())
+			b = append(b, "link "...)
 		}
-		writeBounds(sb, p.Min, p.Max)
+		b = appendLink(b)
+		b = appendBounds(b, p.Min, p.Max)
 	case topo.TLPUtil:
-		fmt.Fprintf(sb, "util %s", ftoa(p.Factor))
+		b = append(b, "util "...)
+		b = appendFloat(b, p.Factor)
 		if !p.AllLinks {
 			if p.DirSpecified {
-				fmt.Fprintf(sb, " dirlink %s", linkName())
+				b = append(b, " dirlink "...)
 			} else {
-				fmt.Fprintf(sb, " link %s", linkName())
+				b = append(b, " link "...)
 			}
+			b = appendLink(b)
 		}
 	case topo.TLPDelivered:
-		fmt.Fprintf(sb, "delivered %s", p.Prefix)
-		writeBounds(sb, p.Min, p.Max)
+		b = append(b, "delivered "...)
+		b = appendPrefix(b, p.Prefix)
+		b = appendBounds(b, p.Min, p.Max)
 	case topo.TLPRatio:
-		fmt.Fprintf(sb, "ratio %s", p.Prefix)
-		writeBounds(sb, p.Min, p.Max)
+		b = append(b, "ratio "...)
+		b = appendPrefix(b, p.Prefix)
+		b = appendBounds(b, p.Min, p.Max)
 	case topo.TLPSumLoad:
-		fmt.Fprintf(sb, "sumload %s", p.SetName)
-		writeBounds(sb, p.Min, p.Max)
+		b = append(b, "sumload "...)
+		b = append(b, p.SetName...)
+		b = appendBounds(b, p.Min, p.Max)
 	case topo.TLPMaxLoad:
-		fmt.Fprintf(sb, "maxload %s", p.SetName)
-		writeBounds(sb, p.Min, p.Max)
+		b = append(b, "maxload "...)
+		b = append(b, p.SetName...)
+		b = appendBounds(b, p.Min, p.Max)
 	default:
-		fmt.Fprintf(sb, "unknown-kind-%d", int(p.Kind))
+		b = append(b, "unknown-kind-"...)
+		b = strconv.AppendInt(b, int64(p.Kind), 10)
 	}
 	if p.CondSet {
 		l := net.Link(p.CondLink)
-		fmt.Fprintf(sb, " if-failed %s-%s", net.Router(l.A).Name, net.Router(l.B).Name)
+		b = append(b, " if-failed "...)
+		b = append(b, net.Router(l.A).Name...)
+		b = append(b, '-')
+		b = append(b, net.Router(l.B).Name...)
 	}
+	return b
 }
 
 // FormatPortfolio renders a portfolio evaluation canonically: every
@@ -91,7 +105,7 @@ func FormatPortfolio(net *topo.Network, r *tlp.Result) string {
 		for _, pi := range g.Props {
 			vd := r.Verdicts[pi]
 			sb.WriteString("  ")
-			writeProp(&sb, net, r.Props[pi])
+			sb.Write(appendProp(nil, net, r.Props[pi]))
 			fmt.Fprintf(&sb, " value %.9g excess %.9g\n", vd.Value, vd.Excess)
 		}
 	}
@@ -100,7 +114,7 @@ func FormatPortfolio(net *topo.Network, r *tlp.Result) string {
 			continue
 		}
 		sb.WriteString("unchecked ")
-		writeProp(&sb, net, r.Props[i])
+		sb.Write(appendProp(nil, net, r.Props[i]))
 		sb.WriteByte('\n')
 	}
 	fmt.Fprintf(&sb, "scans link %d delivered %d restrict %d checks %d",

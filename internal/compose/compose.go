@@ -474,7 +474,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	var rsCheck *routesim.Result
 	if st.FallbackClasses > 0 {
 		var err error
-		rsCheck, err = routesim.RunContext(opts.Ctx, fvCheck, cfgs)
+		rsCheck, err = routesim.RunContext(opts.Ctx, fvCheck, cfgs, nil)
 		if err != nil {
 			return nil, err
 		}

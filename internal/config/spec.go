@@ -1,13 +1,13 @@
 package config
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"net/netip"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/yu-verify/yu/internal/topo"
 )
@@ -64,21 +64,36 @@ type Spec struct {
 //
 // '#' starts a comment; blank lines are ignored; indentation is free-form.
 func ParseSpec(r io.Reader) (*Spec, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseSpecString(string(data))
+}
+
+// ParseSpecString is ParseSpec on a string. The parsed spec's names are
+// substrings of s.
+func ParseSpecString(s string) (*Spec, error) {
 	p := &specParser{
 		b:       topo.NewBuilder(),
 		configs: make(Configs),
 		k:       1,
+		flows:   make([]pendingFlow, 0, strings.Count(s, "\nflow ")+1),
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := sc.Text()
+	// One field buffer serves every line: the fields are substrings of s,
+	// and no handler keeps the slice itself.
+	var fields []string
+	for lineno := 1; s != ""; lineno++ {
+		line := s
+		if i := strings.IndexByte(s, '\n'); i >= 0 {
+			line, s = s[:i], s[i+1:]
+		} else {
+			s = ""
+		}
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		fields := strings.Fields(line)
+		fields = appendFields(fields[:0], line)
 		if len(fields) == 0 {
 			continue
 		}
@@ -86,15 +101,34 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 			return nil, fmt.Errorf("line %d: %w", lineno, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	return p.finish()
 }
 
-// ParseSpecString is ParseSpec on a string, convenient for examples/tests.
-func ParseSpecString(s string) (*Spec, error) {
-	return ParseSpec(strings.NewReader(s))
+// asciiSpace is strings.Fields' set of ASCII separators.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends strings.Fields(line) to dst, without allocating
+// when line is ASCII.
+func appendFields(dst []string, line string) []string {
+	n, start := len(dst), -1
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return append(dst[:n], strings.Fields(line)...)
+		case asciiSpace[c]:
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 type specParser struct {
@@ -174,7 +208,7 @@ func (p *specParser) line(f []string) error {
 				return fmt.Errorf("duplicate domain %q", f[1])
 			}
 		}
-		p.domains = append(p.domains, pendingDomain{name: f[1], routers: f[2:]})
+		p.domains = append(p.domains, pendingDomain{name: f[1], routers: append([]string(nil), f[2:]...)})
 		return nil
 	case "linkset":
 		if len(f) < 3 {
@@ -185,7 +219,7 @@ func (p *specParser) line(f []string) error {
 				return fmt.Errorf("duplicate linkset %q", f[1])
 			}
 		}
-		p.linksets = append(p.linksets, pendingLinkset{name: f[1], links: f[2:]})
+		p.linksets = append(p.linksets, pendingLinkset{name: f[1], links: append([]string(nil), f[2:]...)})
 		return nil
 	case "failures":
 		return p.failures(f[1:])
@@ -575,6 +609,9 @@ func (p *specParser) finish() (*Spec, error) {
 		return nil, err
 	}
 	spec := &Spec{Net: net, Configs: p.configs, K: p.k, Mode: p.mode}
+	if len(p.flows) > 0 {
+		spec.Flows = make([]topo.Flow, 0, len(p.flows))
+	}
 	for _, pf := range p.flows {
 		r, ok := net.RouterByName(pf.ingress)
 		if !ok {

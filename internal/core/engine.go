@@ -55,10 +55,6 @@ type Options struct {
 	// flows with identical (ingress, destination class, DSCP) before
 	// execution, and executing only once the classes that forward alike.
 	DisableGlobalEquiv bool
-	// DisableEarlyTermination turns off the §6 pruning heuristics of the
-	// all-links overload check (quick bounds + early stop), forcing full
-	// aggregation on every link.
-	DisableEarlyTermination bool
 	// CheckK, when > 0, applies KReduce(·, CheckK) to each aggregated
 	// STL immediately before the terminal scan. It is how the
 	// "w/o MTBDD reduction" ablation (budget -1 in FailVars) still

@@ -97,9 +97,7 @@ func (c *pollCancelCtx) Err() error {
 func TestCancelMidParallelCheckPhase(t *testing.T) {
 	spec, flows := wanWorkload(t)
 	ctx := &pollCancelCtx{Context: context.Background()}
-	eng := buildEngine(t, spec, topo.FailLinks, 1, Options{
-		Ctx: ctx, DisableEarlyTermination: true,
-	})
+	eng := buildEngine(t, spec, topo.FailLinks, 1, Options{Ctx: ctx})
 	v := NewParallelVerifier(eng, flows, 4)
 	if v.Err() != nil {
 		t.Fatalf("execution failed before cancel: %v", v.Err())
@@ -110,7 +108,9 @@ func TestCancelMidParallelCheckPhase(t *testing.T) {
 	// inside the check loop.
 	ctx.arm(8)
 	start := time.Now()
-	rep, err := v.Run(nil, nil, 0.5)
+	// Capacity bounds build and scan every link's load: no early stop
+	// shortens the loop the cancel has to land in.
+	rep, err := v.Run(capacityBounds(spec.Net, 0.5), nil, 0)
 	elapsed := time.Since(start)
 	if !errors.Is(err, govern.ErrCanceled) {
 		t.Fatalf("err = %v, want govern.ErrCanceled", err)
@@ -175,7 +175,7 @@ func TestWorkerPanicContainment(t *testing.T) {
 func TestCheckPlanPanicContained(t *testing.T) {
 	spec, flows := wanWorkload(t)
 	v := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
-	plans := lower(spec.Net, nil, nil, 0.5, true)
+	plans := lower(spec.Net, nil, nil, 0.5)
 	good := plans[0]
 	plans[0].Checks = nil // the pruned scan reads Checks[0]
 	res, err := v.Check(plans)

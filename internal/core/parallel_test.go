@@ -67,7 +67,9 @@ func TestParallelMatchesSequentialWAN(t *testing.T) {
 		Prefix: netip.MustParsePrefix("0.0.0.0/0"), Min: 0, Max: 1e12,
 	}}
 	runBoth(t, "wan", spec, flows, topo.FailLinks, 1, Options{}, 0.5, delivered)
-	runBoth(t, "wan-noearly", spec, flows, topo.FailLinks, 1, Options{DisableEarlyTermination: true}, 0.5, nil)
+	bounded := *spec
+	bounded.Props = capacityBounds(spec.Net, 0.5)
+	runBoth(t, "wan-unpruned", &bounded, flows, topo.FailLinks, 1, Options{}, 0, nil)
 }
 
 // TestParallelExecutionSharding: NewParallelVerifier on an engine that has

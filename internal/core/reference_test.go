@@ -163,7 +163,7 @@ func compareVerifier(v *Verifier, spec *config.Spec, factors []float64, linkStri
 		}
 	}
 	for _, factor := range factors {
-		for _, it := range lower(net, spec.Props, spec.Delivered, factor, !v.e.opts.DisableEarlyTermination) {
+		for _, it := range lower(net, spec.Props, spec.Delivered, factor) {
 			name := net.DirLinkName(it.Subject.Link)
 			if it.Subject.Prefix.IsValid() {
 				name = "delivered " + it.Subject.Prefix.String()
@@ -204,9 +204,22 @@ func compareVerifier(v *Verifier, spec *config.Spec, factors []float64, linkStri
 // settles, and links that stop on a violation.
 var referenceFactors = []float64{1.0, 0.5, 0.1}
 
+// capacityBounds is the all-links overload check at factor as explicit
+// per-link bounds. lower never prunes an explicit bound, so checking them
+// builds and scans every link's load: the check without §6's early
+// termination, the way the paper harness's Fig 13 cells run it.
+func capacityBounds(net *topo.Network, factor float64) []topo.LoadBound {
+	bounds := make([]topo.LoadBound, net.NumLinks())
+	for i := range bounds {
+		l := net.Link(topo.LinkID(i))
+		bounds[i] = topo.LoadBound{Link: l.ID, Max: l.Capacity * factor}
+	}
+	return bounds
+}
+
 // TestCheckMatchesReferenceTestdata: every checked-in spec, at every budget
-// from 0 to 3 in all three failure modes, and under the three ablations
-// that change what the check stage aggregates.
+// from 0 to 3 in all three failure modes, under the two ablations that
+// change what the check stage aggregates, and without early termination.
 func TestCheckMatchesReferenceTestdata(t *testing.T) {
 	modes := []topo.FailureMode{topo.FailLinks, topo.FailRouters, topo.FailBoth}
 	for file, spec := range testdataSpecs(t) {
@@ -223,9 +236,8 @@ func TestCheckMatchesReferenceTestdata(t *testing.T) {
 			k    int
 			opts Options
 		}{
-			"no-link-local-equiv":  {2, Options{DisableLinkLocalEquiv: true}},
-			"no-early-termination": {2, Options{DisableEarlyTermination: true}},
-			"no-kreduce":           {-1, Options{CheckK: 2}},
+			"no-link-local-equiv": {2, Options{DisableLinkLocalEquiv: true}},
+			"no-kreduce":          {-1, Options{CheckK: 2}},
 		} {
 			if tc.k < 0 && spec.Net.NumRouters() > 10 {
 				continue // unreduced execution of wan-1 alone takes minutes
@@ -233,6 +245,14 @@ func TestCheckMatchesReferenceTestdata(t *testing.T) {
 			eng := buildEngine(t, spec, topo.FailLinks, tc.k, tc.opts)
 			if err := compareVerifier(NewVerifier(eng, spec.Flows), spec, referenceFactors, 1); err != nil {
 				t.Errorf("%s/%s: %v", file, name, err)
+			}
+		}
+		v := NewVerifier(buildEngine(t, spec, topo.FailLinks, 2, Options{}), spec.Flows)
+		for _, factor := range referenceFactors {
+			bounded := *spec
+			bounded.Props = capacityBounds(spec.Net, factor)
+			if err := compareVerifier(v, &bounded, []float64{0}, 1); err != nil {
+				t.Errorf("%s/capacity-bounds at %g: %v", file, factor, err)
 			}
 		}
 	}

@@ -166,7 +166,7 @@ func (rep *Report) markUncheckedSubject(s Subject) {
 // listed unchecked, in Run's order.
 func AllUnchecked(net *topo.Network, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) *Report {
 	rep := &Report{Incomplete: true}
-	for _, p := range lower(net, bounds, delivered, overloadFactor, false) {
+	for _, p := range lower(net, bounds, delivered, overloadFactor) {
 		rep.markUncheckedSubject(p.Subject)
 	}
 	return rep
@@ -391,9 +391,9 @@ func scenarioWitness(fv *routesim.FailVars, a mtbdd.Assignment) (links []topo.Li
 // delivered bounds, then the all-links overload property — "no directed link
 // carries more than factor × capacity", the paper's daily P2 check. This
 // order is the order of Report.LinkStats and Report.Violations on every path.
-// pruned is the scan mode of the overload plans, the only ones that take the
-// §6 early-termination scan.
-func lower(net *topo.Network, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64, pruned bool) []Plan {
+// The overload plans are the only ones that take the §6 early-termination
+// scan: a check that must build and scan every load names explicit bounds.
+func lower(net *topo.Network, bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) []Plan {
 	var plans []Plan
 	bothDirs := []topo.Direction{topo.AtoB, topo.BtoA}
 	for _, b := range bounds {
@@ -421,7 +421,7 @@ func lower(net *topo.Network, bounds []topo.LoadBound, delivered []topo.Delivere
 				plans = append(plans, Plan{
 					Subject: Subject{Link: topo.MakeDirLinkID(link.ID, d)},
 					Checks:  []LinkCheck{{Max: link.Capacity * overloadFactor, Overload: true, CondVar: -1}},
-					pruned:  pruned,
+					pruned:  true,
 				})
 			}
 		}
@@ -463,7 +463,7 @@ func (v *Verifier) Run(bounds []topo.LoadBound, delivered []topo.DeliveredBound,
 			rep.DegradedFlows = append(rep.DegradedFlows, s.Flow.String())
 		}
 	}
-	plans := lower(v.e.net, bounds, delivered, overloadFactor, !v.e.opts.DisableEarlyTermination)
+	plans := lower(v.e.net, bounds, delivered, overloadFactor)
 	results, err := v.Check(plans)
 	for i, r := range results {
 		if !r.Done {

@@ -322,4 +322,5 @@ var ServeCounterNames = []string{
 	"serve.builds",              // builds run (route simulation + execution or replay); at most one per version
 	"serve.tlp_retained",        // portfolio evaluations answered on an already verified version: no build
 	"serve.prefix_fingerprints", // per-prefix fingerprints computed for class keys (distinct matched prefixes per build)
+	"serve.igp_carried",         // builds that replayed the IS-IS result an earlier build on the same topology sealed
 }

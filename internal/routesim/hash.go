@@ -13,14 +13,15 @@
 // The hashes below cover those surfaces field by field, including the
 // structural hash of every MTBDD guard, in deterministic order. Two runs
 // in which a class's per-prefix hash and the global IGP/SR hashes agree
-// execute that class to byte-identical STFs. Each is a per-run quantity:
-// the consumer computes HashIGP and HashSR once a run and HashPrefix once
-// per (router, matched prefix) — a prefix's rows on every router fold into
-// one prefix fingerprint that every class matching the prefix shares —
-// never once per class.
+// execute that class to byte-identical STFs. None is computed once per
+// class: the IS-IS hash once per topology, when SealIGP seals the result
+// (ImportBase.IGPHash); HashSR once a run; HashPrefix once per (router,
+// matched prefix) — a prefix's rows on every router fold into one prefix
+// fingerprint that every class matching the prefix shares.
 package routesim
 
 import (
+	"math"
 	"net/netip"
 	"sort"
 
@@ -51,6 +52,13 @@ func (h *fp) b(x bool) {
 	}
 }
 
+func (h *fp) str(s string) {
+	h.u64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		*h = (*h ^ fp(s[i])) * fpPrime
+	}
+}
+
 func (h *fp) addr(a netip.Addr) {
 	b, _ := a.MarshalBinary()
 	h.u64(uint64(len(b)))
@@ -64,20 +72,15 @@ func (h *fp) prefix(p netip.Prefix) {
 	h.u64(uint64(int64(p.Bits())))
 }
 
-// HashIGP fingerprints the complete guarded IGP state: every router's
+// hash fingerprints the complete guarded IGP state: every router's
 // cost-sorted candidates toward every destination, and the reachability
-// guards. h memoizes guard hashes across calls.
-func (r *Result) HashIGP(h *mtbdd.Hasher) uint64 {
+// guards — the value serve's class keys carry as HashIGP. h memoizes guard
+// hashes across calls.
+func (g *IGP) hash(h *mtbdd.Hasher) uint64 {
 	acc := fpOffset
-	g := r.IGP
 	for ri := range g.routes {
 		acc.u64(uint64(int64(ri)))
-		dests := make([]topo.RouterID, 0, len(g.routes[ri]))
-		for d := range g.routes[ri] {
-			dests = append(dests, d)
-		}
-		sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-		for _, d := range dests {
+		for _, d := range sortedDests(g.routes[ri]) {
 			acc.u64(uint64(int64(d)))
 			for _, rt := range g.routes[ri][d] {
 				acc.u64(uint64(int64(rt.Out)))
@@ -85,17 +88,62 @@ func (r *Result) HashIGP(h *mtbdd.Hasher) uint64 {
 				acc.u64(h.Hash(rt.Guard))
 			}
 		}
-		reaches := make([]topo.RouterID, 0, len(g.reach[ri]))
-		for d := range g.reach[ri] {
-			reaches = append(reaches, d)
-		}
-		sort.Slice(reaches, func(i, j int) bool { return reaches[i] < reaches[j] })
-		for _, d := range reaches {
+		for _, d := range sortedDests(g.reach[ri]) {
 			acc.u64(uint64(int64(d)))
 			acc.u64(h.Hash(g.reach[ri][d]))
 		}
 	}
 	return uint64(acc)
+}
+
+// sortedDests returns a per-router IGP map's destinations in increasing
+// order.
+func sortedDests[V any](m map[topo.RouterID]V) []topo.RouterID {
+	dests := make([]topo.RouterID, 0, len(m))
+	for d := range m {
+		dests = append(dests, d)
+	}
+	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
+	return dests
+}
+
+// TopoKey identifies what an IS-IS result is a function of: every field
+// of every router and link of a topology, the failure mode and the budget
+// (FailVars.Key).
+type TopoKey uint64
+
+// Key fingerprints the failure variables' network — every router's name,
+// AS, loopback and NoFail, every link's ends, costs, capacity, addresses
+// and NoFail — with the failure mode and budget. Two FailVars with equal
+// keys allocate the same variables in the same order, and route
+// simulation computes the same IS-IS result on them, whichever parse the
+// networks came from.
+func (fv *FailVars) Key() TopoKey {
+	acc := fpOffset
+	net := fv.Net
+	acc.u64(uint64(len(net.Routers)))
+	for i := range net.Routers {
+		r := &net.Routers[i]
+		acc.str(r.Name)
+		acc.u64(uint64(r.AS))
+		acc.addr(r.Loopback)
+		acc.b(r.NoFail)
+	}
+	acc.u64(uint64(len(net.Links)))
+	for i := range net.Links {
+		l := &net.Links[i]
+		acc.u64(uint64(int64(l.A)))
+		acc.u64(uint64(int64(l.B)))
+		acc.u64(uint64(l.CostAB))
+		acc.u64(uint64(l.CostBA))
+		acc.u64(math.Float64bits(l.Capacity))
+		acc.addr(l.AddrA)
+		acc.addr(l.AddrB)
+		acc.b(l.NoFail)
+	}
+	acc.u64(uint64(int64(fv.Mode)))
+	acc.u64(uint64(int64(fv.K)))
+	return TopoKey(acc)
 }
 
 // HashSR fingerprints every router's guarded SR policies (policy order,

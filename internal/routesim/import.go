@@ -2,13 +2,18 @@ package routesim
 
 import (
 	"fmt"
+	"net/netip"
+	"sort"
+	"time"
 
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
 // importWith clones the result structure translating every guard through
-// imp — the traversal behind ImportBase.ImportInto.
+// imp — the traversal behind sealing and replaying an ImportBase. dst is
+// the clone's FailVars (nil for a sealed template). A result without BGP
+// (an IS-IS result alone, SealIGP) clones to one without BGP.
 func (r *Result) importWith(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *Result {
 	out := &Result{
 		Vars:    dst,
@@ -50,93 +55,162 @@ func (r *Result) importWith(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *R
 	return out
 }
 
-// ImportBase is a shared read-only snapshot of every guard MTBDD in a
-// route-simulation result. Build it once with NewImportBase, then clone the
-// result into a fresh manager with ImportBase.ImportInto: the source DAG is
-// walked and deduplicated once, and each clone only pays a linear replay into
-// its own arena (see mtbdd.Snapshot). The base holds no mutable state, so any
-// number of goroutines can import from it concurrently. No pipeline clones a
-// result any more; benchmark/ measures the copy with it.
+// ImportBase is a route-simulation result — whole (NewImportBase), or its
+// IS-IS part alone (SealIGP) — sealed to outlive the manager that computed
+// it: every guard is a position in one mtbdd.Snapshot, and the base holds
+// no node, so it keeps no manager alive. ImportInto replays it into a fresh
+// manager over the same topology key, one linear replay per clone (see
+// mtbdd.Snapshot). The base is immutable, so any number of goroutines can
+// import from it at once. The daemon carries IS-IS results from one
+// version's build to the next this way (IGPCarrier), and benchmark/
+// measures the copy of a whole result with it.
 type ImportBase struct {
-	src  *Result
-	snap *mtbdd.Snapshot
-	// at is each source guard's position in snap. It lives as long as the
-	// base, which holds the source result anyway.
-	at map[*mtbdd.Node]uint32
+	key   TopoKey
+	nvars int
+	snap  *mtbdd.Snapshot
+	// tmpl is the result's structure with every guard nil and no FailVars;
+	// at holds each guard's position in snap, in tmpl's guardRefs order.
+	tmpl *Result
+	at   []uint32
+	// igpHash is the IS-IS state's fingerprint (IGP.hash), set by SealIGP.
+	igpHash uint64
 }
 
-// NewImportBase flattens all guards of the result into a shared snapshot.
+// NewImportBase seals all guards of the result into an ImportBase.
 func (r *Result) NewImportBase() *ImportBase {
+	tmpl := r.importWith(nil, keep)
 	var roots []*mtbdd.Node
-	r.eachGuard(func(n *mtbdd.Node) { roots = append(roots, n) })
-	snap, pos := mtbdd.NewSnapshot(roots)
-	b := &ImportBase{src: r, snap: snap, at: make(map[*mtbdd.Node]uint32, len(roots))}
-	for i, n := range roots {
-		b.at[n] = pos[i]
-	}
+	tmpl.guardRefs(func(g **mtbdd.Node) {
+		roots = append(roots, *g)
+		*g = nil
+	})
+	snap, at := mtbdd.NewSnapshot(roots)
+	return &ImportBase{key: r.Vars.Key(), nvars: r.Vars.M.NumVars(), snap: snap, tmpl: tmpl, at: at}
+}
+
+// SealIGP seals an IS-IS result, with its fingerprint, for the route
+// simulations to come on the same topology key (IGPCarrier): replayed, it
+// is the IGP ComputeIGP would build in the destination manager.
+func SealIGP(g *IGP) *ImportBase {
+	b := (&Result{Vars: g.fv, IGP: g}).NewImportBase()
+	b.igpHash = g.hash(mtbdd.NewHasher())
 	return b
 }
+
+func keep(n *mtbdd.Node) *mtbdd.Node { return n }
 
 // NumNodes returns the number of distinct MTBDD nodes in the shared base.
 func (b *ImportBase) NumNodes() int { return b.snap.Len() }
 
-// ImportInto clones the underlying result into the manager behind dst — a
-// private copy of the guarded RIBs without re-running route simulation. dst
-// must be a FailVars over the same network, mode, and budget, created with
-// NewFailVars on a fresh manager: that construction is deterministic, so
-// dst's variable order matches the source and the cloned guards are
-// structurally identical. Guards resolve through
-// the shared snapshot, one linear replay per clone; the clone shares no MTBDD
-// state with the source. Safe to call concurrently (each dst owns its
-// manager; the base is read-only).
+// Key is the topology key of the FailVars the base was sealed from.
+func (b *ImportBase) Key() TopoKey { return b.key }
+
+// IGPHash is the sealed IS-IS state's fingerprint: what the IS-IS state
+// of any result replayed from the base hashes to. Zero on a base sealed by
+// NewImportBase.
+func (b *ImportBase) IGPHash() uint64 { return b.igpHash }
+
+// ImportInto replays the sealed result into the manager behind dst — a
+// private copy of the guarded RIBs without re-running route simulation.
+// dst must be a FailVars with the base's topology key (FailVars.Key: the
+// same routers and links, mode and budget — the network may be another
+// parse of it) created with NewFailVars on a fresh manager: that
+// construction is deterministic, so dst's variable order matches the
+// source and the replayed guards are structurally identical. The clone
+// shares no MTBDD state with the source. Safe to call concurrently (each
+// dst owns its manager; the base is read-only).
 func (b *ImportBase) ImportInto(dst *FailVars) *Result {
-	if src := b.src.Vars; dst.Net != src.Net || dst.Mode != src.Mode || dst.K != src.K {
-		panic("routesim: ImportInto requires a FailVars over the same network, mode, and budget")
-	} else if dst.M.NumVars() != src.M.NumVars() {
-		panic(fmt.Sprintf("routesim: ImportInto variable count mismatch: %d vs %d", dst.M.NumVars(), src.M.NumVars()))
+	if dst.Key() != b.key {
+		panic("routesim: ImportInto requires a FailVars over the same topology, mode, and budget")
+	} else if dst.M.NumVars() != b.nvars {
+		panic(fmt.Sprintf("routesim: ImportInto variable count mismatch: %d vs %d", dst.M.NumVars(), b.nvars))
 	}
 	table := dst.M.ImportSnapshot(b.snap)
-	return b.src.importWith(dst, func(n *mtbdd.Node) *mtbdd.Node {
-		i, ok := b.at[n]
-		if !ok {
-			// The base holds every guard of the result it was built from.
-			panic("routesim: ImportInto met a guard missing from its base")
-		}
-		return table[i]
+	out := b.tmpl.importWith(dst, keep)
+	i := 0
+	out.guardRefs(func(g **mtbdd.Node) {
+		*g = table[b.at[i]]
+		i++
 	})
+	return out
 }
 
-// eachGuard invokes fn on every guard node of the result, in unspecified
-// order (hash-consing makes replayed graphs canonical regardless of the
-// order they are encoded in).
-func (r *Result) eachGuard(fn func(*mtbdd.Node)) {
-	for ri := range r.IGP.routes {
-		for _, routes := range r.IGP.routes[ri] {
+// IGPCarrier hands IS-IS results from one route simulation to the next
+// (RunContext): a run whose FailVars key matches a carried result replays
+// it instead of computing IS-IS, and a run that computes one offers it
+// sealed. The daemon's warm cache is the one implementation.
+type IGPCarrier interface {
+	// CarriedIGP returns the IS-IS result sealed under key, or nil.
+	CarriedIGP(key TopoKey) *ImportBase
+	// CarryIGP offers a freshly computed result, sealed by SealIGP.
+	CarryIGP(*ImportBase)
+}
+
+// carriedIGP is ComputeIGP through a carrier (nil: none). A replayed
+// result's stats record the replay's time and no level built.
+func carriedIGP(fv *FailVars, c IGPCarrier) *IGP {
+	if c == nil {
+		return ComputeIGP(fv)
+	}
+	if b := c.CarriedIGP(fv.Key()); b != nil {
+		start := time.Now()
+		g := b.ImportInto(fv).IGP
+		g.stats = Stats{IGPTime: time.Since(start)}
+		return g
+	}
+	g := ComputeIGP(fv)
+	c.CarryIGP(SealIGP(g))
+	return g
+}
+
+// guardRefs calls fn with the address of every guard of the result, in an
+// order fixed by the result's contents (map keys sorted), so that a result
+// and every clone of it visit their guards in the same order.
+func (r *Result) guardRefs(fn func(**mtbdd.Node)) {
+	g := r.IGP
+	for ri := range g.routes {
+		for _, d := range sortedDests(g.routes[ri]) {
+			routes := g.routes[ri][d]
 			for i := range routes {
-				fn(routes[i].Guard)
+				fn(&routes[i].Guard)
 			}
 		}
-		for _, guard := range r.IGP.reach[ri] {
-			fn(guard)
+		reach := g.reach[ri]
+		for _, d := range sortedDests(reach) {
+			n := reach[d]
+			fn(&n)
+			reach[d] = n
 		}
 	}
-	for _, rib := range r.BGP.RIBs {
-		for _, cands := range rib {
-			for _, c := range cands {
-				fn(c.Guard)
+	if r.BGP != nil {
+		for _, rib := range r.BGP.RIBs {
+			pfxs := make([]netip.Prefix, 0, len(rib))
+			for pfx := range rib {
+				pfxs = append(pfxs, pfx)
+			}
+			sort.Slice(pfxs, func(i, j int) bool {
+				if c := pfxs[i].Addr().Compare(pfxs[j].Addr()); c != 0 {
+					return c < 0
+				}
+				return pfxs[i].Bits() < pfxs[j].Bits()
+			})
+			for _, pfx := range pfxs {
+				for _, c := range rib[pfx] {
+					fn(&c.Guard)
+				}
 			}
 		}
 	}
 	for _, pols := range r.SR {
 		for i := range pols {
 			for j := range pols[i].Paths {
-				fn(pols[i].Paths[j].Guard)
+				fn(&pols[i].Paths[j].Guard)
 			}
 		}
 	}
 	for _, sts := range r.Statics {
 		for i := range sts {
-			fn(sts[i].Guard)
+			fn(&sts[i].Guard)
 		}
 	}
 }
@@ -165,6 +239,9 @@ func (g *IGP) importInto(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *IGP 
 }
 
 func (b *BGP) importInto(imp func(*mtbdd.Node) *mtbdd.Node) *BGP {
+	if b == nil {
+		return nil
+	}
 	out := &BGP{Converged: b.Converged, Rounds: b.Rounds, RIBs: make([]BGPRIB, len(b.RIBs))}
 	for r, rib := range b.RIBs {
 		if rib == nil {

@@ -1,27 +1,29 @@
 package routesim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/paperex"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// collectGuards gathers every guard of a result in a deterministic-enough
-// way for comparison (pairing relies on the two clones sharing traversal
-// order, which importWith guarantees).
+// collectGuards gathers every guard of a result in guardRefs order, which
+// a result and its clones share.
 func collectGuards(r *Result) []*mtbdd.Node {
 	var out []*mtbdd.Node
-	r.eachGuard(func(n *mtbdd.Node) { out = append(out, n) })
+	r.guardRefs(func(n **mtbdd.Node) { out = append(out, *n) })
 	return out
 }
 
 // TestImportBaseMatchesImportInto pins the copy-on-write base's contract:
 // cloning through the shared snapshot yields, candidate for candidate, the
 // very guards a fresh route simulation computes in the destination manager.
-// The two results are walked in structural lockstep (eachGuard's own order is
-// map-dependent and may differ between calls).
+// The two results are walked in structural lockstep.
 func TestImportBaseMatchesImportInto(t *testing.T) {
 	spec, res := motivating(t, 2)
 	base := res.NewImportBase()
@@ -129,4 +131,79 @@ func TestImportBaseConcurrentClones(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sealedIGPOfDroppedManager computes IS-IS on a manager nothing else
+// references, with a finalizer on its first node slab, and returns the
+// result sealed.
+func sealedIGPOfDroppedManager(spec *config.Spec, freed chan<- struct{}) *ImportBase {
+	fv := NewFailVars(mtbdd.New(), spec.Net, topo.FailLinks, 2)
+	// The zero terminal is the manager's first node: the start of its
+	// first slab.
+	runtime.SetFinalizer(fv.M.Zero(), func(*mtbdd.Node) { close(freed) })
+	return SealIGP(ComputeIGP(fv))
+}
+
+// TestSealedIGPReleasesSource is the memory contract of the IS-IS result
+// the daemon carries from version to version: sealed, it holds no node,
+// so the manager that computed it is reclaimed while the seal lives on —
+// and the seal still replays, into a FailVars over another build of the
+// same topology, to the very guards ComputeIGP builds there, with the
+// fingerprint the fresh result hashes to. The network is the motivating
+// example's, as in mtbdd's TestSealedSnapshotReleasesSource: the runtime
+// scans a large object in 128 KB pieces, and a slab filled past its first
+// piece points into itself from another, which keeps a slab with a
+// finalizer alive on its own.
+func TestSealedIGPReleasesSource(t *testing.T) {
+	freed := make(chan struct{})
+	base := sealedIGPOfDroppedManager(mustSpec(t, paperex.MotivatingSpec), freed)
+	deadline := time.After(10 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-deadline:
+			t.Fatal("a sealed IS-IS result keeps the manager that computed it reachable")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	dst := NewFailVars(mtbdd.New(), mustSpec(t, paperex.MotivatingSpec).Net, topo.FailLinks, 2)
+	got := &Result{IGP: base.ImportInto(dst).IGP}
+	want := &Result{IGP: ComputeIGP(dst)}
+	gotGuards, wantGuards := collectGuards(got), collectGuards(want)
+	if len(gotGuards) == 0 || len(gotGuards) != len(wantGuards) {
+		t.Fatalf("replayed %d guards, ComputeIGP built %d", len(gotGuards), len(wantGuards))
+	}
+	for i := range gotGuards {
+		if gotGuards[i] != wantGuards[i] {
+			t.Fatalf("guard %d: replayed node differs from ComputeIGP's", i)
+		}
+	}
+	if h := want.IGP.hash(mtbdd.NewHasher()); base.IGPHash() != h {
+		t.Fatalf("sealed fingerprint %#x, the replayed result hashes to %#x", base.IGPHash(), h)
+	}
+}
+
+// TestImportIntoKeyedByTopology: a base replays into FailVars over any
+// parse of its topology, and refuses one whose links differ in a cost.
+func TestImportIntoKeyedByTopology(t *testing.T) {
+	spec, res := motivating(t, 2)
+	base := res.NewImportBase()
+	reparsed := mustSpec(t, paperex.MotivatingSpec)
+	if reparsed.Net == spec.Net {
+		t.Fatal("a re-parse shares the network")
+	}
+	base.ImportInto(NewFailVars(mtbdd.New(), reparsed.Net, topo.FailLinks, 2))
+
+	reparsed.Net.Links[0].CostAB++
+	reparsed.Net.Links[0].CostBA++
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ImportInto accepted a FailVars over a topology with another link cost")
+		}
+	}()
+	base.ImportInto(NewFailVars(mtbdd.New(), reparsed.Net, topo.FailLinks, 2))
 }

@@ -82,7 +82,7 @@ func (e *ErrNotConverged) Error() string {
 // Run performs symbolic route simulation for the network and
 // configurations under the failure variables fv.
 func Run(fv *FailVars, cfgs config.Configs) (*Result, error) {
-	return RunContext(context.Background(), fv, cfgs)
+	return RunContext(context.Background(), fv, cfgs, nil)
 }
 
 // RunContext is Run with cancellation: a context poll is installed as
@@ -91,7 +91,12 @@ func Run(fv *FailVars, cfgs config.Configs) (*Result, error) {
 // the symbolic computation and surfaces as govern.ErrCanceled or
 // govern.ErrDeadline. A node-budget breach on the manager surfaces as
 // govern.ErrNodeBudget the same way.
-func RunContext(ctx context.Context, fv *FailVars, cfgs config.Configs) (res *Result, err error) {
+//
+// With a carrier, IS-IS is replayed from the result it carries under fv's
+// topology key when it has one, and computed and offered to it otherwise;
+// BGP always runs from scratch — restarted from another run's fixed point
+// it could settle in a different stable state than a cold run.
+func RunContext(ctx context.Context, fv *FailVars, cfgs config.Configs, carrier IGPCarrier) (res *Result, err error) {
 	if ctx != nil && ctx != context.Background() {
 		prev := fv.M.SetInterrupt(func() error { return govern.Check(ctx) })
 		defer fv.M.SetInterrupt(prev)
@@ -108,18 +113,14 @@ func RunContext(ctx context.Context, fv *FailVars, cfgs config.Configs) (res *Re
 	if err := govern.Check(ctx); err != nil {
 		return nil, err
 	}
-	return run(fv, cfgs)
-}
-
-func run(fv *FailVars, cfgs config.Configs) (*Result, error) {
-	igp := ComputeIGP(fv)
+	igp := carriedIGP(fv, carrier)
 	bgp := ComputeBGP(fv, cfgs, igp)
 	return FinishRun(fv, cfgs, igp, bgp)
 }
 
 // FinishRun resolves SR policies and static routes on top of an
 // already-computed IGP and BGP state, producing the complete Result. It
-// is the tail of run(), split out so the compositional coordinator
+// is the tail of RunContext, split out so the compositional coordinator
 // (internal/compose) can drive BGP itself — per-domain steppers in
 // lockstep — and still share the exact SR/static resolution code path
 // with the monolithic run. A BGP state that did not converge yields

@@ -11,6 +11,7 @@ import (
 	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/obs"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -138,13 +139,20 @@ func (st *stfStore) len() int {
 }
 
 // runCache adapts the shared store to core.STFCache for one verification
-// run. It memoizes the run-global fingerprint (topology, failure model,
-// IGP, SR), each matched prefix's fingerprint and the guard hasher, so a
-// class key costs a handful of tokens and a run hashes each prefix's RIB
-// rows once, however many classes match it.
+// run, and the server's carried IS-IS result to routesim.IGPCarrier. It
+// memoizes the run-global fingerprint (topology, failure model, IGP, SR),
+// each matched prefix's fingerprint and the guard hasher, so a class key
+// costs a handful of tokens and a run hashes each prefix's RIB rows once,
+// however many classes match it.
 type runCache struct {
 	srv    *Server
 	hasher *mtbdd.Hasher
+
+	// igpHash is the run's IS-IS fingerprint, sealed with the IS-IS result
+	// the run replayed or computed; route simulation sets it before any
+	// class key is derived.
+	igpHash   uint64
+	igpHashed bool
 
 	global      [2]uint64
 	globalReady bool
@@ -195,7 +203,10 @@ func (rc *runCache) globalFP(e *core.Engine) [2]uint64 {
 	}
 	t.u64(uint64(int64(fv.K)))
 	t.u64(uint64(int64(fv.Mode)))
-	t.u64(rs.HashIGP(rc.hasher))
+	if !rc.igpHashed {
+		panic("serve: a class key was derived before route simulation carried its IS-IS fingerprint")
+	}
+	t.u64(rc.igpHash)
 	t.u64(rs.HashSR(rc.hasher))
 	k := t.key()
 	rc.global = [2]uint64{k.a, k.b}
@@ -242,6 +253,32 @@ func (rc *runCache) classKey(e *core.Engine, rep topo.Flow) cacheKey {
 		t.u64(fp.b)
 	}
 	return t.key()
+}
+
+// CarriedIGP implements routesim.IGPCarrier: the IS-IS result an earlier
+// build sealed, when it was sealed under key — the same routers and links,
+// failure mode and budget. Any other topology misses and computes its own.
+func (rc *runCache) CarriedIGP(key routesim.TopoKey) *routesim.ImportBase {
+	s := rc.srv
+	s.igpMu.Lock()
+	b := s.igp
+	s.igpMu.Unlock()
+	if b == nil || b.Key() != key {
+		return nil
+	}
+	rc.igpHash, rc.igpHashed = b.IGPHash(), true
+	s.reg.Counter("serve.igp_carried").Inc()
+	return b
+}
+
+// CarryIGP implements routesim.IGPCarrier: the freshly computed result,
+// sealed, replaces the server's carried one.
+func (rc *runCache) CarryIGP(b *routesim.ImportBase) {
+	s := rc.srv
+	s.igpMu.Lock()
+	s.igp = b
+	s.igpMu.Unlock()
+	rc.igpHash, rc.igpHashed = b.IGPHash(), true
 }
 
 // Lookup implements core.STFCache: unseal the class STF from the warm entry

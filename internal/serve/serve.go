@@ -47,6 +47,7 @@ import (
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/fault"
 	"github.com/yu-verify/yu/internal/obs"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -150,6 +151,13 @@ type Server struct {
 	inflight chan struct{}
 
 	everRan atomic.Bool
+
+	// igp is the IS-IS result the latest build that computed one sealed,
+	// keyed by its topology (routesim.ImportBase). Builds of concurrently
+	// computing versions share it under igpMu; the base itself is
+	// immutable and holds no node, so it pins no version's manager.
+	igpMu sync.Mutex
+	igp   *routesim.ImportBase
 }
 
 // NewServer creates a server with no loaded spec. If cfg.StatePath is

@@ -260,7 +260,9 @@ type VerifyOptions struct {
 	// equivalence class is offered to the cache before execution and
 	// stored after. Soundness is the cache's responsibility — see the
 	// core.STFCache contract. Reports remain byte-identical to uncached
-	// runs when the cache honors it.
+	// runs when the cache honors it. A cache that also implements
+	// routesim.IGPCarrier carries IS-IS results between the monolithic
+	// builds of one topology.
 	STFCache STFCache
 	// Domains, when non-nil, turns on compositional verification
 	// (EngineYU only; Verify and VerifyPortfolio alike): the named router
@@ -704,7 +706,10 @@ func (b *Built) build() error {
 	if opts.MaxNodes > 0 {
 		b.mgr.SetNodeBudget(opts.MaxNodes)
 	}
-	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs)
+	// A cache that is also an IS-IS carrier (the daemon's) hands IS-IS from
+	// one build on a topology to the next.
+	carrier, _ := opts.STFCache.(routesim.IGPCarrier)
+	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs, carrier)
 	b.routeTime = time.Since(routeStart)
 	opts.Obs.AddPhase("routesim", b.routeTime)
 	if err != nil {
