@@ -38,6 +38,19 @@ func TestVerifyFlagRejectsUnknownValues(t *testing.T) {
 	}
 }
 
+// TestVerifyFlagRejectsDegradedPortfolio: the degrade policy answers the
+// spec's own properties only, so pairing it with -tlp is a usage error
+// (exit 2 under ExitOnError) before the spec is loaded; -on-budget fail
+// with -tlp stays accepted.
+func TestVerifyFlagRejectsDegradedPortfolio(t *testing.T) {
+	if _, err := parseVerifyFlags([]string{"-tlp", "p.tlp", "-on-budget", "degrade", testSpec}, flag.ContinueOnError); err == nil {
+		t.Fatal("parseVerifyFlags accepted -tlp with -on-budget degrade")
+	}
+	if _, err := parseVerifyFlags([]string{"-tlp", "p.tlp", "-on-budget", "fail", testSpec}, flag.ContinueOnError); err != nil {
+		t.Fatalf("-tlp with -on-budget fail: %v", err)
+	}
+}
+
 func TestVerifyFlagAcceptsKnownValues(t *testing.T) {
 	cfg, err := parseVerifyFlags([]string{
 		"-k", "2", "-mode", "routers", "-engine", "enumerate",

@@ -134,7 +134,7 @@ func parseVerifyFlags(args []string, eh flag.ErrorHandling) (*verifyConfig, erro
 	fs.IntVar(&cfg.workers, "workers", 1, "accepted for old scripts and ignored: every run is single-worker")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "abort verification after this duration (0 = none)")
 	fs.IntVar(&cfg.maxNodes, "max-nodes", 0, "live MTBDD node budget (0 = unlimited)")
-	fs.Func("on-budget", "node-budget policy: fail (typed error) or degrade (concrete fallback) (default fail)", func(s string) error {
+	fs.Func("on-budget", "node-budget policy: fail (typed error) or degrade (whole-run concrete enumeration; not with -tlp) (default fail)", func(s string) error {
 		switch s {
 		case "fail":
 			cfg.onBudget = yu.BudgetFail
@@ -165,14 +165,20 @@ func parseVerifyFlags(args []string, eh flag.ErrorHandling) (*verifyConfig, erro
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if fs.NArg() != 1 {
+	usage := func(err error) (*verifyConfig, error) {
 		fs.Usage()
-		err := fmt.Errorf("verify: expected exactly one spec file, got %d arguments", fs.NArg())
 		if eh == flag.ExitOnError {
 			fmt.Fprintln(os.Stderr, "yu:", err)
 			os.Exit(2)
 		}
 		return nil, err
+	}
+	if fs.NArg() != 1 {
+		return usage(fmt.Errorf("verify: expected exactly one spec file, got %d arguments", fs.NArg()))
+	}
+	if cfg.tlpFile != "" && cfg.onBudget == yu.BudgetDegrade {
+		// A portfolio has no concrete answer to a budget breach.
+		return usage(errors.New("verify: -tlp takes -on-budget fail only"))
 	}
 	cfg.spec = fs.Arg(0)
 	return cfg, nil
@@ -387,7 +393,7 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if n := len(rep.DegradedFlows); n > 0 {
-		fmt.Fprintf(stdout, "note: %d flow(s) verified by bounded concrete enumeration (node budget)\n", n)
+		fmt.Fprintf(stdout, "note: node budget breached; all %d flow(s) verified by bounded concrete enumeration\n", n)
 	}
 	if cfg.stats {
 		fmt.Fprintf(stdout, "flows: %d input, %d executed\n", rep.FlowsTotal, rep.FlowsExecuted)
@@ -396,9 +402,6 @@ func runVerify(cfg *verifyConfig, stdout, stderr io.Writer) (code int) {
 				m.Domains, m.BorderLinks, m.Rounds)
 			fmt.Fprintf(stdout, "  classes: %d contained, %d fallback; domain peak nodes: %d\n",
 				m.ContainedClasses, m.FallbackClasses, m.DomainPeakNodes)
-		}
-		for _, f := range rep.DegradedFlows {
-			fmt.Fprintf(stdout, "  degraded to concrete enumeration: %s\n", f)
 		}
 		if len(rep.Unchecked) > 0 {
 			fmt.Fprintf(stdout, "unchecked links: %d\n", len(rep.Unchecked))

@@ -61,7 +61,6 @@ type Options struct {
 	Mode     topo.FailureMode
 	Workers  int
 	MaxNodes int
-	OnBudget core.BudgetPolicy
 	Ctx      context.Context
 	Obs      *obs.Registry
 
@@ -373,22 +372,17 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	maxIter := net.HopBound(cfgs.LongestSRPath())
 
 	// Execute every class inside its domain, domains in parallel (each
-	// has a private manager). Domains run under BudgetFail with no
-	// concrete fallback: a class that cannot fit a domain budget simply
-	// joins the precision-fallback set.
-	engOpts := func(nodeBudget int, onBudget core.BudgetPolicy, configs config.Configs) core.Options {
-		return core.Options{
-			MaxIterations:         maxIter,
-			DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
-			DisableGlobalEquiv:    opts.DisableGlobalEquiv,
-			CheckK:                opts.CheckK,
-			Ctx:                   opts.Ctx,
-			NodeBudget:            nodeBudget,
-			OnBudget:              onBudget,
-			Configs:               configs,
-			Obs:                   opts.Obs,
-			ClassifyPrefixes:      prefixes,
-		}
+	// has a private manager). A class that cannot fit a domain budget
+	// simply joins the precision-fallback set.
+	engOpts := core.Options{
+		MaxIterations:         maxIter,
+		DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
+		DisableGlobalEquiv:    opts.DisableGlobalEquiv,
+		CheckK:                opts.CheckK,
+		Ctx:                   opts.Ctx,
+		NodeBudget:            opts.MaxNodes,
+		Obs:                   opts.Obs,
+		ClassifyPrefixes:      prefixes,
 	}
 	// Each domain seals the STFs it contained, with their global link IDs,
 	// in class order; contained[d] lists their classes.
@@ -404,7 +398,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 		go func(d int) {
 			defer wg.Done()
 			sub := subs[d]
-			eng := core.NewEngine(results[d], engOpts(opts.MaxNodes, core.BudgetFail, nil))
+			eng := core.NewEngine(results[d], engOpts)
 			borderDirs := make(map[topo.DirLinkID]bool, 2*len(sub.Border))
 			for _, bl := range sub.Border {
 				borderDirs[topo.MakeDirLinkID(bl, topo.AtoB)] = true
@@ -482,7 +476,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	} else {
 		rsCheck = routesim.EmptyResult(fvCheck)
 	}
-	eng := core.NewEngine(rsCheck, engOpts(opts.MaxNodes, opts.OnBudget, cfgs))
+	eng := core.NewEngine(rsCheck, engOpts)
 	ver := core.NewAssembledVerifier(eng, flows, sealed, contained)
 	return &Built{Verifier: ver, Engine: eng, Stats: st}, nil
 }

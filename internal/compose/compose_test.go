@@ -57,7 +57,6 @@ func checked(t testing.TB, spec *config.Spec, b *compose.Built) string {
 		Violations: rep.Violations, Holds: rep.Holds,
 		FlowsTotal: rep.FlowsTotal, FlowsExecuted: rep.FlowsExecuted, LinkStats: rep.LinkStats,
 		Incomplete: rep.Incomplete, Unchecked: rep.Unchecked, UncheckedDelivered: rep.UncheckedDelivered,
-		DegradedFlows: rep.DegradedFlows,
 	})
 }
 

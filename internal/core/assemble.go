@@ -33,7 +33,6 @@ type SealedSTF struct {
 	Links      []topo.DirLinkID
 	Roots      []uint32
 	Iterations int
-	Degraded   bool
 	shared     bool
 }
 
@@ -51,7 +50,7 @@ func SealSTFs(stfs []*FlowSTF) *SealedSTFs {
 		for _, dl := range links {
 			roots = append(roots, s.Links[dl])
 		}
-		l.STFs[i] = SealedSTF{Links: links, Iterations: s.Iterations, Degraded: s.Degraded, shared: s.shared}
+		l.STFs[i] = SealedSTF{Links: links, Iterations: s.Iterations, shared: s.shared}
 	}
 	var at []uint32
 	l.Snap, at = mtbdd.NewSnapshot(roots)
@@ -76,7 +75,6 @@ func (l *SealedSTFs) Unseal(m *mtbdd.Manager, flows []topo.Flow) []*FlowSTF {
 			Dropped:    table[s.Roots[1]],
 			InFlight:   table[s.Roots[2]],
 			Iterations: s.Iterations,
-			Degraded:   s.Degraded,
 			shared:     s.shared,
 		}
 		for j, dl := range s.Links {
@@ -117,7 +115,6 @@ func TranslateSTF(s *FlowSTF, toGlobal []topo.LinkID, flow topo.Flow) *FlowSTF {
 		Dropped:    s.Dropped,
 		InFlight:   s.InFlight,
 		Iterations: s.Iterations,
-		Degraded:   s.Degraded,
 		shared:     s.shared,
 	}
 	for l, w := range s.Links {

@@ -26,22 +26,6 @@ import (
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// BudgetPolicy selects the engine's response to an MTBDD node-budget
-// breach that a managed GC could not relieve.
-type BudgetPolicy int
-
-const (
-	// BudgetFail aborts the run with govern.ErrNodeBudget; the Report
-	// returned alongside it is partial (completed checks are kept, the
-	// remainder is marked unchecked).
-	BudgetFail BudgetPolicy = iota
-	// BudgetDegrade walks the degradation ladder instead of failing: a
-	// breaching flow is re-verified by bounded concrete enumeration
-	// (requires Options.Configs), and a breaching link check is skipped
-	// and listed as unchecked.
-	BudgetDegrade
-)
-
 // Options tunes the engine; the zero value enables every optimization.
 type Options struct {
 	// MaxIterations bounds symbolic traffic execution (Algorithm 1's I,
@@ -69,15 +53,10 @@ type Options struct {
 	// govern.ErrCanceled / govern.ErrDeadline from Verifier.Run.
 	Ctx context.Context
 	// NodeBudget, when > 0, bounds the live nodes of the engine's manager.
-	// A breach first triggers a managed GC and one retry; what happens if
-	// the retry still breaches is decided by OnBudget.
+	// A breach first triggers a managed GC and one retry; a retry that
+	// still breaches fails the step with govern.ErrNodeBudget.
 	NodeBudget int
-	// OnBudget selects the response to an unrelieved budget breach.
-	OnBudget BudgetPolicy
-	// Configs enables the concrete per-flow fallback of BudgetDegrade
-	// (the router configurations are needed to build a concrete
-	// simulator). Without it a breaching flow is a hard error even when
-	// degrading.
+	// Configs is ignored; benchmark/ still sets it.
 	Configs config.Configs
 	// Obs, when non-nil, collects run metrics: phase timings, stage
 	// counters, and per-manager MTBDD stats (DESIGN.md §11). nil disables

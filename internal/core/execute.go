@@ -27,9 +27,6 @@ type FlowSTF struct {
 	InFlight *mtbdd.Node
 	// Iterations is the number of hops executed.
 	Iterations int
-	// Degraded marks an STF rebuilt by the bounded concrete fallback
-	// (rung 3 of the degradation ladder) rather than symbolic execution.
-	Degraded bool
 	// shared marks an STF that took its nodes from an earlier class with the
 	// same behaviour (Engine.memo) instead of executing.
 	shared bool

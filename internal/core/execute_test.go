@@ -268,10 +268,9 @@ func budgetSweepSpec(t testing.TB) *config.Spec {
 }
 
 // TestBudgetSweepExecution sweeps the node budget from 1 up past what an
-// unbudgeted run needs, under both OnBudget policies. Wherever the run
-// completes without degrading a flow its report is the unbudgeted run's;
-// whatever happened, no degraded STF was memoized or handed to a second
-// class; and the engine — which may have left ExecuteFlow by panic any number
+// unbudgeted run needs. Wherever the run completes its report is the
+// unbudgeted run's, and wherever it breaches it fails with the typed error;
+// either way the engine — which may have left ExecuteFlow by panic any number
 // of times, with its scratch mid-flow — executes every flow afterwards to the
 // reference's nodes.
 func TestBudgetSweepExecution(t *testing.T) {
@@ -295,38 +294,26 @@ func TestBudgetSweepExecution(t *testing.T) {
 		stride = 7
 	}
 	breaches := 0
-	for _, policy := range []BudgetPolicy{BudgetFail, BudgetDegrade} {
-		for budget := 1; budget <= top; budget += stride {
-			name := fmt.Sprintf("policy %d budget %d", policy, budget)
-			eng, v, rep, err := run(Options{NodeBudget: budget, OnBudget: policy, Configs: spec.Configs})
-			if eng.m.GCRuns() > 0 {
-				breaches++ // a collection at this size is the ladder's retry
-			}
-			if err != nil && !errors.Is(err, govern.ErrNodeBudget) {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err == nil && !rep.Incomplete && len(rep.DegradedFlows) == 0 {
-				reportsEqual(t, name, want, rep)
-			}
-			for _, s := range v.stfs {
-				if s.Degraded && s.shared {
-					t.Fatalf("%s: class %v took a degraded STF", name, s.Flow)
-				}
-			}
-			for _, s := range eng.memo {
-				if s.Degraded {
-					t.Fatalf("%s: a degraded STF was memoized", name)
-				}
-			}
-			// What the breaches left behind must not show: with the budget
-			// lifted, every flow executes — or takes a memoized STF — to the
-			// reference's nodes.
-			eng.m.SetNodeBudget(0)
-			ref := newRefExec(eng)
-			for _, f := range spec.Flows {
-				if err := sameSTF(eng.ExecuteFlow(f), ref.executeFlow(f)); err != nil {
-					t.Fatalf("%s: after the run, flow %v: %v", name, f, err)
-				}
+	for budget := 1; budget <= top; budget += stride {
+		name := fmt.Sprintf("budget %d", budget)
+		eng, _, rep, err := run(Options{NodeBudget: budget})
+		if eng.m.GCRuns() > 0 {
+			breaches++ // a collection at this size is the ladder's retry
+		}
+		if err != nil && !errors.Is(err, govern.ErrNodeBudget) {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err == nil {
+			reportsEqual(t, name, want, rep)
+		}
+		// What the breaches left behind must not show: with the budget
+		// lifted, every flow executes — or takes a memoized STF — to the
+		// reference's nodes.
+		eng.m.SetNodeBudget(0)
+		ref := newRefExec(eng)
+		for _, f := range spec.Flows {
+			if err := sameSTF(eng.ExecuteFlow(f), ref.executeFlow(f)); err != nil {
+				t.Fatalf("%s: after the run, flow %v: %v", name, f, err)
 			}
 		}
 	}

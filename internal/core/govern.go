@@ -63,45 +63,23 @@ func contained(fn func()) (err error) {
 //  1. poll the context, then run attempt contained;
 //  2. on a node-budget breach, collect the manager — the engine caches and
 //     the finished STFs in done are the roots — and retry once;
-//  3. a breach the collection did not relieve is the caller's to answer
-//     when the policy is BudgetDegrade: degrade is set and err carries the
-//     breach, and the caller applies its own response (concrete fallback
-//     STF, link left unchecked).
+//  3. a breach the collection did not relieve comes back as the typed
+//     error, like cancellation and every other failure.
 //
-// Cancellation, a breach under BudgetFail and every non-budget failure
-// come back as a plain error. attempt must be idempotent: it reruns on
-// retry.
-func (e *Engine) ladder(done []*FlowSTF, attempt func()) (degrade bool, err error) {
+// What answers an unrelieved breach is the caller's business (yu.Verify's
+// degrade policy enumerates the whole run). attempt must be idempotent: it
+// reruns on retry.
+func (e *Engine) ladder(done []*FlowSTF, attempt func()) error {
 	if err := govern.Check(e.opts.Ctx); err != nil {
-		return false, err
+		return err
 	}
-	err = contained(attempt)
+	err := contained(attempt)
 	if errors.Is(err, govern.ErrNodeBudget) {
 		e.opts.Obs.Counter("govern.budget_gc_retries").Inc()
 		e.m.GC(e.roots(stfRoots(nil, done)))
 		err = contained(attempt)
 	}
-	return errors.Is(err, govern.ErrNodeBudget) && e.opts.OnBudget == BudgetDegrade, err
-}
-
-// buildGoverned builds flow f's STF in the engine's manager through the
-// budget ladder — build followed by the engine's managed GC is the attempt;
-// the degrade response rebuilds the flow by bounded concrete enumeration
-// (concreteFallbackSTF) and marks it Degraded. done lists the engine's
-// already-built STFs, the GC roots that must survive a collection.
-func (e *Engine) buildGoverned(f topo.Flow, done []*FlowSTF, build func() *FlowSTF) (*FlowSTF, error) {
-	var s *FlowSTF
-	degrade, err := e.ladder(done, func() {
-		s = build()
-		e.maybeGC(done, stfRoots(nil, []*FlowSTF{s}))
-	})
-	if degrade {
-		return e.concreteFallbackSTF(f, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return err
 }
 
 // testExecHook, when non-nil, runs inside every governed flow execution,
@@ -111,13 +89,21 @@ func (e *Engine) buildGoverned(f topo.Flow, done []*FlowSTF, build func() *FlowS
 var testExecHook func(topo.Flow)
 
 // ExecuteGoverned runs one flow's symbolic execution through the budget
-// ladder. Exported for the compositional coordinator, which executes class
-// representatives on per-domain engines outside any Verifier.
+// ladder — execution followed by the engine's managed GC is the attempt.
+// done lists the engine's already-built STFs, the GC roots that must survive
+// a collection. Exported for the compositional coordinator, which executes
+// class representatives on per-domain engines outside any Verifier.
 func (e *Engine) ExecuteGoverned(f topo.Flow, done []*FlowSTF) (*FlowSTF, error) {
-	return e.buildGoverned(f, done, func() *FlowSTF {
+	var s *FlowSTF
+	err := e.ladder(done, func() {
 		if testExecHook != nil {
 			testExecHook(f)
 		}
-		return e.ExecuteFlow(f)
+		s = e.ExecuteFlow(f)
+		e.maybeGC(done, stfRoots(nil, []*FlowSTF{s}))
 	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }

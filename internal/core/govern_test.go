@@ -217,27 +217,3 @@ func TestNodeBudgetFailSurfaces(t *testing.T) {
 		t.Fatal("budget-interrupted report must not claim the properties hold")
 	}
 }
-
-// TestNodeBudgetDegradeFallsBack runs the same 1-node budget under the
-// degrade policy: no error, and every flow verified by the bounded
-// concrete fallback instead.
-func TestNodeBudgetDegradeFallsBack(t *testing.T) {
-	spec, err := config.ParseSpecString(paperex.Motivating)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := buildEngine(t, spec, topo.FailLinks, 1, Options{
-		NodeBudget: 1, OnBudget: BudgetDegrade, Configs: spec.Configs,
-	})
-	ver := NewVerifier(eng, spec.Flows)
-	if ver.Err() != nil {
-		t.Fatalf("degrade policy surfaced an execution error: %v", ver.Err())
-	}
-	rep, rerr := ver.Run(spec.Props, spec.Delivered, 1.0)
-	if rerr != nil {
-		t.Fatalf("degrade policy surfaced a Run error: %v", rerr)
-	}
-	if len(rep.DegradedFlows) == 0 {
-		t.Fatal("1-node budget under degrade policy produced no degraded flows")
-	}
-}

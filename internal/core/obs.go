@@ -77,7 +77,7 @@ func newCheckCounters(reg *obs.Registry) checkCounters {
 // wherever it ran; the step and forwarding-class counters by each engine
 // that executes (on a compositional run they sum over the domains).
 type execCounters struct {
-	flows       *obs.Counter // classes whose STF a symbolic execution (or its concrete fallback) built
+	flows       *obs.Counter // classes whose STF a symbolic execution built
 	shared      *obs.Counter // classes that took an earlier class's STF: same behaviour
 	imported    *obs.Counter // of both, those unsealed from a domain's manager
 	stepsBuilt  *obs.Counter // forwarding steps built

@@ -3,7 +3,7 @@ package core
 // NewParallelVerifier is kept, with its worker count, for benchmark/ — and it
 // is NewVerifier. These tests hold it to that at every worker count, on two
 // fresh engines of one input, and hold the one check loop's slots to their
-// invariants when a stop or a budget skip cuts it short.
+// invariants when a stop cuts it short.
 
 import (
 	"context"
@@ -134,9 +134,11 @@ func checkLinkPartition(t *testing.T, net *topo.Network, rep *Report) {
 	}
 }
 
-// TestParallelStopLeavesNoPartialSlots cancels the check loop mid-run: the
-// links whose check never completed land in Unchecked, the completed ones
-// keep their stats, and the two sets partition the directed links.
+// TestParallelStopLeavesNoPartialSlots stops the check loop mid-run, by a
+// cancellation and by a node-budget breach the ladder's collection cannot
+// relieve: the links whose check never completed land in Unchecked, the
+// completed ones keep their stats, and the two sets partition the directed
+// links.
 func TestParallelStopLeavesNoPartialSlots(t *testing.T) {
 	spec, err := gen.WAN(gen.WANSpec{Routers: 30, Links: 60, Prefixes: 8, SRPolicyFraction: 0.2, Seed: 5})
 	if err != nil {
@@ -148,49 +150,36 @@ func TestParallelStopLeavesNoPartialSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &pollCancelCtx{Context: context.Background()}
-	v := NewParallelVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{Ctx: ctx}), flows, 4)
-	if v.err != nil {
-		t.Fatal(v.err)
-	}
-	// Armed only now, so the stop fires inside the check loop.
-	ctx.arm(8)
-	rep, err := v.Run(nil, nil, 1.0)
-	if !errors.Is(err, govern.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if len(rep.Unchecked) == 0 || len(rep.LinkStats) == 0 {
-		t.Fatalf("%d links checked, %d unchecked: the stop did not land mid-loop", len(rep.LinkStats), len(rep.Unchecked))
-	}
-	if !rep.Incomplete || rep.Holds {
-		t.Fatalf("Incomplete=%v Holds=%v after a canceled check loop", rep.Incomplete, rep.Holds)
-	}
-	checkLinkPartition(t, spec.Net, rep)
-}
-
-// TestParallelBudgetDegradeSkipPartition drives the check loop into
-// node-budget skips under the degrade policy: a skipped link is reported
-// unchecked, never as a zero-value stat, and the partition invariant holds.
-func TestParallelBudgetDegradeSkipPartition(t *testing.T) {
-	spec, err := gen.FatTree(gen.FatTreeSpec{Pods: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows, err := flowgen.Pairwise(spec, 5, 9.0/56.0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := buildEngine(t, spec, topo.FailLinks, 2, Options{
-		NodeBudget: 6000, OnBudget: BudgetDegrade,
-	})
-	rep, err := NewParallelVerifier(eng, flows, 4).Run(nil, nil, 1.0)
-	if err != nil {
-		t.Fatalf("degrade policy must not surface budget errors: %v", err)
-	}
-	checkLinkPartition(t, spec.Net, rep)
-	if len(rep.Unchecked) > 0 && (!rep.Incomplete || rep.Holds) {
-		t.Fatalf("Incomplete=%v Holds=%v with %d unchecked links",
-			rep.Incomplete, rep.Holds, len(rep.Unchecked))
+	for _, stop := range []struct {
+		name string
+		want error
+		// arm makes the verifier's check loop stop, and is called only
+		// after execution so the stop fires inside that loop.
+		arm func(v *Verifier, ctx *pollCancelCtx)
+	}{
+		{"cancel", govern.ErrCanceled, func(_ *Verifier, ctx *pollCancelCtx) { ctx.arm(8) }},
+		{"budget", govern.ErrNodeBudget, func(v *Verifier, _ *pollCancelCtx) {
+			v.Collect(true)
+			v.e.m.SetNodeBudget(v.e.m.Stats().Live + 10)
+		}},
+	} {
+		ctx := &pollCancelCtx{Context: context.Background()}
+		v := NewParallelVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{Ctx: ctx}), flows, 4)
+		if v.err != nil {
+			t.Fatal(v.err)
+		}
+		stop.arm(v, ctx)
+		rep, err := v.Run(nil, nil, 0.2)
+		if !errors.Is(err, stop.want) {
+			t.Fatalf("%s: err = %v, want %v", stop.name, err, stop.want)
+		}
+		if len(rep.Unchecked) == 0 || len(rep.LinkStats) == 0 {
+			t.Fatalf("%s: %d links checked, %d unchecked: the stop did not land mid-loop", stop.name, len(rep.LinkStats), len(rep.Unchecked))
+		}
+		if !rep.Incomplete || rep.Holds {
+			t.Fatalf("%s: Incomplete=%v Holds=%v after a stopped check loop", stop.name, rep.Incomplete, rep.Holds)
+		}
+		checkLinkPartition(t, spec.Net, rep)
 	}
 }
 

@@ -643,9 +643,6 @@ func sameSTF(got, want *FlowSTF) error {
 			return fmt.Errorf("link %d: node differs from the reference's", l)
 		}
 	}
-	if got.Degraded {
-		return fmt.Errorf("degraded")
-	}
 	return nil
 }
 

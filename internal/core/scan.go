@@ -317,8 +317,8 @@ type Plan struct {
 }
 
 // PlanResult is one plan's outcome slot. Done distinguishes a completed plan
-// from one that was skipped (budget degrade) or never ran (a fatal error
-// stopped the run first) — both leave its checks undecided.
+// from one that never ran (a fatal error stopped the run first), whose checks
+// are undecided.
 type PlanResult struct {
 	// Results is parallel to the plan's Checks.
 	Results []ScanResult
@@ -331,10 +331,9 @@ type PlanResult struct {
 // Check is the one check loop: every plan goes through the budget ladder on
 // the verifier's manager — on a node-budget breach the manager collects and
 // the plan retries once — and its outcome is written to its slot, in plan
-// order. A plan that cannot fit the budget under the degrade policy is left
-// not done; the first fatal error (cancellation, a breach under the fail
-// policy, a contained panic, the one that cut execution short) stops the loop
-// and is returned with the slots filled so far.
+// order. The first fatal error (cancellation, a breach the retry did not
+// relieve, a contained panic, the one that cut execution short) stops the
+// loop and is returned with the slots filled so far.
 func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 	out := make([]PlanResult, len(plans))
 	if v.err != nil {
@@ -352,11 +351,10 @@ func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 // check through the ladder.
 func (v *Verifier) checkPlan(p Plan, r *PlanResult) error {
 	v.e.maybeGC(v.stfs, nil)
-	degrade, err := v.e.ladder(v.stfs, func() { r.Results, r.Restricts, r.Stat = v.check(p) })
-	if err != nil && !degrade {
+	if err := v.e.ladder(v.stfs, func() { r.Results, r.Restricts, r.Stat = v.check(p) }); err != nil {
 		return err
 	}
-	r.Done = err == nil
+	r.Done = true
 	return nil
 }
 

@@ -11,13 +11,12 @@ import (
 // sealCases is a WAN verifier's STFs in class order — global equivalence on,
 // so later classes share earlier classes' STFs and distinct classes share
 // nodes — between two made-up ones for what execution rarely yields: an STF
-// crossing no link, and one flagged Degraded and shared. The made-up ones are
-// built in m.
+// crossing no link, and one flagged shared. The made-up ones are built in m.
 func sealCases(m *mtbdd.Manager, stfs []*FlowSTF) []*FlowSTF {
 	bare := &FlowSTF{Flow: stfs[0].Flow, Links: map[topo.DirLinkID]*mtbdd.Node{},
 		Delivered: m.Zero(), Dropped: m.One(), InFlight: m.Zero(), Iterations: 1}
 	flagged := *stfs[len(stfs)-1]
-	flagged.Degraded, flagged.shared = true, true
+	flagged.shared = true
 	return append(append([]*FlowSTF{bare}, stfs...), &flagged)
 }
 
@@ -32,12 +31,10 @@ func flowsOf(stfs []*FlowSTF) []topo.Flow {
 // sameUnsealed holds an unsealed STF to the one it stands for: every node the
 // same pointer, every field equal.
 func sameUnsealed(got, want *FlowSTF) error {
-	if got.Degraded != want.Degraded || got.shared != want.shared {
-		return fmt.Errorf("degraded/shared %v/%v, want %v/%v", got.Degraded, got.shared, want.Degraded, want.shared)
+	if got.shared != want.shared {
+		return fmt.Errorf("shared %v, want %v", got.shared, want.shared)
 	}
-	g, w := *got, *want
-	g.Degraded, w.Degraded = false, false
-	return sameSTF(&g, &w)
+	return sameSTF(got, want)
 }
 
 // checkUnsealed unseals prefixes of none, one and all of sealed's STFs into

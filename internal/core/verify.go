@@ -98,8 +98,7 @@ type Report struct {
 	// FlowsTotal is the number of input flows.
 	FlowsTotal int
 	// Incomplete is set when the run was cut short (cancellation,
-	// deadline, budget breach) or some checks were skipped under the
-	// degrade policy. Holds is never true on an incomplete report.
+	// deadline, budget breach). Holds is never true on an incomplete report.
 	Incomplete bool
 	// Unchecked lists the directed links whose load checks did not run
 	// to completion; their verdicts are unknown.
@@ -107,8 +106,7 @@ type Report struct {
 	// UncheckedDelivered lists delivered-bound prefixes whose checks did
 	// not complete.
 	UncheckedDelivered []netip.Prefix
-	// DegradedFlows names the flows whose STFs were rebuilt by the
-	// bounded concrete fallback instead of symbolic execution.
+	// DegradedFlows is always empty; benchmark/ still reads it.
 	DegradedFlows []string
 
 	// uncheckedLinks / uncheckedPfx deduplicate the Unchecked and
@@ -244,10 +242,10 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 // assemble fills v.stfs in class order. sealed[j] holds the STFs of the
 // classes at[j] lists, finished in a compose domain's manager, and each list
 // is unsealed into the engine's manager as one governed step, its replay
-// table gone with the step; a list whose replay cannot fit the budget under
-// the degrade policy leaves its classes to the loop that follows. That loop executes every class still without an STF
-// here, in class order, after offering it to the STF cache. The first fatal
-// error stops assembly with the leading classes finished so far intact.
+// table gone with the step. The loop that follows executes every class still
+// without an STF here, in class order, after offering it to the STF cache.
+// The first fatal error stops assembly with the leading classes finished so
+// far intact.
 func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 	e := v.e
 	cache := e.opts.STFCache
@@ -261,13 +259,10 @@ func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 			reps[k] = v.classes[ci].rep
 		}
 		var got []*FlowSTF
-		degrade, err := e.ladder(stfs, func() {
+		err := e.ladder(stfs, func() {
 			got = l.Unseal(e.m, reps)
 			e.maybeGC(stfs, stfRoots(nil, got))
 		})
-		if degrade {
-			continue
-		}
 		if err != nil {
 			v.err = err
 			break
@@ -449,20 +444,13 @@ func violations(p Plan, r ScanResult) []Violation {
 // plans, Check, and the slots converted back in plan order.
 //
 // Run is governed: on cancellation, deadline expiry, or a node-budget
-// breach under the fail policy it returns the typed error together with
-// a partial report — completed checks keep their verdicts and stats,
-// and every target that did not complete is listed in Unchecked /
-// UncheckedDelivered with Incomplete set. Under the degrade policy a
-// check that cannot fit the budget is skipped the same way but without
-// an error. A failed flow execution leaves every target unchecked. Holds is
-// never true on an incomplete report.
+// breach it returns the typed error together with a partial report —
+// completed checks keep their verdicts and stats, and every target that did
+// not complete is listed in Unchecked / UncheckedDelivered with Incomplete
+// set. A failed flow execution leaves every target unchecked. Holds is never
+// true on an incomplete report.
 func (v *Verifier) Run(bounds []topo.LoadBound, delivered []topo.DeliveredBound, overloadFactor float64) (*Report, error) {
 	rep := &Report{FlowsExecuted: v.execCount, FlowsTotal: len(v.flows)}
-	for _, s := range v.stfs {
-		if s != nil && s.Degraded {
-			rep.DegradedFlows = append(rep.DegradedFlows, s.Flow.String())
-		}
-	}
 	plans := lower(v.e.net, bounds, delivered, overloadFactor)
 	results, err := v.Check(plans)
 	for i, r := range results {

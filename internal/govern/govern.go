@@ -20,8 +20,8 @@ var (
 	// context deadline.
 	ErrDeadline = errors.New("verification deadline exceeded")
 	// ErrNodeBudget is returned when an MTBDD manager's live-node budget
-	// is breached and the budget policy is to fail. Degrading policies
-	// catch it internally and walk the fallback ladder instead.
+	// is breached and a collection did not relieve it. yu.Verify's degrade
+	// policy answers it with whole-run enumeration instead.
 	ErrNodeBudget = errors.New("mtbdd live-node budget exceeded")
 )
 

@@ -100,13 +100,15 @@ func buildBigFrom(m *Manager, vars int, offset float64) *Node {
 	return f
 }
 
-// TestAbortSharesUnwindPath checks mtbdd.Abort reaches the nearest Guard
-// like a native abort, and that non-abort panics pass through Guard.
+// TestAbortSharesUnwindPath checks that Guard stops operation aborts only:
+// an abort from inside an operation comes back as its error, and any other
+// panic passes through Guard.
 func TestAbortSharesUnwindPath(t *testing.T) {
-	want := errors.New("stop now")
-	err := Guard(func() { Abort(want) })
-	if !errors.Is(err, want) {
-		t.Fatalf("err = %v, want %v", err, want)
+	m := New()
+	m.SetNodeBudget(1)
+	err := Guard(func() { buildBig(m, 4) })
+	if !errors.Is(err, govern.ErrNodeBudget) {
+		t.Fatalf("err = %v, want govern.ErrNodeBudget", err)
 	}
 
 	defer func() {

@@ -46,7 +46,7 @@ type opAbort struct{ err error }
 // govern.ErrNodeBudget under errors.Is.
 type BudgetError struct {
 	Limit int // the configured budget
-	Live  int // live nodes at the moment of the breach
+	Live  int // live nodes the breaching construction would have made
 }
 
 func (e *BudgetError) Error() string {
@@ -67,20 +67,16 @@ func (m *Manager) SetInterrupt(fn func() error) func() error {
 	return prev
 }
 
-// SetNodeBudget bounds the manager's live internal nodes: once the
-// unique table grows past n, node construction aborts the in-flight
-// operation with a *BudgetError. 0 (or negative) disables the budget.
-// The budget is advisory-at-mk granularity — the table may exceed the
-// budget by the nodes of the final operation before the breach is seen.
+// SetNodeBudget bounds the manager's live internal nodes: node
+// construction that would grow the unique table past n aborts the in-flight
+// operation with a *BudgetError, so the table never holds more than n.
+// 0 (or negative) disables the budget.
 func (m *Manager) SetNodeBudget(n int) {
 	if n < 0 {
 		n = 0
 	}
 	m.budget = n
 }
-
-// NodeBudget returns the configured live-node budget (0 = unlimited).
-func (m *Manager) NodeBudget() int { return m.budget }
 
 // checkInterrupt is the counted poll point, called from the recursive
 // operations. It is a method-call plus increment in the common case.
@@ -94,18 +90,12 @@ func (m *Manager) checkInterrupt() {
 	}
 }
 
-// checkBudget aborts when the unique table has outgrown the budget.
+// checkBudget aborts when one more node would outgrow the budget.
 func (m *Manager) checkBudget() {
-	if m.budget > 0 && m.unique.count > m.budget {
-		panic(opAbort{&BudgetError{Limit: m.budget, Live: m.unique.count}})
+	if m.budget > 0 && m.unique.count >= m.budget {
+		panic(opAbort{&BudgetError{Limit: m.budget, Live: m.unique.count + 1}})
 	}
 }
-
-// Abort unwinds to the nearest Guard with the given error, exactly as an
-// interrupt or budget breach would. It lets governed code interleaved
-// with MTBDD operations (e.g. the concrete fallback's scenario loop)
-// share the same unwind path instead of inventing a second one.
-func Abort(err error) { panic(opAbort{err}) }
 
 // AbortError extracts the error carried by a recovered operation abort,
 // or nil if the recovered value is not an abort (the caller should

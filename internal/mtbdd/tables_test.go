@@ -303,9 +303,9 @@ func TestTerminalTable(t *testing.T) {
 		t.Fatalf("terminal table holds %d entries after the GC, want 5", m.terms.count)
 	}
 
-	// The budget counts internal nodes: a budget of one admits one mk and
-	// any number of terminals.
-	m.SetNodeBudget(1)
+	// The budget counts internal nodes: a budget of two over the one kept
+	// admits one mk and any number of terminals.
+	m.SetNodeBudget(2)
 	if err := Guard(func() {
 		for i := 0; i < 100; i++ {
 			m.Const(float64(1000 + i))

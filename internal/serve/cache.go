@@ -315,13 +315,8 @@ func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) 
 
 // Store implements core.STFCache: seal a freshly executed class STF into the
 // shared store, under the key the Lookup that missed on it derived. The
-// entry holds no node, so it never keeps this run's manager alive. Degraded
-// (fallback-built) STFs are not cached — they depend on the governance
-// budget, not just the route state.
+// entry holds no node, so it never keeps this run's manager alive.
 func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
-	if stf == nil || stf.Degraded {
-		return
-	}
 	key := rc.lastKey
 	if rep != rc.lastRep {
 		key = rc.classKey(e, rep)

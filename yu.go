@@ -67,8 +67,6 @@ type (
 	Spec = config.Spec
 	// DirLinkID identifies a directed link (used in partial reports).
 	DirLinkID = topo.DirLinkID
-	// BudgetPolicy selects the response to an MTBDD node-budget breach.
-	BudgetPolicy = core.BudgetPolicy
 	// SchedStats summarizes the execution phase's work units (classes and
 	// global-equivalence dedup hits) — see Report.Sched.
 	SchedStats = core.SchedStats
@@ -123,16 +121,20 @@ const (
 	FailBoth    = topo.FailBoth
 )
 
-// Budget policies for VerifyOptions.OnBudget.
+// BudgetPolicy selects how Verify answers a MaxNodes breach that a managed
+// GC and a retry did not relieve (VerifyOptions.OnBudget).
+type BudgetPolicy int
+
 const (
-	// BudgetFail (the default) aborts on an unrelieved node-budget breach
-	// with ErrNodeBudget and a partial report.
-	BudgetFail = core.BudgetFail
-	// BudgetDegrade walks the degradation ladder instead: breaching flows
-	// are re-verified by bounded concrete enumeration (annotated in
-	// Report.DegradedFlows), breaching link checks are skipped and listed
-	// as unchecked.
-	BudgetDegrade = core.BudgetDegrade
+	// BudgetFail (the default) returns the breach as ErrNodeBudget with a
+	// partial report.
+	BudgetFail BudgetPolicy = iota
+	// BudgetDegrade answers the breach — in route simulation, execution or
+	// a check — with EngineEnumerate's verdict on the whole run, every flow
+	// named in Report.DegradedFlows: a complete verdict whatever the budget,
+	// with the MTBDD manager held to MaxNodes. Verify only: VerifyPortfolio
+	// rejects it.
+	BudgetDegrade
 )
 
 // Typed governance errors. Verify returns these (match with errors.Is)
@@ -142,7 +144,7 @@ var (
 	ErrCanceled = govern.ErrCanceled
 	// ErrDeadline reports an expired context deadline.
 	ErrDeadline = govern.ErrDeadline
-	// ErrNodeBudget reports an MTBDD node-budget breach under BudgetFail.
+	// ErrNodeBudget reports an unrelieved MTBDD node-budget breach.
 	ErrNodeBudget = govern.ErrNodeBudget
 )
 
@@ -244,9 +246,9 @@ type VerifyOptions struct {
 	Ctx context.Context
 	// MaxNodes, when > 0, bounds the live MTBDD nodes of every manager
 	// the run creates (EngineYU only). A breach first triggers a managed
-	// GC and a retry; an unrelieved breach is handled per OnBudget.
+	// GC and a retry; an unrelieved breach is answered per OnBudget.
 	MaxNodes int
-	// OnBudget selects the response to an unrelieved MaxNodes breach:
+	// OnBudget selects Verify's answer to an unrelieved MaxNodes breach:
 	// BudgetFail (default) or BudgetDegrade.
 	OnBudget BudgetPolicy
 	// Obs, when non-nil, collects run metrics — phase durations,
@@ -297,8 +299,7 @@ type Report struct {
 	// LinkStats has one entry per checked directed link (EngineYU only).
 	LinkStats []LinkCheckStat
 	// Incomplete is set when the run was cut short (cancellation,
-	// deadline, node budget) or checks were skipped while degrading.
-	// Holds is never true on an incomplete report.
+	// deadline, node budget). Holds is never true on an incomplete report.
 	Incomplete bool
 	// Unchecked lists directed links whose load checks did not complete;
 	// their verdicts are unknown.
@@ -306,8 +307,8 @@ type Report struct {
 	// UncheckedDelivered lists delivered-bound prefixes whose checks did
 	// not complete.
 	UncheckedDelivered []netip.Prefix
-	// DegradedFlows names flows verified by the bounded concrete
-	// fallback instead of symbolic execution (BudgetDegrade only).
+	// DegradedFlows names every flow when a BudgetDegrade run answered a
+	// node-budget breach by concrete enumeration, and is empty otherwise.
 	DegradedFlows []string
 	// Sched summarizes the execution phase's work units (EngineYU only):
 	// equivalence classes and global-equivalence dedup hits.
@@ -394,14 +395,11 @@ func (b *Built) Verify(ctx context.Context) (*Report, error) {
 		checkSpan.End()
 		b.ver.Collect(false)
 	}
-	if opts.OnBudget == BudgetDegrade && opts.MaxNodes > 0 &&
-		(errors.Is(err, ErrNodeBudget) && rep == nil || err == nil && rep.Incomplete) {
-		// Rung 4 of the degradation ladder: the budget could not even hold
-		// symbolic route simulation, or it let execution through (possibly
-		// via per-flow fallbacks) but was too tight for the aggregation
-		// checks, which were skipped. The whole run falls back to bounded
-		// concrete enumeration so the degrade policy always renders a
-		// complete verdict. Every flow is degraded.
+	if opts.OnBudget == BudgetDegrade && errors.Is(err, ErrNodeBudget) {
+		// The last rung of the degradation ladder (DESIGN.md §10): the
+		// budget could not hold route simulation, execution or a check, so
+		// the whole run falls back to concrete enumeration and the degrade
+		// policy still renders a complete verdict. Every flow is degraded.
 		out, derr := n.verifyEnumerate(r, opts, start)
 		if out != nil {
 			for _, f := range r.flows {
@@ -428,7 +426,6 @@ func (b *Built) Verify(ctx context.Context) (*Report, error) {
 		Incomplete:         rep.Incomplete,
 		Unchecked:          rep.Unchecked,
 		UncheckedDelivered: rep.UncheckedDelivered,
-		DegradedFlows:      rep.DegradedFlows,
 		Sched:              b.ver.SchedStats(),
 		Modular:            b.modular,
 	}, err
@@ -464,9 +461,8 @@ func (n *Network) verifyShortestPath(r resolved, opts VerifyOptions, start time.
 }
 
 // verifyEnumerate runs the Jingubang-style concrete baseline. It is both
-// the EngineEnumerate entry point and rung 4 of the degradation ladder
-// (the whole-run fallback when even symbolic route simulation cannot fit
-// its node budget).
+// the EngineEnumerate entry point and the last rung of the degradation
+// ladder (BudgetDegrade's answer to a node-budget breach).
 func (n *Network) verifyEnumerate(r resolved, opts VerifyOptions, start time.Time) (*Report, error) {
 	sp := opts.Obs.Span("enumerate")
 	defer sp.End()
@@ -519,9 +515,13 @@ func (n *Network) markAllUnchecked(out *Report, overloadFactor float64) {
 //
 // Like Verify, a governed abort returns the typed error together with a
 // partial result whose undecided properties are StatusUnchecked; unlike
-// Verify there is no concrete rung 4 for portfolios.
+// Verify there is no concrete answer for portfolios, so BudgetDegrade is an
+// error.
 func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResult, error) {
-	// Compiled before the build: a malformed portfolio costs no simulation.
+	// Both checked before the build: a rejected run costs no simulation.
+	if opts.OnBudget == BudgetDegrade {
+		return nil, errors.New("yu: VerifyPortfolio has no degrade budget policy (BudgetDegrade answers Verify only)")
+	}
 	port, err := tlp.Compile(n.spec.Net, n.resolve(opts).flows, props)
 	if err != nil {
 		return nil, err
@@ -539,7 +539,9 @@ func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResul
 // terminal scan over symbolic traffic fractions that already exist. A
 // malformed portfolio is the error alone; a governed abort — of this check,
 // or the one that cut the build short — the typed error with the undecided
-// properties unchecked. An aborted check leaves the built state usable.
+// properties unchecked. An aborted check leaves the built state usable. A
+// node-budget breach is answered as under BudgetFail, whatever the build's
+// OnBudget: the degrade policy answers Verify only.
 func (b *Built) VerifyPortfolio(ctx context.Context, props []TLProp) (*TLPResult, error) {
 	port, err := tlp.Compile(b.n.spec.Net, b.r.flows, props)
 	if err != nil {
@@ -676,7 +678,6 @@ func (b *Built) build() error {
 			CheckK:                r.checkK,
 			Mode:                  r.mode,
 			MaxNodes:              opts.MaxNodes,
-			OnBudget:              opts.OnBudget,
 			Ctx:                   opts.Ctx,
 			Obs:                   opts.Obs,
 			DisableLinkLocalEquiv: opts.DisableLinkLocalEquiv,
@@ -725,8 +726,6 @@ func (b *Built) build() error {
 		CheckK:                r.checkK,
 		Ctx:                   opts.Ctx,
 		NodeBudget:            opts.MaxNodes,
-		OnBudget:              opts.OnBudget,
-		Configs:               n.spec.Configs,
 		Obs:                   opts.Obs,
 		STFCache:              opts.STFCache,
 	})
