@@ -136,3 +136,28 @@ func TestExecCreatedNodesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestExecFusedMissesBounded: on the wan-k2 shape, execution makes at most
+// 1.5 M fused-table misses. The fused kernels decide KREDUCE's merge from
+// the β_k result they just built (kernels.go); deciding it from a second
+// walk of the Hi operands at budget k−1 cost 1 966 126 misses here, against
+// 1 455 736 without it. The count is deterministic
+// (TestExecutionCountersRepeat), so the bound cannot flake.
+func TestExecFusedMissesBounded(t *testing.T) {
+	const bound = 1_500_000
+	sh := benchShapes[1]
+	spec := sh.spec(t)
+	eng := buildEngine(t, spec, topo.FailLinks, sh.k, Options{})
+	before := eng.m.Stats()
+	if err := NewVerifier(eng, spec.Flows).Err(); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.m.Stats()
+	misses := st.Fused.Misses - before.Fused.Misses
+	t.Logf("%s execution: fused %d hits / %d misses, kreduce %d hits / %d misses, %d cuts, %d created",
+		sh.name, st.Fused.Hits-before.Fused.Hits, misses, st.KReduce.Hits-before.KReduce.Hits,
+		st.KReduce.Misses-before.KReduce.Misses, st.FusionCuts-before.FusionCuts, st.Created-before.Created)
+	if misses > bound {
+		t.Errorf("%s: execution made %d fused-table misses, bound %d", sh.name, misses, bound)
+	}
+}

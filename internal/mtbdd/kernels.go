@@ -15,13 +15,21 @@ package mtbdd
 // The recursion mirrors kreduce exactly, with γ_k(F, G) ≡ β_k(F op G):
 //
 //	γ_0(F, G) = F(1,...,1) op G(1,...,1)
-//	γ_k(c, d) = c op d                                       (terminals)
-//	γ_k(F, G) = γ_k(F|x=1, G|x=1)                            if γ_{k-1}(F|x=1, G|x=1) == γ_{k-1}(F|x=0, G|x=0)
-//	γ_k(F, G) = x·γ_k(F|x=1, G|x=1) + x̄·γ_{k-1}(F|x=0, G|x=0)   otherwise
+//	γ_k(c, d) = c op d                    (terminals)
+//	γ_k(F, G) = hiK                       if β_{k-1}(hiK) == β_{k-1}(Lo)
+//	γ_k(F, G) = x·hiK + x̄·β_{k-1}(Lo)     otherwise
 //
-// where x is the smaller root variable of F and G. Because restriction
-// commutes with pointwise operations (H|x=v = F|x=v op G|x=v for
-// H = F op G), this recursion and KReduce(apply(op, F, G), k) compute
+// where x is the smaller root variable of F and G, hiK = γ_k(F|x=1, G|x=1)
+// and β_{k-1}(Lo) = γ_{k-1}(F|x=0, G|x=0). The merge test asks β_{k-1} of
+// the result hiK, not of the Hi operands: hiK agrees with F|x=1 op G|x=1
+// on every assignment with at most k zeros, hence on every one with at
+// most k-1, so by Lemma 1 β_{k-1}(hiK) is the very node a second walk of
+// the Hi operands at budget k-1 would build (mergesLo, kreduce.go). Each
+// operand pair is walked once per budget step; the unary walk of hiK is
+// over a result already built, and stops at once on a terminal.
+//
+// Because restriction commutes with pointwise operations
+// (H|x=v = F|x=v op G|x=v for H = F op G), this recursion and KReduce(apply(op, F, G), k) compute
 // structurally identical results: both produce the canonical β_k
 // representative, so hash-consing yields the very same *Node. That exact
 // node equality is what lets the engine swap Reduce(Add(...)) call sites
@@ -108,7 +116,7 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 	hiK := m.applyK(op, fHi, gHi, k)
 	loK1 := m.applyK(op, fLo, gLo, k-1)
 	var r *Node
-	if m.applyK(op, fHi, gHi, k-1) == loK1 {
+	if m.mergesLo(hiK, loK1, k) {
 		// The cofactors are (k-1)-failure equivalent: taking the Lo
 		// branch has already spent one failure, so they merge (the novel
 		// KREDUCE collapse, Definition 5.2 case 3).
@@ -211,7 +219,7 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	hiK := m.mulAddK(aHi, wHi, fHi, k)
 	loK1 := m.mulAddK(aLo, wLo, fLo, k-1)
 	var r *Node
-	if m.mulAddK(aHi, wHi, fHi, k-1) == loK1 {
+	if m.mergesLo(hiK, loK1, k) {
 		r = hiK
 	} else {
 		r = m.mk(level, loK1, hiK)

@@ -8,9 +8,10 @@ import (
 // FuzzKernels is the fused-kernel differential fuzz target: for a
 // fuzzer-chosen operand shape and budget, every fused kernel must return
 // the exact canonical node of its composed Add/Mul/KReduce form, and the
-// result must evaluate identically on random in-budget assignments. The
-// budget byte deliberately wraps past NumVars so saturating budgets
-// (where KReduce is the identity) and k=0 stay in the explored space.
+// result must evaluate like the unreduced operator on every in-budget
+// assignment. The budget byte deliberately wraps past NumVars so
+// saturating budgets (where KReduce is the identity) and k=0 stay in the
+// explored space.
 // The n-ary kernels (SumMulK, PrefixMaxK) are held to the MulAddK chain the
 // same way.
 // Each input runs on the shipped table geometry and on tables of 2 entries,
@@ -38,26 +39,37 @@ func fuzzKernels(t *testing.T, seed int64, kb uint8) {
 	k := int(kb % (n + 3))
 	fa := randomMTBDD(m, r, n, 4)
 	fb := randomMTBDD(m, r, n, 4)
-	for _, bk := range arithKernels {
-		want := m.KReduce(bk.composed(m, fa, fb), k)
-		if got := bk.fused(m, fa, fb, k); got != want {
-			t.Fatalf("%s(k=%d) = %s, want %s", bk.name, k, m.String(got), m.String(want))
-		}
-	}
 	ga := randomGuard(m, r, n, 4)
 	gb := randomGuard(m, r, n, 4)
-	for _, bk := range boolKernels {
-		want := m.KReduce(bk.composed(m, ga, gb), k)
-		if got := bk.fused(m, ga, gb, k); got != want {
-			t.Fatalf("%s(k=%d) = %s, want %s", bk.name, k, m.String(got), m.String(want))
+	// Every fused result with the unreduced operator it must agree with on
+	// in-budget assignments, checked pointwise below.
+	type pointwise struct {
+		name         string
+		fused, exact *Node
+	}
+	var results []pointwise
+	for _, set := range []struct {
+		kernels []binaryKernel
+		f, g    *Node
+	}{{arithKernels, fa, fb}, {boolKernels, ga, gb}} {
+		for _, bk := range set.kernels {
+			exact := bk.composed(m, set.f, set.g)
+			want := m.KReduce(exact, k)
+			got := bk.fused(m, set.f, set.g, k)
+			if got != want {
+				t.Fatalf("%s(k=%d) = %s, want %s", bk.name, k, m.String(got), m.String(want))
+			}
+			results = append(results, pointwise{bk.name, got, exact})
 		}
 	}
 	acc := randomMTBDD(m, r, n, 3)
-	wantMA := m.KReduce(m.Add(acc, m.Mul(fa, fb)), k)
+	exactMA := m.Add(acc, m.Mul(fa, fb))
+	wantMA := m.KReduce(exactMA, k)
 	gotMA := m.MulAddK(acc, fa, fb, k)
 	if gotMA != wantMA {
 		t.Fatalf("MulAddK(k=%d) = %s, want %s", k, m.String(gotMA), m.String(wantMA))
 	}
+	results = append(results, pointwise{"MulAddK", gotMA, exactMA})
 	fs := []*Node{ga, gb, m.And(ga, m.Not(gb)), m.Or(m.Not(ga), gb)}
 	fs = fs[:1+r.Intn(len(fs))]
 	wantN := m.KReduce(m.AddN(fs), k)
@@ -70,24 +82,19 @@ func fuzzKernels(t *testing.T, seed int64, kb uint8) {
 	vols, ops := sumOperands(m, r, n, r.Intn(12))
 	checkSumKernels(t, m, vols, ops, k)
 
-	// Pointwise semantics on random in-budget assignments: the fused
-	// sum must agree with evaluating the operands separately.
-	sum := m.AddK(fa, fb, k)
-	assign := make([]bool, n)
-	for trial := 0; trial < 16; trial++ {
-		budget := k
-		for i := range assign {
-			assign[i] = true
-			if budget > 0 && r.Intn(3) == 0 {
-				assign[i] = false
-				budget--
+	// Pointwise semantics on every in-budget assignment: each fused result
+	// must agree with its unreduced operator, which no kreduce touched. The
+	// fused kernels decide their merges with kreduce and so does the
+	// KReduce(composed) oracle above, so node equality alone would pass a
+	// kreduce bug the two share.
+	allAssignments(n, func(assign []bool) {
+		if failures(assign) > k {
+			return
+		}
+		for _, p := range results {
+			if got, want := m.Eval(p.fused, assign), m.Eval(p.exact, assign); got != want {
+				t.Fatalf("%s(k=%d) at %v: %v, want %v", p.name, k, assign, got, want)
 			}
 		}
-		if got, want := m.Eval(sum, assign), m.Eval(fa, assign)+m.Eval(fb, assign); got != want {
-			t.Fatalf("AddK(k=%d) at %v: %v, want %v", k, assign, got, want)
-		}
-		if got, want := m.Eval(gotMA, assign), m.Eval(acc, assign)+m.Eval(fa, assign)*m.Eval(fb, assign); got != want {
-			t.Fatalf("MulAddK(k=%d) at %v: %v, want %v", k, assign, got, want)
-		}
-	}
+	})
 }

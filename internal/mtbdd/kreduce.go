@@ -8,14 +8,16 @@ package mtbdd
 // The recursion, with β_k denoting KReduce(·, k) and x_i the root variable
 // of F:
 //
-//	β_0(F)  = F(1,1,...,1)                       (no failures left)
-//	β_k(c)  = c                                  (terminal)
-//	β_k(F)  = β_k(F|x_i=1)                       if β_{k-1}(F|x_i=1) == β_{k-1}(F|x_i=0)
-//	β_k(F)  = x_i·β_k(F|x_i=1) + x̄_i·β_{k-1}(F|x_i=0)   otherwise
+//	β_0(F)  = F(1,1,...,1)                 (no failures left)
+//	β_k(c)  = c                            (terminal)
+//	β_k(F)  = hiK                          if β_{k-1}(hiK) == β_{k-1}(Lo)
+//	β_k(F)  = x_i·hiK + x̄_i·β_{k-1}(Lo)    otherwise
 //
-// The third case is the novel merge: two cofactors that are merely
-// (k-1)-failure equivalent — not isomorphic — collapse, because taking the
-// Lo branch has already spent one failure. The implementation is a dynamic
+// with hiK = β_k(F|x_i=1) and Lo = F|x_i=0. The third case is the novel
+// merge: two cofactors that are merely (k-1)-failure equivalent — not
+// isomorphic — collapse, because taking the Lo branch has already spent
+// one failure. The test reads β_{k-1} of hiK rather than of F|x_i=1; by
+// Lemma 1 it is the same node (mergesLo). The implementation is a dynamic
 // program memoized on (node, k), so its cost is proportional to |F|·k.
 //
 // Negative k is treated as 0. KReduce is idempotent:
@@ -46,13 +48,27 @@ func (m *Manager) kreduce(f *Node, k int32) *Node {
 	hiK := m.kreduce(f.Hi, k)
 	loK1 := m.kreduce(f.Lo, k-1)
 	var r *Node
-	if m.kreduce(f.Hi, k-1) == loK1 {
+	if m.mergesLo(hiK, loK1, k) {
 		r = hiK
 	} else {
 		r = m.mk(f.Level, loK1, hiK)
 	}
 	*e = kreduceEntry{f.id, k, r.id}
 	return r
+}
+
+// mergesLo reports whether β_{k-1}(hiK) == loK1: the merge test of all
+// three β recursions (kreduce, applyK, mulAddK), asked of the β_k result
+// hiK they just built for the Hi cofactor H. hiK agrees with H on every
+// assignment with at most k zeros, hence on every one with at most k-1,
+// so by Lemma 1 β_{k-1}(hiK) is the node β_{k-1}(H): the test is exact
+// without a walk of H at budget k-1. At k = 1, β_0(hiK) is the all-alive
+// value hiK carries and loK1 is a terminal, so the test compares values.
+func (m *Manager) mergesLo(hiK, loK1 *Node, k int32) bool {
+	if k == 1 {
+		return hiK.Value == loK1.Value
+	}
+	return m.kreduce(hiK, k-1) == loK1
 }
 
 // MaxFailuresOnPath returns the maximum number of 0-assignments (failures)

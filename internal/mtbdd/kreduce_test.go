@@ -212,6 +212,34 @@ func TestKReduceMonotone(t *testing.T) {
 	}
 }
 
+// TestKReduceCoarsens checks the lemma the kernels' merge test rests on:
+// β_k(H) agrees with H on every assignment with at most k failures, so for
+// every j < k, KReduce(KReduce(H, k), j) is the very node KReduce(H, j)
+// (Lemma 1 and hash-consing). H ranges over unreduced random MTBDDs, their
+// k-reductions and fused-kernel results, and the budgets run past the
+// variable count, where KReduce is the identity.
+func TestKReduceCoarsens(t *testing.T) {
+	const n = 6
+	r := rand.New(rand.NewSource(47))
+	m := newMgr(t, n)
+	for trial := 0; trial < 40; trial++ {
+		f := randomMTBDD(m, r, n, 5)
+		g := randomMTBDD(m, r, n, 4)
+		b := r.Intn(n + 2)
+		for _, h := range []*Node{f, m.KReduce(f, b), m.AddK(f, g, b), m.MulAddK(f, g, f, b)} {
+			for k := 1; k <= n+1; k++ {
+				hk := m.KReduce(h, k)
+				for j := 0; j < k; j++ {
+					if got, want := m.KReduce(hk, j), m.KReduce(h, j); got != want {
+						t.Fatalf("trial %d: KReduce(KReduce(H, %d), %d) = %s, KReduce(H, %d) = %s",
+							trial, k, j, m.String(got), j, m.String(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKReduceShrinks checks the reduction never grows the MTBDD.
 func TestKReduceShrinks(t *testing.T) {
 	const n = 8
