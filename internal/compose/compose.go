@@ -154,7 +154,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 	for d := 0; d < nd; d++ {
 		d := d
 		if err := mtbdd.Guard(func() {
-			steppers[d] = routesim.NewStepper(fvs[d], cfgs, igps[d], subs[d].Member)
+			steppers[d] = routesim.NewStepper(fvs[d], cfgs, igps[d], subs[d].Member, nil)
 		}); err != nil {
 			return nil, err
 		}

@@ -48,18 +48,25 @@ func (s *Snapshot) Encode(w io.Writer) error {
 		return err
 	}
 	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(s.level)))
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(s.ents)))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(s.maxLevel))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
 	sum := crc32.ChecksumIEEE(hdr[:])
 	var ent [20]byte
-	for i := range s.level {
-		binary.LittleEndian.PutUint32(ent[0:4], uint32(s.level[i]))
-		binary.LittleEndian.PutUint64(ent[4:12], math.Float64bits(s.value[i]))
-		binary.LittleEndian.PutUint32(ent[12:16], s.lo[i])
-		binary.LittleEndian.PutUint32(ent[16:20], s.hi[i])
+	for _, e := range s.ents {
+		// The format records a terminal's value with no children, and an
+		// internal node's children with value 0.
+		var value float64
+		lo, hi := e.lo, e.hi
+		if e.level == terminalLevel {
+			value, lo, hi = e.value(), 0, 0
+		}
+		binary.LittleEndian.PutUint32(ent[0:4], uint32(e.level))
+		binary.LittleEndian.PutUint64(ent[4:12], math.Float64bits(value))
+		binary.LittleEndian.PutUint32(ent[12:16], lo)
+		binary.LittleEndian.PutUint32(ent[16:20], hi)
 		if _, err := bw.Write(ent[:]); err != nil {
 			return err
 		}
@@ -101,13 +108,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if maxLevel < -1 || maxLevel == terminalLevel {
 		return nil, fmt.Errorf("mtbdd: snapshot maxLevel %d out of range", maxLevel)
 	}
-	s := &Snapshot{
-		level:    make([]int32, 0, count),
-		value:    make([]float64, 0, count),
-		lo:       make([]uint32, 0, count),
-		hi:       make([]uint32, 0, count),
-		maxLevel: -1,
-	}
+	s := &Snapshot{ents: make([]snapEntry, 0, count), maxLevel: -1}
 	var ent [20]byte
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, ent[:]); err != nil {
@@ -125,6 +126,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			if math.IsNaN(value) {
 				return nil, fmt.Errorf("mtbdd: snapshot node %d: NaN terminal", i)
 			}
+			s.ents = append(s.ents, terminalEntry(value))
 		} else {
 			if level < 0 || level > maxLevel {
 				return nil, fmt.Errorf("mtbdd: snapshot node %d: level %d outside [0, %d]", i, level, maxLevel)
@@ -137,21 +139,17 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			}
 			// Canonical ordering: a node tests a variable strictly above
 			// (numerically below) its children's.
-			if cl := s.level[lo]; cl != terminalLevel && cl <= level {
+			if cl := s.ents[lo].level; cl != terminalLevel && cl <= level {
 				return nil, fmt.Errorf("mtbdd: snapshot node %d: lo child level %d not below %d", i, cl, level)
 			}
-			if cl := s.level[hi]; cl != terminalLevel && cl <= level {
+			if cl := s.ents[hi].level; cl != terminalLevel && cl <= level {
 				return nil, fmt.Errorf("mtbdd: snapshot node %d: hi child level %d not below %d", i, cl, level)
 			}
 			if level > s.maxLevel {
 				s.maxLevel = level
 			}
-			value = 0
+			s.ents = append(s.ents, snapEntry{level: level, lo: lo, hi: hi})
 		}
-		s.level = append(s.level, level)
-		s.value = append(s.value, value)
-		s.lo = append(s.lo, lo)
-		s.hi = append(s.hi, hi)
 	}
 	if s.maxLevel != maxLevel {
 		return nil, fmt.Errorf("mtbdd: snapshot header maxLevel %d, computed %d", maxLevel, s.maxLevel)

@@ -1,6 +1,10 @@
 package mtbdd
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Snapshot is a read-only, manager-independent encoding of a set of MTBDD
 // roots: every reachable node flattened into children-first order, with
@@ -21,16 +25,30 @@ import "fmt"
 // NewSnapshot returns and is safe to share across goroutines without
 // synchronization.
 type Snapshot struct {
-	// level/value/lo/hi are parallel arrays, one entry per distinct node,
-	// in an order where both children of entry i precede i. Terminals
-	// carry value; internal entries carry lo/hi as indices and value 0.
-	level []int32
-	value []float64
-	lo    []uint32
-	hi    []uint32
+	// ents holds one entry per distinct node, in an order where both
+	// children of entry i precede i.
+	ents []snapEntry
 	// maxLevel is the highest variable tested anywhere in the snapshot,
 	// for destination-compatibility checking (-1 if all terminals).
 	maxLevel int32
+}
+
+// snapEntry is one node of a snapshot, 12 bytes. An internal entry holds
+// its children's indices in lo and hi; a terminal, which has no children,
+// holds its value's bits there (low word in lo).
+type snapEntry struct {
+	level  int32
+	lo, hi uint32
+}
+
+func terminalEntry(v float64) snapEntry {
+	bits := math.Float64bits(v)
+	return snapEntry{level: terminalLevel, lo: uint32(bits), hi: uint32(bits >> 32)}
+}
+
+// value is a terminal entry's value.
+func (e snapEntry) value() float64 {
+	return math.Float64frombits(uint64(e.hi)<<32 | uint64(e.lo))
 }
 
 // NewSnapshot flattens the given roots (none may be nil) into a snapshot and
@@ -49,32 +67,32 @@ func NewSnapshot(roots []*Node) (s *Snapshot, at []uint32) {
 		if i, ok := index[n]; ok {
 			return i
 		}
-		var lo, hi uint32
-		value := n.Value
+		// An internal node's all-alive value is rebuilt by the replay's mk,
+		// so the entry does not record it.
+		e := terminalEntry(n.Value)
 		if !n.IsTerminal() {
-			lo, hi = visit(n.Lo), visit(n.Hi)
+			e = snapEntry{level: n.Level, lo: visit(n.Lo), hi: visit(n.Hi)}
 			s.maxLevel = max(s.maxLevel, n.Level)
-			// An internal node's all-alive value is rebuilt by the
-			// replay's mk; the format records 0 there.
-			value = 0
 		}
-		i := uint32(len(s.level))
+		i := uint32(len(s.ents))
 		index[n] = i
-		s.level = append(s.level, n.Level)
-		s.value = append(s.value, value)
-		s.lo = append(s.lo, lo)
-		s.hi = append(s.hi, hi)
+		s.ents = append(s.ents, e)
 		return i
 	}
 	at = make([]uint32, len(roots))
 	for i, r := range roots {
 		at[i] = visit(r)
 	}
+	// A snapshot is kept, often long: hold no room for entries it will
+	// never append.
+	if cap(s.ents) > len(s.ents) {
+		s.ents = slices.Clone(s.ents)
+	}
 	return s, at
 }
 
 // Len returns the number of distinct nodes encoded.
-func (s *Snapshot) Len() int { return len(s.level) }
+func (s *Snapshot) Len() int { return len(s.ents) }
 
 // ImportSnapshot replays a snapshot into m and returns the translation
 // table: table[i] is the canonical local node for snapshot entry i, so root
@@ -91,13 +109,13 @@ func (m *Manager) ImportSnapshot(s *Snapshot) []*Node {
 	if int(s.maxLevel) >= len(m.names) {
 		panic(fmt.Sprintf("mtbdd: ImportSnapshot tests variable %d, manager has %d variables", s.maxLevel, len(m.names)))
 	}
-	m.Reserve(len(s.level))
-	table := make([]*Node, len(s.level))
-	for i := range s.level {
-		if s.level[i] == terminalLevel {
-			table[i] = m.Const(s.value[i])
+	m.Reserve(len(s.ents))
+	table := make([]*Node, len(s.ents))
+	for i, e := range s.ents {
+		if e.level == terminalLevel {
+			table[i] = m.Const(e.value())
 		} else {
-			table[i] = m.mk(s.level[i], table[s.lo[i]], table[s.hi[i]])
+			table[i] = m.mk(e.level, table[e.lo], table[e.hi])
 		}
 	}
 	return table

@@ -300,27 +300,30 @@ var knownCaches = []string{"apply", "kreduce", "neg", "range", "fused"}
 // (internal/serve, DESIGN.md §14). The daemon pre-creates every name at
 // startup so `GET /v1/metrics` consumers can rely on the keys existing
 // even at zero — the same schema guarantee knownCaches gives the MTBDD
-// cache block. Reload latency is recorded under the "serve.reload"
-// timer, per-run verification time under the "verify" phase.
+// cache block. Per-run verification time is recorded under the "verify"
+// phase, and each single-op POST /v1/delta — the apply, plus the verify
+// when it asks for one — under the timer "serve.delta.<op>".
 var ServeCounterNames = []string{
-	"serve.class_cache_hits",    // equivalence classes served from the warm STF cache
-	"serve.class_cache_misses",  // classes that had to be (re-)executed
-	"serve.dirty_classes",       // cache misses attributable to an applied delta
-	"serve.reloads",             // accepted full-spec reloads
-	"serve.deltas_applied",      // accepted delta operations
-	"serve.deltas_rejected",     // rejected delta operations (invalid op or target)
-	"serve.versions",            // versions published (initial load included)
-	"serve.cache_evictions",     // warm-cache resets after exceeding the entry cap
-	"serve.wal_records",         // delta batches journaled to the WAL
-	"serve.wal_replayed",        // batches replayed from the WAL at startup
-	"serve.wal_truncated",       // torn or corrupt WAL tails truncated away
-	"serve.wal_errors",          // WAL append failures (the batch was refused)
-	"serve.panics",              // verification panics recovered by the daemon
-	"serve.rejected",            // requests refused by admission control (503)
-	"serve.timeouts",            // requests that hit their deadline (504)
-	"serve.tlp_requests",        // portfolio evaluations served via POST /v1/tlp
-	"serve.builds",              // builds run (route simulation + execution or replay); at most one per version
-	"serve.tlp_retained",        // portfolio evaluations answered on an already verified version: no build
-	"serve.prefix_fingerprints", // per-prefix fingerprints computed for class keys (distinct matched prefixes per build)
-	"serve.igp_carried",         // builds that replayed the IS-IS result an earlier build on the same topology sealed
+	"serve.class_cache_hits",        // equivalence classes served from the warm STF cache
+	"serve.class_cache_misses",      // classes that had to be (re-)executed
+	"serve.dirty_classes",           // cache misses attributable to an applied delta
+	"serve.reloads",                 // accepted full-spec reloads
+	"serve.deltas_applied",          // accepted delta operations
+	"serve.deltas_rejected",         // rejected delta operations (invalid op or target)
+	"serve.versions",                // versions published (initial load included)
+	"serve.cache_evictions",         // warm-cache resets after exceeding the entry cap
+	"serve.wal_records",             // delta batches journaled to the WAL
+	"serve.wal_replayed",            // batches replayed from the WAL at startup
+	"serve.wal_truncated",           // torn or corrupt WAL tails truncated away
+	"serve.wal_errors",              // WAL append failures (the batch was refused)
+	"serve.panics",                  // verification panics recovered by the daemon
+	"serve.rejected",                // requests refused by admission control (503)
+	"serve.timeouts",                // requests that hit their deadline (504)
+	"serve.tlp_requests",            // portfolio evaluations served via POST /v1/tlp
+	"serve.builds",                  // builds run (route simulation + execution or replay); at most one per version
+	"serve.tlp_retained",            // portfolio evaluations answered on an already verified version: no build
+	"serve.prefix_fingerprints",     // per-prefix fingerprints computed for class keys (distinct matched prefixes per build)
+	"serve.igp_carried",             // builds that replayed the IS-IS result an earlier build on the same topology sealed
+	"serve.bgp_prefixes_carried",    // BGP prefixes replayed from the result an earlier build sealed, summed over builds
+	"serve.bgp_prefixes_recomputed", // BGP prefixes a build recomputed (its inputs moved, or nothing was carried), summed over builds
 }

@@ -111,7 +111,7 @@ func BenchmarkStepperRound(b *testing.B) {
 				if st == nil {
 					b.StopTimer()
 					fv := in.vars()
-					st = NewStepper(fv, in.spec.Configs, ComputeIGP(fv), in.member)
+					st = NewStepper(fv, in.spec.Configs, ComputeIGP(fv), in.member, nil)
 					b.StartTimer()
 				}
 				if sinkStable = st.Round(); sinkStable {

@@ -169,8 +169,12 @@ type session struct {
 // previous-round RIBs. Advertisements carry the sender's *selection* guard
 // (paper Fig 6: m4's guard is the disjunction of equally preferred m2, m3).
 func ComputeBGP(fv *FailVars, cfgs config.Configs, igp *IGP) *BGP {
-	st := NewStepper(fv, cfgs, igp, nil)
-	maxRounds := fv.Net.RoundBound()
+	return NewStepper(fv, cfgs, igp, nil, nil).run()
+}
+
+// run drives a monolithic Stepper to its fixed point or the round budget.
+func (st *Stepper) run() *BGP {
+	maxRounds := st.fv.Net.RoundBound()
 	for round := 1; ; round++ {
 		if stable := st.Round(); stable || round >= maxRounds {
 			return st.Finish(round, stable)
@@ -198,6 +202,9 @@ type Stepper struct {
 	// border stubs neither count toward stability nor build their own
 	// advertisement templates — their templates are injected.
 	member []bool
+	// only is nil for a run over every prefix. Otherwise the run seeds, and
+	// so computes, only the prefixes it accepts (carry.go).
+	only func(netip.Prefix) bool
 
 	// sessions is in global order: it decides the insertion order of
 	// equally preferred candidates. in and out index the sessions that can
@@ -250,13 +257,20 @@ const maxChanging = 4
 // vary across processes. Configs naming routers absent from fv.Net are
 // skipped, which is what lets a domain run receive the full global
 // config set.
-func NewStepper(fv *FailVars, cfgs config.Configs, igp *IGP, member []bool) *Stepper {
+//
+// only, when non-nil, restricts the run to the prefixes it accepts: the
+// others are never seeded, so no router learns them. A RIB entry (r, p)
+// reads only r's seeds for p and its peers' templates for p, so a
+// restricted run computes every accepted prefix exactly as a run over all
+// of them would, round for round (DESIGN.md §14).
+func NewStepper(fv *FailVars, cfgs config.Configs, igp *IGP, member []bool, only func(netip.Prefix) bool) *Stepper {
 	start := time.Now()
 	net := fv.Net
 	st := &Stepper{
 		b:        &BGP{},
 		fv:       fv,
 		member:   member,
+		only:     only,
 		in:       make([][]int32, net.NumRouters()),
 		out:      make([][]int32, net.NumRouters()),
 		paths:    newPathTable(),
@@ -302,35 +316,10 @@ func NewStepper(fv *FailVars, cfgs config.Configs, igp *IGP, member []bool) *Ste
 			}
 		}
 	}
-	// Exporter-side deny lists attach to sessions *from* the configured
-	// router.
-	for _, name := range names {
-		rc := cfgs[name]
-		r, _ := net.RouterByName(name)
-		if r == nil {
-			continue
-		}
-		for _, nb := range rc.Neighbors {
-			if len(nb.ExportDeny) == 0 {
-				continue
-			}
-			var peerID topo.RouterID = -1
-			if nb.RemoteAS == r.AS {
-				if peer, ok := net.RouterByLoopback(nb.Addr); ok {
-					peerID = peer.ID
-				}
-			} else if d, ok := net.DirLinkToAddr(nb.Addr); ok {
-				peerID = net.Edge(d).To
-			}
-			for i := range st.sessions {
-				if st.sessions[i].from == r.ID && st.sessions[i].to == peerID {
-					st.sessions[i].exportDeny = nb.ExportDeny
-				}
-			}
-		}
-	}
+	denies := exportDenies(net, names, cfgs)
 	for i := range st.sessions {
 		s := &st.sessions[i]
+		s.exportDeny = denies[sessionEnds{s.from, s.to}]
 		if s.ebgp {
 			s.up = fv.EdgeUp(s.edge)
 		} else {
@@ -364,6 +353,36 @@ func NewStepper(fv *FailVars, cfgs config.Configs, igp *IGP, member []bool) *Ste
 		}
 	}
 	return st
+}
+
+// sessionEnds names a directed session: exporter, then receiver.
+type sessionEnds struct{ from, to topo.RouterID }
+
+// exportDenies returns the export-deny list of every directed session that
+// has one. The exporter's config declares it on the neighbor entry naming
+// the receiver; when several entries name the same receiver, the last
+// non-empty list holds. names lists the configs in sorted order.
+func exportDenies(net *topo.Network, names []string, cfgs config.Configs) map[sessionEnds][]netip.Prefix {
+	denies := make(map[sessionEnds][]netip.Prefix)
+	for _, name := range names {
+		r, _ := net.RouterByName(name)
+		if r == nil {
+			continue
+		}
+		for _, nb := range cfgs[name].Neighbors {
+			if len(nb.ExportDeny) == 0 {
+				continue
+			}
+			if nb.RemoteAS == r.AS {
+				if peer, ok := net.RouterByLoopback(nb.Addr); ok {
+					denies[sessionEnds{r.ID, peer.ID}] = nb.ExportDeny
+				}
+			} else if d, ok := net.DirLinkToAddr(nb.Addr); ok {
+				denies[sessionEnds{r.ID, net.Edge(d).To}] = nb.ExportDeny
+			}
+		}
+	}
+	return denies
 }
 
 // clock charges the time since start to the run's BGP wall time.
@@ -402,10 +421,16 @@ func (st *Stepper) seedLocal(r *topo.Router, rc *config.Router) {
 		rs.seed[p] = append(rs.seed[p], st.newCand(c))
 	}
 	for _, pfx := range rc.Networks {
+		if st.only != nil && !st.only(pfx) {
+			continue
+		}
 		seed(BGPCand{Prefix: pfx, Deliver: true, Guard: up})
 	}
 	if rc.RedistributeStatic {
 		for _, static := range rc.Statics {
+			if st.only != nil && !st.only(static.Prefix) {
+				continue
+			}
 			c := BGPCand{Prefix: static.Prefix, Discard: static.Discard, AdvertiseOnly: true, Guard: up}
 			if !static.Discard {
 				// Present only while the static's own next hop resolves.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"time"
 
 	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/topo"
@@ -62,7 +61,7 @@ func (r *Result) importWith(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *R
 // manager over the same topology key, one linear replay per clone (see
 // mtbdd.Snapshot). The base is immutable, so any number of goroutines can
 // import from it at once. The daemon carries IS-IS results from one
-// version's build to the next this way (IGPCarrier), and benchmark/
+// version's build to the next this way (Carrier), and benchmark/
 // measures the copy of a whole result with it.
 type ImportBase struct {
 	key   TopoKey
@@ -89,7 +88,7 @@ func (r *Result) NewImportBase() *ImportBase {
 }
 
 // SealIGP seals an IS-IS result, with its fingerprint, for the route
-// simulations to come on the same topology key (IGPCarrier): replayed, it
+// simulations to come on the same topology key (Carrier): replayed, it
 // is the IGP ComputeIGP would build in the destination manager.
 func SealIGP(g *IGP) *ImportBase {
 	b := (&Result{Vars: g.fv, IGP: g}).NewImportBase()
@@ -98,6 +97,17 @@ func SealIGP(g *IGP) *ImportBase {
 }
 
 func keep(n *mtbdd.Node) *mtbdd.Node { return n }
+
+// importSnapshot replays snap, sealed from a manager with nvars variables,
+// into dst's manager and returns the translation table. It is the one
+// replay of every base this package seals: a whole result or IS-IS alone
+// (ImportInto), and carried BGP prefixes (BGPBase).
+func importSnapshot(dst *FailVars, nvars int, snap *mtbdd.Snapshot) []*mtbdd.Node {
+	if dst.M.NumVars() != nvars {
+		panic(fmt.Sprintf("routesim: ImportInto variable count mismatch: %d vs %d", dst.M.NumVars(), nvars))
+	}
+	return dst.M.ImportSnapshot(snap)
+}
 
 // NumNodes returns the number of distinct MTBDD nodes in the shared base.
 func (b *ImportBase) NumNodes() int { return b.snap.Len() }
@@ -122,10 +132,8 @@ func (b *ImportBase) IGPHash() uint64 { return b.igpHash }
 func (b *ImportBase) ImportInto(dst *FailVars) *Result {
 	if dst.Key() != b.key {
 		panic("routesim: ImportInto requires a FailVars over the same topology, mode, and budget")
-	} else if dst.M.NumVars() != b.nvars {
-		panic(fmt.Sprintf("routesim: ImportInto variable count mismatch: %d vs %d", dst.M.NumVars(), b.nvars))
 	}
-	table := dst.M.ImportSnapshot(b.snap)
+	table := importSnapshot(dst, b.nvars, b.snap)
 	out := b.tmpl.importWith(dst, keep)
 	i := 0
 	out.guardRefs(func(g **mtbdd.Node) {
@@ -133,34 +141,6 @@ func (b *ImportBase) ImportInto(dst *FailVars) *Result {
 		i++
 	})
 	return out
-}
-
-// IGPCarrier hands IS-IS results from one route simulation to the next
-// (RunContext): a run whose FailVars key matches a carried result replays
-// it instead of computing IS-IS, and a run that computes one offers it
-// sealed. The daemon's warm cache is the one implementation.
-type IGPCarrier interface {
-	// CarriedIGP returns the IS-IS result sealed under key, or nil.
-	CarriedIGP(key TopoKey) *ImportBase
-	// CarryIGP offers a freshly computed result, sealed by SealIGP.
-	CarryIGP(*ImportBase)
-}
-
-// carriedIGP is ComputeIGP through a carrier (nil: none). A replayed
-// result's stats record the replay's time and no level built.
-func carriedIGP(fv *FailVars, c IGPCarrier) *IGP {
-	if c == nil {
-		return ComputeIGP(fv)
-	}
-	if b := c.CarriedIGP(fv.Key()); b != nil {
-		start := time.Now()
-		g := b.ImportInto(fv).IGP
-		g.stats = Stats{IGPTime: time.Since(start)}
-		return g
-	}
-	g := ComputeIGP(fv)
-	c.CarryIGP(SealIGP(g))
-	return g
 }
 
 // guardRefs calls fn with the address of every guard of the result, in an

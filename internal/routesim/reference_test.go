@@ -705,7 +705,7 @@ func CheckAgainstReference(fv *FailVars, cfgs config.Configs, member []bool) err
 	if err := diffIGP(net, igp, refIGP); err != nil {
 		return err
 	}
-	st, ref := NewStepper(fv, cfgs, igp, member), newRefStepper(fv, cfgs, refIGP, member)
+	st, ref := NewStepper(fv, cfgs, igp, member, nil), newRefStepper(fv, cfgs, refIGP, member)
 	maxRounds := net.RoundBound()
 	for round := 1; round <= maxRounds; round++ {
 		stable, refStable := st.Round(), ref.round()
@@ -828,7 +828,7 @@ func TestReferenceStubInjection(t *testing.T) {
 	}
 
 	igp := ComputeIGP(fv)
-	st, ref := NewStepper(fv, spec.Configs, igp, sub.Member), newRefStepper(fv, spec.Configs, igp, sub.Member)
+	st, ref := NewStepper(fv, spec.Configs, igp, sub.Member, nil), newRefStepper(fv, spec.Configs, igp, sub.Member)
 	recomputed := 0
 	for round := 1; ; round++ {
 		step := script[min(round, len(script))-1]

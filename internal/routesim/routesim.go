@@ -93,10 +93,13 @@ func Run(fv *FailVars, cfgs config.Configs) (*Result, error) {
 // govern.ErrNodeBudget the same way.
 //
 // With a carrier, IS-IS is replayed from the result it carries under fv's
-// topology key when it has one, and computed and offered to it otherwise;
-// BGP always runs from scratch — restarted from another run's fixed point
-// it could settle in a different stable state than a cold run.
-func RunContext(ctx context.Context, fv *FailVars, cfgs config.Configs, carrier IGPCarrier) (res *Result, err error) {
+// topology key when it has one, and computed and offered to it otherwise.
+// BGP is replayed prefix by prefix from the result it carries under the
+// run's BGP key: a prefix whose own inputs are unchanged is replayed, and
+// the rest run in one Stepper restricted to them, from scratch — never
+// restarted from another run's fixed point, which could settle in a
+// different stable state than a cold run (carry.go).
+func RunContext(ctx context.Context, fv *FailVars, cfgs config.Configs, carrier Carrier) (res *Result, err error) {
 	if ctx != nil && ctx != context.Background() {
 		prev := fv.M.SetInterrupt(func() error { return govern.Check(ctx) })
 		defer fv.M.SetInterrupt(prev)
@@ -113,8 +116,8 @@ func RunContext(ctx context.Context, fv *FailVars, cfgs config.Configs, carrier 
 	if err := govern.Check(ctx); err != nil {
 		return nil, err
 	}
-	igp := carriedIGP(fv, carrier)
-	bgp := ComputeBGP(fv, cfgs, igp)
+	igp, igpHash := carriedIGP(fv, carrier)
+	bgp := carriedBGP(fv, cfgs, igp, igpHash, carrier)
 	return FinishRun(fv, cfgs, igp, bgp)
 }
 

@@ -103,43 +103,94 @@ func mix64(x uint64) uint64 {
 // stfStore is the shared warm cache: one class execution per entry, sealed
 // (a one-STF core.SealedSTFs). It outlives versions and reloads;
 // content-hash keys make stale entries unreachable rather than wrong.
+//
+// Entries live in two generations, the current one of at most half the
+// limit. A stored entry and a hit go to the current generation; when it is
+// full it becomes the previous one, and the generation before is dropped
+// (counted in serve.cache_evictions). A build looks each of its classes up
+// once, so a build whose classes fit in half the limit leaves every one of
+// them readable, however many entries it added: at most one rotation falls
+// inside it, and a hit on the previous generation promotes the entry back.
 type stfStore struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*core.SealedSTFs
-	limit   int
+	mu        sync.Mutex
+	cur, prev map[cacheKey]*core.SealedSTFs
+	// half bounds the current generation, limit-half the previous one.
+	half, limit int
+	evictions   *obs.Counter
 }
 
-func newSTFStore(limit int) *stfStore {
-	return &stfStore{entries: make(map[cacheKey]*core.SealedSTFs), limit: limit}
+func newSTFStore(limit int, evictions *obs.Counter) *stfStore {
+	st := &stfStore{half: max(1, limit/2), limit: limit, evictions: evictions}
+	st.reset(nil)
+	return st
+}
+
+// reset replaces the store's contents with entries, the first to fill the
+// previous generation, the rest the current one; what fits in neither is
+// left out.
+func (st *stfStore) reset(entries []storeEntry) {
+	st.cur = make(map[cacheKey]*core.SealedSTFs)
+	st.prev = make(map[cacheKey]*core.SealedSTFs)
+	for _, e := range entries {
+		_, inPrev := st.prev[e.k]
+		_, inCur := st.cur[e.k]
+		switch {
+		case inPrev || inCur: // a repeated key keeps its first entry
+		case len(st.prev) < st.limit-st.half:
+			st.prev[e.k] = e.e
+		case len(st.cur) < st.half:
+			st.cur[e.k] = e.e
+		}
+	}
+}
+
+type storeEntry struct {
+	k cacheKey
+	e *core.SealedSTFs
 }
 
 func (st *stfStore) get(k cacheKey) *core.SealedSTFs {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.entries[k]
+	if e, ok := st.cur[k]; ok {
+		return e
+	}
+	e, ok := st.prev[k]
+	if ok {
+		st.add(k, e)
+	}
+	return e
 }
 
-// put inserts an entry, resetting the whole cache first if it is full
-// (full reset keeps the policy trivially correct; evictions are rare and
-// counted so capacity tuning is visible).
-func (st *stfStore) put(k cacheKey, e *core.SealedSTFs, evictC *obs.Counter) {
+func (st *stfStore) put(k cacheKey, e *core.SealedSTFs) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.entries[k]; !ok && len(st.entries) >= st.limit {
-		st.entries = make(map[cacheKey]*core.SealedSTFs)
-		evictC.Inc()
+	st.add(k, e)
+}
+
+// add places an entry in the current generation, rotating first if it is
+// full. Callers hold mu.
+func (st *stfStore) add(k cacheKey, e *core.SealedSTFs) {
+	delete(st.prev, k)
+	if _, ok := st.cur[k]; !ok && len(st.cur) >= st.half {
+		st.prev = st.cur
+		if len(st.prev) > st.limit-st.half {
+			st.prev = make(map[cacheKey]*core.SealedSTFs)
+		}
+		st.cur = make(map[cacheKey]*core.SealedSTFs)
+		st.evictions.Inc()
 	}
-	st.entries[k] = e
+	st.cur[k] = e
 }
 
 func (st *stfStore) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.entries)
+	return len(st.cur) + len(st.prev)
 }
 
 // runCache adapts the shared store to core.STFCache for one verification
-// run, and the server's carried IS-IS result to routesim.IGPCarrier. It
+// run, and the server's carried IS-IS and BGP results to routesim.Carrier. It
 // memoizes the run-global fingerprint (topology, failure model, IGP, SR),
 // each matched prefix's fingerprint and the guard hasher, so a class key
 // costs a handful of tokens and a run hashes each prefix's RIB rows once,
@@ -255,14 +306,14 @@ func (rc *runCache) classKey(e *core.Engine, rep topo.Flow) cacheKey {
 	return t.key()
 }
 
-// CarriedIGP implements routesim.IGPCarrier: the IS-IS result an earlier
+// CarriedIGP implements routesim.Carrier: the IS-IS result an earlier
 // build sealed, when it was sealed under key — the same routers and links,
 // failure mode and budget. Any other topology misses and computes its own.
 func (rc *runCache) CarriedIGP(key routesim.TopoKey) *routesim.ImportBase {
 	s := rc.srv
-	s.igpMu.Lock()
+	s.carryMu.Lock()
 	b := s.igp
-	s.igpMu.Unlock()
+	s.carryMu.Unlock()
 	if b == nil || b.Key() != key {
 		return nil
 	}
@@ -271,14 +322,41 @@ func (rc *runCache) CarriedIGP(key routesim.TopoKey) *routesim.ImportBase {
 	return b
 }
 
-// CarryIGP implements routesim.IGPCarrier: the freshly computed result,
+// CarryIGP implements routesim.Carrier: the freshly computed result,
 // sealed, replaces the server's carried one.
 func (rc *runCache) CarryIGP(b *routesim.ImportBase) {
 	s := rc.srv
-	s.igpMu.Lock()
+	s.carryMu.Lock()
 	s.igp = b
-	s.igpMu.Unlock()
+	s.carryMu.Unlock()
 	rc.igpHash, rc.igpHashed = b.IGPHash(), true
+}
+
+// CarriedBGP implements routesim.Carrier: the BGP result an earlier build
+// sealed, when it was sealed under key — the same topology, IS-IS state
+// and session graph. The run replays the prefixes whose own inputs match.
+func (rc *runCache) CarriedBGP(key routesim.BGPKey) *routesim.BGPBase {
+	s := rc.srv
+	s.carryMu.Lock()
+	defer s.carryMu.Unlock()
+	if s.bgp == nil || s.bgp.Key() != key {
+		return nil
+	}
+	return s.bgp
+}
+
+// CarryBGP implements routesim.Carrier: it counts the build's replayed and
+// recomputed prefixes, and a freshly sealed result replaces the server's
+// carried one.
+func (rc *runCache) CarryBGP(b *routesim.BGPBase, carried, recomputed int) {
+	s := rc.srv
+	if b != nil {
+		s.carryMu.Lock()
+		s.bgp = b
+		s.carryMu.Unlock()
+	}
+	s.reg.Counter("serve.bgp_prefixes_carried").Add(int64(carried))
+	s.reg.Counter("serve.bgp_prefixes_recomputed").Add(int64(recomputed))
 }
 
 // Lookup implements core.STFCache: unseal the class STF from the warm entry
@@ -321,5 +399,5 @@ func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
 	if rep != rc.lastRep {
 		key = rc.classKey(e, rep)
 	}
-	rc.srv.store.put(key, core.SealSTFs([]*core.FlowSTF{stf}), rc.srv.reg.Counter("serve.cache_evictions"))
+	rc.srv.store.put(key, core.SealSTFs([]*core.FlowSTF{stf}))
 }

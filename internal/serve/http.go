@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"github.com/yu-verify/yu/internal/fault"
 )
@@ -237,6 +238,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("no deltas"))
 		return
 	}
+	start := time.Now()
 	id, err := s.ApplyDeltas(req.Deltas)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
@@ -244,10 +246,21 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Verify {
 		res, err := s.ReportCtx(r.Context())
+		s.timeDelta(req.Deltas, start)
 		writeReport(w, res, err)
 		return
 	}
+	s.timeDelta(req.Deltas, start)
 	writeJSON(w, http.StatusOK, versionResponse{Version: id})
+}
+
+// timeDelta records an accepted single-op delta request — the apply, and
+// the verify when it asked for one — under the timer serve.delta.<op>, so
+// the daemon's metrics say what each kind of delta costs.
+func (s *Server) timeDelta(deltas []Delta, start time.Time) {
+	if len(deltas) == 1 {
+		s.reg.Timer("serve.delta." + deltas[0].Op).Add(time.Since(start))
+	}
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {

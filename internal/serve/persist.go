@@ -118,7 +118,7 @@ func (s *Server) loadState() {
 	if err := s.store.decode(bufio.NewReader(f), s.cfg.CacheLimit); err != nil {
 		log.Printf("yud: warm cache %s: %v; starting cold", path, err)
 		s.store.mu.Lock()
-		s.store.entries = make(map[cacheKey]*core.SealedSTFs)
+		s.store.reset(nil)
 		s.store.mu.Unlock()
 	}
 }
@@ -133,9 +133,11 @@ func (st *stfStore) encode(w io.Writer) error {
 	if _, err := io.WriteString(w, warmMagic); err != nil {
 		return err
 	}
-	keys := make([]cacheKey, 0, len(st.entries))
-	for k := range st.entries {
-		keys = append(keys, k)
+	keys := make([]cacheKey, 0, len(st.cur)+len(st.prev))
+	for _, gen := range []map[cacheKey]*core.SealedSTFs{st.prev, st.cur} {
+		for k := range gen {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].a != keys[j].a {
@@ -149,7 +151,11 @@ func (st *stfStore) encode(w io.Writer) error {
 	var buf bytes.Buffer
 	for _, k := range keys {
 		buf.Reset()
-		if err := encodeEntry(&buf, k, st.entries[k]); err != nil {
+		e, ok := st.cur[k]
+		if !ok {
+			e = st.prev[k]
+		}
+		if err := encodeEntry(&buf, k, e); err != nil {
 			return err
 		}
 		if err := binary.Write(w, binary.LittleEndian, uint32(buf.Len())); err != nil {
@@ -206,7 +212,7 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 	if count > maxWarmEntries {
 		return fmt.Errorf("entry count %d exceeds limit", count)
 	}
-	entries := make(map[cacheKey]*core.SealedSTFs, count)
+	entries := make([]storeEntry, 0, min(int(count), limit))
 	for i := uint32(0); i < count; i++ {
 		var flen uint32
 		if err := binary.Read(r, binary.LittleEndian, &flen); err != nil {
@@ -231,11 +237,11 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 			return fmt.Errorf("entry %d: %w", i, err)
 		}
 		if len(entries) < limit {
-			entries[k] = e
+			entries = append(entries, storeEntry{k, e})
 		}
 	}
 	st.mu.Lock()
-	st.entries = entries
+	st.reset(entries)
 	st.mu.Unlock()
 	return nil
 }

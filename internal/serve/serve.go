@@ -68,8 +68,9 @@ type Config struct {
 	StatePath string
 	// Obs receives the daemon's metrics; nil creates a private registry.
 	Obs *obs.Registry
-	// CacheLimit caps warm-cache entries before a full reset (default
-	// 4096; the reset is counted in serve.cache_evictions).
+	// CacheLimit caps warm-cache entries (default 4096): the cache keeps
+	// two generations of at most half of it each, and dropping the older
+	// one is counted in serve.cache_evictions.
 	CacheLimit int
 	// VerifyTimeout, when > 0, bounds each version's verification run via
 	// the governance deadline (yu.VerifyOptions.Ctx): an over-budget run
@@ -153,11 +154,14 @@ type Server struct {
 	everRan atomic.Bool
 
 	// igp is the IS-IS result the latest build that computed one sealed,
-	// keyed by its topology (routesim.ImportBase). Builds of concurrently
-	// computing versions share it under igpMu; the base itself is
-	// immutable and holds no node, so it pins no version's manager.
-	igpMu sync.Mutex
-	igp   *routesim.ImportBase
+	// keyed by its topology (routesim.ImportBase); bgp the BGP result the
+	// latest build that recomputed a prefix sealed, keyed by its BGP inputs
+	// (routesim.BGPBase). Builds of concurrently computing versions share
+	// them under carryMu; the bases themselves are immutable and hold no
+	// node, so they pin no version's manager.
+	carryMu sync.Mutex
+	igp     *routesim.ImportBase
+	bgp     *routesim.BGPBase
 }
 
 // NewServer creates a server with no loaded spec. If cfg.StatePath is
@@ -181,7 +185,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
-		store:    newSTFStore(cfg.CacheLimit),
+		store:    newSTFStore(cfg.CacheLimit, reg.Counter("serve.cache_evictions")),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
 	for _, name := range obs.ServeCounterNames {

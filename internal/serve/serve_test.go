@@ -531,6 +531,7 @@ func TestCanonicalTextParsedOnce(t *testing.T) {
 // TestReloadRace hammers /v1/report from several goroutines while deltas
 // and reloads are applied. Every response must be internally consistent:
 // one version, and the report text that belongs to exactly that version.
+// Every delta request is timed under its op in the daemon's metrics.
 func TestReloadRace(t *testing.T) {
 	s := serve.NewServer(serve.Config{})
 	raw := readSpec(t, "motivating.yu")
@@ -609,6 +610,10 @@ func TestReloadRace(t *testing.T) {
 			t.Fatalf("delta %d: status %d", i, res.StatusCode)
 		}
 	}
+	// Each single-op delta request is timed under its op.
+	if got := s.Metrics().Snapshot().TimersMS["serve.delta.add-static"]; got.Count != 4 || got.MS <= 0 {
+		t.Fatalf("timer serve.delta.add-static = %+v, want 4 requests", got)
+	}
 	reload, err := json.Marshal(map[string]string{"spec": raw})
 	if err != nil {
 		t.Fatal(err)
@@ -651,5 +656,48 @@ func TestHTTPNoSpec(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusConflict {
 		t.Fatalf("report without spec: status %d, want 409", res.StatusCode)
+	}
+}
+
+// TestStoreOverflowKeepsWorkingSet: two link-cost deltas in a row — each
+// invalidates every class — overflow a warm store sized for two builds.
+// A version's own classes survive the overflow: the next delta on the same
+// topology executes nothing, and the store stays within CacheLimit.
+func TestStoreOverflowKeepsWorkingSet(t *testing.T) {
+	spec, text := serve.WANText(t, 20, 40, 10, 200, 5)
+	probe := serve.NewServer(serve.Config{K: 1, OverloadFactor: 1})
+	if _, err := probe.LoadSpecText(text); err != nil {
+		t.Fatal(err)
+	}
+	classes := int(mustReport(t, probe).Stats.CacheMisses)
+	limit := 2*classes + classes/4
+
+	s := serve.NewServer(serve.Config{K: 1, OverloadFactor: 1, CacheLimit: limit})
+	if _, err := s.LoadSpecText(text); err != nil {
+		t.Fatal(err)
+	}
+	mustReport(t, s)
+	link := spec.Net.Link(0)
+	a, b := spec.Net.Router(link.A).Name, spec.Net.Router(link.B).Name
+	for i := int64(1); i <= 2; i++ {
+		if _, err := s.ApplyDeltas([]serve.Delta{{Op: "set-link-cost", A: a, B: b, Cost: link.CostAB + 7*i}}); err != nil {
+			t.Fatal(err)
+		}
+		if res := mustReport(t, s); 2*int(res.Stats.CacheMisses) > limit {
+			t.Fatalf("a build executed %d classes, more than half of CacheLimit %d", res.Stats.CacheMisses, limit)
+		}
+	}
+	if n := s.Metrics().Snapshot().Counters["serve.cache_evictions"]; n == 0 {
+		t.Fatal("three builds' classes did not overflow the store")
+	}
+	if _, err := s.ApplyDeltas([]serve.Delta{{Op: "add-static", Router: spec.Net.Routers[0].Name, Prefix: "55.0.0.0/8", Discard: true}}); err != nil {
+		t.Fatal(err)
+	}
+	res := mustReport(t, s)
+	if res.Stats.CacheMisses != 0 || res.Stats.CacheHits == 0 {
+		t.Fatalf("after the overflow: %d hits, %d misses; want every class from the store", res.Stats.CacheHits, res.Stats.CacheMisses)
+	}
+	if n := s.StoreLen(); n > limit {
+		t.Fatalf("the store holds %d entries, CacheLimit %d", n, limit)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-
 func mustSpec(t testing.TB, load func() (*config.Spec, error)) *config.Spec {
 	t.Helper()
 	spec, err := load()

@@ -263,8 +263,8 @@ type VerifyOptions struct {
 	// stored after. Soundness is the cache's responsibility — see the
 	// core.STFCache contract. Reports remain byte-identical to uncached
 	// runs when the cache honors it. A cache that also implements
-	// routesim.IGPCarrier carries IS-IS results between the monolithic
-	// builds of one topology.
+	// routesim.Carrier carries IS-IS results between the monolithic builds
+	// of one topology, and BGP results prefix by prefix.
 	STFCache STFCache
 	// Domains, when non-nil, turns on compositional verification
 	// (EngineYU only; Verify and VerifyPortfolio alike): the named router
@@ -707,9 +707,9 @@ func (b *Built) build() error {
 	if opts.MaxNodes > 0 {
 		b.mgr.SetNodeBudget(opts.MaxNodes)
 	}
-	// A cache that is also an IS-IS carrier (the daemon's) hands IS-IS from
-	// one build on a topology to the next.
-	carrier, _ := opts.STFCache.(routesim.IGPCarrier)
+	// A cache that is also a route-state carrier (the daemon's) hands IS-IS
+	// and BGP from one build to the next.
+	carrier, _ := opts.STFCache.(routesim.Carrier)
 	rs, err := routesim.RunContext(opts.Ctx, fv, n.spec.Configs, carrier)
 	b.routeTime = time.Since(routeStart)
 	opts.Obs.AddPhase("routesim", b.routeTime)
