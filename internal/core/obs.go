@@ -16,11 +16,15 @@ import (
 // per link; KREDUCE effort during symbolic execution is reported through the
 // manager's cumulative counters instead.
 
-// ManagerObsStats converts one manager's stats snapshot into the obs
-// record under the given name ("primary", "domain.A", ...).
-func ManagerObsStats(name string, m *mtbdd.Manager) obs.ManagerStats {
+// RecordManager snapshots a manager's stats into the registry as the obs
+// record under the given name ("primary", "domain.A", ...). A nil registry
+// or manager records nothing.
+func RecordManager(reg *obs.Registry, name string, m *mtbdd.Manager) {
+	if reg == nil || m == nil {
+		return
+	}
 	st := m.Stats()
-	return obs.ManagerStats{
+	reg.RecordManager(obs.ManagerStats{
 		Name:         name,
 		Created:      int(st.Created),
 		Live:         st.Live,
@@ -37,16 +41,7 @@ func ManagerObsStats(name string, m *mtbdd.Manager) obs.ManagerStats {
 			"range":   {Hits: st.Range.Hits, Misses: st.Range.Misses},
 			"fused":   {Hits: st.Fused.Hits, Misses: st.Fused.Misses},
 		},
-	}
-}
-
-// RecordManager snapshots a manager's stats into the registry. A nil
-// registry or manager records nothing.
-func RecordManager(reg *obs.Registry, name string, m *mtbdd.Manager) {
-	if reg == nil || m == nil {
-		return
-	}
-	reg.RecordManager(ManagerObsStats(name, m))
+	})
 }
 
 // checkCounters is the check stage's own account of what it did with each

@@ -93,7 +93,6 @@ type Registry struct {
 	phases   map[string]*phaseAgg
 	order    []string // phase paths in first-start order
 	managers []ManagerStats
-	log      *Logger
 }
 
 // New returns an empty registry.
@@ -154,19 +153,6 @@ func (r *Registry) RecordManager(ms ManagerStats) {
 		}
 	}
 	r.managers = append(r.managers, ms)
-}
-
-// Log returns the registry's logger, creating it on first use.
-func (r *Registry) Log() *Logger {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.log == nil {
-		r.log = NewLogger(nil)
-	}
-	return r.log
 }
 
 // phaseAgg aggregates every span that completed under one path.

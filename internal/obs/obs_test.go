@@ -22,8 +22,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	sp.End()
 	r.AddPhase("p", time.Second)
 	r.RecordManager(ManagerStats{Name: "m"})
-	r.Log().Printf("dropped")
-	r.Log().Once("k", "dropped")
 	if got := r.Counter("x").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d, want 0", got)
 	}
@@ -169,17 +167,6 @@ func TestWriteText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestLoggerOnce(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf)
-	l.Once("dep", "warning: %s", "deprecated")
-	l.Once("dep", "warning: %s", "deprecated")
-	l.Printf("plain")
-	if got := buf.String(); strings.Count(got, "deprecated") != 1 || !strings.Contains(got, "plain") {
-		t.Fatalf("logger output = %q", got)
 	}
 }
 

@@ -38,24 +38,21 @@ type Carrier interface {
 	CarryBGP(b *BGPBase, carried, recomputed int)
 }
 
-// carriedIGP is ComputeIGP through a carrier (nil: none), with the IS-IS
-// fingerprint the carried or freshly sealed result holds (zero without a
-// carrier). A replayed result's stats record the replay's time and no
-// level built.
-func carriedIGP(fv *FailVars, c Carrier) (*IGP, uint64) {
+// carriedIGP is ComputeIGP through a carrier (nil: none). A replayed
+// result's stats record the replay's time and no level built.
+func carriedIGP(fv *FailVars, c Carrier) *IGP {
 	if c == nil {
-		return ComputeIGP(fv), 0
+		return ComputeIGP(fv)
 	}
 	if b := c.CarriedIGP(fv.Key()); b != nil {
 		start := time.Now()
 		g := b.ImportInto(fv).IGP
 		g.stats = Stats{IGPTime: time.Since(start)}
-		return g, b.IGPHash()
+		return g
 	}
 	g := ComputeIGP(fv)
-	b := SealIGP(g)
-	c.CarryIGP(b)
-	return g, b.IGPHash()
+	c.CarryIGP(SealIGP(g))
+	return g
 }
 
 // carriedBGP is ComputeBGP through a carrier (nil: none). Prefixes whose
@@ -64,16 +61,16 @@ func carriedIGP(fv *FailVars, c Carrier) (*IGP, uint64) {
 // point whether or not the others run beside it, so the RIBs are those
 // ComputeBGP builds, guard for guard. A run that does not converge is
 // returned as it is, and nothing is carried from it.
-func carriedBGP(fv *FailVars, cfgs config.Configs, igp *IGP, igpHash uint64, c Carrier) *BGP {
+func carriedBGP(fv *FailVars, cfgs config.Configs, igp *IGP, c Carrier) *BGP {
 	if c == nil {
 		return ComputeBGP(fv, cfgs, igp)
 	}
-	keys := newBGPKeys(fv, cfgs, igpHash)
+	keys := newBGPKeys(fv, cfgs)
 	base := c.CarriedBGP(keys.global)
 	var replayed []netip.Prefix
 	if base != nil {
-		for _, p := range keys.order {
-			if sp, ok := base.prefixes[p]; ok && sp.key == keys.prefix[p] {
+		for i, p := range keys.order {
+			if sp, ok := base.prefixes[p]; ok && sp.key == keys.prefix[i] {
 				replayed = append(replayed, p)
 			}
 		}
@@ -105,11 +102,11 @@ func carriedBGP(fv *FailVars, cfgs config.Configs, igp *IGP, igpHash uint64, c C
 }
 
 // BGPKey fingerprints the inputs every prefix's BGP propagation reads: the
-// topology, failure mode and budget (FailVars.Key), the IS-IS state, and
-// the session graph — for every config of a router in the network, in
-// sorted-name order, the router's name, each neighbor's address, remote AS
-// and local-pref, and the redistribute-static flag.
-type BGPKey uint64
+// topology, failure mode and budget (FailVars.Key, which also identifies
+// the IS-IS state), and the session graph — for every config of a router
+// in the network, in sorted-name order, the router's name, each neighbor's
+// address, remote AS and local-pref, and the redistribute-static flag.
+type BGPKey Fingerprint
 
 // bgpKeys fingerprints one run's BGP inputs: the global key, and for every
 // prefix the run seeds the inputs that name it — the networks that
@@ -117,9 +114,10 @@ type BGPKey uint64
 // and the sessions whose export-deny list holds it.
 type bgpKeys struct {
 	global BGPKey
-	// order lists the run's prefixes in seed order.
+	// order lists the run's prefixes in seed order; prefix holds their
+	// keys, index for index.
 	order  []netip.Prefix
-	prefix map[netip.Prefix]uint64
+	prefix []Fingerprint
 }
 
 // Seed tokens of a prefix key.
@@ -129,24 +127,21 @@ const (
 	keyDeny
 )
 
-func newBGPKeys(fv *FailVars, cfgs config.Configs, igpHash uint64) *bgpKeys {
+func newBGPKeys(fv *FailVars, cfgs config.Configs) *bgpKeys {
 	net := fv.Net
-	g := fpOffset
-	g.u64(uint64(fv.Key()))
-	g.u64(igpHash)
-	var accs []fp
+	g := Fingerprint(fv.Key())
 	index := make(map[netip.Prefix]int)
 	k := &bgpKeys{}
 	// at returns pfx's accumulator, valid until the next call.
-	at := func(pfx netip.Prefix) *fp {
+	at := func(pfx netip.Prefix) *Fingerprint {
 		i, ok := index[pfx]
 		if !ok {
-			i = len(accs)
+			i = len(k.order)
 			index[pfx] = i
-			accs = append(accs, fpOffset)
 			k.order = append(k.order, pfx)
+			k.prefix = append(k.prefix, newFingerprint())
 		}
-		return &accs[i]
+		return &k.prefix[i]
 	}
 	names := make([]string, 0, len(cfgs))
 	for name := range cfgs {
@@ -161,26 +156,26 @@ func newBGPKeys(fv *FailVars, cfgs config.Configs, igpHash uint64) *bgpKeys {
 		if r == nil {
 			continue
 		}
-		g.str(name)
-		g.b(rc.RedistributeStatic)
-		g.u64(uint64(len(rc.Neighbors)))
+		g.Str(name)
+		g.Bool(rc.RedistributeStatic)
+		g.U64(uint64(len(rc.Neighbors)))
 		for _, nb := range rc.Neighbors {
-			g.addr(nb.Addr)
-			g.u64(uint64(nb.RemoteAS))
-			g.u64(uint64(nb.LocalPref))
+			g.Addr(nb.Addr)
+			g.U64(uint64(nb.RemoteAS))
+			g.U64(uint64(nb.LocalPref))
 		}
 		for _, pfx := range rc.Networks {
 			h := at(pfx)
-			h.u64(keyNetwork)
-			h.u64(uint64(r.ID))
+			h.U64(keyNetwork)
+			h.U64(uint64(r.ID))
 		}
 		if rc.RedistributeStatic {
 			for _, s := range rc.Statics {
 				h := at(s.Prefix)
-				h.u64(keyStatic)
-				h.u64(uint64(r.ID))
-				h.b(s.Discard)
-				h.addr(s.NextHop)
+				h.U64(keyStatic)
+				h.U64(uint64(r.ID))
+				h.Bool(s.Discard)
+				h.Addr(s.NextHop)
 			}
 		}
 	}
@@ -195,17 +190,13 @@ func newBGPKeys(fv *FailVars, cfgs config.Configs, igpHash uint64) *bgpKeys {
 	for _, e := range ends {
 		for _, pfx := range denies[e] {
 			if i, ok := index[pfx]; ok {
-				accs[i].u64(keyDeny)
-				accs[i].u64(uint64(e.from))
-				accs[i].u64(uint64(e.to))
+				k.prefix[i].U64(keyDeny)
+				k.prefix[i].U64(uint64(e.from))
+				k.prefix[i].U64(uint64(e.to))
 			}
 		}
 	}
 	k.global = BGPKey(g)
-	k.prefix = make(map[netip.Prefix]uint64, len(accs))
-	for i, pfx := range k.order {
-		k.prefix[pfx] = uint64(accs[i])
-	}
 	return k
 }
 
@@ -224,7 +215,7 @@ type BGPBase struct {
 }
 
 type sealedPrefix struct {
-	key uint64
+	key Fingerprint
 	// rows are router-major, each router's in preference order.
 	rows []bgpRow
 }
@@ -286,7 +277,7 @@ func sealBGP(st *Stepper, keys *bgpKeys) *BGPBase {
 	// the guard positions filled in below.
 	rows := make([]bgpRow, 0, n)
 	roots := make([]*mtbdd.Node, 0, n)
-	for _, pfx := range keys.order {
+	for i, pfx := range keys.order {
 		from := len(rows)
 		for r, rib := range ribs {
 			for _, c := range rib[pfx] {
@@ -298,7 +289,7 @@ func sealBGP(st *Stepper, keys *bgpKeys) *BGPBase {
 				roots = append(roots, c.Guard)
 			}
 		}
-		b.prefixes[pfx] = sealedPrefix{key: keys.prefix[pfx], rows: rows[from:len(rows):len(rows)]}
+		b.prefixes[pfx] = sealedPrefix{key: keys.prefix[i], rows: rows[from:len(rows):len(rows)]}
 	}
 	var at []uint32
 	b.snap, at = mtbdd.NewSnapshot(roots)

@@ -71,8 +71,6 @@ type ImportBase struct {
 	// at holds each guard's position in snap, in tmpl's guardRefs order.
 	tmpl *Result
 	at   []uint32
-	// igpHash is the IS-IS state's fingerprint (IGP.hash), set by SealIGP.
-	igpHash uint64
 }
 
 // NewImportBase seals all guards of the result into an ImportBase.
@@ -87,13 +85,11 @@ func (r *Result) NewImportBase() *ImportBase {
 	return &ImportBase{key: r.Vars.Key(), nvars: r.Vars.M.NumVars(), snap: snap, tmpl: tmpl, at: at}
 }
 
-// SealIGP seals an IS-IS result, with its fingerprint, for the route
-// simulations to come on the same topology key (Carrier): replayed, it
-// is the IGP ComputeIGP would build in the destination manager.
+// SealIGP seals an IS-IS result for the route simulations to come on the
+// same topology key (Carrier): replayed, it is the IGP ComputeIGP would
+// build in the destination manager.
 func SealIGP(g *IGP) *ImportBase {
-	b := (&Result{Vars: g.fv, IGP: g}).NewImportBase()
-	b.igpHash = g.hash(mtbdd.NewHasher())
-	return b
+	return (&Result{Vars: g.fv, IGP: g}).NewImportBase()
 }
 
 func keep(n *mtbdd.Node) *mtbdd.Node { return n }
@@ -114,11 +110,6 @@ func (b *ImportBase) NumNodes() int { return b.snap.Len() }
 
 // Key is the topology key of the FailVars the base was sealed from.
 func (b *ImportBase) Key() TopoKey { return b.key }
-
-// IGPHash is the sealed IS-IS state's fingerprint: what the IS-IS state
-// of any result replayed from the base hashes to. Zero on a base sealed by
-// NewImportBase.
-func (b *ImportBase) IGPHash() uint64 { return b.igpHash }
 
 // ImportInto replays the sealed result into the manager behind dst — a
 // private copy of the guarded RIBs without re-running route simulation.
@@ -193,6 +184,17 @@ func (r *Result) guardRefs(fn func(**mtbdd.Node)) {
 			fn(&sts[i].Guard)
 		}
 	}
+}
+
+// sortedDests returns a per-router IGP map's destinations in increasing
+// order.
+func sortedDests[V any](m map[topo.RouterID]V) []topo.RouterID {
+	dests := make([]topo.RouterID, 0, len(m))
+	for d := range m {
+		dests = append(dests, d)
+	}
+	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
+	return dests
 }
 
 func (g *IGP) importInto(dst *FailVars, imp func(*mtbdd.Node) *mtbdd.Node) *IGP {

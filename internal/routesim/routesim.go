@@ -116,8 +116,8 @@ func RunContext(ctx context.Context, fv *FailVars, cfgs config.Configs, carrier 
 	if err := govern.Check(ctx); err != nil {
 		return nil, err
 	}
-	igp, igpHash := carriedIGP(fv, carrier)
-	bgp := carriedBGP(fv, cfgs, igp, igpHash, carrier)
+	igp := carriedIGP(fv, carrier)
+	bgp := carriedBGP(fv, cfgs, igp, carrier)
 	return FinishRun(fv, cfgs, igp, bgp)
 }
 

@@ -146,9 +146,6 @@ func (fv *FailVars) LinkVar(l topo.LinkID) int { return fv.linkVar[l] }
 // RouterVar returns the variable of router r, or -1 if it cannot fail.
 func (fv *FailVars) RouterVar(r topo.RouterID) int { return fv.routerVar[r] }
 
-// DescribeVar renders variable v ("L:A-B" or "R:C").
-func (fv *FailVars) DescribeVar(v int) string { return fv.M.VarName(v) }
-
 // VarElement returns what variable v models: a link ID (isLink true) or a
 // router ID (isLink false).
 func (fv *FailVars) VarElement(v int) (linkID topo.LinkID, routerID topo.RouterID, isLink bool) {

@@ -4,7 +4,6 @@
 package serve
 
 import (
-	"math"
 	"net/netip"
 	"sync"
 
@@ -16,89 +15,8 @@ import (
 )
 
 // cacheKey is the 128-bit content fingerprint of one equivalence class's
-// complete execution input surface. Two independent mixes of the same
-// token stream make accidental collisions negligible (~2^-64 at any
-// realistic cache population).
-type cacheKey struct {
-	a, b uint64
-}
-
-// tok accumulates the typed token stream a fingerprint hashes. Tokens
-// are length-prefixed where variable-sized, so distinct field sequences
-// cannot collide by concatenation.
-type tok struct {
-	s []uint64
-}
-
-func (t *tok) u64(x uint64) { t.s = append(t.s, x) }
-
-func (t *tok) b(x bool) {
-	if x {
-		t.u64(1)
-	} else {
-		t.u64(2)
-	}
-}
-
-func (t *tok) str(s string) {
-	t.u64(uint64(len(s)))
-	var acc, n uint64
-	for i := 0; i < len(s); i++ {
-		acc = acc<<8 | uint64(s[i])
-		if n++; n == 8 {
-			t.u64(acc)
-			acc, n = 0, 0
-		}
-	}
-	if n > 0 {
-		t.u64(acc)
-	}
-}
-
-func (t *tok) addr(a netip.Addr) {
-	b := a.As16()
-	for i := 0; i < 16; i += 8 {
-		var x uint64
-		for j := 0; j < 8; j++ {
-			x = x<<8 | uint64(b[i+j])
-		}
-		t.u64(x)
-	}
-	t.b(a.Is4())
-}
-
-func (t *tok) prefix(p netip.Prefix) {
-	t.addr(p.Addr())
-	t.u64(uint64(int64(p.Bits())))
-}
-
-// key derives the two independent 64-bit mixes: an FNV-1a pass and a
-// splitmix-chained pass over the same tokens.
-func (t *tok) key() cacheKey {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	a := uint64(fnvOffset)
-	b := uint64(0x2545f4914f6cdd1d)
-	for _, x := range t.s {
-		for i := 0; i < 8; i++ {
-			a = (a ^ (x >> (8 * i) & 0xff)) * fnvPrime
-		}
-		b = mix64(b ^ mix64(x+0x9e3779b97f4a7c15))
-	}
-	return cacheKey{a, b}
-}
-
-// mix64 is the splitmix64 finalizer (same construction as mtbdd's).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+// complete execution input surface (runCache.classKey).
+type cacheKey = routesim.Fingerprint
 
 // stfStore is the shared warm cache: one class execution per entry, sealed
 // (a one-STF core.SealedSTFs). It outlives versions and reloads;
@@ -191,21 +109,15 @@ func (st *stfStore) len() int {
 
 // runCache adapts the shared store to core.STFCache for one verification
 // run, and the server's carried IS-IS and BGP results to routesim.Carrier. It
-// memoizes the run-global fingerprint (topology, failure model, IGP, SR),
-// each matched prefix's fingerprint and the guard hasher, so a class key
-// costs a handful of tokens and a run hashes each prefix's RIB rows once,
-// however many classes match it.
+// memoizes the run-global fingerprint (topology, failure model, SR), each
+// matched prefix's fingerprint and the guard hasher, so a class key costs a
+// handful of words and a run hashes each prefix's RIB rows once, however
+// many classes match it.
 type runCache struct {
 	srv    *Server
 	hasher *mtbdd.Hasher
 
-	// igpHash is the run's IS-IS fingerprint, sealed with the IS-IS result
-	// the run replayed or computed; route simulation sets it before any
-	// class key is derived.
-	igpHash   uint64
-	igpHashed bool
-
-	global      [2]uint64
+	global      cacheKey
 	globalReady bool
 	prefixes    map[netip.Prefix]cacheKey
 
@@ -221,64 +133,28 @@ func newRunCache(s *Server) *runCache {
 	return &runCache{srv: s, hasher: mtbdd.NewHasher(), prefixes: make(map[netip.Prefix]cacheKey)}
 }
 
-// globalTokens fingerprints everything every class execution reads:
-// topology identity (names pin router/link indices), the failure model,
-// and the complete guarded IGP and SR state.
-func (rc *runCache) globalFP(e *core.Engine) [2]uint64 {
-	if rc.globalReady {
-		return rc.global
+// globalFP fingerprints everything every class execution reads: the
+// topology key — router and link identity (names pin indices), the failure
+// model, and so the IS-IS state, which is a function of them — and the
+// complete guarded SR state.
+func (rc *runCache) globalFP(e *core.Engine) cacheKey {
+	if !rc.globalReady {
+		rc.global = routesim.Fingerprint(e.Vars().Key())
+		rc.global.Add(e.RouteSim().HashSR(rc.hasher))
+		rc.globalReady = true
 	}
-	var t tok
-	net := e.Net()
-	fv := e.Vars()
-	rs := e.RouteSim()
-	t.u64(uint64(len(net.Routers)))
-	for i := range net.Routers {
-		r := &net.Routers[i]
-		t.str(r.Name)
-		t.u64(uint64(r.AS))
-		t.addr(r.Loopback)
-		t.b(r.NoFail)
-	}
-	t.u64(uint64(len(net.Links)))
-	for i := range net.Links {
-		l := &net.Links[i]
-		t.u64(uint64(int64(l.A)))
-		t.u64(uint64(int64(l.B)))
-		t.u64(uint64(l.CostAB))
-		t.u64(uint64(l.CostBA))
-		t.u64(math.Float64bits(l.Capacity))
-		t.addr(l.AddrA)
-		t.addr(l.AddrB)
-		t.b(l.NoFail)
-	}
-	t.u64(uint64(int64(fv.K)))
-	t.u64(uint64(int64(fv.Mode)))
-	if !rc.igpHashed {
-		panic("serve: a class key was derived before route simulation carried its IS-IS fingerprint")
-	}
-	t.u64(rc.igpHash)
-	t.u64(rs.HashSR(rc.hasher))
-	k := t.key()
-	rc.global = [2]uint64{k.a, k.b}
-	rc.globalReady = true
 	return rc.global
 }
 
-// prefixFP fingerprints what forwarding pfx reads anywhere in the network:
-// every router's RIB candidates and exact-prefix statics for it, in router
-// order. Classes share matched prefixes (some 1 740 classes match 36 on the
-// benchmark's daemon input), so it is computed once a run.
+// prefixFP fingerprints what forwarding pfx reads anywhere in the network
+// (routesim.Result.HashPrefix). Classes share matched prefixes (some 1 740
+// classes match 36 on the benchmark's daemon input), so it is computed
+// once a run.
 func (rc *runCache) prefixFP(e *core.Engine, pfx netip.Prefix) cacheKey {
 	if fp, ok := rc.prefixes[pfx]; ok {
 		return fp
 	}
-	rs := e.RouteSim()
-	var t tok
-	for r := 0; r < e.Net().NumRouters(); r++ {
-		t.u64(rs.HashPrefix(topo.RouterID(r), pfx, rc.hasher))
-	}
-	fp := t.key()
+	fp := e.RouteSim().HashPrefix(pfx, rc.hasher)
 	rc.prefixes[pfx] = fp
 	rc.srv.reg.Counter("serve.prefix_fingerprints").Inc()
 	return fp
@@ -289,21 +165,16 @@ func (rc *runCache) prefixFP(e *core.Engine, pfx netip.Prefix) cacheKey {
 // through each matched prefix's fingerprint, every router's RIB candidates
 // and statics for those prefixes.
 func (rc *runCache) classKey(e *core.Engine, rep topo.Flow) cacheKey {
-	g := rc.globalFP(e)
-	var t tok
-	t.u64(g[0])
-	t.u64(g[1])
-	t.str(e.Net().Router(rep.Ingress).Name)
-	t.u64(uint64(rep.DSCP))
+	k := rc.globalFP(e)
+	k.Str(e.Net().Router(rep.Ingress).Name)
+	k.U64(uint64(rep.DSCP))
 	prefixes := e.ClassPrefixes(rep.Dst)
-	t.u64(uint64(len(prefixes)))
+	k.U64(uint64(len(prefixes)))
 	for _, pfx := range prefixes {
-		t.prefix(pfx)
-		fp := rc.prefixFP(e, pfx)
-		t.u64(fp.a)
-		t.u64(fp.b)
+		k.Prefix(pfx)
+		k.Add(rc.prefixFP(e, pfx))
 	}
-	return t.key()
+	return k
 }
 
 // CarriedIGP implements routesim.Carrier: the IS-IS result an earlier
@@ -317,7 +188,6 @@ func (rc *runCache) CarriedIGP(key routesim.TopoKey) *routesim.ImportBase {
 	if b == nil || b.Key() != key {
 		return nil
 	}
-	rc.igpHash, rc.igpHashed = b.IGPHash(), true
 	s.reg.Counter("serve.igp_carried").Inc()
 	return b
 }
@@ -329,12 +199,12 @@ func (rc *runCache) CarryIGP(b *routesim.ImportBase) {
 	s.carryMu.Lock()
 	s.igp = b
 	s.carryMu.Unlock()
-	rc.igpHash, rc.igpHashed = b.IGPHash(), true
 }
 
 // CarriedBGP implements routesim.Carrier: the BGP result an earlier build
-// sealed, when it was sealed under key — the same topology, IS-IS state
-// and session graph. The run replays the prefixes whose own inputs match.
+// sealed, when it was sealed under key — the same topology (and so IS-IS
+// state) and session graph. The run replays the prefixes whose own inputs
+// match.
 func (rc *runCache) CarriedBGP(key routesim.BGPKey) *routesim.BGPBase {
 	s := rc.srv
 	s.carryMu.Lock()

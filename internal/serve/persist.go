@@ -1,20 +1,22 @@
 // Warm-state persistence: the STF cache (through the mtbdd.Snapshot
 // codec) is written to cfg.StatePath so a restarted daemon resumes warm.
 // Writes are crash-safe — tmp file, fsync, atomic rename, directory
-// fsync — and every YUWARM2 entry is a CRC-framed block, so a torn or
+// fsync — and every YUWARM3 entry is a CRC-framed block, so a torn or
 // bit-flipped file is detected, logged, and ignored. Loading is
 // best-effort: corrupt or stale state starts cold — warm state is a
 // latency aid, never a correctness input (content-hash keys make a wrong
-// entry unreachable, and Lookup shape-checks survivors). A YUWARM1 file —
-// the frame of the key derivation that hashed every router's rows once per
-// class — holds keys no run derives any more: it fails the magic check,
-// starts the daemon cold like any other unreadable file, and the next
-// SaveState replaces it.
+// entry unreachable, and Lookup shape-checks survivors). A file in an
+// earlier frame holds keys no run derives any more — YUWARM1, the
+// derivation that hashed every router's rows once per class, and YUWARM2,
+// keys that folded a structural hash of every IS-IS guard where YUWARM3
+// keys carry the topology key: it fails the magic check, starts the daemon
+// cold like any other unreadable file, and the next SaveState replaces it.
 package serve
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -22,7 +24,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/fault"
@@ -31,7 +33,7 @@ import (
 )
 
 const (
-	warmMagic      = "YUWARM2\n"
+	warmMagic      = "YUWARM3\n"
 	warmCacheFile  = "stfcache.bin"
 	maxWarmEntries = 1 << 20
 	maxWarmLinks   = 1 << 24
@@ -139,11 +141,8 @@ func (st *stfStore) encode(w io.Writer) error {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
+	slices.SortFunc(keys, func(x, y cacheKey) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
 	})
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(keys))); err != nil {
 		return err
@@ -175,7 +174,7 @@ func (st *stfStore) encode(w io.Writer) error {
 // and Delivered/Dropped/InFlight root positions, its links (ascending) with
 // their root positions, then the snapshot frame.
 func encodeEntry(w io.Writer, k cacheKey, e *core.SealedSTFs) error {
-	if err := binary.Write(w, binary.LittleEndian, []uint64{k.a, k.b}); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, k); err != nil {
 		return err
 	}
 	s := e.STFs[0]
@@ -248,10 +247,7 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 
 func decodeEntry(r io.Reader) (cacheKey, *core.SealedSTFs, error) {
 	var k cacheKey
-	if err := binary.Read(r, binary.LittleEndian, &k.a); err != nil {
-		return k, nil, fmt.Errorf("key: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &k.b); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, &k); err != nil {
 		return k, nil, fmt.Errorf("key: %w", err)
 	}
 	var fixed [5]uint32

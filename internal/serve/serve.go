@@ -6,11 +6,13 @@
 //
 // Three mechanisms make it correct and fast:
 //
-//   - Content-hash invalidation: every equivalence class is keyed by a
-//     128-bit fingerprint of every route-sim output its execution reads
-//     (per-prefix RIB candidates and statics on all routers, the global
-//     IGP and SR state, topology, and failure model — see cache.go and
-//     routesim/hash.go). A delta invalidates exactly the classes whose
+//   - Content-hash invalidation: every equivalence class is keyed by one
+//     128-bit routesim.Fingerprint of everything its execution reads: the
+//     topology key (topology and failure model, which also identify the
+//     IS-IS state, a function of them), the SR state, and per matched
+//     prefix the fingerprint of its RIB candidates and statics on all
+//     routers (see cache.go and routesim/hash.go). A delta invalidates
+//     exactly the classes whose
 //     fingerprints change; everything else is served from the warm STF
 //     cache via mtbdd.Snapshot replay, which hash-consing makes
 //     indistinguishable from re-execution. Reports are byte-identical to

@@ -372,73 +372,79 @@ func TestWarmStateCorrupt(t *testing.T) {
 	}
 }
 
-// TestWarmStateOldFrame: a stfcache.bin in the YUWARM1 frame — keys of the
-// derivation that hashed every router's rows once per class, which no run
-// derives any more — is discarded at load with the usual log line, never
-// carried as dead weight, and the next SaveState replaces it with a YUWARM2
-// file a restart resumes warm from.
+// TestWarmStateOldFrame: a stfcache.bin in an earlier frame — YUWARM1, keys
+// of the derivation that hashed every router's rows once per class, or
+// YUWARM2, keys folding a structural hash of every IS-IS guard, neither of
+// which any run derives any more — is discarded at load with the usual log
+// line, never carried as dead weight, and the next SaveState replaces it
+// with a YUWARM3 file a restart resumes warm from.
 func TestWarmStateOldFrame(t *testing.T) {
-	dir := t.TempDir()
-	raw := readSpec(t, "motivating.yu")
-	s1 := serve.NewServer(serve.Config{StatePath: dir})
-	if _, err := s1.LoadSpecText(raw); err != nil {
-		t.Fatal(err)
-	}
-	mustReport(t, s1)
-	if err := s1.SaveState(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "stfcache.bin")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("YUWARM2\n")) {
-		t.Fatalf("SaveState wrote magic %q, want YUWARM2", data[:8])
-	}
-	// The same entries under the old magic: what an upgraded daemon finds.
-	if err := os.WriteFile(path, append([]byte("YUWARM1\n"), data[8:]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, old := range []string{"YUWARM1", "YUWARM2"} {
+		t.Run(old, func(t *testing.T) {
+			dir := t.TempDir()
+			raw := readSpec(t, "motivating.yu")
+			s1 := serve.NewServer(serve.Config{StatePath: dir})
+			if _, err := s1.LoadSpecText(raw); err != nil {
+				t.Fatal(err)
+			}
+			mustReport(t, s1)
+			if err := s1.SaveState(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "stfcache.bin")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, []byte("YUWARM3\n")) {
+				t.Fatalf("SaveState wrote magic %q, want YUWARM3", data[:8])
+			}
+			// The same entries under the old magic: what an upgraded daemon finds.
+			if err := os.WriteFile(path, append([]byte(old+"\n"), data[8:]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	var logged bytes.Buffer
-	log.SetOutput(&logged)
-	defer log.SetOutput(os.Stderr)
-	s2 := serve.NewServer(serve.Config{StatePath: dir})
-	if !strings.Contains(logged.String(), "YUWARM1") || !strings.Contains(logged.String(), "starting cold") {
-		t.Fatalf("loading a YUWARM1 file logged %q, want the bad magic and \"starting cold\"", logged.String())
-	}
-	if n := s2.StoreLen(); n != 0 {
-		t.Fatalf("a YUWARM1 file left %d entries in the store", n)
-	}
-	if _, err := s2.LoadSpecText(raw); err != nil {
-		t.Fatal(err)
-	}
-	res := mustReport(t, s2)
-	if res.Stats.CacheHits != 0 || res.Text != coldReport(t, raw) {
-		t.Fatalf("after a discarded YUWARM1 file: %d cache hits, report equal to cold: %v", res.Stats.CacheHits, res.Text == coldReport(t, raw))
-	}
-	if err := s2.SaveState(); err != nil {
-		t.Fatal(err)
-	}
-	if data, err = os.ReadFile(path); err != nil || !bytes.HasPrefix(data, []byte("YUWARM2\n")) {
-		t.Fatalf("SaveState left magic %q (%v), want the YUWARM1 file replaced", data[:8], err)
-	}
-	s3 := serve.NewServer(serve.Config{StatePath: dir})
-	if _, err := s3.LoadSpecText(raw); err != nil {
-		t.Fatal(err)
-	}
-	if res := mustReport(t, s3); res.Stats.CacheHits != 2 || res.Stats.CacheMisses != 0 {
-		t.Fatalf("restart on the replaced file: hits/misses = %d/%d, want 2/0", res.Stats.CacheHits, res.Stats.CacheMisses)
+			var logged bytes.Buffer
+			log.SetOutput(&logged)
+			defer log.SetOutput(os.Stderr)
+			s2 := serve.NewServer(serve.Config{StatePath: dir})
+			if !strings.Contains(logged.String(), "bad magic") || !strings.Contains(logged.String(), old) || !strings.Contains(logged.String(), "starting cold") {
+				t.Fatalf("loading a %s file logged %q, want the bad magic and \"starting cold\"", old, logged.String())
+			}
+			if n := s2.StoreLen(); n != 0 {
+				t.Fatalf("a %s file left %d entries in the store", old, n)
+			}
+			if _, err := s2.LoadSpecText(raw); err != nil {
+				t.Fatal(err)
+			}
+			res := mustReport(t, s2)
+			if res.Stats.CacheHits != 0 || res.Text != coldReport(t, raw) {
+				t.Fatalf("after a discarded %s file: %d cache hits, report equal to cold: %v", old, res.Stats.CacheHits, res.Text == coldReport(t, raw))
+			}
+			if err := s2.SaveState(); err != nil {
+				t.Fatal(err)
+			}
+			if data, err = os.ReadFile(path); err != nil || !bytes.HasPrefix(data, []byte("YUWARM3\n")) {
+				t.Fatalf("SaveState left magic %q (%v), want the %s file replaced", data[:8], err, old)
+			}
+			s3 := serve.NewServer(serve.Config{StatePath: dir})
+			if _, err := s3.LoadSpecText(raw); err != nil {
+				t.Fatal(err)
+			}
+			if res := mustReport(t, s3); res.Stats.CacheHits != 2 || res.Stats.CacheMisses != 0 {
+				t.Fatalf("restart on the replaced file: hits/misses = %d/%d, want 2/0", res.Stats.CacheHits, res.Stats.CacheMisses)
+			}
+		})
 	}
 }
 
 // TestWarmStateFromEarlierBuild: testdata/stfcache.bin is the warm cache a
-// yud built before the store kept core.SealedSTFs wrote after verifying
-// testdata/wan-1.yu. A daemon started on it resumes fully warm — every class
+// yud of the YUWARM3 key derivation wrote after verifying testdata/wan-1.yu
+// (`yud -state DIR testdata/wan-1.yu`, stopped by SIGINT once the initial
+// verification is logged). A daemon started on it resumes fully warm — every class
 // a cache hit, none a miss — with the report of a cold run, and saving its
 // store again writes the file byte for byte; so does a cold daemon that
-// executes and seals every class itself: the YUWARM2 layout is the one it
+// executes and seals every class itself: the YUWARM3 layout is the one it
 // always was.
 func TestWarmStateFromEarlierBuild(t *testing.T) {
 	saved, err := os.ReadFile(filepath.Join("testdata", "stfcache.bin"))
