@@ -205,7 +205,7 @@ func TestRunVerifyMetricsText(t *testing.T) {
 	if code := runVerify(cfg, &stdout, &stderr); code != 0 {
 		t.Fatalf("runVerify = %d, stderr:\n%s", code, &stderr)
 	}
-	for _, want := range []string{"phases", "caches", "kreduce", "tables 1.2 MB\n"} {
+	for _, want := range []string{"phases", "caches", "kreduce", "tables 0.7 MB\n"} {
 		if !bytes.Contains(stderr.Bytes(), []byte(want)) {
 			t.Errorf("text metrics missing %q:\n%s", want, &stderr)
 		}

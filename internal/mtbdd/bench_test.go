@@ -122,13 +122,13 @@ func BenchmarkAddNK(b *testing.B) {
 func fusedTrace(r *rand.Rand, distinct, length int) []fusedEntry {
 	keys := make([]fusedEntry, distinct)
 	for i := range keys {
-		op, c := opAdd, uint64(0)
+		op, c := opAdd, uint32(0)
 		if i%3 == 0 {
-			op, c = opMulAdd, uint64(r.Intn(1<<19)+1)
+			op, c = opMulAdd, uint32(r.Intn(1<<19)+1)
 		}
 		keys[i] = fusedEntry{
-			a:  uint64(r.Intn(1<<19) + 1),
-			b:  uint64(r.Intn(1<<19) + 1),
+			a:  uint32(r.Intn(1<<19) + 1),
+			b:  uint32(r.Intn(1<<19) + 1),
 			c:  c,
 			k:  int32(r.Intn(3)),
 			op: op,
@@ -307,7 +307,7 @@ func BenchmarkMkHit(b *testing.B) {
 		// A kernel reads what mk returns (its id goes into a computed
 		// table), so the benchmark does too.
 		p := pairs[i%len(pairs)]
-		ids += m.mk(0, p.lo, p.hi).id
+		ids += uint64(m.mk(0, p.lo, p.hi).id)
 	}
 	if ids == 0 || m.created != created {
 		b.Fatal("a hit created a node")

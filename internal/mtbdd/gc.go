@@ -1,5 +1,7 @@
 package mtbdd
 
+import "slices"
+
 // GC discards every node not reachable from the given roots: the unique
 // and terminal tables are rebuilt with the surviving nodes and all
 // operation caches are cleared. Hash consing otherwise keeps every node
@@ -42,32 +44,27 @@ func (m *Manager) GC(roots []*Node) {
 }
 
 // releaseSlabs nils out node slabs with no marked ids so the runtime can
-// reclaim them. Slab s holds ids (s*slabSize, (s+1)*slabSize], i.e. mark
-// bits [s*slabSize, (s+1)*slabSize) — whole bitset words, since slabSize
-// is a multiple of 64. The open (last) slab is kept: alloc keeps filling
+// reclaim them, and lists every released index in free, lowest last, for
+// alloc to reopen. Slab s holds ids (s*slabSize, (s+1)*slabSize], i.e.
+// mark bits [s*slabSize, (s+1)*slabSize) — whole bitset words, since
+// slabSize is a multiple of 64. The open slab is kept: alloc keeps filling
 // it. Transient nodes are temporally clustered, so build-then-reduce
 // bursts typically die as contiguous whole slabs.
 func (m *Manager) releaseSlabs(marked bitset) {
 	const wordsPerSlab = slabSize / 64
-	for s := 0; s < len(m.slabs)-1; s++ {
-		if m.slabs[s] == nil {
+	m.free = m.free[:0]
+	for s := len(m.slabs) - 1; s >= 0; s-- {
+		if s == m.open {
 			continue
 		}
-		lo := s * wordsPerSlab
-		hi := lo + wordsPerSlab
-		if hi > len(marked) {
-			hi = len(marked)
-		}
-		dead := true
-		for w := lo; w < hi; w++ {
-			if marked[w] != 0 {
-				dead = false
-				break
+		if m.slabs[s] != nil {
+			lo := s * wordsPerSlab
+			if slices.ContainsFunc(marked[lo:lo+wordsPerSlab], func(w uint64) bool { return w != 0 }) {
+				continue
 			}
-		}
-		if dead {
 			m.slabs[s] = nil
 		}
+		m.free = append(m.free, s)
 	}
 }
 

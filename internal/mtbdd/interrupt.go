@@ -18,7 +18,7 @@ import (
 // the manager remains usable afterwards. Partially-built intermediate
 // nodes become garbage for the next managed GC.
 //
-// Two triggers exist:
+// Three triggers exist:
 //
 //   - An interrupt hook (SetInterrupt), polled every interruptStride
 //     node-level operations via a cheap counter. The pipeline installs
@@ -26,6 +26,9 @@ import (
 //     inside long apply/KReduce chains.
 //   - A live-node budget (SetNodeBudget), checked whenever mk inserts a
 //     new node into the unique table.
+//   - The id space: node ids are 32 bits, and a manager whose slabs hold
+//     every one of them stops with an *IDSpaceError, which the budget's
+//     callers already handle — a GC that releases a slab frees its ids.
 //
 // Crucially, a budget breach must NOT garbage-collect mid-operation:
 // in-flight recursion frames hold unrooted intermediate nodes, and a GC
@@ -55,6 +58,22 @@ func (e *BudgetError) Error() string {
 
 // Is makes errors.Is(err, govern.ErrNodeBudget) match a *BudgetError.
 func (e *BudgetError) Is(target error) bool { return target == govern.ErrNodeBudget }
+
+// IDSpaceError reports that every 32-bit node id is held by a slab the
+// manager has not released, so it can build nothing new until a GC frees
+// some. It matches govern.ErrNodeBudget under errors.Is, because the remedy
+// is the budget's: collect and retry, then stop or answer the run another
+// way.
+type IDSpaceError struct {
+	Created uint64 // nodes the manager created, one per id
+}
+
+func (e *IDSpaceError) Error() string {
+	return fmt.Sprintf("mtbdd: node id space exhausted after %d nodes", e.Created)
+}
+
+// Is makes errors.Is(err, govern.ErrNodeBudget) match an *IDSpaceError.
+func (e *IDSpaceError) Is(target error) bool { return target == govern.ErrNodeBudget }
 
 // SetInterrupt installs a hook polled periodically during MTBDD
 // operations; a non-nil return aborts the in-flight operation, and the
@@ -107,10 +126,10 @@ func AbortError(r any) error {
 	return nil
 }
 
-// Guard runs fn and converts an operation abort (interrupt or budget
-// breach) into its error. Any other panic propagates unchanged. After a
-// non-nil return the manager is still consistent, but nodes created by
-// the aborted operation are garbage until the next GC.
+// Guard runs fn and converts an operation abort (interrupt, budget
+// breach or spent id space) into its error. Any other panic propagates
+// unchanged. After a non-nil return the manager is still consistent, but
+// nodes created by the aborted operation are garbage until the next GC.
 func Guard(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -30,12 +30,16 @@ import (
 // node tests the variable at its Level: Hi is the cofactor where the
 // variable is 1 (element alive), Lo where it is 0 (element failed).
 //
-// A Node is 40 bytes; the fields below are all it holds.
+// A Node is 32 bytes, two to a cache line; the fields below are all it
+// holds.
 type Node struct {
 	// Level is the variable index tested by this node, or terminalLevel
 	// for terminals. Variables are tested in increasing Level order from
 	// the root.
 	Level int32
+	// id is the Manager-assigned unique identifier used in cache keys.
+	// It shares Level's 8-byte word.
+	id uint32
 	// Value is a terminal's value. An internal node carries its all-alive
 	// value F(1,…,1) here — Hi.Value, set by mk — so the budget-spent cut
 	// of the fused kernels and KREDUCE's β₀ read one field instead of
@@ -44,8 +48,6 @@ type Node struct {
 	Value float64
 	// Lo and Hi are the cofactors for variable=0 and variable=1.
 	Lo, Hi *Node
-	// id is the Manager-assigned unique identifier used in cache keys.
-	id uint64
 }
 
 const terminalLevel int32 = math.MaxInt32
@@ -59,8 +61,7 @@ func (n *Node) IsTerminal() bool { return n.Level == terminalLevel }
 // concurrent use; create one Manager per goroutine or synchronize
 // externally.
 type Manager struct {
-	names  []string // variable names, indexed by level
-	nextID uint64   // node ids start at 1 (0 marks empty cache slots)
+	names []string // variable names, indexed by level
 
 	unique uniqueTable // internal nodes, keyed by (level, lo, hi)
 	terms  uniqueTable // terminals, keyed by Float64bits of the value
@@ -75,16 +76,21 @@ type Manager struct {
 	one  *Node
 
 	// Node storage. Nodes are carved out of fixed-size slabs instead of
-	// being allocated one heap object each: ids are assigned sequentially,
-	// so node id i lives in slab (i-1)>>slabBits, and the runtime GC scans
-	// a handful of large backing arrays instead of millions of individual
-	// objects. Pointers into a slab are stable (slabs are never moved or
-	// resized), which hash-consing canonicity requires. Manager.GC releases
-	// slabs whose nodes are all dead; the open slab keeps filling. The
-	// slice doubles as the id → node directory the tables resolve their
-	// entries through (node).
+	// being allocated one heap object each: slab s holds node ids
+	// s·slabSize+1 … (s+1)·slabSize (id 0 marks empty table slots), filled
+	// in order, and the runtime GC scans a handful of large backing arrays
+	// instead of millions of individual objects. Pointers into a slab are
+	// stable (slabs are never moved or resized), which hash-consing
+	// canonicity requires. Manager.GC releases slabs whose nodes are all
+	// dead and lists their indices in free; alloc fills the open slab, then
+	// reopens the lowest free index before it extends the directory, so the
+	// id space a manager spans follows the slabs it holds, not the nodes it
+	// ever created. The slice doubles as the id → node directory the tables
+	// resolve their entries through (node).
 	slabs    [][]Node
-	slabUsed int
+	open     int // index of the slab alloc fills
+	slabUsed int // cells of the open slab handed out
+	free     []int
 	// spare holds pre-allocated slabs handed out by alloc before it falls
 	// back to make. Reserve fills it so a known-size bulk construction
 	// (e.g. ImportSnapshot replaying a shared base) runs without mid-build
@@ -123,7 +129,6 @@ type Manager struct {
 // AddVar before building non-constant functions.
 func New() *Manager {
 	m := &Manager{
-		nextID: 1,
 		unique: newUniqueTable(uniqueInitial),
 		terms:  newUniqueTable(uniqueInitial),
 	}
@@ -163,7 +168,7 @@ func (m *Manager) Const(v float64) *Node {
 	bits := math.Float64bits(v)
 	h := termHash(bits)
 	t := &m.terms
-	i := h & t.mask
+	i := uint64(h) & t.mask
 	for probes := 0; ; probes++ {
 		e := t.entries[i]
 		if e.id == 0 {
@@ -178,16 +183,14 @@ func (m *Manager) Const(v float64) *Node {
 		}
 		i = t.next(i)
 	}
-	n := m.alloc()
-	*n = Node{Level: terminalLevel, Value: v, id: m.nextID}
-	m.nextID++
-	m.created++
-	t.fill(i, h, n.id)
+	n, id := m.alloc()
+	*n = Node{Level: terminalLevel, id: id, Value: v}
+	t.fill(i, h, id)
 	return n
 }
 
 const (
-	// slabBits sizes the node slabs at 8192 nodes (~448 KiB each). A
+	// slabBits sizes the node slabs at 8192 nodes (256 KiB each). A
 	// power-of-two multiple of 64 keeps every slab's id range aligned to
 	// whole bitset words, so GC's per-slab liveness scan is word-exact.
 	slabBits = 13
@@ -198,28 +201,51 @@ const (
 // computed tables hold ids, never pointers, so the runtime GC does not
 // scan them; an id they hold always names a live slab, because Manager.GC
 // rebuilds the one from the marked nodes and empties the others.
-func (m *Manager) node(id uint64) *Node {
+func (m *Manager) node(id uint32) *Node {
 	i := id - 1
 	return &m.slabs[i>>slabBits][i&(slabSize-1)]
 }
 
-// alloc returns storage for the node that will receive id m.nextID.
-// Ids are dense and increasing, so the slot is always the next cell of
-// the open (last) slab.
-func (m *Manager) alloc() *Node {
+// maxSlabs is how many slabs the 32-bit id space holds whole, so the
+// largest id is 2^32 − slabSize. A variable so tests can shrink the space.
+var maxSlabs = math.MaxUint32 >> slabBits
+
+// alloc hands out the next id and the storage for its node: the next cell
+// of the open slab, or the first cell of a new open slab — the lowest
+// index a GC released, else one past the end of the directory. A manager
+// whose every slab is held aborts the operation with an *IDSpaceError
+// rather than wrap to an id already in use; a GC that releases a slab
+// relieves it.
+func (m *Manager) alloc() (*Node, uint32) {
 	if len(m.slabs) == 0 || m.slabUsed == slabSize {
-		if n := len(m.spare); n > 0 {
-			m.slabs = append(m.slabs, m.spare[n-1])
-			m.spare[n-1] = nil
-			m.spare = m.spare[:n-1]
-		} else {
-			m.slabs = append(m.slabs, make([]Node, slabSize))
-		}
-		m.slabUsed = 0
+		m.openSlab()
 	}
-	n := &m.slabs[len(m.slabs)-1][m.slabUsed]
+	n := &m.slabs[m.open][m.slabUsed]
 	m.slabUsed++
-	return n
+	m.created++
+	return n, uint32(m.open<<slabBits + m.slabUsed)
+}
+
+// openSlab makes a fresh slab the open one, taking its storage from spare
+// when Reserve left some.
+func (m *Manager) openSlab() {
+	s := len(m.slabs)
+	if k := len(m.free); k > 0 {
+		s = m.free[k-1]
+		m.free = m.free[:k-1]
+	} else if s == maxSlabs {
+		panic(opAbort{&IDSpaceError{Created: m.created}})
+	} else {
+		m.slabs = append(m.slabs, nil)
+	}
+	if k := len(m.spare); k > 0 {
+		m.slabs[s] = m.spare[k-1]
+		m.spare[k-1] = nil
+		m.spare = m.spare[:k-1]
+	} else {
+		m.slabs[s] = make([]Node, slabSize)
+	}
+	m.open, m.slabUsed = s, 0
 }
 
 // Reserve pre-allocates slab capacity for at least n additional nodes, so
@@ -239,17 +265,21 @@ func (m *Manager) Reserve(n int) {
 }
 
 // bitset is an id-keyed visited set for DAG walks: node id i maps to bit
-// i-1. Sized once off nextID, it replaces map[*Node]struct{} on the hot
-// analysis paths — no hashing, no per-entry allocation, and the runtime
-// GC never scans it for pointers.
+// i-1. Sized once off the highest id handed out, it replaces
+// map[*Node]struct{} on the hot analysis paths — no hashing, no per-entry
+// allocation, and the runtime GC never scans it for pointers.
 type bitset []uint64
 
 func (m *Manager) newBitset() bitset {
-	return make(bitset, (m.nextID+63)/64)
+	ids := len(m.slabs) << slabBits
+	if m.open == len(m.slabs)-1 {
+		ids -= slabSize - m.slabUsed
+	}
+	return make(bitset, (ids+63)/64)
 }
 
 // visit marks id and reports whether it was already marked.
-func (b bitset) visit(id uint64) bool {
+func (b bitset) visit(id uint32) bool {
 	i := id - 1
 	w, mask := i>>6, uint64(1)<<(i&63)
 	if b[w]&mask != 0 {
@@ -260,7 +290,7 @@ func (b bitset) visit(id uint64) bool {
 }
 
 // has reports whether id is marked.
-func (b bitset) has(id uint64) bool {
+func (b bitset) has(id uint32) bool {
 	i := id - 1
 	return b[i>>6]&(1<<(i&63)) != 0
 }
@@ -299,7 +329,7 @@ func (m *Manager) mk(level int32, lo, hi *Node) *Node {
 	}
 	h := nodeHash(level, lo.id, hi.id)
 	t := &m.unique
-	i := h & t.mask
+	i := uint64(h) & t.mask
 	for probes := 0; ; probes++ {
 		e := t.entries[i]
 		if e.id == 0 {
@@ -316,11 +346,9 @@ func (m *Manager) mk(level int32, lo, hi *Node) *Node {
 	}
 	m.checkInterrupt()
 	m.checkBudget()
-	n := m.alloc()
-	*n = Node{Level: level, Value: hi.Value, Lo: lo, Hi: hi, id: m.nextID}
-	m.nextID++
-	m.created++
-	t.fill(i, h, n.id)
+	n, id := m.alloc()
+	*n = Node{Level: level, id: id, Value: hi.Value, Lo: lo, Hi: hi}
+	t.fill(i, h, id)
 	if t.count > m.peakUnique {
 		m.peakUnique = t.count
 	}

@@ -27,7 +27,7 @@ import "unsafe"
 //   - Reset in place. clear() empties the arrays; nothing is re-allocated
 //     by ClearCaches or Manager.GC.
 
-// cacheBits sizes all five computed tables: 8 K entries each, 1.1 MB
+// cacheBits sizes all five computed tables: 8 K entries each, 672 KB
 // together.
 const cacheBits = 13
 
@@ -74,17 +74,17 @@ func mix64(x uint64) uint64 {
 
 // --- unique and terminal tables (exact) ---
 //
-// Both tables are open-addressing sets of node ids. An entry is 16 bytes —
-// the key's full hash beside the id, four entries to a cache line — and
-// the key itself is read off the node the id names: a probe that meets
-// the key's hash confirms it on the node, which the caller was about to
-// touch anyway. One probe serves a whole mk (or Const): it either finds
+// Both tables are open-addressing sets of node ids. An entry is 8 bytes —
+// the low 32 bits of the key's hash beside the id, eight entries to a
+// cache line — and the key itself is read off the node the id names: a
+// probe that meets the key's hash confirms it on the node, which the
+// caller was about to touch anyway. One probe serves a whole mk (or Const): it either finds
 // the node or ends on the empty slot the new node takes. Growth and the
 // GC rebuild re-place entries by their stored hash and read no node.
 
 type uniqueEntry struct {
-	hash uint64 // the key's full hash, so a rehash reads no node
-	id   uint64 // the node's id; 0 marks an empty slot (ids start at 1)
+	hash uint32 // the key hash's low 32 bits, so a rehash reads no node
+	id   uint32 // the node's id; 0 marks an empty slot (ids start at 1)
 }
 
 type uniqueTable struct {
@@ -110,12 +110,12 @@ func newUniqueTable(size int) uniqueTable {
 // nearly raw, so sequentially-assigned lo ids formed arithmetic clusters
 // in the table; multiply-mixing each operand spreads them (the maxProbe
 // stat is how we confirmed the change).
-func nodeHash(level int32, lo, hi uint64) uint64 {
-	return mix64(lo*0x9e3779b97f4a7c15 ^ hi*0xc2b2ae3d27d4eb4f ^ uint64(uint32(level))*0x165667b19e3779f9)
+func nodeHash(level int32, lo, hi uint32) uint32 {
+	return uint32(mix64(uint64(lo)*0x9e3779b97f4a7c15 ^ uint64(hi)*0xc2b2ae3d27d4eb4f ^ uint64(uint32(level))*0x165667b19e3779f9))
 }
 
 // termHash hashes a terminal's value bits.
-func termHash(bits uint64) uint64 { return mix64(bits * 0x9e3779b97f4a7c15) }
+func termHash(bits uint64) uint32 { return uint32(mix64(bits * 0x9e3779b97f4a7c15)) }
 
 // next steps a probe that did not end at slot i.
 func (t *uniqueTable) next(i uint64) uint64 { return (i + 1) & t.mask }
@@ -128,7 +128,7 @@ func (t *uniqueTable) noteProbes(p int) {
 
 // fill stores a new node at the empty slot its probe ended on, then grows
 // the table if that took it past a load of 3/4.
-func (t *uniqueTable) fill(i, hash, id uint64) {
+func (t *uniqueTable) fill(i uint64, hash, id uint32) {
 	t.entries[i] = uniqueEntry{hash, id}
 	t.count++
 	if t.count*4 > len(t.entries)*3 {
@@ -149,7 +149,7 @@ func (t *uniqueTable) rehash(size int) {
 }
 
 func (t *uniqueTable) place(e uniqueEntry) {
-	i := e.hash & t.mask
+	i := uint64(e.hash) & t.mask
 	for t.entries[i].id != 0 {
 		i = t.next(i)
 	}
@@ -185,19 +185,19 @@ func (t *uniqueTable) keep(marked bitset) {
 // (ids start at 1, and a zeroed slot matches no key for the same reason).
 
 type applyEntry struct {
-	f, g uint64 // operand ids
+	f, g uint32 // operand ids
 	op   opcode
-	res  uint64
+	res  uint32
 }
 
 type applyCache struct{ table[applyEntry] }
 
-func (c *applyCache) slot(op opcode, f, g uint64) *applyEntry {
-	h := mix64(f<<6 ^ g ^ uint64(op)<<58)
+func (c *applyCache) slot(op opcode, f, g uint32) *applyEntry {
+	h := mix64(uint64(f)<<6 ^ uint64(g) ^ uint64(op)<<58)
 	return &c.entries[h&c.mask]
 }
 
-func (c *applyCache) get(op opcode, f, g uint64) uint64 {
+func (c *applyCache) get(op opcode, f, g uint32) uint32 {
 	e := c.slot(op, f, g)
 	if e.f == f && e.g == g && e.op == op {
 		return e.res
@@ -205,16 +205,16 @@ func (c *applyCache) get(op opcode, f, g uint64) uint64 {
 	return 0
 }
 
-func (c *applyCache) put(op opcode, f, g, res uint64) {
+func (c *applyCache) put(op opcode, f, g, res uint32) {
 	*c.slot(op, f, g) = applyEntry{f, g, op, res}
 }
 
 // --- kreduce cache (lossy, direct-mapped) ---
 
 type kreduceEntry struct {
-	f   uint64
+	f   uint32
 	k   int32
-	res uint64
+	res uint32
 }
 
 type kreduceCache struct{ table[kreduceEntry] }
@@ -222,11 +222,11 @@ type kreduceCache struct{ table[kreduceEntry] }
 // slot returns the key's entry. kreduce holds it across its recursion and
 // stores the result there, so a miss hashes its key once; the table is
 // never re-allocated while a kernel runs.
-func (c *kreduceCache) slot(f uint64, k int32) *kreduceEntry {
-	return &c.entries[mix64(f^uint64(k)<<48)&c.mask]
+func (c *kreduceCache) slot(f uint32, k int32) *kreduceEntry {
+	return &c.entries[mix64(uint64(f)^uint64(k)<<48)&c.mask]
 }
 
-func (e *kreduceEntry) is(f uint64, k int32) bool { return e.f == f && e.k == k }
+func (e *kreduceEntry) is(f uint32, k int32) bool { return e.f == f && e.k == k }
 
 // --- fused-kernel cache (lossy, 2-way set-associative) ---
 //
@@ -236,8 +236,9 @@ func (e *kreduceEntry) is(f uint64, k int32) bool { return e.f == f && e.k == k 
 // empty slot.
 //
 // Unlike the other operation caches this one is 2-way: each set is a
-// pair of adjacent entries (2 × 40 B = 80 B, so a set spans two cache
-// lines and a probe of the secondary way may cost a second miss), the
+// pair of adjacent entries (2 × 24 B = 48 B, so half the sets span two
+// cache lines; padding entries to 32 B, a set to a line, made no
+// difference the benchmark could resolve and costs a third more bytes), the
 // primary way holds the most recently touched key, and an insert demotes
 // the primary into the secondary instead of evicting it outright. The
 // budgeted kernels revisit (operands, k) pairs across nearby k values, so
@@ -245,13 +246,13 @@ func (e *kreduceEntry) is(f uint64, k int32) bool { return e.f == f && e.k == k 
 // each other every recursion level.
 
 type fusedEntry struct {
-	a, b, c uint64
+	a, b, c uint32
 	k       int32
 	op      opcode
-	res     uint64
+	res     uint32
 }
 
-func (e *fusedEntry) is(op opcode, a, b, c uint64, k int32) bool {
+func (e *fusedEntry) is(op opcode, a, b, c uint32, k int32) bool {
 	return e.a == a && e.b == b && e.c == c && e.k == k && e.op == op
 }
 
@@ -261,8 +262,8 @@ type fusedCache struct{ table[fusedEntry] }
 // component goes through its own odd multiplier before the finalizer:
 // op and k used to ride in as bare shifted bits, which left ternary and
 // binary keys with identical operands one bit-flip apart.
-func (t *fusedCache) set(op opcode, a, b, c uint64, k int32) uint64 {
-	h := mix64(a*0x9e3779b97f4a7c15 ^ b*0xc2b2ae3d27d4eb4f ^ c*0x27d4eb2f165667c5 ^
+func (t *fusedCache) set(op opcode, a, b, c uint32, k int32) uint64 {
+	h := mix64(uint64(a)*0x9e3779b97f4a7c15 ^ uint64(b)*0xc2b2ae3d27d4eb4f ^ uint64(c)*0x27d4eb2f165667c5 ^
 		uint64(op)*0xd6e8feb86659fd93 ^ uint64(uint32(k))*0xca02d2af59b01d13)
 	return (h & t.mask) &^ 1
 }
@@ -270,7 +271,7 @@ func (t *fusedCache) set(op opcode, a, b, c uint64, k int32) uint64 {
 // get returns the cached result's id (0 on a miss) and the key's set, which
 // the kernel hands back to put once it has computed the result: a miss
 // hashes its key once.
-func (t *fusedCache) get(op opcode, a, b, c uint64, k int32) (res, set uint64) {
+func (t *fusedCache) get(op opcode, a, b, c uint32, k int32) (res uint32, set uint64) {
 	i := t.set(op, a, b, c, k)
 	if e := &t.entries[i]; e.is(op, a, b, c, k) {
 		return e.res, i
@@ -287,7 +288,7 @@ func (t *fusedCache) get(op opcode, a, b, c uint64, k int32) (res, set uint64) {
 
 // put stores the key as the primary way of set, the index get returned for
 // it, demoting the key it displaces.
-func (t *fusedCache) put(set uint64, op opcode, a, b, c uint64, k int32, res uint64) {
+func (t *fusedCache) put(set uint64, op opcode, a, b, c uint32, k int32, res uint32) {
 	if !t.entries[set].is(op, a, b, c, k) {
 		t.entries[set|1] = t.entries[set]
 	}
@@ -297,40 +298,40 @@ func (t *fusedCache) put(set uint64, op opcode, a, b, c uint64, k int32, res uin
 // --- unary caches (Not, Range; lossy, direct-mapped) ---
 
 type unaryEntry struct {
-	f   uint64
-	res uint64
+	f   uint32
+	res uint32
 }
 
 type unaryCache struct{ table[unaryEntry] }
 
-func (c *unaryCache) get(f uint64) uint64 {
-	if e := &c.entries[mix64(f)&c.mask]; e.f == f {
+func (c *unaryCache) get(f uint32) uint32 {
+	if e := &c.entries[mix64(uint64(f))&c.mask]; e.f == f {
 		return e.res
 	}
 	return 0
 }
 
-func (c *unaryCache) put(f, res uint64) {
-	c.entries[mix64(f)&c.mask] = unaryEntry{f, res}
+func (c *unaryCache) put(f, res uint32) {
+	c.entries[mix64(uint64(f))&c.mask] = unaryEntry{f, res}
 }
 
 type rangeEntry struct {
-	f      uint64
+	f      uint32
 	lo, hi float64
 }
 
 type rangeCache struct{ table[rangeEntry] }
 
-func (c *rangeCache) get(f uint64) (lo, hi float64, ok bool) {
-	e := &c.entries[mix64(f)&c.mask]
+func (c *rangeCache) get(f uint32) (lo, hi float64, ok bool) {
+	e := &c.entries[mix64(uint64(f))&c.mask]
 	if e.f == f {
 		return e.lo, e.hi, true
 	}
 	return 0, 0, false
 }
 
-func (c *rangeCache) put(f uint64, lo, hi float64) {
-	c.entries[mix64(f)&c.mask] = rangeEntry{f, lo, hi}
+func (c *rangeCache) put(f uint32, lo, hi float64) {
+	c.entries[mix64(uint64(f))&c.mask] = rangeEntry{f, lo, hi}
 }
 
 // newTables gives m its five computed tables; each size given is the one

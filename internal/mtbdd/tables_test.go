@@ -26,7 +26,7 @@ func setTableMode(mode int) (restore func()) {
 func sameSetKeys(t *testing.T, c *fusedCache) (fusedEntry, fusedEntry) {
 	t.Helper()
 	first := fusedEntry{a: 1, b: 2, c: 0, k: 1, op: opAdd}
-	for a := uint64(2); a < 1<<24; a++ {
+	for a := uint32(2); a < 1<<24; a++ {
 		if second := (fusedEntry{a: a, b: 2, c: 0, k: 1, op: opAdd}); c.setOf(second) == c.setOf(first) {
 			return first, second
 		}
@@ -35,12 +35,12 @@ func sameSetKeys(t *testing.T, c *fusedCache) (fusedEntry, fusedEntry) {
 	return fusedEntry{}, fusedEntry{}
 }
 
-func (t *fusedCache) putKey(e fusedEntry, res uint64) {
+func (t *fusedCache) putKey(e fusedEntry, res uint32) {
 	_, set := t.get(e.op, e.a, e.b, e.c, e.k)
 	t.put(set, e.op, e.a, e.b, e.c, e.k, res)
 }
 
-func (t *fusedCache) getKey(e fusedEntry) uint64 {
+func (t *fusedCache) getKey(e fusedEntry) uint32 {
 	res, _ := t.get(e.op, e.a, e.b, e.c, e.k)
 	return res
 }
@@ -129,10 +129,28 @@ func TestTableEntriesHoldNoPointers(t *testing.T) {
 		typ := reflect.TypeOf(e)
 		for i := 0; i < typ.NumField(); i++ {
 			switch f := typ.Field(i); f.Type.Kind() {
-			case reflect.Uint8, reflect.Int32, reflect.Uint64, reflect.Float64:
+			case reflect.Uint8, reflect.Int32, reflect.Uint32, reflect.Uint64, reflect.Float64:
 			default:
 				t.Errorf("%s.%s is a %s: entries must be pointer-free scalars", typ.Name(), f.Name, f.Type)
 			}
+		}
+	}
+}
+
+// TestTableEntrySizes pins the computed-table entries at their 32-bit-id
+// sizes, so an id widened again fails here rather than only in memory.
+func TestTableEntrySizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"applyEntry", unsafe.Sizeof(applyEntry{}), 16},
+		{"fusedEntry", unsafe.Sizeof(fusedEntry{}), 24},
+		{"kreduceEntry", unsafe.Sizeof(kreduceEntry{}), 12},
+		{"unaryEntry", unsafe.Sizeof(unaryEntry{}), 8},
+	} {
+		if c.got != c.want {
+			t.Errorf("a %s is %d bytes, want %d", c.name, c.got, c.want)
 		}
 	}
 }
@@ -211,7 +229,7 @@ func TestCachedIDsNeverNameAReleasedSlab(t *testing.T) {
 	if released == 0 {
 		t.Fatal("the GC released no slab: the test builds too little garbage")
 	}
-	live := func(where string, id uint64) {
+	live := func(where string, id uint32) {
 		t.Helper()
 		if id != 0 && m.slabs[(id-1)>>slabBits] == nil {
 			t.Fatalf("%s holds id %d of a released slab", where, id)
@@ -324,8 +342,8 @@ func TestTerminalTable(t *testing.T) {
 // entries by their stored hash — and re-derives every survivor through mk,
 // which must find the very node.
 func TestUniqueTableRehashKeepsEveryNode(t *testing.T) {
-	if e, nd := unsafe.Sizeof(uniqueEntry{}), unsafe.Sizeof(Node{}); e != 16 || nd != 40 {
-		t.Fatalf("a unique-table entry is %d bytes and a node %d, want 16 and 40", e, nd)
+	if e, nd := unsafe.Sizeof(uniqueEntry{}), unsafe.Sizeof(Node{}); e != 8 || nd != 32 {
+		t.Fatalf("a unique-table entry is %d bytes and a node %d, want 8 and 32", e, nd)
 	}
 	const n = 16
 	m := newMgr(t, n)
