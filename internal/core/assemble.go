@@ -4,7 +4,8 @@
 // A finished STF leaves the manager that built it in one form only: a
 // SealedSTFs list — one mtbdd.Snapshot of every node of the list and, per
 // STF, the positions of its roots. A compose domain seals the classes it
-// contained, and the daemon's store each STF it keeps. Unsealing replays the snapshot into the destination manager, where
+// contained, and the daemon's store the classes each build executed.
+// Unsealing replays the snapshot into the destination manager, where
 // hash-consing restores canonical node identity: an unsealed STF and a
 // natively executed STF of the same function are the same *Node, so
 // aggregation, scans and reports cannot tell where a class ran.
@@ -65,24 +66,44 @@ func SealSTFs(stfs []*FlowSTF) *SealedSTFs {
 // interrupt like any node-building operation — and returns its STFs there,
 // STF i as flows[i]'s.
 func (l *SealedSTFs) Unseal(m *mtbdd.Manager, flows []topo.Flow) []*FlowSTF {
-	table := m.ImportSnapshot(l.Snap)
+	r := l.Replay(m)
 	out := make([]*FlowSTF, len(l.STFs))
-	for i, s := range l.STFs {
-		stf := &FlowSTF{
-			Flow:       flows[i],
-			Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(s.Links)),
-			Delivered:  table[s.Roots[0]],
-			Dropped:    table[s.Roots[1]],
-			InFlight:   table[s.Roots[2]],
-			Iterations: s.Iterations,
-			shared:     s.shared,
-		}
-		for j, dl := range s.Links {
-			stf.Links[dl] = table[s.Roots[3+j]]
-		}
-		out[i] = stf
+	for i := range out {
+		out[i] = r.STF(i, flows[i])
 	}
 	return out
+}
+
+// Replayed is a sealed list replayed into one manager: the node there of
+// every snapshot position. Its nodes are nobody's roots, so it is valid only
+// until that manager next collects.
+type Replayed struct {
+	l     *SealedSTFs
+	table []*mtbdd.Node
+}
+
+// Replay replays the list into m, once, for any number of its STFs to be
+// read off (STF).
+func (l *SealedSTFs) Replay(m *mtbdd.Manager) *Replayed {
+	return &Replayed{l: l, table: m.ImportSnapshot(l.Snap)}
+}
+
+// STF returns the list's STF i, replayed, as flow's.
+func (r *Replayed) STF(i int, flow topo.Flow) *FlowSTF {
+	s := &r.l.STFs[i]
+	stf := &FlowSTF{
+		Flow:       flow,
+		Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(s.Links)),
+		Delivered:  r.table[s.Roots[0]],
+		Dropped:    r.table[s.Roots[1]],
+		InFlight:   r.table[s.Roots[2]],
+		Iterations: s.Iterations,
+		shared:     s.shared,
+	}
+	for j, dl := range s.Links {
+		stf.Links[dl] = r.table[s.Roots[3+j]]
+	}
+	return stf
 }
 
 // NewAssembledVerifier builds a Verifier from pre-executed class STFs.

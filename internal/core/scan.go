@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -92,14 +93,7 @@ func (v *Verifier) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClas
 // flow order (a class pfx covers whole thus contributes its representative's
 // summed volume, bit for bit), and a class with no member inside none.
 func (v *Verifier) deliveredClasses(pfx netip.Prefix, stat *LinkCheckStat) []scanClass {
-	vols := make([]float64, len(v.stfs))
-	inside := make([]bool, len(v.stfs))
-	for fi, f := range v.flows {
-		if ci := v.classOf[fi]; ci < len(v.stfs) && pfx.Contains(f.Dst) {
-			vols[ci] += f.Gbps
-			inside[ci] = true
-		}
-	}
+	vols, inside := v.deliveredVolumes(pfx)
 	g := newGrouper(true)
 	for ci, s := range v.stfs {
 		if inside[ci] {
@@ -109,6 +103,20 @@ func (v *Verifier) deliveredClasses(pfx netip.Prefix, stat *LinkCheckStat) []sca
 	}
 	stat.Classes += len(g.classes)
 	return g.classes
+}
+
+// deliveredVolumes is, per class, the volume of its member flows inside pfx,
+// added in flow order, and whether it has a member there.
+func (v *Verifier) deliveredVolumes(pfx netip.Prefix) (vols []float64, inside []bool) {
+	vols = make([]float64, len(v.stfs))
+	inside = make([]bool, len(v.stfs))
+	for fi, f := range v.flows {
+		if ci := v.classOf[fi]; ci < len(v.stfs) && pfx.Contains(f.Dst) {
+			vols[ci] += f.Gbps
+			inside[ci] = true
+		}
+	}
+	return vols, inside
 }
 
 // splitClasses lays classes out as the n-ary kernels' parallel operand
@@ -334,15 +342,47 @@ type PlanResult struct {
 // order. The first fatal error (cancellation, a breach the retry did not
 // relieve, a contained panic, the one that cut execution short) stops the
 // loop and is returned with the slots filled so far.
+//
+// With a CheckCarrier, a keyed plan whose inputs an earlier complete run
+// checked takes that run's result (its Elapsed zero: it took no time here)
+// instead of running, and a Check that completes hands its keyed results on.
 func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 	out := make([]PlanResult, len(plans))
 	if v.err != nil {
 		return out, v.err
 	}
-	for i := range plans {
-		if err := v.checkPlan(plans[i], &out[i]); err != nil {
+	carrier, _ := v.e.opts.STFCache.(CheckCarrier)
+	if v.classKeys == nil {
+		carrier = nil
+	}
+	var base routesim.Fingerprint
+	if carrier != nil {
+		base = v.checkBase()
+	}
+	keep := make(map[routesim.Fingerprint]PlanResult)
+	carried := 0
+	for i, p := range plans {
+		key, keyed := base, false
+		if carrier != nil {
+			key, keyed = v.planKey(base, p)
+		}
+		if keyed {
+			if r, ok := carrier.CarriedCheck(key); ok {
+				r.Stat.Elapsed = 0
+				out[i], keep[key] = r, r
+				carried++
+				continue
+			}
+		}
+		if err := v.checkPlan(p, &out[i]); err != nil {
 			return out, err
 		}
+		if keyed {
+			keep[key] = out[i]
+		}
+	}
+	if carrier != nil {
+		carrier.CarryChecks(keep, carried, len(plans)-carried)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"sort"
 	"strings"
@@ -203,6 +204,10 @@ type Verifier struct {
 	linkIdx [][]linkRef
 	// sched summarizes the execution phase's scheduling (see SchedStats).
 	sched SchedStats
+	// classKeys, parallel to stfs, are the classes' keys for carried checks:
+	// the cache's identity of the class and its summed volume. nil unless the
+	// STF cache is a CheckCarrier that saw every class.
+	classKeys []routesim.Fingerprint
 }
 
 // Err returns the fatal error recorded during flow execution, if any.
@@ -249,6 +254,13 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 	e := v.e
 	cache := e.opts.STFCache
+	carrier, _ := cache.(CheckCarrier)
+	var keys []routesim.Fingerprint
+	if len(sealed) > 0 {
+		carrier = nil // an unsealed class has no key
+	} else if carrier != nil {
+		keys = make([]routesim.Fingerprint, 0, len(v.classes))
+	}
 	stfs := make([]*FlowSTF, len(v.classes))
 	for j, l := range sealed {
 		if l == nil {
@@ -300,9 +312,17 @@ func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 			}
 			e.count.class(s)
 		}
+		if carrier != nil {
+			k := carrier.ClassKey(e, rep)
+			k.U64(math.Float64bits(rep.Gbps))
+			keys = append(keys, k)
+		}
 		stfs[n] = s
 	}
 	v.stfs = stfs[:n]
+	if carrier != nil {
+		v.classKeys = keys
+	}
 	v.execCount = n
 	v.linkIdx = indexLinks(v.stfs, 2*e.net.NumLinks())
 }

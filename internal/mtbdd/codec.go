@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/yu-verify/yu/internal/fault"
 )
@@ -38,6 +39,9 @@ var snapshotMagic = [8]byte{'Y', 'U', 'S', 'N', 'A', 'P', '1', '\n'}
 // demand absurd allocations.
 const maxSnapshotNodes = 1 << 28
 
+// snapEntryBytes is one entry's size on disk.
+const snapEntryBytes = 20
+
 // Encode writes the snapshot in the binary on-disk format.
 func (s *Snapshot) Encode(w io.Writer) error {
 	if err := fault.Here("mtbdd.snapshot.encode"); err != nil {
@@ -54,7 +58,7 @@ func (s *Snapshot) Encode(w io.Writer) error {
 		return err
 	}
 	sum := crc32.ChecksumIEEE(hdr[:])
-	var ent [20]byte
+	var ent [snapEntryBytes]byte
 	for _, e := range s.ents {
 		// The format records a terminal's value with no children, and an
 		// internal node's children with value 0.
@@ -87,7 +91,12 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := fault.Here("mtbdd.snapshot.decode"); err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(r)
+	// A reader that already buffers (the daemon's bytes.Reader of one CRC
+	// frame) is read directly.
+	br := r
+	if _, ok := r.(io.ByteReader); !ok {
+		br = bufio.NewReader(r)
+	}
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("mtbdd: snapshot header: %w", err)
@@ -108,8 +117,14 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if maxLevel < -1 || maxLevel == terminalLevel {
 		return nil, fmt.Errorf("mtbdd: snapshot maxLevel %d out of range", maxLevel)
 	}
-	s := &Snapshot{ents: make([]snapEntry, 0, count), maxLevel: -1}
-	var ent [20]byte
+	// Room for the entries the input can still hold, not for the count its
+	// header claims: append grows the rest as they arrive.
+	room := min(int(count), 1<<10)
+	if held, ok := r.(interface{ Len() int }); ok {
+		room = min(int(count), held.Len()/snapEntryBytes)
+	}
+	s := &Snapshot{ents: make([]snapEntry, 0, room), maxLevel: -1}
+	var ent [snapEntryBytes]byte
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, ent[:]); err != nil {
 			return nil, fmt.Errorf("mtbdd: snapshot truncated at node %d/%d: %w", i, count, err)
@@ -160,6 +175,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if got := binary.LittleEndian.Uint32(tail[:]); got != sum {
 		return nil, fmt.Errorf("mtbdd: snapshot checksum mismatch (frame %08x, computed %08x)", got, sum)
+	}
+	if cap(s.ents) > len(s.ents) {
+		s.ents = slices.Clone(s.ents)
 	}
 	// A trailing byte means the stream holds more than one snapshot frame
 	// or is corrupt; the caller owns framing, so stop exactly at the end

@@ -3,8 +3,12 @@ package mtbdd
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // TestSnapshotCodecRoundTrip pins the warm-state contract: encoding a
@@ -221,5 +225,37 @@ func TestSnapshotEncodingUnchanged(t *testing.T) {
 	const want = "f373d97570aecff7005946bc3ad173acd1211420387c9e62f09d4eb7d08149fc" // recorded at 8005914
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("encoding of %d nodes has sha256 %s, want %s", snap.Len(), got, want)
+	}
+}
+
+// TestDecodeAllocatesForPresentBytes: a header claiming the most nodes the
+// format allows, followed by no entries, is an error that allocated for the
+// bytes present, not for the count claimed — from a reader whose length is
+// known and from one whose length is not.
+func TestDecodeAllocatesForPresentBytes(t *testing.T) {
+	var frame bytes.Buffer
+	frame.Write(snapshotMagic[:])
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], maxSnapshotNodes)
+	binary.LittleEndian.PutUint32(hdr[4:8], 3)
+	frame.Write(hdr[:])
+	for _, r := range []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(frame.Bytes()) }},
+		{"plain reader", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(frame.Bytes())) }},
+	} {
+		in := r.r()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeSnapshot(in)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a frame with no entries decoded", r.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("%s: decoding an empty body allocated %d bytes", r.name, n)
+		}
 	}
 }

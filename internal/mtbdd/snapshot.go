@@ -94,6 +94,65 @@ func NewSnapshot(roots []*Node) (s *Snapshot, at []uint32) {
 // Len returns the number of distinct nodes encoded.
 func (s *Snapshot) Len() int { return len(s.ents) }
 
+// Sub is the snapshot of what the given positions reach, in the order
+// NewSnapshot gives the nodes they stand for — so a sub-snapshot of one
+// sealed STF is byte for byte the snapshot sealing it alone makes — with each
+// position's place in it.
+func (s *Snapshot) Sub(roots []uint32) (sub *Snapshot, at []uint32) {
+	sub = &Snapshot{maxLevel: -1}
+	index := make(map[uint32]uint32, len(roots))
+	var visit func(i uint32) uint32
+	visit = func(i uint32) uint32 {
+		if j, ok := index[i]; ok {
+			return j
+		}
+		e := s.ents[i]
+		if e.level != terminalLevel {
+			e.lo = visit(e.lo)
+			e.hi = visit(e.hi)
+			sub.maxLevel = max(sub.maxLevel, e.level)
+		}
+		j := uint32(len(sub.ents))
+		index[i] = j
+		sub.ents = append(sub.ents, e)
+		return j
+	}
+	at = make([]uint32, len(roots))
+	for i, r := range roots {
+		at[i] = visit(r)
+	}
+	if cap(sub.ents) > len(sub.ents) {
+		sub.ents = slices.Clone(sub.ents)
+	}
+	return sub, at
+}
+
+// Sizes returns, per group of positions, how many entries the group reaches:
+// the length of its Sub, for all groups in one pass of marks.
+func (s *Snapshot) Sizes(groups [][]uint32) []int {
+	mark := make([]uint32, len(s.ents))
+	out := make([]int, len(groups))
+	var g int
+	var visit func(i uint32)
+	visit = func(i uint32) {
+		if mark[i] == uint32(g+1) {
+			return
+		}
+		mark[i] = uint32(g + 1)
+		out[g]++
+		if e := s.ents[i]; e.level != terminalLevel {
+			visit(e.lo)
+			visit(e.hi)
+		}
+	}
+	for g = range groups {
+		for _, r := range groups[g] {
+			visit(r)
+		}
+	}
+	return out
+}
+
 // ImportSnapshot replays a snapshot into m and returns the translation
 // table: table[i] is the canonical local node for snapshot entry i, so root
 // i of NewSnapshot maps to table[at[i]]. The replay is one linear pass — no

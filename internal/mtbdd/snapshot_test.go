@@ -1,6 +1,8 @@
 package mtbdd
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -193,6 +195,42 @@ func TestSealedSnapshotReleasesSource(t *testing.T) {
 	for ri, i := range at {
 		if got := h.Hash(table[i]); got != hashes[ri] {
 			t.Errorf("root %d: replayed hash %#x, source hash %#x", ri, got, hashes[ri])
+		}
+	}
+}
+
+// TestSnapshotSubIsTheSnapshotOfItsRoots: the sub-snapshot of any set of
+// positions is, entry for entry, the snapshot NewSnapshot makes of the nodes
+// they stand for — so a stored list re-derives each member's own frame byte
+// for byte — and Sizes counts exactly its entries.
+func TestSnapshotSubIsTheSnapshotOfItsRoots(t *testing.T) {
+	_, roots := buildSnapshotFixtures(t)
+	whole, at := NewSnapshot(roots)
+	var groups [][]uint32
+	for _, pick := range [][]int{{0}, {4}, {3, 1}, {4, 0, 4}, {6, 5, 7}, {}, {0, 1, 2, 3, 4, 5, 6, 7}} {
+		var nodes []*Node
+		var pos []uint32
+		for _, i := range pick {
+			nodes = append(nodes, roots[i])
+			pos = append(pos, at[i])
+		}
+		want, wantAt := NewSnapshot(nodes)
+		got, gotAt := whole.Sub(pos)
+		var wb, gb bytes.Buffer
+		if err := want.Encode(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Encode(&gb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wb.Bytes(), gb.Bytes()) || fmt.Sprint(wantAt) != fmt.Sprint(gotAt) {
+			t.Fatalf("roots %v: Sub encodes %d bytes at %v, NewSnapshot %d bytes at %v", pick, gb.Len(), gotAt, wb.Len(), wantAt)
+		}
+		groups = append(groups, pos)
+	}
+	for g, n := range whole.Sizes(groups) {
+		if sub, _ := whole.Sub(groups[g]); n != sub.Len() {
+			t.Fatalf("group %d: Sizes says %d entries, its Sub holds %d", g, n, sub.Len())
 		}
 	}
 }

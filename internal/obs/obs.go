@@ -312,4 +312,7 @@ var ServeCounterNames = []string{
 	"serve.igp_carried",             // builds that replayed the IS-IS result an earlier build on the same topology sealed
 	"serve.bgp_prefixes_carried",    // BGP prefixes replayed from the result an earlier build sealed, summed over builds
 	"serve.bgp_prefixes_recomputed", // BGP prefixes a build recomputed (its inputs moved, or nothing was carried), summed over builds
+	"serve.replayed_entries",        // snapshot entries replayed from the warm store: each stored list a build hits, once
+	"serve.checks_carried",          // link checks a build took from the latest complete build: none of their inputs moved
+	"serve.checks_run",              // checks a build ran (inputs moved, or a kind that is not carried), summed over builds
 }

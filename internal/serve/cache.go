@@ -4,7 +4,9 @@
 package serve
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sync"
 
 	"github.com/yu-verify/yu/internal/core"
@@ -18,9 +20,17 @@ import (
 // complete execution input surface (runCache.classKey).
 type cacheKey = routesim.Fingerprint
 
-// stfStore is the shared warm cache: one class execution per entry, sealed
-// (a one-STF core.SealedSTFs). It outlives versions and reloads;
-// content-hash keys make stale entries unreachable rather than wrong.
+// stfStore is the shared warm cache: one class execution per entry. It
+// outlives versions and reloads; content-hash keys make stale entries
+// unreachable rather than wrong.
+//
+// The classes one build executed are sealed together, as one
+// core.SealedSTFs list, when the build ends (runCache.seal), and each of
+// their entries names its STF in that list: a later build replays each list
+// it hits once, not one small snapshot per class, and nodes the classes share
+// are stored once. A list is never larger than the snapshots its entries
+// would hold one by one (held): when dropped entries would make it so, its
+// survivors are sealed again on their own (settle).
 //
 // Entries live in two generations, the current one of at most half the
 // limit. A stored entry and a hit go to the current generation; when it is
@@ -31,10 +41,24 @@ type cacheKey = routesim.Fingerprint
 // inside it, and a hit on the previous generation promotes the entry back.
 type stfStore struct {
 	mu        sync.Mutex
-	cur, prev map[cacheKey]*core.SealedSTFs
+	cur, prev map[cacheKey]warmEntry
 	// half bounds the current generation, limit-half the previous one.
 	half, limit int
 	evictions   *obs.Counter
+	// held is, per list some entry names, the summed sizes of those entries:
+	// what the per-class layout would store for them. It is never below the
+	// list's own length.
+	held map[*core.SealedSTFs]int
+	// touched lists lost an entry since the last settle.
+	touched []*core.SealedSTFs
+}
+
+// warmEntry is one stored class: STF i of list l, whose roots reach size of
+// l's snapshot entries — the length of the snapshot sealing it alone.
+type warmEntry struct {
+	l    *core.SealedSTFs
+	i    int
+	size int
 }
 
 func newSTFStore(limit int, evictions *obs.Counter) *stfStore {
@@ -47,58 +71,157 @@ func newSTFStore(limit int, evictions *obs.Counter) *stfStore {
 // previous generation, the rest the current one; what fits in neither is
 // left out.
 func (st *stfStore) reset(entries []storeEntry) {
-	st.cur = make(map[cacheKey]*core.SealedSTFs)
-	st.prev = make(map[cacheKey]*core.SealedSTFs)
+	st.cur = make(map[cacheKey]warmEntry)
+	st.prev = make(map[cacheKey]warmEntry)
+	st.held = make(map[*core.SealedSTFs]int)
 	for _, e := range entries {
 		_, inPrev := st.prev[e.k]
 		_, inCur := st.cur[e.k]
 		switch {
 		case inPrev || inCur: // a repeated key keeps its first entry
+			continue
 		case len(st.prev) < st.limit-st.half:
 			st.prev[e.k] = e.e
 		case len(st.cur) < st.half:
 			st.cur[e.k] = e.e
+		default:
+			continue
 		}
+		st.held[e.e.l] += e.e.size
 	}
 }
 
 type storeEntry struct {
 	k cacheKey
-	e *core.SealedSTFs
+	e warmEntry
 }
 
-func (st *stfStore) get(k cacheKey) *core.SealedSTFs {
+func (st *stfStore) get(k cacheKey) (warmEntry, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, ok := st.cur[k]; ok {
-		return e
+		return e, true
 	}
 	e, ok := st.prev[k]
 	if ok {
-		st.add(k, e)
+		delete(st.prev, k)
+		st.insert(k, e)
+		st.settle()
 	}
-	return e
+	return e, ok
 }
 
-func (st *stfStore) put(k cacheKey, e *core.SealedSTFs) {
+// putList stores STF i of l under keys[i], for every i.
+func (st *stfStore) putList(keys []cacheKey, l *core.SealedSTFs) {
+	roots := make([][]uint32, len(l.STFs))
+	for i, s := range l.STFs {
+		roots[i] = s.Roots
+	}
+	sizes := l.Snap.Sizes(roots)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.add(k, e)
+	for i, k := range keys {
+		for _, gen := range []map[cacheKey]warmEntry{st.cur, st.prev} {
+			if old, ok := gen[k]; ok {
+				delete(gen, k)
+				st.release(old)
+			}
+		}
+		st.insert(k, warmEntry{l: l, i: i, size: sizes[i]})
+		st.held[l] += sizes[i]
+	}
+	st.settle()
 }
 
-// add places an entry in the current generation, rotating first if it is
-// full. Callers hold mu.
-func (st *stfStore) add(k cacheKey, e *core.SealedSTFs) {
-	delete(st.prev, k)
-	if _, ok := st.cur[k]; !ok && len(st.cur) >= st.half {
-		st.prev = st.cur
+// insert places an entry whose key is in neither generation in the current
+// one, rotating first if it is full. Callers hold mu and settle afterwards.
+func (st *stfStore) insert(k cacheKey, e warmEntry) {
+	if len(st.cur) >= st.half {
+		dropped := st.prev
+		st.prev, st.cur = st.cur, make(map[cacheKey]warmEntry)
 		if len(st.prev) > st.limit-st.half {
-			st.prev = make(map[cacheKey]*core.SealedSTFs)
+			for _, old := range st.prev {
+				st.release(old)
+			}
+			st.prev = make(map[cacheKey]warmEntry)
 		}
-		st.cur = make(map[cacheKey]*core.SealedSTFs)
+		for _, old := range dropped {
+			st.release(old)
+		}
 		st.evictions.Inc()
 	}
 	st.cur[k] = e
+}
+
+// release accounts for an entry leaving the store.
+func (st *stfStore) release(e warmEntry) {
+	st.held[e.l] -= e.size
+	st.touched = append(st.touched, e.l)
+}
+
+// settle forgets the touched lists no entry names any more, and seals the
+// survivors of each list its dropped entries have left larger than their
+// own snapshots would be, on their own: a list of the survivors, in list
+// order, holding only the entries they reach (subset).
+func (st *stfStore) settle() {
+	type ref struct {
+		gen map[cacheKey]warmEntry
+		k   cacheKey
+	}
+	over := make(map[*core.SealedSTFs][]ref)
+	for _, l := range st.touched {
+		switch h, ok := st.held[l]; {
+		case !ok:
+		case h == 0:
+			delete(st.held, l)
+		case h < l.Snap.Len():
+			over[l] = nil
+		}
+	}
+	st.touched = st.touched[:0]
+	if len(over) == 0 {
+		return
+	}
+	for _, gen := range []map[cacheKey]warmEntry{st.cur, st.prev} {
+		for k, e := range gen {
+			if refs, ok := over[e.l]; ok {
+				over[e.l] = append(refs, ref{gen, k})
+			}
+		}
+	}
+	for l, refs := range over {
+		slices.SortFunc(refs, func(x, y ref) int { return cmp.Compare(x.gen[x.k].i, y.gen[y.k].i) })
+		idx := make([]int, len(refs))
+		for j, r := range refs {
+			idx[j] = r.gen[r.k].i
+		}
+		nl := subset(l, idx)
+		for j, r := range refs {
+			r.gen[r.k] = warmEntry{l: nl, i: j, size: r.gen[r.k].size}
+		}
+		st.held[nl] = st.held[l]
+		delete(st.held, l)
+	}
+}
+
+// subset is the list of l's STFs idx, in that order, holding only the
+// snapshot entries they reach: subset(l, []int{i}) is the list sealing STF i
+// alone makes, entry for entry (mtbdd.Snapshot.Sub).
+func subset(l *core.SealedSTFs, idx []int) *core.SealedSTFs {
+	var roots []uint32
+	for _, i := range idx {
+		roots = append(roots, l.STFs[i].Roots...)
+	}
+	out := &core.SealedSTFs{STFs: make([]core.SealedSTF, len(idx))}
+	var at []uint32
+	out.Snap, at = l.Snap.Sub(roots)
+	for j, i := range idx {
+		s := l.STFs[i]
+		n := len(s.Roots)
+		s.Roots, at = at[:n:n], at[n:]
+		out.STFs[j] = s
+	}
+	return out
 }
 
 func (st *stfStore) len() int {
@@ -107,12 +230,12 @@ func (st *stfStore) len() int {
 	return len(st.cur) + len(st.prev)
 }
 
-// runCache adapts the shared store to core.STFCache for one verification
-// run, and the server's carried IS-IS and BGP results to routesim.Carrier. It
-// memoizes the run-global fingerprint (topology, failure model, SR), each
-// matched prefix's fingerprint and the guard hasher, so a class key costs a
-// handful of words and a run hashes each prefix's RIB rows once, however
-// many classes match it.
+// runCache adapts the shared store to core.STFCache and core.CheckCarrier
+// for one verification run, and the server's carried IS-IS and BGP results
+// to routesim.Carrier. It memoizes the run-global fingerprint (topology,
+// failure model, SR), each matched prefix's fingerprint and the guard
+// hasher, so a class key costs a handful of words and a run hashes each
+// prefix's RIB rows once, however many classes match it.
 type runCache struct {
 	srv    *Server
 	hasher *mtbdd.Hasher
@@ -122,9 +245,21 @@ type runCache struct {
 	prefixes    map[netip.Prefix]cacheKey
 
 	// lastRep/lastKey carry the key Lookup derived for the class it was last
-	// asked about to the Store that follows a miss and its execution.
+	// asked about to the Store that follows a miss and its execution, and to
+	// ClassKey.
 	lastRep topo.Flow
 	lastKey cacheKey
+
+	// stored are the classes this build executed, with their keys: seal
+	// stores them as one list when the build ends.
+	stored    []*core.FlowSTF
+	storedKey []cacheKey
+
+	// replays are the lists this build replayed, each once; replayGC is the
+	// manager's collection count they were replayed at, a later collection
+	// voids them.
+	replays  map[*core.SealedSTFs]*core.Replayed
+	replayGC uint64
 
 	hits, misses int64
 }
@@ -229,15 +364,15 @@ func (rc *runCache) CarryBGP(b *routesim.BGPBase, carried, recomputed int) {
 	s.reg.Counter("serve.bgp_prefixes_recomputed").Add(int64(recomputed))
 }
 
-// Lookup implements core.STFCache: unseal the class STF from the warm entry
+// Lookup implements core.STFCache: read the class STF off its list, replayed
 // into e's manager. Defensive shape checks keep a stale or corrupt persisted
 // entry from being materialized.
 func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) {
 	key := rc.classKey(e, rep)
 	rc.lastRep, rc.lastKey = rep, key
-	ent := rc.srv.store.get(key)
+	ent, ok := rc.srv.store.get(key)
 	reg := rc.srv.reg
-	if ent == nil {
+	if !ok {
 		rc.misses++
 		reg.Counter("serve.class_cache_misses").Inc()
 		if rc.srv.everRan.Load() {
@@ -246,8 +381,8 @@ func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) 
 		return nil, false
 	}
 	maxDir := 2 * e.Net().NumLinks()
-	fits := int(ent.Snap.MaxLevel()) < e.Manager().NumVars()
-	for _, l := range ent.STFs[0].Links {
+	fits := int(ent.l.Snap.MaxLevel()) < e.Manager().NumVars()
+	for _, l := range ent.l.STFs[ent.i].Links {
 		fits = fits && int(l) >= 0 && int(l) < maxDir
 	}
 	if !fits {
@@ -255,19 +390,71 @@ func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) 
 		reg.Counter("serve.class_cache_misses").Inc()
 		return nil, false
 	}
-	stf := ent.Unseal(e.Manager(), []topo.Flow{rep})[0]
+	stf := rc.replay(e.Manager(), ent.l).STF(ent.i, rep)
 	rc.hits++
 	reg.Counter("serve.class_cache_hits").Inc()
 	return stf, true
 }
 
-// Store implements core.STFCache: seal a freshly executed class STF into the
-// shared store, under the key the Lookup that missed on it derived. The
-// entry holds no node, so it never keeps this run's manager alive.
-func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
-	key := rc.lastKey
-	if rep != rc.lastRep {
-		key = rc.classKey(e, rep)
+// replay is l replayed into m: the build's earlier replay of it, unless m has
+// collected since.
+func (rc *runCache) replay(m *mtbdd.Manager, l *core.SealedSTFs) *core.Replayed {
+	if rc.replays == nil || rc.replayGC != m.GCRuns() {
+		rc.replays, rc.replayGC = make(map[*core.SealedSTFs]*core.Replayed), m.GCRuns()
 	}
-	rc.srv.store.put(key, core.SealSTFs([]*core.FlowSTF{stf}))
+	r, ok := rc.replays[l]
+	if !ok {
+		r = l.Replay(m)
+		rc.replays[l] = r
+		rc.srv.reg.Counter("serve.replayed_entries").Add(int64(l.Snap.Len()))
+	}
+	return r
+}
+
+// Store implements core.STFCache: keep a freshly executed class STF, under
+// the key the Lookup that missed on it derived, for seal.
+func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
+	rc.stored = append(rc.stored, stf)
+	rc.storedKey = append(rc.storedKey, rc.ClassKey(e, rep))
+}
+
+// seal ends the build's use of the store: the classes it executed go in as
+// one sealed list, and its replays are dropped. The list holds no node, so
+// it never keeps this run's manager alive. Call it once the build is done
+// and before anything can collect its manager — its verifier roots every
+// stored STF until then.
+func (rc *runCache) seal() {
+	if len(rc.stored) > 0 {
+		rc.srv.store.putList(rc.storedKey, core.SealSTFs(rc.stored))
+	}
+	rc.stored, rc.storedKey, rc.replays = nil, nil, nil
+}
+
+// ClassKey implements core.CheckCarrier: the key Lookup derived for rep.
+func (rc *runCache) ClassKey(e *core.Engine, rep topo.Flow) routesim.Fingerprint {
+	if rep == rc.lastRep {
+		return rc.lastKey
+	}
+	return rc.classKey(e, rep)
+}
+
+// CarriedCheck implements core.CheckCarrier: the result the latest complete
+// build recorded under key.
+func (rc *runCache) CarriedCheck(key routesim.Fingerprint) (core.PlanResult, bool) {
+	s := rc.srv
+	s.carryMu.Lock()
+	defer s.carryMu.Unlock()
+	r, ok := s.checks[key]
+	return r, ok
+}
+
+// CarryChecks implements core.CheckCarrier: a complete build's results
+// replace the server's carried ones.
+func (rc *runCache) CarryChecks(results map[routesim.Fingerprint]core.PlanResult, carried, run int) {
+	s := rc.srv
+	s.carryMu.Lock()
+	s.checks = results
+	s.carryMu.Unlock()
+	s.reg.Counter("serve.checks_carried").Add(int64(carried))
+	s.reg.Counter("serve.checks_run").Add(int64(run))
 }

@@ -26,8 +26,9 @@ import (
 // TestEnduranceMixedDeltasAndReaders: 200 generated deltas applied one at a
 // time while four /v1/tlp readers and two /v1/report readers hammer the
 // daemon. Every response cites exactly one version and equals a cold run of
-// that version's /v1/spec text; the warm store never outgrows CacheLimit; no
-// version is built twice; and no goroutine outlives the last response.
+// that version's /v1/spec text; the warm store never outgrows CacheLimit, and
+// its lists never hold more snapshot entries than its entries would one by
+// one; no version is built twice; and no goroutine outlives the last response.
 func TestEnduranceMixedDeltasAndReaders(t *testing.T) {
 	deltas := 200
 	if testing.Short() {
@@ -131,6 +132,9 @@ func TestEnduranceMixedDeltasAndReaders(t *testing.T) {
 				mu.Unlock()
 				if n := s.StoreLen(); n > in.cacheLimit {
 					t.Fatalf("after delta %d the warm store holds %d entries, CacheLimit %d", i, n, in.cacheLimit)
+				}
+				if lists, perClass := s.StoreLayout(); lists > perClass {
+					t.Fatalf("after delta %d the warm store's lists hold %d snapshot entries, its entries alone %d", i, lists, perClass)
 				}
 				if i%8 == 7 {
 					time.Sleep(2 * time.Millisecond) // let the readers verify some versions, skip others

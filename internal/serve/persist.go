@@ -128,7 +128,9 @@ func (s *Server) loadState() {
 // encode writes the store: magic, entry count, then one CRC-framed block
 // per entry (u32 length | payload | u32 crc32), the payload holding the
 // key, STF shape, and the embedded MTBDD snapshot frame. Keys are
-// written in sorted order so equal stores serialize identically.
+// written in sorted order so equal stores serialize identically. An entry's
+// snapshot is re-derived from its list (subset): the one
+// sealing its STF alone, entry for entry, as the frame has always held.
 func (st *stfStore) encode(w io.Writer) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -136,7 +138,7 @@ func (st *stfStore) encode(w io.Writer) error {
 		return err
 	}
 	keys := make([]cacheKey, 0, len(st.cur)+len(st.prev))
-	for _, gen := range []map[cacheKey]*core.SealedSTFs{st.prev, st.cur} {
+	for _, gen := range []map[cacheKey]warmEntry{st.prev, st.cur} {
 		for k := range gen {
 			keys = append(keys, k)
 		}
@@ -154,7 +156,7 @@ func (st *stfStore) encode(w io.Writer) error {
 		if !ok {
 			e = st.prev[k]
 		}
-		if err := encodeEntry(&buf, k, e); err != nil {
+		if err := encodeEntry(&buf, k, subset(e.l, []int{e.i})); err != nil {
 			return err
 		}
 		if err := binary.Write(w, binary.LittleEndian, uint32(buf.Len())); err != nil {
@@ -211,7 +213,7 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 	if count > maxWarmEntries {
 		return fmt.Errorf("entry count %d exceeds limit", count)
 	}
-	entries := make([]storeEntry, 0, min(int(count), limit))
+	var entries []storeEntry
 	for i := uint32(0); i < count; i++ {
 		var flen uint32
 		if err := binary.Read(r, binary.LittleEndian, &flen); err != nil {
@@ -220,8 +222,8 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 		if flen > maxWarmFrame {
 			return fmt.Errorf("entry %d: frame length %d exceeds limit", i, flen)
 		}
-		payload := make([]byte, flen)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload, err := readFrame(r, int(flen))
+		if err != nil {
 			return fmt.Errorf("entry %d frame: %w", i, err)
 		}
 		var sum uint32
@@ -231,12 +233,14 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 		if got := crc32.ChecksumIEEE(payload); got != sum {
 			return fmt.Errorf("entry %d: checksum mismatch (frame %08x, computed %08x)", i, sum, got)
 		}
-		k, e, err := decodeEntry(bytes.NewReader(payload))
+		k, l, err := decodeEntry(bytes.NewReader(payload))
 		if err != nil {
 			return fmt.Errorf("entry %d: %w", i, err)
 		}
 		if len(entries) < limit {
-			entries = append(entries, storeEntry{k, e})
+			// Only what the STF reaches: a frame may carry entries it does not.
+			l = subset(l, []int{0})
+			entries = append(entries, storeEntry{k, warmEntry{l: l, size: l.Snap.Len()}})
 		}
 	}
 	st.mu.Lock()
@@ -245,7 +249,25 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 	return nil
 }
 
-func decodeEntry(r io.Reader) (cacheKey, *core.SealedSTFs, error) {
+// readFrame reads an n-byte frame, allocating as its bytes arrive rather
+// than for the length its header claims.
+func readFrame(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, 64<<10))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for len(buf) < n {
+		have := len(buf)
+		buf = append(buf, make([]byte, min(n-have, have))...)
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// decodeEntry parses one entry's payload, r holding exactly its bytes.
+func decodeEntry(r *bytes.Reader) (cacheKey, *core.SealedSTFs, error) {
 	var k cacheKey
 	if err := binary.Read(r, binary.LittleEndian, &k); err != nil {
 		return k, nil, fmt.Errorf("key: %w", err)
@@ -262,24 +284,25 @@ func decodeEntry(r io.Reader) (cacheKey, *core.SealedSTFs, error) {
 	if nlinks > maxWarmLinks {
 		return k, nil, fmt.Errorf("link count %d exceeds limit", nlinks)
 	}
-	s.Links = make([]topo.DirLinkID, nlinks)
-	s.Roots = make([]uint32, 3+nlinks)
-	copy(s.Roots, fixed[1:4])
+	// Room for the links the payload still holds (8 bytes each), not for the
+	// count its header claims.
+	room := min(int(nlinks), r.Len()/8)
+	s.Links = make([]topo.DirLinkID, 0, room)
+	s.Roots = append(make([]uint32, 0, 3+room), fixed[1:4]...)
 	for j := uint32(0); j < nlinks; j++ {
-		var l int32
-		if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
+		var link [2]uint32
+		if err := binary.Read(r, binary.LittleEndian, &link); err != nil {
 			return k, nil, fmt.Errorf("link %d: %w", j, err)
 		}
+		l := int32(link[0])
 		if l < 0 {
 			return k, nil, fmt.Errorf("link %d: negative id", j)
 		}
 		if j > 0 && topo.DirLinkID(l) <= s.Links[j-1] {
 			return k, nil, fmt.Errorf("link %d: ids not ascending", j)
 		}
-		s.Links[j] = topo.DirLinkID(l)
-		if err := binary.Read(r, binary.LittleEndian, &s.Roots[3+j]); err != nil {
-			return k, nil, fmt.Errorf("link root %d: %w", j, err)
-		}
+		s.Links = append(s.Links, topo.DirLinkID(l))
+		s.Roots = append(s.Roots, link[1])
 	}
 	snap, err := mtbdd.DecodeSnapshot(r)
 	if err != nil {

@@ -47,6 +47,7 @@ import (
 	"github.com/yu-verify/yu"
 	"github.com/yu-verify/yu/internal/canon"
 	"github.com/yu-verify/yu/internal/config"
+	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/fault"
 	"github.com/yu-verify/yu/internal/obs"
 	"github.com/yu-verify/yu/internal/routesim"
@@ -164,6 +165,9 @@ type Server struct {
 	carryMu sync.Mutex
 	igp     *routesim.ImportBase
 	bgp     *routesim.BGPBase
+	// checks are the plan results of the latest build whose checks all ran,
+	// by their inputs' fingerprint (core.CheckCarrier).
+	checks map[routesim.Fingerprint]core.PlanResult
 }
 
 // NewServer creates a server with no loaded spec. If cfg.StatePath is
@@ -501,6 +505,7 @@ func (v *version) compute() {
 		Obs:            s.reg,
 		STFCache:       rc,
 	})
+	rc.seal()
 	var rep *yu.Report
 	if b != nil {
 		rep, err = b.Verify(ctx)
