@@ -85,7 +85,45 @@ type Replayed struct {
 // Replay replays the list into m, once, for any number of its STFs to be
 // read off (STF).
 func (l *SealedSTFs) Replay(m *mtbdd.Manager) *Replayed {
-	return &Replayed{l: l, table: m.ImportSnapshot(l.Snap)}
+	return &Replayed{l: l, table: replay(m, l.Snap)}
+}
+
+// replay is core's one cross-manager copy, of sealed STFs and sealed loads
+// alike: the node in m of every snapshot position, built under m's budget and
+// interrupt like any node-building operation.
+func replay(m *mtbdd.Manager, s *mtbdd.Snapshot) []*mtbdd.Node { return m.ImportSnapshot(s) }
+
+// Len is the number of snapshot entries the list holds.
+func (l *SealedSTFs) Len() int { return l.Snap.Len() }
+
+// Sizes is, per STF, the snapshot entries its roots reach: the length of the
+// list sealing it alone.
+func (l *SealedSTFs) Sizes() []int {
+	roots := make([][]uint32, len(l.STFs))
+	for i, s := range l.STFs {
+		roots[i] = s.Roots
+	}
+	return l.Snap.Sizes(roots)
+}
+
+// Sub is the list of STFs idx, in that order, holding only the snapshot
+// entries they reach: l.Sub([]int{i}) is the list sealing STF i alone makes,
+// entry for entry (mtbdd.Snapshot.Sub).
+func (l *SealedSTFs) Sub(idx []int) *SealedSTFs {
+	var roots []uint32
+	for _, i := range idx {
+		roots = append(roots, l.STFs[i].Roots...)
+	}
+	out := &SealedSTFs{STFs: make([]SealedSTF, len(idx))}
+	var at []uint32
+	out.Snap, at = l.Snap.Sub(roots)
+	for j, i := range idx {
+		s := l.STFs[i]
+		n := len(s.Roots)
+		s.Roots, at = at[:n:n], at[n:]
+		out.STFs[j] = s
+	}
+	return out
 }
 
 // STF returns the list's STF i, replayed, as flow's.

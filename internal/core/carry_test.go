@@ -33,6 +33,8 @@ func (c *carryingCache) CarriedCheck(key routesim.Fingerprint) (PlanResult, bool
 	return r, ok
 }
 
+func (c *carryingCache) Loads() LoadCarrier { return nil }
+
 func (c *carryingCache) CarryChecks(results map[routesim.Fingerprint]PlanResult, carried, run int) {
 	c.results, c.carried, c.run = results, carried, run
 }

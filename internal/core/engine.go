@@ -100,6 +100,9 @@ type Engine struct {
 	// stepHits counts step-cache hits since the last flush into count.
 	stepHits int
 	count    execCounters
+	// pinned are nodes a running Check's load session keeps (loadSession):
+	// roots of Engine.roots until it ends.
+	pinned []*mtbdd.Node
 }
 
 // NewEngine creates an engine over a route simulation result.

@@ -48,3 +48,40 @@ func SameSTFs(v, other *Verifier) error {
 
 // SharedClasses counts v's classes that took an earlier class's STF.
 func SharedClasses(v *Verifier) int { return sharedClasses(v) }
+
+// LoadsEqualSums takes the load of every single-link and delivered subject
+// and of every member link of an aggregate subject through a load session of
+// v's carrier, and holds each to the node sum builds from the subject's
+// classes in v's manager — the same pointer, the same flow and class counts.
+// It returns how many of them the carrier gave.
+func LoadsEqualSums(v *Verifier, subjects []Subject) (carried int, err error) {
+	v.startLoads()
+	defer v.endLoads()
+	if v.session == nil {
+		return 0, fmt.Errorf("the verifier carries no loads")
+	}
+	for _, s := range subjects {
+		members := []Subject{s}
+		if len(s.Links) > 0 {
+			members = nil
+			for _, l := range s.Links {
+				members = append(members, Subject{Link: l})
+			}
+		}
+		for _, m := range members {
+			classes := func(stat *LinkCheckStat) []scanClass {
+				if m.Prefix.IsValid() {
+					return v.deliveredClasses(m.Prefix, stat)
+				}
+				return v.linkClasses(m.Link, stat)
+			}
+			var got, want LinkCheckStat
+			w := v.summed(m, &got, func() []scanClass { return classes(&got) })
+			if sum := v.sum(classes(&want)); w != sum || got != want {
+				return 0, fmt.Errorf("subject %+v: load %p (%d flows, %d classes), sum %p (%d flows, %d classes)",
+					m, w, got.Flows, got.Classes, sum, want.Flows, want.Classes)
+			}
+		}
+	}
+	return len(v.session.carried), nil
+}

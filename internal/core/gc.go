@@ -47,7 +47,7 @@ func (e *Engine) roots(extra []*mtbdd.Node) []*mtbdd.Node {
 	for _, s := range e.memo {
 		out = stfRoots(out, []*FlowSTF{s})
 	}
-	return out
+	return append(out, e.pinned...)
 }
 
 // stfRoots collects the live nodes of executed flows.
@@ -99,16 +99,17 @@ const retainedGCFloor = 64 << 10
 // Trim makes a finished verifier cheap to keep for further checks (Run,
 // Check): it drops what only execution reads — the engine's forwarding-step
 // and IGP-vector caches, its STF memo, forwarding classes and wavefront
-// scratch, the route-simulation result, the STF cache hook and the class keys
-// its checks were carried by, and with them their nodes' claim to survive a
-// collection — and makes the managed-GC
+// scratch, the route-simulation result and the STF cache hook, and with them
+// their nodes' claim to survive a collection — and makes the managed-GC
 // threshold relative to what is kept: collect, the STFs as roots, once live
 // nodes pass 4× the count at this point (floor 64 K). The default threshold
 // would let a long-lived verifier grow by some 190 MB of dead loads before its
-// first collection. The engine cannot execute flows afterwards.
+// first collection. The engine cannot execute flows afterwards. The class
+// keys (some 16 bytes a class) and the load carrier stay: checks on the kept
+// verifier carry the loads whose inputs did not move.
 func (v *Verifier) Trim() {
 	e := v.e
-	e.rs, e.igpCache, e.steps, e.memo, e.opts.STFCache, v.classKeys = nil, nil, nil, nil, nil, nil
+	e.rs, e.igpCache, e.steps, e.memo, e.opts.STFCache = nil, nil, nil, nil, nil
 	e.fwd, e.stacks, e.scratch = fwdClasses{}, stackTab{}, execScratch{}
 	e.gcThreshold = max(4*e.m.Stats().Live, retainedGCFloor)
 }

@@ -152,17 +152,21 @@ func (v *Verifier) build(vols []float64, ws []*mtbdd.Node) *mtbdd.Node {
 // classes. An aggregate subject sums each member link as a single-link
 // subject would, then combines across links on the fused k-budgeted
 // kernels (AddNK / MaxK), so every intermediate stays within the KReduce'd
-// size envelope.
+// size envelope. It is the one place a load may be carried (summed): a
+// single link's, a delivered prefix's, or an aggregate member's.
 func (v *Verifier) load(s Subject) (*mtbdd.Node, LinkCheckStat) {
 	start := time.Now()
 	var tau *mtbdd.Node
 	var stat LinkCheckStat
+	linkLoad := func(l topo.DirLinkID) *mtbdd.Node {
+		return v.summed(Subject{Link: l}, &stat, func() []scanClass { return v.linkClasses(l, &stat) })
+	}
 	switch {
 	case len(s.Links) > 0:
 		stat.Kind = "aggregate"
 		taus := make([]*mtbdd.Node, len(s.Links))
 		for i, l := range s.Links {
-			taus[i] = v.sum(v.linkClasses(l, &stat))
+			taus[i] = linkLoad(l)
 		}
 		if s.Max {
 			tau = v.e.m.Zero()
@@ -174,10 +178,10 @@ func (v *Verifier) load(s Subject) (*mtbdd.Node, LinkCheckStat) {
 		}
 	case s.Prefix.IsValid():
 		stat.Kind, stat.Prefix = "delivered", s.Prefix
-		tau = v.sum(v.deliveredClasses(s.Prefix, &stat))
+		tau = v.summed(s, &stat, func() []scanClass { return v.deliveredClasses(s.Prefix, &stat) })
 	default:
 		stat.Link = s.Link
-		tau = v.sum(v.linkClasses(s.Link, &stat))
+		tau = linkLoad(s.Link)
 	}
 	stat.Elapsed = time.Since(start)
 	return tau, stat
@@ -346,6 +350,9 @@ type PlanResult struct {
 // With a CheckCarrier, a keyed plan whose inputs an earlier complete run
 // checked takes that run's result (its Elapsed zero: it took no time here)
 // instead of running, and a Check that completes hands its keyed results on.
+// With a LoadCarrier, a plan that runs takes each load whose inputs an
+// earlier Check summed off that Check's sealed list (load), and the loads
+// this Check sums are handed on, sealed as one list, however it ends.
 func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 	out := make([]PlanResult, len(plans))
 	if v.err != nil {
@@ -359,6 +366,8 @@ func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 	if carrier != nil {
 		base = v.checkBase()
 	}
+	v.startLoads()
+	defer v.endLoads()
 	keep := make(map[routesim.Fingerprint]PlanResult)
 	carried := 0
 	for i, p := range plans {

@@ -66,6 +66,9 @@ type CheckCarrier interface {
 	// end with no error: carried of its plans were read off an earlier run's
 	// results, run were checked.
 	CarryChecks(results map[routesim.Fingerprint]PlanResult, carried, run int)
+	// Loads is the run's load carrier, nil for none. The verifier keeps it
+	// through Trim, so it must hold nothing only the build needs.
+	Loads() LoadCarrier
 }
 
 // checkBase fingerprints what every plan of the run shares: the variable
@@ -79,16 +82,12 @@ func (v *Verifier) checkBase() routesim.Fingerprint {
 	return k
 }
 
-// planKey fingerprints a plan's inputs on top of base: the plan itself, then
-// the classes it aggregates in STF order — a link's, each with its summed
-// volume (Verifier.classKeys), or a delivered bound's, each with its volume
-// inside the prefix too. ok is false for a plan kind that is not keyed.
+// planKey fingerprints a plan's inputs: its load's (loadKey), then the plan's
+// checks. ok is false for a plan kind that is not keyed.
 func (v *Verifier) planKey(base routesim.Fingerprint, p Plan) (k routesim.Fingerprint, ok bool) {
-	s := p.Subject
-	if len(s.Links) > 0 || (!s.Prefix.IsValid() && (s.Link < 0 || int(s.Link) >= len(v.linkIdx))) {
+	if k, ok = v.loadKey(base, p.Subject); !ok {
 		return k, false
 	}
-	k = base
 	k.Bool(p.pruned)
 	k.U64(uint64(len(p.Checks)))
 	for _, c := range p.Checks {
@@ -96,26 +95,6 @@ func (v *Verifier) planKey(base routesim.Fingerprint, p Plan) (k routesim.Finger
 		k.U64(math.Float64bits(c.Max))
 		k.Bool(c.Overload)
 		k.U64(uint64(int64(c.CondVar)))
-	}
-	if s.Prefix.IsValid() {
-		k.Prefix(s.Prefix)
-		vols, inside := v.deliveredVolumes(s.Prefix)
-		n := 0
-		for ci, in := range inside {
-			if in {
-				k.Add(v.classKeys[ci])
-				k.U64(math.Float64bits(vols[ci]))
-				n++
-			}
-		}
-		k.U64(uint64(n))
-		return k, true
-	}
-	k.U64(uint64(s.Link))
-	refs := v.linkIdx[s.Link]
-	k.U64(uint64(len(refs)))
-	for _, ref := range refs {
-		k.Add(v.classKeys[ref.stf])
 	}
 	return k, true
 }

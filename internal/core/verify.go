@@ -204,10 +204,16 @@ type Verifier struct {
 	linkIdx [][]linkRef
 	// sched summarizes the execution phase's scheduling (see SchedStats).
 	sched SchedStats
-	// classKeys, parallel to stfs, are the classes' keys for carried checks:
-	// the cache's identity of the class and its summed volume. nil unless the
-	// STF cache is a CheckCarrier that saw every class.
+	// classKeys, parallel to stfs, are the classes' keys for carried checks
+	// and loads: the cache's identity of the class and its summed volume. nil
+	// unless the STF cache is a CheckCarrier that saw every class.
 	classKeys []routesim.Fingerprint
+	// linkKeys are the directed links' load keys (loadKey), computed on first
+	// use; loads is the run's load carrier (CheckCarrier.Loads), and session
+	// the running Check's use of it.
+	linkKeys []routesim.Fingerprint
+	loads    LoadCarrier
+	session  *loadSession
 }
 
 // Err returns the fatal error recorded during flow execution, if any.
@@ -321,7 +327,7 @@ func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 	}
 	v.stfs = stfs[:n]
 	if carrier != nil {
-		v.classKeys = keys
+		v.classKeys, v.loads = keys, carrier.Loads()
 	}
 	v.execCount = n
 	v.linkIdx = indexLinks(v.stfs, 2*e.net.NumLinks())

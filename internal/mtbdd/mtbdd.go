@@ -75,6 +75,11 @@ type Manager struct {
 	zero *Node
 	one  *Node
 
+	// scanMemo and scanVals are ScanOutside's table, kept empty between
+	// scans (keepScanTable).
+	scanMemo map[*Node]int32
+	scanVals []int32
+
 	// Node storage. Nodes are carved out of fixed-size slabs instead of
 	// being allocated one heap object each: slab s holds node ids
 	// s·slabSize+1 … (s+1)·slabSize (id 0 marks empty table slots), filled

@@ -42,36 +42,39 @@ func (m *Manager) ScanOutside(f *Node, checks []ScanCheck) []ScanHit {
 	if k == 0 {
 		return out
 	}
-	// minFails[n][i]: minimal count of Lo (failed) edges on any path from n
-	// to a terminal violating check i; >= scanUnreach if none.
-	memo := make(map[*Node][]int32)
-	var walk func(n *Node) []int32
-	walk = func(n *Node) []int32 {
-		if mf, ok := memo[n]; ok {
-			return mf
+	// vals[memo[n]+i]: minimal count of Lo (failed) edges on any path from n
+	// to a terminal violating check i; >= scanUnreach if none. The table is
+	// the manager's, kept empty between scans so that a scan does not grow a
+	// fresh one (keepScanTable).
+	if m.scanMemo == nil {
+		m.scanMemo = make(map[*Node]int32)
+	}
+	memo, vals := m.scanMemo, m.scanVals[:0]
+	defer func() { m.keepScanTable(memo, vals) }()
+	var walk func(n *Node) int32
+	walk = func(n *Node) int32 {
+		if off, ok := memo[n]; ok {
+			return off
 		}
-		mf := make([]int32, k)
-		if n.IsTerminal() {
-			for i := range checks {
+		var hi, lo int32
+		if !n.IsTerminal() {
+			hi = walk(n.Hi)
+			lo = walk(n.Lo)
+		}
+		off := int32(len(vals))
+		for i := range checks {
+			v := scanUnreach
+			if n.IsTerminal() {
 				if n.Value < checks[i].Lo || n.Value > checks[i].Hi {
-					mf[i] = 0
-				} else {
-					mf[i] = scanUnreach
+					v = 0
 				}
+			} else if v = vals[hi+int32(i)]; vals[lo+int32(i)]+1 < v {
+				v = vals[lo+int32(i)] + 1
 			}
-		} else {
-			hi := walk(n.Hi)
-			lo := walk(n.Lo)
-			for i := range mf {
-				v := hi[i]
-				if lo[i]+1 < v {
-					v = lo[i] + 1
-				}
-				mf[i] = v
-			}
+			vals = append(vals, v)
 		}
-		memo[n] = mf
-		return mf
+		memo[n] = off
+		return off
 	}
 	root := walk(f)
 	for i := range checks {
@@ -79,14 +82,14 @@ func (m *Manager) ScanOutside(f *Node, checks []ScanCheck) []ScanHit {
 		if checks[i].MaxFails >= 0 {
 			budget = int32(checks[i].MaxFails)
 		}
-		if root[i] > budget {
+		if vals[root+int32(i)] > budget {
 			continue
 		}
 		a := make(Assignment)
 		n := f
 		rem := budget
 		for !n.IsTerminal() {
-			if memo[n.Hi][i] <= rem {
+			if vals[memo[n.Hi]+int32(i)] <= rem {
 				a[int(n.Level)] = true
 				n = n.Hi
 			} else {
@@ -98,4 +101,20 @@ func (m *Manager) ScanOutside(f *Node, checks []ScanCheck) []ScanHit {
 		out[i] = ScanHit{OK: true, Value: n.Value, A: a}
 	}
 	return out
+}
+
+// scanKeep is the most nodes a scan's table may have held and still be kept
+// for the next scan: clearing a map costs its capacity, so a table a large
+// load grew is dropped rather than cleared for every small load after it.
+const scanKeep = 1 << 14
+
+// keepScanTable empties a scan's table and keeps it for the next scan,
+// unless it grew past scanKeep.
+func (m *Manager) keepScanTable(memo map[*Node]int32, vals []int32) {
+	if len(memo) > scanKeep {
+		m.scanMemo, m.scanVals = nil, nil
+		return
+	}
+	clear(memo)
+	m.scanMemo, m.scanVals = memo, vals
 }

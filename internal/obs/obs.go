@@ -315,4 +315,6 @@ var ServeCounterNames = []string{
 	"serve.replayed_entries",        // snapshot entries replayed from the warm store: each stored list a build hits, once
 	"serve.checks_carried",          // link checks a build took from the latest complete build: none of their inputs moved
 	"serve.checks_run",              // checks a build ran (inputs moved, or a kind that is not carried), summed over builds
+	"serve.loads_carried",           // loads a check replayed from an earlier check's sealed list: none of their classes moved
+	"serve.loads_built",             // loads a check summed and stored (their classes moved, or none was stored)
 }

@@ -20,60 +20,74 @@ import (
 // complete execution input surface (runCache.classKey).
 type cacheKey = routesim.Fingerprint
 
-// stfStore is the shared warm cache: one class execution per entry. It
-// outlives versions and reloads; content-hash keys make stale entries
-// unreachable rather than wrong.
+// sealedList is what a store keeps entries of: a sealed list of STFs
+// (core.SealedSTFs) or of loads (core.SealedLoads) — its snapshot length,
+// each entry's own snapshot length, and the list of some of its entries.
+type sealedList[L any] interface {
+	comparable
+	Len() int
+	Sizes() []int
+	Sub(idx []int) L
+}
+
+// store keeps sealed entries by content key across versions: content-hash
+// keys make stale entries unreachable rather than wrong.
 //
-// The classes one build executed are sealed together, as one
-// core.SealedSTFs list, when the build ends (runCache.seal), and each of
-// their entries names its STF in that list: a later build replays each list
-// it hits once, not one small snapshot per class, and nodes the classes share
-// are stored once. A list is never larger than the snapshots its entries
-// would hold one by one (held): when dropped entries would make it so, its
-// survivors are sealed again on their own (settle).
+// What one build (or query) adds is sealed together as one list, and each of
+// its entries names its place in that list: a later build replays each list
+// it hits once, and nodes the entries share are stored once. A list is never
+// larger than the snapshots its entries would hold one by one (held): when
+// dropped entries would make it so, its survivors are sealed again on their
+// own (settle).
 //
 // Entries live in two generations, the current one of at most half the
-// limit. A stored entry and a hit go to the current generation; when it is
-// full it becomes the previous one, and the generation before is dropped
-// (counted in serve.cache_evictions). A build looks each of its classes up
-// once, so a build whose classes fit in half the limit leaves every one of
-// them readable, however many entries it added: at most one rotation falls
-// inside it, and a hit on the previous generation promotes the entry back.
-type stfStore struct {
+// limit. A stored entry goes to the current generation; when it is full it
+// becomes the previous one, and the generation before is dropped (counted in
+// evictions, when the store has a counter). A hit leaves its entry where it is until its build ends, when
+// keep moves the build's hits on the previous generation to the current one:
+// no rotation inside a build drops what the build still reads, and a build
+// whose entries fit in half the limit leaves every one of them readable.
+type store[L sealedList[L]] struct {
 	mu        sync.Mutex
-	cur, prev map[cacheKey]warmEntry
+	cur, prev map[cacheKey]entry[L]
 	// half bounds the current generation, limit-half the previous one.
 	half, limit int
 	evictions   *obs.Counter
 	// held is, per list some entry names, the summed sizes of those entries:
-	// what the per-class layout would store for them. It is never below the
+	// what the per-entry layout would store for them. It is never below the
 	// list's own length.
-	held map[*core.SealedSTFs]int
+	held map[L]int
 	// touched lists lost an entry since the last settle.
-	touched []*core.SealedSTFs
+	touched []L
 }
 
-// warmEntry is one stored class: STF i of list l, whose roots reach size of
-// l's snapshot entries — the length of the snapshot sealing it alone.
-type warmEntry struct {
-	l    *core.SealedSTFs
+// entry is one stored entry: entry i of list l, whose roots reach size of l's
+// snapshot entries — the length of the snapshot sealing it alone.
+type entry[L any] struct {
+	l    L
 	i    int
 	size int
 }
 
-func newSTFStore(limit int, evictions *obs.Counter) *stfStore {
-	st := &stfStore{half: max(1, limit/2), limit: limit, evictions: evictions}
+// keyed is an entry with its key.
+type keyed[L any] struct {
+	k cacheKey
+	e entry[L]
+}
+
+// init makes the store an empty one of at most limit entries.
+func (st *store[L]) init(limit int, evictions *obs.Counter) {
+	st.half, st.limit, st.evictions = max(1, limit/2), limit, evictions
 	st.reset(nil)
-	return st
 }
 
 // reset replaces the store's contents with entries, the first to fill the
 // previous generation, the rest the current one; what fits in neither is
 // left out.
-func (st *stfStore) reset(entries []storeEntry) {
-	st.cur = make(map[cacheKey]warmEntry)
-	st.prev = make(map[cacheKey]warmEntry)
-	st.held = make(map[*core.SealedSTFs]int)
+func (st *store[L]) reset(entries []keyed[L]) {
+	st.cur = make(map[cacheKey]entry[L])
+	st.prev = make(map[cacheKey]entry[L])
+	st.held = make(map[L]int)
 	for _, e := range entries {
 		_, inPrev := st.prev[e.k]
 		_, inCur := st.cur[e.k]
@@ -91,43 +105,48 @@ func (st *stfStore) reset(entries []storeEntry) {
 	}
 }
 
-type storeEntry struct {
-	k cacheKey
-	e warmEntry
-}
-
-func (st *stfStore) get(k cacheKey) (warmEntry, bool) {
+// get is k's entry, left where it is (keep).
+func (st *store[L]) get(k cacheKey) (entry[L], bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, ok := st.cur[k]; ok {
 		return e, true
 	}
 	e, ok := st.prev[k]
-	if ok {
-		delete(st.prev, k)
-		st.insert(k, e)
-		st.settle()
-	}
 	return e, ok
 }
 
-// putList stores STF i of l under keys[i], for every i.
-func (st *stfStore) putList(keys []cacheKey, l *core.SealedSTFs) {
-	roots := make([][]uint32, len(l.STFs))
-	for i, s := range l.STFs {
-		roots[i] = s.Roots
+// keep moves the entries of keys that the previous generation holds to the
+// current one: a build's hits, once it has read them all.
+func (st *store[L]) keep(keys []cacheKey) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var moved []keyed[L]
+	for _, k := range keys {
+		if e, ok := st.prev[k]; ok {
+			delete(st.prev, k)
+			moved = append(moved, keyed[L]{k, e})
+		}
 	}
-	sizes := l.Snap.Sizes(roots)
+	for _, m := range moved {
+		st.insert(m.k, m.e)
+	}
+	st.settle()
+}
+
+// putList stores entry i of l under keys[i], for every i.
+func (st *store[L]) putList(keys []cacheKey, l L) {
+	sizes := l.Sizes()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i, k := range keys {
-		for _, gen := range []map[cacheKey]warmEntry{st.cur, st.prev} {
+		for _, gen := range []map[cacheKey]entry[L]{st.cur, st.prev} {
 			if old, ok := gen[k]; ok {
 				delete(gen, k)
 				st.release(old)
 			}
 		}
-		st.insert(k, warmEntry{l: l, i: i, size: sizes[i]})
+		st.insert(k, entry[L]{l: l, i: i, size: sizes[i]})
 		st.held[l] += sizes[i]
 	}
 	st.settle()
@@ -135,15 +154,15 @@ func (st *stfStore) putList(keys []cacheKey, l *core.SealedSTFs) {
 
 // insert places an entry whose key is in neither generation in the current
 // one, rotating first if it is full. Callers hold mu and settle afterwards.
-func (st *stfStore) insert(k cacheKey, e warmEntry) {
+func (st *store[L]) insert(k cacheKey, e entry[L]) {
 	if len(st.cur) >= st.half {
 		dropped := st.prev
-		st.prev, st.cur = st.cur, make(map[cacheKey]warmEntry)
+		st.prev, st.cur = st.cur, make(map[cacheKey]entry[L])
 		if len(st.prev) > st.limit-st.half {
 			for _, old := range st.prev {
 				st.release(old)
 			}
-			st.prev = make(map[cacheKey]warmEntry)
+			st.prev = make(map[cacheKey]entry[L])
 		}
 		for _, old := range dropped {
 			st.release(old)
@@ -154,7 +173,7 @@ func (st *stfStore) insert(k cacheKey, e warmEntry) {
 }
 
 // release accounts for an entry leaving the store.
-func (st *stfStore) release(e warmEntry) {
+func (st *store[L]) release(e entry[L]) {
 	st.held[e.l] -= e.size
 	st.touched = append(st.touched, e.l)
 }
@@ -162,19 +181,19 @@ func (st *stfStore) release(e warmEntry) {
 // settle forgets the touched lists no entry names any more, and seals the
 // survivors of each list its dropped entries have left larger than their
 // own snapshots would be, on their own: a list of the survivors, in list
-// order, holding only the entries they reach (subset).
-func (st *stfStore) settle() {
+// order, holding only the entries they reach (Sub).
+func (st *store[L]) settle() {
 	type ref struct {
-		gen map[cacheKey]warmEntry
+		gen map[cacheKey]entry[L]
 		k   cacheKey
 	}
-	over := make(map[*core.SealedSTFs][]ref)
+	over := make(map[L][]ref)
 	for _, l := range st.touched {
 		switch h, ok := st.held[l]; {
 		case !ok:
 		case h == 0:
 			delete(st.held, l)
-		case h < l.Snap.Len():
+		case h < l.Len():
 			over[l] = nil
 		}
 	}
@@ -182,7 +201,7 @@ func (st *stfStore) settle() {
 	if len(over) == 0 {
 		return
 	}
-	for _, gen := range []map[cacheKey]warmEntry{st.cur, st.prev} {
+	for _, gen := range []map[cacheKey]entry[L]{st.cur, st.prev} {
 		for k, e := range gen {
 			if refs, ok := over[e.l]; ok {
 				over[e.l] = append(refs, ref{gen, k})
@@ -195,43 +214,45 @@ func (st *stfStore) settle() {
 		for j, r := range refs {
 			idx[j] = r.gen[r.k].i
 		}
-		nl := subset(l, idx)
+		nl := l.Sub(idx)
 		for j, r := range refs {
-			r.gen[r.k] = warmEntry{l: nl, i: j, size: r.gen[r.k].size}
+			r.gen[r.k] = entry[L]{l: nl, i: j, size: r.gen[r.k].size}
 		}
 		st.held[nl] = st.held[l]
 		delete(st.held, l)
 	}
 }
 
-// subset is the list of l's STFs idx, in that order, holding only the
-// snapshot entries they reach: subset(l, []int{i}) is the list sealing STF i
-// alone makes, entry for entry (mtbdd.Snapshot.Sub).
-func subset(l *core.SealedSTFs, idx []int) *core.SealedSTFs {
-	var roots []uint32
-	for _, i := range idx {
-		roots = append(roots, l.STFs[i].Roots...)
-	}
-	out := &core.SealedSTFs{STFs: make([]core.SealedSTF, len(idx))}
-	var at []uint32
-	out.Snap, at = l.Snap.Sub(roots)
-	for j, i := range idx {
-		s := l.STFs[i]
-		n := len(s.Roots)
-		s.Roots, at = at[:n:n], at[n:]
-		out.STFs[j] = s
-	}
-	return out
-}
-
-func (st *stfStore) len() int {
+func (st *store[L]) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.cur) + len(st.prev)
 }
 
+// stfStore is the shared warm cache: one class execution per entry, the
+// classes each build executed sealed together (runCache.seal). It outlives
+// versions and reloads and, through persist.go, restarts.
+type stfStore struct {
+	store[*core.SealedSTFs]
+}
+
+// warmEntry is one stored class: STF i of list l.
+type warmEntry = entry[*core.SealedSTFs]
+
+func newSTFStore(limit int, evictions *obs.Counter) *stfStore {
+	st := &stfStore{}
+	st.init(limit, evictions)
+	return st
+}
+
+// loadLimit bounds the server's store of loads (Server.loads): two
+// generations of 512, each room for two queries that sum every directed
+// link of the benchmark's daemon input.
+const loadLimit = 1024
+
 // runCache adapts the shared store to core.STFCache and core.CheckCarrier
-// for one verification run, and the server's carried IS-IS and BGP results
+// (and the store of loads to core.LoadCarrier, Loads) for one verification
+// run, and the server's carried IS-IS and BGP results
 // to routesim.Carrier. It memoizes the run-global fingerprint (topology,
 // failure model, SR), each matched prefix's fingerprint and the guard
 // hasher, so a class key costs a handful of words and a run hashes each
@@ -254,6 +275,9 @@ type runCache struct {
 	// stores them as one list when the build ends.
 	stored    []*core.FlowSTF
 	storedKey []cacheKey
+
+	// hit are the keys this build found stored: seal keeps them.
+	hit []cacheKey
 
 	// replays are the lists this build replayed, each once; replayGC is the
 	// manager's collection count they were replayed at, a later collection
@@ -391,6 +415,7 @@ func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) 
 		return nil, false
 	}
 	stf := rc.replay(e.Manager(), ent.l).STF(ent.i, rep)
+	rc.hit = append(rc.hit, key)
 	rc.hits++
 	reg.Counter("serve.class_cache_hits").Inc()
 	return stf, true
@@ -418,16 +443,17 @@ func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
 	rc.storedKey = append(rc.storedKey, rc.ClassKey(e, rep))
 }
 
-// seal ends the build's use of the store: the classes it executed go in as
-// one sealed list, and its replays are dropped. The list holds no node, so
-// it never keeps this run's manager alive. Call it once the build is done
-// and before anything can collect its manager — its verifier roots every
-// stored STF until then.
+// seal ends the build's use of the store: the classes it found stored are
+// kept, the classes it executed go in as one sealed list, and its replays are
+// dropped. The list holds no node, so it never keeps this run's manager
+// alive. Call it once the build is done and before anything can collect its
+// manager — its verifier roots every stored STF until then.
 func (rc *runCache) seal() {
+	rc.srv.store.keep(rc.hit)
 	if len(rc.stored) > 0 {
 		rc.srv.store.putList(rc.storedKey, core.SealSTFs(rc.stored))
 	}
-	rc.stored, rc.storedKey, rc.replays = nil, nil, nil
+	rc.hit, rc.stored, rc.storedKey, rc.replays = nil, nil, nil, nil
 }
 
 // ClassKey implements core.CheckCarrier: the key Lookup derived for rep.
@@ -458,3 +484,33 @@ func (rc *runCache) CarryChecks(results map[routesim.Fingerprint]core.PlanResult
 	s.reg.Counter("serve.checks_carried").Add(int64(carried))
 	s.reg.Counter("serve.checks_run").Add(int64(run))
 }
+
+// Loads implements core.CheckCarrier: the server's store of loads.
+func (rc *runCache) Loads() core.LoadCarrier { return loadCarrier{rc.srv} }
+
+// loadCarrier adapts the server's store of loads to core.LoadCarrier. It is
+// what a version's kept verifier holds of the daemon once trimmed: the
+// server, and no guard hasher, prefix memo or route state of the build.
+type loadCarrier struct{ s *Server }
+
+// CarriedLoad implements core.LoadCarrier.
+func (c loadCarrier) CarriedLoad(key routesim.Fingerprint) (*core.SealedLoads, int, bool) {
+	e, ok := c.s.loads.get(key)
+	return e.l, e.i, ok
+}
+
+// CarryLoads implements core.LoadCarrier: the loads a check carried are kept,
+// and the list of those it built goes in.
+func (c loadCarrier) CarryLoads(carried, keys []routesim.Fingerprint, l *core.SealedLoads) {
+	c.s.loads.keep(carried)
+	if l != nil {
+		c.s.loads.putList(keys, l)
+	}
+	c.s.reg.Counter("serve.loads_carried").Add(int64(len(carried)))
+	c.s.reg.Counter("serve.loads_built").Add(int64(len(keys)))
+}
+
+var (
+	_ core.CheckCarrier = (*runCache)(nil)
+	_ routesim.Carrier  = (*runCache)(nil)
+)

@@ -172,9 +172,6 @@ func recordClasses(t *testing.T, text string, cfg Config) (*classRecord, map[top
 // per-class layout replayed.
 func TestChecksCarriedByInputs(t *testing.T) {
 	spec, text, cfg := daemonSized(t)
-	// Room for every build's classes: undoing a link-cost delta finds the
-	// first build's classes stored, however many the delta added.
-	cfg.CacheLimit = 1 << 14
 	s := NewServer(cfg)
 	if _, err := s.LoadSpecText(text); err != nil {
 		t.Fatal(err)
@@ -260,6 +257,46 @@ func TestChecksCarriedByInputs(t *testing.T) {
 			prev = lists
 		}
 	}
+}
+
+// TestUndoneLinkCostHitsEveryClass: at the default CacheLimit, a link-cost
+// delta's build stores a class for every class of the first build — its
+// topology key moved them all — and the undo's build finds every class of the
+// first build still stored and executes none. Promoting each hit at once
+// rotated the store inside the undo's build, dropping classes it had yet to
+// look up: it re-executed 865 of 1 654.
+func TestUndoneLinkCostHitsEveryClass(t *testing.T) {
+	spec, text, cfg := daemonSized(t)
+	s := NewServer(cfg)
+	if _, err := s.LoadSpecText(text); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Report()
+	if err != nil || first.Err != nil {
+		t.Fatalf("first load: %v %v", err, first.Err)
+	}
+	classes := first.Stats.CacheMisses
+	for _, k := range deltaKinds(t, spec) {
+		if k.op != "set-link-cost" {
+			continue
+		}
+		for step, ds := range [][]Delta{k.do, k.undo} {
+			if _, err := s.ApplyDeltas(ds); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Report()
+			if err != nil || res.Err != nil {
+				t.Fatalf("step %d: %v %v", step, err, res.Err)
+			}
+			if step == 0 && res.Stats.CacheMisses != classes {
+				t.Fatalf("the link-cost delta executed %d of %d classes, want all", res.Stats.CacheMisses, classes)
+			}
+			if step == 1 && (res.Stats.CacheHits != classes || res.Stats.CacheMisses != 0) {
+				t.Errorf("the undo hit %d and executed %d of %d classes, want all hit", res.Stats.CacheHits, res.Stats.CacheMisses, classes)
+			}
+		}
+	}
+	t.Logf("%d classes", classes)
 }
 
 // BenchmarkDeltaKinds times one delta of each op, applied and verified, on

@@ -136,6 +136,9 @@ func TestEnduranceMixedDeltasAndReaders(t *testing.T) {
 				if lists, perClass := s.StoreLayout(); lists > perClass {
 					t.Fatalf("after delta %d the warm store's lists hold %d snapshot entries, its entries alone %d", i, lists, perClass)
 				}
+				if lists, perLoad, n, limit := s.LoadStoreLayout(); lists > perLoad || n > limit {
+					t.Fatalf("after delta %d the store of loads holds %d of at most %d loads, its lists %d snapshot entries, its loads alone %d", i, n, limit, lists, perLoad)
+				}
 				if i%8 == 7 {
 					time.Sleep(2 * time.Millisecond) // let the readers verify some versions, skip others
 				}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/yu-verify/yu/internal/canon"
 	"github.com/yu-verify/yu/internal/config"
-	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/flowgen"
 	"github.com/yu-verify/yu/internal/gen"
 )
@@ -17,21 +16,29 @@ func (s *Server) StoreLen() int { return s.store.len() }
 // StoreLayout is what the warm store holds: the snapshot entries of every
 // list an entry names, and the entries the snapshots sealing each entry's STF
 // alone would hold.
-func (s *Server) StoreLayout() (lists, perClass int) {
-	st := s.store
+func (s *Server) StoreLayout() (lists, perClass int) { return layout(&s.store.store) }
+
+// LoadStoreLayout is StoreLayout of the server's store of loads, with its
+// entry count and bound.
+func (s *Server) LoadStoreLayout() (lists, perLoad, n, limit int) {
+	lists, perLoad = layout(&s.loads)
+	return lists, perLoad, s.loads.len(), loadLimit
+}
+
+func layout[L sealedList[L]](st *store[L]) (lists, perEntry int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	seen := make(map[*core.SealedSTFs]bool)
-	for _, gen := range []map[cacheKey]warmEntry{st.cur, st.prev} {
+	seen := make(map[L]bool)
+	for _, gen := range []map[cacheKey]entry[L]{st.cur, st.prev} {
 		for _, e := range gen {
-			perClass += subset(e.l, []int{e.i}).Snap.Len()
+			perEntry += e.l.Sub([]int{e.i}).Len()
 			if !seen[e.l] {
 				seen[e.l] = true
-				lists += e.l.Snap.Len()
+				lists += e.l.Len()
 			}
 		}
 	}
-	return lists, perClass
+	return lists, perEntry
 }
 
 // WANText renders a generated WAN with random flows (k = 1) as canonical

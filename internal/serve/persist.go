@@ -129,7 +129,7 @@ func (s *Server) loadState() {
 // per entry (u32 length | payload | u32 crc32), the payload holding the
 // key, STF shape, and the embedded MTBDD snapshot frame. Keys are
 // written in sorted order so equal stores serialize identically. An entry's
-// snapshot is re-derived from its list (subset): the one
+// snapshot is re-derived from its list (Sub): the one
 // sealing its STF alone, entry for entry, as the frame has always held.
 func (st *stfStore) encode(w io.Writer) error {
 	st.mu.Lock()
@@ -156,7 +156,7 @@ func (st *stfStore) encode(w io.Writer) error {
 		if !ok {
 			e = st.prev[k]
 		}
-		if err := encodeEntry(&buf, k, subset(e.l, []int{e.i})); err != nil {
+		if err := encodeEntry(&buf, k, e.l.Sub([]int{e.i})); err != nil {
 			return err
 		}
 		if err := binary.Write(w, binary.LittleEndian, uint32(buf.Len())); err != nil {
@@ -213,7 +213,7 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 	if count > maxWarmEntries {
 		return fmt.Errorf("entry count %d exceeds limit", count)
 	}
-	var entries []storeEntry
+	var entries []keyed[*core.SealedSTFs]
 	for i := uint32(0); i < count; i++ {
 		var flen uint32
 		if err := binary.Read(r, binary.LittleEndian, &flen); err != nil {
@@ -239,8 +239,8 @@ func (st *stfStore) decode(r io.Reader, limit int) error {
 		}
 		if len(entries) < limit {
 			// Only what the STF reaches: a frame may carry entries it does not.
-			l = subset(l, []int{0})
-			entries = append(entries, storeEntry{k, warmEntry{l: l, size: l.Snap.Len()}})
+			l = l.Sub([]int{0})
+			entries = append(entries, keyed[*core.SealedSTFs]{k, warmEntry{l: l, size: l.Snap.Len()}})
 		}
 	}
 	st.mu.Lock()

@@ -168,6 +168,10 @@ type Server struct {
 	// checks are the plan results of the latest build whose checks all ran,
 	// by their inputs' fingerprint (core.CheckCarrier).
 	checks map[routesim.Fingerprint]core.PlanResult
+	// loads are the loads builds and queries summed, by their inputs'
+	// fingerprint (core.LoadCarrier): a query sums only the loads whose
+	// classes moved since one was stored.
+	loads store[*core.SealedLoads]
 }
 
 // NewServer creates a server with no loaded spec. If cfg.StatePath is
@@ -194,6 +198,7 @@ func NewServer(cfg Config) *Server {
 		store:    newSTFStore(cfg.CacheLimit, reg.Counter("serve.cache_evictions")),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
+	s.loads.init(loadLimit, nil)
 	for _, name := range obs.ServeCounterNames {
 		reg.Counter(name)
 	}

@@ -3,7 +3,10 @@
 // portfolio with the batch engine on the build that version's report was
 // checked on — one symbolic run per version serves its report and every
 // query after it, so a query costs what the paper says a TLP costs: a
-// per-link aggregation and a terminal scan.
+// per-link aggregation and a terminal scan. Less, mostly: a load whose
+// classes did not move since a check stored it — on this version or an
+// earlier one — is replayed from the server's store of loads, not
+// aggregated again (core.LoadCarrier, loadCarrier in cache.go).
 package serve
 
 import (
@@ -63,9 +66,9 @@ type TLPResult struct {
 var collectBeforeEval atomic.Int32
 
 // EvalPortfolioCtx evaluates portfolio text against the current version,
-// on the state that version was verified on: a per-link aggregation and a
-// terminal scan per subject, no route simulation, no execution, no cache
-// replay. A version not verified yet is verified first — the one shared
+// on the state that version was verified on: a per-link aggregation — or a
+// carried load — and a terminal scan per subject, no route simulation, no
+// execution, no STF cache replay. A version not verified yet is verified first — the one shared
 // run every reader of it waits for, until ctx expires. An empty text
 // evaluates the spec's own portfolio section. Parse and compile errors are
 // returned as the error, and so is the failure of a version that could not
@@ -73,7 +76,7 @@ var collectBeforeEval atomic.Int32
 // or the version's own build cut short by it) returns a partial result
 // whose undecided properties are unchecked, carried in TLPResult.Err — and
 // leaves the retained state usable. Stats are the pinned version's build
-// statistics: a query touches no cache.
+// statistics: a query touches no STF cache.
 func (s *Server) EvalPortfolioCtx(ctx context.Context, portfolioText string) (TLPResult, error) {
 	v := s.cur.Load()
 	if v == nil {
@@ -89,7 +92,10 @@ func (s *Server) EvalPortfolioCtx(ctx context.Context, portfolioText string) (TL
 	} else {
 		props = v.spec.Portfolio
 	}
-	if _, err := tlp.Compile(v.spec.Net, v.spec.Flows, props); err != nil {
+	// Compiled once, before the version's build is awaited: a malformed
+	// portfolio is refused without waiting for it.
+	port, err := tlp.Compile(v.spec.Net, v.spec.Flows, props)
+	if err != nil {
 		return TLPResult{}, err
 	}
 	s.reg.Counter("serve.tlp_requests").Inc()
@@ -121,7 +127,7 @@ func (s *Server) EvalPortfolioCtx(ctx context.Context, portfolioText string) (TL
 	if collectBeforeEval.Load() > 0 {
 		v.build.Collect()
 	}
-	res, err := v.build.VerifyPortfolio(ctx, props)
+	res, err := v.build.EvalPortfolio(ctx, port)
 	if res == nil {
 		return TLPResult{}, err
 	}

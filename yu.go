@@ -96,6 +96,8 @@ type (
 	// TLPResult is a portfolio evaluation outcome: per-property verdicts
 	// plus violations grouped by witness failure set and ranked by excess.
 	TLPResult = tlp.Result
+	// Portfolio is a compiled portfolio, ready for Built.EvalPortfolio.
+	Portfolio = tlp.Portfolio
 	// ModularStats summarizes a compositional (domain-decomposed) run:
 	// domain and border-link counts, lockstep BGP rounds, and how many
 	// equivalence classes were verified inside a domain vs. falling back
@@ -530,7 +532,7 @@ func (n *Network) VerifyPortfolio(props []TLProp, opts VerifyOptions) (*TLPResul
 	if b == nil {
 		return nil, err
 	}
-	return b.evalPortfolio(opts.Ctx, port)
+	return b.EvalPortfolio(opts.Ctx, port)
 }
 
 // VerifyPortfolio evaluates a property portfolio on the built state, under
@@ -547,10 +549,14 @@ func (b *Built) VerifyPortfolio(ctx context.Context, props []TLProp) (*TLPResult
 	if err != nil {
 		return nil, err
 	}
-	return b.evalPortfolio(ctx, port)
+	return b.EvalPortfolio(ctx, port)
 }
 
-func (b *Built) evalPortfolio(ctx context.Context, port *tlp.Portfolio) (*TLPResult, error) {
+// EvalPortfolio is VerifyPortfolio of a portfolio compiled already, by
+// tlp.Compile against the built network and the flows the build ran — for a
+// caller that compiles it before the build is there, to refuse a malformed
+// one without waiting.
+func (b *Built) EvalPortfolio(ctx context.Context, port *Portfolio) (*TLPResult, error) {
 	defer b.record()
 	err := b.err
 	if err == nil {
