@@ -160,7 +160,7 @@ func TestRunVerifyMetricsJSON(t *testing.T) {
 	}
 	// Route simulation explains itself: what the IGP sweep built and how
 	// much of the RIB the BGP rounds re-evaluated.
-	for _, want := range []string{"routesim.igp_levels", "routesim.bgp_rounds", "routesim.bgp_entries", "routesim.bgp_recomputed", "routesim.templates_rebuilt"} {
+	for _, want := range []string{"routesim.igp_levels", "routesim.bgp_rounds", "routesim.bgp_entries", "routesim.bgp_recomputed", "routesim.bgp_offers", "routesim.templates_rebuilt"} {
 		if doc.Counters[want] <= 0 {
 			t.Errorf("metrics counter %q = %d, want > 0 (got %v)", want, doc.Counters[want], doc.Counters)
 		}

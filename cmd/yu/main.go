@@ -460,9 +460,10 @@ func printRouteSim(w io.Writer, snap *yu.MetricsSnapshot) {
 		return
 	}
 	c := snap.Counters
-	fmt.Fprintf(w, "route-sim: igp %.1fms (%d levels built, %d pruned), bgp %.1fms (%d rounds, %d evaluations of %d RIB entries, %d templates, %d AS paths), finish %.1fms\n",
+	fmt.Fprintf(w, "route-sim: igp %.1fms (%d levels built, %d pruned), bgp %.1fms (%d rounds, %d evaluations of %d RIB entries, %d offers, %d cut at a cover, %d templates, %d AS paths), finish %.1fms\n",
 		ms["routesim/igp"], c["routesim.igp_levels"], c["routesim.igp_pruned"],
 		ms["routesim/bgp"], c["routesim.bgp_rounds"], c["routesim.bgp_recomputed"], c["routesim.bgp_entries"],
+		c["routesim.bgp_offers"], c["routesim.bgp_offers_cut"],
 		c["routesim.templates_rebuilt"], c["routesim.as_paths"], ms["routesim/finish"])
 }
 

@@ -24,9 +24,35 @@ import (
 // pruned check at the same class, and report the same witness and value —
 // pointer and DeepEqual equality.
 
+// refGrouper groups as the check stage does, in first-seen order, with a
+// fresh map per load: the reference shares no scratch with production.
+type refGrouper struct {
+	idx     map[*mtbdd.Node]int // nil: no grouping
+	classes []scanClass
+}
+
+func newRefGrouper(group bool) refGrouper {
+	var g refGrouper
+	if group {
+		g.idx = make(map[*mtbdd.Node]int)
+	}
+	return g
+}
+
+func (g *refGrouper) add(w *mtbdd.Node, vol float64) {
+	if g.idx != nil {
+		if i, ok := g.idx[w]; ok {
+			g.classes[i].vol += vol
+			return
+		}
+		g.idx[w] = len(g.classes)
+	}
+	g.classes = append(g.classes, scanClass{w: w, vol: vol})
+}
+
 // refLinkClasses probes every STF's link map for l, in STF order.
 func refLinkClasses(v *Verifier, l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
-	g := newGrouper(!v.e.opts.DisableLinkLocalEquiv)
+	g := newRefGrouper(!v.e.opts.DisableLinkLocalEquiv)
 	for _, s := range v.stfs {
 		if w := s.Links[l]; w != nil {
 			stat.Flows++

@@ -5,8 +5,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -46,22 +48,33 @@ type scanClass struct {
 // addition is not associative, so the deterministic order keeps verdicts
 // reproducible). With group off every contribution is its own class.
 // Classes are keyed by canonical node pointers: hash-consing makes two STFs
-// with the same function on a link the same node.
+// with the same function on a link the same node. A verifier has one
+// (Verifier.group), reused load to load.
 type classGrouper struct {
-	idx     map[*mtbdd.Node]int // nil: no grouping
+	group   bool
+	idx     map[*mtbdd.Node]int
 	classes []scanClass
 }
 
-func newGrouper(group bool) classGrouper {
-	var g classGrouper
-	if group {
+// groupKeep is the most classes the grouper may have held and still keep
+// its map and buffer for the next load: clearing costs their capacity, so
+// scratch one large load grew is dropped rather than cleared for every small
+// load after it (the rule of the MTBDD layer's walk scratch).
+const groupKeep = 1 << 14
+
+// grouper returns the verifier's grouper, empty, grouping unless group is
+// off.
+func (v *Verifier) grouper(group bool) *classGrouper {
+	g := &v.group
+	g.group = group
+	if group && g.idx == nil {
 		g.idx = make(map[*mtbdd.Node]int)
 	}
 	return g
 }
 
 func (g *classGrouper) add(w *mtbdd.Node, vol float64) {
-	if g.idx != nil {
+	if g.group {
 		if i, ok := g.idx[w]; ok {
 			g.classes[i].vol += vol
 			return
@@ -71,19 +84,32 @@ func (g *classGrouper) add(w *mtbdd.Node, vol float64) {
 	g.classes = append(g.classes, scanClass{w: w, vol: vol})
 }
 
+// take hands the classes out in a fresh slice, which the caller keeps (prune
+// sorts it in place), and empties the grouper, pinning no node.
+func (g *classGrouper) take() []scanClass {
+	out := slices.Clone(g.classes)
+	clear(g.classes)
+	clear(g.idx)
+	g.classes = g.classes[:0]
+	if len(out) > groupKeep {
+		g.idx, g.classes = nil, nil
+	}
+	return out
+}
+
 // linkClasses is the classes of the STFs crossing directed link l, read off
 // the per-link index and grouped unless the §5.3 ablation is on.
 func (v *Verifier) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
 	if l < 0 || int(l) >= len(v.linkIdx) {
 		return nil
 	}
-	g := newGrouper(!v.e.opts.DisableLinkLocalEquiv)
+	g := v.grouper(!v.e.opts.DisableLinkLocalEquiv)
 	for _, ref := range v.linkIdx[l] {
 		g.add(ref.w, v.stfs[ref.stf].Flow.Gbps)
 	}
 	stat.Flows += len(v.linkIdx[l])
 	stat.Classes += len(g.classes)
-	return g.classes
+	return g.take()
 }
 
 // deliveredClasses is the classes of the delivered traffic destined inside
@@ -94,7 +120,7 @@ func (v *Verifier) linkClasses(l topo.DirLinkID, stat *LinkCheckStat) []scanClas
 // summed volume, bit for bit), and a class with no member inside none.
 func (v *Verifier) deliveredClasses(pfx netip.Prefix, stat *LinkCheckStat) []scanClass {
 	vols, inside := v.deliveredVolumes(pfx)
-	g := newGrouper(true)
+	g := v.grouper(true)
 	for ci, s := range v.stfs {
 		if inside[ci] {
 			stat.Flows++
@@ -102,21 +128,40 @@ func (v *Verifier) deliveredClasses(pfx netip.Prefix, stat *LinkCheckStat) []sca
 		}
 	}
 	stat.Classes += len(g.classes)
-	return g.classes
+	return g.take()
+}
+
+// deliveredMemo is deliveredVolumes' answer for the prefix last asked, in
+// buffers reused prefix to prefix.
+type deliveredMemo struct {
+	pfx    netip.Prefix // invalid: nothing memoised
+	vols   []float64
+	inside []bool
 }
 
 // deliveredVolumes is, per class, the volume of its member flows inside pfx,
-// added in flow order, and whether it has a member there.
+// added in flow order, and whether it has a member there. A delivered plan
+// asks for its prefix's volumes for its load key (loadKey) and again for
+// its classes (deliveredClasses); the answer for the last prefix asked is
+// kept, so the flows are walked once. Callers read it before they ask for
+// another prefix.
 func (v *Verifier) deliveredVolumes(pfx netip.Prefix) (vols []float64, inside []bool) {
-	vols = make([]float64, len(v.stfs))
-	inside = make([]bool, len(v.stfs))
+	d := &v.delivered
+	if d.pfx.IsValid() && d.pfx == pfx {
+		return d.vols, d.inside
+	}
+	n := len(v.stfs)
+	d.vols, d.inside = slices.Grow(d.vols[:0], n)[:n], slices.Grow(d.inside[:0], n)[:n]
+	clear(d.vols)
+	clear(d.inside)
 	for fi, f := range v.flows {
-		if ci := v.classOf[fi]; ci < len(v.stfs) && pfx.Contains(f.Dst) {
-			vols[ci] += f.Gbps
-			inside[ci] = true
+		if ci := v.classOf[fi]; ci < n && pfx.Contains(f.Dst) {
+			d.vols[ci] += f.Gbps
+			d.inside[ci] = true
 		}
 	}
-	return vols, inside
+	d.pfx = pfx
+	return d.vols, d.inside
 }
 
 // splitClasses lays classes out as the n-ary kernels' parallel operand
@@ -477,7 +522,7 @@ func (v *Verifier) prune(classes []scanClass, threshold float64) (stop int, hold
 	}
 
 	// Descending contribution order, stable for reproducibility.
-	sort.SliceStable(classes, func(i, j int) bool { return classes[i].vol*classes[i].max > classes[j].vol*classes[j].max })
+	slices.SortStableFunc(classes, func(a, b scanClass) int { return cmp.Compare(b.vol*b.max, a.vol*a.max) })
 	vols, ws := splitClasses(classes)
 	remaining := total
 	var his []float64

@@ -214,6 +214,10 @@ type Verifier struct {
 	linkKeys []routesim.Fingerprint
 	loads    LoadCarrier
 	session  *loadSession
+	// group and delivered are the check stage's scratch: the class grouper
+	// every load groups through, and the last delivered prefix's volumes.
+	group     classGrouper
+	delivered deliveredMemo
 }
 
 // Err returns the fatal error recorded during flow execution, if any.

@@ -60,40 +60,47 @@ func (a Assignment) String() string {
 type valueRange struct{ lo, hi float64 }
 
 // Range returns the minimum and maximum terminal values reachable in f.
-// Results are cached in the Manager (backed by a lossy table, with a
-// per-call exact memo guaranteeing linear cost), making repeated bound
-// queries — the early-termination pruning of verification — nearly free.
+// Results are cached in the Manager (backed by a lossy table, with an exact
+// memo guaranteeing linear cost), making repeated bound queries — the
+// early-termination pruning of verification — nearly free. The memo is the
+// manager's walk scratch, emptied after each call (keepRangeMemo).
 func (m *Manager) Range(f *Node) (lo, hi float64) {
-	var local map[*Node]valueRange
-	var walk func(n *Node) valueRange
-	walk = func(n *Node) valueRange {
-		if n.IsTerminal() {
-			return valueRange{n.Value, n.Value}
-		}
-		if l, h, ok := m.rangeTbl.get(n.id); ok {
-			m.rangeHits++
-			return valueRange{l, h}
-		}
-		m.rangeMisses++
-		if local == nil {
-			local = make(map[*Node]valueRange)
-		} else if r, ok := local[n]; ok {
-			return r
-		}
-		a, b := walk(n.Lo), walk(n.Hi)
-		r := valueRange{a.lo, a.hi}
-		if b.lo < r.lo {
-			r.lo = b.lo
-		}
-		if b.hi > r.hi {
-			r.hi = b.hi
-		}
-		local[n] = r
-		m.rangeTbl.put(n.id, r.lo, r.hi)
+	if m.rangeMemo == nil {
+		m.rangeMemo = make(map[*Node]valueRange)
+	}
+	r := m.rangeOf(f, m.rangeMemo)
+	m.keepRangeMemo()
+	return r.lo, r.hi
+}
+
+// rangeOf is Range's walk below n.
+func (m *Manager) rangeOf(n *Node, memo map[*Node]valueRange) valueRange {
+	if n.IsTerminal() {
+		return valueRange{n.Value, n.Value}
+	}
+	if l, h, ok := m.rangeTbl.get(n.id); ok {
+		m.rangeHits++
+		return valueRange{l, h}
+	}
+	m.rangeMisses++
+	if r, ok := memo[n]; ok {
 		return r
 	}
-	r := walk(f)
-	return r.lo, r.hi
+	a, b := m.rangeOf(n.Lo, memo), m.rangeOf(n.Hi, memo)
+	r := valueRange{min(a.lo, b.lo), max(a.hi, b.hi)}
+	memo[n] = r
+	m.rangeTbl.put(n.id, r.lo, r.hi)
+	return r
+}
+
+// keepRangeMemo empties Range's memo and keeps it for the next call, unless
+// it grew past scratchKeep.
+func (m *Manager) keepRangeMemo() {
+	if len(m.rangeMemo) > scratchKeep {
+		m.rangeMemo = nil
+		return
+	}
+	clear(m.rangeMemo)
 }
 
 // Witness returns one assignment under which f evaluates to a value v

@@ -79,6 +79,11 @@ type Manager struct {
 	// scans (keepScanTable).
 	scanMemo map[*Node]int32
 	scanVals []int32
+	// rangeMemo is Range's exact memo and sum the state of the n-ary sum
+	// kernels (SumMulK, PrefixMaxK): walk scratch like the scan table, kept
+	// empty and pinning no node between calls.
+	rangeMemo map[*Node]valueRange
+	sum       *sumState
 
 	// Node storage. Nodes are carved out of fixed-size slabs instead of
 	// being allocated one heap object each: slab s holds node ids

@@ -103,15 +103,16 @@ func (m *Manager) ScanOutside(f *Node, checks []ScanCheck) []ScanHit {
 	return out
 }
 
-// scanKeep is the most nodes a scan's table may have held and still be kept
-// for the next scan: clearing a map costs its capacity, so a table a large
-// load grew is dropped rather than cleared for every small load after it.
-const scanKeep = 1 << 14
+// scratchKeep is the most entries a walk's scratch (ScanOutside's table,
+// Range's memo, the n-ary sum's state) may have held and still be kept for
+// the next walk: clearing costs the scratch's capacity, so one a large load
+// grew is dropped rather than cleared for every small load after it.
+const scratchKeep = 1 << 14
 
 // keepScanTable empties a scan's table and keeps it for the next scan,
-// unless it grew past scanKeep.
+// unless it grew past scratchKeep.
 func (m *Manager) keepScanTable(memo map[*Node]int32, vals []int32) {
-	if len(memo) > scanKeep {
+	if len(memo) > scratchKeep {
 		m.scanMemo, m.scanVals = nil, nil
 		return
 	}

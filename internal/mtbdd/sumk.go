@@ -51,7 +51,8 @@ func (m *Manager) SumMulK(vols []float64, fs []*Node, k int) *Node {
 		}
 		return acc
 	}
-	s := m.newSumState(vols, fs, k)
+	s := m.sumScratch(vols, fs, k)
+	defer m.keepSum(s)
 	out := make([]*Node, s.budget+1)
 	s.build(s.budget, 0, out)
 	return out[s.budget]
@@ -79,12 +80,16 @@ func (m *Manager) PrefixMaxK(vols []float64, fs []*Node, k int) []float64 {
 	for i := range out {
 		out[i] = math.Inf(-1)
 	}
-	s := m.newSumState(vols, fs, k)
+	s := m.sumScratch(vols, fs, k)
+	defer m.keepSum(s)
 	s.maxima(s.budget, out)
 	return out
 }
 
-// sumState is the operand vector of one n-ary walk, cofactored in place.
+// sumState is the operand vector of one n-ary walk, cofactored in place. It
+// is the manager's walk scratch (Manager.sum): sumScratch fills it for a
+// call and keepSum empties it after, so a call allocates no state and a kept
+// state pins no node.
 type sumState struct {
 	m      *Manager
 	budget int // k capped at the variable count, beyond which β_k is the identity
@@ -94,6 +99,7 @@ type sumState struct {
 	alive  []float64 // cur[i] with every remaining variable alive
 	undo   []sumUndo // operands cofactored on the current path, innermost last
 	frames [][]*Node // per depth: the Hi child's β_0..β_b, then the Lo child's β_0..β_{b-1}
+	depth  int       // frames the running call has used
 }
 
 // sumUndo remembers one operand as it was before a step cofactored it.
@@ -103,24 +109,48 @@ type sumUndo struct {
 	alive float64
 }
 
-func (m *Manager) newSumState(vols []float64, fs []*Node, k int) *sumState {
+// sumScratch loads the manager's sum state, made on first use, with a
+// call's operands.
+func (m *Manager) sumScratch(vols []float64, fs []*Node, k int) *sumState {
 	if len(vols) != len(fs) {
 		panic("mtbdd: weighted sum with mismatched weight and operand counts")
 	}
 	if n := m.NumVars(); k > n {
 		k = n
 	}
-	s := &sumState{
-		m: m, budget: k, vols: vols,
-		cur:   append([]*Node(nil), fs...),
-		lvl:   make([]int32, len(fs)),
-		alive: make([]float64, len(fs)),
+	if m.sum == nil {
+		m.sum = &sumState{m: m}
 	}
-	for i, f := range fs {
-		s.lvl[i] = f.Level
-		s.alive[i] = f.Value
+	s := m.sum
+	if s.budget != k {
+		// A frame holds 2b+1 slots.
+		clear(s.frames)
+		s.frames, s.budget = s.frames[:0], k
+	}
+	s.vols = vols
+	s.cur, s.lvl, s.alive = s.cur[:0], s.lvl[:0], s.alive[:0]
+	for _, f := range fs {
+		s.cur = append(s.cur, f)
+		s.lvl = append(s.lvl, f.Level)
+		s.alive = append(s.alive, f.Value)
 	}
 	return s
+}
+
+// keepSum empties a call's sum state — every node pointer in it cleared —
+// and keeps it for the next call, unless it grew past scratchKeep. The
+// kernels defer it, so a walk an interrupt or a budget breach aborted is
+// emptied too.
+func (m *Manager) keepSum(s *sumState) {
+	clear(s.cur)
+	clear(s.undo) // entries past its length were cleared by restore
+	for _, f := range s.frames[:s.depth] {
+		clear(f)
+	}
+	s.vols, s.cur, s.undo, s.depth = nil, s.cur[:0], s.undo[:0], 0
+	if cap(s.cur)+cap(s.undo)+len(s.frames)*(2*s.budget+1) > scratchKeep {
+		m.sum = nil
+	}
 }
 
 // level returns the state's variable: the smallest root level among the
@@ -179,6 +209,7 @@ func (s *sumState) restore(mark int) {
 		s.set(u.i, u.n)
 		s.alive[u.i] = u.alive
 	}
+	clear(s.undo[mark:])
 	s.undo = s.undo[:mark]
 }
 
@@ -188,6 +219,7 @@ func (s *sumState) frame(depth, b int) (hi, lo []*Node) {
 	for len(s.frames) <= depth {
 		s.frames = append(s.frames, make([]*Node, 2*s.budget+1))
 	}
+	s.depth = max(s.depth, depth+1)
 	f := s.frames[depth]
 	return f[:b+1], f[b+1 : 2*b+1]
 }

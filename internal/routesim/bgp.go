@@ -1,6 +1,7 @@
 package routesim
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -57,32 +58,54 @@ func (a *BGPCand) local() bool { return a.Deliver || a.Discard || a.AdvertiseOnl
 
 // better reports whether a is strictly preferred to b under the static BGP
 // decision process: local preference, locally-originated, AS-path length,
-// eBGP over iBGP. Remaining ties mean ECMP multipath (the paper's B
-// load-balancing over C and D).
-func (a *BGPCand) better(b *BGPCand) bool {
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
+// eBGP over iBGP, IGP cost. Remaining ties mean ECMP multipath (the paper's
+// B load-balancing over C and D).
+func (a *BGPCand) better(b *BGPCand) bool { return a.rank().compare(b.rank()) < 0 }
+
+// rank is the candidate's rank key.
+func (a *BGPCand) rank() rankKey {
+	return rankKey{localPref: a.LocalPref, local: a.local(), pathLen: int32(len(a.ASPath)), ebgp: a.FromEBGP, igpCost: a.IGPCost}
+}
+
+// rankKey is what the decision process compares of a candidate, in the
+// order it compares it. Two candidates tie (SameRank) exactly when their
+// keys are equal.
+type rankKey struct {
+	localPref   uint32
+	pathLen     int32
+	igpCost     int64
+	local, ebgp bool
+}
+
+// compare is negative when a is strictly preferred to b, positive when b
+// is, and zero on a tie.
+func (a rankKey) compare(b rankKey) int {
+	if a.localPref != b.localPref {
+		return cmp.Compare(b.localPref, a.localPref)
 	}
-	if a.local() != b.local() {
-		return a.local()
+	if a.local != b.local {
+		return preferTrue(a.local)
 	}
-	if len(a.ASPath) != len(b.ASPath) {
-		return len(a.ASPath) < len(b.ASPath)
+	if a.pathLen != b.pathLen {
+		return cmp.Compare(a.pathLen, b.pathLen)
 	}
-	if a.FromEBGP != b.FromEBGP {
-		return a.FromEBGP
+	if a.ebgp != b.ebgp {
+		return preferTrue(a.ebgp)
 	}
-	if a.IGPCost != b.IGPCost {
-		return a.IGPCost < b.IGPCost
+	return cmp.Compare(a.igpCost, b.igpCost)
+}
+
+// preferTrue orders two differing flags, true first: a is one of them.
+func preferTrue(a bool) int {
+	if a {
+		return -1
 	}
-	return false
+	return 1
 }
 
 // SameRank reports that a and b tie in the decision process: both belong
 // to the same ECMP multipath set when simultaneously present.
-func (a *BGPCand) SameRank(b *BGPCand) bool {
-	return !a.better(b) && !b.better(a)
-}
+func (a *BGPCand) SameRank(b *BGPCand) bool { return a.rank() == b.rank() }
 
 // sameRoute reports that a and b, candidates of one Stepper, are the same
 // route in everything but their guards: RIB normalisation merges them into
@@ -220,8 +243,9 @@ type Stepper struct {
 	// changed lists a few of the entries that moved in the last Round.
 	changed []entryRef
 
+	offers  []offer
 	scratch []BGPCand
-	order   []int32
+	kept    []int32
 	cands   []BGPCand  // slab new candidates are cut from
 	lists   []*BGPCand // slab RIB entries are cut from
 }
@@ -343,11 +367,8 @@ func NewStepper(fv *FailVars, cfgs config.Configs, igp *IGP, member []bool, only
 			if len(rs.seed[p]) == 0 {
 				continue
 			}
-			st.scratch = st.scratch[:0]
-			for _, c := range rs.seed[p] {
-				st.merge(*c)
-			}
-			rs.seed[p] = st.commit(st.normalize())
+			st.offerSeeds(rs.seed[p])
+			rs.seed[p] = st.commit(st.selectOffers(topo.RouterID(r), int32(p)))
 			rs.rib[p] = rs.seed[p]
 			rs.stale[p] = st.advertises(topo.RouterID(r))
 		}
@@ -527,15 +548,12 @@ func (st *Stepper) Round() bool {
 }
 
 // recompute evaluates RIB entry (r, p) from r's seeds and its peers'
-// current templates, gathered in global session order, and reports
-// whether the entry moved.
+// current templates, offered in global session order, and reports whether
+// the entry moved.
 func (st *Stepper) recompute(r topo.RouterID, p int32) bool {
 	rs := &st.routers[r]
 	pfx := st.prefixes[p]
-	st.scratch = st.scratch[:0]
-	for _, c := range rs.seed[p] {
-		st.merge(*c)
-	}
+	st.offerSeeds(rs.seed[p])
 	for _, si := range st.in[r] {
 		s := &st.sessions[si]
 		tpls := st.routers[s.from].tpl[p]
@@ -543,10 +561,10 @@ func (st *Stepper) recompute(r topo.RouterID, p int32) bool {
 			continue
 		}
 		for i := range tpls {
-			st.advertise(s, pfx, &tpls[i])
+			st.advertise(si, int32(i), &tpls[i])
 		}
 	}
-	kept := st.normalize()
+	kept := st.selectOffers(r, p)
 	old := rs.rib[p]
 	same := len(old) == len(kept)
 	for i := 0; same && i < len(kept); i++ {
@@ -708,50 +726,118 @@ func (st *Stepper) buildTemplates(cands []*BGPCand) []advTemplate {
 	return ts
 }
 
-// advertise offers one template of session s's sender to its receiver,
-// merging the resulting candidate into the scratch entry.
-func (st *Stepper) advertise(s *session, pfx netip.Prefix, tpl *advTemplate) {
-	net := st.fv.Net
-	adv := BGPCand{Prefix: pfx}
+// offer is one route a RIB entry's evaluation may install: one of the
+// router's seeds, or a template a session peer advertises, with its rank
+// key read off before any candidate or guard is built. It names its source
+// by index, so the offers sort as plain values.
+type offer struct {
+	rank rankKey
+	sess int32 // index in Stepper.sessions; -1 for a seed
+	i    int32 // index in the sender's templates for the prefix, or in the router's seeds
+}
+
+// offerSeeds starts an entry's offers with the router's seeds.
+func (st *Stepper) offerSeeds(seeds []*BGPCand) {
+	st.offers = st.offers[:0]
+	for i, c := range seeds {
+		st.offers = append(st.offers, offer{rank: c.rank(), sess: -1, i: int32(i)})
+	}
+}
+
+// advertise offers template i of session si's sender to its receiver,
+// unless the receiver rejects it: an eBGP path that holds the receiver's
+// AS already (loop rejection), or an iBGP-learned group over iBGP.
+func (st *Stepper) advertise(si, i int32, tpl *advTemplate) {
+	s := &st.sessions[si]
+	path := st.paths.paths[tpl.path]
+	o := offer{sess: si, i: i}
 	if s.ebgp {
-		// AS-path prepend + loop rejection.
-		if hasAS(st.paths.paths[tpl.path], net.Router(s.to).AS) {
+		if hasAS(path, st.fv.Net.Router(s.to).AS) {
 			return
 		}
-		adv.path = st.paths.prepend(net.Router(s.from).AS, tpl.path)
-		// s.edge runs receiver -> sender, so the sender's interface
-		// address is the remote end, and the receiver forwards out of
-		// s.edge itself.
-		adv.NextHop = s.edge.RemoteAddr
-		adv.Direct = true
-		adv.OutEdge = s.edge.DirLink
-		adv.LocalPref = s.importPref
-		adv.FromEBGP = true
+		// The sender prepends its AS.
+		o.rank = rankKey{localPref: s.importPref, pathLen: int32(len(path)) + 1, ebgp: true}
 	} else {
 		if !tpl.crossesIBGP {
 			return
 		}
-		// iBGP: next-hop-self, attributes carried unchanged; the
-		// receiver tiebreaks by its static IGP cost to the next hop
-		// (hot potato).
-		adv.path = tpl.path
-		adv.NextHop = net.Router(s.from).Loopback
-		adv.NextHopRouter = s.from
-		adv.LocalPref = tpl.localPref
-		adv.IGPCost = s.igpCost
+		o.rank = rankKey{localPref: tpl.localPref, pathLen: int32(len(path)), igpCost: s.igpCost}
 	}
-	adv.Guard = st.fv.ReduceAnd(tpl.groupSel, s.up)
-	if adv.Guard == st.fv.M.Zero() {
-		return
-	}
-	adv.ASPath = st.paths.paths[adv.path]
-	st.merge(adv)
+	st.offers = append(st.offers, o)
 }
 
-// merge adds c to the scratch entry; a candidate that is already there up
-// to its guard absorbs c's guard instead.
-func (st *Stepper) merge(c BGPCand) {
-	for i := range st.scratch {
+// candidate builds the candidate of an offer to entry (r, p); ok is false
+// for an advertisement whose guard is Zero.
+func (st *Stepper) candidate(r topo.RouterID, p int32, o offer) (c BGPCand, ok bool) {
+	if o.sess < 0 {
+		return *st.routers[r].seed[p][o.i], true
+	}
+	s := &st.sessions[o.sess]
+	tpl := &st.routers[s.from].tpl[p][o.i]
+	net := st.fv.Net
+	c = BGPCand{Prefix: st.prefixes[p], LocalPref: o.rank.localPref, IGPCost: o.rank.igpCost, FromEBGP: s.ebgp}
+	if s.ebgp {
+		// AS-path prepend. s.edge runs receiver -> sender, so the sender's
+		// interface address is the remote end, and the receiver forwards
+		// out of s.edge itself.
+		c.path = st.paths.prepend(net.Router(s.from).AS, tpl.path)
+		c.NextHop = s.edge.RemoteAddr
+		c.Direct = true
+		c.OutEdge = s.edge.DirLink
+	} else {
+		// iBGP: next-hop-self, attributes carried unchanged; the receiver
+		// tiebreaks by its static IGP cost to the next hop (hot potato).
+		c.path = tpl.path
+		c.NextHop = net.Router(s.from).Loopback
+		c.NextHopRouter = s.from
+	}
+	c.Guard = st.fv.ReduceAnd(tpl.groupSel, s.up)
+	if c.Guard == st.fv.M.Zero() {
+		return c, false
+	}
+	c.ASPath = st.paths.paths[c.path]
+	return c, true
+}
+
+// selectOffers evaluates entry (r, p) from its offers: it sorts them by
+// rank, arrival order kept among ties, and walks the rank groups in that
+// order. A group's offers are built and merged into the scratch entry, and
+// its candidates that can be selected within the failure budget are kept.
+// The walk stops at the first group the strictly better kept candidates
+// cover, where better is One: better is KREDUCEd, so it is One exactly when
+// it holds in every scenario of at most K failures (with reduction
+// disabled, only when it holds in every scenario). ¬better is then Zero,
+// selectable is false for every offer left, and none is built (DESIGN.md
+// §19). It returns the kept candidates as indices into scratch, in RIB
+// order.
+func (st *Stepper) selectOffers(r topo.RouterID, p int32) []int32 {
+	m := st.fv.M
+	offers := st.offers
+	slices.SortStableFunc(offers, func(a, b offer) int { return a.rank.compare(b.rank) })
+	st.scratch, st.kept = st.scratch[:0], st.kept[:0]
+	done := 0 // offers walked
+	for better := m.Zero(); better != m.One() && done < len(offers); {
+		from, rank := len(st.scratch), offers[done].rank
+		for ; done < len(offers) && offers[done].rank == rank; done++ {
+			st.build(r, p, offers[done], from)
+		}
+		better = st.keep(from, better)
+	}
+	st.b.stats.BGPOffers += len(offers)
+	st.b.stats.BGPOffersCut += len(offers) - done
+	return st.kept
+}
+
+// build adds offer o's candidate to the scratch entry; a candidate of the
+// running group (scratch[from:]) that is the same route up to its guard
+// absorbs o's guard instead. The same route has the same rank, so no other
+// group can hold it.
+func (st *Stepper) build(r topo.RouterID, p int32, o offer, from int) {
+	c, ok := st.candidate(r, p, o)
+	if !ok {
+		return
+	}
+	for i := from; i < len(st.scratch); i++ {
 		if prev := &st.scratch[i]; prev.sameRoute(&c) {
 			prev.Guard = st.fv.ReduceOr(prev.Guard, c.Guard)
 			return
@@ -760,43 +846,19 @@ func (st *Stepper) merge(c BGPCand) {
 	st.scratch = append(st.scratch, c)
 }
 
-// normalize orders the scratch entry by preference, arrival order kept
-// among ties, drops the candidates that can never be selected within the
-// failure budget, and returns the survivors as indices into scratch.
-func (st *Stepper) normalize() []int32 {
+// keep keeps the running group's candidates (scratch[from:]) that can be
+// selected when every strictly better kept candidate, whose disjunction is
+// better, is absent, and returns better extended by them.
+func (st *Stepper) keep(from int, better *mtbdd.Node) *mtbdd.Node {
 	fv := st.fv
-	m := fv.M
-	order := st.order[:0]
-	for i := range st.scratch {
-		if st.scratch[i].Guard != m.Zero() {
-			order = append(order, int32(i))
+	group := better
+	for x := from; x < len(st.scratch); x++ {
+		if c := &st.scratch[x]; c.Guard != fv.M.Zero() && fv.selectable(c.Guard, better) {
+			st.kept = append(st.kept, int32(x))
+			group = fv.ReduceOr(group, c.Guard)
 		}
 	}
-	slices.SortStableFunc(order, func(x, y int32) int {
-		a, b := &st.scratch[x], &st.scratch[y]
-		switch {
-		case a.better(b):
-			return -1
-		case b.better(a):
-			return 1
-		}
-		return 0
-	})
-	kept := order[:0]
-	better := m.Zero()
-	for i := 0; i < len(order); {
-		first := &st.scratch[order[i]]
-		group := better
-		for ; i < len(order) && st.scratch[order[i]].SameRank(first); i++ {
-			if c := &st.scratch[order[i]]; fv.selectable(c.Guard, better) {
-				kept = append(kept, order[i])
-				group = fv.ReduceOr(group, c.Guard)
-			}
-		}
-		better = group
-	}
-	st.order = order
-	return kept
+	return group
 }
 
 // commit copies the kept scratch candidates into a RIB entry.

@@ -42,6 +42,11 @@ type Stats struct {
 	// TemplatesRebuilt counts advertisement-template rebuilds (one per RIB
 	// entry that moved), ASPaths the distinct AS paths interned.
 	TemplatesRebuilt, ASPaths int
+	// BGPOffers counts the routes offered to RIB entry evaluations — seeds,
+	// and templates a session peer advertised that the receiver did not
+	// reject — summed over all evaluations; BGPOffersCut those of them
+	// ranked past a cover, never built (DESIGN.md §19).
+	BGPOffers, BGPOffersCut int
 }
 
 // Add accumulates o into s: the cost of several simulations, e.g. one
@@ -57,6 +62,8 @@ func (s *Stats) Add(o Stats) {
 	s.BGPRecomputed += o.BGPRecomputed
 	s.TemplatesRebuilt += o.TemplatesRebuilt
 	s.ASPaths += o.ASPaths
+	s.BGPOffers += o.BGPOffers
+	s.BGPOffersCut += o.BGPOffersCut
 }
 
 // ErrNotConverged reports a BGP fixed point that was still moving when

@@ -757,6 +757,8 @@ func recordRouteSim(reg *Metrics, st routesim.Stats) {
 		"routesim.bgp_rounds":        st.BGPRounds,
 		"routesim.bgp_entries":       st.BGPEntries,
 		"routesim.bgp_recomputed":    st.BGPRecomputed,
+		"routesim.bgp_offers":        st.BGPOffers,
+		"routesim.bgp_offers_cut":    st.BGPOffersCut,
 		"routesim.templates_rebuilt": st.TemplatesRebuilt,
 		"routesim.as_paths":          st.ASPaths,
 	} {
