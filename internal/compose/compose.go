@@ -427,8 +427,8 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 				// neither happened.
 				inside := s.InFlight == zero
 				if inside {
-					for dl := range s.Links {
-						if borderDirs[dl] {
+					for _, lf := range s.Links {
+						if borderDirs[lf.Link] {
 							inside = false
 							break
 						}

@@ -62,6 +62,12 @@ func TestParseSpecErrorMessages(t *testing.T) {
 		{"flow missing fields", base + "flow f ingress a\n", "flow needs at least ingress, dst, and gbps"},
 		{"flow bad dscp", base + "flow f ingress a dst 1.2.3.4 gbps 1 dscp 99\n", `bad dscp "99"`},
 		{"flow bad gbps", base + "flow f ingress a dst 1.2.3.4 gbps torrent\n", `bad gbps "torrent"`},
+		{"flow negative gbps", base + "flow f ingress a dst 1.2.3.4 gbps -60\n", "gbps must be a positive finite number, got -60"},
+		{"flow zero gbps", base + "flow f ingress a dst 1.2.3.4 gbps 0\n", "gbps must be a positive finite number, got 0"},
+		{"flow negative zero gbps", base + "flow f ingress a dst 1.2.3.4 gbps -0\n", "gbps must be a positive finite number, got -0"},
+		{"flow infinite gbps", base + "flow f ingress a dst 1.2.3.4 gbps +Inf\n", "gbps must be a positive finite number, got +Inf"},
+		{"flow NaN gbps", base + "flow f ingress a dst 1.2.3.4 gbps NaN\n", "gbps must be a positive finite number, got NaN"},
+		{"flow overflowing gbps", base + "flow f ingress a dst 1.2.3.4 gbps 1e400\n", `bad gbps "1e400"`},
 		{"flow option missing value", base + "flow f ingress a dst 1.2.3.4 gbps\n", `flow option "gbps" wants a value`},
 		{"flow unknown option", base + "flow f ingress a dst 1.2.3.4 gbps 1 color blue\n", `unknown flow option "color"`},
 		{"flow unknown ingress", base + "flow f ingress zz dst 1.2.3.4 gbps 1\n", `unknown ingress router "zz"`},

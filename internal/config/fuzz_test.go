@@ -5,7 +5,7 @@ import "testing"
 // FuzzParseSpec feeds arbitrary text to the config-DSL parser. The
 // invariant is total robustness: any input either parses into a validated
 // spec or returns an error — never a panic, never a nil spec with a nil
-// error. The corpus under testdata/fuzz/FuzzParseSpec seeds the grammar's
+// error — and a parsed flow's volume is a positive finite number. The corpus under testdata/fuzz/FuzzParseSpec seeds the grammar's
 // interesting corners (every block keyword, boundary values, and the
 // malformed shapes the table-driven error tests pin down).
 func FuzzParseSpec(f *testing.F) {
@@ -17,6 +17,9 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("router a as 1\nrouter b as 1\nlink a b\nconfig a\n  neighbor 10.0.0.2 remote-as 1 local-pref 200 next-hop-self export-deny 100.0.0.0/24\n  sr-policy 10.0.0.2/32 dscp 5\n    path 10.0.0.2 weight 3\n")
 	f.Add("router a as 1\nflow f ingress a src 9.9.9.9 dst 1.2.3.4 dscp 63 gbps 0.25\nproperty delivered 1.2.3.0/24 min 0.1 max 2\nfailures k 3 mode routers\n")
 	f.Add("router a as 1\nrouter b as 1\nlink a b\nproperty link a-b max 10\nproperty dirlink a->b min 1\n")
+	for _, g := range []string{"-60", "0", "-0", "+Inf", "-Inf", "NaN", "1e400", "5e-324"} {
+		f.Add("router a as 1\nflow f ingress a dst 1.2.3.4 gbps " + g + "\n")
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		spec, err := ParseSpecString(text)
 		if err == nil && spec == nil {
@@ -32,6 +35,9 @@ func FuzzParseSpec(f *testing.F) {
 			}
 			for _, fl := range spec.Flows {
 				_ = spec.Net.Router(fl.Ingress)
+				if err := CheckGbps(fl.Gbps); err != nil {
+					t.Fatalf("flow %s parsed: %v", fl.Name, err)
+				}
 			}
 			for _, b := range spec.Props {
 				_ = spec.Net.Link(b.Link)

@@ -501,6 +501,9 @@ func (p *specParser) flow(f []string) error {
 			if err != nil {
 				return fmt.Errorf("bad gbps %q", rest[1])
 			}
+			if err := CheckGbps(g); err != nil {
+				return err
+			}
 			fl.flow.Gbps = g
 		default:
 			return fmt.Errorf("unknown flow option %q", rest[0])
@@ -512,6 +515,17 @@ func (p *specParser) flow(f []string) error {
 	}
 	p.flows = append(p.flows, fl)
 	return nil
+}
+
+// CheckGbps rejects a flow volume that is not a positive finite number. A
+// load is a sum of volumes scaled by fractions in [0,1], and the check's
+// bounds on it (each class's maximum, the prefix maxima that stop a scan)
+// hold only for non-negative terms; an infinite or NaN volume has no sum.
+func CheckGbps(g float64) error {
+	if g > 0 && !math.IsInf(g, 1) {
+		return nil
+	}
+	return fmt.Errorf("gbps must be a positive finite number, got %g", g)
 }
 
 func (p *specParser) property(f []string) error {

@@ -42,14 +42,11 @@ func SealSTFs(stfs []*FlowSTF) *SealedSTFs {
 	l := &SealedSTFs{STFs: make([]SealedSTF, len(stfs))}
 	var roots []*mtbdd.Node
 	for i, s := range stfs {
-		links := make([]topo.DirLinkID, 0, len(s.Links))
-		for dl := range s.Links {
-			links = append(links, dl)
-		}
-		slices.Sort(links)
+		links := make([]topo.DirLinkID, len(s.Links))
 		roots = append(roots, s.Delivered, s.Dropped, s.InFlight)
-		for _, dl := range links {
-			roots = append(roots, s.Links[dl])
+		for j, lf := range s.Links {
+			links[j] = lf.Link
+			roots = append(roots, lf.W)
 		}
 		l.STFs[i] = SealedSTF{Links: links, Iterations: s.Iterations, shared: s.shared}
 	}
@@ -131,7 +128,7 @@ func (r *Replayed) STF(i int, flow topo.Flow) *FlowSTF {
 	s := &r.l.STFs[i]
 	stf := &FlowSTF{
 		Flow:       flow,
-		Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(s.Links)),
+		Links:      make([]LinkFrac, len(s.Links)),
 		Delivered:  r.table[s.Roots[0]],
 		Dropped:    r.table[s.Roots[1]],
 		InFlight:   r.table[s.Roots[2]],
@@ -139,7 +136,7 @@ func (r *Replayed) STF(i int, flow topo.Flow) *FlowSTF {
 		shared:     s.shared,
 	}
 	for j, dl := range s.Links {
-		stf.Links[dl] = r.table[s.Roots[3+j]]
+		stf.Links[j] = LinkFrac{Link: dl, W: r.table[s.Roots[3+j]]}
 	}
 	return stf
 }
@@ -161,24 +158,25 @@ func NewAssembledVerifier(e *Engine, flows []topo.Flow, sealed []*SealedSTFs, at
 	return v
 }
 
-// TranslateSTF re-keys a domain-local FlowSTF's link map to global
-// directed-link IDs via toGlobal (indexed by subnet LinkID), leaving the
-// nodes untouched in their owning manager, and stamps the global view of
-// the executed flow (the domain ran it under a subnet-local ingress ID).
-// The result is what a domain seals for NewAssembledVerifier.
+// TranslateSTF re-keys a domain-local FlowSTF's links to global
+// directed-link IDs via toGlobal (indexed by subnet LinkID) and puts them
+// back in ascending order, leaving the nodes untouched in their owning
+// manager, and stamps the global view of the executed flow (the domain ran
+// it under a subnet-local ingress ID). The result is what a domain seals
+// for NewAssembledVerifier.
 func TranslateSTF(s *FlowSTF, toGlobal []topo.LinkID, flow topo.Flow) *FlowSTF {
 	out := &FlowSTF{
 		Flow:       flow,
-		Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(s.Links)),
+		Links:      make([]LinkFrac, len(s.Links)),
 		Delivered:  s.Delivered,
 		Dropped:    s.Dropped,
 		InFlight:   s.InFlight,
 		Iterations: s.Iterations,
 		shared:     s.shared,
 	}
-	for l, w := range s.Links {
-		gl := toGlobal[l.Link()]
-		out.Links[topo.MakeDirLinkID(gl, l.Dir())] = w
+	for i, lf := range s.Links {
+		out.Links[i] = LinkFrac{Link: topo.MakeDirLinkID(toGlobal[lf.Link.Link()], lf.Link.Dir()), W: lf.W}
 	}
+	slices.SortFunc(out.Links, func(a, b LinkFrac) int { return int(a.Link) - int(b.Link) })
 	return out
 }

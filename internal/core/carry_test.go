@@ -77,8 +77,8 @@ func TestCheckCarriedEqualsRun(t *testing.T) {
 	// More volume on one flow moves the links its class crosses, and no other.
 	v := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
 	moved := make(map[topo.DirLinkID]bool)
-	for l := range v.stfs[v.classOf[0]].Links {
-		moved[l] = true
+	for _, lf := range v.stfs[v.classOf[0]].Links {
+		moved[lf.Link] = true
 	}
 	heavier := append([]topo.Flow(nil), flows...)
 	heavier[0].Gbps += 1

@@ -424,7 +424,7 @@ func TestSTFMatchesPaperFormula(t *testing.T) {
 	if f1 == nil {
 		t.Fatal("f1 missing")
 	}
-	w := f1.Links[ce]
+	w := linkNode(f1, ce)
 	eval := func(failed ...string) float64 {
 		return fx.eng.Manager().Eval(w, fx.scenario(t, failed))
 	}
@@ -505,15 +505,15 @@ func TestSTFRanges(t *testing.T) {
 		fx := newFixture(t, text, topo.FailLinks, 2, Options{DisableGlobalEquiv: true})
 		m := fx.eng.Manager()
 		for _, s := range fx.ver.FlowSTFs() {
-			for l, w := range s.Links {
-				lo, hi := m.Range(w)
+			for _, lf := range s.Links {
+				lo, hi := m.Range(lf.W)
 				if lo < -1e-9 {
 					t.Errorf("%s STF on %s negative: %v",
-						s.Flow.Name, fx.spec.Net.DirLinkName(l), lo)
+						s.Flow.Name, fx.spec.Net.DirLinkName(lf.Link), lo)
 				}
 				if hi > 3+1e-9 {
 					t.Errorf("%s STF on %s implausibly high: %v (loop?)",
-						s.Flow.Name, fx.spec.Net.DirLinkName(l), hi)
+						s.Flow.Name, fx.spec.Net.DirLinkName(lf.Link), hi)
 				}
 			}
 			lo, hi := m.Range(s.Delivered)

@@ -14,8 +14,9 @@ import (
 // k-failure budget) and are KReduce'd.
 type FlowSTF struct {
 	Flow topo.Flow
-	// Links maps each directed link crossed by the flow to its STF.
-	Links map[topo.DirLinkID]*mtbdd.Node
+	// Links holds the flow's STF on each directed link it crosses, in
+	// ascending link order, one entry per link.
+	Links []LinkFrac
 	// Delivered is the fraction of the flow's traffic reaching a router
 	// that originates a prefix covering the destination.
 	Delivered *mtbdd.Node
@@ -30,6 +31,12 @@ type FlowSTF struct {
 	// shared marks an STF that took its nodes from an earlier class with the
 	// same behaviour (Engine.memo) instead of executing.
 	shared bool
+}
+
+// LinkFrac is a flow's traffic fraction W on directed link Link.
+type LinkFrac struct {
+	Link topo.DirLinkID
+	W    *mtbdd.Node
 }
 
 // cell is one wavefront cell: the traffic fraction omega arriving at a router
@@ -51,7 +58,8 @@ type execScratch struct {
 	// cellAt[r] heads the chain of router r's cells in the next front.
 	cellAt []int32
 	// linkAcc[l] is the fraction accumulated on directed link l so far;
-	// touched lists the links that have one, in first-touch order.
+	// touched lists the links that have one, in first-touch order until the
+	// flow's result is read off in link order.
 	linkAcc []*mtbdd.Node
 	touched []topo.DirLinkID
 }
@@ -91,7 +99,7 @@ type memoKey struct {
 // A flow that forwards as an earlier one did — same ingress, same forwarding
 // class, and the same DSCP unless the execution never met a DSCP-specific SR
 // policy — is not executed again (§6, global flow equivalence by behaviour):
-// it gets its own FlowSTF over the earlier one's nodes and Links map, which
+// it gets its own FlowSTF over the earlier one's nodes and Links slice, which
 // nobody mutates. Options.DisableGlobalEquiv turns that off.
 //
 // Float MTBDD addition is not associative, so the order of accumulation is
@@ -178,14 +186,15 @@ func (e *Engine) ExecuteFlow(f topo.Flow) *FlowSTF {
 
 	res := &FlowSTF{
 		Flow:       f,
-		Links:      make(map[topo.DirLinkID]*mtbdd.Node, len(sc.touched)),
+		Links:      make([]LinkFrac, len(sc.touched)),
 		Delivered:  delivered,
 		Dropped:    dropped,
 		InFlight:   inFlight,
 		Iterations: iter,
 	}
-	for _, l := range sc.touched {
-		res.Links[l] = sc.linkAcc[l]
+	slices.Sort(sc.touched)
+	for i, l := range sc.touched {
+		res.Links[i] = LinkFrac{Link: l, W: sc.linkAcc[l]}
 	}
 	if share {
 		key := memoKey{f.Ingress, fc, anyDSCP}

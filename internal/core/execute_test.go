@@ -246,7 +246,7 @@ func TestForwardingClassSeparatesLocalPref(t *testing.T) {
 		if v.stfs[1].shared == bump {
 			t.Errorf("bump=%v: second prefix's class shared = %v", bump, v.stfs[1].shared)
 		}
-		if same := v.stfs[0].Links[0] == v.stfs[1].Links[0] && len(v.stfs[0].Links) == len(v.stfs[1].Links); same == bump {
+		if same := linkNode(v.stfs[0], 0) == linkNode(v.stfs[1], 0) && len(v.stfs[0].Links) == len(v.stfs[1].Links); same == bump {
 			t.Errorf("bump=%v: the two prefixes forward alike = %v", bump, same)
 		}
 	}

@@ -56,8 +56,8 @@ func stfRoots(out []*mtbdd.Node, stfs []*FlowSTF) []*mtbdd.Node {
 		if s == nil {
 			continue
 		}
-		for _, w := range s.Links {
-			out = append(out, w)
+		for _, lf := range s.Links {
+			out = append(out, lf.W)
 		}
 		out = append(out, s.Delivered, s.Dropped, s.InFlight)
 	}

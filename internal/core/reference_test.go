@@ -54,7 +54,7 @@ func (g *refGrouper) add(w *mtbdd.Node, vol float64) {
 func refLinkClasses(v *Verifier, l topo.DirLinkID, stat *LinkCheckStat) []scanClass {
 	g := newRefGrouper(!v.e.opts.DisableLinkLocalEquiv)
 	for _, s := range v.stfs {
-		if w := s.Links[l]; w != nil {
+		if w := linkNode(s, l); w != nil {
 			stat.Flows++
 			g.add(w, s.Flow.Gbps)
 		}
@@ -449,9 +449,9 @@ func refSortedOut(out map[refOutKey]refStepOut) []refOutKey {
 func (x *refExec) executeFlow(f topo.Flow) *FlowSTF {
 	e := x.e
 	m, fv := e.m, e.fv
+	links := make(map[topo.DirLinkID]*mtbdd.Node)
 	res := &FlowSTF{
 		Flow:      f,
-		Links:     make(map[topo.DirLinkID]*mtbdd.Node),
 		Delivered: m.Zero(),
 		Dropped:   m.Zero(),
 		InFlight:  m.Zero(),
@@ -486,10 +486,10 @@ func (x *refExec) executeFlow(f topo.Flow) *FlowSTF {
 					continue
 				}
 				link := ok2.link
-				if prev, ok := res.Links[link]; ok {
-					res.Links[link] = fv.ReduceAdd(prev, t)
+				if prev, ok := links[link]; ok {
+					links[link] = fv.ReduceAdd(prev, t)
 				} else {
-					res.Links[link] = t
+					links[link] = t
 				}
 				nk := refInKey{e.net.Edge(link).To, ok2.stackKey}
 				if prev, ok := next[nk]; ok {
@@ -505,6 +505,10 @@ func (x *refExec) executeFlow(f topo.Flow) *FlowSTF {
 	for _, k := range refSortedFront(front) {
 		res.InFlight = fv.ReduceAdd(res.InFlight, front[k].omega)
 	}
+	for l, w := range links {
+		res.Links = append(res.Links, LinkFrac{Link: l, W: w})
+	}
+	sort.Slice(res.Links, func(i, j int) bool { return res.Links[i].Link < res.Links[j].Link })
 	return res
 }
 
@@ -664,9 +668,9 @@ func sameSTF(got, want *FlowSTF) error {
 	if len(got.Links) != len(want.Links) {
 		return fmt.Errorf("%d links, reference %d", len(got.Links), len(want.Links))
 	}
-	for l, w := range want.Links {
-		if got.Links[l] != w {
-			return fmt.Errorf("link %d: node differs from the reference's", l)
+	for i, w := range want.Links {
+		if got.Links[i] != w {
+			return fmt.Errorf("link %d: node differs from the reference's, or the links are out of order", w.Link)
 		}
 	}
 	return nil

@@ -13,7 +13,7 @@ import (
 // nodes — between two made-up ones for what execution rarely yields: an STF
 // crossing no link, and one flagged shared. The made-up ones are built in m.
 func sealCases(m *mtbdd.Manager, stfs []*FlowSTF) []*FlowSTF {
-	bare := &FlowSTF{Flow: stfs[0].Flow, Links: map[topo.DirLinkID]*mtbdd.Node{},
+	bare := &FlowSTF{Flow: stfs[0].Flow, Links: []LinkFrac{},
 		Delivered: m.Zero(), Dropped: m.One(), InFlight: m.Zero(), Iterations: 1}
 	flagged := *stfs[len(stfs)-1]
 	flagged.shared = true

@@ -23,7 +23,8 @@ import (
 //     route-sim input the execution reads).
 //   - The returned STF's Flow field must be rep itself (the caller's
 //     representative carries this run's summed volume), not the flow the
-//     cached result was first computed from.
+//     cached result was first computed from, and its Links must be in
+//     strictly ascending link order, as an executed STF's are.
 //   - Cache-served classes still count toward Report.FlowsExecuted; they
 //     are not counted in the exec.flows_executed obs counter, which keeps
 //     measuring real symbolic executions.

@@ -346,16 +346,15 @@ type linkRef struct {
 
 // indexLinks lists, per directed link, the STFs crossing it with their node
 // there. The outer loop runs in STF order and an STF has at most one node per
-// link, so each link's list is in STF order whatever order the Links maps
-// iterate in — the first-seen class order, and with it every float of the
-// load, is the one a scan over stfs gives.
+// link, so each link's list is in STF order — the first-seen class order, and
+// with it every float of the load, is the one a scan over stfs gives.
 func indexLinks(stfs []*FlowSTF, dirLinks int) [][]linkRef {
 	idx := make([][]linkRef, dirLinks)
 	counts := make([]int, dirLinks)
 	total := 0
 	for _, s := range stfs {
-		for l := range s.Links {
-			counts[l]++
+		for _, lf := range s.Links {
+			counts[lf.Link]++
 		}
 		total += len(s.Links)
 	}
@@ -365,8 +364,8 @@ func indexLinks(stfs []*FlowSTF, dirLinks int) [][]linkRef {
 		idx[l], refs = refs[:0:n], refs[n:]
 	}
 	for si, s := range stfs {
-		for l, w := range s.Links {
-			idx[l] = append(idx[l], linkRef{stf: int32(si), w: w})
+		for _, lf := range s.Links {
+			idx[lf.Link] = append(idx[lf.Link], linkRef{stf: int32(si), w: lf.W})
 		}
 	}
 	return idx

@@ -54,7 +54,12 @@ func busiestLinkOperands(b *testing.B, name string, ws gen.WANSpec, flows int, f
 		var fs []*mtbdd.Node
 		idx := make(map[*mtbdd.Node]int)
 		for _, s := range v.FlowSTFs() {
-			w := s.Links[topo.DirLinkID(d)]
+			var w *mtbdd.Node
+			for _, lf := range s.Links {
+				if lf.Link == topo.DirLinkID(d) {
+					w = lf.W
+				}
+			}
 			if w == nil {
 				continue
 			}

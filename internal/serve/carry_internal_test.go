@@ -123,9 +123,9 @@ func (c *classRecord) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool
 func (c *classRecord) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
 	var links []topo.DirLinkID
 	roots := []*mtbdd.Node{stf.Delivered, stf.Dropped, stf.InFlight}
-	for l, w := range stf.Links {
-		links = append(links, l)
-		roots = append(roots, w)
+	for _, lf := range stf.Links {
+		links = append(links, lf.Link)
+		roots = append(roots, lf.W)
 	}
 	c.links = append(c.links, links)
 	c.roots = append(c.roots, roots)

@@ -1,13 +1,16 @@
 // Delta operations: the small mutation vocabulary the daemon accepts
-// over POST /v1/delta. Deltas are applied to a fresh re-parse of the
-// current canonical spec text and re-canonicalized, so every version —
-// whether reached by full reload or by deltas — has one textual identity.
+// over POST /v1/delta. Deltas are applied to a copy of the current
+// version's parsed spec and the result rendered canonically, so every
+// version — whether reached by full reload or by deltas — has one textual
+// identity.
 package serve
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
+	"github.com/yu-verify/yu/internal/canon"
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/topo"
 )
@@ -45,8 +48,50 @@ type Delta struct {
 	Gbps    float64 `json:"gbps,omitempty"`
 }
 
+// applyDeltas applies a delta batch to a copy of spec and returns the
+// canonical text of the result: the one mutation path of ApplyDeltas and
+// WAL replay, so every path that materializes "base + deltas" agrees
+// byte-for-byte. spec, a published version's, is only read — a rejected
+// batch leaves nothing behind.
+func applyDeltas(spec *config.Spec, deltas []Delta) (string, error) {
+	c := deltaCopy(spec)
+	for i, d := range deltas {
+		if err := applyDelta(c, d); err != nil {
+			return "", fmt.Errorf("serve: delta %d (%s): %w", i, d.Op, err)
+		}
+	}
+	out, err := canon.FormatSpec(c)
+	if err != nil {
+		return "", fmt.Errorf("serve: mutated spec is not canonicalizable: %w", err)
+	}
+	return out, nil
+}
+
+// deltaCopy is a copy of spec that owns everything applyDelta writes — the
+// links, the configs map (Configs.Get inserts), each router's statics and
+// neighbors with their export-deny lists, and the flows — and shares the
+// rest with spec read-only. It is only ever rendered: its topology's
+// adjacency keeps spec's costs after a set-link-cost
+// (topo.Network.WithOwnLinks).
+func deltaCopy(spec *config.Spec) *config.Spec {
+	c := *spec
+	c.Net = spec.Net.WithOwnLinks()
+	c.Configs = make(config.Configs, len(spec.Configs))
+	for name, rc := range spec.Configs {
+		r := *rc
+		r.Statics = slices.Clone(rc.Statics)
+		r.Neighbors = slices.Clone(rc.Neighbors)
+		for i := range r.Neighbors {
+			r.Neighbors[i].ExportDeny = slices.Clone(r.Neighbors[i].ExportDeny)
+		}
+		c.Configs[name] = &r
+	}
+	c.Flows = slices.Clone(spec.Flows)
+	return &c
+}
+
 // applyDelta mutates spec in place. Errors leave spec partially mutated;
-// callers must apply deltas to a throwaway parse (ApplyDeltas does).
+// callers apply deltas to a copy (applyDeltas does).
 func applyDelta(spec *config.Spec, d Delta) error {
 	switch d.Op {
 	case "set-link-cost":
@@ -174,8 +219,8 @@ func applyDelta(spec *config.Spec, d Delta) error {
 		if err != nil {
 			return fmt.Errorf("dst: %w", err)
 		}
-		if d.Gbps <= 0 {
-			return fmt.Errorf("gbps must be positive, got %g", d.Gbps)
+		if err := config.CheckGbps(d.Gbps); err != nil {
+			return err
 		}
 		spec.Flows = append(spec.Flows, topo.Flow{
 			Name: d.Flow, Ingress: r.ID, Src: src, Dst: dst, DSCP: d.DSCP, Gbps: d.Gbps,

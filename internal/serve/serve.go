@@ -309,8 +309,7 @@ func (s *Server) recoverWAL(base *version) {
 			bad("%v", err)
 			return
 		}
-		cur := s.cur.Load()
-		text, err := ApplyToText(cur.text, rec.Deltas)
+		text, err := applyDeltas(s.cur.Load().spec, rec.Deltas)
 		if err != nil {
 			bad("%v", err)
 			return
@@ -342,27 +341,6 @@ func (s *Server) resetOrDropWAL(baseText string) {
 	}
 }
 
-// ApplyToText applies a delta batch to a canonical spec text and returns
-// the canonical text of the result — the pure mutation function shared
-// by ApplyDeltas, WAL replay, and the chaos oracle, so every path that
-// materializes "base + deltas" agrees byte-for-byte.
-func ApplyToText(text string, deltas []Delta) (string, error) {
-	spec, err := config.ParseSpecString(text)
-	if err != nil {
-		return "", fmt.Errorf("serve: current spec no longer parses: %w", err)
-	}
-	for i, d := range deltas {
-		if err := applyDelta(spec, d); err != nil {
-			return "", fmt.Errorf("serve: delta %d (%s): %w", i, d.Op, err)
-		}
-	}
-	out, err := canon.FormatSpec(spec)
-	if err != nil {
-		return "", fmt.Errorf("serve: mutated spec is not canonicalizable: %w", err)
-	}
-	return out, nil
-}
-
 // ApplyDeltas applies a sequence of deltas to the current spec as one
 // atomic mutation: all apply, or the current version stays. With a state
 // directory the batch is journaled and fsync'd before it is published —
@@ -383,7 +361,7 @@ func (s *Server) ApplyDeltas(deltas []Delta) (int64, error) {
 	if err := fault.Here("serve.delta.apply"); err != nil {
 		return reject(err)
 	}
-	text, err := ApplyToText(cur.text, deltas)
+	text, err := applyDeltas(cur.spec, deltas)
 	if err != nil {
 		return reject(err)
 	}
@@ -415,7 +393,7 @@ func (s *Server) buildVersion(text string) (*version, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A text that is already canonical — every ApplyToText result, every
+	// A text that is already canonical — every applyDeltas result, every
 	// /v1/spec answer loaded back — is its own fixpoint: spec is its parse.
 	if ct, cerr := canon.FormatSpec(spec); cerr == nil && ct != text {
 		cspec, perr := config.ParseSpecString(ct)

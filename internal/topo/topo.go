@@ -7,6 +7,7 @@ package topo
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -128,6 +129,16 @@ func (n *Network) Router(id RouterID) *Router { return &n.Routers[id] }
 
 // Link returns the undirected link with the given ID.
 func (n *Network) Link(id LinkID) *Link { return &n.Links[id] }
+
+// WithOwnLinks returns a copy of n that owns its Links slice and shares
+// everything else with n: a link attribute written on the copy leaves n as
+// it was, but the copy's adjacency lists (Out, In, Edge) still carry n's
+// costs and capacities.
+func (n *Network) WithOwnLinks() *Network {
+	c := *n
+	c.Links = slices.Clone(n.Links)
+	return &c
+}
 
 // RouterByName returns the router named name.
 func (n *Network) RouterByName(name string) (*Router, bool) {

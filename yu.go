@@ -87,8 +87,13 @@ type (
 	// selector constant type).
 	ExecEngine = core.Engine
 	// FlowSTF is one flow's symbolic traffic fractions — the value an
-	// STFCache stores and serves.
+	// STFCache stores and serves. Its Links is a slice of LinkFrac in
+	// strictly ascending link order, one entry per directed link crossed;
+	// an STF a cache serves must keep that order.
 	FlowSTF = core.FlowSTF
+	// LinkFrac is one entry of FlowSTF.Links: the flow's fraction on one
+	// directed link.
+	LinkFrac = core.LinkFrac
 	// TLProp is one property of a portfolio evaluated by VerifyPortfolio:
 	// a link load, utilization, delivered-traffic, or delivery-ratio
 	// bound, optionally conditional on a link failure.
