@@ -4,9 +4,9 @@
 // A finished STF leaves the manager that built it in one form only: a
 // SealedSTFs list — one mtbdd.Snapshot of every node of the list and, per
 // STF, the positions of its roots. A compose domain seals the classes it
-// contained, and the daemon's store the classes each build executed.
-// Unsealing replays the snapshot into the destination manager, where
-// hash-consing restores canonical node identity: an unsealed STF and a
+// contained, and the daemon's store the classes each build executed. A
+// session replays the snapshot into the destination manager, where
+// hash-consing restores canonical node identity: a replayed STF and a
 // natively executed STF of the same function are the same *Node, so
 // aggregation, scans and reports cannot tell where a class ran.
 package core
@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -59,36 +60,81 @@ func SealSTFs(stfs []*FlowSTF) *SealedSTFs {
 	return l
 }
 
-// Unseal replays the list into m — one ImportSnapshot, under m's budget and
-// interrupt like any node-building operation — and returns its STFs there,
-// STF i as flows[i]'s.
-func (l *SealedSTFs) Unseal(m *mtbdd.Manager, flows []topo.Flow) []*FlowSTF {
-	r := l.Replay(m)
-	out := make([]*FlowSTF, len(l.STFs))
-	for i := range out {
-		out[i] = r.STF(i, flows[i])
+// sealedList is what a carrier stores and a session reads: a sealed list of
+// STFs or of loads.
+type sealedList interface {
+	comparable
+	snapshot() *mtbdd.Snapshot
+}
+
+func (l *SealedSTFs) snapshot() *mtbdd.Snapshot { return l.Snap }
+
+// session is one stage's use of the carrier's stored lists of one kind — the
+// build's STFs (assemble, and compose's sealed lists there too) or a Check's
+// loads (summed): the keys it carried, the keys of what it built, and each
+// list it read, replayed once.
+type session[L sealedList] struct {
+	e       *Engine
+	carried []routesim.Fingerprint
+	keys    []routesim.Fingerprint
+	tables  map[L][]*mtbdd.Node
+}
+
+func newSession[L sealedList](e *Engine) session[L] {
+	return session[L]{e: e, tables: make(map[L][]*mtbdd.Node)}
+}
+
+// table is the node in the engine's manager of every snapshot position of l:
+// core's one cross-manager copy, of sealed STFs and sealed loads alike. It is
+// built under the manager's budget and interrupt like any node-building
+// operation, so it is read only inside a governed step (ladder); once built,
+// it is pinned (Engine.pinned) until the session ends, so a collection inside
+// the stage leaves it readable and no list is replayed twice.
+func (s *session[L]) table(l L) []*mtbdd.Node {
+	t, ok := s.tables[l]
+	if !ok {
+		t = s.e.m.ImportSnapshot(l.snapshot())
+		s.tables[l] = t
+		s.e.pinned = append(s.e.pinned, t...)
 	}
-	return out
+	return t
 }
 
-// Replayed is a sealed list replayed into one manager: the node there of
-// every snapshot position. Its nodes are nobody's roots, so it is valid only
-// until that manager next collects.
-type Replayed struct {
-	l     *SealedSTFs
-	table []*mtbdd.Node
+// end unpins what the session pinned: the stage is over.
+func (s *session[L]) end() { s.e.pinned = nil }
+
+// stf is STF i of the list, read off its table t, as flow's.
+func (l *SealedSTFs) stf(t []*mtbdd.Node, i int, flow topo.Flow) *FlowSTF {
+	s := &l.STFs[i]
+	stf := &FlowSTF{
+		Flow:       flow,
+		Links:      make([]LinkFrac, len(s.Links)),
+		Delivered:  t[s.Roots[0]],
+		Dropped:    t[s.Roots[1]],
+		InFlight:   t[s.Roots[2]],
+		Iterations: s.Iterations,
+		shared:     s.shared,
+	}
+	for j, dl := range s.Links {
+		stf.Links[j] = LinkFrac{Link: dl, W: t[s.Roots[3+j]]}
+	}
+	return stf
 }
 
-// Replay replays the list into m, once, for any number of its STFs to be
-// read off (STF).
-func (l *SealedSTFs) Replay(m *mtbdd.Manager) *Replayed {
-	return &Replayed{l: l, table: replay(m, l.Snap)}
+// fits is whether STF i of the list can be read in e: its variables are
+// e's, its links e's network's. A stale or corrupt stored entry does not
+// fit, and is never replayed.
+func (l *SealedSTFs) fits(e *Engine, i int) bool {
+	if int(l.Snap.MaxLevel()) >= e.m.NumVars() {
+		return false
+	}
+	for _, dl := range l.STFs[i].Links {
+		if dl < 0 || int(dl) >= 2*e.net.NumLinks() {
+			return false
+		}
+	}
+	return true
 }
-
-// replay is core's one cross-manager copy, of sealed STFs and sealed loads
-// alike: the node in m of every snapshot position, built under m's budget and
-// interrupt like any node-building operation.
-func replay(m *mtbdd.Manager, s *mtbdd.Snapshot) []*mtbdd.Node { return m.ImportSnapshot(s) }
 
 // Len is the number of snapshot entries the list holds.
 func (l *SealedSTFs) Len() int { return l.Snap.Len() }
@@ -121,24 +167,6 @@ func (l *SealedSTFs) Sub(idx []int) *SealedSTFs {
 		out.STFs[j] = s
 	}
 	return out
-}
-
-// STF returns the list's STF i, replayed, as flow's.
-func (r *Replayed) STF(i int, flow topo.Flow) *FlowSTF {
-	s := &r.l.STFs[i]
-	stf := &FlowSTF{
-		Flow:       flow,
-		Links:      make([]LinkFrac, len(s.Links)),
-		Delivered:  r.table[s.Roots[0]],
-		Dropped:    r.table[s.Roots[1]],
-		InFlight:   r.table[s.Roots[2]],
-		Iterations: s.Iterations,
-		shared:     s.shared,
-	}
-	for j, dl := range s.Links {
-		stf.Links[j] = LinkFrac{Link: dl, W: r.table[s.Roots[3+j]]}
-	}
-	return stf
 }
 
 // NewAssembledVerifier builds a Verifier from pre-executed class STFs.

@@ -1,39 +1,28 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/yu-verify/yu/internal/govern"
 	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// carryingCache is an STF cache that never hits and carries check results:
-// a class's key is its representative's ingress, DSCP and destination,
-// which fix its STF within one network.
+// carryingCache is a carrier that carries check results and nothing else.
 type carryingCache struct {
+	NoCarrier
 	results      map[routesim.Fingerprint]PlanResult
 	carried, run int
-}
-
-func (c *carryingCache) Lookup(e *Engine, rep topo.Flow) (*FlowSTF, bool) { return nil, false }
-
-func (c *carryingCache) Store(e *Engine, rep topo.Flow, stf *FlowSTF) {}
-
-func (c *carryingCache) ClassKey(e *Engine, rep topo.Flow) routesim.Fingerprint {
-	var k routesim.Fingerprint
-	k.U64(uint64(rep.Ingress))
-	k.U64(uint64(rep.DSCP))
-	k.Addr(rep.Dst)
-	return k
 }
 
 func (c *carryingCache) CarriedCheck(key routesim.Fingerprint) (PlanResult, bool) {
 	r, ok := c.results[key]
 	return r, ok
 }
-
-func (c *carryingCache) Loads() LoadCarrier { return nil }
 
 func (c *carryingCache) CarryChecks(results map[routesim.Fingerprint]PlanResult, carried, run int) {
 	c.results, c.carried, c.run = results, carried, run
@@ -96,5 +85,151 @@ func TestCheckCarriedEqualsRun(t *testing.T) {
 	}
 	if rerun == 1 || rerun == len(plans) {
 		t.Fatalf("the volume change moved %d of %d plans: the case covers less than it claims", rerun, len(plans))
+	}
+}
+
+// replayCarrier serves what its servingCache was primed with and, the first
+// time it is asked for a class, cancels the run: at once, or — late — so
+// that the ladder's poll before the replay still passes and the manager's
+// interrupt inside the replay is the first to see it.
+type replayCarrier struct {
+	servingCache
+	ctx   *pollCtx
+	late  bool
+	asked int
+}
+
+func (c *replayCarrier) CarriedSTF(key routesim.Fingerprint) (*SealedSTFs, int, bool) {
+	if c.asked++; c.asked == 1 {
+		c.ctx.cancelAt = c.ctx.polls + 1
+		if c.late {
+			c.ctx.cancelAt++
+		}
+	}
+	return c.servingCache.CarriedSTF(key)
+}
+
+// pollCtx is a context canceled from its cancelAt-th poll of Err on (never,
+// while cancelAt is 0).
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCanceledWarmReplayGoverned: a run canceled while it reads a carried
+// class — off a stored list of benchShapes[2]'s classes, longer than the
+// manager's interrupt stride, replayed into a fresh manager — stops assembly
+// with the typed error and no panic, whether the cancellation lands before
+// the replay or inside it, and the carrier hears of nothing carried.
+func TestCanceledWarmReplayGoverned(t *testing.T) {
+	sh := benchShapes[2]
+	spec, cold := sh.verifier(t, Options{})
+	stored := servingCache{at: make(map[routesim.Fingerprint]sealedAt)}
+	stored.serve(cold.e, cold.stfs)
+	if n := stored.at[stored.ClassKey(cold.e, cold.stfs[0].Flow)].l.Len(); n <= 1<<12 {
+		t.Fatalf("the stored list has %d entries, no more than the interrupt stride", n)
+	}
+	for _, late := range []bool{false, true} {
+		ctx := &pollCtx{Context: context.Background()}
+		c := &replayCarrier{servingCache: stored, ctx: ctx, late: late}
+		e := buildEngine(t, spec, topo.FailLinks, sh.k, Options{Ctx: ctx, STFCache: c})
+		var v *Verifier
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("late %v: NewVerifier panicked: %v", late, r)
+				}
+			}()
+			v = NewVerifier(e, spec.Flows)
+		}()
+		if err := v.Err(); !errors.Is(err, govern.ErrCanceled) {
+			t.Fatalf("late %v: Err() = %v, want ErrCanceled", late, err)
+		}
+		if c.asked != 1 || c.hits != 0 || c.built != 0 || len(v.stfs) != 0 || len(e.pinned) != 0 {
+			t.Fatalf("late %v: asked %d times, %d carried and %d executed, %d classes assembled, %d nodes left pinned; want 1, 0, 0, 0, 0",
+				late, c.asked, c.hits, c.built, len(v.stfs), len(e.pinned))
+		}
+		if late && ctx.polls < ctx.cancelAt {
+			t.Fatalf("late %v: the replay never polled the interrupt (%d polls, canceled from %d)", late, ctx.polls, ctx.cancelAt)
+		}
+	}
+}
+
+// TestStaleEntryIsExecuted: a stored entry that does not fit the engine — a
+// link beyond its network's, or a list sealed over a larger network, whose
+// variables it does not have — is executed, never replayed; the classes
+// whose entries fit are carried, and the STFs are the ones executing every
+// class builds.
+func TestStaleEntryIsExecuted(t *testing.T) {
+	spec, flows := wanWorkload(t)
+	cold := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
+	c := &servingCache{at: make(map[routesim.Fingerprint]sealedAt)}
+	c.serve(cold.e, cold.stfs)
+
+	bad := *cold.stfs[0]
+	bad.Links = append(slices.Clone(bad.Links), LinkFrac{Link: topo.DirLinkID(2 * spec.Net.NumLinks()), W: bad.Delivered})
+	c.at[c.ClassKey(cold.e, bad.Flow)] = sealedAt{SealSTFs([]*FlowSTF{&bad}), 0}
+	bigSpec := benchShapes[1].spec(t)
+	big := NewVerifier(buildEngine(t, bigSpec, topo.FailLinks, 1, Options{}), bigSpec.Flows[:50])
+	wide := SealSTFs(big.stfs)
+	if int(wide.Snap.MaxLevel()) < cold.e.m.NumVars() {
+		t.Fatalf("the larger network's list reaches level %d, inside this one's %d variables", wide.Snap.MaxLevel(), cold.e.m.NumVars())
+	}
+	c.at[c.ClassKey(cold.e, cold.stfs[1].Flow)] = sealedAt{wide, 0}
+
+	e := buildEngine(t, spec, topo.FailLinks, 1, Options{STFCache: c})
+	v := NewVerifier(e, flows)
+	if err := v.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if c.built != 2 || c.hits != len(v.stfs)-2 {
+		t.Fatalf("%d carried and %d executed of %d classes; want the two stale ones executed", c.hits, c.built, len(v.stfs))
+	}
+	plain := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
+	for i, s := range unseal(SealSTFs(plain.stfs), e.m, flowsOf(plain.stfs)) {
+		if err := sameSTF(s, v.stfs[i]); err != nil {
+			t.Fatalf("class %d: %v", i, err)
+		}
+	}
+}
+
+// TestCarriedTablesSurviveCollections: a build that carries every other
+// class off one stored list and executes the rest, collecting after every
+// execution, reads each carried class off the one replay of its list (the
+// session pins it) and ends with the STFs of a plain run.
+func TestCarriedTablesSurviveCollections(t *testing.T) {
+	spec, flows := wanWorkload(t)
+	cold := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
+	var half []*FlowSTF
+	for i, s := range cold.stfs {
+		if i%2 == 1 {
+			half = append(half, s)
+		}
+	}
+	c := &servingCache{at: make(map[routesim.Fingerprint]sealedAt)}
+	c.serve(cold.e, half)
+	// A budget of what the cold build left fixes the collection threshold at
+	// half of it, which the build passes early: from then on it collects
+	// after every execution.
+	e := buildEngine(t, spec, topo.FailLinks, 1, Options{STFCache: c, NodeBudget: cold.e.m.Stats().Live})
+	v := NewVerifier(e, flows)
+	if err := v.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if c.hits != len(half) || e.m.GCRuns() < uint64(c.built)/2 {
+		t.Fatalf("%d of %d classes carried, %d collections for %d executions", c.hits, len(half), e.m.GCRuns(), c.built)
+	}
+	plain := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
+	for i, s := range unseal(SealSTFs(plain.stfs), e.m, flowsOf(plain.stfs)) {
+		if err := sameSTF(s, v.stfs[i]); err != nil {
+			t.Fatalf("class %d: %v", i, err)
+		}
 	}
 }

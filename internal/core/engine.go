@@ -62,10 +62,10 @@ type Options struct {
 	// counters, and per-manager MTBDD stats (DESIGN.md §11). nil disables
 	// all recording at zero cost.
 	Obs *obs.Registry
-	// STFCache, when non-nil, is consulted by the verifier before
-	// executing each equivalence class and fed every freshly
-	// executed STF — the reuse hook of the incremental daemon
-	// (internal/serve). See the STFCache interface contract.
+	// STFCache, when non-nil, is the run's carrier: each equivalence class
+	// whose key it stored is replayed, not executed, and what the run
+	// executes, checks and sums is handed to it — the reuse hook of the
+	// incremental daemon (internal/serve). See the STFCache contract.
 	STFCache STFCache
 	// ClassifyPrefixes, when non-nil, overrides the prefix set the
 	// destination classifier is built from. The compositional pipeline
@@ -100,7 +100,7 @@ type Engine struct {
 	// stepHits counts step-cache hits since the last flush into count.
 	stepHits int
 	count    execCounters
-	// pinned are nodes a running Check's load session keeps (loadSession):
+	// pinned are the nodes the running stage's session keeps (session):
 	// roots of Engine.roots until it ends.
 	pinned []*mtbdd.Node
 }

@@ -389,25 +389,37 @@ func TestExecutionCountersRepeat(t *testing.T) {
 	}
 }
 
-// servingCache is an STFCache over one engine that serves the classes it was
-// primed with and remembers nothing new.
+// servingCache is a carrier that serves the classes it was primed with —
+// the class of key, STF at[key].i of at[key].l — keeps nothing new, and
+// counts what the last build carried and executed.
 type servingCache struct {
-	stfs map[topo.Flow]*FlowSTF
-	hits int
+	NoCarrier
+	at          map[routesim.Fingerprint]sealedAt
+	hits, built int
 }
 
-func (c *servingCache) Lookup(_ *Engine, rep topo.Flow) (*FlowSTF, bool) {
-	s, ok := c.stfs[rep]
-	if !ok {
-		return nil, false
+type sealedAt struct {
+	l *SealedSTFs
+	i int
+}
+
+// serve primes the cache with stfs, sealed as one list, each under its
+// class's key.
+func (c *servingCache) serve(e *Engine, stfs []*FlowSTF) {
+	l := SealSTFs(stfs)
+	for i, s := range stfs {
+		c.at[c.ClassKey(e, s.Flow)] = sealedAt{l, i}
 	}
-	c.hits++
-	served := *s
-	served.Flow, served.shared = rep, false
-	return &served, true
 }
 
-func (c *servingCache) Store(*Engine, topo.Flow, *FlowSTF) {}
+func (c *servingCache) CarriedSTF(key routesim.Fingerprint) (*SealedSTFs, int, bool) {
+	s, ok := c.at[key]
+	return s.l, s.i, ok
+}
+
+func (c *servingCache) CarrySTFs(carried, keys []routesim.Fingerprint, _ *SealedSTFs) {
+	c.hits, c.built = len(carried), len(keys)
+}
 
 // TestExecAccounting: every class is accounted for once, however it got its
 // STF — exec.flows_executed + exec.classes_shared + the classes a cache
@@ -456,19 +468,24 @@ func TestExecAccounting(t *testing.T) {
 	reg = obs.New()
 	count("no global equivalence", reg, NewVerifier(engine(reg, Options{DisableGlobalEquiv: true}), spec.Flows), 0, 0, 0)
 
-	// A cache that holds every other class of the sequential run's engine.
-	cache := &servingCache{stfs: make(map[topo.Flow]*FlowSTF)}
+	// A cache that holds every other class of the sequential run's engine,
+	// none of them marked shared: a served class is not counted as one.
+	cache := &servingCache{at: make(map[routesim.Fingerprint]sealedAt)}
+	var served []*FlowSTF
 	for i, s := range seq.stfs {
 		if i%2 == 0 {
-			cache.stfs[s.Flow] = s
+			own := *s
+			own.shared = false
+			served = append(served, &own)
 		}
 	}
+	cache.serve(seq.e, served)
 	reg = obs.New()
 	seq.e.count = newExecCounters(reg)
 	seq.e.opts.STFCache = cache
-	count("cache-served", reg, NewVerifier(seq.e, spec.Flows), len(cache.stfs), -1, 0)
-	if cache.hits != len(cache.stfs) {
-		t.Errorf("cache served %d classes, holds %d", cache.hits, len(cache.stfs))
+	count("cache-served", reg, NewVerifier(seq.e, spec.Flows), len(served), -1, 0)
+	if cache.hits != len(served) {
+		t.Errorf("cache served %d classes, holds %d", cache.hits, len(served))
 	}
 
 	// Assembled: every third class arrives sealed from the sequential run's

@@ -4,8 +4,47 @@ import (
 	"fmt"
 
 	"github.com/yu-verify/yu/internal/config"
+	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
+
+// NoCarrier is a carrier that never hits and keeps nothing; a test's carrier
+// embeds it and overrides what it carries. A class's key is its
+// representative's ingress, DSCP and destination, which fix its STF within
+// one network.
+type NoCarrier struct{}
+
+func (NoCarrier) ClassKey(_ *Engine, rep topo.Flow) routesim.Fingerprint {
+	var k routesim.Fingerprint
+	k.U64(uint64(rep.Ingress))
+	k.U64(uint64(rep.DSCP))
+	k.Addr(rep.Dst)
+	return k
+}
+
+func (NoCarrier) CarriedSTF(routesim.Fingerprint) (*SealedSTFs, int, bool) { return nil, 0, false }
+
+func (NoCarrier) CarrySTFs(_, _ []routesim.Fingerprint, _ *SealedSTFs) {}
+
+func (NoCarrier) CarriedCheck(routesim.Fingerprint) (PlanResult, bool) { return PlanResult{}, false }
+
+func (NoCarrier) CarryChecks(map[routesim.Fingerprint]PlanResult, int, int) {}
+
+func (NoCarrier) CarriedLoad(routesim.Fingerprint) (*SealedLoads, int, bool) { return nil, 0, false }
+
+func (NoCarrier) CarryLoads(_, _ []routesim.Fingerprint, _ *SealedLoads) {}
+
+// unseal replays the whole list into m, as a session does, and returns its
+// STFs there, STF i as flows[i]'s.
+func unseal(l *SealedSTFs, m *mtbdd.Manager, flows []topo.Flow) []*FlowSTF {
+	t := m.ImportSnapshot(l.Snap)
+	out := make([]*FlowSTF, len(l.STFs))
+	for i := range out {
+		out[i] = l.stf(t, i, flows[i])
+	}
+	return out
+}
 
 // SetExecHook installs (nil: removes) the hook that runs inside every
 // governed flow execution.
@@ -38,7 +77,7 @@ func SameSTFs(v, other *Verifier) error {
 	for i, s := range other.stfs {
 		flows[i] = s.Flow
 	}
-	for i, s := range SealSTFs(other.stfs).Unseal(v.e.m, flows) {
+	for i, s := range unseal(SealSTFs(other.stfs), v.e.m, flows) {
 		if err := sameSTF(s, v.stfs[i]); err != nil {
 			return fmt.Errorf("class %d (%v): %w", i, s.Flow, err)
 		}
@@ -57,7 +96,7 @@ func SharedClasses(v *Verifier) int { return sharedClasses(v) }
 func LoadsEqualSums(v *Verifier, subjects []Subject) (carried int, err error) {
 	v.startLoads()
 	defer v.endLoads()
-	if v.session == nil {
+	if v.loads == nil {
 		return 0, fmt.Errorf("the verifier carries no loads")
 	}
 	for _, s := range subjects {
@@ -83,5 +122,5 @@ func LoadsEqualSums(v *Verifier, subjects []Subject) (carried int, err error) {
 			}
 		}
 	}
-	return len(v.session.carried), nil
+	return len(v.loads.carried), nil
 }

@@ -99,14 +99,14 @@ const retainedGCFloor = 64 << 10
 // Trim makes a finished verifier cheap to keep for further checks (Run,
 // Check): it drops what only execution reads — the engine's forwarding-step
 // and IGP-vector caches, its STF memo, forwarding classes and wavefront
-// scratch, the route-simulation result and the STF cache hook, and with them
+// scratch, the route-simulation result and the STFCache option, and with them
 // their nodes' claim to survive a collection — and makes the managed-GC
 // threshold relative to what is kept: collect, the STFs as roots, once live
 // nodes pass 4× the count at this point (floor 64 K). The default threshold
 // would let a long-lived verifier grow by some 190 MB of dead loads before its
 // first collection. The engine cannot execute flows afterwards. The class
-// keys (some 16 bytes a class) and the load carrier stay: checks on the kept
-// verifier carry the loads whose inputs did not move.
+// keys (some 16 bytes a class) and the carrier stay: checks on the kept
+// verifier carry the loads whose inputs did not move, and no check result.
 func (v *Verifier) Trim() {
 	e := v.e
 	e.rs, e.igpCache, e.steps, e.memo, e.opts.STFCache = nil, nil, nil, nil, nil

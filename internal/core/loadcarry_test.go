@@ -17,10 +17,10 @@ import (
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// loadCache is an STF cache that never hits, keys each class by its
-// representative's ingress, DSCP and destination — which fix its STF within
-// one network — and carries loads in a map: every list it is handed, whole.
+// loadCache is a carrier that carries loads in a map, every list it is
+// handed whole, and nothing else.
 type loadCache struct {
+	core.NoCarrier
 	loads          map[routesim.Fingerprint]storedLoad
 	carried, built int
 }
@@ -29,26 +29,6 @@ type storedLoad struct {
 	l *core.SealedLoads
 	i int
 }
-
-func (c *loadCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) { return nil, false }
-
-func (c *loadCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {}
-
-func (c *loadCache) ClassKey(e *core.Engine, rep topo.Flow) routesim.Fingerprint {
-	var k routesim.Fingerprint
-	k.U64(uint64(rep.Ingress))
-	k.U64(uint64(rep.DSCP))
-	k.Addr(rep.Dst)
-	return k
-}
-
-func (c *loadCache) CarriedCheck(routesim.Fingerprint) (core.PlanResult, bool) {
-	return core.PlanResult{}, false
-}
-
-func (c *loadCache) CarryChecks(map[routesim.Fingerprint]core.PlanResult, int, int) {}
-
-func (c *loadCache) Loads() core.LoadCarrier { return c }
 
 func (c *loadCache) CarriedLoad(key routesim.Fingerprint) (*core.SealedLoads, int, bool) {
 	s, ok := c.loads[key]

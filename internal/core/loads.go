@@ -11,19 +11,6 @@ import (
 	"github.com/yu-verify/yu/internal/routesim"
 )
 
-// LoadCarrier carries built loads from one Check to the next, on this
-// verifier or a later one. A run takes it from its CheckCarrier (Loads) and
-// keeps it through Trim, so the checks on a kept verifier carry loads too.
-type LoadCarrier interface {
-	// CarriedLoad is where an earlier Check sealed the load key fingerprints:
-	// load i of l.
-	CarriedLoad(key routesim.Fingerprint) (l *SealedLoads, i int, ok bool)
-	// CarryLoads hands over what a Check did with loads: carried are the
-	// keys it read off stored lists, and l — nil when it built none — seals
-	// the loads it built, load i under keys[i].
-	CarryLoads(carried, keys []routesim.Fingerprint, l *SealedLoads)
-}
-
 // SealedLoads is a list of built loads in manager-independent form: one
 // snapshot of every node of the list and, per load, the position of its root
 // and what it summed. It holds no node pointer and is read-only once sealed.
@@ -39,6 +26,8 @@ type LoadCounts struct{ Flows, Classes int }
 
 // Len is the number of snapshot entries the list holds.
 func (l *SealedLoads) Len() int { return l.Snap.Len() }
+
+func (l *SealedLoads) snapshot() *mtbdd.Snapshot { return l.Snap }
 
 // Sizes is, per load, the snapshot entries its root reaches: the length of
 // the list sealing it alone.
@@ -104,21 +93,16 @@ func (v *Verifier) loadKey(base routesim.Fingerprint, s Subject) (k routesim.Fin
 	return v.linkKeys[s.Link], true
 }
 
-// loadSession is one Check's use of the load carrier: the loads it built, to
-// seal when it ends, the keys it carried, and the stored lists it replayed,
-// each once. Every node it hands out is pinned (Engine.pinned) until it ends,
-// so a collection inside the Check leaves the built loads to seal and the
-// replayed lists to read.
+// loadSession is one Check's load session: every load it has, by key, built
+// or carried, and the loads it built, to seal when it ends. A load it builds
+// is pinned (Engine.pinned) like a replayed list, so a collection inside the
+// Check leaves it to seal.
 type loadSession struct {
-	c    LoadCarrier
-	base routesim.Fingerprint
-	// seen is every load the Check has, by key, built or carried.
-	seen    map[routesim.Fingerprint]seenLoad
-	carried []routesim.Fingerprint
-	keys    []routesim.Fingerprint
-	built   []*mtbdd.Node
-	counts  []LoadCounts
-	replays map[*SealedLoads][]*mtbdd.Node
+	session[*SealedLoads]
+	base   routesim.Fingerprint
+	seen   map[routesim.Fingerprint]seenLoad
+	built  []*mtbdd.Node
+	counts []LoadCounts
 }
 
 type seenLoad struct {
@@ -126,16 +110,15 @@ type seenLoad struct {
 	n LoadCounts
 }
 
-// startLoads opens the Check's load session, when the run carries loads.
+// startLoads opens the Check's load session, when the run has a carrier.
 func (v *Verifier) startLoads() {
-	if v.loads == nil || v.classKeys == nil {
+	if v.carrier == nil {
 		return
 	}
-	v.session = &loadSession{
-		c:       v.loads,
+	v.loads = &loadSession{
+		session: newSession[*SealedLoads](v.e),
 		base:    v.checkBase(),
 		seen:    make(map[routesim.Fingerprint]seenLoad),
-		replays: make(map[*SealedLoads][]*mtbdd.Node),
 	}
 }
 
@@ -143,7 +126,7 @@ func (v *Verifier) startLoads() {
 // carrier as one sealed list — never a pruned check's partial sum, which
 // takes no session — and its nodes are no longer pinned.
 func (v *Verifier) endLoads() {
-	ls := v.session
+	ls := v.loads
 	if ls == nil {
 		return
 	}
@@ -152,8 +135,9 @@ func (v *Verifier) endLoads() {
 		snap, at := mtbdd.NewSnapshot(ls.built)
 		l = &SealedLoads{Snap: snap, Roots: at, Counts: ls.counts}
 	}
-	ls.c.CarryLoads(ls.carried, ls.keys, l)
-	v.session, v.e.pinned = nil, nil
+	v.carrier.CarryLoads(ls.carried, ls.keys, l)
+	ls.end()
+	v.loads = nil
 }
 
 // summed is subject s's load, from classes: carried when the Check has a load
@@ -162,7 +146,7 @@ func (v *Verifier) endLoads() {
 // node sum would build — and summed and handed on otherwise. classes adds
 // what it groups to stat, and a carried load adds what it had grouped.
 func (v *Verifier) summed(s Subject, stat *LinkCheckStat, classes func() []scanClass) *mtbdd.Node {
-	ls := v.session
+	ls := v.loads
 	if ls == nil {
 		return v.sum(classes())
 	}
@@ -172,14 +156,8 @@ func (v *Verifier) summed(s Subject, stat *LinkCheckStat, classes func() []scanC
 	}
 	got, ok := ls.seen[k]
 	if !ok {
-		if l, i, stored := ls.c.CarriedLoad(k); stored {
-			tbl, replayed := ls.replays[l]
-			if !replayed {
-				tbl = replay(v.e.m, l.Snap)
-				ls.replays[l] = tbl
-				v.e.pinned = append(v.e.pinned, tbl...)
-			}
-			got, ok = seenLoad{tbl[l.Roots[i]], l.Counts[i]}, true
+		if l, i, stored := v.carrier.CarriedLoad(k); stored {
+			got, ok = seenLoad{ls.table(l)[l.Roots[i]], l.Counts[i]}, true
 			ls.seen[k] = got
 			ls.carried = append(ls.carried, k)
 		}

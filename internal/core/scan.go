@@ -392,36 +392,31 @@ type PlanResult struct {
 // relieve, a contained panic, the one that cut execution short) stops the
 // loop and is returned with the slots filled so far.
 //
-// With a CheckCarrier, a keyed plan whose inputs an earlier complete run
-// checked takes that run's result (its Elapsed zero: it took no time here)
-// instead of running, and a Check that completes hands its keyed results on.
-// With a LoadCarrier, a plan that runs takes each load whose inputs an
-// earlier Check summed off that Check's sealed list (load), and the loads
+// With a carrier (Options.STFCache), a keyed plan whose inputs an earlier
+// complete build checked takes that build's result (its Elapsed zero: it took
+// no time here) instead of running, and a build's Check that completes hands
+// its keyed results on; a trimmed verifier's checks — which Trim leaves no
+// option — carry loads only. A plan that runs takes each load whose inputs an
+// earlier Check summed off that Check's sealed list (summed), and the loads
 // this Check sums are handed on, sealed as one list, however it ends.
 func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 	out := make([]PlanResult, len(plans))
 	if v.err != nil {
 		return out, v.err
 	}
-	carrier, _ := v.e.opts.STFCache.(CheckCarrier)
-	if v.classKeys == nil {
-		carrier = nil
-	}
-	var base routesim.Fingerprint
-	if carrier != nil {
-		base = v.checkBase()
-	}
 	v.startLoads()
 	defer v.endLoads()
+	checks := v.loads != nil && v.e.opts.STFCache != nil
 	keep := make(map[routesim.Fingerprint]PlanResult)
 	carried := 0
 	for i, p := range plans {
-		key, keyed := base, false
-		if carrier != nil {
-			key, keyed = v.planKey(base, p)
+		var key routesim.Fingerprint
+		keyed := false
+		if checks {
+			key, keyed = v.planKey(v.loads.base, p)
 		}
 		if keyed {
-			if r, ok := carrier.CarriedCheck(key); ok {
+			if r, ok := v.carrier.CarriedCheck(key); ok {
 				r.Stat.Elapsed = 0
 				out[i], keep[key] = r, r
 				carried++
@@ -435,8 +430,8 @@ func (v *Verifier) Check(plans []Plan) ([]PlanResult, error) {
 			keep[key] = out[i]
 		}
 	}
-	if carrier != nil {
-		carrier.CarryChecks(keep, carried, len(plans)-carried)
+	if checks {
+		v.carrier.CarryChecks(keep, carried, len(plans)-carried)
 	}
 	return out, nil
 }

@@ -42,7 +42,7 @@ func sameUnsealed(got, want *FlowSTF) error {
 func checkUnsealed(t *testing.T, m *mtbdd.Manager, sealed, want []*FlowSTF) {
 	t.Helper()
 	for _, n := range []int{0, 1, len(sealed)} {
-		got := SealSTFs(sealed[:n]).Unseal(m, flowsOf(sealed[:n]))
+		got := unseal(SealSTFs(sealed[:n]), m, flowsOf(sealed[:n]))
 		if len(got) != n {
 			t.Fatalf("a list of %d unseals to %d STFs", n, len(got))
 		}

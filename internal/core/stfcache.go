@@ -8,29 +8,53 @@ import (
 	"github.com/yu-verify/yu/internal/topo"
 )
 
-// STFCache lets a caller reuse symbolic execution results across
-// verification runs. The verifier consults it once per
-// global-equivalence class: Lookup before executing the class
-// representative, Store after a successful execution.
+// STFCache carries a run's results to later runs by the fingerprint of their
+// inputs (DESIGN.md §14): the STFs of its classes, the results of its checks
+// and the loads they summed. It only stores. The verifier reads each stored
+// list it hits into its own manager — once a stage, inside the governed step
+// that first reads it (session) — and hands over, sealed, what it built: a
+// carrier never builds a node in the engine's manager.
 //
 // The contract the incremental daemon (internal/serve) builds on:
 //
-//   - A Lookup hit must return a *FlowSTF whose MTBDDs live in e's
-//     manager and encode exactly what executing rep would have built —
-//     hash-consing then makes the hit indistinguishable from a real
-//     execution, so reports stay byte-identical. The cache owns the
-//     soundness argument (typically by keying on a content hash of every
+//   - ClassKey is the identity of class rep's execution inputs in this run:
+//     two classes with equal keys, in any runs, have the same STF. The
+//     carrier owns the soundness argument (typically a content hash of every
 //     route-sim input the execution reads).
-//   - The returned STF's Flow field must be rep itself (the caller's
-//     representative carries this run's summed volume), not the flow the
-//     cached result was first computed from, and its Links must be in
-//     strictly ascending link order, as an executed STF's are.
-//   - Cache-served classes still count toward Report.FlowsExecuted; they
-//     are not counted in the exec.flows_executed obs counter, which keeps
-//     measuring real symbolic executions.
+//   - CarriedSTF is where an earlier run sealed the STF of key: STF i of l.
+//     A carried class is indistinguishable from an execution — hash-consing
+//     makes its replayed nodes the ones executing it builds — so reports stay
+//     byte-identical, and it counts toward Report.FlowsExecuted but not the
+//     exec.flows_executed counter, which keeps measuring real executions. An
+//     entry whose variables or links do not fit the engine is executed
+//     instead, never replayed.
+//   - CarrySTFs hands over what the build did with STFs, however it ended:
+//     carried are the keys it read off stored lists, and l — nil when it
+//     executed none — seals the classes it executed, STF i under keys[i], in
+//     class order.
+//   - CarriedCheck and CarryChecks do the same for the results of a build's
+//     Check, and CarriedLoad and CarryLoads for the loads every Check sums
+//     (loads.go). A verifier keeps its carrier through Trim, for the loads of
+//     the checks to come, so once CarrySTFs has run the carrier must hold
+//     nothing only the build needs.
 type STFCache interface {
-	Lookup(e *Engine, rep topo.Flow) (*FlowSTF, bool)
-	Store(e *Engine, rep topo.Flow, stf *FlowSTF)
+	ClassKey(e *Engine, rep topo.Flow) routesim.Fingerprint
+	CarriedSTF(key routesim.Fingerprint) (l *SealedSTFs, i int, ok bool)
+	CarrySTFs(carried, keys []routesim.Fingerprint, l *SealedSTFs)
+	// CarriedCheck is the result an earlier complete build recorded under
+	// key (planKey).
+	CarriedCheck(key routesim.Fingerprint) (PlanResult, bool)
+	// CarryChecks hands over the keyed results of a build's Check that ran
+	// to the end with no error: carried of its plans were read off an
+	// earlier build's results, run were checked.
+	CarryChecks(results map[routesim.Fingerprint]PlanResult, carried, run int)
+	// CarriedLoad is where an earlier Check sealed the load key
+	// fingerprints (loadKey): load i of l.
+	CarriedLoad(key routesim.Fingerprint) (l *SealedLoads, i int, ok bool)
+	// CarryLoads hands over what a Check did with loads, however it ended:
+	// carried are the keys it read off stored lists, and l — nil when it
+	// built none — seals the loads it built, load i under keys[i].
+	CarryLoads(carried, keys []routesim.Fingerprint, l *SealedLoads)
 }
 
 // RouteSim exposes the route-simulation result the engine executes over —
@@ -46,9 +70,9 @@ func (e *Engine) ClassPrefixes(dst netip.Addr) []netip.Prefix {
 	return e.classifier.matchedPrefixes(e.classifier.classOf(dst))
 }
 
-// CheckCarrier carries check results from one run to the next. A run asserts
-// it on Options.STFCache, the way route simulation asserts routesim.Carrier
-// there, and re-runs only the plans whose inputs moved (DESIGN.md §14).
+// checkBase fingerprints what every plan of the run shares: the variable
+// layout (the topology key), the failure budgets and the link-local
+// equivalence switch.
 //
 // A plan's outcome is a function of the plan, the failure budgets and
 // link-local equivalence switch, the variable layout, and — in STF order —
@@ -56,25 +80,6 @@ func (e *Engine) ClassPrefixes(dst netip.Addr) []netip.Prefix {
 // the link (or its delivered node), and the volume it contributes. Check
 // fingerprints exactly these (planKey). Aggregate plans, over several links,
 // are not keyed: they are always run, and never carried.
-type CheckCarrier interface {
-	// ClassKey is the identity the cache gave class rep in this run, asked
-	// right after the class was looked up (and, on a miss, stored): two
-	// classes with equal keys, in any runs, have the same STF.
-	ClassKey(e *Engine, rep topo.Flow) routesim.Fingerprint
-	// CarriedCheck is the result an earlier complete run recorded under key.
-	CarriedCheck(key routesim.Fingerprint) (PlanResult, bool)
-	// CarryChecks hands over the keyed results of a Check that ran to the
-	// end with no error: carried of its plans were read off an earlier run's
-	// results, run were checked.
-	CarryChecks(results map[routesim.Fingerprint]PlanResult, carried, run int)
-	// Loads is the run's load carrier, nil for none. The verifier keeps it
-	// through Trim, so it must hold nothing only the build needs.
-	Loads() LoadCarrier
-}
-
-// checkBase fingerprints what every plan of the run shares: the variable
-// layout (the topology key), the failure budgets and the link-local
-// equivalence switch.
 func (v *Verifier) checkBase() routesim.Fingerprint {
 	k := routesim.Fingerprint(v.e.fv.Key())
 	k.U64(uint64(int64(v.e.fv.K)))

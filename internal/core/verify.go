@@ -205,15 +205,15 @@ type Verifier struct {
 	// sched summarizes the execution phase's scheduling (see SchedStats).
 	sched SchedStats
 	// classKeys, parallel to stfs, are the classes' keys for carried checks
-	// and loads: the cache's identity of the class and its summed volume. nil
-	// unless the STF cache is a CheckCarrier that saw every class.
+	// and loads: the carrier's identity of the class and its summed volume.
+	// carrier is the run's (Options.STFCache), nil on a run with none; a
+	// verifier keeps it through Trim.
 	classKeys []routesim.Fingerprint
+	carrier   STFCache
 	// linkKeys are the directed links' load keys (loadKey), computed on first
-	// use; loads is the run's load carrier (CheckCarrier.Loads), and session
-	// the running Check's use of it.
+	// use; loads is the running Check's load session.
 	linkKeys []routesim.Fingerprint
-	loads    LoadCarrier
-	session  *loadSession
+	loads    *loadSession
 	// group and delivered are the check stage's scratch: the class grouper
 	// every load groups through, and the last delivered prefix's volumes.
 	group     classGrouper
@@ -236,8 +236,8 @@ func newVerifier(e *Engine, flows []topo.Flow) *Verifier {
 }
 
 // NewVerifier executes all flows symbolically on the engine's manager
-// (applying global flow equivalence unless disabled, consulting
-// Options.STFCache when set) and returns a Verifier ready to check
+// (applying global flow equivalence unless disabled, carrying the classes
+// Options.STFCache stored when set) and returns a Verifier ready to check
 // properties. Execution is governed: a cancellation or an unrecoverable
 // budget breach stops the loop and is surfaced from Run (or Err) with
 // the flows executed so far intact.
@@ -254,87 +254,85 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 	return NewVerifier(e, flows)
 }
 
-// assemble fills v.stfs in class order. sealed[j] holds the STFs of the
-// classes at[j] lists, finished in a compose domain's manager, and each list
-// is unsealed into the engine's manager as one governed step, its replay
-// table gone with the step. The loop that follows executes every class still
-// without an STF here, in class order, after offering it to the STF cache.
-// The first fatal error stops assembly with the leading classes finished so
-// far intact.
+// assemble fills v.stfs in class order, in one session of sealed STFs.
+// sealed[j] holds the STFs of the classes at[j] lists, finished in a compose
+// domain's manager, and each list is replayed into the engine's manager as
+// one governed step. The loop that follows gives every class still without an
+// STF here, in class order, the one its key carries (CarriedSTF), replayed as
+// a governed step, or else executes it; the session then hands over what it
+// carried and, sealed, what it executed. The first fatal error stops assembly
+// with the leading classes finished so far intact.
 func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 	e := v.e
-	cache := e.opts.STFCache
-	carrier, _ := cache.(CheckCarrier)
-	var keys []routesim.Fingerprint
+	c := e.opts.STFCache
 	if len(sealed) > 0 {
-		carrier = nil // an unsealed class has no key
-	} else if carrier != nil {
-		keys = make([]routesim.Fingerprint, 0, len(v.classes))
+		c = nil // an unsealed class has no key
 	}
+	s := newSession[*SealedSTFs](e)
+	defer s.end()
 	stfs := make([]*FlowSTF, len(v.classes))
 	for j, l := range sealed {
 		if l == nil {
 			continue // a domain with no class
 		}
-		reps := make([]topo.Flow, len(at[j]))
-		for k, ci := range at[j] {
-			reps[k] = v.classes[ci].rep
-		}
-		var got []*FlowSTF
-		err := e.ladder(stfs, func() {
-			got = l.Unseal(e.m, reps)
-			e.maybeGC(stfs, stfRoots(nil, got))
+		v.err = e.ladder(stfs, func() {
+			t := s.table(l)
+			for k, ci := range at[j] {
+				stfs[ci] = l.stf(t, k, v.classes[ci].rep)
+			}
+			e.maybeGC(stfs, nil)
 		})
-		if err != nil {
-			v.err = err
+		if v.err != nil {
 			break
 		}
-		for k, ci := range at[j] {
-			stfs[ci] = got[k]
+		for _, ci := range at[j] {
 			e.count.imported.Inc()
-			e.count.class(got[k])
+			e.count.class(stfs[ci])
 		}
 	}
+	var keys []routesim.Fingerprint
+	var built []*FlowSTF
 	n := 0
 	for ; n < len(stfs) && v.err == nil; n++ {
 		if stfs[n] != nil {
 			continue
 		}
 		rep := v.classes[n].rep
-		var s *FlowSTF
-		var err error
-		hit := false
-		if cache != nil {
-			// A hit is indistinguishable from an execution: the cache
-			// materialized canonical nodes in this manager and the class
-			// counts as executed (FlowsExecuted is part of the report
-			// byte-identity contract).
-			s, hit = cache.Lookup(e, rep)
+		var k routesim.Fingerprint
+		if c != nil {
+			k = c.ClassKey(e, rep)
+			if l, i, ok := c.CarriedSTF(k); ok && l.fits(e, i) {
+				if v.err = e.ladder(stfs, func() { stfs[n] = l.stf(s.table(l), i, rep) }); v.err != nil {
+					break
+				}
+				s.carried = append(s.carried, k)
+			}
 		}
-		if !hit {
-			s, err = e.ExecuteGoverned(rep, stfs)
-			if err != nil {
-				v.err = err
+		if stfs[n] == nil {
+			if stfs[n], v.err = e.ExecuteGoverned(rep, stfs); v.err != nil {
 				break
 			}
-			if cache != nil {
-				cache.Store(e, rep, s)
+			e.count.class(stfs[n])
+			if c != nil {
+				s.keys, built = append(s.keys, k), append(built, stfs[n])
 			}
-			e.count.class(s)
 		}
-		if carrier != nil {
-			k := carrier.ClassKey(e, rep)
+		if c != nil {
 			k.U64(math.Float64bits(rep.Gbps))
 			keys = append(keys, k)
 		}
-		stfs[n] = s
 	}
 	v.stfs = stfs[:n]
-	if carrier != nil {
-		v.classKeys, v.loads = keys, carrier.Loads()
-	}
 	v.execCount = n
 	v.linkIdx = indexLinks(v.stfs, 2*e.net.NumLinks())
+	if c != nil {
+		var l *SealedSTFs
+		if len(built) > 0 {
+			l = SealSTFs(built)
+		}
+		c.CarrySTFs(s.carried, s.keys, l)
+		v.classKeys, v.carrier = keys, c
+	}
 }
 
 // linkRef is one entry of the per-link class index: an STF (by its index in

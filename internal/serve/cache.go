@@ -1,6 +1,6 @@
-// Warm STF cache: content-hash keys, the core.STFCache adapter consulted
-// by the verifier, and the version-independent store that survives reloads
-// (and, via persist.go, restarts).
+// Warm state: content-hash keys, the build's carrier (core.STFCache) and the
+// version-independent stores it keeps — of classes, which survives reloads
+// (and, via persist.go, restarts), of check results and of loads.
 package serve
 
 import (
@@ -105,15 +105,36 @@ func (st *store[L]) reset(entries []keyed[L]) {
 	}
 }
 
-// get is k's entry, left where it is (keep).
-func (st *store[L]) get(k cacheKey) (entry[L], bool) {
+// carried is where k's entry is, entry i of list l, left in its generation
+// until the stage that reads it ends (carry).
+func (st *store[L]) carried(k cacheKey) (l L, i int, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if e, ok := st.cur[k]; ok {
-		return e, true
+	e, ok := st.cur[k]
+	if !ok {
+		e, ok = st.prev[k]
 	}
-	e, ok := st.prev[k]
-	return e, ok
+	return e.l, e.i, ok
+}
+
+// carry ends a stage's use of the store: the entries it carried are kept,
+// and l — the zero L when the stage built nothing — goes in, entry i under
+// keys[i]. It returns the snapshot entries of the distinct lists the carried
+// entries name, what the stage replayed.
+func (st *store[L]) carry(carried, keys []cacheKey, l L) (replayed int) {
+	seen := make(map[L]bool)
+	for _, k := range carried {
+		if cl, _, ok := st.carried(k); ok && !seen[cl] {
+			seen[cl] = true
+			replayed += cl.Len()
+		}
+	}
+	st.keep(carried)
+	var none L
+	if l != none {
+		st.putList(keys, l)
+	}
+	return replayed
 }
 
 // keep moves the entries of keys that the previous generation holds to the
@@ -230,7 +251,7 @@ func (st *store[L]) len() int {
 }
 
 // stfStore is the shared warm cache: one class execution per entry, the
-// classes each build executed sealed together (runCache.seal). It outlives
+// classes each build executed sealed together (runCache.CarrySTFs). It outlives
 // versions and reloads and, through persist.go, restarts.
 type stfStore struct {
 	store[*core.SealedSTFs]
@@ -250,59 +271,52 @@ func newSTFStore(limit int, evictions *obs.Counter) *stfStore {
 // link of the benchmark's daemon input.
 const loadLimit = 1024
 
-// runCache adapts the shared store to core.STFCache and core.CheckCarrier
-// (and the store of loads to core.LoadCarrier, Loads) for one verification
-// run, and the server's carried IS-IS and BGP results
-// to routesim.Carrier. It memoizes the run-global fingerprint (topology,
-// failure model, SR), each matched prefix's fingerprint and the guard
-// hasher, so a class key costs a handful of words and a run hashes each
-// prefix's RIB rows once, however many classes match it.
+// runCache is one build's carrier (core.STFCache) over the server's stores of
+// classes, check results and loads, and its carrier of IS-IS and BGP results
+// (routesim.Carrier). It only stores: core reads each stored list it hits
+// into the build's manager and hands back, sealed, what the build executed
+// and summed.
+//
+// Its class keys memoize the run-global fingerprint (topology, failure model,
+// SR), each matched prefix's fingerprint and the guard hasher, so a key costs
+// a handful of words and a run hashes each prefix's RIB rows once, however
+// many classes match it. The build's verifier keeps its carrier for the
+// loads of the checks to come, so CarrySTFs, which ends the build's use of
+// class keys, drops the memo: a kept verifier holds the server and the
+// build's counts.
 type runCache struct {
-	srv    *Server
-	hasher *mtbdd.Hasher
-
-	global      cacheKey
-	globalReady bool
-	prefixes    map[netip.Prefix]cacheKey
-
-	// lastRep/lastKey carry the key Lookup derived for the class it was last
-	// asked about to the Store that follows a miss and its execution, and to
-	// ClassKey.
-	lastRep topo.Flow
-	lastKey cacheKey
-
-	// stored are the classes this build executed, with their keys: seal
-	// stores them as one list when the build ends.
-	stored    []*core.FlowSTF
-	storedKey []cacheKey
-
-	// hit are the keys this build found stored: seal keeps them.
-	hit []cacheKey
-
-	// replays are the lists this build replayed, each once; replayGC is the
-	// manager's collection count they were replayed at, a later collection
-	// voids them.
-	replays  map[*core.SealedSTFs]*core.Replayed
-	replayGC uint64
-
+	srv          *Server
+	keys         *keyMemo
 	hits, misses int64
 }
 
+// keyMemo is what deriving class keys memoizes over one build.
+type keyMemo struct {
+	hasher      *mtbdd.Hasher
+	global      cacheKey
+	globalReady bool
+	prefixes    map[netip.Prefix]cacheKey
+}
+
+// carriedHook is a test hook, never set by library code: when non-nil,
+// CarriedSTF calls it first.
+var carriedHook func(*runCache)
+
 func newRunCache(s *Server) *runCache {
-	return &runCache{srv: s, hasher: mtbdd.NewHasher(), prefixes: make(map[netip.Prefix]cacheKey)}
+	return &runCache{srv: s, keys: &keyMemo{hasher: mtbdd.NewHasher(), prefixes: make(map[netip.Prefix]cacheKey)}}
 }
 
 // globalFP fingerprints everything every class execution reads: the
 // topology key — router and link identity (names pin indices), the failure
 // model, and so the IS-IS state, which is a function of them — and the
 // complete guarded SR state.
-func (rc *runCache) globalFP(e *core.Engine) cacheKey {
-	if !rc.globalReady {
-		rc.global = routesim.Fingerprint(e.Vars().Key())
-		rc.global.Add(e.RouteSim().HashSR(rc.hasher))
-		rc.globalReady = true
+func (m *keyMemo) globalFP(e *core.Engine) cacheKey {
+	if !m.globalReady {
+		m.global = routesim.Fingerprint(e.Vars().Key())
+		m.global.Add(e.RouteSim().HashSR(m.hasher))
+		m.globalReady = true
 	}
-	return rc.global
+	return m.global
 }
 
 // prefixFP fingerprints what forwarding pfx reads anywhere in the network
@@ -310,21 +324,22 @@ func (rc *runCache) globalFP(e *core.Engine) cacheKey {
 // classes match 36 on the benchmark's daemon input), so it is computed
 // once a run.
 func (rc *runCache) prefixFP(e *core.Engine, pfx netip.Prefix) cacheKey {
-	if fp, ok := rc.prefixes[pfx]; ok {
+	m := rc.keys
+	if fp, ok := m.prefixes[pfx]; ok {
 		return fp
 	}
-	fp := e.RouteSim().HashPrefix(pfx, rc.hasher)
-	rc.prefixes[pfx] = fp
+	fp := e.RouteSim().HashPrefix(pfx, m.hasher)
+	m.prefixes[pfx] = fp
 	rc.srv.reg.Counter("serve.prefix_fingerprints").Inc()
 	return fp
 }
 
-// classKey fingerprints one class's execution inputs: the run-global
-// state plus the class identity (ingress, DSCP, matched prefix list) and,
-// through each matched prefix's fingerprint, every router's RIB candidates
-// and statics for those prefixes.
-func (rc *runCache) classKey(e *core.Engine, rep topo.Flow) cacheKey {
-	k := rc.globalFP(e)
+// ClassKey implements core.STFCache: it fingerprints one class's execution
+// inputs — the run-global state plus the class identity (ingress, DSCP,
+// matched prefix list) and, through each matched prefix's fingerprint, every
+// router's RIB candidates and statics for those prefixes.
+func (rc *runCache) ClassKey(e *core.Engine, rep topo.Flow) cacheKey {
+	k := rc.keys.globalFP(e)
 	k.Str(e.Net().Router(rep.Ingress).Name)
 	k.U64(uint64(rep.DSCP))
 	prefixes := e.ClassPrefixes(rep.Dst)
@@ -388,83 +403,32 @@ func (rc *runCache) CarryBGP(b *routesim.BGPBase, carried, recomputed int) {
 	s.reg.Counter("serve.bgp_prefixes_recomputed").Add(int64(recomputed))
 }
 
-// Lookup implements core.STFCache: read the class STF off its list, replayed
-// into e's manager. Defensive shape checks keep a stale or corrupt persisted
-// entry from being materialized.
-func (rc *runCache) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) {
-	key := rc.classKey(e, rep)
-	rc.lastRep, rc.lastKey = rep, key
-	ent, ok := rc.srv.store.get(key)
-	reg := rc.srv.reg
-	if !ok {
-		rc.misses++
-		reg.Counter("serve.class_cache_misses").Inc()
-		if rc.srv.everRan.Load() {
-			reg.Counter("serve.dirty_classes").Inc()
-		}
-		return nil, false
+// CarriedSTF implements core.STFCache: where the store holds the class
+// STF key fingerprints.
+func (rc *runCache) CarriedSTF(key cacheKey) (*core.SealedSTFs, int, bool) {
+	if carriedHook != nil {
+		carriedHook(rc)
 	}
-	maxDir := 2 * e.Net().NumLinks()
-	fits := int(ent.l.Snap.MaxLevel()) < e.Manager().NumVars()
-	for _, l := range ent.l.STFs[ent.i].Links {
-		fits = fits && int(l) >= 0 && int(l) < maxDir
-	}
-	if !fits {
-		rc.misses++
-		reg.Counter("serve.class_cache_misses").Inc()
-		return nil, false
-	}
-	stf := rc.replay(e.Manager(), ent.l).STF(ent.i, rep)
-	rc.hit = append(rc.hit, key)
-	rc.hits++
-	reg.Counter("serve.class_cache_hits").Inc()
-	return stf, true
+	return rc.srv.store.carried(key)
 }
 
-// replay is l replayed into m: the build's earlier replay of it, unless m has
-// collected since.
-func (rc *runCache) replay(m *mtbdd.Manager, l *core.SealedSTFs) *core.Replayed {
-	if rc.replays == nil || rc.replayGC != m.GCRuns() {
-		rc.replays, rc.replayGC = make(map[*core.SealedSTFs]*core.Replayed), m.GCRuns()
+// CarrySTFs implements core.STFCache: the build's STF stage is over. The
+// classes it carried are kept and those it executed go in as one list, which
+// holds no node, so it never keeps the build's manager alive; its counts are
+// the build's, and the key memo goes.
+func (rc *runCache) CarrySTFs(carried, keys []cacheKey, l *core.SealedSTFs) {
+	s := rc.srv
+	rc.hits, rc.misses = int64(len(carried)), int64(len(keys))
+	s.reg.Counter("serve.replayed_entries").Add(int64(s.store.carry(carried, keys, l)))
+	s.reg.Counter("serve.class_cache_hits").Add(rc.hits)
+	s.reg.Counter("serve.class_cache_misses").Add(rc.misses)
+	if s.everRan.Load() {
+		s.reg.Counter("serve.dirty_classes").Add(rc.misses)
 	}
-	r, ok := rc.replays[l]
-	if !ok {
-		r = l.Replay(m)
-		rc.replays[l] = r
-		rc.srv.reg.Counter("serve.replayed_entries").Add(int64(l.Snap.Len()))
-	}
-	return r
+	rc.keys = nil
 }
 
-// Store implements core.STFCache: keep a freshly executed class STF, under
-// the key the Lookup that missed on it derived, for seal.
-func (rc *runCache) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
-	rc.stored = append(rc.stored, stf)
-	rc.storedKey = append(rc.storedKey, rc.ClassKey(e, rep))
-}
-
-// seal ends the build's use of the store: the classes it found stored are
-// kept, the classes it executed go in as one sealed list, and its replays are
-// dropped. The list holds no node, so it never keeps this run's manager
-// alive. Call it once the build is done and before anything can collect its
-// manager — its verifier roots every stored STF until then.
-func (rc *runCache) seal() {
-	rc.srv.store.keep(rc.hit)
-	if len(rc.stored) > 0 {
-		rc.srv.store.putList(rc.storedKey, core.SealSTFs(rc.stored))
-	}
-	rc.hit, rc.stored, rc.storedKey, rc.replays = nil, nil, nil, nil
-}
-
-// ClassKey implements core.CheckCarrier: the key Lookup derived for rep.
-func (rc *runCache) ClassKey(e *core.Engine, rep topo.Flow) routesim.Fingerprint {
-	if rep == rc.lastRep {
-		return rc.lastKey
-	}
-	return rc.classKey(e, rep)
-}
-
-// CarriedCheck implements core.CheckCarrier: the result the latest complete
+// CarriedCheck implements core.STFCache: the result the latest complete
 // build recorded under key.
 func (rc *runCache) CarriedCheck(key routesim.Fingerprint) (core.PlanResult, bool) {
 	s := rc.srv
@@ -474,7 +438,7 @@ func (rc *runCache) CarriedCheck(key routesim.Fingerprint) (core.PlanResult, boo
 	return r, ok
 }
 
-// CarryChecks implements core.CheckCarrier: a complete build's results
+// CarryChecks implements core.STFCache: a complete build's results
 // replace the server's carried ones.
 func (rc *runCache) CarryChecks(results map[routesim.Fingerprint]core.PlanResult, carried, run int) {
 	s := rc.srv
@@ -485,32 +449,22 @@ func (rc *runCache) CarryChecks(results map[routesim.Fingerprint]core.PlanResult
 	s.reg.Counter("serve.checks_run").Add(int64(run))
 }
 
-// Loads implements core.CheckCarrier: the server's store of loads.
-func (rc *runCache) Loads() core.LoadCarrier { return loadCarrier{rc.srv} }
-
-// loadCarrier adapts the server's store of loads to core.LoadCarrier. It is
-// what a version's kept verifier holds of the daemon once trimmed: the
-// server, and no guard hasher, prefix memo or route state of the build.
-type loadCarrier struct{ s *Server }
-
-// CarriedLoad implements core.LoadCarrier.
-func (c loadCarrier) CarriedLoad(key routesim.Fingerprint) (*core.SealedLoads, int, bool) {
-	e, ok := c.s.loads.get(key)
-	return e.l, e.i, ok
+// CarriedLoad implements core.STFCache: where the store of loads holds the
+// load key fingerprints.
+func (rc *runCache) CarriedLoad(key cacheKey) (*core.SealedLoads, int, bool) {
+	return rc.srv.loads.carried(key)
 }
 
-// CarryLoads implements core.LoadCarrier: the loads a check carried are kept,
+// CarryLoads implements core.STFCache: the loads a check carried are kept,
 // and the list of those it built goes in.
-func (c loadCarrier) CarryLoads(carried, keys []routesim.Fingerprint, l *core.SealedLoads) {
-	c.s.loads.keep(carried)
-	if l != nil {
-		c.s.loads.putList(keys, l)
-	}
-	c.s.reg.Counter("serve.loads_carried").Add(int64(len(carried)))
-	c.s.reg.Counter("serve.loads_built").Add(int64(len(keys)))
+func (rc *runCache) CarryLoads(carried, keys []cacheKey, l *core.SealedLoads) {
+	s := rc.srv
+	s.loads.carry(carried, keys, l)
+	s.reg.Counter("serve.loads_carried").Add(int64(len(carried)))
+	s.reg.Counter("serve.loads_built").Add(int64(len(keys)))
 }
 
 var (
-	_ core.CheckCarrier = (*runCache)(nil)
-	_ routesim.Carrier  = (*runCache)(nil)
+	_ core.STFCache    = (*runCache)(nil)
+	_ routesim.Carrier = (*runCache)(nil)
 )

@@ -4,15 +4,16 @@
 package serve
 
 import (
+	"errors"
 	"net/netip"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/yu-verify/yu"
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/gen"
-	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -104,32 +105,32 @@ func daemonSized(t testing.TB) (*config.Spec, string, Config) {
 }
 
 // classRecord is what a cold build of a version executes, class by class:
-// each class's key and summed volume, the links its STF crosses and the
-// roots of its STF.
+// each class's key and summed volume, and the sealed list of every STF the
+// build executed — STF i the class of keys[i].
 type classRecord struct {
-	rc    *runCache
-	keys  []cacheKey
-	gbps  []float64
-	links [][]topo.DirLinkID
-	roots [][]*mtbdd.Node
+	rc   *runCache
+	keys []cacheKey
+	gbps []float64
+	stfs *core.SealedSTFs
 }
 
-func (c *classRecord) Lookup(e *core.Engine, rep topo.Flow) (*core.FlowSTF, bool) {
-	c.keys = append(c.keys, c.rc.classKey(e, rep))
+func (c *classRecord) ClassKey(e *core.Engine, rep topo.Flow) cacheKey {
+	c.keys = append(c.keys, c.rc.ClassKey(e, rep))
 	c.gbps = append(c.gbps, rep.Gbps)
-	return nil, false
+	return c.keys[len(c.keys)-1]
 }
 
-func (c *classRecord) Store(e *core.Engine, rep topo.Flow, stf *core.FlowSTF) {
-	var links []topo.DirLinkID
-	roots := []*mtbdd.Node{stf.Delivered, stf.Dropped, stf.InFlight}
-	for _, lf := range stf.Links {
-		links = append(links, lf.Link)
-		roots = append(roots, lf.W)
-	}
-	c.links = append(c.links, links)
-	c.roots = append(c.roots, roots)
-}
+func (c *classRecord) CarriedSTF(cacheKey) (*core.SealedSTFs, int, bool) { return nil, 0, false }
+
+func (c *classRecord) CarrySTFs(_, _ []cacheKey, l *core.SealedSTFs) { c.stfs = l }
+
+func (c *classRecord) CarriedCheck(cacheKey) (core.PlanResult, bool) { return core.PlanResult{}, false }
+
+func (c *classRecord) CarryChecks(map[cacheKey]core.PlanResult, int, int) {}
+
+func (c *classRecord) CarriedLoad(cacheKey) (*core.SealedLoads, int, bool) { return nil, 0, false }
+
+func (c *classRecord) CarryLoads(_, _ []cacheKey, _ *core.SealedLoads) {}
 
 // linkInput is one class on a link, as a check sees it.
 type linkInput struct {
@@ -150,12 +151,12 @@ func recordClasses(t *testing.T, text string, cfg Config) (*classRecord, map[top
 	if _, err := yu.FromSpec(spec).Build(yu.VerifyOptions{K: cfg.K, Mode: cfg.Mode, ModeSet: cfg.ModeSet, OverloadFactor: cfg.OverloadFactor, STFCache: rec}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.links) != len(rec.keys) {
-		t.Fatalf("%d classes looked up, %d executed", len(rec.keys), len(rec.links))
+	if rec.stfs == nil || len(rec.stfs.STFs) != len(rec.keys) {
+		t.Fatalf("%d classes keyed, not all executed", len(rec.keys))
 	}
 	lists := make(map[topo.DirLinkID][]linkInput)
-	for i, links := range rec.links {
-		for _, l := range links {
+	for i, s := range rec.stfs.STFs {
+		for _, l := range s.Links {
 			lists[l] = append(lists[l], linkInput{rec.keys[i], rec.gbps[i]})
 		}
 	}
@@ -232,20 +233,19 @@ func TestChecksCarriedByInputs(t *testing.T) {
 				t.Errorf("%s: %d of %d checks carried, want all", what, c1-c0, plans)
 			}
 
-			var roots []*mtbdd.Node
-			hits, perClass := 0, 0
+			var hit []int
+			perClass := 0
 			for i, key := range rec.keys {
 				if size, ok := stored[key]; ok {
-					roots = append(roots, rec.roots[i]...)
-					hits++
+					hit = append(hit, i)
 					perClass += size
 				}
 			}
+			hits := len(hit)
 			if int64(hits) != res.Stats.CacheHits {
 				t.Fatalf("%s: %d classes were stored before the build, it hit %d", what, hits, res.Stats.CacheHits)
 			}
-			snap, _ := mtbdd.NewSnapshot(roots)
-			replayed, need := p1-p0, snap.Len()
+			replayed, need := p1-p0, rec.stfs.Sub(hit).Len()
 			switch {
 			case ki < len(kinds)-1 && float64(replayed) > 1.2*float64(need):
 				t.Errorf("%s: replayed %d entries for %d distinct nodes", what, replayed, need)
@@ -343,5 +343,68 @@ func BenchmarkDeltaKinds(b *testing.B) {
 			b.ReportMetric(float64(carried)/float64(b.N), "carried/op")
 			b.ReportMetric(float64(replayed)/float64(b.N), "replayed/op")
 		})
+	}
+}
+
+// TestCanceledWarmReplayIsGoverned: a build whose VerifyTimeout fires while
+// it asks for a stored class — the replay of a list far longer than the
+// manager's interrupt stride to come — ends in a governed, incomplete report
+// and no contained panic, and the next build finds every class still stored.
+func TestCanceledWarmReplayIsGoverned(t *testing.T) {
+	spec, text, cfg := daemonSized(t)
+	s := NewServer(cfg)
+	if _, err := s.LoadSpecText(text); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Report()
+	if err != nil || first.Err != nil {
+		t.Fatalf("first load: %v %v", err, first.Err)
+	}
+	longest := 0
+	for _, gen := range []map[cacheKey]warmEntry{s.store.cur, s.store.prev} {
+		for _, e := range gen {
+			longest = max(longest, e.l.Len())
+		}
+	}
+	if longest <= 1<<12 {
+		t.Fatalf("the longest stored list has %d entries, no more than the interrupt stride", longest)
+	}
+
+	// An iBGP local-pref delta moves no class: its build asks for stored
+	// classes only, and the first time it does, its budget runs out.
+	k := deltaKinds(t, spec)[3]
+	const budget = 2 * time.Second
+	s.cfg.VerifyTimeout = budget
+	asked := 0
+	carriedHook = func(*runCache) {
+		if asked++; asked == 1 {
+			time.Sleep(budget)
+		}
+	}
+	defer func() { carriedHook = nil }()
+	if _, err := s.ApplyDeltas(k.do); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Report()
+	carriedHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asked != 1 {
+		t.Fatalf("the build asked for %d stored classes before its budget ran out, want 1", asked)
+	}
+	if !errors.Is(res.Err, yu.ErrDeadline) || res.Report == nil || !res.Report.Incomplete {
+		t.Fatalf("the timed-out build: Err %v, report %v; want ErrDeadline and an incomplete report", res.Err, res.Report != nil)
+	}
+	if p := s.reg.Snapshot().Counters["serve.panics"]; p != 0 {
+		t.Fatalf("serve.panics = %d, want 0", p)
+	}
+
+	s.cfg.VerifyTimeout = 0
+	if _, err := s.ApplyDeltas(k.undo); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Report(); err != nil || res.Err != nil || res.Stats.CacheMisses != 0 || res.Stats.CacheHits != first.Stats.CacheMisses {
+		t.Fatalf("the build after: %v %v, %d hits and %d misses; want all %d classes carried", err, res.Err, res.Stats.CacheHits, res.Stats.CacheMisses, first.Stats.CacheMisses)
 	}
 }

@@ -110,9 +110,9 @@ func applyDelta(spec *config.Spec, d Delta) error {
 		if err != nil {
 			return err
 		}
-		pfx, err := netip.ParsePrefix(d.Prefix)
+		pfx, err := parsePrefix(d.Prefix)
 		if err != nil {
-			return fmt.Errorf("prefix: %w", err)
+			return err
 		}
 		st := config.StaticRoute{Prefix: pfx, Discard: d.Discard}
 		if !d.Discard {
@@ -130,9 +130,9 @@ func applyDelta(spec *config.Spec, d Delta) error {
 		if err != nil {
 			return err
 		}
-		pfx, err := netip.ParsePrefix(d.Prefix)
+		pfx, err := parsePrefix(d.Prefix)
 		if err != nil {
-			return fmt.Errorf("prefix: %w", err)
+			return err
 		}
 		kept := rc.Statics[:0]
 		removed := false
@@ -162,9 +162,9 @@ func applyDelta(spec *config.Spec, d Delta) error {
 		if err != nil {
 			return err
 		}
-		pfx, err := netip.ParsePrefix(d.Prefix)
+		pfx, err := parsePrefix(d.Prefix)
 		if err != nil {
-			return fmt.Errorf("prefix: %w", err)
+			return err
 		}
 		for _, p := range nb.ExportDeny {
 			if p == pfx {
@@ -179,9 +179,9 @@ func applyDelta(spec *config.Spec, d Delta) error {
 		if err != nil {
 			return err
 		}
-		pfx, err := netip.ParsePrefix(d.Prefix)
+		pfx, err := parsePrefix(d.Prefix)
 		if err != nil {
-			return fmt.Errorf("prefix: %w", err)
+			return err
 		}
 		kept := nb.ExportDeny[:0]
 		removed := false
@@ -246,6 +246,16 @@ func applyDelta(spec *config.Spec, d Delta) error {
 	default:
 		return fmt.Errorf("unknown op %q", d.Op)
 	}
+}
+
+// parsePrefix parses a delta's prefix operand masked to its length, as the
+// spec parser reads every prefix: 55.0.0.1/8 names 55.0.0.0/8.
+func parsePrefix(text string) (netip.Prefix, error) {
+	pfx, err := netip.ParsePrefix(text)
+	if err != nil {
+		return pfx, fmt.Errorf("prefix: %w", err)
+	}
+	return pfx.Masked(), nil
 }
 
 func routerConfig(spec *config.Spec, name string) (*config.Router, error) {

@@ -164,6 +164,56 @@ func TestAcceptedDeltaParsesOnce(t *testing.T) {
 	}
 }
 
+// TestDeltaPrefixesMasked: a delta's prefix names what the spec parser reads
+// it as, host bits masked — a static or an export-deny added with host bits
+// is removed by either spelling, and adding one twice in two spellings adds
+// it once.
+func TestDeltaPrefixesMasked(t *testing.T) {
+	base, err := os.ReadFile(filepath.Join("..", "..", "testdata", "motivating.yu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := func(op, pfx string) Delta { return Delta{Op: op, Router: "B", Prefix: pfx, Discard: true} }
+	deny := func(op, pfx string) Delta { return Delta{Op: op, Router: "F", Neighbor: "10.0.0.5", Prefix: pfx} }
+	for _, row := range []struct {
+		name         string
+		setup, batch []Delta
+		// want is the batch whose text the row's gives; nil: the base text.
+		want []Delta
+	}{
+		{"remove-static with host bits after add-static with them",
+			[]Delta{static("add-static", "55.0.0.1/8")}, []Delta{static("remove-static", "55.0.0.1/8")}, nil},
+		{"add-static with host bits, remove-static masked, one batch",
+			nil, []Delta{static("add-static", "55.0.0.1/8"), static("remove-static", "55.0.0.0/8")}, nil},
+		{"add-export-deny with host bits, remove-export-deny masked, one batch",
+			nil, []Delta{deny("add-export-deny", "100.0.0.9/24"), deny("remove-export-deny", "100.0.0.0/24")}, nil},
+		{"add-export-deny in two spellings",
+			nil, []Delta{deny("add-export-deny", "100.0.0.9/24"), deny("add-export-deny", "100.0.0.0/24")}, []Delta{deny("add-export-deny", "100.0.0.0/24")}},
+	} {
+		s := NewServer(Config{})
+		if _, err := s.LoadSpecText(string(base)); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := s.SpecText()
+		if row.want != nil {
+			if want, err = referenceApply(want, row.want); err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+		}
+		for _, ds := range [][]Delta{row.setup, row.batch} {
+			if ds == nil {
+				continue
+			}
+			if _, err := s.ApplyDeltas(ds); err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+		}
+		if got, _ := s.SpecText(); got != want {
+			t.Errorf("%s: the text is\n%s\nwant\n%s", row.name, got, want)
+		}
+	}
+}
+
 // FuzzDeltaHTTP posts arbitrary bodies to /v1/delta. No body gets a 5xx or
 // panics the daemon; a rejected body leaves /v1/spec and the version as they
 // were; an accepted body's text is the version the plain path's text
@@ -183,6 +233,8 @@ func FuzzDeltaHTTP(f *testing.F) {
 		`{"deltas":[{"op":"add-flow","flow":"f3","ingress":"C","src":"11.0.0.3","dst":"100.0.0.3","dscp":5,"gbps":1e308}]}`,
 		`{"deltas":[{"op":"remove-flow","flow":"f1"},{"op":"remove-flow","flow":"f1"}]}`,
 		`{"deltas":[{"op":"add-static","router":"B","prefix":"55.0.0.1/8","discard":true}]}`,
+		`{"deltas":[{"op":"add-static","router":"B","prefix":"55.0.0.1/8","discard":true},{"op":"remove-static","router":"B","prefix":"55.0.0.0/8"}]}`,
+		`{"deltas":[{"op":"add-export-deny","router":"F","neighbor":"10.0.0.5","prefix":"100.0.0.9/24"},{"op":"remove-export-deny","router":"F","neighbor":"10.0.0.5","prefix":"100.0.0.0/24"}]}`,
 		`{"deltas":[]}`,
 		`{"deltas":[{"op":"reboot"}]}`,
 		`{"deltas":`,
@@ -234,8 +286,8 @@ func FuzzDeltaHTTP(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted a batch the plain path rejects: %v", err)
 		}
-		// A non-canonical operand (a prefix with host bits) renders as given
-		// and becomes canonical in the version's own render-and-compare.
+		// A non-canonical operand renders as given and becomes canonical in
+		// the version's own render-and-compare.
 		ref, err := (&Server{}).buildVersion(want)
 		if err != nil {
 			t.Fatalf("accepted a batch whose plain-path text builds no version: %v", err)

@@ -166,11 +166,11 @@ type Server struct {
 	igp     *routesim.ImportBase
 	bgp     *routesim.BGPBase
 	// checks are the plan results of the latest build whose checks all ran,
-	// by their inputs' fingerprint (core.CheckCarrier).
+	// by their inputs' fingerprint (core.STFCache, CarriedCheck).
 	checks map[routesim.Fingerprint]core.PlanResult
 	// loads are the loads builds and queries summed, by their inputs'
-	// fingerprint (core.LoadCarrier): a query sums only the loads whose
-	// classes moved since one was stored.
+	// fingerprint (core.STFCache, CarriedLoad): a query sums only the loads
+	// whose classes moved since one was stored.
 	loads store[*core.SealedLoads]
 }
 
@@ -488,7 +488,6 @@ func (v *version) compute() {
 		Obs:            s.reg,
 		STFCache:       rc,
 	})
-	rc.seal()
 	var rep *yu.Report
 	if b != nil {
 		rep, err = b.Verify(ctx)

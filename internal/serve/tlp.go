@@ -6,7 +6,7 @@
 // per-link aggregation and a terminal scan. Less, mostly: a load whose
 // classes did not move since a check stored it — on this version or an
 // earlier one — is replayed from the server's store of loads, not
-// aggregated again (core.LoadCarrier, loadCarrier in cache.go).
+// aggregated again (core.STFCache's CarriedLoad, runCache in cache.go).
 package serve
 
 import (

@@ -6,9 +6,9 @@
 // load MTBDD is terminal-scanned once, evaluating all properties attached
 // to that link in the same pass (core.Verifier.Check); conditional properties
 // are evaluated by guard restriction (one cofactor scan per distinct
-// guard) rather than by re-executing anything. On a verifier with a load
-// carrier (the daemon's), a load whose classes an earlier check summed is
-// replayed rather than aggregated again (core.LoadCarrier). Violations are
+// guard) rather than by re-executing anything. On a verifier with a carrier
+// (the daemon's), a load whose classes an earlier check summed is replayed
+// rather than aggregated again (core.STFCache, CarriedLoad). Violations are
 // deduplicated by witness failure set and ranked by excess load.
 package tlp
 

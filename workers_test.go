@@ -8,6 +8,7 @@ import (
 	"github.com/yu-verify/yu"
 	"github.com/yu-verify/yu/internal/canon"
 	"github.com/yu-verify/yu/internal/core"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -54,30 +55,56 @@ func TestWorkersIsANoOp(t *testing.T) {
 	}
 }
 
-// countingCache is an STFCache that keeps every stored STF sealed, so a later
-// run's manager can unseal it, and counts what the verifier asked of it.
+// countingCache is a carrier of STFs alone that keeps every list it is
+// handed, so a later run's manager can replay it, and counts what the
+// verifier asked of it. A class's key is its representative's ingress, DSCP
+// and destination, which fix its STF within one network.
 type countingCache struct {
-	stfs                  map[topo.Flow]*core.SealedSTFs
+	stfs                  map[routesim.Fingerprint]storedSTF
 	lookups, hits, stores int
 }
 
-func (c *countingCache) Lookup(e *yu.ExecEngine, rep topo.Flow) (*yu.FlowSTF, bool) {
-	c.lookups++
-	l, ok := c.stfs[rep]
-	if !ok {
-		return nil, false
-	}
-	c.hits++
-	return l.Unseal(e.Manager(), []topo.Flow{rep})[0], true
+type storedSTF struct {
+	l *core.SealedSTFs
+	i int
 }
 
-func (c *countingCache) Store(_ *yu.ExecEngine, rep topo.Flow, s *yu.FlowSTF) {
-	c.stores++
-	c.stfs[rep] = core.SealSTFs([]*yu.FlowSTF{s})
+func (c *countingCache) ClassKey(_ *yu.ExecEngine, rep topo.Flow) routesim.Fingerprint {
+	var k routesim.Fingerprint
+	k.U64(uint64(rep.Ingress))
+	k.U64(uint64(rep.DSCP))
+	k.Addr(rep.Dst)
+	return k
 }
+
+func (c *countingCache) CarriedSTF(key routesim.Fingerprint) (*core.SealedSTFs, int, bool) {
+	c.lookups++
+	s, ok := c.stfs[key]
+	return s.l, s.i, ok
+}
+
+func (c *countingCache) CarrySTFs(carried, keys []routesim.Fingerprint, l *core.SealedSTFs) {
+	c.hits += len(carried)
+	c.stores += len(keys)
+	for i, k := range keys {
+		c.stfs[k] = storedSTF{l, i}
+	}
+}
+
+func (c *countingCache) CarriedCheck(routesim.Fingerprint) (core.PlanResult, bool) {
+	return core.PlanResult{}, false
+}
+
+func (c *countingCache) CarryChecks(map[routesim.Fingerprint]core.PlanResult, int, int) {}
+
+func (c *countingCache) CarriedLoad(routesim.Fingerprint) (*core.SealedLoads, int, bool) {
+	return nil, 0, false
+}
+
+func (c *countingCache) CarryLoads(_, _ []routesim.Fingerprint, _ *core.SealedLoads) {}
 
 // TestSTFCacheServesAnyWorkerCount: the STF cache serves every run, whatever
-// Workers says — one Lookup per class, a Store per class executed, and a
+// Workers says — one lookup per class, a stored STF per class executed, and a
 // second run of the same input served from the cache alone, to the same
 // canonical report.
 func TestSTFCacheServesAnyWorkerCount(t *testing.T) {
@@ -85,7 +112,7 @@ func TestSTFCacheServesAnyWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := &countingCache{stfs: make(map[topo.Flow]*core.SealedSTFs)}
+	cache := &countingCache{stfs: make(map[routesim.Fingerprint]storedSTF)}
 	opts := yu.VerifyOptions{K: 1, OverloadFactor: 0.95, Workers: 4, STFCache: cache}
 	cold, err := n.Verify(opts)
 	if err != nil {

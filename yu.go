@@ -77,19 +77,22 @@ type (
 	// MetricsSnapshot is the serializable view of a Metrics registry —
 	// the payload behind `yu -metrics=json`.
 	MetricsSnapshot = obs.Snapshot
-	// STFCache is the cross-run symbolic-execution cache hook consulted
-	// by the build (VerifyOptions.STFCache). Implementations
-	// must honor the contract documented on core.STFCache; the incremental
-	// daemon (internal/serve) is the canonical one.
+	// STFCache is the cross-run carrier of a build (VerifyOptions.STFCache):
+	// it stores, by the fingerprint of their inputs, the STFs a run
+	// executed and the loads it summed, as sealed lists, and its check
+	// results. A hook only stores: the run replays what it carries into its
+	// own manager, each list once a stage, and never has the hook build a
+	// node there. Implementations must honor the contract documented on
+	// core.STFCache; the incremental daemon (internal/serve) is the
+	// canonical one.
 	STFCache = core.STFCache
-	// ExecEngine is the symbolic execution engine handed to STFCache
-	// callbacks (core.Engine; "Exec" avoids clashing with the Engine
+	// ExecEngine is the symbolic execution engine handed to
+	// STFCache.ClassKey (core.Engine; "Exec" avoids clashing with the Engine
 	// selector constant type).
 	ExecEngine = core.Engine
-	// FlowSTF is one flow's symbolic traffic fractions — the value an
-	// STFCache stores and serves. Its Links is a slice of LinkFrac in
-	// strictly ascending link order, one entry per directed link crossed;
-	// an STF a cache serves must keep that order.
+	// FlowSTF is one flow's symbolic traffic fractions, what a run seals
+	// for an STFCache. Its Links is a slice of LinkFrac in strictly
+	// ascending link order, one entry per directed link crossed.
 	FlowSTF = core.FlowSTF
 	// LinkFrac is one entry of FlowSTF.Links: the flow's fraction on one
 	// directed link.
@@ -265,13 +268,15 @@ type VerifyOptions struct {
 	// with zero overhead.
 	Obs *Metrics
 	// STFCache, when non-nil, lets the run reuse symbolic execution
-	// results from previous runs (EngineYU only): each
-	// equivalence class is offered to the cache before execution and
-	// stored after. Soundness is the cache's responsibility — see the
-	// core.STFCache contract. Reports remain byte-identical to uncached
-	// runs when the cache honors it. A cache that also implements
-	// routesim.Carrier carries IS-IS results between the monolithic builds
-	// of one topology, and BGP results prefix by prefix.
+	// results, check results and loads from previous runs (EngineYU,
+	// monolithic builds): a class whose key the hook stored is replayed, not
+	// executed, and what the run executes is handed to the hook, sealed. The
+	// hook stores sealed lists and never builds a node in the run's manager.
+	// Soundness is its responsibility — see the core.STFCache contract.
+	// Reports remain byte-identical to uncached runs when it honors it. A
+	// hook that also implements routesim.Carrier carries IS-IS results
+	// between the monolithic builds of one topology, and BGP results prefix
+	// by prefix.
 	STFCache STFCache
 	// Domains, when non-nil, turns on compositional verification
 	// (EngineYU only; Verify and VerifyPortfolio alike): the named router
@@ -613,7 +618,6 @@ func (b *Built) record() { core.RecordManager(b.opts.Obs, "primary", b.mgr) }
 // pass four times what is left (at least 64 K). Call it once, before keeping
 // a Built around for checks to come; results do not change.
 func (b *Built) Trim() {
-	b.opts.STFCache = nil // consulted by the build only; it may hold hashes of every guard
 	if b.ver != nil {
 		b.ver.Trim()
 	}
