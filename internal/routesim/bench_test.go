@@ -43,6 +43,14 @@ func wanPortfolio(tb testing.TB) benchInput {
 // n0K2 is the paper ladder's N0 network (paper_test.go) at k = 2.
 func n0K2(tb testing.TB) benchInput { return wanInput(tb, "n0-k2", 100, 200, 60, 10, 2) }
 
+// ladderWANK1 is the paper ladder's WAN network (paper_test.go) at k = 1:
+// iBGP meshes of hundreds of routers, so an entry gathers its offers from
+// hundreds of sessions. Its name contains "wan-k1": select that cell alone
+// with -bench 'ComputeBGP/^wan-k1$'.
+func ladderWANK1(tb testing.TB) benchInput {
+	return wanInput(tb, "ladder-wan-k1", 1000, 4000, 150, 13, 1)
+}
+
 // ringDomain is one domain of the `modular` workload as internal/compose
 // simulates it: a 20-router double ring plus its border stubs, k=2, over
 // failure variables aliased to the 8-domain global order.
@@ -85,7 +93,7 @@ func BenchmarkComputeIGP(b *testing.B) {
 }
 
 func BenchmarkComputeBGP(b *testing.B) {
-	for _, in := range []benchInput{wanK1(b), wanK2(b)} {
+	for _, in := range []benchInput{wanK1(b), wanK2(b), ladderWANK1(b)} {
 		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

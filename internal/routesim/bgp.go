@@ -239,6 +239,12 @@ type Stepper struct {
 	prefixes []netip.Prefix
 	prefixID map[netip.Prefix]int32
 	routers  []ribState
+	// overIBGP flags, per prefix, the routers whose templates for it hold a
+	// group that crosses iBGP: bit r of overIBGP[p*words+r/64], words per
+	// prefix. An iBGP session from any other router offers nothing, and
+	// recompute skips it without reading its templates.
+	overIBGP []uint64
+	words    int
 
 	// changed lists a few of the entries that moved in the last Round.
 	changed []entryRef
@@ -300,6 +306,7 @@ func NewStepper(fv *FailVars, cfgs config.Configs, igp *IGP, member []bool, only
 		paths:    newPathTable(),
 		prefixID: make(map[netip.Prefix]int32),
 		routers:  make([]ribState, net.NumRouters()),
+		words:    (net.NumRouters() + 63) / 64,
 	}
 	defer st.clock(start)
 	names := make([]string, 0, len(cfgs))
@@ -426,6 +433,7 @@ func (st *Stepper) prefix(pfx netip.Prefix) int32 {
 			rs.seed, rs.rib, rs.tpl = append(rs.seed, nil), append(rs.rib, nil), append(rs.tpl, nil)
 			rs.stale, rs.wake = append(rs.stale, false), append(rs.wake, false)
 		}
+		st.overIBGP = append(st.overIBGP, make([]uint64, st.words)...)
 	}
 	return id
 }
@@ -491,7 +499,12 @@ func (st *Stepper) publish(r topo.RouterID, p int32, tpl []advTemplate) {
 	if slices.Equal(old, tpl) {
 		return
 	}
-	wakeIBGP := !slices.Equal(overIBGP(old), overIBGP(tpl))
+	word, bit := &st.overIBGP[int(p)*st.words+int(r)/64], uint64(1)<<(r%64)
+	*word &^= bit
+	if slices.ContainsFunc(tpl, func(t advTemplate) bool { return t.crossesIBGP }) {
+		*word |= bit
+	}
+	wakeIBGP := !sameOverIBGP(old, tpl)
 	for _, si := range st.out[r] {
 		if s := &st.sessions[si]; s.ebgp || wakeIBGP {
 			st.routers[s.to].wake[p] = true
@@ -499,20 +512,25 @@ func (st *Stepper) publish(r topo.RouterID, p int32, tpl []advTemplate) {
 	}
 }
 
-// overIBGP returns the templates an iBGP receiver reads.
-func overIBGP(tpl []advTemplate) []advTemplate {
-	for i := range tpl {
-		if !tpl[i].crossesIBGP {
-			kept := slices.Clone(tpl[:i])
-			for _, t := range tpl[i+1:] {
-				if t.crossesIBGP {
-					kept = append(kept, t)
-				}
-			}
-			return kept
+// sameOverIBGP reports whether an iBGP receiver reads the same templates
+// in a and b: those that cross iBGP, in order.
+func sameOverIBGP(a, b []advTemplate) bool {
+	i, j := 0, 0
+	for {
+		for i < len(a) && !a[i].crossesIBGP {
+			i++
 		}
+		for j < len(b) && !b[j].crossesIBGP {
+			j++
+		}
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		if a[i] != b[j] {
+			return false
+		}
+		i, j = i+1, j+1
 	}
-	return tpl
 }
 
 // Round runs one synchronous advertisement round and reports whether the
@@ -552,10 +570,13 @@ func (st *Stepper) Round() bool {
 // the entry moved.
 func (st *Stepper) recompute(r topo.RouterID, p int32) bool {
 	rs := &st.routers[r]
-	pfx := st.prefixes[p]
+	pfx, overIBGP := st.prefixes[p], st.overIBGP[int(p)*st.words:]
 	st.offerSeeds(rs.seed[p])
 	for _, si := range st.in[r] {
 		s := &st.sessions[si]
+		if !s.ebgp && overIBGP[s.from/64]&(1<<(s.from%64)) == 0 {
+			continue
+		}
 		tpls := st.routers[s.from].tpl[p]
 		if len(tpls) == 0 || denied(s.exportDeny, pfx) {
 			continue
@@ -677,7 +698,7 @@ func (st *Stepper) SetStubAdvs(r topo.RouterID, advs BorderTemplates) {
 		// A stub's groups carry what crosses an AS boundary: path and guard.
 		tpl := make([]advTemplate, len(injected))
 		for i, a := range injected {
-			tpl[i] = advTemplate{groupSel: a.Sel, path: st.paths.intern(a.ASPath)}
+			tpl[i] = advTemplate{groupSel: a.Sel, path: st.paths.intern(a.ASPath), pathLen: int32(len(a.ASPath))}
 		}
 		st.publish(r, int32(p), tpl)
 	}
@@ -689,6 +710,7 @@ func (st *Stepper) SetStubAdvs(r topo.RouterID, advs BorderTemplates) {
 type advTemplate struct {
 	groupSel  *mtbdd.Node
 	path      int32 // the representative's AS path, an id in Stepper.paths
+	pathLen   int32 // its length
 	localPref uint32
 	// crossesIBGP: the group is advertised over iBGP sessions too;
 	// iBGP-learned routes are not (full-mesh rule).
@@ -718,7 +740,7 @@ func (st *Stepper) buildTemplates(cands []*BGPCand) []advTemplate {
 		i = j
 		if groupSel != m.Zero() {
 			ts = append(ts, advTemplate{
-				groupSel: fv.Reduce(groupSel), path: cand.path, localPref: cand.LocalPref,
+				groupSel: fv.Reduce(groupSel), path: cand.path, pathLen: int32(len(cand.ASPath)), localPref: cand.LocalPref,
 				crossesIBGP: cand.FromEBGP || cand.local(),
 			})
 		}
@@ -729,7 +751,7 @@ func (st *Stepper) buildTemplates(cands []*BGPCand) []advTemplate {
 // offer is one route a RIB entry's evaluation may install: one of the
 // router's seeds, or a template a session peer advertises, with its rank
 // key read off before any candidate or guard is built. It names its source
-// by index, so the offers sort as plain values.
+// by index.
 type offer struct {
 	rank rankKey
 	sess int32 // index in Stepper.sessions; -1 for a seed
@@ -749,19 +771,18 @@ func (st *Stepper) offerSeeds(seeds []*BGPCand) {
 // AS already (loop rejection), or an iBGP-learned group over iBGP.
 func (st *Stepper) advertise(si, i int32, tpl *advTemplate) {
 	s := &st.sessions[si]
-	path := st.paths.paths[tpl.path]
 	o := offer{sess: si, i: i}
 	if s.ebgp {
-		if hasAS(path, st.fv.Net.Router(s.to).AS) {
+		if hasAS(st.paths.paths[tpl.path], st.fv.Net.Router(s.to).AS) {
 			return
 		}
 		// The sender prepends its AS.
-		o.rank = rankKey{localPref: s.importPref, pathLen: int32(len(path)) + 1, ebgp: true}
+		o.rank = rankKey{localPref: s.importPref, pathLen: tpl.pathLen + 1, ebgp: true}
 	} else {
 		if !tpl.crossesIBGP {
 			return
 		}
-		o.rank = rankKey{localPref: tpl.localPref, pathLen: int32(len(path)), igpCost: s.igpCost}
+		o.rank = rankKey{localPref: tpl.localPref, pathLen: tpl.pathLen, igpCost: s.igpCost}
 	}
 	st.offers = append(st.offers, o)
 }
@@ -799,33 +820,64 @@ func (st *Stepper) candidate(r topo.RouterID, p int32, o offer) (c BGPCand, ok b
 	return c, true
 }
 
-// selectOffers evaluates entry (r, p) from its offers: it sorts them by
-// rank, arrival order kept among ties, and walks the rank groups in that
-// order. A group's offers are built and merged into the scratch entry, and
-// its candidates that can be selected within the failure budget are kept.
-// The walk stops at the first group the strictly better kept candidates
-// cover, where better is One: better is KREDUCEd, so it is One exactly when
-// it holds in every scenario of at most K failures (with reduction
-// disabled, only when it holds in every scenario). ¬better is then Zero,
-// selectable is false for every offer left, and none is built (DESIGN.md
-// §19). It returns the kept candidates as indices into scratch, in RIB
-// order.
+// selectOffers evaluates entry (r, p) from its offers, one rank group at a
+// time, best first (walkGroups). A group's offers are built in arrival
+// order and merged into the scratch entry, and its candidates that can be
+// selected within the failure budget are kept. The walk stops at the first
+// group the strictly better kept candidates cover, where better is One:
+// better is KREDUCEd, so it is One exactly when it holds in every scenario
+// of at most K failures (with reduction disabled, only when it holds in
+// every scenario). ¬better is then Zero, selectable is false for every offer
+// left, and none is built (DESIGN.md §19). It returns the kept candidates as
+// indices into scratch, in RIB order.
 func (st *Stepper) selectOffers(r topo.RouterID, p int32) []int32 {
-	m := st.fv.M
-	offers := st.offers
-	slices.SortStableFunc(offers, func(a, b offer) int { return a.rank.compare(b.rank) })
 	st.scratch, st.kept = st.scratch[:0], st.kept[:0]
-	done := 0 // offers walked
-	for better := m.Zero(); better != m.One() && done < len(offers); {
-		from, rank := len(st.scratch), offers[done].rank
-		for ; done < len(offers) && offers[done].rank == rank; done++ {
-			st.build(r, p, offers[done], from)
-		}
-		better = st.keep(from, better)
-	}
-	st.b.stats.BGPOffers += len(offers)
-	st.b.stats.BGPOffersCut += len(offers) - done
+	from, better := 0, st.fv.M.Zero()
+	walked := walkGroups(st.offers,
+		func(o offer) { st.build(r, p, o, from) },
+		func() bool {
+			better, from = st.keep(from, better), len(st.scratch)
+			return better == st.fv.M.One()
+		})
+	st.b.stats.BGPOffers += len(st.offers)
+	st.b.stats.BGPOffersCut += len(st.offers) - walked
 	return st.kept
+}
+
+// walkGroups walks offers one rank group at a time, best first: it calls
+// build on each offer of the group, in arrival order, then ends the group
+// with group, and stops after the last group or the first one for which
+// group reports true. It returns how many offers it walked. Each pass over
+// the offers walks one group and finds the best rank worse than it, the
+// next group, so a walk costs O(offers × groups walked): an evaluation
+// walks one or two groups of a dozen offers, which costs less than
+// ordering the offers would.
+func walkGroups(offers []offer, build func(offer), group func() bool) int {
+	if len(offers) == 0 {
+		return 0
+	}
+	rank := offers[0].rank
+	for _, o := range offers[1:] {
+		if o.rank.compare(rank) < 0 {
+			rank = o.rank
+		}
+	}
+	walked := 0
+	for {
+		next, more := rank, false
+		for _, o := range offers {
+			if c := o.rank.compare(rank); c == 0 {
+				build(o)
+				walked++
+			} else if c > 0 && (!more || o.rank.compare(next) < 0) {
+				next, more = o.rank, true
+			}
+		}
+		if group() || !more {
+			return walked
+		}
+		rank = next
+	}
 }
 
 // build adds offer o's candidate to the scratch entry; a candidate of the
