@@ -107,7 +107,7 @@ func TestVerifyRequiresSpecArg(t *testing.T) {
 
 // metricsDoc mirrors the obs.Snapshot JSON schema as far as the CLI
 // contract promises it: per-phase durations and per-cache hit/miss for
-// all five MTBDD caches.
+// all four MTBDD caches.
 type metricsDoc struct {
 	Phases []struct {
 		Path string  `json:"path"`
@@ -171,7 +171,7 @@ func TestRunVerifyMetricsJSON(t *testing.T) {
 	if ends <= 0 || doc.Counters["check.classes_total"] <= 0 || doc.Counters["check.classes_enumerated"] > doc.Counters["check.classes_total"] {
 		t.Errorf("metrics do not account for the check stage: %v", doc.Counters)
 	}
-	for _, c := range []string{"apply", "kreduce", "neg", "range"} {
+	for _, c := range []string{"fused", "kreduce", "neg", "range"} {
 		if _, ok := doc.Caches[c]; !ok {
 			t.Errorf("metrics missing cache %q (got %v)", c, doc.Caches)
 		}
@@ -205,7 +205,7 @@ func TestRunVerifyMetricsText(t *testing.T) {
 	if code := runVerify(cfg, &stdout, &stderr); code != 0 {
 		t.Fatalf("runVerify = %d, stderr:\n%s", code, &stderr)
 	}
-	for _, want := range []string{"phases", "caches", "kreduce", "tables 0.7 MB\n"} {
+	for _, want := range []string{"phases", "caches", "kreduce", "tables 0.6 MB\n"} {
 		if !bytes.Contains(stderr.Bytes(), []byte(want)) {
 			t.Errorf("text metrics missing %q:\n%s", want, &stderr)
 		}
@@ -312,7 +312,7 @@ func TestRunVerifyMetricsOnIncomplete(t *testing.T) {
 	if err := json.Unmarshal(stderr.Bytes(), &doc); err != nil {
 		t.Fatalf("metrics on INCOMPLETE run is not valid JSON: %v\n%s", err, &stderr)
 	}
-	for _, c := range []string{"apply", "kreduce", "neg", "range"} {
+	for _, c := range []string{"fused", "kreduce", "neg", "range"} {
 		if _, ok := doc.Caches[c]; !ok {
 			t.Errorf("INCOMPLETE metrics missing cache %q", c)
 		}

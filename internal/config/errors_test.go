@@ -80,6 +80,10 @@ func TestParseSpecErrorMessages(t *testing.T) {
 		{"property unknown option", base + "property link a-b avg 3\n", `unknown property option "avg"`},
 		{"property unknown link", base + "property link a-c max 1\n", "property: no link a-c"},
 		{"property unknown dirlink", base + "property dirlink a->c max 1\n", "property: no link a->c"},
+		{"property NaN bound", base + "property link a-b max NaN\n", `bad bound "NaN"`},
+		{"property delivered NaN bound", base + "property delivered 10.0.0.0/24 min nan\n", `bad bound "nan"`},
+		{"property min exceeds max", base + "property dirlink a->b min 5 max 1\n", "property min 5 exceeds max 1"},
+		{"property if-failed", base + "property link a-b max 1 if-failed a-b\n", `unknown property option "if-failed"`},
 		{"failures bad k", base + "failures k soon\n", `bad k "soon"`},
 		{"failures bad mode", base + "failures mode chaos\n", `bad mode "chaos"`},
 		{"failures option missing value", base + "failures k\n", `failures option "k" wants a value`},

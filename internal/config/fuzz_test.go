@@ -1,11 +1,16 @@
 package config
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParseSpec feeds arbitrary text to the config-DSL parser. The
 // invariant is total robustness: any input either parses into a validated
 // spec or returns an error — never a panic, never a nil spec with a nil
-// error — and a parsed flow's volume is a positive finite number. The corpus under testdata/fuzz/FuzzParseSpec seeds the grammar's
+// error — a parsed flow's volume is a positive finite number, and every
+// parsed bound (property and tlp lines alike) is non-NaN with min ≤ max. The
+// corpus under testdata/fuzz/FuzzParseSpec seeds the grammar's
 // interesting corners (every block keyword, boundary values, and the
 // malformed shapes the table-driven error tests pin down).
 func FuzzParseSpec(f *testing.F) {
@@ -19,6 +24,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("router a as 1\nrouter b as 1\nlink a b\nproperty link a-b max 10\nproperty dirlink a->b min 1\n")
 	for _, g := range []string{"-60", "0", "-0", "+Inf", "-Inf", "NaN", "1e400", "5e-324"} {
 		f.Add("router a as 1\nflow f ingress a dst 1.2.3.4 gbps " + g + "\n")
+		f.Add("router a as 1\nrouter b as 1\nlink a b\nproperty link a-b min 1 max " + g + "\nproperty delivered 1.2.3.0/24 min " + g + "\ntlp dirlink a->b max " + g + "\n")
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		spec, err := ParseSpecString(text)
@@ -39,8 +45,20 @@ func FuzzParseSpec(f *testing.F) {
 					t.Fatalf("flow %s parsed: %v", fl.Name, err)
 				}
 			}
+			checkBound := func(what string, min, max float64) {
+				if math.IsNaN(min) || math.IsNaN(max) || min > max {
+					t.Fatalf("%s parsed with bounds [%v, %v]", what, min, max)
+				}
+			}
 			for _, b := range spec.Props {
 				_ = spec.Net.Link(b.Link)
+				checkBound("property", b.Min, b.Max)
+			}
+			for _, b := range spec.Delivered {
+				checkBound("delivered property", b.Min, b.Max)
+			}
+			for _, p := range spec.Portfolio {
+				checkBound("tlp", p.Min, p.Max)
 			}
 		}
 	})

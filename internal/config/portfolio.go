@@ -27,7 +27,7 @@ type pendingTLP struct {
 	condA, condB string
 }
 
-// parseTLPLine parses the fields after the `tlp` keyword:
+// parseTLPLine parses the fields after the keyword kw, `tlp` or `property`:
 //
 //	tlp link A-B [min G] [max G] [if-failed C-D]
 //	tlp dirlink A->B [min G] [max G] [if-failed C-D]
@@ -37,11 +37,21 @@ type pendingTLP struct {
 //	tlp sumload SET [min G] [max G] [if-failed C-D]
 //	tlp maxload SET [min G] [max G] [if-failed C-D]
 //
-// SET names a `linkset` declared in the same spec (or portfolio file).
-func parseTLPLine(f []string) (pendingTLP, error) {
+// SET names a `linkset` declared in the same spec (or portfolio file). A
+// `property` line is the same grammar restricted to link, dirlink and
+// delivered, without if-failed: the spec's own bounds (Spec.Props,
+// Spec.Delivered).
+func parseTLPLine(kw string, f []string) (pendingTLP, error) {
 	pt := pendingTLP{min: 0, max: math.Inf(1)}
+	prop := kw == "property"
 	if len(f) < 2 {
+		if prop {
+			return pt, fmt.Errorf("usage: property (link A-B | dirlink A->B) [min G] [max G]")
+		}
 		return pt, fmt.Errorf("usage: tlp (link A-B | dirlink A->B | util F [link A-B] | delivered PFX | ratio PFX | sumload SET | maxload SET) [min G] [max G] [if-failed C-D]")
+	}
+	if prop && f[0] != "link" && f[0] != "dirlink" && f[0] != "delivered" {
+		return pt, fmt.Errorf("property wants 'link', 'dirlink', or 'delivered'")
 	}
 	pt.kind = f[0]
 	switch f[0] {
@@ -78,7 +88,7 @@ func parseTLPLine(f []string) (pendingTLP, error) {
 	rest := f[2:]
 	for len(rest) > 0 {
 		if len(rest) < 2 {
-			return pt, fmt.Errorf("tlp option %q wants a value", rest[0])
+			return pt, fmt.Errorf("%s option %q wants a value", kw, rest[0])
 		}
 		switch rest[0] {
 		case "min", "max":
@@ -113,18 +123,21 @@ func parseTLPLine(f []string) (pendingTLP, error) {
 			}
 			pt.a, pt.b, pt.directed, pt.allLinks = a, b, true, false
 		case "if-failed":
+			if prop {
+				return pt, fmt.Errorf("unknown property option %q", rest[0])
+			}
 			a, b, ok := splitLinkName(rest[1])
 			if !ok {
 				return pt, fmt.Errorf("bad if-failed link %q, want C-D", rest[1])
 			}
 			pt.cond, pt.condA, pt.condB = true, a, b
 		default:
-			return pt, fmt.Errorf("unknown tlp option %q", rest[0])
+			return pt, fmt.Errorf("unknown %s option %q", kw, rest[0])
 		}
 		rest = rest[2:]
 	}
 	if pt.min > pt.max {
-		return pt, fmt.Errorf("tlp min %g exceeds max %g", pt.min, pt.max)
+		return pt, fmt.Errorf("%s min %g exceeds max %g", kw, pt.min, pt.max)
 	}
 	return pt, nil
 }
@@ -255,7 +268,7 @@ func ParsePortfolio(r io.Reader, net *topo.Network) ([]topo.TLProp, error) {
 		if fields[0] == "tlp" {
 			fields = fields[1:]
 		}
-		pt, err := parseTLPLine(fields)
+		pt, err := parseTLPLine("tlp", fields)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineno, err)
 		}

@@ -137,7 +137,7 @@ type specParser struct {
 
 	// deferred items resolved after the topology is built
 	flows    []pendingFlow
-	props    []pendingProp
+	props    []pendingTLP // `property` lines: link, dirlink or delivered
 	tlps     []pendingTLP
 	domains  []pendingDomain
 	linksets []pendingLinkset
@@ -165,13 +165,6 @@ type pendingLinkset struct {
 	links []string // "A-B" link names, resolved at finish
 }
 
-type pendingProp struct {
-	a, b      string
-	directed  bool
-	delivered netip.Prefix
-	min, max  float64
-}
-
 func (p *specParser) line(f []string) error {
 	switch f[0] {
 	case "router":
@@ -191,9 +184,14 @@ func (p *specParser) line(f []string) error {
 	case "flow":
 		return p.flow(f[1:])
 	case "property":
-		return p.property(f[1:])
+		pt, err := parseTLPLine("property", f[1:])
+		if err != nil {
+			return err
+		}
+		p.props = append(p.props, pt)
+		return nil
 	case "tlp":
-		pt, err := parseTLPLine(f[1:])
+		pt, err := parseTLPLine("tlp", f[1:])
 		if err != nil {
 			return err
 		}
@@ -528,57 +526,6 @@ func CheckGbps(g float64) error {
 	return fmt.Errorf("gbps must be a positive finite number, got %g", g)
 }
 
-func (p *specParser) property(f []string) error {
-	if len(f) < 2 {
-		return fmt.Errorf("usage: property (link A-B | dirlink A->B) [min G] [max G]")
-	}
-	pr := pendingProp{min: 0, max: math.Inf(1)}
-	switch f[0] {
-	case "link":
-		parts := strings.SplitN(f[1], "-", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("bad link %q, want A-B", f[1])
-		}
-		pr.a, pr.b = parts[0], parts[1]
-	case "dirlink":
-		parts := strings.SplitN(f[1], "->", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("bad dirlink %q, want A->B", f[1])
-		}
-		pr.a, pr.b = parts[0], parts[1]
-		pr.directed = true
-	case "delivered":
-		pfx, err := netip.ParsePrefix(f[1])
-		if err != nil {
-			return err
-		}
-		pr.delivered = pfx.Masked()
-	default:
-		return fmt.Errorf("property wants 'link', 'dirlink', or 'delivered'")
-	}
-	rest := f[2:]
-	for len(rest) > 0 {
-		if len(rest) < 2 {
-			return fmt.Errorf("property option %q wants a value", rest[0])
-		}
-		v, err := strconv.ParseFloat(rest[1], 64)
-		if err != nil {
-			return fmt.Errorf("bad bound %q", rest[1])
-		}
-		switch rest[0] {
-		case "min":
-			pr.min = v
-		case "max":
-			pr.max = v
-		default:
-			return fmt.Errorf("unknown property option %q", rest[0])
-		}
-		rest = rest[2:]
-	}
-	p.props = append(p.props, pr)
-	return nil
-}
-
 func (p *specParser) failures(f []string) error {
 	rest := f
 	for len(rest) > 0 {
@@ -635,27 +582,17 @@ func (p *specParser) finish() (*Spec, error) {
 		fl.Ingress = r.ID
 		spec.Flows = append(spec.Flows, fl)
 	}
-	for _, pp := range p.props {
-		if pp.delivered.IsValid() {
-			spec.Delivered = append(spec.Delivered, topo.DeliveredBound{
-				Prefix: pp.delivered, Min: pp.min, Max: pp.max,
-			})
-			continue
+	for _, pt := range p.props {
+		prop, err := resolveTLP(net, nil, pt)
+		if err != nil {
+			return nil, fmt.Errorf("property: %w", err)
 		}
-		if pp.directed {
-			d, ok := net.FindDirLink(pp.a, pp.b)
-			if !ok {
-				return nil, fmt.Errorf("property: no link %s->%s", pp.a, pp.b)
-			}
-			spec.Props = append(spec.Props, topo.LoadBound{
-				Link: d.Link(), Dir: d.Dir(), DirSpecified: true, Min: pp.min, Max: pp.max,
-			})
+		if prop.Kind == topo.TLPDelivered {
+			spec.Delivered = append(spec.Delivered, topo.DeliveredBound{Prefix: prop.Prefix, Min: prop.Min, Max: prop.Max})
 		} else {
-			l, ok := net.FindLink(pp.a, pp.b)
-			if !ok {
-				return nil, fmt.Errorf("property: no link %s-%s", pp.a, pp.b)
-			}
-			spec.Props = append(spec.Props, topo.LoadBound{Link: l.ID, Min: pp.min, Max: pp.max})
+			spec.Props = append(spec.Props, topo.LoadBound{
+				Link: prop.Link, Dir: prop.Dir, DirSpecified: prop.DirSpecified, Min: prop.Min, Max: prop.Max,
+			})
 		}
 	}
 	for _, pd := range p.domains {

@@ -215,18 +215,45 @@ func TestCarriedTablesSurviveCollections(t *testing.T) {
 	}
 	c := &servingCache{at: make(map[routesim.Fingerprint]sealedAt)}
 	c.serve(cold.e, half)
-	// A budget of what the cold build left fixes the collection threshold at
-	// half of it, which the build passes early: from then on it collects
-	// after every execution.
-	e := buildEngine(t, spec, topo.FailLinks, 1, Options{STFCache: c, NodeBudget: cold.e.m.Stats().Live})
+	e := buildEngine(t, spec, topo.FailLinks, 1, Options{STFCache: c})
+	// A threshold of one node before every execution makes the build
+	// collect after each one.
+	testExecHook = func(topo.Flow) { e.gcThreshold = 1 }
+	defer func() { testExecHook = nil }()
 	v := NewVerifier(e, flows)
 	if err := v.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if c.hits != len(half) || e.m.GCRuns() < uint64(c.built)/2 {
+	if c.hits != len(half) || e.m.GCRuns() < uint64(c.built) {
 		t.Fatalf("%d of %d classes carried, %d collections for %d executions", c.hits, len(half), e.m.GCRuns(), c.built)
 	}
 	plain := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
+	for i, s := range unseal(SealSTFs(plain.stfs), e.m, flowsOf(plain.stfs)) {
+		if err := sameSTF(s, v.stfs[i]); err != nil {
+			t.Fatalf("class %d: %v", i, err)
+		}
+	}
+}
+
+// TestCollectionsBoundedUnderBudget: under a node budget a collection moves
+// the threshold halfway between its survivors and the budget. A build whose
+// live nodes pass half its budget collects when half the headroom left is
+// used, not after every execution, and builds the STFs of a plain run.
+func TestCollectionsBoundedUnderBudget(t *testing.T) {
+	spec, flows := wanWorkload(t)
+	plain := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
+	e := buildEngine(t, spec, topo.FailLinks, 1, Options{NodeBudget: plain.e.m.Stats().Live})
+	executions := 0
+	testExecHook = func(topo.Flow) { executions++ }
+	defer func() { testExecHook = nil }()
+	v := NewVerifier(e, flows)
+	if err := v.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if runs := e.m.GCRuns(); runs == 0 || runs > uint64(executions)/8 {
+		t.Fatalf("%d collections for %d executions under a budget of %d nodes, want 1 to %d",
+			runs, executions, e.opts.NodeBudget, executions/8)
+	}
 	for i, s := range unseal(SealSTFs(plain.stfs), e.m, flowsOf(plain.stfs)) {
 		if err := sameSTF(s, v.stfs[i]); err != nil {
 			t.Fatalf("class %d: %v", i, err)

@@ -67,29 +67,35 @@ func stfRoots(out []*mtbdd.Node, stfs []*FlowSTF) []*mtbdd.Node {
 // maybeGC runs a managed garbage collection when the live node count
 // exceeds the threshold, keeping the engine caches and the given flow
 // results alive. If most nodes survive a collection, the threshold is
-// doubled to avoid thrashing (collecting over and over with little to
-// reclaim while losing the operation caches each time).
+// raised to 4× the survivors to avoid thrashing (collecting over and over
+// with little to reclaim while losing the operation caches each time); under
+// a node budget, to at most halfway between them and the budget, so the
+// next collection comes when half the headroom they leave is used.
 func (e *Engine) maybeGC(stfs []*FlowSTF, extra []*mtbdd.Node) {
 	if e.gcThreshold <= 0 {
 		e.gcThreshold = e.opts.GCThreshold
 		if e.gcThreshold <= 0 {
 			e.gcThreshold = defaultGCThreshold
 		}
-	}
-	// Under a node budget, collect before the budget would trip: the
-	// budget unwinds mid-operation, a collection here is free.
-	if b := e.opts.NodeBudget; b > 0 && e.gcThreshold > b/2 {
-		e.gcThreshold = b / 2
-		if e.gcThreshold < 1 {
-			e.gcThreshold = 1
-		}
+		// Under a node budget, collect before the budget would trip: the
+		// budget unwinds mid-operation, a collection here is free.
+		e.capThreshold(0)
 	}
 	if e.m.Stats().Live < e.gcThreshold {
 		return
 	}
 	e.m.GC(e.roots(stfRoots(extra, stfs)))
-	if live := e.m.Stats().Live; live*2 > e.gcThreshold && e.opts.NodeBudget <= 0 {
+	if live := e.m.Stats().Live; live*2 > e.gcThreshold {
 		e.gcThreshold = live * 4
+		e.capThreshold(live)
+	}
+}
+
+// capThreshold keeps the threshold under a node budget at most halfway
+// between the live nodes and the budget.
+func (e *Engine) capThreshold(live int) {
+	if b := e.opts.NodeBudget; b > 0 {
+		e.gcThreshold = min(e.gcThreshold, max(live+(b-live)/2, 1))
 	}
 }
 
@@ -102,7 +108,8 @@ const retainedGCFloor = 64 << 10
 // scratch, the route-simulation result and the STFCache option, and with them
 // their nodes' claim to survive a collection — and makes the managed-GC
 // threshold relative to what is kept: collect, the STFs as roots, once live
-// nodes pass 4× the count at this point (floor 64 K). The default threshold
+// nodes pass 4× the count at this point (floor 64 K; under a node budget at
+// most halfway to the budget). The default threshold
 // would let a long-lived verifier grow by some 190 MB of dead loads before its
 // first collection. The engine cannot execute flows afterwards. The class
 // keys (some 16 bytes a class) and the carrier stay: checks on the kept
@@ -111,7 +118,9 @@ func (v *Verifier) Trim() {
 	e := v.e
 	e.rs, e.igpCache, e.steps, e.memo, e.opts.STFCache = nil, nil, nil, nil, nil
 	e.fwd, e.stacks, e.scratch = fwdClasses{}, stackTab{}, execScratch{}
-	e.gcThreshold = max(4*e.m.Stats().Live, retainedGCFloor)
+	live := e.m.Stats().Live
+	e.gcThreshold = max(4*live, retainedGCFloor)
+	e.capThreshold(live)
 }
 
 // Collect runs a managed collection of the verifier's manager, the STFs (and

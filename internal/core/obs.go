@@ -35,7 +35,6 @@ func RecordManager(reg *obs.Registry, name string, m *mtbdd.Manager) {
 		MaxProbe:     st.MaxProbe,
 		CacheBytes:   st.CacheBytes,
 		Caches: map[string]obs.CacheCounters{
-			"apply":   {Hits: st.Apply.Hits, Misses: st.Apply.Misses},
 			"neg":     {Hits: st.Neg.Hits, Misses: st.Neg.Misses},
 			"kreduce": {Hits: st.KReduce.Hits, Misses: st.KReduce.Misses},
 			"range":   {Hits: st.Range.Hits, Misses: st.Range.Misses},

@@ -24,51 +24,59 @@ package mtbdd
 // the result hiK, not of the Hi operands: hiK agrees with F|x=1 op G|x=1
 // on every assignment with at most k zeros, hence on every one with at
 // most k-1, so by Lemma 1 β_{k-1}(hiK) is the very node a second walk of
-// the Hi operands at budget k-1 would build (mergesLo, kreduce.go). Each
+// the Hi operands at budget k-1 would build (join, kreduce.go). Each
 // operand pair is walked once per budget step; the unary walk of hiK is
 // over a result already built, and stops at once on a terminal.
 //
 // Because restriction commutes with pointwise operations
-// (H|x=v = F|x=v op G|x=v for H = F op G), this recursion and KReduce(apply(op, F, G), k) compute
+// (H|x=v = F|x=v op G|x=v for H = F op G), this recursion and KReduce(F op G, k) compute
 // structurally identical results: both produce the canonical β_k
 // representative, so hash-consing yields the very same *Node. That exact
 // node equality is what lets the engine swap Reduce(Add(...)) call sites
 // for AddK without perturbing report output by a single byte; the
 // kernels difftest oracle and FuzzKernels pin it.
 //
-// A negative budget means "reduction disabled" (the ablation mode of
-// FailVars) and falls back to the plain operator.
+// A negative budget means "no reduction" (the ablation mode of FailVars):
+// the same recursion runs with no zero-budget cut, a Lo branch that keeps
+// the budget and no merge test, and returns a shortcut's result as it is.
+// That is Bryant's APPLY, so the plain operators (ops.go) are these kernels
+// at an unbounded budget, sharing their computed table.
+
+// unbounded is the budget of the plain operators: no reduction.
+const unbounded int32 = -1
+
+// lower is the budget of a Lo branch, which spends one failure; every
+// negative budget is unbounded.
+func lower(k int32) int32 {
+	if k < 0 {
+		return k
+	}
+	return k - 1
+}
 
 // AddK returns KReduce(f+g, k) without building the unreduced sum.
-func (m *Manager) AddK(f, g *Node, k int) *Node { return m.fusedOp(opAdd, f, g, k) }
+func (m *Manager) AddK(f, g *Node, k int) *Node { return m.applyK(opAdd, f, g, int32(k)) }
 
 // MulK returns KReduce(f*g, k) without building the unreduced product.
-func (m *Manager) MulK(f, g *Node, k int) *Node { return m.fusedOp(opMul, f, g, k) }
+func (m *Manager) MulK(f, g *Node, k int) *Node { return m.applyK(opMul, f, g, int32(k)) }
 
 // DivK returns KReduce(f/g, k), with the convention that any division by a
 // zero denominator yields 0. This matches the paper's ECMP encoding
 // c_r = s_r / Σ s_r': wherever the denominator (number of selected rules)
 // is 0, the numerator is 0 too, and the traffic ratio is 0.
-func (m *Manager) DivK(f, g *Node, k int) *Node { return m.fusedOp(opDiv, f, g, k) }
+func (m *Manager) DivK(f, g *Node, k int) *Node { return m.applyK(opDiv, f, g, int32(k)) }
 
 // MinK returns KReduce(min(f,g), k).
-func (m *Manager) MinK(f, g *Node, k int) *Node { return m.fusedOp(opMin, f, g, k) }
+func (m *Manager) MinK(f, g *Node, k int) *Node { return m.applyK(opMin, f, g, int32(k)) }
 
 // MaxK returns KReduce(max(f,g), k).
-func (m *Manager) MaxK(f, g *Node, k int) *Node { return m.fusedOp(opMax, f, g, k) }
+func (m *Manager) MaxK(f, g *Node, k int) *Node { return m.applyK(opMax, f, g, int32(k)) }
 
 // AndK returns KReduce(f∧g, k) for {0,1} guards.
-func (m *Manager) AndK(f, g *Node, k int) *Node { return m.fusedOp(opAnd, f, g, k) }
+func (m *Manager) AndK(f, g *Node, k int) *Node { return m.applyK(opAnd, f, g, int32(k)) }
 
 // OrK returns KReduce(f∨g, k) for {0,1} guards.
-func (m *Manager) OrK(f, g *Node, k int) *Node { return m.fusedOp(opOr, f, g, k) }
-
-func (m *Manager) fusedOp(op opcode, f, g *Node, k int) *Node {
-	if k < 0 {
-		return m.apply(op, f, g)
-	}
-	return m.applyK(op, f, g, int32(k))
-}
+func (m *Manager) OrK(f, g *Node, k int) *Node { return m.applyK(opOr, f, g, int32(k)) }
 
 // applyK is Bryant's APPLY fused with the KREDUCE dynamic program: the
 // remaining zero-budget threads through the recursion and both operands
@@ -81,8 +89,8 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 		return m.Const(op.eval(f.Value, g.Value))
 	}
 	if k == 0 {
-		// Budget spent: the whole subproblem — which plain apply would
-		// expand into an MTBDD over every variable below — collapses to
+		// Budget spent: the whole subproblem — which an unbounded budget
+		// would expand into an MTBDD over every variable below — collapses to
 		// one terminal. This is where the fusion saves its work.
 		// Every node carries its all-alive value, so the cut reads two
 		// fields.
@@ -114,37 +122,9 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 		gLo, gHi = g.Lo, g.Hi
 	}
 	hiK := m.applyK(op, fHi, gHi, k)
-	loK1 := m.applyK(op, fLo, gLo, k-1)
-	var r *Node
-	if m.mergesLo(hiK, loK1, k) {
-		// The cofactors are (k-1)-failure equivalent: taking the Lo
-		// branch has already spent one failure, so they merge (the novel
-		// KREDUCE collapse, Definition 5.2 case 3).
-		r = hiK
-	} else {
-		r = m.mk(level, loK1, hiK)
-	}
+	r := m.join(level, m.applyK(op, fLo, gLo, lower(k)), hiK, k)
 	m.fusedTbl.put(set, op, a.id, b.id, 0, k, r.id)
 	return r
-}
-
-// MulAdd returns acc + w*f as a single-DFS ternary operator, without the
-// intermediate product MTBDD. It is the unfused (no budget) companion of
-// MulAddK for callers outside the k-reduced pipeline.
-func (m *Manager) MulAdd(acc, w, f *Node) *Node {
-	if w == m.zero || f == m.zero {
-		return acc
-	}
-	if w == m.one {
-		return m.Add(acc, f)
-	}
-	if f == m.one {
-		return m.Add(acc, w)
-	}
-	if acc == m.zero {
-		return m.Mul(w, f)
-	}
-	return m.Add(acc, m.Mul(w, f))
 }
 
 // MulAddK returns KReduce(acc + w*f, k) as one fused ternary DFS: the
@@ -152,9 +132,11 @@ func (m *Manager) MulAdd(acc, w, f *Node) *Node {
 // weighting, without ever materializing either the product w*f or the
 // unreduced sum. (A whole weighted sum is SumMulK's job, sumk.go: a chain
 // of these re-walks the running sum once per operand.)
+//
+// A negative budget returns Add(acc, Mul(w, f)), the chain's plain form.
 func (m *Manager) MulAddK(acc, w, f *Node, k int) *Node {
 	if k < 0 {
-		return m.MulAdd(acc, w, f)
+		return m.Add(acc, m.Mul(w, f))
 	}
 	return m.mulAddK(acc, w, f, int32(k))
 }
@@ -217,45 +199,20 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 		fLo, fHi = f.Lo, f.Hi
 	}
 	hiK := m.mulAddK(aHi, wHi, fHi, k)
-	loK1 := m.mulAddK(aLo, wLo, fLo, k-1)
-	var r *Node
-	if m.mergesLo(hiK, loK1, k) {
-		r = hiK
-	} else {
-		r = m.mk(level, loK1, hiK)
-	}
+	r := m.join(level, m.mulAddK(aLo, wLo, fLo, k-1), hiK, k)
 	m.fusedTbl.put(set, opMulAdd, acc.id, x.id, y.id, k, r.id)
 	return r
 }
 
-// AddN returns the sum of the given MTBDDs combined as a balanced binary
-// tree: log-depth instead of a linear chain, so intermediate operands
-// stay small and the apply cache sees far better reuse. Because float
-// addition is only associative when values are exact, the engine feeds
-// AddN only sums of selection guards (small-integer terminals);
-// fractional accumulations are summed in order, by the pairwise kernels or
-// by SumMulK, which keep the exact legacy rounding.
-func (m *Manager) AddN(fs []*Node) *Node {
-	switch len(fs) {
-	case 0:
-		return m.zero
-	case 1:
-		return fs[0]
-	}
-	mid := len(fs) / 2
-	return m.Add(m.AddN(fs[:mid]), m.AddN(fs[mid:]))
-}
-
 // AddNK returns KReduce(Σfs, k) as a balanced tree of fused k-budgeted
-// additions: every intermediate is already reduced, so the peak node
-// count tracks the reduced result instead of the raw chain. The same
-// exact-value caveat as AddN applies.
-func (m *Manager) AddNK(fs []*Node, k int) *Node {
-	if k < 0 {
-		return m.AddN(fs)
-	}
-	return m.addNK(fs, int32(k))
-}
+// additions: log-depth instead of a linear chain, and every intermediate
+// already reduced, so the peak node count tracks the reduced result instead
+// of the raw chain. Because float addition is only associative when values
+// are exact, the engine feeds it only sums of selection guards
+// (small-integer terminals); fractional accumulations are summed in order,
+// by the pairwise kernels or by SumMulK, which keep the exact legacy
+// rounding.
+func (m *Manager) AddNK(fs []*Node, k int) *Node { return m.addNK(fs, int32(k)) }
 
 func (m *Manager) addNK(fs []*Node, k int32) *Node {
 	switch len(fs) {
@@ -266,17 +223,4 @@ func (m *Manager) addNK(fs []*Node, k int32) *Node {
 	}
 	mid := len(fs) / 2
 	return m.applyK(opAdd, m.addNK(fs[:mid], k), m.addNK(fs[mid:], k), k)
-}
-
-// OrN returns the disjunction of the given guards as a balanced tree.
-// Or is idempotent and exact on {0,1}, so any association is safe.
-func (m *Manager) OrN(fs []*Node) *Node {
-	switch len(fs) {
-	case 0:
-		return m.zero
-	case 1:
-		return fs[0]
-	}
-	mid := len(fs) / 2
-	return m.Or(m.OrN(fs[:mid]), m.OrN(fs[mid:]))
 }

@@ -7,7 +7,8 @@ import (
 
 // FuzzKernels is the fused-kernel differential fuzz target: for a
 // fuzzer-chosen operand shape and budget, every fused kernel must return
-// the exact canonical node of its composed Add/Mul/KReduce form, and the
+// the exact canonical node of KReduce over the reference APPLY
+// (reference_test.go), and the
 // result must evaluate like the unreduced operator on every in-budget
 // assignment. The budget byte deliberately wraps past NumVars so
 // saturating budgets (where KReduce is the identity) and k=0 stay in the
@@ -63,7 +64,7 @@ func fuzzKernels(t *testing.T, seed int64, kb uint8) {
 		}
 	}
 	acc := randomMTBDD(m, r, n, 3)
-	exactMA := m.Add(acc, m.Mul(fa, fb))
+	exactMA := refMulAdd(m, acc, fa, fb)
 	wantMA := m.KReduce(exactMA, k)
 	gotMA := m.MulAddK(acc, fa, fb, k)
 	if gotMA != wantMA {
@@ -72,7 +73,7 @@ func fuzzKernels(t *testing.T, seed int64, kb uint8) {
 	results = append(results, pointwise{"MulAddK", gotMA, exactMA})
 	fs := []*Node{ga, gb, m.And(ga, m.Not(gb)), m.Or(m.Not(ga), gb)}
 	fs = fs[:1+r.Intn(len(fs))]
-	wantN := m.KReduce(m.AddN(fs), k)
+	wantN := m.KReduce(refFold(m, opAdd, fs), k)
 	if gotN := m.AddNK(fs, k); gotN != wantN {
 		t.Fatalf("AddNK(%d terms, k=%d) = %s, want %s", len(fs), k, m.String(gotN), m.String(wantN))
 	}

@@ -7,10 +7,11 @@ import (
 )
 
 // The contract every fused kernel must honor: byte-for-byte agreement
-// with the composed build-then-reduce pipeline it replaces. Because both
-// sides hash-cons into the same unique table, agreement is checked as
-// exact *Node identity — the strongest form, and the one the engine's
-// "reports unchanged" guarantee rests on.
+// with the composed build-then-reduce pipeline it replaces, KReduce of the
+// reference APPLY (reference_test.go). Because both sides hash-cons into the
+// same unique table, agreement is checked as exact *Node identity — the
+// strongest form, and the one the engine's "reports unchanged" guarantee
+// rests on.
 
 // binaryKernel pairs one fused operator with its composed form.
 type binaryKernel struct {
@@ -21,19 +22,24 @@ type binaryKernel struct {
 
 // arithKernels accept arbitrary multi-terminal operands.
 var arithKernels = []binaryKernel{
-	{"AddK", (*Manager).AddK, (*Manager).Add},
-	{"MulK", (*Manager).MulK, (*Manager).Mul},
-	{"DivK", (*Manager).DivK, func(m *Manager, f, g *Node) *Node { return m.apply(opDiv, f, g) }},
-	{"MinK", (*Manager).MinK, (*Manager).Min},
-	{"MaxK", (*Manager).MaxK, (*Manager).Max},
+	{"AddK", (*Manager).AddK, ref(opAdd)},
+	{"MulK", (*Manager).MulK, ref(opMul)},
+	{"DivK", (*Manager).DivK, ref(opDiv)},
+	{"MinK", (*Manager).MinK, ref(opMin)},
+	{"MaxK", (*Manager).MaxK, ref(opMax)},
+}
+
+// ref is the reference APPLY of op.
+func ref(op opcode) func(m *Manager, f, g *Node) *Node {
+	return func(m *Manager, f, g *Node) *Node { return refApply(m, op, f, g) }
 }
 
 // boolKernels require {0,1} guard operands — their shortcuts (g∧1 = g,
 // g∨0 = g, ...) are identities only on guards, exactly like the plain
 // And/Or they fuse.
 var boolKernels = []binaryKernel{
-	{"AndK", (*Manager).AndK, (*Manager).And},
-	{"OrK", (*Manager).OrK, (*Manager).Or},
+	{"AndK", (*Manager).AndK, ref(opAnd)},
+	{"OrK", (*Manager).OrK, ref(opOr)},
 }
 
 // randomGuard builds a random {0,1} MTBDD — the edge-up/selection guard
@@ -75,9 +81,9 @@ func TestFusedBinaryKernelsMatchComposed(t *testing.T) {
 			}
 		}
 		// Negative budget is the reduction-disabled ablation: the
-		// kernel must degrade to the plain operator.
+		// kernel must build the unreduced result.
 		if got, want := bk.fused(m, f, g, -1), bk.composed(m, f, g); got != want {
-			t.Fatalf("%s(f,g,-1) = %s, want plain %s", bk.name, m.String(got), m.String(want))
+			t.Fatalf("%s(f,g,-1) = %s, want unreduced %s", bk.name, m.String(got), m.String(want))
 		}
 	}
 	for trial := 0; trial < 30; trial++ {
@@ -125,7 +131,7 @@ func TestFusedKernelEvalAgreement(t *testing.T) {
 // TestFusedKernelsEdgeBudgets pins the two budget extremes: k=0
 // collapses everything to the all-alive terminal, and k >= NumVars makes
 // the reduction the identity, so the kernel must return exactly the
-// plain operator's node.
+// reference operator's node.
 func TestFusedKernelsEdgeBudgets(t *testing.T) {
 	const n = 5
 	m := newMgr(t, n)
@@ -141,16 +147,16 @@ func TestFusedKernelsEdgeBudgets(t *testing.T) {
 			t.Fatalf("AddK(f,g,0) = %v, want all-alive sum %v", z.Value, want)
 		}
 		for _, k := range []int{n, n + 1, n + 7} {
-			if got, want := m.AddK(f, g, k), m.Add(f, g); got != want {
-				t.Fatalf("AddK with saturating budget %d diverged from plain Add", k)
+			if got, want := m.AddK(f, g, k), refApply(m, opAdd, f, g); got != want {
+				t.Fatalf("AddK with saturating budget %d diverged from the reference Add", k)
 			}
 		}
 	}
 }
 
-// TestMulAddMatchesComposed: the unfused ternary shortcut form must be
-// value-identical to Add(acc, Mul(w, f)) — node-identical, since both
-// compute the same float expressions.
+// TestMulAddMatchesComposed: the unbudgeted multiply-accumulate must be
+// node-identical to the reference acc + w·f, since both compute the same
+// float expressions.
 func TestMulAddMatchesComposed(t *testing.T) {
 	const n = 5
 	m := newMgr(t, n)
@@ -159,14 +165,14 @@ func TestMulAddMatchesComposed(t *testing.T) {
 		acc := randomMTBDD(m, r, n, 3)
 		w := randomMTBDD(m, r, n, 3)
 		f := randomMTBDD(m, r, n, 3)
-		if got, want := m.MulAdd(acc, w, f), m.Add(acc, m.Mul(w, f)); got != want {
-			t.Fatalf("MulAdd = %s, want %s", m.String(got), m.String(want))
+		if got, want := m.MulAddK(acc, w, f, -1), refMulAdd(m, acc, w, f); got != want {
+			t.Fatalf("MulAddK(k=-1) = %s, want %s", m.String(got), m.String(want))
 		}
 	}
 	// Identity shortcuts.
 	x := m.Var(2)
-	if m.MulAdd(x, m.Zero(), m.One()) != x || m.MulAdd(x, m.One(), m.Zero()) != x {
-		t.Fatal("MulAdd with a zero factor must return acc unchanged")
+	if m.MulAddK(x, m.Zero(), m.One(), -1) != x || m.MulAddK(x, m.One(), m.Zero(), -1) != x {
+		t.Fatal("MulAddK(k=-1) with a zero factor must return acc unchanged")
 	}
 }
 
@@ -182,14 +188,14 @@ func TestMulAddKMatchesComposed(t *testing.T) {
 		w := randomMTBDD(m, r, n, 3)
 		f := randomMTBDD(m, r, n, 3)
 		for k := 0; k <= n+1; k++ {
-			want := m.KReduce(m.Add(acc, m.Mul(w, f)), k)
+			want := m.KReduce(refMulAdd(m, acc, w, f), k)
 			if got := m.MulAddK(acc, w, f, k); got != want {
 				t.Fatalf("MulAddK(k=%d) = %s, want %s (trial %d)",
 					k, m.String(got), m.String(want), trial)
 			}
 		}
-		if got, want := m.MulAddK(acc, w, f, -1), m.MulAdd(acc, w, f); got != want {
-			t.Fatal("MulAddK(-1) must degrade to the unfused MulAdd")
+		if got, want := m.MulAddK(acc, w, f, -1), refMulAdd(m, acc, w, f); got != want {
+			t.Fatal("MulAddK(-1) must build the unreduced acc + w·f")
 		}
 	}
 	// Shortcut edges against the composed form.
@@ -209,7 +215,8 @@ func TestMulAddKMatchesComposed(t *testing.T) {
 
 // TestAddNMatchesFold: for exact-valued operands (selection guards and
 // small halves of integers — the only inputs the engine feeds it) the
-// balanced tree must agree with the left fold node-for-node.
+// unbudgeted balanced sum must agree with the left fold node-for-node, and
+// so must the reference's balanced disjunction.
 func TestAddNMatchesFold(t *testing.T) {
 	const n = 6
 	m := newMgr(t, n)
@@ -228,28 +235,28 @@ func TestAddNMatchesFold(t *testing.T) {
 		for _, f := range fs {
 			fold = m.Add(fold, f)
 		}
-		if got := m.AddN(fs); got != fold {
-			t.Fatalf("AddN over %d guards = %s, want fold %s", len(fs), m.String(got), m.String(fold))
+		if got := m.AddNK(fs, -1); got != fold {
+			t.Fatalf("AddNK(k=-1) over %d guards = %s, want fold %s", len(fs), m.String(got), m.String(fold))
 		}
 		orFold := m.Zero()
 		for _, f := range fs {
 			orFold = m.Or(orFold, f)
 		}
-		if got := m.OrN(fs); got != orFold {
-			t.Fatalf("OrN diverged from the Or fold")
+		if got := refFold(m, opOr, fs); got != orFold {
+			t.Fatalf("the balanced disjunction diverged from the Or fold")
 		}
 	}
-	if m.AddN(nil) != m.Zero() || m.OrN(nil) != m.Zero() {
-		t.Fatal("empty AddN/OrN must be zero")
+	if m.AddNK(nil, -1) != m.Zero() || refFold(m, opOr, nil) != m.Zero() {
+		t.Fatal("an empty sum or disjunction must be zero")
 	}
 	one := m.One()
-	if m.AddN([]*Node{one}) != one || m.OrN([]*Node{one}) != one {
-		t.Fatal("singleton AddN/OrN must be the element itself")
+	if m.AddNK([]*Node{one}, -1) != one || refFold(m, opOr, []*Node{one}) != one {
+		t.Fatal("a singleton sum or disjunction must be the element itself")
 	}
 }
 
 // TestAddNKMatchesComposed: the k-budgeted balanced sum must equal
-// KReduce of the plain balanced sum, for guard inputs, at every budget.
+// KReduce of the reference balanced sum, for guard inputs, at every budget.
 func TestAddNKMatchesComposed(t *testing.T) {
 	const n = 6
 	m := newMgr(t, n)
@@ -264,14 +271,14 @@ func TestAddNKMatchesComposed(t *testing.T) {
 			fs = append(fs, m.And(g, m.Var(r.Intn(n))))
 		}
 		for k := 0; k <= n+1; k++ {
-			want := m.KReduce(m.AddN(fs), k)
+			want := m.KReduce(refFold(m, opAdd, fs), k)
 			if got := m.AddNK(fs, k); got != want {
 				t.Fatalf("AddNK(%d guards, k=%d) = %s, want %s",
 					len(fs), k, m.String(got), m.String(want))
 			}
 		}
-		if m.AddNK(fs, -1) != m.AddN(fs) {
-			t.Fatal("AddNK(-1) must degrade to plain AddN")
+		if m.AddNK(fs, -1) != refFold(m, opAdd, fs) {
+			t.Fatal("AddNK(-1) must build the unreduced balanced sum")
 		}
 	}
 	for k := 0; k <= 2; k++ {
@@ -299,7 +306,7 @@ func TestFusedKernelsAfterGC(t *testing.T) {
 	if got := m.AddK(f, g, 2); got != before {
 		t.Fatalf("AddK changed across GC: %s vs %s", m.String(got), m.String(before))
 	}
-	if got, want := m.MulAddK(before, f, g, 2), m.KReduce(m.Add(before, m.Mul(f, g)), 2); got != want {
+	if got, want := m.MulAddK(before, f, g, 2), m.KReduce(refMulAdd(m, before, f, g), 2); got != want {
 		t.Fatal("MulAddK diverged from composed form after GC")
 	}
 }

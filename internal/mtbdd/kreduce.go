@@ -17,21 +17,22 @@ package mtbdd
 // merge: two cofactors that are merely (k-1)-failure equivalent — not
 // isomorphic — collapse, because taking the Lo branch has already spent
 // one failure. The test reads β_{k-1} of hiK rather than of F|x_i=1; by
-// Lemma 1 it is the same node (mergesLo). The implementation is a dynamic
+// Lemma 1 it is the same node (join). The implementation is a dynamic
 // program memoized on (node, k), so its cost is proportional to |F|·k.
 //
-// Negative k is treated as 0. KReduce is idempotent:
-// KReduce(KReduce(f,k),k) == KReduce(f,k).
+// A negative k means no reduction, as at every kernel's entry point: f is
+// returned as it is, and only a call that reduces is counted. KReduce is
+// idempotent: KReduce(KReduce(f,k),k) == KReduce(f,k).
 func (m *Manager) KReduce(f *Node, k int) *Node {
-	m.kreduceCalls++
 	if k < 0 {
-		k = 0
+		return f
 	}
+	m.kreduceCalls++
 	return m.kreduce(f, int32(k))
 }
 
 func (m *Manager) kreduce(f *Node, k int32) *Node {
-	if f.IsTerminal() {
+	if f.IsTerminal() || k < 0 {
 		return f
 	}
 	if k == 0 {
@@ -46,29 +47,26 @@ func (m *Manager) kreduce(f *Node, k int32) *Node {
 	m.kreduceMisses++
 	m.checkInterrupt()
 	hiK := m.kreduce(f.Hi, k)
-	loK1 := m.kreduce(f.Lo, k-1)
-	var r *Node
-	if m.mergesLo(hiK, loK1, k) {
-		r = hiK
-	} else {
-		r = m.mk(f.Level, loK1, hiK)
-	}
+	r := m.join(f.Level, m.kreduce(f.Lo, k-1), hiK, k)
 	*e = kreduceEntry{f.id, k, r.id}
 	return r
 }
 
-// mergesLo reports whether β_{k-1}(hiK) == loK1: the merge test of all
-// three β recursions (kreduce, applyK, mulAddK), asked of the β_k result
-// hiK they just built for the Hi cofactor H. hiK agrees with H on every
-// assignment with at most k zeros, hence on every one with at most k-1,
-// so by Lemma 1 β_{k-1}(hiK) is the node β_{k-1}(H): the test is exact
-// without a walk of H at budget k-1. At k = 1, β_0(hiK) is the all-alive
-// value hiK carries and loK1 is a terminal, so the test compares values.
-func (m *Manager) mergesLo(hiK, loK1 *Node, k int32) bool {
-	if k == 1 {
-		return hiK.Value == loK1.Value
+// join ends a step of all three β recursions (kreduce, applyK, mulAddK),
+// given the β_{k-1} result loK1 of the Lo cofactor and the β_k result hiK of
+// the Hi cofactor H: hiK itself when β_{k-1}(hiK) == loK1 (the novel
+// KREDUCE collapse, Definition 5.2 case 3: taking the Lo branch has already
+// spent one failure), else the node testing level over them. hiK agrees
+// with H on every assignment with at most k zeros, hence on every one with
+// at most k-1, so by Lemma 1 β_{k-1}(hiK) is the node β_{k-1}(H): the test
+// is exact without a walk of H at budget k-1. At k = 1, β_0(hiK) is the
+// all-alive value hiK carries and loK1 is a terminal, so the test compares
+// values. An unbounded budget asks no merge test.
+func (m *Manager) join(level int32, loK1, hiK *Node, k int32) *Node {
+	if k == 1 && hiK.Value == loK1.Value || k > 1 && m.kreduce(hiK, k-1) == loK1 {
+		return hiK
 	}
-	return m.kreduce(hiK, k-1) == loK1
+	return m.mk(level, loK1, hiK)
 }
 
 // MaxFailuresOnPath returns the maximum number of 0-assignments (failures)

@@ -63,11 +63,16 @@ func TestKReduceTerminal(t *testing.T) {
 	}
 }
 
-func TestKReduceNegativeKTreatedAsZero(t *testing.T) {
+func TestKReduceNegativeKReturnsF(t *testing.T) {
 	m := newMgr(t, 2)
-	f := m.Var(0)
-	if m.KReduce(f, -3) != m.KReduce(f, 0) {
-		t.Error("negative k must behave like k=0")
+	f := m.Add(m.Var(0), m.Not(m.Var(1)))
+	for _, k := range []int{-1, -3} {
+		if m.KReduce(f, k) != f {
+			t.Errorf("KReduce(f, %d): negative k returns f", k)
+		}
+	}
+	if calls := m.Stats().KReduceCalls; calls != 0 {
+		t.Errorf("KReduceCalls = %d, want 0: a call that does not reduce is not counted", calls)
 	}
 }
 
@@ -140,7 +145,7 @@ func randomMTBDD(m *Manager, r *rand.Rand, n, depth int) *Node {
 		return m.Sub(a, b)
 	default:
 		g := randomMTBDD(m, r, n, 1)
-		isG := m.Not(m.apply(opAnd, m.Not(g), m.One())) // force {0,1}
+		isG := m.Not(m.And(m.Not(g), m.One())) // force {0,1}
 		return m.ITE(isG, a, b)
 	}
 }
@@ -343,7 +348,7 @@ func BenchmarkApplyAdd(b *testing.B) {
 	g := randomMTBDD(m, r, n, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(m.applyTbl.entries)
+		clear(m.fusedTbl.entries)
 		m.Add(f, g)
 	}
 }

@@ -66,7 +66,6 @@ type Manager struct {
 	unique uniqueTable // internal nodes, keyed by (level, lo, hi)
 	terms  uniqueTable // terminals, keyed by Float64bits of the value
 
-	applyTbl   applyCache
 	negTbl     unaryCache
 	kreduceTbl kreduceCache
 	fusedTbl   fusedCache
@@ -120,8 +119,6 @@ type Manager struct {
 	// resets a counter.
 	created       uint64
 	peakUnique    int
-	applyHits     uint64
-	applyMisses   uint64
 	negHits       uint64
 	negMisses     uint64
 	kreduceHits   uint64
@@ -420,14 +417,9 @@ type Stats struct {
 	Live       int    // internal nodes currently in the unique table
 	PeakUnique int    // high-water mark of the unique table
 
-	// ApplyHits/ApplyMisses predate the per-cache breakdown and mirror
-	// Apply.Hits/Apply.Misses; kept so existing consumers don't break.
-	ApplyHits   uint64
-	ApplyMisses uint64
-
-	// Per-cache hit/miss tallies for all five operation caches. Fused is
-	// the shared computed table of the k-budgeted kernels (kernels.go).
-	Apply   CacheStats
+	// Per-cache hit/miss tallies for all four operation caches. Fused is
+	// the computed table of the kernels (kernels.go), the plain operators
+	// included.
 	Neg     CacheStats
 	KReduce CacheStats
 	Range   CacheStats
@@ -448,7 +440,7 @@ type Stats struct {
 	GCRuns       uint64 // completed garbage collections
 
 	// CacheBytes is what the unique table, the terminal table and the
-	// five computed tables hold right now: the first two grow with the
+	// four computed tables hold right now: the first two grow with the
 	// nodes they hold, the computed tables keep the size New gave them
 	// (tables.go).
 	CacheBytes uint64
@@ -460,9 +452,6 @@ func (m *Manager) Stats() Stats {
 		Created:      m.created,
 		Live:         m.unique.count,
 		PeakUnique:   m.peakUnique,
-		ApplyHits:    m.applyHits,
-		ApplyMisses:  m.applyMisses,
-		Apply:        CacheStats{Hits: m.applyHits, Misses: m.applyMisses},
 		Neg:          CacheStats{Hits: m.negHits, Misses: m.negMisses},
 		KReduce:      CacheStats{Hits: m.kreduceHits, Misses: m.kreduceMisses},
 		Range:        CacheStats{Hits: m.rangeHits, Misses: m.rangeMisses},
@@ -476,7 +465,7 @@ func (m *Manager) Stats() Stats {
 }
 
 // ClearCaches empties all operation caches (but not the unique table), so
-// that nothing cached outlives the nodes a following GC drops. The five
+// that nothing cached outlives the nodes a following GC drops. The four
 // computed tables are zeroed in place — clearing allocates nothing. The
 // cumulative hit/miss counters are untouched: they are counters, not cache
 // contents.

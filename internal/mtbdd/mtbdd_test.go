@@ -129,7 +129,7 @@ func TestApplyAgainstDense(t *testing.T) {
 		{"Add", m.Add, func(a, b float64) float64 { return a + b }},
 		{"Sub", m.Sub, func(a, b float64) float64 { return a - b }},
 		{"Mul", m.Mul, func(a, b float64) float64 { return a * b }},
-		{"Div", func(a, b *Node) *Node { return m.apply(opDiv, a, b) }, func(a, b float64) float64 {
+		{"Div", func(a, b *Node) *Node { return m.DivK(a, b, -1) }, func(a, b float64) float64 {
 			if b == 0 {
 				return 0
 			}
@@ -344,8 +344,8 @@ func TestStatsAndClearCaches(t *testing.T) {
 		t.Fatal("hash-consing broken")
 	}
 	st := m.Stats()
-	if st.ApplyHits == 0 {
-		t.Error("expected apply cache hits")
+	if st.Fused.Hits == 0 {
+		t.Error("expected computed-table hits")
 	}
 	if st.Created == 0 || st.Live == 0 {
 		t.Error("stats must count created/live nodes")

@@ -2,7 +2,7 @@ package mtbdd
 
 import "math"
 
-// opcode identifies a binary terminal operation for the apply cache.
+// opcode identifies a binary terminal operation in the fused computed table.
 type opcode uint8
 
 const (
@@ -118,7 +118,7 @@ func (m *Manager) shortcut(op opcode, f, g *Node) *Node {
 	return nil
 }
 
-// commutes reports whether op is commutative, letting the apply cache
+// commutes reports whether op is commutative, letting the computed table
 // canonicalize operand order.
 func (op opcode) commutes() bool {
 	switch op {
@@ -128,63 +128,29 @@ func (op opcode) commutes() bool {
 	return false
 }
 
-// apply is Bryant's APPLY generalized to multi-terminal operations.
-func (m *Manager) apply(op opcode, f, g *Node) *Node {
-	if r := m.shortcut(op, f, g); r != nil {
-		return r
-	}
-	if f.IsTerminal() && g.IsTerminal() {
-		return m.Const(op.eval(f.Value, g.Value))
-	}
-	a, b := f, g
-	if op.commutes() && a.id > b.id {
-		a, b = b, a
-	}
-	if id := m.applyTbl.get(op, a.id, b.id); id != 0 {
-		m.applyHits++
-		return m.node(id)
-	}
-	m.applyMisses++
-	m.checkInterrupt()
-
-	// Descend on the smaller (earlier) level.
-	level := f.Level
-	if g.Level < level {
-		level = g.Level
-	}
-	fLo, fHi := f, f
-	if f.Level == level {
-		fLo, fHi = f.Lo, f.Hi
-	}
-	gLo, gHi := g, g
-	if g.Level == level {
-		gLo, gHi = g.Lo, g.Hi
-	}
-	r := m.mk(level, m.apply(op, fLo, gLo), m.apply(op, fHi, gHi))
-	m.applyTbl.put(op, a.id, b.id, r.id)
-	return r
-}
+// The plain operators are the fused kernels at an unbounded budget
+// (kernels.go): Bryant's APPLY, with no reduction.
 
 // Add returns f + g.
-func (m *Manager) Add(f, g *Node) *Node { return m.apply(opAdd, f, g) }
+func (m *Manager) Add(f, g *Node) *Node { return m.applyK(opAdd, f, g, unbounded) }
 
 // Sub returns f - g.
-func (m *Manager) Sub(f, g *Node) *Node { return m.apply(opSub, f, g) }
+func (m *Manager) Sub(f, g *Node) *Node { return m.applyK(opSub, f, g, unbounded) }
 
 // Mul returns f * g (pointwise).
-func (m *Manager) Mul(f, g *Node) *Node { return m.apply(opMul, f, g) }
+func (m *Manager) Mul(f, g *Node) *Node { return m.applyK(opMul, f, g, unbounded) }
 
 // Min returns the pointwise minimum of f and g.
-func (m *Manager) Min(f, g *Node) *Node { return m.apply(opMin, f, g) }
+func (m *Manager) Min(f, g *Node) *Node { return m.applyK(opMin, f, g, unbounded) }
 
 // Max returns the pointwise maximum of f and g.
-func (m *Manager) Max(f, g *Node) *Node { return m.apply(opMax, f, g) }
+func (m *Manager) Max(f, g *Node) *Node { return m.applyK(opMax, f, g, unbounded) }
 
 // And returns the conjunction of two {0,1} guards.
-func (m *Manager) And(f, g *Node) *Node { return m.apply(opAnd, f, g) }
+func (m *Manager) And(f, g *Node) *Node { return m.applyK(opAnd, f, g, unbounded) }
 
 // Or returns the disjunction of two {0,1} guards.
-func (m *Manager) Or(f, g *Node) *Node { return m.apply(opOr, f, g) }
+func (m *Manager) Or(f, g *Node) *Node { return m.applyK(opOr, f, g, unbounded) }
 
 // Not returns the complement 1-f of a {0,1} guard.
 func (m *Manager) Not(f *Node) *Node {

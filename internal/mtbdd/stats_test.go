@@ -37,7 +37,7 @@ func TestPerCacheCounters(t *testing.T) {
 	// range: second query hits the root entry.
 	m.Range(f)
 	m.Range(f)
-	// apply already counted; make sure there is at least one hit.
+	// fused: the plain operators share the kernels' table.
 	m.Add(f, g)
 	m.Add(f, g)
 
@@ -46,7 +46,7 @@ func TestPerCacheCounters(t *testing.T) {
 		name string
 		cs   CacheStats
 	}{
-		{"apply", st.Apply},
+		{"fused", st.Fused},
 		{"neg", st.Neg},
 		{"kreduce", st.KReduce},
 		{"range", st.Range},
@@ -60,12 +60,6 @@ func TestPerCacheCounters(t *testing.T) {
 	}
 	if st.KReduceCalls != 2 {
 		t.Errorf("KReduceCalls = %d, want 2", st.KReduceCalls)
-	}
-	// The legacy flat fields must mirror the Apply breakdown — existing
-	// consumers read ApplyHits/ApplyMisses.
-	if st.ApplyHits != st.Apply.Hits || st.ApplyMisses != st.Apply.Misses {
-		t.Errorf("legacy apply fields diverge: flat %d/%d vs %+v",
-			st.ApplyHits, st.ApplyMisses, st.Apply)
 	}
 }
 
@@ -84,7 +78,7 @@ func TestCacheCountersSurviveClearCaches(t *testing.T) {
 	before := m.Stats()
 	m.ClearCaches()
 	after := m.Stats()
-	if before.Apply != after.Apply || before.Neg != after.Neg ||
+	if before.Fused != after.Fused || before.Neg != after.Neg ||
 		before.KReduce != after.KReduce || before.Range != after.Range ||
 		before.KReduceCalls != after.KReduceCalls {
 		t.Fatalf("ClearCaches changed cumulative counters:\nbefore %+v\nafter  %+v", before, after)
@@ -99,8 +93,8 @@ func TestCacheCountersSurviveClearCaches(t *testing.T) {
 	}
 }
 
-// The fused ternary cache follows the same counter contract as the five
-// binary caches: hits and misses accounted, counters cumulative across
+// The fused ternary cache follows the same counter contract as the other
+// caches: hits and misses accounted, counters cumulative across
 // ClearCaches, and the cache *contents* emptied so post-clear repeats
 // miss again.
 func TestFusedCacheCounters(t *testing.T) {
@@ -159,7 +153,7 @@ func TestMaxProbeStat(t *testing.T) {
 }
 
 // The instrumentation counters must not add allocations to the cached
-// fast paths: mk on an existing node, apply/Not/KReduce hitting their
+// fast paths: mk on an existing node, Add/Not/KReduce hitting their
 // caches (ISSUE 4 satellite 6).
 func TestFastPathAllocationFree(t *testing.T) {
 	m, f := buildChain(t, 8)
@@ -173,7 +167,7 @@ func TestFastPathAllocationFree(t *testing.T) {
 		t.Errorf("mk fast path allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { m.Add(f, g) }); n != 0 {
-		t.Errorf("cached apply allocates %v per op", n)
+		t.Errorf("cached Add allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { m.Not(f) }); n != 0 {
 		t.Errorf("cached Not allocates %v per op", n)

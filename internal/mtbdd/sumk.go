@@ -41,13 +41,13 @@ import "math"
 // SumMulK returns KReduce(Σ_i vols[i]·fs[i], k), summed in operand order:
 // the node the chain acc = MulAddK(acc, Const(vols[i]), fs[i], k) from
 // acc = 0 returns, built in one walk without the chain's intermediates. A
-// negative budget (reduction disabled) defers to the unfused MulAdd chain,
-// as MulAddK defers to MulAdd.
+// negative budget (reduction disabled) folds Add(acc, Mul(w, f)), as
+// MulAddK does.
 func (m *Manager) SumMulK(vols []float64, fs []*Node, k int) *Node {
 	if k < 0 {
 		acc := m.zero
 		for i, f := range fs {
-			acc = m.MulAdd(acc, m.Const(vols[i]), f)
+			acc = m.Add(acc, m.Mul(m.Const(vols[i]), f))
 		}
 		return acc
 	}
@@ -65,14 +65,14 @@ func (m *Manager) SumMulK(vols []float64, fs []*Node, k int) *Node {
 // values on the in-budget assignments (Lemma 2) — found without building a
 // node. It is SumMulK's walk with no mk: every in-budget value of the sum is
 // the all-alive fold of the state its last failed variable leads to, and the
-// fold passes through every prefix sum on its way. A negative budget defers
-// to the unfused chain and its Range, over all assignments.
+// fold passes through every prefix sum on its way. A negative budget reads
+// the Range of the unreduced chain, over all assignments.
 func (m *Manager) PrefixMaxK(vols []float64, fs []*Node, k int) []float64 {
 	out := make([]float64, len(fs))
 	if k < 0 {
 		acc := m.zero
 		for i, f := range fs {
-			acc = m.MulAdd(acc, m.Const(vols[i]), f)
+			acc = m.Add(acc, m.Mul(m.Const(vols[i]), f))
 			_, out[i] = m.Range(acc)
 		}
 		return out

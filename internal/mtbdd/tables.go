@@ -4,7 +4,7 @@ import "unsafe"
 
 // Hash-table machinery tuned for the hot paths. The unique and terminal
 // tables are exact open-addressing sets (hash consing must never alias
-// distinct nodes); the five operation caches are lossy — a collision merely
+// distinct nodes); the four operation caches are lossy — a collision merely
 // recomputes a result, which is deterministic and re-canonicalized by the
 // unique table, so correctness is unaffected by their size or their hash.
 // This is the classic BDD-package design (CUDD-style computed tables): Go's
@@ -27,7 +27,7 @@ import "unsafe"
 //   - Reset in place. clear() empties the arrays; nothing is re-allocated
 //     by ClearCaches or Manager.GC.
 
-// cacheBits sizes all five computed tables: 8 K entries each, 672 KB
+// cacheBits sizes all four computed tables: 8 K entries each, 544 KB
 // together.
 const cacheBits = 13
 
@@ -179,37 +179,10 @@ func (t *uniqueTable) keep(marked bitset) {
 	}
 }
 
-// --- apply cache (lossy, direct-mapped) ---
+// --- kreduce cache (lossy, direct-mapped) ---
 //
 // Every lossy table's get returns the cached result's id, or 0 on a miss
 // (ids start at 1, and a zeroed slot matches no key for the same reason).
-
-type applyEntry struct {
-	f, g uint32 // operand ids
-	op   opcode
-	res  uint32
-}
-
-type applyCache struct{ table[applyEntry] }
-
-func (c *applyCache) slot(op opcode, f, g uint32) *applyEntry {
-	h := mix64(uint64(f)<<6 ^ uint64(g) ^ uint64(op)<<58)
-	return &c.entries[h&c.mask]
-}
-
-func (c *applyCache) get(op opcode, f, g uint32) uint32 {
-	e := c.slot(op, f, g)
-	if e.f == f && e.g == g && e.op == op {
-		return e.res
-	}
-	return 0
-}
-
-func (c *applyCache) put(op opcode, f, g, res uint32) {
-	*c.slot(op, f, g) = applyEntry{f, g, op, res}
-}
-
-// --- kreduce cache (lossy, direct-mapped) ---
 
 type kreduceEntry struct {
 	f   uint32
@@ -230,9 +203,9 @@ func (e *kreduceEntry) is(f uint32, k int32) bool { return e.f == f && e.k == k 
 
 // --- fused-kernel cache (lossy, 2-way set-associative) ---
 //
-// One computed table serves every budgeted kernel: binary k-budgeted
-// applies key (op, f, g, 0, k) and the ternary multiply-accumulate keys
-// (opMulAdd, acc, w, f, k). Operand ids start at 1, so a == 0 marks an
+// One computed table serves every kernel: binary applies key (op, f, g, 0,
+// k), the plain operators at k = -1, and the ternary multiply-accumulate
+// keys (opMulAdd, acc, w, f, k). Operand ids start at 1, so a == 0 marks an
 // empty slot.
 //
 // Unlike the other operation caches this one is 2-way: each set is a
@@ -334,10 +307,9 @@ func (c *rangeCache) put(f uint32, lo, hi float64) {
 	c.entries[mix64(uint64(f))&c.mask] = rangeEntry{f, lo, hi}
 }
 
-// newTables gives m its five computed tables; each size given is the one
+// newTables gives m its four computed tables; each size given is the one
 // the table grew to before the geometry was fixed.
 func (m *Manager) newTables() {
-	m.applyTbl = applyCache{newTable[applyEntry](20)}
 	m.fusedTbl = fusedCache{newTable[fusedEntry](20)}
 	m.kreduceTbl = kreduceCache{newTable[kreduceEntry](19)}
 	m.negTbl = unaryCache{newTable[unaryEntry](17)}
@@ -346,17 +318,16 @@ func (m *Manager) newTables() {
 
 // clearTables empties every computed table in place.
 func (m *Manager) clearTables() {
-	clear(m.applyTbl.entries)
 	clear(m.negTbl.entries)
 	clear(m.kreduceTbl.entries)
 	clear(m.fusedTbl.entries)
 	clear(m.rangeTbl.entries)
 }
 
-// tableBytes is what the five computed tables, the unique table and the
+// tableBytes is what the four computed tables, the unique table and the
 // terminal table hold.
 func (m *Manager) tableBytes() uint64 {
-	return bytesOf(m.unique.entries) + bytesOf(m.terms.entries) + bytesOf(m.applyTbl.entries) + bytesOf(m.negTbl.entries) +
+	return bytesOf(m.unique.entries) + bytesOf(m.terms.entries) + bytesOf(m.negTbl.entries) +
 		bytesOf(m.kreduceTbl.entries) + bytesOf(m.fusedTbl.entries) + bytesOf(m.rangeTbl.entries)
 }
 

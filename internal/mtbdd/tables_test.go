@@ -125,7 +125,7 @@ func TestFusedCacheBinaryTernarySeparation(t *testing.T) {
 // TestTableEntriesHoldNoPointers: the tables are only free for the Go
 // collector while no entry type carries a pointer.
 func TestTableEntriesHoldNoPointers(t *testing.T) {
-	for _, e := range []any{uniqueEntry{}, applyEntry{}, kreduceEntry{}, fusedEntry{}, unaryEntry{}, rangeEntry{}} {
+	for _, e := range []any{uniqueEntry{}, kreduceEntry{}, fusedEntry{}, unaryEntry{}, rangeEntry{}} {
 		typ := reflect.TypeOf(e)
 		for i := 0; i < typ.NumField(); i++ {
 			switch f := typ.Field(i); f.Type.Kind() {
@@ -144,7 +144,6 @@ func TestTableEntrySizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"applyEntry", unsafe.Sizeof(applyEntry{}), 16},
 		{"fusedEntry", unsafe.Sizeof(fusedEntry{}), 24},
 		{"kreduceEntry", unsafe.Sizeof(kreduceEntry{}), 12},
 		{"unaryEntry", unsafe.Sizeof(unaryEntry{}), 8},
@@ -179,7 +178,7 @@ func TestTablesKeepTheirGeometry(t *testing.T) {
 	if got := tableArrays(m); got != before {
 		t.Errorf("ClearCaches re-allocated a computed table: arrays %v, before %v", got, before)
 	}
-	if !empty(m.applyTbl.entries) || !empty(m.negTbl.entries) || !empty(m.kreduceTbl.entries) ||
+	if !empty(m.negTbl.entries) || !empty(m.kreduceTbl.entries) ||
 		!empty(m.fusedTbl.entries) || !empty(m.rangeTbl.entries) {
 		t.Error("ClearCaches left an entry behind")
 	}
@@ -189,9 +188,9 @@ func TestTablesKeepTheirGeometry(t *testing.T) {
 }
 
 // tableArrays names the backing array of each computed table.
-func tableArrays(m *Manager) [5]unsafe.Pointer {
-	return [5]unsafe.Pointer{
-		unsafe.Pointer(unsafe.SliceData(m.applyTbl.entries)), unsafe.Pointer(unsafe.SliceData(m.negTbl.entries)),
+func tableArrays(m *Manager) [4]unsafe.Pointer {
+	return [4]unsafe.Pointer{
+		unsafe.Pointer(unsafe.SliceData(m.negTbl.entries)),
 		unsafe.Pointer(unsafe.SliceData(m.kreduceTbl.entries)), unsafe.Pointer(unsafe.SliceData(m.fusedTbl.entries)),
 		unsafe.Pointer(unsafe.SliceData(m.rangeTbl.entries)),
 	}
@@ -238,9 +237,6 @@ func TestCachedIDsNeverNameAReleasedSlab(t *testing.T) {
 	for _, e := range m.unique.entries {
 		live("unique table", e.id)
 	}
-	for _, e := range m.applyTbl.entries {
-		live("apply cache", e.res)
-	}
 	for _, e := range m.negTbl.entries {
 		live("neg cache", e.res)
 	}
@@ -258,7 +254,7 @@ func TestCachedIDsNeverNameAReleasedSlab(t *testing.T) {
 		t.Fatalf("node(%d) = %p, want the kept root %p", keep.id, got, keep)
 	}
 	g := randomMTBDD(m, r, n, 6)
-	if got, want := m.AddK(keep, g, 2), m.KReduce(m.Add(keep, g), 2); got != want {
+	if got, want := m.AddK(keep, g, 2), m.KReduce(refApply(m, opAdd, keep, g), 2); got != want {
 		t.Fatal("AddK diverged from the composed form after slabs were released")
 	}
 }

@@ -280,7 +280,7 @@ func (r *Registry) Snapshot() *Snapshot {
 
 // knownCaches are the MTBDD cache names every snapshot reports, even
 // at zero. Keep in sync with mtbdd.Stats (DESIGN.md §11).
-var knownCaches = []string{"apply", "kreduce", "neg", "range", "fused"}
+var knownCaches = []string{"fused", "kreduce", "neg", "range"}
 
 // ServeCounterNames is the counter schema of the incremental daemon
 // (internal/serve, DESIGN.md §14). The daemon pre-creates every name at

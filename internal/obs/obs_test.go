@@ -100,24 +100,27 @@ func TestSnapshotEmitsAllKnownCaches(t *testing.T) {
 	// A name is recorded once: the later snapshot replaces this one.
 	r.RecordManager(ManagerStats{
 		Name:   "primary",
-		Caches: map[string]CacheCounters{"apply": {Hits: 1000, Misses: 1000}},
+		Caches: map[string]CacheCounters{"fused": {Hits: 1000, Misses: 1000}},
 	})
 	r.RecordManager(ManagerStats{
 		Name:   "primary",
-		Caches: map[string]CacheCounters{"apply": {Hits: 10, Misses: 2}},
+		Caches: map[string]CacheCounters{"fused": {Hits: 10, Misses: 2}},
 	})
 	r.RecordManager(ManagerStats{
 		Name:   "shard.0",
-		Caches: map[string]CacheCounters{"apply": {Hits: 5, Misses: 1}, "kreduce": {Hits: 7}},
+		Caches: map[string]CacheCounters{"fused": {Hits: 5, Misses: 1}, "kreduce": {Hits: 7}},
 	})
 	snap := r.Snapshot()
-	for _, name := range []string{"apply", "kreduce", "neg", "range", "fused"} {
+	for _, name := range []string{"fused", "kreduce", "neg", "range"} {
 		if _, ok := snap.Caches[name]; !ok {
 			t.Fatalf("snapshot missing cache %q: %+v", name, snap.Caches)
 		}
 	}
-	if got := snap.Caches["apply"]; got.Hits != 15 || got.Misses != 3 {
-		t.Fatalf("apply aggregate = %+v, want 15/3", got)
+	if _, ok := snap.Caches["apply"]; ok {
+		t.Fatalf("snapshot reports the apply cache, which no manager has: %+v", snap.Caches)
+	}
+	if got := snap.Caches["fused"]; got.Hits != 15 || got.Misses != 3 {
+		t.Fatalf("fused aggregate = %+v, want 15/3", got)
 	}
 	if got := snap.Caches["kreduce"]; got.Hits != 7 {
 		t.Fatalf("kreduce aggregate = %+v, want 7 hits", got)
@@ -163,7 +166,7 @@ func TestWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"phases:", "routesim", "caches", "apply", "degraded_flows"} {
+	for _, want := range []string{"phases:", "routesim", "caches", "fused", "degraded_flows"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)
 		}

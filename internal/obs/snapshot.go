@@ -17,8 +17,8 @@ type CacheCounters struct {
 
 // ManagerStats is one MTBDD manager's end-of-life stats snapshot,
 // mirrored from mtbdd.Stats without importing it (obs is a leaf
-// package). Caches is keyed by cache name: apply, kreduce, neg, range,
-// fused. CacheBytes is what the manager's unique and terminal tables and
+// package). Caches is keyed by cache name: fused, kreduce, neg,
+// range. CacheBytes is what the manager's unique and terminal tables and
 // computed tables held when it was recorded — the first two grow with the
 // nodes they hold, so it says what the manager cost, not what it was born
 // with.

@@ -181,21 +181,16 @@ func (fv *FailVars) EdgeUp(e topo.DirEdge) *mtbdd.Node {
 
 // Reduce applies the k-failure-equivalence reduction with the pipeline's
 // budget (§5.2). It is the hook every phase of symbolic simulation uses to
-// keep MTBDDs small; disabled budgets (<0) return f unchanged, which is
+// keep MTBDDs small; a disabled budget (<0) returns f unchanged, which is
 // the "YU w/o MTBDD reduction" ablation of Fig 15/16.
-func (fv *FailVars) Reduce(f *mtbdd.Node) *mtbdd.Node {
-	if fv.K < 0 {
-		return f
-	}
-	return fv.M.KReduce(f, fv.K)
-}
+func (fv *FailVars) Reduce(f *mtbdd.Node) *mtbdd.Node { return fv.M.KReduce(f, fv.K) }
 
 // The ReduceOp helpers compute Reduce(op(...)) through the fused
 // k-budgeted kernels: one DFS that constructs the KREDUCEd result
 // directly instead of materializing the unreduced intermediate. With a
-// disabled budget (K < 0) the kernels degrade to the plain operators,
-// matching Reduce's identity behavior, so the ablation mode needs no
-// special-casing at call sites.
+// disabled budget (K < 0) the kernels are the plain operators, matching
+// Reduce's identity behavior, so the ablation mode needs no special-casing
+// at call sites.
 
 // ReduceAdd returns Reduce(f + g).
 func (fv *FailVars) ReduceAdd(f, g *mtbdd.Node) *mtbdd.Node {

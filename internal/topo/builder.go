@@ -136,13 +136,14 @@ func (b *Builder) Build() (*Network, error) {
 		return nil, b.err
 	}
 	n := &Network{
-		Routers: b.routers,
-		Links:   b.links,
-		byName:  b.byName,
-		byLoop:  make(map[netip.Addr]RouterID, len(b.routers)),
-		byIfIP:  make(map[netip.Addr]DirLinkID, 2*len(b.links)),
-		out:     make([][]DirEdge, len(b.routers)),
-		in:      make([][]DirEdge, len(b.routers)),
+		Routers:  b.routers,
+		Links:    b.links,
+		byName:   b.byName,
+		byLoop:   make(map[netip.Addr]RouterID, len(b.routers)),
+		byIfIP:   make(map[netip.Addr]DirLinkID, 2*len(b.links)),
+		out:      make([][]DirEdge, len(b.routers)),
+		in:       make([][]DirEdge, len(b.routers)),
+		diameter: new(diameter),
 	}
 	for _, r := range b.routers {
 		if prev, dup := n.byLoop[r.Loopback]; dup {

@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // RouterID identifies a router; IDs are dense indices into Network.Routers.
@@ -116,6 +117,15 @@ type Network struct {
 	byIfIP map[netip.Addr]DirLinkID // interface address -> directed link arriving at it
 	out    [][]DirEdge              // outgoing edges per router
 	in     [][]DirEdge              // incoming edges per router
+
+	// diameter is found on first use, once: WithOwnLinks copies share it
+	// with the adjacency it is the diameter of.
+	diameter *diameter
+}
+
+type diameter struct {
+	once sync.Once
+	hops int
 }
 
 // NumRouters returns the number of routers.
@@ -277,8 +287,17 @@ func (n *Network) RoundBound() int {
 
 // Diameter returns the hop-count diameter of the network (ignoring costs),
 // used to bound symbolic execution iterations. Disconnected pairs are
-// ignored. An empty or single-router network has diameter 0.
+// ignored. An empty or single-router network has diameter 0. The adjacency
+// is fixed once built, so the search runs once a network, on first use.
 func (n *Network) Diameter() int {
+	d := n.diameter
+	d.once.Do(func() { d.hops = n.bfsDiameter() })
+	return d.hops
+}
+
+// bfsDiameter finds the diameter by a breadth-first search from every
+// router.
+func (n *Network) bfsDiameter() int {
 	max := 0
 	dist := make([]int, len(n.Routers))
 	queue := make([]RouterID, 0, len(n.Routers))
