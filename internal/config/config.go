@@ -174,10 +174,14 @@ func (c Configs) Validate(n *topo.Network) error {
 			if s.Discard {
 				continue
 			}
-			if _, ok := n.DirLinkToAddr(s.NextHop); !ok {
-				if _, ok := n.RouterByLoopback(s.NextHop); !ok {
-					return fmt.Errorf("%s: static route %s next hop %s unresolvable", name, s.Prefix, s.NextHop)
+			// An interface next hop must be the far end of one of our links,
+			// as for eBGP neighbors; otherwise it names a loopback.
+			if d, ok := n.DirLinkToAddr(s.NextHop); ok {
+				if n.Edge(d).From != r.ID {
+					return fmt.Errorf("%s: static route %s next hop %s is not directly connected", name, s.Prefix, s.NextHop)
 				}
+			} else if _, ok := n.RouterByLoopback(s.NextHop); !ok {
+				return fmt.Errorf("%s: static route %s next hop %s unresolvable", name, s.Prefix, s.NextHop)
 			}
 		}
 		for _, p := range rc.SRPolicies {

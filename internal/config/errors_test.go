@@ -52,6 +52,8 @@ func TestParseSpecErrorMessages(t *testing.T) {
 		{"static usage", base + "config a\nstatic 10.0.0.0/8\n", "usage: static PREFIX (discard | via IP)"},
 		{"static bad verb", base + "config a\nstatic 10.0.0.0/8 teleport somewhere\n", "static wants 'discard' or 'via IP'"},
 		{"static via missing addr", base + "config a\nstatic 10.0.0.0/8 via\n", ""},
+		{"static via a link the router is not on", base + "router c as 1\nlink b c addr-a 192.0.2.1 addr-b 192.0.2.2\nconfig a\nstatic 99.0.0.0/8 via 192.0.2.2\n",
+			"a: static route 99.0.0.0/8 next hop 192.0.2.2 is not directly connected"},
 		{"redistribute usage", base + "config a\nredistribute connected\n", "usage: redistribute static"},
 		{"sr-policy usage", base + "config a\nsr-policy\n", "usage: sr-policy PREFIX [dscp N]"},
 		{"sr-policy bad dscp", base + "config a\nsr-policy 10.0.0.0/24 dscp 64\n", `bad dscp "64"`},

@@ -78,9 +78,10 @@ func (m *Manager) rangeOf(n *Node, memo map[*Node]valueRange) valueRange {
 	if n.IsTerminal() {
 		return valueRange{n.Value, n.Value}
 	}
-	if l, h, ok := m.rangeTbl.get(n.id); ok {
+	e := m.rangeTbl.slot(n.id)
+	if e.f == n.id {
 		m.rangeHits++
-		return valueRange{l, h}
+		return valueRange{e.lo, e.hi}
 	}
 	m.rangeMisses++
 	if r, ok := memo[n]; ok {
@@ -89,7 +90,7 @@ func (m *Manager) rangeOf(n *Node, memo map[*Node]valueRange) valueRange {
 	a, b := m.rangeOf(n.Lo, memo), m.rangeOf(n.Hi, memo)
 	r := valueRange{min(a.lo, b.lo), max(a.hi, b.hi)}
 	memo[n] = r
-	m.rangeTbl.put(n.id, r.lo, r.hi)
+	*e = rangeEntry{n.id, r.lo, r.hi}
 	return r
 }
 

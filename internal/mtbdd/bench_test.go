@@ -141,22 +141,22 @@ func fusedTrace(r *rand.Rand, distinct, length int) []fusedEntry {
 	return trace
 }
 
-// BenchmarkFusedCacheTwoWay13 replays the trace through the table a new
-// manager has, and reports the steady-state hit rate and the cost of a
-// lookup. The trace is scaled to the table: 2/3 as many distinct keys as
-// entries, twice as many lookups (the proportions of the 700 K keys and
-// 2 M lookups it was first run with on 2^20 entries, EXPERIMENTS.md).
-func BenchmarkFusedCacheTwoWay13(b *testing.B) {
+// BenchmarkFusedCache replays the trace through the table a new manager
+// has, and reports the steady-state hit rate and the cost of a lookup. The
+// trace is scaled to the table: 2/3 as many distinct keys as entries,
+// twice as many lookups (the proportions of the 700 K keys and 2 M lookups
+// it was first run with on 2^20 entries, EXPERIMENTS.md).
+func BenchmarkFusedCache(b *testing.B) {
 	c := &New().fusedTbl
 	trace := fusedTrace(rand.New(rand.NewSource(65)), len(c.entries)*2/3, 2*len(c.entries))
 	// Warm-up pass: absorb the compulsory misses so the reported
 	// hit-rate is the steady state the cache organization controls.
 	replay := func() (hits int) {
 		for _, key := range trace {
-			if res, set := c.get(key.op, key.a, key.b, key.c, key.k); res != 0 {
+			if e := c.slot(key.op, key.a, key.b, key.c, key.k); e.is(key.op, key.a, key.b, key.c, key.k) {
 				hits++
 			} else {
-				c.put(set, key.op, key.a, key.b, key.c, key.k, 1)
+				*e = fusedEntry{key.a, key.b, key.c, key.k, key.op, 1}
 			}
 		}
 		return hits

@@ -101,10 +101,10 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 	if op.commutes() && a.id > b.id {
 		a, b = b, a
 	}
-	id, set := m.fusedTbl.get(op, a.id, b.id, 0, k)
-	if id != 0 {
+	e := m.fusedTbl.slot(op, a.id, b.id, 0, k)
+	if e.is(op, a.id, b.id, 0, k) {
 		m.fusedHits++
-		return m.node(id)
+		return m.node(e.res)
 	}
 	m.fusedMisses++
 	m.checkInterrupt()
@@ -123,7 +123,7 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 	}
 	hiK := m.applyK(op, fHi, gHi, k)
 	r := m.join(level, m.applyK(op, fLo, gLo, lower(k)), hiK, k)
-	m.fusedTbl.put(set, op, a.id, b.id, 0, k, r.id)
+	*e = fusedEntry{a.id, b.id, 0, k, op, r.id}
 	return r
 }
 
@@ -171,10 +171,10 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	if x.id > y.id {
 		x, y = y, x
 	}
-	id, set := m.fusedTbl.get(opMulAdd, acc.id, x.id, y.id, k)
-	if id != 0 {
+	e := m.fusedTbl.slot(opMulAdd, acc.id, x.id, y.id, k)
+	if e.is(opMulAdd, acc.id, x.id, y.id, k) {
 		m.fusedHits++
-		return m.node(id)
+		return m.node(e.res)
 	}
 	m.fusedMisses++
 	m.checkInterrupt()
@@ -200,7 +200,7 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	}
 	hiK := m.mulAddK(aHi, wHi, fHi, k)
 	r := m.join(level, m.mulAddK(aLo, wLo, fLo, k-1), hiK, k)
-	m.fusedTbl.put(set, opMulAdd, acc.id, x.id, y.id, k, r.id)
+	*e = fusedEntry{acc.id, x.id, y.id, k, opMulAdd, r.id}
 	return r
 }
 

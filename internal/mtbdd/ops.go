@@ -160,9 +160,10 @@ func (m *Manager) Not(f *Node) *Node {
 	if f == m.one {
 		return m.zero
 	}
-	if id := m.negTbl.get(f.id); id != 0 {
+	e := m.negTbl.slot(f.id)
+	if e.f == f.id {
 		m.negHits++
-		return m.node(id)
+		return m.node(e.res)
 	}
 	m.negMisses++
 	var r *Node
@@ -175,7 +176,7 @@ func (m *Manager) Not(f *Node) *Node {
 	} else {
 		r = m.mk(f.Level, m.Not(f.Lo), m.Not(f.Hi))
 	}
-	m.negTbl.put(f.id, r.id)
+	*e = unaryEntry{f.id, r.id}
 	return r
 }
 

@@ -10,7 +10,7 @@ import "unsafe"
 // This is the classic BDD-package design (CUDD-style computed tables): Go's
 // generic maps spend most of the runtime in hashing and GC scans.
 //
-// Three rules keep the computed tables cheap:
+// Four rules keep the computed tables cheap:
 //
 //   - One fixed, cache-sized geometry. New allocates every computed table
 //     with 2^cacheBits entries and nothing ever resizes it. The budgeted
@@ -24,6 +24,11 @@ import "unsafe"
 //     walks them nor keeps anything alive through them. (Go zeroes every
 //     array it hands out and scans every pointer-carrying one in full, so
 //     a table costs its whole size whether or not it is ever touched.)
+//   - Direct-mapped, probed once. A key has one entry, found by hashing
+//     the key once (slot); a miss writes its result there and reads
+//     nothing back, so the store after a deep recursion never waits on a
+//     line that has gone cold (DESIGN.md §12 says why this beats 2-way
+//     sets).
 //   - Reset in place. clear() empties the arrays; nothing is re-allocated
 //     by ClearCaches or Manager.GC.
 
@@ -179,10 +184,12 @@ func (t *uniqueTable) keep(marked bitset) {
 	}
 }
 
-// --- kreduce cache (lossy, direct-mapped) ---
+// --- operation caches (lossy, direct-mapped) ---
 //
-// Every lossy table's get returns the cached result's id, or 0 on a miss
-// (ids start at 1, and a zeroed slot matches no key for the same reason).
+// Each cache's slot returns the key's one entry: a hit is that entry
+// holding the key; a miss keeps the pointer across its recursion, which
+// never re-allocates a table, and stores its result there. Operand ids
+// start at 1, so a zeroed entry matches no key.
 
 type kreduceEntry struct {
 	f   uint32
@@ -192,31 +199,18 @@ type kreduceEntry struct {
 
 type kreduceCache struct{ table[kreduceEntry] }
 
-// slot returns the key's entry. kreduce holds it across its recursion and
-// stores the result there, so a miss hashes its key once; the table is
-// never re-allocated while a kernel runs.
 func (c *kreduceCache) slot(f uint32, k int32) *kreduceEntry {
 	return &c.entries[mix64(uint64(f)^uint64(k)<<48)&c.mask]
 }
 
 func (e *kreduceEntry) is(f uint32, k int32) bool { return e.f == f && e.k == k }
 
-// --- fused-kernel cache (lossy, 2-way set-associative) ---
-//
-// One computed table serves every kernel: binary applies key (op, f, g, 0,
+// One table serves every fused kernel: binary applies key (op, f, g, 0,
 // k), the plain operators at k = -1, and the ternary multiply-accumulate
-// keys (opMulAdd, acc, w, f, k). Operand ids start at 1, so a == 0 marks an
-// empty slot.
-//
-// Unlike the other operation caches this one is 2-way: each set is a
-// pair of adjacent entries (2 × 24 B = 48 B, so half the sets span two
-// cache lines; padding entries to 32 B, a set to a line, made no
-// difference the benchmark could resolve and costs a third more bytes), the
-// primary way holds the most recently touched key, and an insert demotes
-// the primary into the secondary instead of evicting it outright. The
-// budgeted kernels revisit (operands, k) pairs across nearby k values, so
-// two hot keys routinely share a set — under direct mapping they evicted
-// each other every recursion level.
+// keys (opMulAdd, acc, w, f, k). Every key component goes through its own
+// odd multiplier before the finalizer, so keys that differ only in op or
+// k — a binary and a ternary key over the same operands, or one
+// subproblem at nearby budgets — land on unrelated entries.
 
 type fusedEntry struct {
 	a, b, c uint32
@@ -231,44 +225,13 @@ func (e *fusedEntry) is(op opcode, a, b, c uint32, k int32) bool {
 
 type fusedCache struct{ table[fusedEntry] }
 
-// set returns the even index of the key's 2-entry set. Every key
-// component goes through its own odd multiplier before the finalizer:
-// op and k used to ride in as bare shifted bits, which left ternary and
-// binary keys with identical operands one bit-flip apart.
-func (t *fusedCache) set(op opcode, a, b, c uint32, k int32) uint64 {
+func (t *fusedCache) slot(op opcode, a, b, c uint32, k int32) *fusedEntry {
 	h := mix64(uint64(a)*0x9e3779b97f4a7c15 ^ uint64(b)*0xc2b2ae3d27d4eb4f ^ uint64(c)*0x27d4eb2f165667c5 ^
 		uint64(op)*0xd6e8feb86659fd93 ^ uint64(uint32(k))*0xca02d2af59b01d13)
-	return (h & t.mask) &^ 1
+	return &t.entries[h&t.mask]
 }
 
-// get returns the cached result's id (0 on a miss) and the key's set, which
-// the kernel hands back to put once it has computed the result: a miss
-// hashes its key once.
-func (t *fusedCache) get(op opcode, a, b, c uint32, k int32) (res uint32, set uint64) {
-	i := t.set(op, a, b, c, k)
-	if e := &t.entries[i]; e.is(op, a, b, c, k) {
-		return e.res, i
-	}
-	if e := &t.entries[i|1]; e.is(op, a, b, c, k) {
-		// Promote to the primary way so the next insert in this set
-		// demotes the colder key, not this one.
-		res := e.res
-		t.entries[i], t.entries[i|1] = t.entries[i|1], t.entries[i]
-		return res, i
-	}
-	return 0, i
-}
-
-// put stores the key as the primary way of set, the index get returned for
-// it, demoting the key it displaces.
-func (t *fusedCache) put(set uint64, op opcode, a, b, c uint32, k int32, res uint32) {
-	if !t.entries[set].is(op, a, b, c, k) {
-		t.entries[set|1] = t.entries[set]
-	}
-	t.entries[set] = fusedEntry{a, b, c, k, op, res}
-}
-
-// --- unary caches (Not, Range; lossy, direct-mapped) ---
+// Not and Range key on one node.
 
 type unaryEntry struct {
 	f   uint32
@@ -277,16 +240,7 @@ type unaryEntry struct {
 
 type unaryCache struct{ table[unaryEntry] }
 
-func (c *unaryCache) get(f uint32) uint32 {
-	if e := &c.entries[mix64(uint64(f))&c.mask]; e.f == f {
-		return e.res
-	}
-	return 0
-}
-
-func (c *unaryCache) put(f, res uint32) {
-	c.entries[mix64(uint64(f))&c.mask] = unaryEntry{f, res}
-}
+func (c *unaryCache) slot(f uint32) *unaryEntry { return &c.entries[mix64(uint64(f))&c.mask] }
 
 type rangeEntry struct {
 	f      uint32
@@ -295,17 +249,7 @@ type rangeEntry struct {
 
 type rangeCache struct{ table[rangeEntry] }
 
-func (c *rangeCache) get(f uint32) (lo, hi float64, ok bool) {
-	e := &c.entries[mix64(uint64(f))&c.mask]
-	if e.f == f {
-		return e.lo, e.hi, true
-	}
-	return 0, 0, false
-}
-
-func (c *rangeCache) put(f uint32, lo, hi float64) {
-	c.entries[mix64(uint64(f))&c.mask] = rangeEntry{f, lo, hi}
-}
+func (c *rangeCache) slot(f uint32) *rangeEntry { return &c.entries[mix64(uint64(f))&c.mask] }
 
 // newTables gives m its four computed tables; each size given is the one
 // the table grew to before the geometry was fixed.

@@ -16,110 +16,55 @@ func setTableMode(mode int) (restore func()) {
 	return func() { tableMode = old }
 }
 
-// The fused cache's 2-way sets must behave like a tiny LRU: an insert
-// demotes the set's primary into the secondary way instead of evicting
-// it, and a secondary hit promotes back. These tests pin that contract
-// with two keys forced into the same set, on the table as New makes it and
-// on a table of one set (onEachGeometry).
+// store writes e into its key's entry, as a kernel's miss does.
+func (t *fusedCache) store(e fusedEntry) { *t.slot(e.op, e.a, e.b, e.c, e.k) = e }
 
-// sameSetKeys returns two distinct (a,k) fused keys that map to one set.
-func sameSetKeys(t *testing.T, c *fusedCache) (fusedEntry, fusedEntry) {
-	t.Helper()
-	first := fusedEntry{a: 1, b: 2, c: 0, k: 1, op: opAdd}
-	for a := uint32(2); a < 1<<24; a++ {
-		if second := (fusedEntry{a: a, b: 2, c: 0, k: 1, op: opAdd}); c.setOf(second) == c.setOf(first) {
-			return first, second
-		}
+// lookup returns the result the table holds for e's key, 0 on a miss.
+func (t *fusedCache) lookup(e fusedEntry) uint32 {
+	if s := t.slot(e.op, e.a, e.b, e.c, e.k); s.is(e.op, e.a, e.b, e.c, e.k) {
+		return s.res
 	}
-	t.Fatal("no colliding key found")
-	return fusedEntry{}, fusedEntry{}
+	return 0
 }
 
-func (t *fusedCache) putKey(e fusedEntry, res uint32) {
-	_, set := t.get(e.op, e.a, e.b, e.c, e.k)
-	t.put(set, e.op, e.a, e.b, e.c, e.k, res)
-}
-
-func (t *fusedCache) getKey(e fusedEntry) uint32 {
-	res, _ := t.get(e.op, e.a, e.b, e.c, e.k)
-	return res
-}
-
-func (t *fusedCache) setOf(e fusedEntry) uint64 { return t.set(e.op, e.a, e.b, e.c, e.k) }
-
-// onEachGeometry runs test on the fused table of a new manager with the
-// shipped geometry and with 2 entries (a single set), handing it two keys
-// of one set.
-func onEachGeometry(t *testing.T, test func(t *testing.T, c *fusedCache, k1, k2 fusedEntry)) {
-	for _, g := range []struct {
-		name string
-		mode int
-	}{{"as-made", tablesShipped}, {"one-set", tablesTwoEntries}} {
-		t.Run(g.name, func(t *testing.T) {
-			defer setTableMode(g.mode)()
-			c := &New().fusedTbl
-			k1, k2 := sameSetKeys(t, c)
-			test(t, c, k1, k2)
-		})
-	}
-}
-
-func TestFusedCacheKeepsBothWaysOfASet(t *testing.T) {
-	onEachGeometry(t, func(t *testing.T, c *fusedCache, k1, k2 fusedEntry) {
-		c.putKey(k1, 101)
-		c.putKey(k2, 102)
-		// Direct mapping would have evicted k1; 2-way keeps both.
-		if got := c.getKey(k1); got != 101 {
-			t.Fatalf("first key lost after colliding insert: %v", got)
-		}
-		if got := c.getKey(k2); got != 102 {
-			t.Fatalf("second key lost: %v", got)
-		}
-	})
-}
-
-func TestFusedCachePromotionProtectsHotKey(t *testing.T) {
-	onEachGeometry(t, func(t *testing.T, c *fusedCache, k1, k2 fusedEntry) {
-		c.putKey(k1, 101)
-		c.putKey(k2, 102) // k1 demoted to secondary
-		c.getKey(k1)      // promote k1 back
-		i := c.setOf(k1)
-		if !c.entries[i].is(k1.op, k1.a, k1.b, k1.c, k1.k) {
-			t.Fatal("the promoted key is not its set's primary way")
-		}
-		// A third same-set insert must now evict k2 (the cold key), not k1.
-		k3 := k2
-		for k3.b = 3; c.setOf(k3) != i; k3.b++ {
-		}
-		c.putKey(k3, 103)
-		if c.getKey(k1) == 0 {
-			t.Fatal("promoted hot key was evicted before the cold one")
-		}
-		if c.getKey(k2) != 0 {
-			t.Fatal("the cold key survived a third insert into a 2-way set")
-		}
-		// Idempotent re-put of the primary must not duplicate it into both ways.
-		c.putKey(k1, 101)
-		c.putKey(k1, 101)
-		if c.entries[i].is(k1.op, k1.a, k1.b, k1.c, k1.k) && c.entries[i|1].is(k1.op, k1.a, k1.b, k1.c, k1.k) {
-			t.Fatal("re-put duplicated the key into both ways")
-		}
-	})
-}
-
+// TestFusedCacheBinaryTernarySeparation: a binary and a ternary key never
+// answer for each other. As New makes the table, the two over the same
+// operands take different entries and both stay; on a table of two
+// entries, a binary and a ternary key searched to share one entry evict
+// each other, and a lookup of one never returns the other's result.
 func TestFusedCacheBinaryTernarySeparation(t *testing.T) {
-	// Same operands under a binary op and the ternary op must not alias.
-	c := &New().fusedTbl
-	binary := fusedEntry{a: 5, b: 6, c: 0, k: 2, op: opAdd}
-	ternary := fusedEntry{a: 5, b: 6, c: 0, k: 2, op: opMulAdd}
-	c.putKey(binary, 7)
-	c.putKey(ternary, 8)
-	if got := c.getKey(binary); got != 7 {
-		t.Fatalf("binary entry lost or aliased: %v", got)
-	}
-	if got := c.getKey(ternary); got != 8 {
-		t.Fatalf("ternary entry lost or aliased: %v", got)
-	}
+	binary := fusedEntry{a: 5, b: 6, c: 0, k: 2, op: opAdd, res: 7}
+	ternary := fusedEntry{a: 5, b: 6, c: 0, k: 2, op: opMulAdd, res: 8}
+	t.Run("as-made", func(t *testing.T) {
+		c := &New().fusedTbl
+		c.store(binary)
+		c.store(ternary)
+		if got := c.lookup(binary); got != 7 {
+			t.Fatalf("binary entry lost or aliased: %v", got)
+		}
+		if got := c.lookup(ternary); got != 8 {
+			t.Fatalf("ternary entry lost or aliased: %v", got)
+		}
+	})
+	t.Run("shared-slot", func(t *testing.T) {
+		defer setTableMode(tablesTwoEntries)()
+		c := &New().fusedTbl
+		ternary := ternary
+		for c.slot(ternary.op, ternary.a, ternary.b, ternary.c, ternary.k) != c.slot(binary.op, binary.a, binary.b, binary.c, binary.k) {
+			ternary.c++
+		}
+		c.store(binary)
+		if got := c.lookup(ternary); got != 0 {
+			t.Fatalf("ternary key %+v answered %v, the binary key's result", ternary, got)
+		}
+		c.store(ternary)
+		if got := c.lookup(binary); got != 0 {
+			t.Fatalf("binary key answered %v, the ternary key %+v's result", got, ternary)
+		}
+		if got := c.lookup(ternary); got != 8 {
+			t.Fatalf("ternary entry lost: %v", got)
+		}
+	})
 }
 
 // TestTableEntriesHoldNoPointers: the tables are only free for the Go

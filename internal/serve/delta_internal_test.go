@@ -226,6 +226,7 @@ func FuzzDeltaHTTP(f *testing.F) {
 	for _, body := range []string{
 		`{"deltas":[{"op":"add-static","router":"B","prefix":"55.0.0.0/8","discard":true}]}`,
 		`{"deltas":[{"op":"add-static","router":"B","prefix":"55.0.0.0/8","next_hop":"2.3.0.2"},{"op":"remove-static","router":"B","prefix":"55.0.0.0/8"}]}`,
+		`{"deltas":[{"op":"add-static","router":"A","prefix":"99.0.0.0/8","next_hop":"4.5.0.2"}]}`,
 		`{"deltas":[{"op":"set-link-cost","a":"C","b":"E","cost":5}],"verify":true}`,
 		`{"deltas":[{"op":"set-local-pref","router":"C","neighbor":"10.0.0.4","local_pref":200}]}`,
 		`{"deltas":[{"op":"add-export-deny","router":"F","neighbor":"10.0.0.5","prefix":"100.0.0.0/24"},{"op":"remove-export-deny","router":"F","neighbor":"10.0.0.5","prefix":"100.0.0.0/24"}]}`,

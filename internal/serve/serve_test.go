@@ -207,6 +207,42 @@ func TestDeltaAtomicity(t *testing.T) {
 	}
 }
 
+// TestDeltaRejectsStaticViaRemoteLink: a static route whose next hop is an
+// interface on a link its router is not on fails every run, so a delta
+// that adds one is rejected like an unknown router: no version is
+// published and nothing is journaled.
+func TestDeltaRejectsStaticViaRemoteLink(t *testing.T) {
+	dir := t.TempDir()
+	s := serve.NewServer(serve.Config{StatePath: dir})
+	if _, err := s.LoadSpecText(readSpec(t, "motivating.yu")); err != nil {
+		t.Fatal(err)
+	}
+	journal := func() []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, "delta.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	before, v1 := s.SpecText()
+	wal1 := journal()
+	// 4.5.0.2 is E's end of D-E; A is on neither end.
+	_, err := s.ApplyDeltas([]serve.Delta{{Op: "add-static", Router: "A", Prefix: "99.0.0.0/8", NextHop: "4.5.0.2"}})
+	if err == nil || !strings.Contains(err.Error(), "not directly connected") {
+		t.Fatalf("static via another router's link: err = %v, want it rejected as not directly connected", err)
+	}
+	if after, v2 := s.SpecText(); v1 != v2 || before != after {
+		t.Fatal("the rejected delta published a version")
+	}
+	if got := s.Metrics().Snapshot().Counters["serve.deltas_rejected"]; got != 1 {
+		t.Fatalf("serve.deltas_rejected = %d, want 1", got)
+	}
+	if !bytes.Equal(journal(), wal1) {
+		t.Fatal("the rejected delta was journaled")
+	}
+}
+
 // TestDeltaRoundTrip: an add followed by its remove must return to the
 // exact canonical text, and re-verification is then fully warm.
 func TestDeltaRoundTrip(t *testing.T) {

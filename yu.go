@@ -90,13 +90,6 @@ type (
 	// STFCache.ClassKey (core.Engine; "Exec" avoids clashing with the Engine
 	// selector constant type).
 	ExecEngine = core.Engine
-	// FlowSTF is one flow's symbolic traffic fractions, what a run seals
-	// for an STFCache. Its Links is a slice of LinkFrac in strictly
-	// ascending link order, one entry per directed link crossed.
-	FlowSTF = core.FlowSTF
-	// LinkFrac is one entry of FlowSTF.Links: the flow's fraction on one
-	// directed link.
-	LinkFrac = core.LinkFrac
 	// TLProp is one property of a portfolio evaluated by VerifyPortfolio:
 	// a link load, utilization, delivered-traffic, or delivery-ratio
 	// bound, optionally conditional on a link failure.
