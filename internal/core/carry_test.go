@@ -133,7 +133,7 @@ func TestCanceledWarmReplayGoverned(t *testing.T) {
 	spec, cold := sh.verifier(t, Options{})
 	stored := servingCache{at: make(map[routesim.Fingerprint]sealedAt)}
 	stored.serve(cold.e, cold.stfs)
-	if n := stored.at[stored.ClassKey(cold.e, cold.stfs[0].Flow)].l.Len(); n <= 1<<12 {
+	if n := stored.at[ClassKeys(cold.e, flowsOf(cold.stfs[:1]))[0]].l.Len(); n <= 1<<12 {
 		t.Fatalf("the stored list has %d entries, no more than the interrupt stride", n)
 	}
 	for _, late := range []bool{false, true} {
@@ -175,14 +175,15 @@ func TestStaleEntryIsExecuted(t *testing.T) {
 
 	bad := *cold.stfs[0]
 	bad.Links = append(slices.Clone(bad.Links), LinkFrac{Link: topo.DirLinkID(2 * spec.Net.NumLinks()), W: bad.Delivered})
-	c.at[c.ClassKey(cold.e, bad.Flow)] = sealedAt{SealSTFs([]*FlowSTF{&bad}), 0}
+	keys := ClassKeys(cold.e, flowsOf(cold.stfs[:2]))
+	c.at[keys[0]] = sealedAt{SealSTFs([]*FlowSTF{&bad}), 0}
 	bigSpec := benchShapes[1].spec(t)
 	big := NewVerifier(buildEngine(t, bigSpec, topo.FailLinks, 1, Options{}), bigSpec.Flows[:50])
 	wide := SealSTFs(big.stfs)
 	if int(wide.Snap.MaxLevel()) < cold.e.m.NumVars() {
 		t.Fatalf("the larger network's list reaches level %d, inside this one's %d variables", wide.Snap.MaxLevel(), cold.e.m.NumVars())
 	}
-	c.at[c.ClassKey(cold.e, cold.stfs[1].Flow)] = sealedAt{wide, 0}
+	c.at[keys[1]] = sealedAt{wide, 0}
 
 	e := buildEngine(t, spec, topo.FailLinks, 1, Options{STFCache: c})
 	v := NewVerifier(e, flows)

@@ -142,12 +142,6 @@ func NewEngine(rs *routesim.Result, opts Options) *Engine {
 // Manager exposes the engine's MTBDD manager (for stats and evaluation).
 func (e *Engine) Manager() *mtbdd.Manager { return e.m }
 
-// Vars exposes the failure-variable mapping.
-func (e *Engine) Vars() *routesim.FailVars { return e.fv }
-
-// Net exposes the topology.
-func (e *Engine) Net() *topo.Network { return e.net }
-
 // classifier groups destination addresses into prefix classes: two
 // addresses in the same class match exactly the same configured prefixes
 // on every router, so they share all forwarding encodings (§4.4,

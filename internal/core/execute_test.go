@@ -407,8 +407,8 @@ type sealedAt struct {
 // class's key.
 func (c *servingCache) serve(e *Engine, stfs []*FlowSTF) {
 	l := SealSTFs(stfs)
-	for i, s := range stfs {
-		c.at[c.ClassKey(e, s.Flow)] = sealedAt{l, i}
+	for i, k := range ClassKeys(e, flowsOf(stfs)) {
+		c.at[k] = sealedAt{l, i}
 	}
 }
 

@@ -10,18 +10,8 @@ import (
 )
 
 // NoCarrier is a carrier that never hits and keeps nothing; a test's carrier
-// embeds it and overrides what it carries. A class's key is its
-// representative's ingress, DSCP and destination, which fix its STF within
-// one network.
+// embeds it and overrides what it carries.
 type NoCarrier struct{}
-
-func (NoCarrier) ClassKey(_ *Engine, rep topo.Flow) routesim.Fingerprint {
-	var k routesim.Fingerprint
-	k.U64(uint64(rep.Ingress))
-	k.U64(uint64(rep.DSCP))
-	k.Addr(rep.Dst)
-	return k
-}
 
 func (NoCarrier) CarriedSTF(routesim.Fingerprint) (*SealedSTFs, int, bool) { return nil, 0, false }
 
@@ -34,6 +24,17 @@ func (NoCarrier) CarryChecks(map[routesim.Fingerprint]PlanResult, int, int) {}
 func (NoCarrier) CarriedLoad(routesim.Fingerprint) (*SealedLoads, int, bool) { return nil, 0, false }
 
 func (NoCarrier) CarryLoads(_, _ []routesim.Fingerprint, _ *SealedLoads) {}
+
+// ClassKeys is the key a build on e derives for the class of each of reps:
+// what a test plants a stored entry under.
+func ClassKeys(e *Engine, reps []topo.Flow) []routesim.Fingerprint {
+	keyer := newClassKeyer(e)
+	keys := make([]routesim.Fingerprint, len(reps))
+	for i, rep := range reps {
+		keys[i] = keyer.key(rep)
+	}
+	return keys
+}
 
 // unseal replays the whole list into m, as a session does, and returns its
 // STFs there, STF i as flows[i]'s.

@@ -68,18 +68,15 @@ func TestLoadCarriedEqualsBuilt(t *testing.T) {
 		return core.NewEngine(rs, core.Options{STFCache: cache})
 	}
 
-	// Two flows of one class — one ingress and DSCP, destinations matching
-	// the same prefixes — with different destinations. Whole volumes on every
-	// member make the class's summed volume exact whichever member carries
-	// what.
-	e := engine(nil)
-	same := func(f, g topo.Flow) bool {
-		return f.Ingress == g.Ingress && f.DSCP == g.DSCP && slices.Equal(e.ClassPrefixes(f.Dst), e.ClassPrefixes(g.Dst))
-	}
+	// Two flows of one class — one key: one ingress and DSCP, destinations
+	// matching the same prefixes — with different destinations. Whole
+	// volumes on every member make the class's summed volume exact whichever
+	// member carries what.
+	keys := core.ClassKeys(engine(nil), flows)
 	first, partner := -1, -1
 	for i := 0; i < len(flows) && partner < 0; i++ {
 		for j := i + 1; j < len(flows); j++ {
-			if same(flows[i], flows[j]) && flows[i].Dst != flows[j].Dst {
+			if keys[i] == keys[j] && flows[i].Dst != flows[j].Dst {
 				first, partner = i, j
 				break
 			}
@@ -89,8 +86,8 @@ func TestLoadCarriedEqualsBuilt(t *testing.T) {
 		t.Fatal("no class has members with different destinations")
 	}
 	f0 := flows[first]
-	for i, f := range flows {
-		if same(f, f0) {
+	for i := range flows {
+		if keys[i] == keys[first] {
 			flows[i].Gbps = 2
 		}
 	}

@@ -78,6 +78,7 @@ type execCounters struct {
 	stepsShared *obs.Counter // step lookups an already-built step answered
 	prefixes    *obs.Counter // destination prefixes execution read
 	fwdClasses  *obs.Counter // distinct forwarding classes among them
+	prefixFPs   *obs.Counter // prefixes fingerprinted for class keys: each matched one once a build
 }
 
 func newExecCounters(reg *obs.Registry) execCounters {
@@ -89,6 +90,7 @@ func newExecCounters(reg *obs.Registry) execCounters {
 		stepsShared: reg.Counter("exec.steps_shared"),
 		prefixes:    reg.Counter("exec.prefixes"),
 		fwdClasses:  reg.Counter("exec.forwarding_classes"),
+		prefixFPs:   reg.Counter("exec.prefix_fingerprints"),
 	}
 }
 

@@ -4,30 +4,28 @@ import (
 	"math"
 	"net/netip"
 
+	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
 // STFCache carries a run's results to later runs by the fingerprint of their
 // inputs (DESIGN.md §14): the STFs of its classes, the results of its checks
-// and the loads they summed. It only stores. The verifier reads each stored
-// list it hits into its own manager — once a stage, inside the governed step
-// that first reads it (session) — and hands over, sealed, what it built: a
-// carrier never builds a node in the engine's manager.
+// and the loads they summed. It only stores. The verifier derives every key
+// (classKeyer, loadKey, planKey), reads each stored list it hits into its own
+// manager — once a stage, inside the governed step that first reads it
+// (session) — and hands over, sealed, what it built: a carrier never derives
+// a key and never builds a node in the engine's manager.
 //
 // The contract the incremental daemon (internal/serve) builds on:
 //
-//   - ClassKey is the identity of class rep's execution inputs in this run:
-//     two classes with equal keys, in any runs, have the same STF. The
-//     carrier owns the soundness argument (typically a content hash of every
-//     route-sim input the execution reads).
-//   - CarriedSTF is where an earlier run sealed the STF of key: STF i of l.
-//     A carried class is indistinguishable from an execution — hash-consing
-//     makes its replayed nodes the ones executing it builds — so reports stay
-//     byte-identical, and it counts toward Report.FlowsExecuted but not the
-//     exec.flows_executed counter, which keeps measuring real executions. An
-//     entry whose variables or links do not fit the engine is executed
-//     instead, never replayed.
+//   - CarriedSTF is where an earlier run sealed the STF of the class whose
+//     key is key: STF i of l. A carried class is indistinguishable from an
+//     execution — hash-consing makes its replayed nodes the ones executing
+//     it builds — so reports stay byte-identical, and it counts toward
+//     Report.FlowsExecuted but not the exec.flows_executed counter, which
+//     keeps measuring real executions. An entry whose variables or links do
+//     not fit the engine is executed instead, never replayed.
 //   - CarrySTFs hands over what the build did with STFs, however it ended:
 //     carried are the keys it read off stored lists, and l — nil when it
 //     executed none — seals the classes it executed, STF i under keys[i], in
@@ -38,7 +36,6 @@ import (
 //     the checks to come, so once CarrySTFs has run the carrier must hold
 //     nothing only the build needs.
 type STFCache interface {
-	ClassKey(e *Engine, rep topo.Flow) routesim.Fingerprint
 	CarriedSTF(key routesim.Fingerprint) (l *SealedSTFs, i int, ok bool)
 	CarrySTFs(carried, keys []routesim.Fingerprint, l *SealedSTFs)
 	// CarriedCheck is the result an earlier complete build recorded under
@@ -57,17 +54,50 @@ type STFCache interface {
 	CarryLoads(carried, keys []routesim.Fingerprint, l *SealedLoads)
 }
 
-// RouteSim exposes the route-simulation result the engine executes over —
-// the input surface an STFCache fingerprints.
-func (e *Engine) RouteSim() *routesim.Result { return e.rs }
+// classKeyer derives the keys of one build's classes (assemble): the
+// identity of a class's execution inputs, so that two classes with equal
+// keys, in any runs, have the same STF. A key is the run-global part — the
+// topology key (router and link identity, names pinning indices, the failure
+// model, and so the IS-IS state, which is a function of them) and the
+// complete guarded SR state — then the class identity (ingress, DSCP,
+// matched prefix list) and, through each matched prefix's fingerprint,
+// every router's RIB candidates and statics for that prefix
+// (routesim.Result.HashPrefix). The run-global part is computed once a
+// build, and each matched prefix's fingerprint once however many classes
+// match it (counted in exec.prefix_fingerprints).
+type classKeyer struct {
+	e        *Engine
+	h        *mtbdd.Hasher
+	global   routesim.Fingerprint
+	prefixes map[netip.Prefix]routesim.Fingerprint
+}
 
-// ClassPrefixes returns the configured prefixes matching dst, most
-// specific first. The list is the identity of dst's prefix class: two
-// destinations with equal lists share every forwarding decision, and a
-// flow's symbolic execution reads only the RIB entries and statics of
-// these prefixes (plus the global IGP/SR state).
-func (e *Engine) ClassPrefixes(dst netip.Addr) []netip.Prefix {
-	return e.classifier.matchedPrefixes(e.classifier.classOf(dst))
+func newClassKeyer(e *Engine) *classKeyer {
+	ck := &classKeyer{e: e, h: mtbdd.NewHasher(), global: routesim.Fingerprint(e.fv.Key()),
+		prefixes: make(map[netip.Prefix]routesim.Fingerprint)}
+	ck.global.Add(e.rs.HashSR(ck.h))
+	return ck
+}
+
+// key is the key of the class rep represents.
+func (ck *classKeyer) key(rep topo.Flow) routesim.Fingerprint {
+	e := ck.e
+	k := ck.global
+	k.Str(e.net.Router(rep.Ingress).Name)
+	k.U64(uint64(rep.DSCP))
+	prefixes := e.classifier.matchedPrefixes(e.classifier.classOf(rep.Dst))
+	k.U64(uint64(len(prefixes)))
+	for _, pfx := range prefixes {
+		fp, ok := ck.prefixes[pfx]
+		if !ok {
+			fp = e.rs.HashPrefix(pfx, ck.h)
+			ck.prefixes[pfx] = fp
+			e.count.prefixFPs.Inc()
+		}
+		k.Prefix(pfx)
+		k.Add(fp)
+	}
+	return k
 }
 
 // checkBase fingerprints what every plan of the run shares: the variable

@@ -205,7 +205,7 @@ type Verifier struct {
 	// sched summarizes the execution phase's scheduling (see SchedStats).
 	sched SchedStats
 	// classKeys, parallel to stfs, are the classes' keys for carried checks
-	// and loads: the carrier's identity of the class and its summed volume.
+	// and loads: each class's key (classKeyer) and its summed volume.
 	// carrier is the run's (Options.STFCache), nil on a run with none; a
 	// verifier keeps it through Trim.
 	classKeys []routesim.Fingerprint
@@ -260,13 +260,18 @@ func NewParallelVerifier(e *Engine, flows []topo.Flow, workers int) *Verifier {
 // one governed step. The loop that follows gives every class still without an
 // STF here, in class order, the one its key carries (CarriedSTF), replayed as
 // a governed step, or else executes it; the session then hands over what it
-// carried and, sealed, what it executed. The first fatal error stops assembly
-// with the leading classes finished so far intact.
+// carried and, sealed, what it executed. Keys are derived only with a
+// carrier, over this build alone. The first fatal error stops assembly with
+// the leading classes finished so far intact.
 func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 	e := v.e
 	c := e.opts.STFCache
 	if len(sealed) > 0 {
 		c = nil // an unsealed class has no key
+	}
+	var keyer *classKeyer
+	if c != nil {
+		keyer = newClassKeyer(e)
 	}
 	s := newSession[*SealedSTFs](e)
 	defer s.end()
@@ -300,7 +305,7 @@ func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 		rep := v.classes[n].rep
 		var k routesim.Fingerprint
 		if c != nil {
-			k = c.ClassKey(e, rep)
+			k = keyer.key(rep)
 			if l, i, ok := c.CarriedSTF(k); ok && l.fits(e, i) {
 				if v.err = e.ladder(stfs, func() { stfs[n] = l.stf(s.table(l), i, rep) }); v.err != nil {
 					break

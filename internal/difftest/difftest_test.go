@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/yu-verify/yu/internal/canon"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -40,11 +41,11 @@ func TestDiffGeneratorDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		a := MustNew(seed, Options{})
 		b := MustNew(seed, Options{})
-		ta, err := FormatSpec(a.Spec)
+		ta, err := canon.FormatSpec(a.Spec)
 		if err != nil {
 			t.Fatalf("seed %d: format: %v", seed, err)
 		}
-		tb, err := FormatSpec(b.Spec)
+		tb, err := canon.FormatSpec(b.Spec)
 		if err != nil {
 			t.Fatalf("seed %d: format: %v", seed, err)
 		}
@@ -98,7 +99,7 @@ func TestDiffShrink(t *testing.T) {
 		}
 		// The minimized blueprint must still build and format: it is what
 		// cmd/yudiff prints as the reproducer.
-		if _, err := FormatSpec(small.Spec); err != nil {
+		if _, err := canon.FormatSpec(small.Spec); err != nil {
 			t.Errorf("seed %d: shrunk spec does not format: %v", seed, err)
 		}
 	}

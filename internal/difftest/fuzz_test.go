@@ -117,7 +117,7 @@ func FuzzTLPPortfolio(f *testing.F) {
 // FuzzSpecRoundTrip is the parser/formatter differential: any DSL text the
 // parser accepts must format to a fixpoint — Format(Parse(Format(Parse(x))))
 // equals Format(Parse(x)) — so cmd/yudiff reproducer specs never drift.
-// Unrepresentable-but-parseable specs (FormatSpec returns an error) are
+// Unrepresentable-but-parseable specs (canon.FormatSpec returns an error) are
 // skipped; parse rejections are fine; panics are not.
 func FuzzSpecRoundTrip(f *testing.F) {
 	f.Add("router a as 1\nrouter b as 1\nlink a b\nflow f ingress a dst 10.0.0.2 gbps 1\n")
@@ -128,7 +128,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		txt1, err := FormatSpec(n.Spec())
+		txt1, err := canon.FormatSpec(n.Spec())
 		if err != nil {
 			return // parseable but not representable: fine
 		}
@@ -136,7 +136,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("formatted spec does not re-parse: %v\n%s", err, txt1)
 		}
-		txt2, err := FormatSpec(n2.Spec())
+		txt2, err := canon.FormatSpec(n2.Spec())
 		if err != nil {
 			t.Fatalf("re-parsed spec does not re-format: %v\n%s", err, txt1)
 		}

@@ -41,14 +41,14 @@ func TestModularByteIdentitySweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := FormatReport(n.Topology(), mono)
+				want := canon.FormatReport(n.Topology(), mono)
 				for _, domains := range []int{2, 4} {
 					opts.AutoDomains = domains
 					rep, err := n.Verify(opts)
 					if err != nil {
 						t.Fatalf("auto-domains=%d: %v", domains, err)
 					}
-					if got := FormatReport(n.Topology(), rep); got != want {
+					if got := canon.FormatReport(n.Topology(), rep); got != want {
 						t.Errorf("auto-domains=%d report differs from monolithic\n--- monolithic ---\n%s--- modular ---\n%s",
 							domains, want, got)
 					}

@@ -146,8 +146,8 @@ func OracleViolationSets(c *Case) error {
 	if err != nil {
 		return err
 	}
-	a := ViolationKeys(c.Spec.Net, yuRep.Violations)
-	b := ViolationKeys(c.Spec.Net, enumRep.Violations)
+	a := canon.ViolationKeys(c.Spec.Net, yuRep.Violations)
+	b := canon.ViolationKeys(c.Spec.Net, enumRep.Violations)
 	if err := sameStringSets(a, b); err != nil {
 		return fmt.Errorf("symbolic vs enumerate: %w", err)
 	}
@@ -163,7 +163,7 @@ func OracleViolationSets(c *Case) error {
 // fanning the result out to every member must equal verdicts from
 // executing every flow individually. Violation sets and the overall
 // verdict must match exactly; load values may differ only by float
-// association noise, which ViolationKeys' fixed-precision rendering
+// association noise, which canon.ViolationKeys' fixed-precision rendering
 // absorbs. Every input flow is either a class's representative or one of its
 // dedup hits.
 func OracleGlobalEquiv(c *Case) error {
@@ -182,8 +182,8 @@ func OracleGlobalEquiv(c *Case) error {
 		return fmt.Errorf("%d dedup hits for %d flows / %d executed",
 			dedup, len(c.Spec.Flows), shared.FlowsExecuted)
 	}
-	a := ViolationKeys(c.Spec.Net, perFlow.Violations)
-	b := ViolationKeys(c.Spec.Net, shared.Violations)
+	a := canon.ViolationKeys(c.Spec.Net, perFlow.Violations)
+	b := canon.ViolationKeys(c.Spec.Net, shared.Violations)
 	if err := sameStringSets(a, b); err != nil {
 		return fmt.Errorf("per-flow vs class-shared: %w", err)
 	}
@@ -206,9 +206,9 @@ func OracleMonotonicity(c *Case) error {
 	if err != nil {
 		return err
 	}
-	small := ViolationKeys(c.Spec.Net, repK.Violations)
+	small := canon.ViolationKeys(c.Spec.Net, repK.Violations)
 	big := make(map[string]bool)
-	for _, k := range ViolationKeys(c.Spec.Net, repK1.Violations) {
+	for _, k := range canon.ViolationKeys(c.Spec.Net, repK1.Violations) {
 		big[k] = true
 	}
 	for _, k := range small {
@@ -315,7 +315,7 @@ func OracleWitnessRevalidation(c *Case) error {
 // text (fixpoint) and (b) verification of the re-parsed spec renders a
 // byte-identical report — so cmd/yudiff reproducer specs are faithful.
 func OracleSpecRoundTrip(c *Case) error {
-	txt, err := FormatSpec(c.Spec)
+	txt, err := canon.FormatSpec(c.Spec)
 	if err != nil {
 		return err
 	}
@@ -323,7 +323,7 @@ func OracleSpecRoundTrip(c *Case) error {
 	if err != nil {
 		return fmt.Errorf("re-parse failed: %w\n%s", err, txt)
 	}
-	txt2, err := FormatSpec(n2.Spec())
+	txt2, err := canon.FormatSpec(n2.Spec())
 	if err != nil {
 		return err
 	}
@@ -338,7 +338,7 @@ func OracleSpecRoundTrip(c *Case) error {
 	if err != nil {
 		return err
 	}
-	ra, rb := FormatReport(c.Spec.Net, rep1), FormatReport(n2.Spec().Net, rep2)
+	ra, rb := canon.FormatReport(c.Spec.Net, rep1), canon.FormatReport(n2.Spec().Net, rep2)
 	if ra != rb {
 		return fmt.Errorf("re-parsed spec verifies differently\n--- original ---\n%s--- round-tripped ---\n%s", ra, rb)
 	}
@@ -390,7 +390,7 @@ func OracleGovernance(c *Case) error {
 	if err != nil {
 		return err
 	}
-	baseKeys := ViolationKeys(net, base.Violations)
+	baseKeys := canon.ViolationKeys(net, base.Violations)
 	for _, budget := range []int{64, 4000} {
 		opts = verifyOpts(c, c.K, yu.EngineYU)
 		opts.MaxNodes = budget
@@ -406,7 +406,7 @@ func OracleGovernance(c *Case) error {
 		if rep1.Incomplete {
 			return fmt.Errorf("degrade budget=%d: report left incomplete — the ladder must bottom out in a verdict", budget)
 		}
-		if a, b := FormatReport(net, rep1), FormatReport(net, rep2); a != b {
+		if a, b := canon.FormatReport(net, rep1), canon.FormatReport(net, rep2); a != b {
 			return fmt.Errorf("degrade budget=%d is nondeterministic\n--- first ---\n%s--- second ---\n%s", budget, a, b)
 		}
 		// Every degraded-mode verdict must be a baseline verdict...
@@ -414,7 +414,7 @@ func OracleGovernance(c *Case) error {
 		for _, k := range baseKeys {
 			baseSet[k] = true
 		}
-		degKeys := ViolationKeys(net, rep1.Violations)
+		degKeys := canon.ViolationKeys(net, rep1.Violations)
 		degSet := make(map[string]bool, len(degKeys))
 		for _, k := range degKeys {
 			if !baseSet[k] {
@@ -455,7 +455,7 @@ func OracleModularVsMonolithic(c *Case) error {
 	if err != nil {
 		return err
 	}
-	monoTxt := FormatReport(net, mono)
+	monoTxt := canon.FormatReport(net, mono)
 	props, _ := mirrorPortfolio(c)
 	monoPort, err := n.VerifyPortfolio(props, verifyOpts(c, c.K, yu.EngineYU))
 	if err != nil {
@@ -470,7 +470,7 @@ func OracleModularVsMonolithic(c *Case) error {
 		if err != nil {
 			return fmt.Errorf("domains=%d: %w", domains, err)
 		}
-		if txt := FormatReport(net, rep); txt != monoTxt {
+		if txt := canon.FormatReport(net, rep); txt != monoTxt {
 			return fmt.Errorf("domains=%d report differs\n--- monolithic ---\n%s--- modular ---\n%s",
 				domains, monoTxt, txt)
 		}

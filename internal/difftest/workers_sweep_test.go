@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"github.com/yu-verify/yu"
+	"github.com/yu-verify/yu/internal/canon"
 )
 
 // TestWorkersByteIdentitySweep holds Workers to being an accepted no-op on
 // every checked-in example network: for each testdata spec and failure
-// budget, the canonical report rendering (FormatReport, which excludes
+// budget, the canonical report rendering (canon.FormatReport, which excludes
 // wall-clock fields) is identical at every worker count, and every run
 // reports one worker.
 func TestWorkersByteIdentitySweep(t *testing.T) {
@@ -39,14 +40,14 @@ func TestWorkersByteIdentitySweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := FormatReport(n.Topology(), baseline)
+				want := canon.FormatReport(n.Topology(), baseline)
 				for _, w := range []int{2, 4, 8} {
 					opts.Workers = w
 					rep, err := n.Verify(opts)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
 					}
-					if got := FormatReport(n.Topology(), rep); got != want {
+					if got := canon.FormatReport(n.Topology(), rep); got != want {
 						t.Errorf("workers=%d report differs from sequential\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
 							w, want, w, got)
 					}

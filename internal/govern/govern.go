@@ -9,6 +9,7 @@ package govern
 import (
 	"context"
 	"errors"
+	"time"
 )
 
 var (
@@ -40,10 +41,18 @@ func CtxErr(err error) error {
 }
 
 // Check polls a context, tolerating nil (a nil context never cancels),
-// and returns the mapped governance error.
+// and returns the mapped governance error. A deadline that has passed is
+// ErrDeadline at once: ctx.Err() says so only once the deadline's timer has
+// fired, which a loaded scheduler can leave for later.
 func Check(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}
-	return CtxErr(ctx.Err())
+	if err := ctx.Err(); err != nil {
+		return CtxErr(err)
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return ErrDeadline
+	}
+	return nil
 }

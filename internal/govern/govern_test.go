@@ -43,3 +43,26 @@ func TestCtxErrAndCheck(t *testing.T) {
 		t.Errorf("Check(expired) = %v, want ErrDeadline", err)
 	}
 }
+
+// lateCtx is a context whose deadline has passed but whose Err is still nil:
+// what a deadline context reads between its deadline and its timer's firing.
+type lateCtx struct{ context.Context }
+
+func (lateCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestCheckPastDeadline: a context past its deadline is ErrDeadline to Check
+// even while its Err is nil, and one whose deadline is ahead is not.
+func TestCheckPastDeadline(t *testing.T) {
+	late := lateCtx{context.Background()}
+	if late.Err() != nil {
+		t.Fatal("the late context reports an error of its own")
+	}
+	if err := Check(late); err != ErrDeadline {
+		t.Errorf("Check(past deadline, nil Err) = %v, want ErrDeadline", err)
+	}
+	ahead, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if err := Check(ahead); err != nil {
+		t.Errorf("Check(deadline an hour ahead) = %v", err)
+	}
+}

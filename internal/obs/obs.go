@@ -308,7 +308,6 @@ var ServeCounterNames = []string{
 	"serve.tlp_requests",            // portfolio evaluations served via POST /v1/tlp
 	"serve.builds",                  // builds run (route simulation + execution or replay); at most one per version
 	"serve.tlp_retained",            // portfolio evaluations answered on an already verified version: no build
-	"serve.prefix_fingerprints",     // per-prefix fingerprints computed for class keys (distinct matched prefixes per build)
 	"serve.igp_carried",             // builds that replayed the IS-IS result an earlier build on the same topology sealed
 	"serve.bgp_prefixes_carried",    // BGP prefixes replayed from the result an earlier build sealed, summed over builds
 	"serve.bgp_prefixes_recomputed", // BGP prefixes a build recomputed (its inputs moved, or nothing was carried), summed over builds

@@ -5,19 +5,17 @@ package serve
 
 import (
 	"cmp"
-	"net/netip"
 	"slices"
 	"sync"
 
 	"github.com/yu-verify/yu/internal/core"
-	"github.com/yu-verify/yu/internal/mtbdd"
 	"github.com/yu-verify/yu/internal/obs"
 	"github.com/yu-verify/yu/internal/routesim"
-	"github.com/yu-verify/yu/internal/topo"
 )
 
-// cacheKey is the 128-bit content fingerprint of one equivalence class's
-// complete execution input surface (runCache.classKey).
+// cacheKey is the 128-bit content fingerprint of what a stored entry was
+// built from: a class's execution inputs, or a load's classes (core derives
+// both).
 type cacheKey = routesim.Fingerprint
 
 // sealedList is what a store keeps entries of: a sealed list of STFs
@@ -273,83 +271,19 @@ const loadLimit = 1024
 
 // runCache is one build's carrier (core.STFCache) over the server's stores of
 // classes, check results and loads, and its carrier of IS-IS and BGP results
-// (routesim.Carrier). It only stores: core reads each stored list it hits
-// into the build's manager and hands back, sealed, what the build executed
-// and summed.
-//
-// Its class keys memoize the run-global fingerprint (topology, failure model,
-// SR), each matched prefix's fingerprint and the guard hasher, so a key costs
-// a handful of words and a run hashes each prefix's RIB rows once, however
-// many classes match it. The build's verifier keeps its carrier for the
-// loads of the checks to come, so CarrySTFs, which ends the build's use of
-// class keys, drops the memo: a kept verifier holds the server and the
-// build's counts.
+// (routesim.Carrier). It only stores: core derives every key, reads each
+// stored list it hits into the build's manager and hands back, sealed, what
+// the build executed and summed. The build's verifier keeps its carrier for
+// the loads of the checks to come, so it holds the server and the build's
+// counts and nothing else.
 type runCache struct {
 	srv          *Server
-	keys         *keyMemo
 	hits, misses int64
-}
-
-// keyMemo is what deriving class keys memoizes over one build.
-type keyMemo struct {
-	hasher      *mtbdd.Hasher
-	global      cacheKey
-	globalReady bool
-	prefixes    map[netip.Prefix]cacheKey
 }
 
 // carriedHook is a test hook, never set by library code: when non-nil,
 // CarriedSTF calls it first.
 var carriedHook func(*runCache)
-
-func newRunCache(s *Server) *runCache {
-	return &runCache{srv: s, keys: &keyMemo{hasher: mtbdd.NewHasher(), prefixes: make(map[netip.Prefix]cacheKey)}}
-}
-
-// globalFP fingerprints everything every class execution reads: the
-// topology key — router and link identity (names pin indices), the failure
-// model, and so the IS-IS state, which is a function of them — and the
-// complete guarded SR state.
-func (m *keyMemo) globalFP(e *core.Engine) cacheKey {
-	if !m.globalReady {
-		m.global = routesim.Fingerprint(e.Vars().Key())
-		m.global.Add(e.RouteSim().HashSR(m.hasher))
-		m.globalReady = true
-	}
-	return m.global
-}
-
-// prefixFP fingerprints what forwarding pfx reads anywhere in the network
-// (routesim.Result.HashPrefix). Classes share matched prefixes (some 1 740
-// classes match 36 on the benchmark's daemon input), so it is computed
-// once a run.
-func (rc *runCache) prefixFP(e *core.Engine, pfx netip.Prefix) cacheKey {
-	m := rc.keys
-	if fp, ok := m.prefixes[pfx]; ok {
-		return fp
-	}
-	fp := e.RouteSim().HashPrefix(pfx, m.hasher)
-	m.prefixes[pfx] = fp
-	rc.srv.reg.Counter("serve.prefix_fingerprints").Inc()
-	return fp
-}
-
-// ClassKey implements core.STFCache: it fingerprints one class's execution
-// inputs — the run-global state plus the class identity (ingress, DSCP,
-// matched prefix list) and, through each matched prefix's fingerprint, every
-// router's RIB candidates and statics for those prefixes.
-func (rc *runCache) ClassKey(e *core.Engine, rep topo.Flow) cacheKey {
-	k := rc.keys.globalFP(e)
-	k.Str(e.Net().Router(rep.Ingress).Name)
-	k.U64(uint64(rep.DSCP))
-	prefixes := e.ClassPrefixes(rep.Dst)
-	k.U64(uint64(len(prefixes)))
-	for _, pfx := range prefixes {
-		k.Prefix(pfx)
-		k.Add(rc.prefixFP(e, pfx))
-	}
-	return k
-}
 
 // CarriedIGP implements routesim.Carrier: the IS-IS result an earlier
 // build sealed, when it was sealed under key — the same routers and links,
@@ -415,7 +349,7 @@ func (rc *runCache) CarriedSTF(key cacheKey) (*core.SealedSTFs, int, bool) {
 // CarrySTFs implements core.STFCache: the build's STF stage is over. The
 // classes it carried are kept and those it executed go in as one list, which
 // holds no node, so it never keeps the build's manager alive; its counts are
-// the build's, and the key memo goes.
+// the build's.
 func (rc *runCache) CarrySTFs(carried, keys []cacheKey, l *core.SealedSTFs) {
 	s := rc.srv
 	rc.hits, rc.misses = int64(len(carried)), int64(len(keys))
@@ -425,7 +359,6 @@ func (rc *runCache) CarrySTFs(carried, keys []cacheKey, l *core.SealedSTFs) {
 	if s.everRan.Load() {
 		s.reg.Counter("serve.dirty_classes").Add(rc.misses)
 	}
-	rc.keys = nil
 }
 
 // CarriedCheck implements core.STFCache: the result the latest complete

@@ -6,6 +6,7 @@ package serve
 import (
 	"errors"
 	"net/netip"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -14,6 +15,8 @@ import (
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/core"
 	"github.com/yu-verify/yu/internal/gen"
+	"github.com/yu-verify/yu/internal/mtbdd"
+	"github.com/yu-verify/yu/internal/routesim"
 	"github.com/yu-verify/yu/internal/topo"
 )
 
@@ -104,25 +107,17 @@ func daemonSized(t testing.TB) (*config.Spec, string, Config) {
 	return spec, text, Config{K: 1, Mode: topo.FailLinks, ModeSet: true, OverloadFactor: 1}
 }
 
-// classRecord is what a cold build of a version executes, class by class:
-// each class's key and summed volume, and the sealed list of every STF the
-// build executed — STF i the class of keys[i].
+// classRecord is a carrier that never hits and records what a cold build
+// executed: the keys core handed it, in class order, and the sealed list of
+// every STF — STF i the class of keys[i].
 type classRecord struct {
-	rc   *runCache
 	keys []cacheKey
-	gbps []float64
 	stfs *core.SealedSTFs
-}
-
-func (c *classRecord) ClassKey(e *core.Engine, rep topo.Flow) cacheKey {
-	c.keys = append(c.keys, c.rc.ClassKey(e, rep))
-	c.gbps = append(c.gbps, rep.Gbps)
-	return c.keys[len(c.keys)-1]
 }
 
 func (c *classRecord) CarriedSTF(cacheKey) (*core.SealedSTFs, int, bool) { return nil, 0, false }
 
-func (c *classRecord) CarrySTFs(_, _ []cacheKey, l *core.SealedSTFs) { c.stfs = l }
+func (c *classRecord) CarrySTFs(_, keys []cacheKey, l *core.SealedSTFs) { c.keys, c.stfs = keys, l }
 
 func (c *classRecord) CarriedCheck(cacheKey) (core.PlanResult, bool) { return core.PlanResult{}, false }
 
@@ -138,29 +133,75 @@ type linkInput struct {
 	gbps float64
 }
 
-// recordClasses builds text cold under cfg, every class executed, and
-// returns its classes and, per directed link, the (key, volume) of each
-// class on it in class order.
+// recordClasses executes every class of text under cfg's failure model on a
+// fresh engine and returns its classes and, per directed link, the (key,
+// summed volume) of each class on it in class order.
 func recordClasses(t *testing.T, text string, cfg Config) (*classRecord, map[topo.DirLinkID][]linkInput) {
 	t.Helper()
 	spec, err := config.ParseSpecString(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &classRecord{rc: newRunCache(NewServer(Config{}))}
-	if _, err := yu.FromSpec(spec).Build(yu.VerifyOptions{K: cfg.K, Mode: cfg.Mode, ModeSet: cfg.ModeSet, OverloadFactor: cfg.OverloadFactor, STFCache: rec}); err != nil {
+	k, mode := spec.K, spec.Mode
+	if cfg.K > 0 {
+		k = cfg.K
+	}
+	if cfg.ModeSet {
+		mode = cfg.Mode
+	}
+	rs, err := routesim.Run(routesim.NewFailVars(mtbdd.New(), spec.Net, mode, k), spec.Configs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.stfs == nil || len(rec.stfs.STFs) != len(rec.keys) {
-		t.Fatalf("%d classes keyed, not all executed", len(rec.keys))
+	rec := &classRecord{}
+	v := core.NewVerifier(core.NewEngine(rs, core.Options{STFCache: rec}), spec.Flows)
+	if err := v.Err(); err != nil {
+		t.Fatal(err)
+	}
+	classes := v.FlowSTFs()
+	if rec.stfs == nil || len(rec.stfs.STFs) != len(classes) || len(rec.keys) != len(classes) {
+		t.Fatalf("%d of %d classes keyed, not all executed", len(rec.keys), len(classes))
 	}
 	lists := make(map[topo.DirLinkID][]linkInput)
-	for i, s := range rec.stfs.STFs {
-		for _, l := range s.Links {
-			lists[l] = append(lists[l], linkInput{rec.keys[i], rec.gbps[i]})
+	for i, s := range classes {
+		for _, lf := range s.Links {
+			lists[lf.Link] = append(lists[lf.Link], linkInput{rec.keys[i], s.Flow.Gbps})
 		}
 	}
 	return rec, lists
+}
+
+// keyRecord is the daemon's carrier, recording the keys core hands its
+// CarrySTFs.
+type keyRecord struct {
+	*runCache
+	keys []cacheKey
+}
+
+func (c *keyRecord) CarrySTFs(carried, keys []cacheKey, l *core.SealedSTFs) {
+	c.keys = keys
+	c.runCache.CarrySTFs(carried, keys, l)
+}
+
+// TestClassKeysIgnoreTheCarrier: core derives every class key, so a cold
+// build of testdata/wan-1.yu hands the daemon's carrier and a test carrier
+// that shares none of its code the same keys, in the same order.
+func TestClassKeysIgnoreTheCarrier(t *testing.T) {
+	n, err := yu.LoadFile(filepath.Join("..", "..", "testdata", "wan-1.yu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := &keyRecord{runCache: &runCache{srv: NewServer(Config{})}}
+	rec := &classRecord{}
+	for _, c := range []core.STFCache{daemon, rec} {
+		if _, err := n.Build(yu.VerifyOptions{K: 1, STFCache: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rec.keys) < 2 || !slices.Equal(daemon.keys, rec.keys) {
+		t.Fatalf("the daemon's carrier was handed %d keys, the test carrier %d; equal in order: %v",
+			len(daemon.keys), len(rec.keys), slices.Equal(daemon.keys, rec.keys))
+	}
 }
 
 // TestChecksCarriedByInputs: on the daemon-sized input, a delta's build

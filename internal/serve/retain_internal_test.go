@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 	"github.com/yu-verify/yu/internal/config"
 	"github.com/yu-verify/yu/internal/fault"
 	"github.com/yu-verify/yu/internal/gen"
-	"github.com/yu-verify/yu/internal/mtbdd"
 )
 
 // scaled is a soak count: as given, a tenth of it under -short.
@@ -196,58 +194,8 @@ func TestSupersededVersionIsCollected(t *testing.T) {
 	}
 }
 
-// TestTrimmedBuildKeepsNoKeyMemo: a version's kept build holds its carrier
-// for the loads of the queries to come, and nothing of it only the build
-// needed — while the version stays current and its queries carry loads, the
-// build's guard hasher (which holds every guard it hashed) and its prefix
-// memo are collected.
-func TestTrimmedBuildKeepsNoKeyMemo(t *testing.T) {
-	in := soakInputs(t)["wan-20"]
-	s := NewServer(Config{K: 1})
-	freed := make(chan string, 2)
-	var once sync.Once
-	carriedHook = func(rc *runCache) {
-		once.Do(func() {
-			runtime.SetFinalizer(rc.keys, func(*keyMemo) { freed <- "prefix memo" })
-			runtime.SetFinalizer(rc.keys.hasher, func(*mtbdd.Hasher) { freed <- "guard hasher" })
-		})
-	}
-	defer func() { carriedHook = nil }()
-	id, err := s.LoadSpecText(in[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := s.Report(); err != nil || res.Err != nil {
-		t.Fatalf("report: %v %v", err, res.Err)
-	}
-	carriedHook = nil
-	query := func() {
-		t.Helper()
-		if res, err := s.EvalPortfolioCtx(context.Background(), in[1]); err != nil || res.Err != nil || res.Version != id {
-			t.Fatalf("query: %v %v, version %d of %d", err, res.Err, res.Version, id)
-		}
-	}
-	deadline := time.After(10 * time.Second)
-	for got := 0; got < 2; {
-		query()
-		runtime.GC()
-		select {
-		case what := <-freed:
-			t.Logf("the build's %s was collected", what)
-			got++
-		case <-deadline:
-			t.Fatalf("%d of the build's guard hasher and prefix memo collected; the kept build still reaches the rest", got)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	before := s.reg.Snapshot().Counters["serve.loads_carried"]
-	query()
-	if s.reg.Snapshot().Counters["serve.loads_carried"] == before || s.Version() != id {
-		t.Fatalf("a repeated query carried no load, or version %d is no longer current", id)
-	}
-}
-
-// TestPrefixFingerprintsPinned pins the work of the key derivation the way
+// TestPrefixFingerprintsPinned pins the work of core's class-key derivation
+// in the daemon's builds (exec.prefix_fingerprints) the way
 // routesim's TestCreatedNodesPinned pins nodes: a cold run fingerprints each
 // distinct prefix its classes match once — 36 on the benchmark's daemon
 // shape, however many classes (hundreds) and routers (60) there are — and a
@@ -278,7 +226,7 @@ func TestPrefixFingerprintsPinned(t *testing.T) {
 	if classes < 10*int64(len(matched)) {
 		t.Fatalf("only %d classes: the shape no longer separates classes from prefixes", classes)
 	}
-	count := func() int64 { return s.reg.Snapshot().Counters["serve.prefix_fingerprints"] }
+	count := func() int64 { return s.reg.Snapshot().Counters["exec.prefix_fingerprints"] }
 	cold := count()
 	if cold != int64(len(matched)) {
 		t.Errorf("a cold run of %d classes computed %d prefix fingerprints, want %d (one per distinct matched prefix)", classes, cold, len(matched))

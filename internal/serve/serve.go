@@ -477,7 +477,7 @@ func (v *version) compute() {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.VerifyTimeout)
 		defer cancel()
 	}
-	rc := newRunCache(s)
+	rc := &runCache{srv: s}
 	s.reg.Counter("serve.builds").Inc()
 	b, err := yu.FromSpec(v.spec).Build(yu.VerifyOptions{
 		K:              s.cfg.K,

@@ -94,7 +94,7 @@ func TestTLPWarm(t *testing.T) {
 	}
 
 	after := s.Metrics().Snapshot().Counters
-	for _, name := range []string{"routesim.bgp_rounds", "exec.flows_executed", "serve.class_cache_hits", "serve.class_cache_misses", "serve.builds", "serve.prefix_fingerprints"} {
+	for _, name := range []string{"routesim.bgp_rounds", "exec.flows_executed", "serve.class_cache_hits", "serve.class_cache_misses", "serve.builds", "exec.prefix_fingerprints"} {
 		if before[name] != after[name] {
 			t.Errorf("%s advanced %d -> %d across a query on a verified version", name, before[name], after[name])
 		}

@@ -57,8 +57,7 @@ func TestWorkersIsANoOp(t *testing.T) {
 
 // countingCache is a carrier of STFs alone that keeps every list it is
 // handed, so a later run's manager can replay it, and counts what the
-// verifier asked of it. A class's key is its representative's ingress, DSCP
-// and destination, which fix its STF within one network.
+// verifier asked of it.
 type countingCache struct {
 	stfs                  map[routesim.Fingerprint]storedSTF
 	lookups, hits, stores int
@@ -67,14 +66,6 @@ type countingCache struct {
 type storedSTF struct {
 	l *core.SealedSTFs
 	i int
-}
-
-func (c *countingCache) ClassKey(_ *yu.ExecEngine, rep topo.Flow) routesim.Fingerprint {
-	var k routesim.Fingerprint
-	k.U64(uint64(rep.Ingress))
-	k.U64(uint64(rep.DSCP))
-	k.Addr(rep.Dst)
-	return k
 }
 
 func (c *countingCache) CarriedSTF(key routesim.Fingerprint) (*core.SealedSTFs, int, bool) {

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"github.com/yu-verify/yu"
-	"github.com/yu-verify/yu/internal/difftest"
+	"github.com/yu-verify/yu/internal/canon"
 	"github.com/yu-verify/yu/internal/flowgen"
 	"github.com/yu-verify/yu/internal/gen"
 )
@@ -26,7 +26,7 @@ func TestXCheckWANEngines(t *testing.T) {
 	}
 	n := yu.FromSpec(wan)
 	keysOf := func(rep *yu.Report) []string {
-		return difftest.ViolationKeys(n.Topology(), rep.Violations)
+		return canon.ViolationKeys(n.Topology(), rep.Violations)
 	}
 	yuRep, err := n.Verify(yu.VerifyOptions{K: 1, OverloadFactor: 1.0, Flows: flows})
 	if err != nil {
@@ -37,7 +37,7 @@ func TestXCheckWANEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := keysOf(yuRep), keysOf(yuRep2)
-	if difftest.FormatReport(n.Topology(), yuRep) != difftest.FormatReport(n.Topology(), yuRep2) {
+	if canon.FormatReport(n.Topology(), yuRep) != canon.FormatReport(n.Topology(), yuRep2) {
 		t.Fatalf("nondeterministic reports: %v vs %v", a, b)
 	}
 	enumRep, err := n.Verify(yu.VerifyOptions{K: 1, OverloadFactor: 1.0, Flows: flows, Engine: yu.EngineEnumerate, Incremental: true})

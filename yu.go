@@ -80,16 +80,12 @@ type (
 	// STFCache is the cross-run carrier of a build (VerifyOptions.STFCache):
 	// it stores, by the fingerprint of their inputs, the STFs a run
 	// executed and the loads it summed, as sealed lists, and its check
-	// results. A hook only stores: the run replays what it carries into its
-	// own manager, each list once a stage, and never has the hook build a
-	// node there. Implementations must honor the contract documented on
-	// core.STFCache; the incremental daemon (internal/serve) is the
-	// canonical one.
+	// results. A hook only stores: the run derives every key, replays what
+	// it carries into its own manager, each list once a stage, and never has
+	// the hook build a node there. Implementations must honor the contract
+	// documented on core.STFCache; the incremental daemon (internal/serve)
+	// is the canonical one.
 	STFCache = core.STFCache
-	// ExecEngine is the symbolic execution engine handed to
-	// STFCache.ClassKey (core.Engine; "Exec" avoids clashing with the Engine
-	// selector constant type).
-	ExecEngine = core.Engine
 	// TLProp is one property of a portfolio evaluated by VerifyPortfolio:
 	// a link load, utilization, delivered-traffic, or delivery-ratio
 	// bound, optionally conditional on a link failure.
@@ -264,9 +260,9 @@ type VerifyOptions struct {
 	// results, check results and loads from previous runs (EngineYU,
 	// monolithic builds): a class whose key the hook stored is replayed, not
 	// executed, and what the run executes is handed to the hook, sealed. The
-	// hook stores sealed lists and never builds a node in the run's manager.
-	// Soundness is its responsibility — see the core.STFCache contract.
-	// Reports remain byte-identical to uncached runs when it honors it. A
+	// run derives every key; the hook stores sealed lists under them and
+	// never builds a node in the run's manager. Reports remain byte-identical
+	// to uncached runs when it honors the core.STFCache contract. A
 	// hook that also implements routesim.Carrier carries IS-IS results
 	// between the monolithic builds of one topology, and BGP results prefix
 	// by prefix.
