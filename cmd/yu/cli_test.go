@@ -121,6 +121,7 @@ type metricsDoc struct {
 	Managers []struct {
 		Name       string `json:"name"`
 		CacheBytes uint64 `json:"cache_bytes"`
+		NodeBytes  uint64 `json:"node_bytes"`
 	} `json:"managers"`
 }
 
@@ -182,6 +183,9 @@ func TestRunVerifyMetricsJSON(t *testing.T) {
 	for _, m := range doc.Managers {
 		if m.CacheBytes == 0 {
 			t.Errorf("manager %s does not say what its tables cost: %+v", m.Name, m)
+		}
+		if m.NodeBytes == 0 {
+			t.Errorf("manager %s does not say what its node slabs cost: %+v", m.Name, m)
 		}
 	}
 

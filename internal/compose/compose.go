@@ -244,7 +244,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 							mapped[gi][pfx] = out
 						}
 					}
-					snap, at := mtbdd.NewSnapshot(roots)
+					snap, at := mtbdd.NewSnapshot(mgrs[group[0].home], roots)
 					var table []*mtbdd.Node
 					if err := mtbdd.Guard(func() { table = mgrs[d].ImportSnapshot(snap) }); err != nil {
 						return err
@@ -439,7 +439,7 @@ func Build(net *topo.Network, cfgs config.Configs, part *topo.Partition, flows [
 					contained[d] = append(contained[d], ci)
 				}
 			}
-			sealed[d] = core.SealSTFs(kept)
+			sealed[d] = core.SealSTFs(mgrs[d], kept)
 		}(d)
 	}
 	wg.Wait()

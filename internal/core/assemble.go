@@ -38,8 +38,9 @@ type SealedSTF struct {
 	shared     bool
 }
 
-// SealSTFs seals stfs, in order. It only reads their nodes.
-func SealSTFs(stfs []*FlowSTF) *SealedSTFs {
+// SealSTFs seals stfs, whose nodes are m's, in order. It only reads their
+// nodes.
+func SealSTFs(m *mtbdd.Manager, stfs []*FlowSTF) *SealedSTFs {
 	l := &SealedSTFs{STFs: make([]SealedSTF, len(stfs))}
 	var roots []*mtbdd.Node
 	for i, s := range stfs {
@@ -52,7 +53,7 @@ func SealSTFs(stfs []*FlowSTF) *SealedSTFs {
 		l.STFs[i] = SealedSTF{Links: links, Iterations: s.Iterations, shared: s.shared}
 	}
 	var at []uint32
-	l.Snap, at = mtbdd.NewSnapshot(roots)
+	l.Snap, at = mtbdd.NewSnapshot(m, roots)
 	for i := range l.STFs {
 		n := 3 + len(l.STFs[i].Links)
 		l.STFs[i].Roots, at = at[:n:n], at[n:]

@@ -176,10 +176,10 @@ func TestStaleEntryIsExecuted(t *testing.T) {
 	bad := *cold.stfs[0]
 	bad.Links = append(slices.Clone(bad.Links), LinkFrac{Link: topo.DirLinkID(2 * spec.Net.NumLinks()), W: bad.Delivered})
 	keys := ClassKeys(cold.e, flowsOf(cold.stfs[:2]))
-	c.at[keys[0]] = sealedAt{SealSTFs([]*FlowSTF{&bad}), 0}
+	c.at[keys[0]] = sealedAt{SealSTFs(cold.e.m, []*FlowSTF{&bad}), 0}
 	bigSpec := benchShapes[1].spec(t)
 	big := NewVerifier(buildEngine(t, bigSpec, topo.FailLinks, 1, Options{}), bigSpec.Flows[:50])
-	wide := SealSTFs(big.stfs)
+	wide := SealSTFs(big.e.m, big.stfs)
 	if int(wide.Snap.MaxLevel()) < cold.e.m.NumVars() {
 		t.Fatalf("the larger network's list reaches level %d, inside this one's %d variables", wide.Snap.MaxLevel(), cold.e.m.NumVars())
 	}
@@ -194,7 +194,7 @@ func TestStaleEntryIsExecuted(t *testing.T) {
 		t.Fatalf("%d carried and %d executed of %d classes; want the two stale ones executed", c.hits, c.built, len(v.stfs))
 	}
 	plain := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
-	for i, s := range unseal(SealSTFs(plain.stfs), e.m, flowsOf(plain.stfs)) {
+	for i, s := range unseal(SealSTFs(plain.e.m, plain.stfs), e.m, flowsOf(plain.stfs)) {
 		if err := sameSTF(s, v.stfs[i]); err != nil {
 			t.Fatalf("class %d: %v", i, err)
 		}
@@ -229,7 +229,7 @@ func TestCarriedTablesSurviveCollections(t *testing.T) {
 		t.Fatalf("%d of %d classes carried, %d collections for %d executions", c.hits, len(half), e.m.GCRuns(), c.built)
 	}
 	plain := NewVerifier(buildEngine(t, spec, topo.FailLinks, 1, Options{}), flows)
-	for i, s := range unseal(SealSTFs(plain.stfs), e.m, flowsOf(plain.stfs)) {
+	for i, s := range unseal(SealSTFs(plain.e.m, plain.stfs), e.m, flowsOf(plain.stfs)) {
 		if err := sameSTF(s, v.stfs[i]); err != nil {
 			t.Fatalf("class %d: %v", i, err)
 		}
@@ -255,7 +255,7 @@ func TestCollectionsBoundedUnderBudget(t *testing.T) {
 		t.Fatalf("%d collections for %d executions under a budget of %d nodes, want 1 to %d",
 			runs, executions, e.opts.NodeBudget, executions/8)
 	}
-	for i, s := range unseal(SealSTFs(plain.stfs), e.m, flowsOf(plain.stfs)) {
+	for i, s := range unseal(SealSTFs(plain.e.m, plain.stfs), e.m, flowsOf(plain.stfs)) {
 		if err := sameSTF(s, v.stfs[i]); err != nil {
 			t.Fatalf("class %d: %v", i, err)
 		}

@@ -406,7 +406,7 @@ type sealedAt struct {
 // serve primes the cache with stfs, sealed as one list, each under its
 // class's key.
 func (c *servingCache) serve(e *Engine, stfs []*FlowSTF) {
-	l := SealSTFs(stfs)
+	l := SealSTFs(e.m, stfs)
 	for i, k := range ClassKeys(e, flowsOf(stfs)) {
 		c.at[k] = sealedAt{l, i}
 	}
@@ -499,5 +499,5 @@ func TestExecAccounting(t *testing.T) {
 		}
 	}
 	reg = obs.New()
-	count("assembled", reg, NewAssembledVerifier(engine(reg, Options{}), spec.Flows, []*SealedSTFs{SealSTFs(picked)}, [][]int{at}), 0, -1, len(picked))
+	count("assembled", reg, NewAssembledVerifier(engine(reg, Options{}), spec.Flows, []*SealedSTFs{SealSTFs(seq.e.m, picked)}, [][]int{at}), 0, -1, len(picked))
 }

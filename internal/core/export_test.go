@@ -78,7 +78,7 @@ func SameSTFs(v, other *Verifier) error {
 	for i, s := range other.stfs {
 		flows[i] = s.Flow
 	}
-	for i, s := range unseal(SealSTFs(other.stfs), v.e.m, flows) {
+	for i, s := range unseal(SealSTFs(other.e.m, other.stfs), v.e.m, flows) {
 		if err := sameSTF(s, v.stfs[i]); err != nil {
 			return fmt.Errorf("class %d (%v): %w", i, s.Flow, err)
 		}

@@ -60,7 +60,7 @@ func TestSTFLinksAscending(t *testing.T) {
 		t.Fatal("no STF crosses two links: the order is never tested")
 	}
 
-	for i, s := range unseal(SealSTFs(v.stfs), v.e.m, flowsOf(v.stfs)) {
+	for i, s := range unseal(SealSTFs(v.e.m, v.stfs), v.e.m, flowsOf(v.stfs)) {
 		if err := ascending(s); err != nil {
 			t.Fatalf("replayed class %d: %v", i, err)
 		}

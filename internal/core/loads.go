@@ -132,7 +132,7 @@ func (v *Verifier) endLoads() {
 	}
 	var l *SealedLoads
 	if len(ls.built) > 0 {
-		snap, at := mtbdd.NewSnapshot(ls.built)
+		snap, at := mtbdd.NewSnapshot(v.e.m, ls.built)
 		l = &SealedLoads{Snap: snap, Roots: at, Counts: ls.counts}
 	}
 	v.carrier.CarryLoads(ls.carried, ls.keys, l)

@@ -34,6 +34,7 @@ func RecordManager(reg *obs.Registry, name string, m *mtbdd.Manager) {
 		FusionCuts:   st.FusionCuts,
 		MaxProbe:     st.MaxProbe,
 		CacheBytes:   st.CacheBytes,
+		NodeBytes:    st.NodeBytes,
 		Caches: map[string]obs.CacheCounters{
 			"neg":     {Hits: st.Neg.Hits, Misses: st.Neg.Misses},
 			"kreduce": {Hits: st.KReduce.Hits, Misses: st.KReduce.Misses},

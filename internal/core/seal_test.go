@@ -37,12 +37,12 @@ func sameUnsealed(got, want *FlowSTF) error {
 	return sameSTF(got, want)
 }
 
-// checkUnsealed unseals prefixes of none, one and all of sealed's STFs into
-// m and holds each to want.
-func checkUnsealed(t *testing.T, m *mtbdd.Manager, sealed, want []*FlowSTF) {
+// checkUnsealed unseals prefixes of none, one and all of sealed's STFs, built
+// in src, into m and holds each to want.
+func checkUnsealed(t *testing.T, src, m *mtbdd.Manager, sealed, want []*FlowSTF) {
 	t.Helper()
 	for _, n := range []int{0, 1, len(sealed)} {
-		got := unseal(SealSTFs(sealed[:n]), m, flowsOf(sealed[:n]))
+		got := unseal(SealSTFs(src, sealed[:n]), m, flowsOf(sealed[:n]))
 		if len(got) != n {
 			t.Fatalf("a list of %d unseals to %d STFs", n, len(got))
 		}
@@ -67,13 +67,13 @@ func TestSealUnsealIntoSource(t *testing.T) {
 		t.Fatal("no class shares an STF: the fixture covers less than it claims")
 	}
 	cases := sealCases(v.e.m, v.stfs)
-	checkUnsealed(t, v.e.m, cases, cases)
+	checkUnsealed(t, v.e.m, v.e.m, cases, cases)
 
 	separate := 0
 	for _, s := range cases {
-		separate += SealSTFs([]*FlowSTF{s}).Snap.Len()
+		separate += SealSTFs(v.e.m, []*FlowSTF{s}).Snap.Len()
 	}
-	if whole := SealSTFs(cases).Snap.Len(); whole >= separate {
+	if whole := SealSTFs(v.e.m, cases).Snap.Len(); whole >= separate {
 		t.Fatalf("the list seals %d nodes, its STFs one by one %d: shared nodes sealed twice", whole, separate)
 	}
 }
@@ -92,5 +92,5 @@ func TestSealUnsealIntoFreshManager(t *testing.T) {
 	for i, c := range v.classes {
 		executed[i] = fresh.ExecuteFlow(c.rep)
 	}
-	checkUnsealed(t, fresh.m, sealCases(v.e.m, v.stfs), sealCases(fresh.m, executed))
+	checkUnsealed(t, v.e.m, fresh.m, sealCases(v.e.m, v.stfs), sealCases(fresh.m, executed))
 }

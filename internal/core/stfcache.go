@@ -73,7 +73,7 @@ type classKeyer struct {
 }
 
 func newClassKeyer(e *Engine) *classKeyer {
-	ck := &classKeyer{e: e, h: mtbdd.NewHasher(), global: routesim.Fingerprint(e.fv.Key()),
+	ck := &classKeyer{e: e, h: mtbdd.NewHasher(e.m), global: routesim.Fingerprint(e.fv.Key()),
 		prefixes: make(map[netip.Prefix]routesim.Fingerprint)}
 	ck.global.Add(e.rs.HashSR(ck.h))
 	return ck

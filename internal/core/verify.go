@@ -333,7 +333,7 @@ func (v *Verifier) assemble(sealed []*SealedSTFs, at [][]int) {
 	if c != nil {
 		var l *SealedSTFs
 		if len(built) > 0 {
-			l = SealSTFs(built)
+			l = SealSTFs(e.m, built)
 		}
 		c.CarrySTFs(s.carried, s.keys, l)
 		v.classKeys, v.carrier = keys, c

@@ -87,7 +87,7 @@ func (m *Manager) rangeOf(n *Node, memo map[*Node]valueRange) valueRange {
 	if r, ok := memo[n]; ok {
 		return r
 	}
-	a, b := m.rangeOf(n.Lo, memo), m.rangeOf(n.Hi, memo)
+	a, b := m.rangeOf(m.node(n.lo), memo), m.rangeOf(m.node(n.hi), memo)
 	r := valueRange{min(a.lo, b.lo), max(a.hi, b.hi)}
 	memo[n] = r
 	*e = rangeEntry{n.id, r.lo, r.hi}
@@ -122,8 +122,8 @@ func (m *Manager) Witness(f *Node, pred func(float64) bool) (Assignment, float64
 			r = pred(n.Value)
 		} else {
 			// Order matters only for path choice, not markings.
-			hi := mark(n.Hi)
-			lo := mark(n.Lo)
+			hi := mark(m.node(n.hi))
+			lo := mark(m.node(n.lo))
 			r = hi || lo
 		}
 		reach[n] = r
@@ -136,12 +136,12 @@ func (m *Manager) Witness(f *Node, pred func(float64) bool) (Assignment, float64
 	a := make(Assignment)
 	n := f
 	for !n.IsTerminal() {
-		if reach[n.Hi] {
+		if hi := m.node(n.hi); reach[hi] {
 			a[int(n.Level)] = true
-			n = n.Hi
+			n = hi
 		} else {
 			a[int(n.Level)] = false
-			n = n.Lo
+			n = m.node(n.lo)
 		}
 	}
 	return a, n.Value, true
@@ -160,12 +160,12 @@ func (m *Manager) ForEachPath(f *Node, fn func(Assignment, float64) bool) {
 		}
 		v := int(n.Level)
 		a[v] = false
-		if !walk(n.Lo) {
+		if !walk(m.node(n.lo)) {
 			delete(a, v)
 			return false
 		}
 		a[v] = true
-		if !walk(n.Hi) {
+		if !walk(m.node(n.hi)) {
 			delete(a, v)
 			return false
 		}

@@ -225,7 +225,7 @@ func BenchmarkClearCaches(b *testing.B) {
 
 // mapNodeCount is the retired map-based walker, kept here as the
 // baseline the id-keyed bitset replaced.
-func mapNodeCount(n *Node) int {
+func mapNodeCount(m *Manager, n *Node) int {
 	seen := make(map[*Node]struct{})
 	var walk func(*Node) int
 	walk = func(n *Node) int {
@@ -236,7 +236,7 @@ func mapNodeCount(n *Node) int {
 		if n.IsTerminal() {
 			return 1
 		}
-		return 1 + walk(n.Lo) + walk(n.Hi)
+		return 1 + walk(m.node(n.lo)) + walk(m.node(n.hi))
 	}
 	return walk(n)
 }
@@ -248,7 +248,7 @@ func BenchmarkNodeCountMap(b *testing.B) {
 	want := m.NodeCount(f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := mapNodeCount(f); got != want {
+		if got := mapNodeCount(m, f); got != want {
 			b.Fatalf("map walker counted %d, bitset %d", got, want)
 		}
 	}

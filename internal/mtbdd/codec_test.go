@@ -15,8 +15,8 @@ import (
 // snapshot and decoding it back replays to the identical canonical nodes
 // the original snapshot replays to.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
-	_, roots := buildSnapshotFixtures(t)
-	snap, _ := NewSnapshot(roots)
+	m, roots := buildSnapshotFixtures(t)
+	snap, _ := NewSnapshot(m, roots)
 
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
@@ -63,7 +63,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 // TestSnapshotCodecEmpty round-trips the empty snapshot (no roots).
 func TestSnapshotCodecEmpty(t *testing.T) {
-	snap, _ := NewSnapshot(nil)
+	snap, _ := NewSnapshot(New(), nil)
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -85,8 +85,8 @@ func TestSnapshotCodecEmpty(t *testing.T) {
 // to the decoder: every one must fail with an error, never a panic, and
 // never decode to a snapshot that later panics in ImportSnapshot.
 func TestSnapshotCodecRejectsMalformed(t *testing.T) {
-	_, roots := buildSnapshotFixtures(t)
-	snap, _ := NewSnapshot(roots)
+	m, roots := buildSnapshotFixtures(t)
+	snap, _ := NewSnapshot(m, roots)
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -138,9 +138,9 @@ func TestSnapshotCodecRejectsMalformed(t *testing.T) {
 // memoization returns stable values.
 func TestHasherStructuralEquality(t *testing.T) {
 	m1, roots1 := buildSnapshotFixtures(t)
-	_, roots2 := buildSnapshotFixtures(t)
+	m2, roots2 := buildSnapshotFixtures(t)
 
-	h1, h2 := NewHasher(), NewHasher()
+	h1, h2 := NewHasher(m1), NewHasher(m2)
 	for i := range roots1 {
 		a, b := h1.Hash(roots1[i]), h2.Hash(roots2[i])
 		if a != b {
@@ -175,7 +175,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 		m.AddVar("x")
 	}
 	g := m.Add(m.Mul(m.Var(0), m.Const(0.25)), m.ITE(m.Var(2), m.Var(3), m.Const(2)))
-	snap, _ := NewSnapshot([]*Node{g, m.Zero()})
+	snap, _ := NewSnapshot(m, []*Node{g, m.Zero()})
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
 		f.Fatal(err)
@@ -217,7 +217,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 // state) stay byte-identical to those written before the field was used.
 func TestSnapshotEncodingUnchanged(t *testing.T) {
 	m := newMgr(t, 10)
-	snap, _ := NewSnapshot(kernelResults(m, 29, 10))
+	snap, _ := NewSnapshot(m, kernelResults(m, 29, 10))
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
 		t.Fatal(err)

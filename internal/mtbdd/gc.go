@@ -12,17 +12,15 @@ import "slices"
 // passed to further Manager operations. Any other retained *Node would
 // alias a semantically identical node created later, silently breaking the
 // canonicity that pointer-equality checks (and the paper's link-local
-// equivalence, §5.3) rely on.
+// equivalence, §5.3) rely on; its child ids may name released slabs, or
+// slabs reopened for other nodes.
 func (m *Manager) GC(roots []*Node) {
 	marked := m.newBitset()
 	var mark func(n *Node)
 	mark = func(n *Node) {
-		for n != nil {
-			if marked.visit(n.id) || n.IsTerminal() {
-				return
-			}
-			mark(n.Lo)
-			n = n.Hi // tail-call on Hi to halve recursion depth
+		for !marked.visit(n.id) && !n.IsTerminal() {
+			mark(m.node(n.lo))
+			n = m.node(n.hi) // tail-call on hi to halve recursion depth
 		}
 	}
 	mark(m.zero)

@@ -36,7 +36,7 @@ func TestGCKeepsRoots(t *testing.T) {
 	})
 	// Canonicity: rebuilding an equal function must alias the kept root.
 	if m.NodeCount(keep) > 1 {
-		rebuilt := m.mk(keep.Level, keep.Lo, keep.Hi)
+		rebuilt := m.mk(keep.Level, m.node(keep.lo), m.node(keep.hi))
 		if rebuilt != keep {
 			t.Error("canonicity broken after GC")
 		}

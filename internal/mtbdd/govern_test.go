@@ -130,7 +130,7 @@ func skipToID(m *Manager, next int) {
 	for len(m.slabs) < s {
 		m.slabs = append(m.slabs, nil)
 	}
-	m.slabs = append(m.slabs, make([]Node, slabSize))
+	m.slabs = append(m.slabs, new(slab))
 	m.open, m.slabUsed = s, (next-1)&(slabSize-1)
 }
 
@@ -177,7 +177,7 @@ func TestIDSpaceExhaustion(t *testing.T) {
 		t.Fatalf("an aborted construction moved the allocator to %d slabs, %d cells (created %d)", len(m.slabs), m.slabUsed, m.Stats().Created)
 	}
 
-	for _, n := range append([]*Node{m.Zero(), m.One(), early, early.Lo, early.Hi}, late...) {
+	for _, n := range append([]*Node{m.Zero(), m.One(), early, m.node(early.lo), m.node(early.hi)}, late...) {
 		if got := m.node(n.id); got != n {
 			t.Fatalf("node(%d) = %p, want %p", n.id, got, n)
 		}

@@ -6,21 +6,21 @@ import "math"
 // same manager hash equal exactly when they are the same canonical node,
 // and — more usefully — nodes from *different* managers with the same
 // variable order hash equal when they represent the same function. That
-// is the property the incremental daemon (internal/serve) keys its STF
-// cache on: a guard hashed in one run identifies the same guard in the
-// next run's freshly built manager.
+// is the property core's class keys rest on: a guard hashed in one run
+// identifies the same guard in the next run's freshly built manager.
 //
 // Hashes are memoized per node pointer, so hashing a guard layer that
 // shares most of its DAG with previously hashed guards is nearly free.
-// A Hasher must only be used with nodes of managers sharing one variable
-// order, and is not safe for concurrent use.
+// A Hasher hashes the nodes of one manager, and is not safe for concurrent
+// use.
 type Hasher struct {
+	m    *Manager
 	memo map[*Node]uint64
 }
 
-// NewHasher returns an empty memoized hasher.
-func NewHasher() *Hasher {
-	return &Hasher{memo: make(map[*Node]uint64)}
+// NewHasher returns an empty memoized hasher of m's nodes.
+func NewHasher(m *Manager) *Hasher {
+	return &Hasher{m: m, memo: make(map[*Node]uint64)}
 }
 
 // Hash returns the structural hash of n (nil hashes to 0). Children are
@@ -48,19 +48,20 @@ func (h *Hasher) Hash(n *Node) uint64 {
 			h.memo[f.n] = mix64(0x9e3779b97f4a7c15 ^ math.Float64bits(f.n.Value))
 			continue
 		}
+		lo, hi := h.m.node(f.n.lo), h.m.node(f.n.hi)
 		if f.expanded {
 			v := mix64(uint64(f.n.Level) + 0x6a09e667f3bcc909)
-			v = mix64(v ^ h.memo[f.n.Lo])
-			v = mix64((v + 0x3c6ef372fe94f82b) ^ h.memo[f.n.Hi])
+			v = mix64(v ^ h.memo[lo])
+			v = mix64((v + 0x3c6ef372fe94f82b) ^ h.memo[hi])
 			h.memo[f.n] = v
 			continue
 		}
 		stack = append(stack, frame{f.n, true})
-		if _, ok := h.memo[f.n.Hi]; !ok {
-			stack = append(stack, frame{f.n.Hi, false})
+		if _, ok := h.memo[hi]; !ok {
+			stack = append(stack, frame{hi, false})
 		}
-		if _, ok := h.memo[f.n.Lo]; !ok {
-			stack = append(stack, frame{f.n.Lo, false})
+		if _, ok := h.memo[lo]; !ok {
+			stack = append(stack, frame{lo, false})
 		}
 	}
 	return h.memo[n]

@@ -115,11 +115,11 @@ func (m *Manager) applyK(op opcode, f, g *Node, k int32) *Node {
 	}
 	fLo, fHi := f, f
 	if f.Level == level {
-		fLo, fHi = f.Lo, f.Hi
+		fLo, fHi = m.node(f.lo), m.node(f.hi)
 	}
 	gLo, gHi := g, g
 	if g.Level == level {
-		gLo, gHi = g.Lo, g.Hi
+		gLo, gHi = m.node(g.lo), m.node(g.hi)
 	}
 	hiK := m.applyK(op, fHi, gHi, k)
 	r := m.join(level, m.applyK(op, fLo, gLo, lower(k)), hiK, k)
@@ -188,15 +188,15 @@ func (m *Manager) mulAddK(acc, w, f *Node, k int32) *Node {
 	}
 	aLo, aHi := acc, acc
 	if acc.Level == level {
-		aLo, aHi = acc.Lo, acc.Hi
+		aLo, aHi = m.node(acc.lo), m.node(acc.hi)
 	}
 	wLo, wHi := w, w
 	if w.Level == level {
-		wLo, wHi = w.Lo, w.Hi
+		wLo, wHi = m.node(w.lo), m.node(w.hi)
 	}
 	fLo, fHi := f, f
 	if f.Level == level {
-		fLo, fHi = f.Lo, f.Hi
+		fLo, fHi = m.node(f.lo), m.node(f.hi)
 	}
 	hiK := m.mulAddK(aHi, wHi, fHi, k)
 	r := m.join(level, m.mulAddK(aLo, wLo, fLo, k-1), hiK, k)

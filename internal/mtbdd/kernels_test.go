@@ -326,10 +326,10 @@ func kernelResults(m *Manager, seed int64, n int) []*Node {
 	return out
 }
 
-// allAliveRef is F(1,…,1) by the Hi-chain walk the carried value replaced.
-func allAliveRef(n *Node) float64 {
+// allAliveRef is F(1,…,1) by the hi-chain walk the carried value replaced.
+func allAliveRef(m *Manager, n *Node) float64 {
 	for !n.IsTerminal() {
-		n = n.Hi
+		n = m.node(n.hi)
 	}
 	return n.Value
 }
@@ -344,12 +344,12 @@ func checkCarried(t *testing.T, where string, m *Manager, roots []*Node) {
 		if seen.visit(n.id) {
 			return
 		}
-		if want := allAliveRef(n); n.Value != want {
-			t.Fatalf("%s: node %d at level %d carries %v, its Hi chain ends at %v", where, n.id, n.Level, n.Value, want)
+		if want := allAliveRef(m, n); n.Value != want {
+			t.Fatalf("%s: node %d at level %d carries %v, its hi chain ends at %v", where, n.id, n.Level, n.Value, want)
 		}
 		if !n.IsTerminal() {
-			walk(n.Lo)
-			walk(n.Hi)
+			walk(m.node(n.lo))
+			walk(m.node(n.hi))
 		}
 	}
 	for _, r := range roots {
@@ -372,7 +372,7 @@ func TestAllAliveValueCarried(t *testing.T) {
 		roots = append(roots, kernelResults(m, seed+100, n)...)
 		checkCarried(t, "built after GC", m, roots)
 
-		snap, at := NewSnapshot(roots)
+		snap, at := NewSnapshot(m, roots)
 		dst := newMgr(t, n)
 		table := dst.ImportSnapshot(snap)
 		checkCarried(t, "imported", dst, table)

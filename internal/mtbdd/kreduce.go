@@ -46,8 +46,8 @@ func (m *Manager) kreduce(f *Node, k int32) *Node {
 	}
 	m.kreduceMisses++
 	m.checkInterrupt()
-	hiK := m.kreduce(f.Hi, k)
-	r := m.join(f.Level, m.kreduce(f.Lo, k-1), hiK, k)
+	hiK := m.kreduce(m.node(f.hi), k)
+	r := m.join(f.Level, m.kreduce(m.node(f.lo), k-1), hiK, k)
 	*e = kreduceEntry{f.id, k, r.id}
 	return r
 }
@@ -82,8 +82,8 @@ func (m *Manager) MaxFailuresOnPath(f *Node) int {
 		if v, ok := memo[n]; ok {
 			return v
 		}
-		hi := walk(n.Hi)
-		lo := walk(n.Lo) + 1
+		hi := walk(m.node(n.hi))
+		lo := walk(m.node(n.lo)) + 1
 		v := hi
 		if lo > v {
 			v = lo

@@ -20,6 +20,7 @@ package mtbdd
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Node is a hash-consed MTBDD node. Nodes must only be created through a
@@ -27,11 +28,14 @@ import (
 // and only if they are the same pointer.
 //
 // A terminal node has Level == terminalLevel and carries Value. An internal
-// node tests the variable at its Level: Hi is the cofactor where the
-// variable is 1 (element alive), Lo where it is 0 (element failed).
+// node tests the variable at its Level: its hi child is the cofactor where
+// the variable is 1 (element alive), its lo child where it is 0 (element
+// failed).
 //
-// A Node is 32 bytes, two to a cache line; the fields below are all it
-// holds.
+// A Node is 24 bytes and holds no Go pointer: its children are ids, which
+// the Manager resolves through its slab directory (Manager.node), so the
+// slabs are noscan memory the runtime GC never marks through. A *Node is a
+// handle into a slab the Manager holds; walking below it needs the Manager.
 type Node struct {
 	// Level is the variable index tested by this node, or terminalLevel
 	// for terminals. Variables are tested in increasing Level order from
@@ -41,13 +45,14 @@ type Node struct {
 	// It shares Level's 8-byte word.
 	id uint32
 	// Value is a terminal's value. An internal node carries its all-alive
-	// value F(1,…,1) here — Hi.Value, set by mk — so the budget-spent cut
-	// of the fused kernels and KREDUCE's β₀ read one field instead of
-	// walking the Hi chain (EvalAllAlive). It is not part of the node's
-	// identity and snapshots do not record it.
+	// value F(1,…,1) here — its hi child's Value, set by mk — so the
+	// budget-spent cut of the fused kernels and KREDUCE's β₀ read one field
+	// instead of walking the hi chain (EvalAllAlive). It is not part of the
+	// node's identity and snapshots do not record it.
 	Value float64
-	// Lo and Hi are the cofactors for variable=0 and variable=1.
-	Lo, Hi *Node
+	// lo and hi are the ids of the cofactors for variable=0 and
+	// variable=1; a terminal's are 0.
+	lo, hi uint32
 }
 
 const terminalLevel int32 = math.MaxInt32
@@ -87,8 +92,8 @@ type Manager struct {
 	// Node storage. Nodes are carved out of fixed-size slabs instead of
 	// being allocated one heap object each: slab s holds node ids
 	// s·slabSize+1 … (s+1)·slabSize (id 0 marks empty table slots), filled
-	// in order, and the runtime GC scans a handful of large backing arrays
-	// instead of millions of individual objects. Pointers into a slab are
+	// in order. A node holds no pointer, so a slab is noscan: the runtime
+	// GC neither scans nor marks through it. Pointers into a slab are
 	// stable (slabs are never moved or resized), which hash-consing
 	// canonicity requires. Manager.GC releases slabs whose nodes are all
 	// dead and lists their indices in free; alloc fills the open slab, then
@@ -96,15 +101,15 @@ type Manager struct {
 	// id space a manager spans follows the slabs it holds, not the nodes it
 	// ever created. The slice doubles as the id → node directory the tables
 	// resolve their entries through (node).
-	slabs    [][]Node
+	slabs    []*slab
 	open     int // index of the slab alloc fills
 	slabUsed int // cells of the open slab handed out
 	free     []int
-	// spare holds pre-allocated slabs handed out by alloc before it falls
-	// back to make. Reserve fills it so a known-size bulk construction
+	// spare holds pre-allocated slabs handed out by alloc before it
+	// allocates a new one. Reserve fills it so a known-size bulk construction
 	// (e.g. ImportSnapshot replaying a shared base) runs without mid-build
 	// allocation stalls.
-	spare [][]Node
+	spare []*slab
 
 	// Resource governance (see interrupt.go): an optional interrupt
 	// hook polled every interruptStride operations, and an optional
@@ -197,17 +202,23 @@ func (m *Manager) Const(v float64) *Node {
 }
 
 const (
-	// slabBits sizes the node slabs at 8192 nodes (256 KiB each). A
+	// slabBits sizes the node slabs at 8192 nodes (192 KiB each). A
 	// power-of-two multiple of 64 keeps every slab's id range aligned to
 	// whole bitset words, so GC's per-slab liveness scan is word-exact.
-	slabBits = 13
-	slabSize = 1 << slabBits
+	slabBits  = 13
+	slabSize  = 1 << slabBits
+	slabBytes = uint64(unsafe.Sizeof(slab{}))
 )
 
-// node returns the node with the given id. The unique table and the
-// computed tables hold ids, never pointers, so the runtime GC does not
-// scan them; an id they hold always names a live slab, because Manager.GC
-// rebuilds the one from the marked nodes and empties the others.
+// slab is the storage of slabSize nodes: an array, so node indexes it
+// with a mask and no bounds check.
+type slab [slabSize]Node
+
+// node returns the node with the given id. Nodes, the unique table and the
+// computed tables hold ids, never pointers, so the runtime GC scans none of
+// them. A child id names a live slab because GC keeps every node below a
+// marked one; an id a table holds does because Manager.GC rebuilds the one
+// from the marked nodes and empties the others.
 func (m *Manager) node(id uint32) *Node {
 	i := id - 1
 	return &m.slabs[i>>slabBits][i&(slabSize-1)]
@@ -250,7 +261,7 @@ func (m *Manager) openSlab() {
 		m.spare[k-1] = nil
 		m.spare = m.spare[:k-1]
 	} else {
-		m.slabs[s] = make([]Node, slabSize)
+		m.slabs[s] = new(slab)
 	}
 	m.open, m.slabUsed = s, 0
 }
@@ -267,7 +278,7 @@ func (m *Manager) Reserve(n int) {
 	}
 	free += len(m.spare) * slabSize
 	for need := n - free; need > 0; need -= slabSize {
-		m.spare = append(m.spare, make([]Node, slabSize))
+		m.spare = append(m.spare, new(slab))
 	}
 }
 
@@ -329,7 +340,7 @@ func (m *Manager) checkVar(v int) {
 // mk returns the canonical node (level, lo, hi), applying the standard
 // reduction rule lo==hi => lo. One probe of the unique table either finds
 // the node or ends on the slot a new one takes. A new node carries its
-// all-alive value, which is its Hi child's.
+// all-alive value, which is its hi child's.
 func (m *Manager) mk(level int32, lo, hi *Node) *Node {
 	if lo == hi {
 		return lo
@@ -344,7 +355,7 @@ func (m *Manager) mk(level int32, lo, hi *Node) *Node {
 			break
 		}
 		if e.hash == h {
-			if n := m.node(e.id); n.Lo == lo && n.Hi == hi && n.Level == level {
+			if n := m.node(e.id); n.lo == lo.id && n.hi == hi.id && n.Level == level {
 				t.noteProbes(probes)
 				return n
 			}
@@ -354,7 +365,7 @@ func (m *Manager) mk(level int32, lo, hi *Node) *Node {
 	m.checkInterrupt()
 	m.checkBudget()
 	n, id := m.alloc()
-	*n = Node{Level: level, id: id, Value: hi.Value, Lo: lo, Hi: hi}
+	*n = Node{Level: level, id: id, Value: hi.Value, lo: lo.id, hi: hi.id}
 	t.fill(i, h, id)
 	if t.count > m.peakUnique {
 		m.peakUnique = t.count
@@ -369,9 +380,9 @@ func (m *Manager) Eval(f *Node, assign []bool) float64 {
 	for !f.IsTerminal() {
 		v := int(f.Level)
 		if v < len(assign) && !assign[v] {
-			f = f.Lo
+			f = m.node(f.lo)
 		} else {
-			f = f.Hi
+			f = m.node(f.hi)
 		}
 	}
 	return f.Value
@@ -384,19 +395,19 @@ func (m *Manager) EvalAllAlive(f *Node) float64 { return f.Value }
 // NodeCount returns the number of distinct nodes (including terminals)
 // reachable from f.
 func (m *Manager) NodeCount(f *Node) int {
-	return countNodes(f, m.newBitset())
+	return m.countNodes(f, m.newBitset())
 }
 
 // countNodes counts nodes reachable from n that are not yet in seen,
 // marking them as it goes.
-func countNodes(n *Node, seen bitset) int {
+func (m *Manager) countNodes(n *Node, seen bitset) int {
 	if seen.visit(n.id) {
 		return 0
 	}
 	count := 1
 	if !n.IsTerminal() {
-		count += countNodes(n.Lo, seen)
-		count += countNodes(n.Hi, seen)
+		count += m.countNodes(m.node(n.lo), seen)
+		count += m.countNodes(m.node(n.hi), seen)
 	}
 	return count
 }
@@ -444,6 +455,10 @@ type Stats struct {
 	// nodes they hold, the computed tables keep the size New gave them
 	// (tables.go).
 	CacheBytes uint64
+	// NodeBytes is what the node slabs the manager holds right now take,
+	// spare slabs (Reserve) included: every held slab is whole, so
+	// NodeBytes over Live is the slabs' cost per live node.
+	NodeBytes uint64
 }
 
 // Stats returns a snapshot of the Manager's counters.
@@ -461,7 +476,15 @@ func (m *Manager) Stats() Stats {
 		KReduceCalls: m.kreduceCalls,
 		GCRuns:       m.gcRuns,
 		CacheBytes:   m.tableBytes(),
+		NodeBytes:    m.nodeBytes(),
 	}
+}
+
+// nodeBytes is the size of the slabs m holds: every directory entry GC has
+// not released, and the spare ones.
+func (m *Manager) nodeBytes() uint64 {
+	held := len(m.slabs) - len(m.free) + len(m.spare)
+	return uint64(held) * slabBytes
 }
 
 // ClearCaches empties all operation caches (but not the unique table), so

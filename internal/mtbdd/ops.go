@@ -174,7 +174,7 @@ func (m *Manager) Not(f *Node) *Node {
 			r = m.one
 		}
 	} else {
-		r = m.mk(f.Level, m.Not(f.Lo), m.Not(f.Hi))
+		r = m.mk(f.Level, m.Not(m.node(f.lo)), m.Not(m.node(f.hi)))
 	}
 	*e = unaryEntry{f.id, r.id}
 	return r
@@ -219,12 +219,12 @@ func (m *Manager) restrict(f *Node, v int32, val bool, memo map[*Node]*Node) *No
 	var r *Node
 	if f.Level == v {
 		if val {
-			r = f.Hi
+			r = m.node(f.hi)
 		} else {
-			r = f.Lo
+			r = m.node(f.lo)
 		}
 	} else {
-		r = m.mk(f.Level, m.restrict(f.Lo, v, val, memo), m.restrict(f.Hi, v, val, memo))
+		r = m.mk(f.Level, m.restrict(m.node(f.lo), v, val, memo), m.restrict(m.node(f.hi), v, val, memo))
 	}
 	memo[f] = r
 	return r

@@ -27,11 +27,11 @@ func refApply(m *Manager, op opcode, f, g *Node) *Node {
 		level := min(f.Level, g.Level)
 		fLo, fHi := f, f
 		if f.Level == level {
-			fLo, fHi = f.Lo, f.Hi
+			fLo, fHi = m.node(f.lo), m.node(f.hi)
 		}
 		gLo, gHi := g, g
 		if g.Level == level {
-			gLo, gHi = g.Lo, g.Hi
+			gLo, gHi = m.node(g.lo), m.node(g.hi)
 		}
 		r := m.mk(level, rec(fLo, gLo), rec(fHi, gHi))
 		memo[pair{f, g}] = r

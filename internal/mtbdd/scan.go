@@ -58,8 +58,8 @@ func (m *Manager) ScanOutside(f *Node, checks []ScanCheck) []ScanHit {
 		}
 		var hi, lo int32
 		if !n.IsTerminal() {
-			hi = walk(n.Hi)
-			lo = walk(n.Lo)
+			hi = walk(m.node(n.hi))
+			lo = walk(m.node(n.lo))
 		}
 		off := int32(len(vals))
 		for i := range checks {
@@ -89,12 +89,12 @@ func (m *Manager) ScanOutside(f *Node, checks []ScanCheck) []ScanHit {
 		n := f
 		rem := budget
 		for !n.IsTerminal() {
-			if vals[memo[n.Hi]+int32(i)] <= rem {
+			if hi := m.node(n.hi); vals[memo[hi]+int32(i)] <= rem {
 				a[int(n.Level)] = true
-				n = n.Hi
+				n = hi
 			} else {
 				a[int(n.Level)] = false
-				n = n.Lo
+				n = m.node(n.lo)
 				rem--
 			}
 		}

@@ -51,15 +51,15 @@ func (e snapEntry) value() float64 {
 	return math.Float64frombits(uint64(e.hi)<<32 | uint64(e.lo))
 }
 
-// NewSnapshot flattens the given roots (none may be nil) into a snapshot and
-// returns with it each root's position: roots[i] replays to table[at[i]] of
-// the table ImportSnapshot returns. Nodes shared between roots are encoded
-// once.
-func NewSnapshot(roots []*Node) (s *Snapshot, at []uint32) {
+// NewSnapshot flattens the given roots of m (none may be nil) into a snapshot
+// and returns with it each root's position: roots[i] replays to
+// table[at[i]] of the table ImportSnapshot returns. Nodes shared between
+// roots are encoded once.
+func NewSnapshot(m *Manager, roots []*Node) (s *Snapshot, at []uint32) {
 	s = &Snapshot{maxLevel: -1}
 	// The walk's own index from source node to entry; it dies with this call.
 	index := make(map[*Node]uint32, len(roots))
-	// Post-order, Lo before Hi: both children of an entry precede it, the
+	// Post-order, lo before hi: both children of an entry precede it, the
 	// order the linear replay relies on. The depth is bounded by the
 	// variable count.
 	var visit func(n *Node) uint32
@@ -71,7 +71,7 @@ func NewSnapshot(roots []*Node) (s *Snapshot, at []uint32) {
 		// so the entry does not record it.
 		e := terminalEntry(n.Value)
 		if !n.IsTerminal() {
-			e = snapEntry{level: n.Level, lo: visit(n.Lo), hi: visit(n.Hi)}
+			e = snapEntry{level: n.Level, lo: visit(m.node(n.lo)), hi: visit(m.node(n.hi))}
 			s.maxLevel = max(s.maxLevel, n.Level)
 		}
 		i := uint32(len(s.ents))

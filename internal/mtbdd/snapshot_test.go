@@ -34,8 +34,8 @@ func snapshotFixtures(m *Manager) []*Node {
 // snapshot into a destination manager yields, at every root's position, the
 // very node building the same function in the destination does.
 func TestSnapshotReplayMatchesNativeBuild(t *testing.T) {
-	_, roots := buildSnapshotFixtures(t)
-	snap, at := NewSnapshot(roots)
+	src, roots := buildSnapshotFixtures(t)
+	snap, at := NewSnapshot(src, roots)
 	if snap.Len() == 0 {
 		t.Fatal("empty snapshot from non-empty roots")
 	}
@@ -62,8 +62,8 @@ func TestSnapshotReplayMatchesNativeBuild(t *testing.T) {
 // same root twice (and roots sharing subgraphs) never duplicates entries.
 func TestSnapshotSharedNodesEncodedOnce(t *testing.T) {
 	src, roots := buildSnapshotFixtures(t)
-	once, _ := NewSnapshot(roots)
-	doubled, at := NewSnapshot(append(append([]*Node{}, roots...), roots...))
+	once, _ := NewSnapshot(src, roots)
+	doubled, at := NewSnapshot(src, append(append([]*Node{}, roots...), roots...))
 	if once.Len() != doubled.Len() {
 		t.Fatalf("duplicated roots grew the snapshot: %d vs %d", once.Len(), doubled.Len())
 	}
@@ -75,7 +75,7 @@ func TestSnapshotSharedNodesEncodedOnce(t *testing.T) {
 	// Every distinct reachable node appears exactly once.
 	distinct, seen := 0, src.newBitset()
 	for _, r := range roots {
-		distinct += countNodes(r, seen)
+		distinct += src.countNodes(r, seen)
 	}
 	if once.Len() != distinct {
 		t.Fatalf("snapshot has %d entries, %d distinct nodes reachable", once.Len(), distinct)
@@ -86,7 +86,7 @@ func TestSnapshotSharedNodesEncodedOnce(t *testing.T) {
 // an empty snapshot, and a nil root — which no position could stand for —
 // is a caller's bug that panics.
 func TestSnapshotNilRootsAndEmpty(t *testing.T) {
-	empty, at := NewSnapshot(nil)
+	empty, at := NewSnapshot(New(), nil)
 	if empty.Len() != 0 || len(at) != 0 {
 		t.Fatalf("empty snapshot has %d entries, %d positions", empty.Len(), len(at))
 	}
@@ -102,7 +102,7 @@ func TestSnapshotNilRootsAndEmpty(t *testing.T) {
 			t.Fatal("a nil root was given a position")
 		}
 	}()
-	NewSnapshot([]*Node{m.Var(0), nil})
+	NewSnapshot(m, []*Node{m.Var(0), nil})
 }
 
 // TestSnapshotVariableCheck pins the panic on an under-declared
@@ -112,7 +112,7 @@ func TestSnapshotVariableCheck(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.AddVar("x")
 	}
-	snap, _ := NewSnapshot([]*Node{m.Var(3)})
+	snap, _ := NewSnapshot(m, []*Node{m.Var(3)})
 	dst := New()
 	dst.AddVar("x") // only 1 variable; snapshot tests variable 3
 	defer func() {
@@ -159,8 +159,8 @@ func TestReserve(t *testing.T) {
 func snapshotOfDroppedManager(t *testing.T, freed chan<- struct{}) (snap *Snapshot, at []uint32, hashes []uint64) {
 	m, roots := buildSnapshotFixtures(t)
 	runtime.SetFinalizer(&m.slabs[0][0], func(*Node) { close(freed) })
-	snap, at = NewSnapshot(roots)
-	h := NewHasher()
+	snap, at = NewSnapshot(m, roots)
+	h := NewHasher(m)
 	for _, r := range roots {
 		hashes = append(hashes, h.Hash(r))
 	}
@@ -191,7 +191,7 @@ func TestSealedSnapshotReleasesSource(t *testing.T) {
 		dst.AddVar("x")
 	}
 	table := dst.ImportSnapshot(snap)
-	h := NewHasher()
+	h := NewHasher(dst)
 	for ri, i := range at {
 		if got := h.Hash(table[i]); got != hashes[ri] {
 			t.Errorf("root %d: replayed hash %#x, source hash %#x", ri, got, hashes[ri])
@@ -204,8 +204,8 @@ func TestSealedSnapshotReleasesSource(t *testing.T) {
 // they stand for — so a stored list re-derives each member's own frame byte
 // for byte — and Sizes counts exactly its entries.
 func TestSnapshotSubIsTheSnapshotOfItsRoots(t *testing.T) {
-	_, roots := buildSnapshotFixtures(t)
-	whole, at := NewSnapshot(roots)
+	src, roots := buildSnapshotFixtures(t)
+	whole, at := NewSnapshot(src, roots)
 	var groups [][]uint32
 	for _, pick := range [][]int{{0}, {4}, {3, 1}, {4, 0, 4}, {6, 5, 7}, {}, {0, 1, 2, 3, 4, 5, 6, 7}} {
 		var nodes []*Node
@@ -214,7 +214,7 @@ func TestSnapshotSubIsTheSnapshotOfItsRoots(t *testing.T) {
 			nodes = append(nodes, roots[i])
 			pos = append(pos, at[i])
 		}
-		want, wantAt := NewSnapshot(nodes)
+		want, wantAt := NewSnapshot(src, nodes)
 		got, gotAt := whole.Sub(pos)
 		var wb, gb bytes.Buffer
 		if err := want.Encode(&wb); err != nil {

@@ -152,6 +152,32 @@ func TestMaxProbeStat(t *testing.T) {
 	}
 }
 
+// NodeBytes counts the slabs a manager holds, spare ones included, and
+// drops by the slabs a GC releases.
+func TestNodeBytesFollowSlabs(t *testing.T) {
+	m := newMgr(t, 12)
+	if got := m.Stats().NodeBytes; got != slabBytes {
+		t.Fatalf("a new manager holds %d node bytes, want one slab's %d", got, slabBytes)
+	}
+	m.Reserve(2 * slabSize)
+	if got := m.Stats().NodeBytes; got != 3*slabBytes {
+		t.Fatalf("after Reserve the manager holds %d node bytes, want three slabs' %d", got, 3*slabBytes)
+	}
+	r := rand.New(rand.NewSource(23))
+	for m.Stats().Created <= 2*slabSize {
+		randomMTBDD(m, r, 12, 8)
+	}
+	if got := m.Stats().NodeBytes; got != 3*slabBytes {
+		t.Fatalf("filling the reserved slabs moved node bytes to %d, want %d", got, 3*slabBytes)
+	}
+	// The terminals keep the first slab and alloc keeps the open one: GC
+	// releases the middle slab.
+	m.GC(nil)
+	if got := m.Stats().NodeBytes; got != 2*slabBytes {
+		t.Fatalf("after GC the manager holds %d node bytes, want two slabs' %d", got, 2*slabBytes)
+	}
+}
+
 // The instrumentation counters must not add allocations to the cached
 // fast paths: mk on an existing node, Add/Not/KReduce hitting their
 // caches (ISSUE 4 satellite 6).

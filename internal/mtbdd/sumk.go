@@ -188,7 +188,7 @@ func (s *sumState) stepHi(level int32) int {
 		if l == level {
 			n := s.cur[i]
 			s.undo = append(s.undo, sumUndo{i, n, s.alive[i]})
-			s.set(i, n.Hi)
+			s.set(i, s.m.node(n.hi))
 		}
 	}
 	return mark
@@ -198,8 +198,9 @@ func (s *sumState) stepHi(level int32) int {
 // cofactors: the only operands whose all-alive value a failure changes.
 func (s *sumState) flipLo(mark int) {
 	for _, u := range s.undo[mark:] {
-		s.set(u.i, u.n.Lo)
-		s.alive[u.i] = u.n.Lo.Value
+		lo := s.m.node(u.n.lo)
+		s.set(u.i, lo)
+		s.alive[u.i] = lo.Value
 	}
 }
 

@@ -112,7 +112,7 @@ func TestSnapshotSummaryRoundTrip(t *testing.T) {
 	home := newMgr(t, n)
 	guards := summaryGuards(home, rng, n, 12)
 
-	snap, at := NewSnapshot(guards)
+	snap, at := NewSnapshot(home, guards)
 	consumer := newMgr(t, n)
 	table := consumer.ImportSnapshot(snap)
 
@@ -121,7 +121,7 @@ func TestSnapshotSummaryRoundTrip(t *testing.T) {
 		imported[i] = table[at[i]]
 	}
 
-	back, backAt := NewSnapshot(imported)
+	back, backAt := NewSnapshot(consumer, imported)
 	if back.Len() != snap.Len() {
 		t.Fatalf("round trip changed node count: %d -> %d", snap.Len(), back.Len())
 	}
@@ -154,7 +154,7 @@ func TestSnapshotSummaryAcrossManagerWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	home := newMgr(t, 4)
 	guards := summaryGuards(home, rng, 4, 6)
-	snap, at := NewSnapshot(guards)
+	snap, at := NewSnapshot(home, guards)
 
 	wide := newMgr(t, 9)
 	table := wide.ImportSnapshot(snap)

@@ -99,6 +99,23 @@ func TestTableEntrySizes(t *testing.T) {
 	}
 }
 
+// TestNodeHoldsNoPointer pins the node layout: 24 bytes, and no field the
+// runtime GC would trace, so every slab is noscan. A pointer child coming
+// back fails here rather than only in GC time.
+func TestNodeHoldsNoPointer(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 24 {
+		t.Errorf("a Node is %d bytes, want 24", got)
+	}
+	node := reflect.TypeOf(Node{})
+	for i := 0; i < node.NumField(); i++ {
+		switch f := node.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String, reflect.Struct, reflect.Array:
+			t.Errorf("Node.%s is a %s: the slabs would hold pointers", f.Name, f.Type)
+		}
+	}
+}
+
 // TestTablesKeepTheirGeometry: New sizes the computed tables once. However
 // much a manager computes they keep that size and the arrays they were
 // born with, and ClearCaches empties those arrays in place.
@@ -283,8 +300,8 @@ func TestTerminalTable(t *testing.T) {
 // entries by their stored hash — and re-derives every survivor through mk,
 // which must find the very node.
 func TestUniqueTableRehashKeepsEveryNode(t *testing.T) {
-	if e, nd := unsafe.Sizeof(uniqueEntry{}), unsafe.Sizeof(Node{}); e != 8 || nd != 32 {
-		t.Fatalf("a unique-table entry is %d bytes and a node %d, want 8 and 32", e, nd)
+	if e, nd := unsafe.Sizeof(uniqueEntry{}), unsafe.Sizeof(Node{}); e != 8 || nd != 24 {
+		t.Fatalf("a unique-table entry is %d bytes and a node %d, want 8 and 24", e, nd)
 	}
 	const n = 16
 	m := newMgr(t, n)
@@ -301,11 +318,12 @@ func TestUniqueTableRehashKeepsEveryNode(t *testing.T) {
 			if x.IsTerminal() || seen.visit(x.id) {
 				return
 			}
-			if got := m.mk(x.Level, x.Lo, x.Hi); got != x {
-				t.Fatalf("%s: mk(%d, %d, %d) = node %d, want node %d", when, x.Level, x.Lo.id, x.Hi.id, got.id, x.id)
+			lo, hi := m.node(x.lo), m.node(x.hi)
+			if got := m.mk(x.Level, lo, hi); got != x {
+				t.Fatalf("%s: mk(%d, %d, %d) = node %d, want node %d", when, x.Level, x.lo, x.hi, got.id, x.id)
 			}
-			walk(x.Lo)
-			walk(x.Hi)
+			walk(lo)
+			walk(hi)
 		}
 		for _, x := range roots {
 			walk(x)

@@ -21,7 +21,8 @@ type CacheCounters struct {
 // range. CacheBytes is what the manager's unique and terminal tables and
 // computed tables held when it was recorded — the first two grow with the
 // nodes they hold, so it says what the manager cost, not what it was born
-// with.
+// with. NodeBytes is what its node slabs held then: over Live, the bytes a
+// live node costs in slabs.
 type ManagerStats struct {
 	Name         string                   `json:"name"`
 	Created      int                      `json:"created"`
@@ -32,6 +33,7 @@ type ManagerStats struct {
 	FusionCuts   uint64                   `json:"fusion_cuts"`
 	MaxProbe     int                      `json:"max_probe"`
 	CacheBytes   uint64                   `json:"cache_bytes"`
+	NodeBytes    uint64                   `json:"node_bytes"`
 	Caches       map[string]CacheCounters `json:"caches"`
 }
 
@@ -92,8 +94,8 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	if len(s.Managers) > 0 {
 		fmt.Fprintf(w, "managers:\n")
 		for _, m := range s.Managers {
-			fmt.Fprintf(w, "  %-20s created %d live %d peak %d gc %d kreduce-calls %d tables %.1f MB\n",
-				m.Name, m.Created, m.Live, m.PeakLive, m.GCRuns, m.KReduceCalls, float64(m.CacheBytes)/(1<<20))
+			fmt.Fprintf(w, "  %-20s created %d live %d peak %d gc %d kreduce-calls %d nodes %.1f MB tables %.1f MB\n",
+				m.Name, m.Created, m.Live, m.PeakLive, m.GCRuns, m.KReduceCalls, float64(m.NodeBytes)/(1<<20), float64(m.CacheBytes)/(1<<20))
 		}
 	}
 	if len(s.Counters) > 0 {

@@ -292,7 +292,7 @@ func sealBGP(st *Stepper, keys *bgpKeys) *BGPBase {
 		b.prefixes[pfx] = sealedPrefix{key: keys.prefix[i], rows: rows[from:len(rows):len(rows)]}
 	}
 	var at []uint32
-	b.snap, at = mtbdd.NewSnapshot(roots)
+	b.snap, at = mtbdd.NewSnapshot(st.fv.M, roots)
 	for i := range rows {
 		rows[i].guard = at[rows[i].guard]
 	}

@@ -81,7 +81,7 @@ func (r *Result) NewImportBase() *ImportBase {
 		roots = append(roots, *g)
 		*g = nil
 	})
-	snap, at := mtbdd.NewSnapshot(roots)
+	snap, at := mtbdd.NewSnapshot(r.Vars.M, roots)
 	return &ImportBase{key: r.Vars.Key(), nvars: r.Vars.M.NumVars(), snap: snap, tmpl: tmpl, at: at}
 }
 
